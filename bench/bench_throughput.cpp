@@ -111,6 +111,9 @@ void printThroughput() {
 // Two throughput views per cell: blocks per wall-second (host simulation
 // speed) and blocks per device cycle of the slowest shard (what real
 // silicon would see — shards are independent hardware and run in parallel).
+// Admission is RejectNew, so a full queue refuses the submit (retried next
+// wave) instead of shedding an admitted block, and only Ok completions count
+// as work.
 
 unsigned envOr(const char* name, unsigned fallback) {
   const char* v = std::getenv(name);
@@ -125,7 +128,8 @@ bool smokeMode() {
 }
 
 struct PoolRunResult {
-  std::uint64_t blocks = 0;
+  std::uint64_t blocks = 0;         // Ok completions
+  std::uint64_t not_ok = 0;         // completions with any other status
   std::uint64_t device_cycles = 0;  // slowest shard's cycle counter
   double wall_seconds = 0.0;
   soc::LatencyStats latency;  // submit->complete, device cycles
@@ -139,6 +143,7 @@ PoolRunResult runPool(unsigned shards, unsigned batch, unsigned tenants,
   cfg.service.batch_size = batch;
   cfg.service.quota_per_round = batch < 16 ? 16 : batch;
   cfg.service.global_high_watermark = 1u << 20;
+  cfg.service.overflow = soc::OverflowPolicy::RejectNew;
   soc::EnginePool pool{cfg};
 
   std::vector<unsigned> ids;
@@ -159,7 +164,7 @@ PoolRunResult runPool(unsigned shards, unsigned batch, unsigned tenants,
   // idle, collect completions — so queues stay deep enough for batching to
   // engage but latency still covers the queue wait, not just the pipe.
   std::vector<unsigned> submitted(tenants, 0);
-  std::uint64_t done = 0;
+  std::uint64_t done = 0;  // completions of any status
   std::vector<std::uint64_t> lat;
   lat.reserve(static_cast<std::size_t>(tenants) * blocks_per_tenant);
   PoolRunResult r;
@@ -178,6 +183,11 @@ PoolRunResult runPool(unsigned shards, unsigned batch, unsigned tenants,
     for (unsigned t = 0; t < tenants; ++t) {
       while (auto c = pool.fetch(ids[t])) {
         ++done;
+        if (c->status != soc::CompletionStatus::Ok) {
+          ++r.not_ok;
+          continue;
+        }
+        ++r.blocks;
         lat.push_back(c->complete_cycle - c->submit_cycle);
       }
     }
@@ -185,7 +195,6 @@ PoolRunResult runPool(unsigned shards, unsigned batch, unsigned tenants,
   r.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  r.blocks = done;
   r.device_cycles = pool.maxShardCycle();
   r.latency = soc::latencyStats(lat);
   r.stats = pool.aggregateStats();
@@ -223,11 +232,13 @@ void printPoolThroughput() {
                   r.latency.p50, r.latency.p95, r.latency.p99);
       std::printf(
           "JSON {\"bench\":\"throughput_pool\",\"shards\":%u,\"batch\":%u,"
-          "\"tenants\":%u,\"blocks\":%llu,\"device_cycles\":%llu,"
+          "\"tenants\":%u,\"blocks\":%llu,\"not_ok\":%llu,"
+          "\"device_cycles\":%llu,"
           "\"blocks_per_device_cycle\":%.4f,\"blocks_per_sec\":%.1f,"
           "\"wall_seconds\":%.4f,\"speedup_vs_1shard_batch1\":%.2f,"
           "\"latency\":%s,\"stats\":%s}\n",
           shards, batch, tenants, static_cast<unsigned long long>(r.blocks),
+          static_cast<unsigned long long>(r.not_ok),
           static_cast<unsigned long long>(r.device_cycles), bpc, bps,
           r.wall_seconds, base_bps > 0.0 ? bps / base_bps : 0.0,
           r.latency.toJson().c_str(), r.stats.toJson().c_str());

@@ -267,14 +267,7 @@ bool GhashUnit::faultFlipStageBit(unsigned stage, unsigned bit) {
 bool GhashUnit::faultFlipStageTagBit(unsigned stage, unsigned bit) {
   GhashStageSlot& s = stages_.at(stage % kGhashStages);
   if (!s.valid || bit >= 32) return false;
-  Label& t = s.tag;
-  if (bit < 16) {
-    t.c = lattice::Conf{lattice::CatSet{
-        static_cast<std::uint16_t>(t.c.cats.mask() ^ (1u << bit))}};
-  } else {
-    t.i = lattice::Integ{lattice::CatSet{
-        static_cast<std::uint16_t>(t.i.cats.mask() ^ (1u << (bit - 16)))}};
-  }
+  flipLabelBit(s.tag, bit);
   return true;
 }
 

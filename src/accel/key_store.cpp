@@ -1,5 +1,6 @@
 #include "accel/key_store.h"
 
+#include <cstring>
 #include <stdexcept>
 
 namespace aesifc::accel {
@@ -84,14 +85,7 @@ bool KeyScratchpad::faultFlipCellBit(unsigned idx, unsigned bit) {
 
 bool KeyScratchpad::faultFlipTagBit(unsigned idx, unsigned bit) {
   if (idx >= kScratchpadCells || bit >= 32) return false;
-  Label& t = tags_[idx];
-  if (bit < 16) {
-    t.c = lattice::Conf{lattice::CatSet{
-        static_cast<std::uint16_t>(t.c.cats.mask() ^ (1u << bit))}};
-  } else {
-    t.i = lattice::Integ{lattice::CatSet{
-        static_cast<std::uint16_t>(t.i.cats.mask() ^ (1u << (bit - 16)))}};
-  }
+  flipLabelBit(tags_[idx], bit);
   return true;
 }
 
@@ -116,9 +110,15 @@ void RoundKeyRam::clear(unsigned slot) {
 }
 
 std::uint64_t RoundKeyRam::computeChecksum(const KeySlot& s) const {
+  // Round keys fold 8 bytes per step. Each step is a bijection of h for a
+  // fixed word (odd multiplier) and of the word for a fixed h, so corruption
+  // confined to one 64-bit word always changes the digest.
   std::uint64_t h = kChecksumBasis;
   for (const auto& rk : s.key.round_keys) {
-    for (unsigned b = 0; b < 16; ++b) h = checksumStep(h, rk[b]);
+    std::uint64_t lo, hi;
+    std::memcpy(&lo, rk.data(), 8);
+    std::memcpy(&hi, rk.data() + 8, 8);
+    h = checksumStep(checksumStep(h, lo), hi);
   }
   h = checksumStep(h, s.key_conf.cats.mask());
   h = checksumStep(h, s.owner.c.cats.mask());
@@ -137,6 +137,22 @@ bool RoundKeyRam::faultFlipKeyBit(unsigned slot, unsigned round, unsigned byte,
   if (!s.valid || bit >= 8 || byte >= 16) return false;
   if (round >= s.key.round_keys.size()) return false;
   s.key.round_keys[round][byte] ^= static_cast<std::uint8_t>(1u << bit);
+  return true;
+}
+
+bool RoundKeyRam::faultFlipMetaBit(unsigned slot, unsigned bit) {
+  auto& s = slots_.at(slot % kRoundKeySlots);
+  if (bit < 32) {
+    flipLabelBit(s.owner, bit);
+  } else if (bit < 48) {
+    const unsigned b = bit - 32;
+    s.key_conf = lattice::Conf{lattice::CatSet{
+        static_cast<std::uint16_t>(s.key_conf.cats.mask() ^ (1u << b))}};
+  } else if (bit == 48) {
+    s.valid = !s.valid;
+  } else {
+    return false;
+  }
   return true;
 }
 

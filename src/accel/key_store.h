@@ -111,6 +111,9 @@ class RoundKeyRam {
 
   bool faultFlipKeyBit(unsigned slot, unsigned round, unsigned byte,
                        unsigned bit);
+  // Flip one bit of a slot's metadata: 0..31 the owner label (as
+  // flipLabelBit), 32..47 key_conf, 48 the valid bit.
+  bool faultFlipMetaBit(unsigned slot, unsigned bit);
 
  private:
   std::uint64_t computeChecksum(const KeySlot& s) const;

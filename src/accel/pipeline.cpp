@@ -1,6 +1,8 @@
 #include "accel/pipeline.h"
 
 #include <cassert>
+#include <cstring>
+#include <stdexcept>
 
 #include "aes/block.h"
 
@@ -9,6 +11,13 @@ namespace aesifc::accel {
 AesPipeline::AesPipeline(unsigned max_rounds, const RoundKeyRam& keys)
     : max_rounds_{max_rounds}, keys_{keys}, stages_(3 * max_rounds) {
   assert(max_rounds >= 1);
+}
+
+std::size_t AesPipeline::slotIndex(unsigned i) const {
+  const std::size_t n = stages_.size();
+  if (i >= n) throw std::out_of_range("AesPipeline: no such stage");
+  const std::size_t p = head_ + i;
+  return p < n ? p : p - n;
 }
 
 bool AesPipeline::anyValid() const {
@@ -25,9 +34,11 @@ unsigned AesPipeline::validCount() const {
 }
 
 bool stateParity(const aes::State& s) {
-  std::uint8_t acc = 0;
-  for (auto b : s) acc ^= b;
-  return parity64(acc);
+  // Parity of all 128 bits: fold the two halves, then one 64-bit parity.
+  std::uint64_t lo, hi;
+  std::memcpy(&lo, s.data(), 8);
+  std::memcpy(&hi, s.data() + 8, 8);
+  return parity64(lo ^ hi);
 }
 
 void stampParity(StageSlot& s) {
@@ -36,36 +47,29 @@ void stampParity(StageSlot& s) {
 }
 
 bool AesPipeline::stageParityOk(unsigned i) const {
-  const StageSlot& s = stages_.at(i);
+  const StageSlot& s = stage(i);
   if (!s.valid) return true;
   return s.data_parity == stateParity(s.state) &&
          s.tag_parity == labelParity(s.tag);
 }
 
 void AesPipeline::squash(unsigned i) {
-  StageSlot& s = stages_.at(i);
+  StageSlot& s = stages_[slotIndex(i)];
   s = StageSlot{};
   stampParity(s);
 }
 
 bool AesPipeline::faultFlipStageDataBit(unsigned stage, unsigned bit) {
-  StageSlot& s = stages_.at(stage % stages_.size());
+  StageSlot& s = stages_[slotIndex(stage % depth())];
   if (!s.valid || bit >= 128) return false;
   s.state[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
   return true;
 }
 
 bool AesPipeline::faultFlipStageTagBit(unsigned stage, unsigned bit) {
-  StageSlot& s = stages_.at(stage % stages_.size());
+  StageSlot& s = stages_[slotIndex(stage % depth())];
   if (!s.valid || bit >= 32) return false;
-  Label& t = s.tag;
-  if (bit < 16) {
-    t.c = lattice::Conf{lattice::CatSet{
-        static_cast<std::uint16_t>(t.c.cats.mask() ^ (1u << bit))}};
-  } else {
-    t.i = lattice::Integ{lattice::CatSet{
-        static_cast<std::uint16_t>(t.i.cats.mask() ^ (1u << (bit - 16)))}};
-  }
+  flipLabelBit(s.tag, bit);
   return true;
 }
 
@@ -77,21 +81,20 @@ lattice::Conf AesPipeline::meetConf() const {
   return m;
 }
 
-StageSlot AesPipeline::applyEntry(StageSlot s) const {
+void AesPipeline::applyEntry(StageSlot& s) const {
   // Entry AddRoundKey: rk[0] for encryption, rk[n] for decryption.
   const unsigned n = s.total_rounds;
   const auto& rk = keys_.roundKey(s.key_slot, s.decrypt ? n : 0);
   aes::addRoundKey(s.state, rk);
   s.data_parity = stateParity(s.state);
-  return s;
 }
 
-StageSlot AesPipeline::compute(unsigned idx, StageSlot s) const {
-  if (!s.valid) return s;
+void AesPipeline::compute(unsigned idx, StageSlot& s) const {
+  if (!s.valid) return;
   const unsigned r = idx / 3 + 1;  // round this stage performs
   const unsigned op = idx % 3;
   const unsigned n = s.total_rounds;
-  if (r > n) return s;  // pass-through stage for shorter key schedules
+  if (r > n) return;  // pass-through stage for shorter key schedules
 
   if (!s.decrypt) {
     switch (op) {
@@ -124,20 +127,29 @@ StageSlot AesPipeline::compute(unsigned idx, StageSlot s) const {
   // fault flips the register *after* the write and is caught at the next
   // parity check.
   s.data_parity = stateParity(s.state);
-  return s;
 }
 
 std::optional<StageSlot> AesPipeline::advance(std::optional<StageSlot> input) {
+  const std::size_t n = stages_.size();
+  StageSlot& last = stages_[slotIndex(depth() - 1)];
   std::optional<StageSlot> out;
-  if (stages_.back().valid) out = stages_.back();
+  if (last.valid) out = std::move(last);
 
-  for (std::size_t i = stages_.size() - 1; i >= 1; --i) {
-    stages_[i] = compute(static_cast<unsigned>(i), stages_[i - 1]);
+  // The final stage's register becomes the new stage 0; every other slot
+  // moves one logical stage on and gets that stage's micro-op in place.
+  head_ = head_ == 0 ? n - 1 : head_ - 1;
+  std::size_t p = head_;
+  for (unsigned i = 1; i < n; ++i) {
+    if (++p == n) p = 0;
+    compute(i, stages_[p]);
   }
+  StageSlot& first = stages_[head_];
   if (input.has_value()) {
-    stages_[0] = compute(0, applyEntry(std::move(*input)));
+    first = std::move(*input);
+    applyEntry(first);
+    compute(0, first);
   } else {
-    stages_[0] = StageSlot{};
+    first = StageSlot{};
   }
   return out;
 }

@@ -57,8 +57,10 @@ class AesPipeline {
 
   bool anyValid() const;
   unsigned validCount() const;
-  const StageSlot& stage(unsigned i) const { return stages_.at(i); }
-  const StageSlot& finalStage() const { return stages_.back(); }
+  // Stage indices are logical: 0 is the entry stage, depth() - 1 the final
+  // one, whatever register currently holds them.
+  const StageSlot& stage(unsigned i) const { return stages_[slotIndex(i)]; }
+  const StageSlot& finalStage() const { return stage(depth() - 1); }
 
   // --- Fail-secure hardening -------------------------------------------------
   // True when the stage is empty or both parity bits match its contents.
@@ -82,13 +84,20 @@ class AesPipeline {
   std::optional<StageSlot> advance(std::optional<StageSlot> input);
 
  private:
-  // Apply the micro-op of stage `idx` to a slot entering it.
-  StageSlot compute(unsigned idx, StageSlot s) const;
-  StageSlot applyEntry(StageSlot s) const;
+  // Register holding logical stage `i` (throws std::out_of_range past the
+  // final stage).
+  std::size_t slotIndex(unsigned i) const;
+  // Apply the micro-op of stage `idx` to a slot entering it, in place.
+  void compute(unsigned idx, StageSlot& s) const;
+  void applyEntry(StageSlot& s) const;
 
   unsigned max_rounds_;
   const RoundKeyRam& keys_;
+  // A ring of stage registers: logical stage i lives in
+  // stages_[(head_ + i) % depth()], so advancing rotates head_ instead of
+  // copying every slot down the pipe.
   std::vector<StageSlot> stages_;
+  std::size_t head_ = 0;
 };
 
 }  // namespace aesifc::accel

@@ -100,6 +100,19 @@ inline bool labelParity(const Label& l) {
                   (static_cast<std::uint64_t>(l.i.cats.mask()) << 16));
 }
 
+// Flip one bit of a tag register: bits 0..15 are the confidentiality
+// categories, 16..31 the integrity categories (the fault ports' layout).
+inline void flipLabelBit(Label& l, unsigned bit) {
+  const auto flip = [](lattice::CatSet c, unsigned b) {
+    return lattice::CatSet{static_cast<std::uint16_t>(c.mask() ^ (1u << b))};
+  };
+  if (bit < 16) {
+    l.c = lattice::Conf{flip(l.c.cats, bit)};
+  } else {
+    l.i = lattice::Integ{flip(l.i.cats, bit - 16)};
+  }
+}
+
 struct SecurityEvent {
   SecurityEventKind kind;
   std::uint64_t cycle = 0;

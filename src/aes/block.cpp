@@ -20,11 +20,13 @@ Block stateToBlock(const State& s) {
 }
 
 void subBytes(State& s) {
-  for (auto& x : s) x = sbox(x);
+  const std::uint8_t* t = sboxTable();
+  for (auto& x : s) x = t[x];
 }
 
 void invSubBytes(State& s) {
-  for (auto& x : s) x = invSbox(x);
+  const std::uint8_t* t = invSboxTable();
+  for (auto& x : s) x = t[x];
 }
 
 void shiftRows(State& s) {
@@ -48,29 +50,33 @@ void invShiftRows(State& s) {
 }
 
 void mixColumns(State& s) {
+  // {02}a0 ^ {03}a1 ^ a2 ^ a3 == a0 ^ all ^ xtime(a0 ^ a1), where all is the
+  // XOR of the column; the other rows rotate the same identity.
   for (unsigned c = 0; c < 4; ++c) {
-    const std::uint8_t a0 = s[0 + 4 * c], a1 = s[1 + 4 * c];
-    const std::uint8_t a2 = s[2 + 4 * c], a3 = s[3 + 4 * c];
-    s[0 + 4 * c] = static_cast<std::uint8_t>(gfMul(a0, 2) ^ gfMul(a1, 3) ^ a2 ^ a3);
-    s[1 + 4 * c] = static_cast<std::uint8_t>(a0 ^ gfMul(a1, 2) ^ gfMul(a2, 3) ^ a3);
-    s[2 + 4 * c] = static_cast<std::uint8_t>(a0 ^ a1 ^ gfMul(a2, 2) ^ gfMul(a3, 3));
-    s[3 + 4 * c] = static_cast<std::uint8_t>(gfMul(a0, 3) ^ a1 ^ a2 ^ gfMul(a3, 2));
+    std::uint8_t* col = &s[4 * c];
+    const std::uint8_t a0 = col[0], a1 = col[1], a2 = col[2], a3 = col[3];
+    const std::uint8_t all = static_cast<std::uint8_t>(a0 ^ a1 ^ a2 ^ a3);
+    col[0] = static_cast<std::uint8_t>(a0 ^ all ^ xtime(a0 ^ a1));
+    col[1] = static_cast<std::uint8_t>(a1 ^ all ^ xtime(a1 ^ a2));
+    col[2] = static_cast<std::uint8_t>(a2 ^ all ^ xtime(a2 ^ a3));
+    col[3] = static_cast<std::uint8_t>(a3 ^ all ^ xtime(a3 ^ a0));
   }
 }
 
 void invMixColumns(State& s) {
+  // FIPS-197 factoring: the inverse matrix {0e,0b,0d,09} equals
+  // {05,00,04,00} (a pre-multiply by 4 on opposite rows) followed by the
+  // forward {02,03,01,01}.
   for (unsigned c = 0; c < 4; ++c) {
-    const std::uint8_t a0 = s[0 + 4 * c], a1 = s[1 + 4 * c];
-    const std::uint8_t a2 = s[2 + 4 * c], a3 = s[3 + 4 * c];
-    s[0 + 4 * c] = static_cast<std::uint8_t>(gfMul(a0, 14) ^ gfMul(a1, 11) ^
-                                             gfMul(a2, 13) ^ gfMul(a3, 9));
-    s[1 + 4 * c] = static_cast<std::uint8_t>(gfMul(a0, 9) ^ gfMul(a1, 14) ^
-                                             gfMul(a2, 11) ^ gfMul(a3, 13));
-    s[2 + 4 * c] = static_cast<std::uint8_t>(gfMul(a0, 13) ^ gfMul(a1, 9) ^
-                                             gfMul(a2, 14) ^ gfMul(a3, 11));
-    s[3 + 4 * c] = static_cast<std::uint8_t>(gfMul(a0, 11) ^ gfMul(a1, 13) ^
-                                             gfMul(a2, 9) ^ gfMul(a3, 14));
+    std::uint8_t* col = &s[4 * c];
+    const auto u = xtime(xtime(static_cast<std::uint8_t>(col[0] ^ col[2])));
+    const auto v = xtime(xtime(static_cast<std::uint8_t>(col[1] ^ col[3])));
+    col[0] ^= u;
+    col[1] ^= v;
+    col[2] ^= u;
+    col[3] ^= v;
   }
+  mixColumns(s);
 }
 
 void addRoundKey(State& s, const RoundKey& rk) {

@@ -38,7 +38,7 @@ enum class DowngradeKind { Declassify, Endorse };
 
 struct DowngradeDecision {
   bool allowed = false;
-  std::string reason;  // human-readable explanation for reports/logs
+  std::string reason;  // explanation of a refusal; empty when allowed
 };
 
 // Declassification: `from` and `to` must agree on integrity.

@@ -597,11 +597,13 @@ RingCampaignReport runRingFaultCampaign(const RingCampaignConfig& cfg) {
       off += take;
     }
 
-    const auto seq = drv.submitChain(segs);
+    auto seq = drv.submitChain(segs);
     if (!seq) {  // ring backpressure: drain a little and retry once
       for (unsigned t = 0; t < 256; ++t) eng.tick();
       drv.poll();
-      if (!drv.submitChain(segs)) {
+      ++rep.submit_retries;
+      seq = drv.submitChain(segs);
+      if (!seq) {
         ++rep.unresolved;
         continue;
       }
@@ -739,6 +741,7 @@ std::string RingCampaignReport::toJson() const {
      << ",\"ring_faults\":" << ring_faults
      << ",\"corrupt_completions\":" << corrupt_completions
      << ",\"duplicate_completions\":" << duplicate_completions
+     << ",\"submit_retries\":" << submit_retries
      << ",\"ring\":" << ring.toJson() << "}";
   return os.str();
 }
@@ -758,6 +761,7 @@ RingCampaignReport& RingCampaignReport::operator+=(
   ring_faults += o.ring_faults;
   corrupt_completions += o.corrupt_completions;
   duplicate_completions += o.duplicate_completions;
+  submit_retries += o.submit_retries;
   ring += o.ring;
   return *this;
 }

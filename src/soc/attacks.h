@@ -136,6 +136,7 @@ struct RingCampaignReport {
   std::uint64_t ring_faults = 0;  // bit flips landed in ring memory
   std::uint64_t corrupt_completions = 0;   // driver checksum rejections
   std::uint64_t duplicate_completions = 0; // exactly-once dedups
+  std::uint64_t submit_retries = 0;  // submits retried after backpressure
   DmaRingStats ring;              // engine-side counters
 
   std::string toJson() const;

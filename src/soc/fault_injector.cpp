@@ -113,12 +113,16 @@ void FaultInjector::injectHw() {
       rec.bit = static_cast<unsigned>(
           rng_.below(rec.site == FaultSite::ScratchCell ? 64 : 32));
       break;
-    case FaultSite::RoundKey:
+    case FaultSite::RoundKey: {
       rec.index = static_cast<unsigned>(rng_.below(accel::kRoundKeySlots));
       // round*128 + byte*8 + bit, rounds limited to the AES-128 schedule so
-      // most rolls land on real state.
-      rec.bit = static_cast<unsigned>(rng_.below(11) * 128 + rng_.below(128));
+      // most rolls land on real state. One draw per statement keeps the
+      // stream independent of the compiler's operand order.
+      const auto round = rng_.below(11);
+      const auto offset = rng_.below(128);
+      rec.bit = static_cast<unsigned>(round * 128 + offset);
       break;
+    }
     case FaultSite::ConfigReg:
       rec.index = static_cast<unsigned>(rng_.below(4));
       rec.bit = static_cast<unsigned>(rng_.below(32));
@@ -185,13 +189,14 @@ void FaultInjector::injectHost() {
       rec.bit = static_cast<unsigned>(rng_.below(rr.stride * 8));
       break;
     }
-    default:
+    default: {
       rec.site = FaultSite::HostSpuriousSubmit;
       // Shape of the spurious request, encoded so a replay rebuilds it.
-      rec.bit = static_cast<unsigned>(rng_.below(accel::kRoundKeySlots + 2)) *
-                    2 +
-                (rng_.chance(0.5) ? 1 : 0);
+      const auto key_slot = rng_.below(accel::kRoundKeySlots + 2);
+      const bool decrypt = rng_.chance(0.5);
+      rec.bit = static_cast<unsigned>(key_slot) * 2 + (decrypt ? 1 : 0);
       break;
+    }
   }
   applyRecord(rec);
 }

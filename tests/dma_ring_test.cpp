@@ -415,6 +415,24 @@ TEST(DmaRing, HardenedCampaignInvariantsHoldAcrossSeeds) {
             total.completed_ok + total.refused + total.unresolved);
 }
 
+// A submit refused for backpressure is retried once after a drain. The
+// retry's sequence number is the one to wait on and check: this seed (the
+// storm soak's seed 8 at rate 0.15) takes that path, and waiting on the
+// refused submit's empty sequence number made the oracle compare another
+// transfer's destination.
+TEST(DmaRing, BackpressureRetryTracksTheRetriedTransfer) {
+  RingCampaignConfig cfg;
+  cfg.seed = 63502;
+  cfg.descriptors = 42;
+  cfg.fault_rate = 0.15;
+  const auto rep = runRingFaultCampaign(cfg);
+  EXPECT_GT(rep.submit_retries, 0u);
+  EXPECT_EQ(rep.wrong_plaintext_releases, 0u);
+  EXPECT_EQ(rep.cross_label_writes, 0u);
+  EXPECT_EQ(rep.partial_writes, 0u);
+  EXPECT_EQ(rep.descriptors, rep.completed_ok + rep.refused + rep.unresolved);
+}
+
 TEST(DmaRing, UnhardenedEngineDemonstratesViolations) {
   // The control: without checksum validation, descriptor latching, and the
   // point-of-use label re-check, the same campaign produces real

@@ -148,6 +148,72 @@ TEST(FaultInjection, StageDataFaultAbortsButKeepsKey) {
   EXPECT_TRUE(r.acc.roundKeys().valid(1));
 }
 
+// The pipe is a ring of stage registers; stage indices stay logical. Once
+// the head has wrapped, a fault aimed at stage k must still hit the block
+// the pipe reports in stage k, and the scrub must squash and report that
+// block, at every k and for both register kinds.
+TEST(FaultInjection, StageFaultHitsLogicalStageAfterRotation) {
+  for (const FaultSite site : {FaultSite::StageData, FaultSite::StageTag}) {
+    const unsigned depth = Rig{}.acc.pipeline().depth();
+    for (unsigned k = 0; k < depth; ++k) {
+      SCOPED_TRACE(toString(site) + " at stage " + std::to_string(k));
+      Rig r;
+      for (unsigned i = 0; i < 3 * depth; ++i) {
+        BlockRequest req;
+        req.req_id = 1000 + i;
+        req.user = r.alice;
+        req.key_slot = 1;
+        req.data[0] = static_cast<std::uint8_t>(i);
+        ASSERT_TRUE(r.acc.submit(req));
+      }
+      r.acc.run(depth + k);  // head has wrapped; every stage is occupied
+      const StageSlot& target = r.acc.pipeline().stage(k);
+      ASSERT_TRUE(target.valid);
+      const std::uint64_t victim = target.req_id;
+      ASSERT_TRUE(r.acc.injectFault(site, k, 5));
+      r.acc.tick();
+
+      std::vector<BlockResponse> out;
+      r.acc.fetchOutputs(r.alice, out);
+      unsigned aborted = 0;
+      bool victim_aborted = false;
+      for (const auto& resp : out) {
+        if (!resp.fault_aborted) continue;
+        ++aborted;
+        if (resp.req_id == victim) {
+          victim_aborted = true;
+          EXPECT_EQ(resp.data, aes::Block{});
+        }
+      }
+      EXPECT_TRUE(victim_aborted);
+      const std::string where =
+          "stage " + std::to_string(k) + " parity mismatch";
+      bool reported = false;
+      for (const auto& e : r.acc.events()) {
+        if (e.kind == SecurityEventKind::FaultDetected &&
+            e.detail.find(where) != std::string::npos)
+          reported = true;
+      }
+      EXPECT_TRUE(reported);
+      if (site == FaultSite::StageData) {
+        // Only the corrupted block is lost; its emptied register moved on
+        // to stage k + 1 while its neighbours kept their blocks.
+        EXPECT_EQ(aborted, 1u);
+        EXPECT_TRUE(r.acc.roundKeys().valid(1));
+        if (k + 1 < depth) {
+          EXPECT_FALSE(r.acc.pipeline().stage(k + 1).valid);
+        }
+        EXPECT_EQ(r.acc.pipeline().validCount(), depth - (k + 1 < depth));
+      } else {
+        // A tag fault voids the key binding: every block on the slot goes,
+        // in flight and the queued one the arbiter picks that same cycle.
+        EXPECT_EQ(aborted, depth + 1);
+        EXPECT_FALSE(r.acc.roundKeys().valid(1));
+      }
+    }
+  }
+}
+
 TEST(FaultInjection, RoundKeyFaultNeverDeliversWrongCiphertext) {
   Rig r;
   BlockRequest req;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <ostream>
+
 #include "ifc/checker.h"
 #include "rtl/verif_models.h"
 #include "sim/simulator.h"
@@ -166,6 +169,20 @@ struct ErrorCase {
   const char* src;
   const char* expect_substring;
 };
+
+// Prints a case as its expected message, reduced to [A-Za-z0-9_]. Without this
+// gtest prints the raw pointer bytes, so the ctest names that
+// gtest_discover_tests derives from the value would change with every run
+// under address-space randomisation.
+void PrintTo(const ErrorCase& c, std::ostream* os) {
+  for (const char* p = c.expect_substring; *p != '\0'; ++p) {
+    if (std::isalnum(static_cast<unsigned char>(*p))) {
+      *os << *p;
+    } else if (*p == ' ') {
+      *os << '_';
+    }
+  }
+}
 
 class ParserErrorTest : public ::testing::TestWithParam<ErrorCase> {};
 

@@ -211,5 +211,37 @@ TEST_F(PipelineFixture, ValidCountTracksOccupancy) {
   EXPECT_FALSE(p.anyValid());
 }
 
+// The slot checksum folds the round keys a 64-bit word at a time; each
+// fold step is a bijection, so every single-bit upset (one word changed)
+// must be caught, in the key material and in the security metadata alike.
+TEST_F(PipelineFixture, KeySlotChecksumCatchesEverySingleBitFlip) {
+  for (const auto size : {aes::KeySize::Aes128, aes::KeySize::Aes256}) {
+    ram.store(2, aes::expandKey(randomKey(aes::keyBytes(size)), size),
+              lattice::Conf::category(4),
+              lattice::Label{lattice::Conf::category(4),
+                             lattice::Integ::category(4)});
+    ASSERT_TRUE(ram.slotParityOk(2));
+    const unsigned round_keys = ram.rounds(2) + 1;
+    for (unsigned round = 0; round < round_keys; ++round) {
+      for (unsigned byte = 0; byte < 16; ++byte) {
+        for (unsigned bit = 0; bit < 8; ++bit) {
+          ASSERT_TRUE(ram.faultFlipKeyBit(2, round, byte, bit));
+          EXPECT_FALSE(ram.slotParityOk(2))
+              << "round " << round << " byte " << byte << " bit " << bit;
+          ASSERT_TRUE(ram.faultFlipKeyBit(2, round, byte, bit));
+          ASSERT_TRUE(ram.slotParityOk(2));
+        }
+      }
+    }
+    for (unsigned bit = 0; bit <= 48; ++bit) {
+      ASSERT_TRUE(ram.faultFlipMetaBit(2, bit));
+      EXPECT_FALSE(ram.slotParityOk(2)) << "metadata bit " << bit;
+      ASSERT_TRUE(ram.faultFlipMetaBit(2, bit));
+      ASSERT_TRUE(ram.slotParityOk(2));
+    }
+    EXPECT_FALSE(ram.faultFlipMetaBit(2, 49));
+  }
+}
+
 }  // namespace
 }  // namespace aesifc::accel
