@@ -1,5 +1,6 @@
 #include "accel/accelerator.h"
 
+#include <bit>
 #include <cassert>
 #include <stdexcept>
 
@@ -89,8 +90,12 @@ unsigned AesAccelerator::zeroizeSlotSquash(unsigned slot) {
 void AesAccelerator::scrubTick() {
   // Fast ring: every pipeline-stage comparator and every scratchpad tag
   // comparator runs each cycle (parallel hardware), so a flipped tag is
-  // caught before any release decision can consult it.
-  for (unsigned i = 0; i < pipeline_.depth(); ++i) {
+  // caught before any release decision can consult it. An empty stage's
+  // comparator passes by definition, so only occupied stages are
+  // evaluated, in ascending stage order. A squash can only empty stages,
+  // and stageParityOk re-reads validity, so the snapshot stays exact.
+  for (std::uint64_t occ = pipeline_.occupancy(); occ != 0; occ &= occ - 1) {
+    const unsigned i = static_cast<unsigned>(std::countr_zero(occ));
     if (pipeline_.stageParityOk(i)) continue;
     const StageSlot s = pipeline_.stage(i);
     const bool tag_fault = s.tag_parity != labelParity(s.tag);

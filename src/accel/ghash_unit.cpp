@@ -1,5 +1,7 @@
 #include "accel/ghash_unit.h"
 
+#include <cstring>
+
 #include "lattice/downgrade.h"
 
 namespace aesifc::accel {
@@ -26,17 +28,24 @@ void stampStage(GhashStageSlot& s) {
 }  // namespace
 
 std::uint64_t GhashUnit::keyChecksum(const KeySlot& k) const {
-  // Rotate-xor fold over every table byte plus the label masks: any single
-  // flipped bit lands at a distinct rotation, so single-event upsets are
-  // always detected.
+  // Rotate-xor fold, 8 table bytes per step, then the label masks. The fold
+  // is linear over GF(2) and each step's rotation is a bijection, so any
+  // single flipped bit moves exactly one digest bit: single-event upsets
+  // are always detected.
+  const auto step = [](std::uint64_t acc, std::uint64_t word) {
+    return (acc << 7 | acc >> 57) ^ word;
+  };
   std::uint64_t acc = 0x9e3779b97f4a7c15ull;
   for (const auto& p : k.powers) {
     for (const auto& entry : p.table()) {
-      for (auto b : entry) acc = (acc << 7 | acc >> 57) ^ b;
+      std::uint64_t lo, hi;
+      std::memcpy(&lo, entry.data(), 8);
+      std::memcpy(&hi, entry.data() + 8, 8);
+      acc = step(step(acc, lo), hi);
     }
   }
-  acc = (acc << 7 | acc >> 57) ^ k.label.c.cats.mask();
-  acc = (acc << 7 | acc >> 57) ^ k.label.i.cats.mask();
+  acc = step(acc, k.label.c.cats.mask());
+  acc = step(acc, k.label.i.cats.mask());
   return acc;
 }
 
@@ -193,8 +202,16 @@ GhashStageSlot GhashUnit::computeStage(unsigned idx, GhashStageSlot s) const {
   return s;
 }
 
+bool GhashUnit::idle() const {
+  // An empty stage slot is always GhashStageSlot{} (every path that empties
+  // one assigns that), so with no stage valid and no stream open a tick
+  // and a fast scrub change nothing.
+  return !anyValid() && activeStreams() == 0;
+}
+
 std::vector<GhashScrubFinding> GhashUnit::tick(std::uint64_t now) {
   std::vector<GhashScrubFinding> findings;
+  if (idle()) return findings;
 
   // Writeback: the slot leaving the last stage has all 32 steps applied.
   GhashStageSlot& out = stages_[kGhashStages - 1];
@@ -289,6 +306,13 @@ bool GhashUnit::faultFlipKeyTableBit(unsigned slot, unsigned bit) {
   return k.powers[power].flipTableBit(entry, bit % 128);
 }
 
+bool GhashUnit::faultFlipKeyLabelBit(unsigned slot, unsigned bit) {
+  KeySlot& k = keys_.at(slot % kGhashKeySlots);
+  if (!k.valid || bit >= 32) return false;
+  flipLabelBit(k.label, bit);
+  return true;
+}
+
 void GhashUnit::restampStream(Stream& st) {
   std::uint8_t acc = 0;
   for (const auto& lane : st.lanes) {
@@ -320,7 +344,7 @@ void GhashUnit::faultStream(unsigned sid) {
 
 std::vector<GhashScrubFinding> GhashUnit::scrubFast() {
   std::vector<GhashScrubFinding> findings;
-  if (!hardened_) return findings;
+  if (!hardened_ || idle()) return findings;
   for (unsigned i = 0; i < kGhashStages; ++i) {
     GhashStageSlot& s = stages_[i];
     if (!s.valid) continue;

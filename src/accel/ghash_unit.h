@@ -149,6 +149,7 @@ class GhashUnit {
   bool faultFlipStageTagBit(unsigned stage, unsigned bit);  // 0..31
   bool faultFlipAccBit(unsigned stream, unsigned bit);  // 0..128*lanes-1
   bool faultFlipKeyTableBit(unsigned slot, unsigned bit);  // over all tables
+  bool faultFlipKeyLabelBit(unsigned slot, unsigned bit);  // 0..31
 
   // --- Fail-secure scrub (driven by the accelerator's scrub pass) ------------
   // Fast ring: every stage and stream comparator, every cycle.
@@ -191,6 +192,8 @@ class GhashUnit {
   bool streamParityOk(const Stream& st) const;
   void faultStream(unsigned sid);
   std::uint64_t keyChecksum(const KeySlot& k) const;
+  // No stage holds a block and no stream is open.
+  bool idle() const;
 
   bool hardened_;
   std::array<KeySlot, kGhashKeySlots> keys_{};

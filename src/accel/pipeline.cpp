@@ -11,6 +11,7 @@ namespace aesifc::accel {
 AesPipeline::AesPipeline(unsigned max_rounds, const RoundKeyRam& keys)
     : max_rounds_{max_rounds}, keys_{keys}, stages_(3 * max_rounds) {
   assert(max_rounds >= 1);
+  assert(depth() <= 64);  // one occupancy bit per stage
 }
 
 std::size_t AesPipeline::slotIndex(unsigned i) const {
@@ -18,19 +19,6 @@ std::size_t AesPipeline::slotIndex(unsigned i) const {
   if (i >= n) throw std::out_of_range("AesPipeline: no such stage");
   const std::size_t p = head_ + i;
   return p < n ? p : p - n;
-}
-
-bool AesPipeline::anyValid() const {
-  for (const auto& s : stages_)
-    if (s.valid) return true;
-  return false;
-}
-
-unsigned AesPipeline::validCount() const {
-  unsigned n = 0;
-  for (const auto& s : stages_)
-    if (s.valid) ++n;
-  return n;
 }
 
 bool stateParity(const aes::State& s) {
@@ -57,6 +45,7 @@ void AesPipeline::squash(unsigned i) {
   StageSlot& s = stages_[slotIndex(i)];
   s = StageSlot{};
   stampParity(s);
+  occupancy_ &= ~(std::uint64_t{1} << i);
 }
 
 bool AesPipeline::faultFlipStageDataBit(unsigned stage, unsigned bit) {
@@ -75,8 +64,8 @@ bool AesPipeline::faultFlipStageTagBit(unsigned stage, unsigned bit) {
 
 lattice::Conf AesPipeline::meetConf() const {
   lattice::Conf m = lattice::Conf::top();  // identity of the meet
-  for (const auto& s : stages_) {
-    if (s.valid) m = m.meet(s.tag.c);
+  for (std::uint64_t occ = occupancy_; occ != 0; occ &= occ - 1) {
+    m = m.meet(stage(static_cast<unsigned>(std::countr_zero(occ))).tag.c);
   }
   return m;
 }
@@ -131,17 +120,19 @@ void AesPipeline::compute(unsigned idx, StageSlot& s) const {
 
 std::optional<StageSlot> AesPipeline::advance(std::optional<StageSlot> input) {
   const std::size_t n = stages_.size();
-  StageSlot& last = stages_[slotIndex(depth() - 1)];
+  const std::uint64_t final_bit = std::uint64_t{1} << (n - 1);
   std::optional<StageSlot> out;
-  if (last.valid) out = std::move(last);
+  if (occupancy_ & final_bit) out = std::move(stages_[slotIndex(depth() - 1)]);
 
-  // The final stage's register becomes the new stage 0; every other slot
+  // The final stage's register becomes the new stage 0; every occupied slot
   // moves one logical stage on and gets that stage's micro-op in place.
+  // Empty registers are never written by a micro-op, so skipping them is
+  // exact.
   head_ = head_ == 0 ? n - 1 : head_ - 1;
-  std::size_t p = head_;
-  for (unsigned i = 1; i < n; ++i) {
-    if (++p == n) p = 0;
-    compute(i, stages_[p]);
+  occupancy_ = (occupancy_ & ~final_bit) << 1;
+  for (std::uint64_t occ = occupancy_; occ != 0; occ &= occ - 1) {
+    const unsigned i = static_cast<unsigned>(std::countr_zero(occ));
+    compute(i, stages_[slotIndex(i)]);
   }
   StageSlot& first = stages_[head_];
   if (input.has_value()) {
@@ -151,6 +142,7 @@ std::optional<StageSlot> AesPipeline::advance(std::optional<StageSlot> input) {
   } else {
     first = StageSlot{};
   }
+  if (first.valid) occupancy_ |= 1;
   return out;
 }
 

@@ -8,6 +8,7 @@
 // slot carries the block's security tag, which is the hardware of Fig. 7's
 // per-stage tag registers.
 
+#include <bit>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -55,8 +56,12 @@ class AesPipeline {
   unsigned depth() const { return static_cast<unsigned>(stages_.size()); }
   unsigned maxRounds() const { return max_rounds_; }
 
-  bool anyValid() const;
-  unsigned validCount() const;
+  bool anyValid() const { return occupancy_ != 0; }
+  unsigned validCount() const {
+    return static_cast<unsigned>(std::popcount(occupancy_));
+  }
+  // Bit i is set exactly when logical stage i holds a valid block.
+  std::uint64_t occupancy() const { return occupancy_; }
   // Stage indices are logical: 0 is the entry stage, depth() - 1 the final
   // one, whatever register currently holds them.
   const StageSlot& stage(unsigned i) const { return stages_[slotIndex(i)]; }
@@ -98,6 +103,9 @@ class AesPipeline {
   // copying every slot down the pipe.
   std::vector<StageSlot> stages_;
   std::size_t head_ = 0;
+  // Logical occupancy: bit i mirrors stage(i).valid, so a tick computes
+  // only the occupied stages and an empty pipe costs next to nothing.
+  std::uint64_t occupancy_ = 0;
 };
 
 }  // namespace aesifc::accel

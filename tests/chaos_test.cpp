@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
 
 #include "accel/driver.h"
 #include "aes/cipher.h"
@@ -21,6 +22,13 @@ struct ChaosParams {
   SecurityMode mode;
   std::uint64_t seed;
 };
+
+// Names each case by its contents (e.g. "Protected_seed3") instead of
+// gtest's raw byte dump, which includes the struct's padding bytes.
+void PrintTo(const ChaosParams& p, std::ostream* os) {
+  *os << (p.mode == SecurityMode::Protected ? "Protected" : "Baseline")
+      << "_seed" << p.seed;
+}
 
 class ChaosTest : public ::testing::TestWithParam<ChaosParams> {};
 

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "accel/driver.h"
 #include "aes/cipher.h"
 #include "ifc/tracker.h"
@@ -212,6 +214,185 @@ TEST(FaultInjection, StageFaultHitsLogicalStageAfterRotation) {
       }
     }
   }
+}
+
+// The fast ring evaluates only occupied stages. With blocks accepted every
+// other cycle each occupied stage sits beside empty ones; a fault there must
+// still be squashed and reported under its own logical stage index.
+TEST(FaultInjection, StageFaultBesideEmptyStageKeepsItsIndex) {
+  const unsigned depth = Rig{}.acc.pipeline().depth();
+  const auto fill = [depth](Rig& r) {
+    for (unsigned i = 0; i < depth; ++i) {
+      BlockRequest req;
+      req.req_id = 2000 + i;
+      req.user = r.alice;
+      req.key_slot = 1;
+      req.data[0] = static_cast<std::uint8_t>(i);
+      EXPECT_TRUE(r.acc.submit(req));
+      r.acc.run(2);  // accept, then a bubble
+    }
+  };
+  for (const FaultSite site : {FaultSite::StageData, FaultSite::StageTag}) {
+    unsigned hit = 0;
+    for (unsigned k = 0; k < depth; ++k) {
+      Rig r;
+      fill(r);
+      const AesPipeline& pipe = r.acc.pipeline();
+      if (!pipe.stage(k).valid) continue;
+      SCOPED_TRACE(toString(site) + " at stage " + std::to_string(k));
+      ++hit;
+      if (k > 0) {
+        ASSERT_FALSE(pipe.stage(k - 1).valid);
+      }
+      if (k + 1 < depth) {
+        ASSERT_FALSE(pipe.stage(k + 1).valid);
+      }
+      const std::uint64_t victim = pipe.stage(k).req_id;
+      const unsigned before = pipe.validCount();
+      ASSERT_TRUE(r.acc.injectFault(site, k, 9));
+      r.acc.tick();
+
+      std::vector<BlockResponse> out;
+      r.acc.fetchOutputs(r.alice, out);
+      unsigned aborted = 0;
+      bool victim_aborted = false;
+      for (const auto& resp : out) {
+        if (!resp.fault_aborted) continue;
+        ++aborted;
+        if (resp.req_id == victim) victim_aborted = true;
+      }
+      EXPECT_TRUE(victim_aborted);
+      const std::string where =
+          "stage " + std::to_string(k) + " parity mismatch";
+      unsigned reported = 0;
+      for (const auto& e : r.acc.events()) {
+        if (e.kind == SecurityEventKind::FaultDetected &&
+            e.detail.find("parity mismatch") != std::string::npos) {
+          ++reported;
+          EXPECT_NE(e.detail.find(where), std::string::npos) << e.detail;
+        }
+      }
+      EXPECT_EQ(reported, 1u);
+      if (site == FaultSite::StageData) {
+        EXPECT_EQ(aborted, 1u);
+        EXPECT_TRUE(r.acc.roundKeys().valid(1));
+      } else {
+        // The key binding is void: every block on the slot is squashed.
+        EXPECT_EQ(aborted, before);
+        EXPECT_FALSE(r.acc.roundKeys().valid(1));
+        EXPECT_FALSE(r.acc.pipeline().anyValid());
+      }
+    }
+    EXPECT_EQ(hit, depth / 2);
+  }
+}
+
+// Seeded traffic from an AES-128 and an AES-256 tenant in a 42-stage pipe,
+// with stage data and tag faults and round-key faults mixed in. Tag and key
+// faults zeroize a slot and squash its blocks mid-pipe. After every cycle
+// the occupancy mask must mirror the stage registers, and no block may
+// leave with a wrong ciphertext.
+TEST(FaultInjection, OccupancyMaskTracksScrubSquashesAndZeroization) {
+  AcceleratorConfig cfg;
+  cfg.max_rounds = 14;
+  AesAccelerator acc{cfg};
+  acc.addUser(Principal::supervisor());
+  struct Tenant {
+    unsigned category;
+    unsigned user;
+    unsigned slot;
+    unsigned cell_base;
+    aes::KeySize size;
+    std::vector<std::uint8_t> key;
+  };
+  Rng rng{1414};
+  const auto randomKey = [&](aes::KeySize ks) {
+    std::vector<std::uint8_t> k(aes::keyBytes(ks));
+    for (auto& b : k) b = static_cast<std::uint8_t>(rng.next());
+    return k;
+  };
+  Tenant tenants[] = {
+      {1, acc.addUser(Principal::user("alice", 1)), 1, 0,
+       aes::KeySize::Aes128, randomKey(aes::KeySize::Aes128)},
+      {2, acc.addUser(Principal::user("bob", 2)), 2, 2, aes::KeySize::Aes256,
+       randomKey(aes::KeySize::Aes256)},
+  };
+  const AesPipeline& pipe = acc.pipeline();
+  ASSERT_EQ(pipe.depth(), 42u);
+
+  std::map<std::uint64_t, aes::Block> expect;
+  std::uint64_t next_id = 1;
+  unsigned ok = 0, aborted = 0, reloads = 0;
+  constexpr unsigned kCycles = 6000;  // ~140 trips of the head round the ring
+  for (unsigned cycle = 0; cycle < kCycles; ++cycle) {
+    for (const auto& t : tenants) {
+      if (!acc.roundKeys().valid(t.slot)) {
+        ASSERT_TRUE(loadKeyBytes(acc, t.user, t.slot, t.cell_base, t.key,
+                                 t.size, Conf::category(t.category)));
+        ++reloads;
+      }
+    }
+    if (rng.chance(0.6)) {
+      const Tenant& t = tenants[rng.below(2)];
+      BlockRequest req;
+      req.req_id = next_id++;
+      req.user = t.user;
+      req.key_slot = t.slot;
+      req.decrypt = rng.chance(0.5);
+      for (auto& b : req.data) b = static_cast<std::uint8_t>(rng.next());
+      if (acc.submit(req)) {
+        expect[req.req_id] =
+            req.decrypt ? aes::decryptBlock(req.data, t.key.data(), t.size)
+                        : aes::encryptBlock(req.data, t.key.data(), t.size);
+      }
+    }
+    const auto r = rng.below(1000);
+    const unsigned stage = static_cast<unsigned>(rng.below(pipe.depth()));
+    if (r < 20) {
+      acc.injectFault(FaultSite::StageData, stage,
+                      static_cast<unsigned>(rng.below(128)));
+    } else if (r < 30) {
+      acc.injectFault(FaultSite::StageTag, stage,
+                      static_cast<unsigned>(rng.below(32)));
+    } else if (r < 36) {
+      const Tenant& t = tenants[rng.below(2)];
+      acc.injectFault(FaultSite::RoundKey, t.slot,
+                      static_cast<unsigned>(rng.below(15 * 128)));
+    }
+    acc.tick();
+
+    unsigned count = 0;
+    Conf meet = Conf::top();
+    for (unsigned i = 0; i < pipe.depth(); ++i) {
+      const StageSlot& s = pipe.stage(i);
+      ASSERT_EQ((pipe.occupancy() >> i & 1) != 0, s.valid)
+          << "cycle " << cycle << " stage " << i;
+      if (s.valid) {
+        ++count;
+        meet = meet.meet(s.tag.c);
+      }
+    }
+    ASSERT_EQ(pipe.validCount(), count) << "cycle " << cycle;
+    ASSERT_EQ(pipe.anyValid(), count > 0) << "cycle " << cycle;
+    ASSERT_EQ(pipe.meetConf(), meet) << "cycle " << cycle;
+
+    for (const auto& t : tenants) {
+      std::vector<BlockResponse> out;
+      acc.fetchOutputs(t.user, out);
+      for (const auto& resp : out) {
+        if (resp.fault_aborted) {
+          ++aborted;
+          continue;
+        }
+        ASSERT_FALSE(resp.suppressed);
+        EXPECT_EQ(resp.data, expect.at(resp.req_id)) << "req " << resp.req_id;
+        ++ok;
+      }
+    }
+  }
+  EXPECT_GT(ok, kCycles / 4);
+  EXPECT_GT(aborted, 0u);
+  EXPECT_GT(reloads, 2u);
 }
 
 TEST(FaultInjection, RoundKeyFaultNeverDeliversWrongCiphertext) {

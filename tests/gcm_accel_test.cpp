@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -291,6 +292,64 @@ TEST(GcmAccelIfc, GhashUnitRefusesReleaseBelowJoin) {
   EXPECT_EQ(ok.digest, aes::ghash(h, data));
 }
 
+// Once every stream has closed, the unit holds nothing: a tick and a fast
+// scrub must leave every stage register in its reset state and issue
+// nothing. A stream opened afterwards still hashes exactly like the host.
+TEST(GcmAccelIfc, GhashTickIsANoOpOnceEveryStreamCloses) {
+  GhashUnit gh{true};
+  Rng rng{106};
+  aes::Tag128 h{};
+  for (auto& b : h) b = static_cast<std::uint8_t>(rng.next());
+  const Label label{Conf::category(2), Integ::top()};
+  std::uint64_t now = 0;
+  gh.loadH(1, h, label, now);
+  while (!gh.keyReady(1, now)) ++now;
+
+  const auto hashStream = [&](unsigned blocks) {
+    const auto data = randomBytes(rng, 16 * blocks);
+    const auto sid = gh.openStream(0, 1, blocks, label);
+    ASSERT_TRUE(sid.has_value());
+    unsigned next = 0;
+    for (unsigned cycles = 0; !gh.done(*sid); ++cycles) {
+      ASSERT_LT(cycles, 16 * blocks) << "stream stalled";
+      while (next < blocks && gh.fifoSpace(*sid) > 0) {
+        aes::Tag128 block{};
+        std::copy_n(data.begin() + 16 * next, 16, block.begin());
+        EXPECT_TRUE(gh.absorb(*sid, block, label));
+        ++next;
+      }
+      EXPECT_TRUE(gh.scrubFast().empty());
+      EXPECT_TRUE(gh.tick(now++).empty());
+    }
+    EXPECT_EQ(gh.digestInternal(*sid), aes::ghash(h, data));
+    gh.closeStream(*sid);
+  };
+
+  hashStream(13);
+  ASSERT_EQ(gh.activeStreams(), 0u);
+  const std::uint64_t processed = gh.blocksProcessed();
+  for (unsigned i = 0; i < 3 * kGhashStages; ++i) {
+    EXPECT_TRUE(gh.scrubFast().empty());
+    EXPECT_TRUE(gh.tick(now++).empty());
+    for (unsigned st = 0; st < kGhashStages; ++st) {
+      const GhashStageSlot& s = gh.stage(st);
+      EXPECT_FALSE(s.valid);
+      EXPECT_EQ(s.stream, 0u);
+      EXPECT_EQ(s.lane, 0u);
+      EXPECT_EQ(s.key_slot, 0u);
+      EXPECT_EQ(s.power, 0u);
+      EXPECT_EQ(s.x, aes::Tag128{});
+      EXPECT_EQ(s.z, aes::Tag128{});
+      EXPECT_EQ(s.tag, Label{});
+      EXPECT_FALSE(s.data_parity);
+      EXPECT_FALSE(s.tag_parity);
+    }
+  }
+  EXPECT_EQ(gh.blocksProcessed(), processed);
+  hashStream(6);
+  EXPECT_EQ(gh.blocksProcessed(), processed + 6);
+}
+
 // --- Timing ----------------------------------------------------------------------
 
 TEST(GcmAccelTiming, OpenCompletionInvariantToTagValidity) {
@@ -393,6 +452,48 @@ TEST(GcmAccelFaults, GhashStateFaultsNeverReleaseWrongTag) {
   // The campaign must actually exercise the fail-secure path, not always
   // miss the live state.
   EXPECT_GT(aborted, 0u);
+}
+
+// The H-table checksum folds the power tables 8 bytes per step. The fold
+// is linear and every step a bijection, so each single flipped bit, in any
+// H-power table or in the key's label, must be caught both by the slow
+// scrub ring and at the next issue that consults the slot.
+TEST(GcmAccelFaults, GhashKeyChecksumCatchesEverySingleBitFlip) {
+  Rng rng{108};
+  aes::Tag128 h{};
+  for (auto& b : h) b = static_cast<std::uint8_t>(rng.next());
+  const Label label{Conf::category(3), Integ::category(3)};
+  constexpr unsigned kTableBits = kGhashLanes * 16 * 128;
+  for (unsigned bit = 0; bit < kTableBits + 32; ++bit) {
+    SCOPED_TRACE("bit " + std::to_string(bit));
+    const auto flip = [bit](GhashUnit& gh) {
+      return bit < kTableBits ? gh.faultFlipKeyTableBit(1, bit)
+                              : gh.faultFlipKeyLabelBit(1, bit - kTableBits);
+    };
+    {
+      GhashUnit gh{true};
+      gh.loadH(1, h, label, 0);
+      ASSERT_FALSE(gh.scrubKeySlot(1).has_value());
+      ASSERT_TRUE(flip(gh));
+      const auto f = gh.scrubKeySlot(1);
+      ASSERT_TRUE(f.has_value());
+      EXPECT_EQ(f->site, FaultSite::GhashKeyTable);
+      EXPECT_FALSE(gh.keyValid(1));
+    }
+    {
+      GhashUnit gh{true};
+      gh.loadH(1, h, label, 0);
+      const auto sid = gh.openStream(0, 1, 1, label);
+      ASSERT_TRUE(sid.has_value());
+      ASSERT_TRUE(gh.absorb(*sid, h, label));
+      ASSERT_TRUE(flip(gh));
+      const auto f = gh.tick(kGhashLanes);  // tables ready: issue now
+      ASSERT_EQ(f.size(), 1u);
+      EXPECT_EQ(f[0].site, FaultSite::GhashKeyTable);
+      EXPECT_TRUE(gh.faulted(*sid));
+      EXPECT_EQ(gh.blocksProcessed(), 0u);
+    }
+  }
 }
 
 }  // namespace

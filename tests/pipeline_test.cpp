@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+
 #include "aes/cipher.h"
 #include "common/rng.h"
 
@@ -241,6 +244,88 @@ TEST_F(PipelineFixture, KeySlotChecksumCatchesEverySingleBitFlip) {
     }
     EXPECT_FALSE(ram.faultFlipMetaBit(2, 49));
   }
+}
+
+// The occupancy mask must mirror the stage registers exactly: bit i set
+// iff stage(i) is valid, with the count and the Fig. 8 meet read from it
+// equal to a walk over every register. A seeded mix of accepts, bubbles,
+// squashes and register faults, on AES-128 and AES-256 blocks sharing a
+// 42-stage pipe, runs the ring head around dozens of times; every block
+// that leaves unfaulted must still carry the golden ciphertext.
+TEST_F(PipelineFixture, OccupancyMaskMirrorsStagesUnderRandomTraffic) {
+  const auto key128 = randomKey(16);
+  const auto key256 = randomKey(32);
+  ram.store(0, aes::expandKey(key128, aes::KeySize::Aes128),
+            lattice::Conf::bottom(), lattice::Label::publicTrusted());
+  ram.store(1, aes::expandKey(key256, aes::KeySize::Aes256),
+            lattice::Conf::bottom(), lattice::Label::publicTrusted());
+  AesPipeline p{14, ram};
+  ASSERT_EQ(p.depth(), 42u);
+
+  std::map<std::uint64_t, aes::Block> expect;  // req_id -> golden output
+  std::set<std::uint64_t> corrupted;
+  std::uint64_t next_id = 1;
+  unsigned completed = 0;
+  const auto check = [&](unsigned step) {
+    unsigned count = 0;
+    lattice::Conf meet = lattice::Conf::top();
+    for (unsigned i = 0; i < p.depth(); ++i) {
+      const StageSlot& s = p.stage(i);
+      ASSERT_EQ((p.occupancy() >> i & 1) != 0, s.valid)
+          << "step " << step << " stage " << i;
+      if (s.valid) {
+        ++count;
+        meet = meet.meet(s.tag.c);
+      }
+    }
+    ASSERT_EQ(p.occupancy() >> p.depth(), 0u) << "step " << step;
+    ASSERT_EQ(p.validCount(), count) << "step " << step;
+    ASSERT_EQ(p.anyValid(), count > 0) << "step " << step;
+    ASSERT_EQ(p.meetConf(), meet) << "step " << step;
+  };
+
+  constexpr unsigned kSteps = 4000;  // ~95 trips of the head round the ring
+  for (unsigned step = 0; step < kSteps; ++step) {
+    const auto r = rng.below(100);
+    const unsigned stage = static_cast<unsigned>(rng.below(p.depth()));
+    if (r < 8) {
+      p.squash(stage);  // empty stages included: squash is idempotent
+    } else if (r < 12) {
+      if (p.faultFlipStageDataBit(stage, static_cast<unsigned>(rng.below(128))))
+        corrupted.insert(p.stage(stage).req_id);
+    } else if (r < 16) {
+      if (p.faultFlipStageTagBit(stage, static_cast<unsigned>(rng.below(32))))
+        corrupted.insert(p.stage(stage).req_id);
+    } else {
+      std::optional<StageSlot> in;
+      if (r < 60) {
+        const unsigned slot = static_cast<unsigned>(rng.below(2));
+        const bool decrypt = rng.chance(0.5);
+        const auto data = randomBlock();
+        const std::uint64_t id = next_id++;
+        in = makeSlot(slot, data, decrypt, id);
+        in->tag = lattice::Label{
+            lattice::Conf::category(1 + static_cast<unsigned>(rng.below(4))),
+            lattice::Integ::top()};
+        const auto& k = slot == 0 ? key128 : key256;
+        const auto size = slot == 0 ? aes::KeySize::Aes128 : aes::KeySize::Aes256;
+        expect[id] = decrypt ? aes::decryptBlock(data, k.data(), size)
+                             : aes::encryptBlock(data, k.data(), size);
+      }
+      const auto out = p.advance(std::move(in));
+      if (out.has_value()) {
+        ASSERT_TRUE(out->valid);
+        if (!corrupted.count(out->req_id)) {
+          EXPECT_EQ(aes::stateToBlock(out->state), expect.at(out->req_id))
+              << "req " << out->req_id;
+          ++completed;
+        }
+      }
+    }
+    check(step);
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GT(completed, kSteps / 4);
 }
 
 }  // namespace
