@@ -1,6 +1,6 @@
-// DMA data-path study: the descriptor-ring engine against the synchronous
-// MMIO-style DmaEngine and the service batch path, batch 1/4/16/64, plus
-// the seeded descriptor-ring fault campaign whose two invariants
+// DMA data-path study: the descriptor-ring engine against the service batch
+// path (MMIO and ring-routed), batch 1/4/16/64, plus the seeded
+// descriptor-ring fault campaign whose two invariants
 // (wrong_plaintext_releases == 0, cross_label_writes == 0) CI gates via
 // tools/bench_gate.py --assert-zero.
 //
@@ -74,28 +74,6 @@ struct Rig {
     mem.writeBytes(0x4000, data);  // src staging
   }
 };
-
-// Synchronous MMIO-style engine: one blocking run() per batch descriptor.
-PathResult runSyncPath(unsigned batch) {
-  Rig rig;
-  DmaEngine dma{rig.acc, rig.mem};
-  PathResult r;
-  const std::uint64_t start = rig.acc.cycle();
-  for (unsigned done = 0; done < kTotalBlocks; done += batch) {
-    DmaDescriptor d;
-    d.user = rig.alice;
-    d.key_slot = 1;
-    d.mode = DmaMode::EcbEncrypt;
-    d.src = 0x4000;
-    d.dst = 0x8000;
-    d.len = 16 * batch;
-    const auto res = dma.run(d);
-    if (!res.ok) std::abort();
-    r.blocks += res.blocks;
-  }
-  r.device_cycles = rig.acc.cycle() - start;
-  return r;
-}
 
 // Descriptor-ring engine: one published descriptor per batch, futures
 // resolved from completion events.
@@ -174,13 +152,12 @@ void printPathMatrix() {
   std::printf("DMA data paths, 256 blocks/cell, blocks per device cycle\n");
   std::printf("%-14s %6s %10s %14s %10s\n", "path", "batch", "blocks",
               "device_cycles", "blk/cyc");
-  const char* names[] = {"sync", "ring", "service", "service_ring"};
+  const char* names[] = {"ring", "service", "service_ring"};
   for (const unsigned batch : kBatches) {
-    PathResult res[4] = {runSyncPath(batch), runRingPath(batch),
-                         runServicePath(batch, false),
+    PathResult res[3] = {runRingPath(batch), runServicePath(batch, false),
                          runServicePath(batch, true)};
-    for (unsigned p = 0; p < 4; ++p) {
-      const bool ring_path = (p == 1 || p == 3);
+    for (unsigned p = 0; p < 3; ++p) {
+      const bool ring_path = (p == 0 || p == 2);
       const double floor = (ring_path && batch >= 16)
                                ? static_cast<double>(batch) / (batch + 80.0)
                                : 0.0;

@@ -101,21 +101,6 @@ AccelResult<std::vector<aes::Block>> AccelSession::runBatch(
       }
     }
   };
-  auto finish = [&](AccelStatus verdict) {
-    cycles_used_ += acc_.cycle() - start_cycle;
-    last_status_ = verdict;
-    switch (verdict) {
-      case AccelStatus::Ok: ++telemetry_.ok; break;
-      case AccelStatus::Suppressed: ++telemetry_.suppressed; break;
-      case AccelStatus::Timeout: ++telemetry_.timeouts; break;
-      case AccelStatus::FaultAborted: ++telemetry_.fault_aborts; break;
-      case AccelStatus::Dropped: ++telemetry_.drops; break;
-      case AccelStatus::Rejected: ++telemetry_.rejected; break;
-      case AccelStatus::AuthFailed: ++telemetry_.auth_failed; break;
-    }
-    return verdict;
-  };
-
   for (unsigned attempt = 0;; ++attempt) {
     // (Re)open failed blocks and collect this attempt's submission list.
     std::vector<std::size_t> todo;
@@ -166,7 +151,7 @@ AccelResult<std::vector<aes::Block>> AccelSession::runBatch(
       }
     }
 
-    if (rejected) return finish(AccelStatus::Rejected);
+    if (rejected) return finishVerdict(AccelStatus::Rejected, start_cycle);
 
     bool need_retry = false;
     for (auto s : st) {
@@ -177,9 +162,10 @@ AccelResult<std::vector<aes::Block>> AccelSession::runBatch(
     }
     if (!need_retry) {
       for (auto s : st) {
-        if (s == St::Supp) return finish(AccelStatus::Suppressed);
+        if (s == St::Supp)
+          return finishVerdict(AccelStatus::Suppressed, start_cycle);
       }
-      (void)finish(AccelStatus::Ok);
+      (void)finishVerdict(AccelStatus::Ok, start_cycle);
       return out;
     }
 
@@ -187,7 +173,8 @@ AccelResult<std::vector<aes::Block>> AccelSession::runBatch(
         attempt_fail != AccelStatus::Ok
             ? attempt_fail
             : (timed_out ? AccelStatus::Timeout : AccelStatus::FaultAborted);
-    if (attempt >= opts_.max_retries) return finish(verdict);
+    if (attempt >= opts_.max_retries)
+      return finishVerdict(verdict, start_cycle);
 
     // Bounded backoff before the retry; keep draining so in-flight
     // responses from this attempt are still credited.
@@ -215,109 +202,6 @@ AccelStatus AccelSession::finishVerdict(AccelStatus verdict,
     case AccelStatus::AuthFailed: ++telemetry_.auth_failed; break;
   }
   return verdict;
-}
-
-void AccelSession::asyncSubmit(std::uint64_t ticket, AsyncBatch& b) {
-  while (b.submitted < b.blocks.size()) {
-    BlockRequest req;
-    req.req_id = next_req_;
-    req.user = user_;
-    req.key_slot = key_slot_;
-    req.decrypt = b.decrypt;
-    req.data = b.blocks[b.submitted];
-    if (!acc_.submit(req)) {
-      b.rejected = true;  // deterministic refusal — the batch verdict
-      return;
-    }
-    async_order_[req.req_id] = {ticket, b.submitted};
-    ++next_req_;
-    ++b.submitted;
-  }
-}
-
-void AccelSession::asyncDrain() {
-  std::vector<BlockResponse> drained;
-  acc_.fetchOutputs(user_, drained);
-  for (const auto& resp : drained) {
-    auto it = async_order_.find(resp.req_id);
-    if (it == async_order_.end()) continue;  // stale / foreign / duplicate
-    const auto [ticket, idx] = it->second;
-    async_order_.erase(it);
-    auto bt = async_batches_.find(ticket);
-    if (bt == async_batches_.end()) continue;  // batch already retired
-    AsyncBatch& b = bt->second;
-    if (b.state[idx] != 0) continue;
-    if (resp.fault_aborted || resp.dropped) {
-      // No auto-retry: the first transient failure is the batch verdict.
-      if (!b.transient) {
-        b.transient = resp.fault_aborted ? AccelStatus::FaultAborted
-                                         : AccelStatus::Dropped;
-      }
-      continue;
-    }
-    if (resp.suppressed) {
-      b.state[idx] = 2;
-      b.any_suppressed = true;
-    } else {
-      b.state[idx] = 1;
-      b.out[idx] = resp.data;
-    }
-    ++b.resolved;
-  }
-}
-
-std::uint64_t AccelSession::beginBatch(const std::vector<aes::Block>& blocks,
-                                       bool decrypt) {
-  const std::uint64_t ticket = next_ticket_++;
-  AsyncBatch b;
-  b.blocks = blocks;
-  b.decrypt = decrypt;
-  b.out.resize(blocks.size());
-  b.state.assign(blocks.size(), 0);
-  b.begin_cycle = acc_.cycle();
-  auto [it, inserted] = async_batches_.emplace(ticket, std::move(b));
-  (void)inserted;
-  asyncSubmit(ticket, it->second);
-  return ticket;
-}
-
-bool AccelSession::pollBatch(std::uint64_t ticket) {
-  auto it = async_batches_.find(ticket);
-  if (it == async_batches_.end()) return true;  // unknown or already retired
-  if (!it->second.rejected) asyncSubmit(ticket, it->second);
-  asyncDrain();
-  return asyncTerminal(it->second);
-}
-
-AccelResult<std::vector<aes::Block>> AccelSession::finishBatch(
-    std::uint64_t ticket, std::uint64_t max_wait_cycles) {
-  auto it = async_batches_.find(ticket);
-  if (it == async_batches_.end()) return AccelStatus::Rejected;
-  const std::uint64_t start = acc_.cycle();
-  std::uint64_t waited = 0;
-  while (!pollBatch(ticket) && waited < max_wait_cycles) {
-    acc_.tick();
-    ++waited;
-  }
-  AsyncBatch b = std::move(it->second);
-  async_batches_.erase(it);
-  // Orphan this batch's remaining request ids so late responses are
-  // dropped instead of dangling in the routing map.
-  for (auto oit = async_order_.begin(); oit != async_order_.end();) {
-    if (oit->second.first == ticket) {
-      oit = async_order_.erase(oit);
-    } else {
-      ++oit;
-    }
-  }
-  if (b.rejected) return finishVerdict(AccelStatus::Rejected, start);
-  if (b.transient) return finishVerdict(*b.transient, start);
-  if (b.resolved < b.blocks.size()) {
-    return finishVerdict(AccelStatus::Timeout, start);
-  }
-  if (b.any_suppressed) return finishVerdict(AccelStatus::Suppressed, start);
-  (void)finishVerdict(AccelStatus::Ok, start);
-  return std::move(b.out);
 }
 
 AccelResult<std::vector<aes::Block>> AccelSession::encryptBlocks(
@@ -401,22 +285,6 @@ AccelResult<aes::Bytes> AccelSession::cbcDecrypt(const aes::Bytes& data,
   return out;
 }
 
-AccelStatus AccelSession::finishGcm(AccelStatus verdict,
-                                    std::uint64_t start_cycle) {
-  cycles_used_ += acc_.cycle() - start_cycle;
-  last_status_ = verdict;
-  switch (verdict) {
-    case AccelStatus::Ok: ++telemetry_.ok; break;
-    case AccelStatus::Suppressed: ++telemetry_.suppressed; break;
-    case AccelStatus::Timeout: ++telemetry_.timeouts; break;
-    case AccelStatus::FaultAborted: ++telemetry_.fault_aborts; break;
-    case AccelStatus::Dropped: ++telemetry_.drops; break;
-    case AccelStatus::Rejected: ++telemetry_.rejected; break;
-    case AccelStatus::AuthFailed: ++telemetry_.auth_failed; break;
-  }
-  return verdict;
-}
-
 AccelResult<GcmResponse> AccelSession::runGcm(GcmRequest req) {
   const std::uint64_t start_cycle = acc_.cycle();
   req.user = user_;
@@ -429,7 +297,7 @@ AccelResult<GcmResponse> AccelSession::runGcm(GcmRequest req) {
   for (unsigned attempt = 0;; ++attempt) {
     req.req_id = next_req_++;
     if (!acc_.submitGcm(req))
-      return finishGcm(AccelStatus::Rejected, start_cycle);
+      return finishVerdict(AccelStatus::Rejected, start_cycle);
     const std::uint64_t attempt_start = acc_.cycle();
     std::optional<GcmResponse> got;
     while (true) {
@@ -448,16 +316,17 @@ AccelResult<GcmResponse> AccelSession::runGcm(GcmRequest req) {
     if (!got.has_value()) {
       verdict = AccelStatus::Timeout;
     } else if (got->suppressed) {
-      return finishGcm(AccelStatus::Suppressed, start_cycle);  // final
+      return finishVerdict(AccelStatus::Suppressed, start_cycle);  // final
     } else if (got->auth_failed) {
-      return finishGcm(AccelStatus::AuthFailed, start_cycle);  // verdict
+      return finishVerdict(AccelStatus::AuthFailed, start_cycle);  // verdict
     } else if (got->fault_aborted) {
       verdict = AccelStatus::FaultAborted;
     } else {
-      (void)finishGcm(AccelStatus::Ok, start_cycle);
+      (void)finishVerdict(AccelStatus::Ok, start_cycle);
       return std::move(*got);
     }
-    if (attempt >= opts_.max_retries) return finishGcm(verdict, start_cycle);
+    if (attempt >= opts_.max_retries)
+      return finishVerdict(verdict, start_cycle);
     ++retries_;
     acc_.noteRetry();
     const std::uint64_t backoff = opts_.backoff_cycles << attempt;

@@ -20,7 +20,6 @@
 // latency per block.
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -166,25 +165,6 @@ class AccelSession {
   AccelResult<aes::Bytes> cbcEncrypt(const aes::Bytes& data,
                                      const aes::Iv& iv);
 
-  // --- Asynchronous batches (completion-driven, no internal clock) ---------
-  // beginBatch submits the blocks and returns a ticket WITHOUT ticking the
-  // device: the caller owns the clock and overlaps its own work (ring-DMA
-  // ticks, other tenants, host compute) with the pipeline. pollBatch
-  // consumes any completions that have arrived (no ticking) and reports
-  // whether the batch reached a terminal state; finishBatch retires the
-  // ticket and returns the verdict, optionally ticking up to
-  // `max_wait_cycles` first. Unlike the synchronous helpers there is NO
-  // automatic retry here: the first transient failure (fault abort / drop)
-  // becomes the batch verdict and the caller decides what to resubmit —
-  // exactly the contract the DMA ring engine needs for idempotent
-  // recovery. Several batches may be outstanding at once.
-  std::uint64_t beginBatch(const std::vector<aes::Block>& blocks,
-                           bool decrypt);
-  bool pollBatch(std::uint64_t ticket);  // true once terminal (or unknown)
-  AccelResult<std::vector<aes::Block>> finishBatch(
-      std::uint64_t ticket, std::uint64_t max_wait_cycles = 0);
-  std::size_t asyncOutstanding() const { return async_batches_.size(); }
-
   // On-device AEAD (SP 800-38D): the whole operation — CTR keystream, H,
   // GHASH, tag — runs on the accelerator under label enforcement; the host
   // never sees the hash subkey. Any IV length >= 1 byte (12 is the fast
@@ -219,37 +199,14 @@ class AccelSession {
       const std::vector<aes::Block>& blocks, bool decrypt);
   // Run one GCM op synchronously, retrying transient failures.
   AccelResult<GcmResponse> runGcm(GcmRequest req);
-  AccelStatus finishGcm(AccelStatus verdict, std::uint64_t start_cycle);
-
-  // One outstanding asynchronous batch (beginBatch/pollBatch/finishBatch).
-  struct AsyncBatch {
-    std::vector<aes::Block> blocks;
-    bool decrypt = false;
-    std::vector<aes::Block> out;
-    std::vector<char> state;  // 0 pending, 1 done, 2 suppressed
-    std::size_t submitted = 0;
-    std::size_t resolved = 0;
-    bool any_suppressed = false;
-    bool rejected = false;
-    std::optional<AccelStatus> transient;  // first fault-abort/drop
-    std::uint64_t begin_cycle = 0;
-  };
-  bool asyncTerminal(const AsyncBatch& b) const {
-    return b.rejected || b.transient.has_value() ||
-           b.resolved == b.blocks.size();
-  }
-  void asyncSubmit(std::uint64_t ticket, AsyncBatch& b);
-  void asyncDrain();
+  // Charge the operation's cycles, record `verdict` as the last status and
+  // bump its telemetry counter; returns `verdict`.
   AccelStatus finishVerdict(AccelStatus verdict, std::uint64_t start_cycle);
 
   AesAccelerator& acc_;
   unsigned user_;
   unsigned key_slot_;
   SessionOptions opts_;
-  std::map<std::uint64_t, AsyncBatch> async_batches_;
-  // req_id -> (ticket, block index) across every outstanding async batch.
-  std::map<std::uint64_t, std::pair<std::uint64_t, std::size_t>> async_order_;
-  std::uint64_t next_ticket_ = 1;
   std::uint64_t next_req_ = 1;
   std::uint64_t cycles_used_ = 0;
   std::uint64_t retries_ = 0;

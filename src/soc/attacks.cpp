@@ -423,7 +423,28 @@ DmaTheftResult runDmaTheftAttack(SecurityMode mode) {
   DmaTheftResult r;
 
   HostMemory mem{64 * 1024};
-  DmaEngine dma{acc, mem};
+  DmaRingEngine eng{acc, mem};
+  // One ring channel per user. The OS labels each channel's descriptor and
+  // completion pages with its owner's authority, so the ring-page rule binds
+  // the channel to that user the way the MMIO port binds a BlockRequest.
+  DmaRingConfig alice_ring;
+  alice_ring.desc_base = 0x000;
+  alice_ring.desc_slots = 4;
+  alice_ring.comp_base = 0x100;
+  alice_ring.comp_slots = 4;
+  DmaRingConfig eve_ring = alice_ring;
+  eve_ring.desc_base = 0x200;
+  eve_ring.comp_base = 0x300;
+  mem.setPageLabel(0x000, 0x200, acc.principal(bench.alice).authority);
+  mem.setPageLabel(0x200, 0x200, acc.principal(bench.eve).authority);
+  DmaRingDriver alice_drv{eng, mem, eng.addChannel(alice_ring), alice_ring};
+  DmaRingDriver eve_drv{eng, mem, eng.addChannel(eve_ring), eve_ring};
+  // Publish one descriptor and wait for its completion record.
+  auto run = [](DmaRingDriver& drv, const DmaDescriptor& d) {
+    const auto seq = drv.submit(d);
+    const DmaCompletion* c = seq ? drv.wait(*seq, 1u << 16) : nullptr;
+    return c ? *c : DmaCompletion{DmaError::RingStalled};
+  };
 
   // The OS allocates per-user buffers (page-aligned, page-labeled).
   const std::size_t alice_buf = 0x1000, alice_dst = 0x2000;
@@ -447,12 +468,14 @@ DmaTheftResult runDmaTheftAttack(SecurityMode mode) {
   legit.src = alice_buf;
   legit.dst = alice_dst;
   legit.len = len;
-  const auto lr = dma.run(legit);
-  if (lr.ok) {
+  const std::uint64_t start = acc.cycle();
+  const auto lr = run(alice_drv, legit);
+  if (lr.status == DmaError::None) {
     const auto ek = aes::expandKey(bench.alice_key, aes::KeySize::Aes128);
     r.legit_dma_ok = mem.readBytes(alice_dst, len) ==
                      aes::ecbEncrypt(secret, ek);
-    r.cycles_per_block = static_cast<double>(lr.cycles) / lr.blocks;
+    r.cycles_per_block =
+        static_cast<double>(acc.cycle() - start) / lr.blocks;
   }
 
   // The attack: Eve encrypts Alice's buffer under Eve's key into Eve's
@@ -464,9 +487,9 @@ DmaTheftResult runDmaTheftAttack(SecurityMode mode) {
   theft.src = alice_buf;
   theft.dst = eve_dst;
   theft.len = len;
-  const auto tr = dma.run(theft);
-  r.src_read_blocked = !tr.ok && tr.error == DmaError::SrcPageDenied;
-  if (tr.ok) {
+  const auto tr = run(eve_drv, theft);
+  r.src_read_blocked = tr.status == DmaError::SrcPageDenied;
+  if (tr.status == DmaError::None) {
     const auto ek = aes::expandKey(bench.eve_key, aes::KeySize::Aes128);
     r.alice_plaintext_stolen =
         aes::ecbDecrypt(mem.readBytes(eve_dst, len), ek) == secret;
@@ -476,8 +499,8 @@ DmaTheftResult runDmaTheftAttack(SecurityMode mode) {
   DmaDescriptor scribble = theft;
   scribble.src = eve_dst;
   scribble.dst = alice_dst;
-  const auto sr = dma.run(scribble);
-  r.dst_write_blocked = !sr.ok && sr.error == DmaError::DstPageDenied;
+  r.dst_write_blocked =
+      run(eve_drv, scribble).status == DmaError::DstPageDenied;
 
   return r;
 }

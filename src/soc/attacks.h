@@ -87,15 +87,17 @@ struct KeyMisuseResult {
 KeyMisuseResult runKeyMisuseAttack(accel::SecurityMode mode);
 
 // --- Fig. 2's DMA block: cross-user buffer theft -------------------------------
-// Eve programs the DMA engine to encrypt *Alice's* plaintext buffer under
-// Eve's own key into Eve's buffer, then decrypts it offline — plaintext
-// theft through a peripheral (Table 1 row 4) rather than the datapath.
+// Eve publishes a descriptor on her own ring channel asking the DMA engine
+// to encrypt *Alice's* plaintext buffer under Eve's own key into Eve's
+// buffer, then decrypts it offline — plaintext theft through a peripheral
+// (Table 1 row 4) rather than the datapath.
 struct DmaTheftResult {
   bool alice_plaintext_stolen = false;  // Eve recovered Alice's buffer
   bool src_read_blocked = false;        // protected engine refused the read
   bool dst_write_blocked = false;       // ...and writes into Alice's pages
   bool legit_dma_ok = false;            // Alice's own DMA still works
-  double cycles_per_block = 0.0;        // throughput of the legitimate DMA
+  double cycles_per_block = 0.0;        // legitimate DMA, publish to
+                                        // completion (pipe fill included)
 };
 
 DmaTheftResult runDmaTheftAttack(accel::SecurityMode mode);

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "accel/key_store.h"
+#include "aes/modes.h"
 
 namespace aesifc::soc {
 
@@ -97,13 +98,12 @@ std::string toString(DmaError e) {
     case DmaError::OutputSuppressed: return "output-suppressed";
     case DmaError::FaultAborted: return "fault-aborted";
     case DmaError::Rejected: return "rejected";
-    case DmaError::Timeout: return "timeout";
   }
   return "?";
 }
 
 // ---------------------------------------------------------------------------
-// Shared validation helpers
+// Validation helpers
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -156,132 +156,7 @@ bool dstPagesOk(const accel::AesAccelerator& acc, const HostMemory& mem,
   return true;
 }
 
-constexpr std::uint64_t kSyncWatchdogSlack = 4096;
-
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// Synchronous engine (legacy baseline)
-// ---------------------------------------------------------------------------
-
-DmaResult DmaEngine::run(const DmaDescriptor& d) {
-  DmaResult r;
-  auto refuse = [&](DmaError e) {
-    r.error = e;
-    return r;
-  };
-  if (d.user >= acc_.userCount() || d.key_slot >= accel::kRoundKeySlots) {
-    return refuse(DmaError::BadDescriptor);
-  }
-  if (!rangeOk(mem_, d.src, d.len) || !rangeOk(mem_, d.dst, d.len)) {
-    return refuse(DmaError::BadRange);
-  }
-  if (d.mode != DmaMode::CtrCrypt && d.len % 16 != 0) {
-    return refuse(DmaError::UnalignedLength);
-  }
-  if (partialOverlap(d.src, d.dst, d.len)) {
-    return refuse(DmaError::OverlapDenied);
-  }
-  if (!srcPagesOk(acc_, mem_, d.user, d.src, d.len)) {
-    return refuse(DmaError::SrcPageDenied);
-  }
-  if (!dstPagesOk(acc_, mem_, d.user, d.dst, d.len)) {
-    return refuse(DmaError::DstPageDenied);
-  }
-
-  const std::uint64_t start_cycle = acc_.cycle();
-  const std::size_t nblocks = (d.len + 15) / 16;
-  const bool decrypt = d.mode == DmaMode::EcbDecrypt;
-
-  // Latch the block stream (data blocks for ECB, counter blocks for CTR)
-  // and, for CTR, the plaintext the keystream is XORed with — every input
-  // byte is read exactly once, before any output byte is written.
-  std::vector<aes::Block> stream(nblocks);
-  std::vector<std::uint8_t> xor_src;
-  aes::Block ctr = d.ctr_iv;
-  for (std::size_t i = 0; i < nblocks; ++i) {
-    if (d.mode == DmaMode::CtrCrypt) {
-      stream[i] = ctr;
-      for (int b = 15; b >= 8; --b) {
-        if (++ctr[static_cast<unsigned>(b)] != 0) break;
-      }
-    } else {
-      const std::size_t n = std::min<std::size_t>(16, d.len - 16 * i);
-      for (std::size_t b = 0; b < n; ++b)
-        stream[i][b] = mem_.read8(d.src + 16 * i + b);
-    }
-  }
-  if (d.mode == DmaMode::CtrCrypt) xor_src = mem_.readBytes(d.src, d.len);
-
-  // Stream through the pipeline: submit up to one block per cycle, collect
-  // completions as they appear; transient losses (fault aborts, overflow
-  // drops) are resubmitted, bounded by the watchdog below.
-  std::vector<aes::Block> out(nblocks);
-  std::vector<char> got(nblocks, 0);
-  std::deque<std::size_t> pending;
-  for (std::size_t i = 0; i < nblocks; ++i) pending.push_back(i);
-  std::unordered_map<std::uint64_t, std::size_t> inflight;
-  std::size_t done = 0;
-  bool suppressed = false;
-  while (done < nblocks) {
-    if (!pending.empty()) {
-      const std::size_t idx = pending.front();
-      accel::BlockRequest req;
-      req.req_id = next_req_;
-      req.user = d.user;
-      req.key_slot = d.key_slot;
-      req.decrypt = decrypt && d.mode != DmaMode::CtrCrypt;
-      req.data = stream[idx];
-      if (acc_.submit(req)) {
-        inflight.emplace(next_req_, idx);
-        ++next_req_;
-        pending.pop_front();
-      }
-    }
-    acc_.tick();
-    while (auto resp = acc_.fetchOutput(d.user)) {
-      auto it = inflight.find(resp->req_id);
-      if (it == inflight.end()) continue;  // stale or foreign response
-      const std::size_t idx = it->second;
-      inflight.erase(it);
-      if (resp->fault_aborted || resp->dropped) {
-        pending.push_back(idx);  // transient: resubmit
-        continue;
-      }
-      if (resp->suppressed) suppressed = true;
-      if (!got[idx]) {
-        got[idx] = 1;
-        out[idx] = resp->data;
-        ++done;
-      }
-    }
-    if (acc_.cycle() - start_cycle > kSyncWatchdogSlack + 2 * nblocks) {
-      r.error = DmaError::Timeout;
-      r.cycles = acc_.cycle() - start_cycle;
-      return r;
-    }
-  }
-  if (suppressed) {
-    r.error = DmaError::OutputSuppressed;
-    r.cycles = acc_.cycle() - start_cycle;
-    return r;
-  }
-
-  // Buffered writeback: nothing was written until every block succeeded.
-  for (std::size_t i = 0; i < nblocks; ++i) {
-    const std::size_t n = std::min<std::size_t>(16, d.len - 16 * i);
-    for (std::size_t b = 0; b < n; ++b) {
-      std::uint8_t v = out[i][b];
-      if (d.mode == DmaMode::CtrCrypt) v ^= xor_src[16 * i + b];
-      mem_.write8(d.dst + 16 * i + b, v);
-    }
-  }
-  r.ok = true;
-  r.error = DmaError::None;
-  r.blocks = nblocks;
-  r.cycles = acc_.cycle() - start_cycle;
-  return r;
-}
 
 // ---------------------------------------------------------------------------
 // Ring codec
@@ -558,7 +433,7 @@ DmaError DmaRingEngine::latchSegment(Chain& c, std::size_t addr, bool head) {
   return DmaError::None;
 }
 
-DmaError DmaRingEngine::buildStream(Chain& c) {
+void DmaRingEngine::buildStream(Chain& c) {
   std::size_t nblocks = 0;
   for (const Segment& s : c.segs) nblocks += (s.len + 15) / 16;
   c.stream.reserve(nblocks);
@@ -568,9 +443,7 @@ DmaError DmaRingEngine::buildStream(Chain& c) {
     for (std::size_t i = 0; i < segblocks; ++i) {
       if (c.mode == DmaMode::CtrCrypt) {
         c.stream.push_back(ctr);
-        for (int b = 15; b >= 8; --b) {
-          if (++ctr[static_cast<unsigned>(b)] != 0) break;
-        }
+        aes::incCounterBe(ctr, 64);  // CTR counts in the low 64 bits
       } else {
         aes::Block blk{};
         const std::size_t n = std::min<std::size_t>(16, s.len - 16 * i);
@@ -586,7 +459,6 @@ DmaError DmaRingEngine::buildStream(Chain& c) {
   }
   c.out.resize(c.stream.size());
   c.done.assign(c.stream.size(), 0);
-  return DmaError::None;
 }
 
 void DmaRingEngine::startChannel(unsigned idx) {

@@ -1,20 +1,14 @@
 #pragma once
 // DMA path of the SoC (the tagged "DMA" block of Fig. 2).
 //
-// Two engines share the page-label enforcement model:
-//
-//  * DmaEngine — the legacy synchronous path: software hands the engine one
-//    in-register descriptor and blocks while the engine streams it through
-//    the accelerator. Kept as the baseline the descriptor-ring path is
-//    benchmarked against (bench_dma).
-//
-//  * DmaRingEngine — the scatter-gather descriptor-ring data path (modeled
-//    on the cesa TDescr/Tdmaowned and s805 descriptor-table exemplars).
-//    Descriptors and completion records live in label-tagged HostMemory;
-//    ownership bits hand descriptors to the device, chained next-pointers
-//    build multi-segment transfers, and completion events (a modeled
-//    interrupt) wake host-side futures in DmaRingDriver so software
-//    overlaps with device ticks.
+// DmaRingEngine is the scatter-gather descriptor-ring data path (modeled on
+// the cesa TDescr/Tdmaowned and s805 descriptor-table exemplars).
+// Descriptors and completion records live in label-tagged HostMemory;
+// ownership bits hand descriptors to the device, chained next-pointers
+// build multi-segment transfers, and completion events (a modeled
+// interrupt) wake host-side futures in DmaRingDriver so software overlaps
+// with device ticks. It is the only engine that moves host memory through
+// the accelerator.
 //
 // The ring is UNTRUSTED INPUT: it lives in host memory a buggy or hostile
 // host can rewrite at any time, and the fault campaigns flip bits in it
@@ -79,7 +73,7 @@ class HostMemory {
   const lattice::Label& pageLabel(std::size_t addr) const;
 
   // Raw accessors (the backdoor used by testbenches and the unprotected
-  // engine; checked accesses live in the DMA engines).
+  // engine; checked accesses live in the ring engine).
   std::uint8_t read8(std::size_t addr) const { return mem_.at(addr); }
   void write8(std::size_t addr, std::uint8_t v) { mem_.at(addr) = v; }
   void writeBytes(std::size_t addr, const std::vector<std::uint8_t>& data);
@@ -122,10 +116,9 @@ enum class DmaError : std::uint8_t {
   OutputSuppressed,   // the accelerator refused to declassify an output
   FaultAborted,       // fail-secure fault squash survived the retry budget
   Rejected,           // the submit port refused (e.g. zeroized key slot)
-  Timeout,            // synchronous engine watchdog expired
 };
 
-inline constexpr unsigned kDmaErrors = 20;
+inline constexpr unsigned kDmaErrors = 19;
 
 std::string toString(DmaError e);
 
@@ -137,29 +130,6 @@ struct DmaDescriptor {
   std::size_t dst = 0;
   std::size_t len = 0;          // bytes; multiple of 16 for ECB
   aes::Block ctr_iv{};          // initial counter block for CTR
-};
-
-struct DmaResult {
-  bool ok = false;
-  DmaError error = DmaError::None;
-  std::uint64_t cycles = 0;     // device cycles consumed
-  std::uint64_t blocks = 0;
-};
-
-// Synchronous MMIO-style engine: executes one descriptor to completion
-// while the caller blocks (ticks the accelerator internally). The baseline
-// the ring path amortizes against.
-class DmaEngine {
- public:
-  DmaEngine(accel::AesAccelerator& acc, HostMemory& mem)
-      : acc_{acc}, mem_{mem} {}
-
-  DmaResult run(const DmaDescriptor& d);
-
- private:
-  accel::AesAccelerator& acc_;
-  HostMemory& mem_;
-  std::uint64_t next_req_ = (1ull << 40);
 };
 
 // ---------------------------------------------------------------------------
@@ -365,7 +335,7 @@ class DmaRingEngine {
                   std::size_t len) const;
   DmaError validateHead(Channel& ch, Chain& c);
   DmaError latchSegment(Chain& c, std::size_t addr, bool head);
-  DmaError buildStream(Chain& c);
+  void buildStream(Chain& c);
   void startChannel(unsigned idx);
   void stepFetch(unsigned idx);
   void stepExec(unsigned idx);

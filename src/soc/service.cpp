@@ -187,15 +187,13 @@ std::size_t AccelService::totalQueued() const {
   return n;
 }
 
-SubmitResult AccelService::submit(unsigned tenant, const aes::Block& data,
-                                  bool decrypt) {
-  ++stats_.offered;
-  auto& q = queues_.at(tenant);
-
+template <typename Req>
+std::optional<SubmitResult> AccelService::admissionRefusal(
+    unsigned tenant, std::deque<Req>& q, std::size_t depth) {
   // A retired tenant's key is zeroized (or owned by another shard now);
   // nothing may be queued behind it.
   if (!tenant_active_.at(tenant)) {
-    return {false, 0, AdmitError::TenantRetired};
+    return SubmitResult{false, 0, AdmitError::TenantRetired};
   }
 
   // Global watermark first: when the whole service is saturated, shedding a
@@ -203,23 +201,30 @@ SubmitResult AccelService::submit(unsigned tenant, const aes::Block& data,
   // caller instead.
   if (totalQueued() >= cfg_.global_high_watermark) {
     ++stats_.rejected_backpressure;
-    return {false, 0, AdmitError::Backpressure};
+    return SubmitResult{false, 0, AdmitError::Backpressure};
   }
 
-  if (q.size() >= tenants_[tenant].queue_depth) {
+  if (q.size() >= depth) {
     if (cfg_.overflow == OverflowPolicy::RejectNew) {
       ++stats_.rejected_queue_full;
-      return {false, 0, AdmitError::QueueFull};
+      return SubmitResult{false, 0, AdmitError::QueueFull};
     }
     // ShedOldest: the tenant trades its own stalest request for the fresh
     // one; the evicted ticket still resolves (as Shed), never vanishes.
-    Request victim = std::move(q.front());
+    Req victim = std::move(q.front());
     q.pop_front();
     ++stats_.shed;
-    complete(tenant, victim, CompletionStatus::Shed, ServedBy::None,
-             aes::Block{});
+    complete(tenant, victim, CompletionStatus::Shed, ServedBy::None, {});
   }
+  return std::nullopt;
+}
 
+SubmitResult AccelService::submit(unsigned tenant, const aes::Block& data,
+                                  bool decrypt) {
+  ++stats_.offered;
+  auto& q = queues_.at(tenant);
+  if (auto refused = admissionRefusal(tenant, q, tenants_[tenant].queue_depth))
+    return *refused;
   Request req;
   req.ticket = next_ticket_++;
   req.data = data;
@@ -257,24 +262,9 @@ SubmitResult AccelService::submitAead(unsigned tenant, AeadRequest req) {
   ++stats_.offered;
   ++stats_.aead_offered;
   auto& q = aead_queues_.at(tenant);
-  if (!tenant_active_.at(tenant)) {
-    return {false, 0, AdmitError::TenantRetired};
-  }
-  if (totalQueued() >= cfg_.global_high_watermark) {
-    ++stats_.rejected_backpressure;
-    return {false, 0, AdmitError::Backpressure};
-  }
-  if (q.size() >= tenants_[tenant].aead_queue_depth) {
-    if (cfg_.overflow == OverflowPolicy::RejectNew) {
-      ++stats_.rejected_queue_full;
-      return {false, 0, AdmitError::QueueFull};
-    }
-    AeadRequest victim = std::move(q.front());
-    q.pop_front();
-    ++stats_.shed;
-    completeAead(tenant, victim, CompletionStatus::Shed, ServedBy::None, {},
-                 aes::Tag128{});
-  }
+  if (auto refused =
+          admissionRefusal(tenant, q, tenants_[tenant].aead_queue_depth))
+    return *refused;
   req.ticket = next_ticket_++;
   req.submit_cycle = acc_.cycle();
   const std::uint64_t ticket = req.ticket;
@@ -318,10 +308,10 @@ std::optional<AeadCompletion> AccelService::fetchAead(unsigned tenant) {
   return out;
 }
 
-void AccelService::completeAead(unsigned tenant, const AeadRequest& req,
-                                CompletionStatus st, ServedBy by,
-                                std::vector<std::uint8_t> data,
-                                const aes::Tag128& tag) {
+void AccelService::complete(unsigned tenant, const AeadRequest& req,
+                            CompletionStatus st, ServedBy by,
+                            std::vector<std::uint8_t> data,
+                            const aes::Tag128& tag) {
   AeadCompletion c;
   c.ticket = req.ticket;
   c.tenant = tenant;
@@ -389,55 +379,55 @@ void AccelService::serveFallback(unsigned tenant, const Request& req) {
   complete(tenant, req, CompletionStatus::Ok, ServedBy::SoftwareFallback, out);
 }
 
-void AccelService::serveHardware(unsigned tenant, Request req) {
-  auto& session = sessions_[tenant];
-  const auto r = req.decrypt ? session.decryptBlock(req.data)
-                             : session.encryptBlock(req.data);
-  if (r.has_value()) {
-    ++stats_.completed_hw;
-    complete(tenant, req, CompletionStatus::Ok, ServedBy::Hardware, *r);
-    return;
-  }
-  switch (r.status()) {
-    case AccelStatus::Suppressed:
-      complete(tenant, req, CompletionStatus::Suppressed, ServedBy::Hardware,
-               aes::Block{});
-      return;
+std::optional<CompletionStatus> AccelService::hardwareVerdict(
+    unsigned tenant, AccelStatus st, unsigned& requeues) {
+  switch (st) {
+    case AccelStatus::Ok: return CompletionStatus::Ok;
+    case AccelStatus::Suppressed: return CompletionStatus::Suppressed;
+    case AccelStatus::AuthFailed:
+      // A tag mismatch is a verdict about the message, not about device
+      // health: terminal, never requeued, never failed over to software.
+      ++stats_.aead_auth_failed;
+      return CompletionStatus::AuthFailed;
     case AccelStatus::Rejected:
       // Typically a fail-secure zeroized slot. Re-provision once and let
       // the request ride again; a tenant whose key cannot be restored gets
       // a definite Rejected.
-      if (req.requeues < cfg_.max_requeues && reprovisionKey(tenant)) {
-        ++req.requeues;
-        ++stats_.requeues;
-        queues_[tenant].push_front(std::move(req));
-      } else {
-        complete(tenant, req, CompletionStatus::Rejected, ServedBy::Hardware,
-                 aes::Block{});
-      }
-      return;
-    default:
-      break;
+      if (requeues < cfg_.max_requeues && reprovisionKey(tenant)) break;
+      return CompletionStatus::Rejected;
+    case AccelStatus::Timeout:
+    case AccelStatus::FaultAborted:
+    case AccelStatus::Dropped:
+      // Transient failure that survived the driver's own retry budget.
+      ++stats_.hw_transient_failures;
+      if (requeues < cfg_.max_requeues) break;
+      return st == AccelStatus::FaultAborted ? CompletionStatus::FaultAborted
+             : st == AccelStatus::Dropped    ? CompletionStatus::Dropped
+                                             : CompletionStatus::TimedOut;
   }
-  // Transient failure that survived the driver's own retry budget.
-  ++stats_.hw_transient_failures;
-  if (req.requeues < cfg_.max_requeues) {
-    ++req.requeues;
-    ++stats_.requeues;
-    // Front of the queue: per-tenant order is preserved, and if the breaker
-    // trips before the next round the request is served by the fallback.
+  // Requeue: the caller puts the request back at the front of its queue, so
+  // per-tenant order is preserved, and if the breaker trips before the next
+  // round the request is served by the fallback.
+  ++requeues;
+  ++stats_.requeues;
+  return std::nullopt;
+}
+
+void AccelService::serveHardware(unsigned tenant, Request req) {
+  auto& session = sessions_[tenant];
+  const auto r = req.decrypt ? session.decryptBlock(req.data)
+                             : session.encryptBlock(req.data);
+  const auto st = hardwareVerdict(tenant, r.status(), req.requeues);
+  if (!st) {
     queues_[tenant].push_front(std::move(req));
     return;
   }
-  CompletionStatus st = CompletionStatus::TimedOut;
-  if (r.status() == AccelStatus::FaultAborted)
-    st = CompletionStatus::FaultAborted;
-  else if (r.status() == AccelStatus::Dropped) st = CompletionStatus::Dropped;
-  complete(tenant, req, st, ServedBy::Hardware, aes::Block{});
+  if (*st == CompletionStatus::Ok) ++stats_.completed_hw;
+  complete(tenant, req, *st, ServedBy::Hardware, r ? *r : aes::Block{});
 }
 
-void AccelService::serveAeadFallback(unsigned tenant, const AeadRequest& req) {
-  // Same contract as serveFallback, lifted to a whole message: the golden
+void AccelService::serveFallback(unsigned tenant, const AeadRequest& req) {
+  // Same contract as the block fallback, lifted to a whole message: the golden
   // software GCM computes the answer, but release still passes the Eq. 1
   // declassification check, and the shared clock is charged per block so
   // quarantine residency reflects the real work.
@@ -450,8 +440,8 @@ void AccelService::serveAeadFallback(unsigned tenant, const AeadRequest& req) {
   acc_.run(cfg_.fallback_cycles_per_block * blocks);
   if (!decision.allowed) {
     ++stats_.fallback_suppressed;
-    completeAead(tenant, req, CompletionStatus::Suppressed,
-                 ServedBy::SoftwareFallback, {}, aes::Tag128{});
+    complete(tenant, req, CompletionStatus::Suppressed,
+             ServedBy::SoftwareFallback, {});
     return;
   }
   if (req.open) {
@@ -459,22 +449,22 @@ void AccelService::serveAeadFallback(unsigned tenant, const AeadRequest& req) {
                               req.iv);
     if (!pt.has_value()) {
       ++stats_.aead_auth_failed;
-      completeAead(tenant, req, CompletionStatus::AuthFailed,
-                   ServedBy::SoftwareFallback, {}, aes::Tag128{});
+      complete(tenant, req, CompletionStatus::AuthFailed,
+               ServedBy::SoftwareFallback, {});
       return;
     }
     ++stats_.aead_completed_fallback;
-    completeAead(tenant, req, CompletionStatus::Ok, ServedBy::SoftwareFallback,
-                 std::move(*pt), aes::Tag128{});
+    complete(tenant, req, CompletionStatus::Ok, ServedBy::SoftwareFallback,
+             std::move(*pt));
     return;
   }
   auto r = aes::gcmEncrypt(req.data, req.aad, golden_[tenant], req.iv);
   ++stats_.aead_completed_fallback;
-  completeAead(tenant, req, CompletionStatus::Ok, ServedBy::SoftwareFallback,
-               std::move(r.ciphertext), r.tag);
+  complete(tenant, req, CompletionStatus::Ok, ServedBy::SoftwareFallback,
+           std::move(r.ciphertext), r.tag);
 }
 
-void AccelService::serveAeadHardware(unsigned tenant, AeadRequest req) {
+void AccelService::serveHardware(unsigned tenant, AeadRequest req) {
   auto& session = sessions_[tenant];
   AccelStatus st;
   std::vector<std::uint8_t> out;
@@ -491,72 +481,23 @@ void AccelService::serveAeadHardware(unsigned tenant, AeadRequest req) {
       tag = r->tag;
     }
   }
-  switch (st) {
-    case AccelStatus::Ok:
-      ++stats_.aead_completed_hw;
-      completeAead(tenant, req, CompletionStatus::Ok, ServedBy::Hardware,
-                   std::move(out), tag);
-      return;
-    case AccelStatus::Suppressed:
-      completeAead(tenant, req, CompletionStatus::Suppressed,
-                   ServedBy::Hardware, {}, aes::Tag128{});
-      return;
-    case AccelStatus::AuthFailed:
-      // A tag mismatch is a verdict about the message, not about device
-      // health: terminal, never requeued, never failed over to software.
-      ++stats_.aead_auth_failed;
-      completeAead(tenant, req, CompletionStatus::AuthFailed,
-                   ServedBy::Hardware, {}, aes::Tag128{});
-      return;
-    case AccelStatus::Rejected:
-      if (req.requeues < cfg_.max_requeues && reprovisionKey(tenant)) {
-        ++req.requeues;
-        ++stats_.requeues;
-        aead_queues_[tenant].push_front(std::move(req));
-      } else {
-        completeAead(tenant, req, CompletionStatus::Rejected,
-                     ServedBy::Hardware, {}, aes::Tag128{});
-      }
-      return;
-    default:
-      break;
-  }
-  ++stats_.hw_transient_failures;
-  if (req.requeues < cfg_.max_requeues) {
-    ++req.requeues;
-    ++stats_.requeues;
+  const auto cs = hardwareVerdict(tenant, st, req.requeues);
+  if (!cs) {
     aead_queues_[tenant].push_front(std::move(req));
     return;
   }
-  CompletionStatus cs = CompletionStatus::TimedOut;
-  if (st == AccelStatus::FaultAborted) cs = CompletionStatus::FaultAborted;
-  else if (st == AccelStatus::Dropped) cs = CompletionStatus::Dropped;
-  completeAead(tenant, req, cs, ServedBy::Hardware, {}, aes::Tag128{});
+  if (*cs == CompletionStatus::Ok) ++stats_.aead_completed_hw;
+  complete(tenant, req, *cs, ServedBy::Hardware, std::move(out), tag);
 }
 
-void AccelService::serveAead(unsigned tenant, AeadRequest req) {
+template <typename Req>
+void AccelService::serve(unsigned tenant, Req req) {
   if (!tenant_active_[tenant]) {
     // A request surfaced for a retired tenant: executing it would use a
     // stale or zeroized key. Refuse, and count the near-miss — the elastic
     // pool's invariant is that this counter stays 0.
     ++stats_.wrong_key_uses;
-    completeAead(tenant, req, CompletionStatus::Rejected, ServedBy::None, {},
-                 aes::Tag128{});
-    return;
-  }
-  const HealthState st = monitor_.state();
-  if (st == HealthState::Quarantined || st == HealthState::Probation) {
-    serveAeadFallback(tenant, req);
-  } else {
-    serveAeadHardware(tenant, std::move(req));
-  }
-}
-
-void AccelService::serveOne(unsigned tenant, Request req) {
-  if (!tenant_active_[tenant]) {
-    ++stats_.wrong_key_uses;
-    complete(tenant, req, CompletionStatus::Rejected, ServedBy::None,
-             aes::Block{});
+    complete(tenant, req, CompletionStatus::Rejected, ServedBy::None, {});
     return;
   }
   const HealthState st = monitor_.state();
@@ -673,7 +614,7 @@ void AccelService::serveBatchHardware(unsigned tenant,
   for (std::size_t i = 0; i < run.size() && !q.empty(); ++i) {
     Request req = std::move(q.front());
     q.pop_front();
-    serveOne(tenant, std::move(req));
+    serve(tenant, std::move(req));
   }
 }
 
@@ -694,7 +635,7 @@ unsigned AccelService::serveRun(unsigned tenant, unsigned max_run) {
   if (run_len == 1) {
     Request req = std::move(q.front());
     q.pop_front();
-    serveOne(tenant, std::move(req));
+    serve(tenant, std::move(req));
     return 1;
   }
   std::vector<Request> run;
@@ -806,7 +747,7 @@ unsigned AccelService::pump() {
     while (served < cfg_.quota_per_round && !aead_queues_[t].empty()) {
       AeadRequest areq = std::move(aead_queues_[t].front());
       aead_queues_[t].pop_front();
-      serveAead(t, std::move(areq));
+      serve(t, std::move(areq));
       ++served;
     }
     while (served < cfg_.quota_per_round && !queues_[t].empty()) {

@@ -322,18 +322,35 @@ class AccelService {
   bool serveBatchRing(unsigned tenant, const std::vector<Request>& run);
   void setupTenantRing(unsigned tenant);
   void serveBatchHardware(unsigned tenant, std::vector<Request> run);
-  void serveOne(unsigned tenant, Request req);
+  // Admission shared by blocks and AEAD ops (retired tenant, global
+  // watermark, then the tenant's own queue depth, shedding its oldest
+  // request under ShedOldest). Returns the refusal, or nullopt to queue.
+  template <typename Req>
+  std::optional<SubmitResult> admissionRefusal(unsigned tenant,
+                                               std::deque<Req>& q,
+                                               std::size_t depth);
+  // One request of either kind: refused if its tenant is retired, else
+  // served by the hardware or, while the breaker is open, the fallback.
+  template <typename Req>
+  void serve(unsigned tenant, Req req);
   void serveHardware(unsigned tenant, Request req);
+  void serveHardware(unsigned tenant, AeadRequest req);
   void serveFallback(unsigned tenant, const Request& req);
+  void serveFallback(unsigned tenant, const AeadRequest& req);
+  // The one driver-status -> completion mapping for a single hardware
+  // serve. Returns the terminal status, or nullopt when the request is to
+  // be requeued (a Rejected serve after a successful key re-provision, or a
+  // transient failure within the requeue budget); owns the requeue,
+  // re-provision and transient-failure accounting.
+  std::optional<CompletionStatus> hardwareVerdict(unsigned tenant,
+                                                  accel::AccelStatus st,
+                                                  unsigned& requeues);
   void complete(unsigned tenant, const Request& req, CompletionStatus st,
                 ServedBy by, const aes::Block& data);
+  void complete(unsigned tenant, const AeadRequest& req, CompletionStatus st,
+                ServedBy by, std::vector<std::uint8_t> data,
+                const aes::Tag128& tag = {});
   SubmitResult submitAead(unsigned tenant, AeadRequest req);
-  void serveAead(unsigned tenant, AeadRequest req);
-  void serveAeadHardware(unsigned tenant, AeadRequest req);
-  void serveAeadFallback(unsigned tenant, const AeadRequest& req);
-  void completeAead(unsigned tenant, const AeadRequest& req,
-                    CompletionStatus st, ServedBy by,
-                    std::vector<std::uint8_t> data, const aes::Tag128& tag);
   void sampleWindowIfDue();
   void runCanaries();
   bool reprovisionKey(unsigned tenant);

@@ -10,6 +10,7 @@
 #include <map>
 
 #include "aes/cipher.h"
+#include "aes/gcm.h"
 #include "soc/policy_engine.h"
 #include "soc/service.h"
 
@@ -142,6 +143,83 @@ TEST(ServiceServing, HealthyPathServesAllTenantsCorrectlyOnHardware) {
   }
   EXPECT_EQ(r.svc.stats().completed_fallback, 0u);
 }
+
+// The status->completion mapping, pinned on each hardware route: a key slot
+// zeroized behind the service's back makes the first hardware serve end
+// Rejected; the service re-provisions the key once, requeues the request,
+// and the second serve completes Ok.
+enum class ServeRoute { SingleBlock, RingRun16, AeadSeal };
+
+struct ServiceVerdictMapping : ::testing::TestWithParam<ServeRoute> {};
+
+TEST_P(ServiceVerdictMapping, ZeroizedSlotIsReprovisionedAndRequeuedOnce) {
+  const ServeRoute route = GetParam();
+  ServiceConfig cfg;
+  if (route == ServeRoute::RingRun16) {
+    cfg.use_dma_ring = true;
+    cfg.batch_size = 16;
+    cfg.quota_per_round = 16;
+  }
+  AesAccelerator acc{AcceleratorConfig{}};
+  AccelService svc{acc, cfg};
+  acc.addUser(Principal::supervisor());
+  TenantSpec spec;
+  spec.user = acc.addUser(Principal::user("t0", 1));
+  spec.key_slot = 1;
+  spec.key = keyOf(0);
+  spec.key_conf = Conf::category(1);
+  spec.queue_depth = 16;
+  const unsigned t = svc.addTenant(spec);
+  const auto golden = aes::expandKey(spec.key, aes::KeySize::Aes128);
+  ASSERT_TRUE(acc.clearKey(spec.user, spec.key_slot));
+
+  if (route == ServeRoute::AeadSeal) {
+    const std::vector<std::uint8_t> pt(40, 0x5a), aad(7, 0x11), iv(12, 0x42);
+    ASSERT_TRUE(svc.submitSeal(t, pt, aad, iv).admitted);
+    svc.runUntilIdle(1u << 16);
+    const auto c = svc.fetchAead(t);
+    ASSERT_TRUE(c.has_value());
+    EXPECT_EQ(c->status, CompletionStatus::Ok);
+    const auto want = aes::gcmEncrypt(pt, aad, golden, iv);
+    EXPECT_EQ(c->data, want.ciphertext);
+    EXPECT_EQ(c->tag, want.tag);
+    EXPECT_FALSE(svc.fetchAead(t).has_value());
+  } else {
+    const unsigned n = route == ServeRoute::RingRun16 ? 16 : 1;
+    for (unsigned i = 0; i < n; ++i)
+      ASSERT_TRUE(svc.submit(t, patternBlock(static_cast<std::uint8_t>(i)))
+                      .admitted);
+    svc.runUntilIdle(1u << 16);
+    for (unsigned i = 0; i < n; ++i) {
+      const auto c = svc.fetch(t);
+      ASSERT_TRUE(c.has_value()) << "block " << i;
+      EXPECT_EQ(c->status, CompletionStatus::Ok) << "block " << i;
+      EXPECT_EQ(c->data, aes::encryptBlock(
+                             patternBlock(static_cast<std::uint8_t>(i)),
+                             golden));
+    }
+    EXPECT_FALSE(svc.fetch(t).has_value());
+  }
+  EXPECT_EQ(svc.stats().key_reprovisions, 1u);
+  EXPECT_EQ(svc.stats().requeues, 1u);
+  if (route == ServeRoute::RingRun16) {
+    EXPECT_EQ(svc.stats().dma_ring_fallbacks, 1u);
+    EXPECT_EQ(svc.stats().batch_fallbacks, 1u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Routes, ServiceVerdictMapping,
+    ::testing::Values(ServeRoute::SingleBlock, ServeRoute::RingRun16,
+                      ServeRoute::AeadSeal),
+    [](const ::testing::TestParamInfo<ServeRoute>& info) -> std::string {
+      switch (info.param) {
+        case ServeRoute::SingleBlock: return "SingleBlock";
+        case ServeRoute::RingRun16: return "RingRun16";
+        case ServeRoute::AeadSeal: return "AeadSeal";
+      }
+      return "?";
+    });
 
 // A service config that makes health transitions fast enough to unit-test.
 ServiceConfig fastHealthConfig() {
