@@ -181,8 +181,9 @@ void printRingCampaign() {
   std::printf(
       "Hardened descriptor-ring fault campaign, 16 seeds x 21 descriptors\n"
       "(scripted scenarios: torn ownership, chain loop, OOB next, completion\n"
-      "overflow, stalled ring, stale generation, TOCTOU dst rewrite; plus\n"
-      "random ring/host faults at rate 0.02)\n");
+      "overflow, stalled ring, stale generation, TOCTOU dst rewrite, reset of\n"
+      "a channel overlapping another; plus random ring/host faults at rate\n"
+      "0.02)\n");
   std::printf("%6s %6s %8s %8s %6s %6s %6s %6s\n", "seed", "ok", "refused",
               "unresl", "wdog", "recov", "wrongP", "xlabel");
   RingCampaignReport total;
@@ -205,7 +206,8 @@ void printRingCampaign() {
         "\"descriptors\":%u,\"completed_ok\":%llu,\"refused\":%llu,"
         "\"unresolved\":%llu,\"watchdog_fires\":%llu,\"recoveries\":%llu,"
         "\"ring_faults\":%llu,\"wrong_plaintext_releases\":%llu,"
-        "\"cross_label_writes\":%llu,\"partial_writes\":%llu}\n",
+        "\"cross_label_writes\":%llu,\"partial_writes\":%llu,"
+        "\"reset_isolation_failures\":%llu}\n",
         static_cast<unsigned long long>(seed), rep.descriptors,
         static_cast<unsigned long long>(rep.completed_ok),
         static_cast<unsigned long long>(rep.refused),
@@ -215,7 +217,8 @@ void printRingCampaign() {
         static_cast<unsigned long long>(rep.ring_faults),
         static_cast<unsigned long long>(rep.wrong_plaintext_releases),
         static_cast<unsigned long long>(rep.cross_label_writes),
-        static_cast<unsigned long long>(rep.partial_writes));
+        static_cast<unsigned long long>(rep.partial_writes),
+        static_cast<unsigned long long>(rep.reset_isolation_failures));
     total += rep;
   }
 

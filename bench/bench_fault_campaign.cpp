@@ -16,6 +16,7 @@
 
 #include <map>
 
+#include "conservation.h"
 #include "accel/driver.h"
 #include "aes/gcm.h"
 #include "common/rng.h"
@@ -52,6 +53,20 @@ struct CampaignOutcome {
   accel::SessionTelemetry telemetry;  // terminal driver verdicts
 };
 
+// Offers are the campaign's own count of block and AEAD ops; the buckets are
+// the sessions' terminal verdicts, so a driver that loses or double-counts a
+// verdict breaks the identity.
+bench::Conservation conservationOf(const CampaignOutcome& o) {
+  const accel::SessionTelemetry& t = o.telemetry;
+  bench::Conservation c;
+  c.offered = o.ops + o.gcm_ops;
+  c.ok = t.ok;
+  c.suppressed = t.suppressed;
+  c.rejected = t.rejected;
+  c.failed = t.timeouts + t.fault_aborts + t.drops + t.auth_failed;
+  return c;
+}
+
 // Single construction point for the robustness scorecard (the JSON record
 // and the aggregate row must agree on how counters map).
 soc::RobustnessStats robustnessOf(const CampaignOutcome& o) {
@@ -81,7 +96,8 @@ std::string campaignJson(bool hardened, double rate,
                 static_cast<unsigned long long>(o.device_cycles), per_op,
                 recovery);
   return std::string(head) + ",\"robustness\":" + robustnessOf(o).toJson() +
-         ",\"campaign\":" + o.report.toJson() + "}";
+         ",\"campaign\":" + o.report.toJson() +
+         ",\"conservation\":" + conservationOf(o).toJson() + "}";
 }
 
 CampaignOutcome runCampaign(bool hardened, double rate, std::uint64_t seed,
@@ -258,6 +274,7 @@ struct PoolResilienceOutcome {
   unsigned quarantined = 0;     // shard hit in the quarantine scenario
   std::uint64_t migrations = 0;
   std::uint64_t wrong_key_uses = 0;
+  bench::Conservation cons;
 };
 
 PoolResilienceOutcome runPoolResilience(bool quarantine, std::uint64_t seed) {
@@ -308,7 +325,7 @@ PoolResilienceOutcome runPoolResilience(bool quarantine, std::uint64_t seed) {
         for (auto& b : pt) b = static_cast<std::uint8_t>(rng.next());
         ++out.offered;
         ++out.shard_offered[out.home[t]];
-        (void)pool.submit(ids[t], pt);
+        out.cons.offer(pool.submit(ids[t], pt).admitted);
       }
     }
     sup.poll();
@@ -321,12 +338,14 @@ PoolResilienceOutcome runPoolResilience(bool quarantine, std::uint64_t seed) {
     auto& trace = out.traces[t];
     while (auto c = pool.fetch(ids[t])) {
       trace.push_back(c->complete_cycle);
+      out.cons.resolve(c->status);
       if (c->status == soc::CompletionStatus::Ok) {
         ++out.ok;
         ++out.shard_ok[out.home[t]];
       }
     }
   }
+  out.cons.still_queued = pool.totalQueued();
   out.migrations = pool.poolStats().migrations;
   out.wrong_key_uses = pool.aggregateStats().wrong_key_uses;
   return out;
@@ -386,14 +405,15 @@ void printPoolResilience() {
         "\"aggregate_availability\":%.4f,\"availability_floor\":%.4f,"
         "\"untouched_shards\":%u,\"untouched_trace_mismatch\":%u,"
         "\"wrong_key_uses\":%llu,\"migrations\":%llu,"
-        "\"quarantined_shard\":%u}",
+        "\"quarantined_shard\":%u,",
         q ? "quarantine" : "baseline", kShards, kTenants,
         static_cast<unsigned long long>(o->offered),
         static_cast<unsigned long long>(o->ok), avail, floor,
         q ? untouched_count : kShards, q ? trace_mismatch : 0u,
         static_cast<unsigned long long>(o->wrong_key_uses),
         static_cast<unsigned long long>(o->migrations), quar.quarantined);
-    std::printf("JSON %s\n", buf);
+    std::printf("JSON %s\"conservation\":%s}\n", buf,
+                o->cons.toJson().c_str());
   }
   std::printf(
       "\nLosing one of %u shards keeps aggregate availability above %.0f%%\n"

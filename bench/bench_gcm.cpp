@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "conservation.h"
 #include "aes/gcm.h"
 #include "soc/pool.h"
 
@@ -40,6 +41,7 @@ struct GcmRunResult {
   std::uint64_t device_cycles = 0;  // slowest shard's cycle counter
   double wall_seconds = 0.0;
   bool all_ok = true;
+  bench::Conservation cons;  // ops (device) or keystream blocks (host_ghash)
 };
 
 soc::EnginePool makePool(unsigned shards, unsigned msg_blocks) {
@@ -101,8 +103,10 @@ GcmRunResult runDeviceGcm(unsigned shards, unsigned msg_blocks,
     for (unsigned t = 0; t < tenants; ++t) {
       while (submitted[t] < ops_per_tenant) {
         const auto pt = messageOf(t, submitted[t], msg_blocks);
-        if (!pool.submitSeal(ids[t], pt, {}, ivOf(t, submitted[t])).admitted)
-          break;  // AEAD queue full: next wave
+        const bool admitted =
+            pool.submitSeal(ids[t], pt, {}, ivOf(t, submitted[t])).admitted;
+        r.cons.offer(admitted);
+        if (!admitted) break;  // AEAD queue full: next wave
         ++submitted[t];
       }
     }
@@ -110,6 +114,7 @@ GcmRunResult runDeviceGcm(unsigned shards, unsigned msg_blocks,
     for (unsigned t = 0; t < tenants; ++t) {
       while (auto c = pool.fetchAead(ids[t])) {
         ++done;
+        r.cons.resolve(c->status);
         if (c->status != soc::CompletionStatus::Ok) r.all_ok = false;
       }
     }
@@ -120,6 +125,7 @@ GcmRunResult runDeviceGcm(unsigned shards, unsigned msg_blocks,
   r.ops = done;
   r.blocks = done * msg_blocks;
   r.device_cycles = pool.maxShardCycle();
+  r.cons.still_queued = pool.totalQueued();
   return r;
 }
 
@@ -163,7 +169,9 @@ GcmRunResult runHostGhash(unsigned shards, unsigned msg_blocks,
         b[13] = static_cast<std::uint8_t>(submitted[t] >> 16);
         b[14] = static_cast<std::uint8_t>(submitted[t] >> 8);
         b[15] = static_cast<std::uint8_t>(submitted[t]);
-        if (!pool.submit(ids[t], b).admitted) break;
+        const bool admitted = pool.submit(ids[t], b).admitted;
+        r.cons.offer(admitted);
+        if (!admitted) break;
         ++submitted[t];
       }
     }
@@ -171,6 +179,7 @@ GcmRunResult runHostGhash(unsigned shards, unsigned msg_blocks,
     for (unsigned t = 0; t < tenants; ++t) {
       while (auto c = pool.fetch(ids[t])) {
         ++done;
+        r.cons.resolve(c->status);
         if (c->status != soc::CompletionStatus::Ok) r.all_ok = false;
         // Host half: XOR into ciphertext and fold into the running GHASH.
         aes::Tag128 ct{};
@@ -201,6 +210,7 @@ GcmRunResult runHostGhash(unsigned shards, unsigned msg_blocks,
           .count();
   r.blocks = done;
   r.device_cycles = pool.maxShardCycle();
+  r.cons.still_queued = pool.totalQueued();
   return r;
 }
 
@@ -217,10 +227,12 @@ void printRow(const char* mode, unsigned shards, unsigned batch,
   std::printf(
       "JSON {\"bench\":\"gcm\",\"shards\":%u,\"batch\":%u,\"mode\":\"%s\","
       "\"ops\":%llu,\"blocks\":%llu,\"device_cycles\":%llu,"
-      "\"blocks_per_device_cycle\":%.4f,\"wall_seconds\":%.4f}\n",
+      "\"blocks_per_device_cycle\":%.4f,\"wall_seconds\":%.4f,"
+      "\"conservation\":%s}\n",
       shards, batch, mode, static_cast<unsigned long long>(r.ops),
       static_cast<unsigned long long>(r.blocks),
-      static_cast<unsigned long long>(r.device_cycles), bpc, r.wall_seconds);
+      static_cast<unsigned long long>(r.device_cycles), bpc, r.wall_seconds,
+      r.cons.toJson().c_str());
 }
 
 }  // namespace

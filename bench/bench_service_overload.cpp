@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "conservation.h"
 #include "common/rng.h"
 #include "soc/fault_injector.h"
 #include "soc/service.h"
@@ -37,6 +38,7 @@ struct Harness {
   AccelService svc;
   std::vector<unsigned> users;
   Rng traffic{42};
+  bench::Conservation cons;  // every offer since construction
 
   Harness()
       : acc{[] {
@@ -83,7 +85,7 @@ struct Harness {
       aes::Block pt;
       const auto bits = traffic.bits(128).toBytes();
       for (unsigned i = 0; i < 16; ++i) pt[i] = bits[i];
-      (void)svc.submit(t, pt);
+      cons.offer(svc.submit(t, pt).admitted);
     }
   }
 
@@ -94,8 +96,7 @@ struct Harness {
       offer();
       resolved += svc.pump();
       for (unsigned t = 0; t < kTenants; ++t)
-        while (svc.fetch(t)) {
-        }
+        while (const auto c = svc.fetch(t)) cons.resolve(c->status);
     }
     return resolved;
   }
@@ -110,7 +111,9 @@ struct PhaseRow {
   std::string health;
 };
 
-void printPhase(const PhaseRow& r, const AccelService& svc) {
+void printPhase(const PhaseRow& r, Harness& h) {
+  const AccelService& svc = h.svc;
+  h.cons.still_queued = svc.totalQueued();
   const double bpc =
       r.cycles ? static_cast<double>(r.resolved) / r.cycles : 0.0;
   std::printf("%-10s %-9llu %-9llu %-8.4f %-7llu %-7llu %-12s\n", r.phase,
@@ -122,12 +125,12 @@ void printPhase(const PhaseRow& r, const AccelService& svc) {
       "JSON {\"bench\":\"service_overload\",\"phase\":\"%s\","
       "\"resolved\":%llu,\"cycles\":%llu,\"blocks_per_cycle\":%.4f,"
       "\"min_tenant_ok\":%llu,\"max_tenant_ok\":%llu,\"health\":\"%s\","
-      "\"service\":%s}\n",
+      "\"service\":%s,\"conservation\":%s}\n",
       r.phase, static_cast<unsigned long long>(r.resolved),
       static_cast<unsigned long long>(r.cycles), bpc,
       static_cast<unsigned long long>(r.min_ok),
       static_cast<unsigned long long>(r.max_ok), r.health.c_str(),
-      svc.stats().toJson().c_str());
+      svc.stats().toJson().c_str(), h.cons.toJson().c_str());
 }
 
 void printOverloadStudy() {
@@ -153,7 +156,7 @@ void printOverloadStudy() {
   auto [lo1, hi1] = minmax();
   printPhase({"healthy", resolved, h.acc.cycle() - c0, lo1, hi1,
               toString(h.svc.health())},
-             h.svc);
+             h);
 
   // Phase 2: fault storm until the breaker trips, then quarantined service
   // on the software fallback.
@@ -171,7 +174,7 @@ void printOverloadStudy() {
   auto [lo2, hi2] = minmax();
   printPhase({"storm", resolved, h.acc.cycle() - c0, lo2, hi2,
               toString(h.svc.health())},
-             h.svc);
+             h);
 
   // Phase 3: storm ends; fallback carries traffic through quarantine until
   // probation canaries re-admit the hardware.
@@ -186,7 +189,7 @@ void printOverloadStudy() {
   auto [lo3, hi3] = minmax();
   printPhase({"recovery", resolved, h.acc.cycle() - c0, lo3, hi3,
               toString(h.svc.health())},
-             h.svc);
+             h);
 
   std::printf(
       "\nAdmission control keeps every tenant inside its queue budget, the\n"

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "conservation.h"
 #include "accel/driver.h"
 #include "soc/metrics.h"
 #include "soc/pool.h"
@@ -134,6 +135,7 @@ struct PoolRunResult {
   double wall_seconds = 0.0;
   soc::LatencyStats latency;  // submit->complete, device cycles
   soc::ServiceStats stats;
+  bench::Conservation cons;
 };
 
 PoolRunResult runPool(unsigned shards, unsigned batch, unsigned tenants,
@@ -175,7 +177,9 @@ PoolRunResult runPool(unsigned shards, unsigned batch, unsigned tenants,
         aes::Block b{};
         for (unsigned i = 0; i < 16; ++i)
           b[i] = static_cast<std::uint8_t>(submitted[t] + 7 * i + t);
-        if (!pool.submit(ids[t], b).admitted) break;  // queue full: next wave
+        const bool admitted = pool.submit(ids[t], b).admitted;
+        r.cons.offer(admitted);
+        if (!admitted) break;  // queue full: next wave
         ++submitted[t];
       }
     }
@@ -183,6 +187,7 @@ PoolRunResult runPool(unsigned shards, unsigned batch, unsigned tenants,
     for (unsigned t = 0; t < tenants; ++t) {
       while (auto c = pool.fetch(ids[t])) {
         ++done;
+        r.cons.resolve(c->status);
         if (c->status != soc::CompletionStatus::Ok) {
           ++r.not_ok;
           continue;
@@ -198,6 +203,7 @@ PoolRunResult runPool(unsigned shards, unsigned batch, unsigned tenants,
   r.device_cycles = pool.maxShardCycle();
   r.latency = soc::latencyStats(lat);
   r.stats = pool.aggregateStats();
+  r.cons.still_queued = pool.totalQueued();
   return r;
 }
 
@@ -236,12 +242,13 @@ void printPoolThroughput() {
           "\"device_cycles\":%llu,"
           "\"blocks_per_device_cycle\":%.4f,\"blocks_per_sec\":%.1f,"
           "\"wall_seconds\":%.4f,\"speedup_vs_1shard_batch1\":%.2f,"
-          "\"latency\":%s,\"stats\":%s}\n",
+          "\"latency\":%s,\"stats\":%s,\"conservation\":%s}\n",
           shards, batch, tenants, static_cast<unsigned long long>(r.blocks),
           static_cast<unsigned long long>(r.not_ok),
           static_cast<unsigned long long>(r.device_cycles), bpc, bps,
           r.wall_seconds, base_bps > 0.0 ? bps / base_bps : 0.0,
-          r.latency.toJson().c_str(), r.stats.toJson().c_str());
+          r.latency.toJson().c_str(), r.stats.toJson().c_str(),
+          r.cons.toJson().c_str());
     }
   }
   std::printf(

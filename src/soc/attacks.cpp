@@ -737,6 +737,100 @@ RingCampaignReport runRingFaultCampaign(const RingCampaignConfig& cfg) {
   }
 
   acc.setTickHook(nullptr);
+
+  // Scripted overlap scenario, once per campaign and without random faults:
+  // reset channel A while channel B's blocks sit behind A's tail in the
+  // pipe. B is alice's second channel, so A's abandoned blocks surface in
+  // the very output queue B collects from. Only A's chain may be abandoned:
+  // B must complete Ok on its undisturbed schedule, with no watchdog fire
+  // or block resubmit, A must write nothing, and the engine must record
+  // exactly that one reset.
+  if (cfg.scripted_scenarios) {
+    // A clean slate after the random phase: receivers the injector wedged
+    // are released, and A is reset with its rings re-initialised as a
+    // driver's reset path would.
+    inj.releaseStuckReceivers();
+    eng.ringReset(ch);
+    drv.resync();
+    mem.writeBytes(ring.desc_base, std::vector<std::uint8_t>(
+                                       ring.desc_slots * kDescBytes, 0));
+    mem.writeBytes(ring.comp_base, std::vector<std::uint8_t>(
+                                       ring.comp_slots * kCompBytes, 0));
+    DmaRingConfig ring_b;
+    ring_b.desc_base = 0x0d00;
+    ring_b.desc_slots = 4;
+    ring_b.comp_base = 0x0e00;
+    ring_b.comp_slots = 4;
+    ring_b.watchdog_cycles = cfg.watchdog_cycles;
+    DmaRingDriver drv_b{eng, mem, eng.addChannel(ring_b), ring_b};
+
+    constexpr unsigned kBlocksA = 64, kBlocksB = 32;
+    std::vector<std::uint8_t> pa(16 * kBlocksA), pb(16 * kBlocksB);
+    for (auto& b : pa) b = static_cast<std::uint8_t>(rng.next());
+    for (auto& b : pb) b = static_cast<std::uint8_t>(rng.next());
+    DmaDescriptor da;
+    da.user = bench.alice;
+    da.key_slot = 1;
+    da.src = src_base;
+    da.dst = dst_base;
+    da.len = pa.size();
+    DmaDescriptor db = da;
+    db.src = src_base + 0x1000;
+    db.dst = dst_base + 0x1000;
+    db.len = pb.size();
+    mem.writeBytes(da.src, pa);
+    mem.writeBytes(db.src, pb);
+    const auto dst_a_before = mem.readBytes(da.dst, da.len);
+    const DmaRingStats before = eng.stats();
+    rep.descriptors += 2;
+
+    const auto seq_a = drv.submit(da);
+    const auto seq_b = drv_b.submit(db);
+    // A holds the unit for 3 + 64 cycles, B then fetches for 3; eight
+    // cycles later B has eight blocks in the pipe right behind A's tail.
+    // Undisturbed, B resolves on the overlapped schedule: both descriptors'
+    // unit time plus one pipe drain.
+    std::uint64_t b_cycles = 0;
+    for (; b_cycles < kBlocksA + 3 + 3 + 8; ++b_cycles) eng.tick();
+    eng.ringReset(ch);
+    drv.resync();
+    for (; seq_b && b_cycles < budget && !drv_b.done(*seq_b); ++b_cycles)
+      eng.tick();
+
+    const DmaCompletion* ca = seq_a ? drv.result(*seq_a) : nullptr;
+    const DmaCompletion* cb = seq_b ? drv_b.result(*seq_b) : nullptr;
+    bool isolated = ca != nullptr && ca->status != DmaError::None &&
+                    cb != nullptr && cb->status == DmaError::None;
+    if (ca == nullptr) {
+      ++rep.unresolved;
+    } else if (ca->status == DmaError::None) {
+      ++rep.completed_ok;  // finished before the reset: nothing isolated
+      if (mem.readBytes(da.dst, da.len) != aes::ecbEncrypt(pa, ek))
+        ++rep.wrong_plaintext_releases;
+    } else {
+      ++rep.refused;
+      if (mem.readBytes(da.dst, da.len) != dst_a_before) ++rep.partial_writes;
+    }
+    if (cb == nullptr) {
+      ++rep.unresolved;
+    } else if (cb->status == DmaError::None) {
+      ++rep.completed_ok;
+      if (mem.readBytes(db.dst, db.len) != aes::ecbEncrypt(pb, ek))
+        ++rep.wrong_plaintext_releases;
+    } else {
+      ++rep.refused;
+    }
+    const DmaRingStats& after = eng.stats();
+    isolated = isolated && b_cycles == kBlocksA + kBlocksB + 2 * 3 + 31 &&
+               after.watchdog_fires == before.watchdog_fires &&
+               after.block_resubmits == before.block_resubmits &&
+               after.ring_resets == before.ring_resets + 1;
+    if (!isolated) ++rep.reset_isolation_failures;
+    if (mem.readBytes(victim_base, victim_len) != victim_snap)
+      ++rep.cross_label_writes;
+    eng.setCompletionHandler(drv_b.channel(), nullptr);  // drv_b dies here
+  }
+
   const DmaRingStats& rs = eng.stats();
   rep.ring = rs;
   rep.watchdog_fires = rs.watchdog_fires;
@@ -765,6 +859,7 @@ std::string RingCampaignReport::toJson() const {
      << ",\"corrupt_completions\":" << corrupt_completions
      << ",\"duplicate_completions\":" << duplicate_completions
      << ",\"submit_retries\":" << submit_retries
+     << ",\"reset_isolation_failures\":" << reset_isolation_failures
      << ",\"ring\":" << ring.toJson() << "}";
   return os.str();
 }
@@ -785,6 +880,7 @@ RingCampaignReport& RingCampaignReport::operator+=(
   corrupt_completions += o.corrupt_completions;
   duplicate_completions += o.duplicate_completions;
   submit_retries += o.submit_retries;
+  reset_isolation_failures += o.reset_isolation_failures;
   ring += o.ring;
   return *this;
 }

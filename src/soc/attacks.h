@@ -109,12 +109,13 @@ DmaTheftResult runDmaTheftAttack(accel::SecurityMode mode);
 // the host interface, optionally interleaved with scripted adversarial
 // scenarios (torn ownership, chain loops, OOB next-pointers, a TOCTOU
 // destination rewrite, completion-queue overflow, a stalled ring, stale
-// generations after a ring reset). Two independent oracles judge every
-// transfer: an Ok completion whose destination bytes differ from the
-// software-computed golden is a wrong-plaintext release, and any byte that
-// changes in another tenant's pages is a cross-label write. The hardened
-// engine must end every run with both counters at zero; the unhardened
-// engine demonstrably does not.
+// generations after a ring reset, and one reset of a channel whose tail
+// overlaps a second channel's blocks in the pipe). Two independent oracles
+// judge every transfer: an Ok completion whose destination bytes differ
+// from the software-computed golden is a wrong-plaintext release, and any
+// byte that changes in another tenant's pages is a cross-label write. The
+// hardened engine must end every run with both counters at zero; the
+// unhardened engine demonstrably does not.
 struct RingCampaignConfig {
   std::uint64_t seed = 1;
   unsigned descriptors = 48;      // transfers pushed through the ring
@@ -139,6 +140,9 @@ struct RingCampaignReport {
   std::uint64_t corrupt_completions = 0;   // driver checksum rejections
   std::uint64_t duplicate_completions = 0; // exactly-once dedups
   std::uint64_t submit_retries = 0;  // submits retried after backpressure
+  // The overlap-reset scenario abandoned more than the reset channel's
+  // chain (the other channel was refused, stalled or resubmitted a block).
+  std::uint64_t reset_isolation_failures = 0;
   DmaRingStats ring;              // engine-side counters
 
   std::string toJson() const;

@@ -283,9 +283,11 @@ void DmaRingEngine::setCompletionHandler(unsigned channel,
 
 void DmaRingEngine::ringReset(unsigned channel) {
   Channel& ch = chans_.at(channel);
-  if (ch.chain && exec_owner_ == static_cast<int>(channel)) exec_owner_ = -1;
+  // Only this channel's chain is abandoned. Its blocks still in the pipe
+  // match no live chain's in-flight map and are dropped as strays; other
+  // channels' chains keep collecting undisturbed.
+  if (issuer_ == static_cast<int>(channel)) issuer_ = -1;
   ch.chain.reset();
-  ch.active = false;
   ch.parked = false;
   ch.park_watchdog_logged = false;
   ++ch.generation;
@@ -368,11 +370,13 @@ DmaError DmaRingEngine::latchSegment(Chain& c, std::size_t addr, bool head) {
     ++stats_.checksum_rejects;
     return DmaError::BadChecksum;
   }
+  // The checksum covers the seq field, so it is trusted from here on: a
+  // head refused below still completes under the future it belongs to.
+  if (head) c.seq = rd16(mem_, addr + 14);
   const std::uint8_t mode = mem_.read8(addr + 8);
   const std::uint8_t reserved = mem_.read8(addr + 9);
   const unsigned user = rd16(mem_, addr + 10);
   const unsigned slot = rd16(mem_, addr + 12);
-  const std::uint16_t seq = rd16(mem_, addr + 14);
   if (mode > static_cast<std::uint8_t>(DmaMode::CtrCrypt) || reserved != 0 ||
       user >= acc_.userCount() || slot >= accel::kRoundKeySlots) {
     return DmaError::BadDescriptor;
@@ -381,7 +385,6 @@ DmaError DmaRingEngine::latchSegment(Chain& c, std::size_t addr, bool head) {
     c.user = user;
     c.key_slot = slot;
     c.mode = static_cast<DmaMode>(mode);
-    c.seq = seq;
     for (unsigned i = 0; i < 16; ++i) c.ctr_iv[i] = mem_.read8(addr + 48 + i);
   } else if (user != c.user || slot != c.key_slot ||
              static_cast<DmaMode>(mode) != c.mode) {
@@ -472,8 +475,7 @@ void DmaRingEngine::startChannel(unsigned idx) {
   c.start_cycle = acc_.cycle();
   c.progress_cycle = acc_.cycle();
   ch.chain = std::move(c);
-  ch.active = true;
-  exec_owner_ = static_cast<int>(idx);
+  issuer_ = static_cast<int>(idx);
 }
 
 void DmaRingEngine::stepFetch(unsigned idx) {
@@ -484,7 +486,6 @@ void DmaRingEngine::stepFetch(unsigned idx) {
   const DmaError e = latchSegment(c, c.next_fetch, head);
   if (e != DmaError::None) {
     c.verdict = e;
-    c.phase = Chain::Phase::Final;
     finalize(idx);
     return;
   }
@@ -493,7 +494,7 @@ void DmaRingEngine::stepFetch(unsigned idx) {
     return;  // more segments to latch
   }
   buildStream(c);
-  c.phase = Chain::Phase::Exec;
+  c.phase = Chain::Phase::Issue;
   c.progress_cycle = acc_.cycle();
 }
 
@@ -507,52 +508,61 @@ void DmaRingEngine::resubmitChain(Chain& c) {
   c.submit_refusals = 0;
 }
 
-void DmaRingEngine::stepExec(unsigned idx) {
-  Channel& ch = chans_[idx];
-  Chain& c = *ch.chain;
-  const std::uint64_t now = acc_.cycle();
-  const std::size_t n = c.stream.size();
+void DmaRingEngine::collect() {
+  // Drain every user with a chain past fetch and route each response to the
+  // chain that issued it, so two channels of one user never take each
+  // other's blocks.
+  for (const Channel& ch : chans_) {
+    if (!executing(ch)) continue;
+    while (auto resp = acc_.fetchOutput(ch.chain->user)) routeResponse(*resp);
+  }
+  for (unsigned i = 0; i < chans_.size(); ++i) {
+    if (!executing(chans_[i])) continue;
+    const Chain& c = *chans_[i].chain;
+    if (c.verdict != DmaError::None || c.collected == c.stream.size())
+      finalize(i);
+  }
+}
 
-  // Drain completions. Responses whose ids are not in the in-flight map are
-  // strays from a quiesced attempt (or foreign traffic) — dropped.
-  while (auto resp = acc_.fetchOutput(c.user)) {
-    auto it = c.inflight.find(resp->req_id);
+void DmaRingEngine::routeResponse(const accel::BlockResponse& resp) {
+  for (Channel& ch : chans_) {
+    if (!executing(ch) || ch.chain->verdict != DmaError::None) continue;
+    Chain& c = *ch.chain;
+    auto it = c.inflight.find(resp.req_id);
     if (it == c.inflight.end()) continue;
     const std::size_t bi = it->second;
     c.inflight.erase(it);
-    if (resp->fault_aborted || resp->dropped) {
+    c.progress_cycle = acc_.cycle();
+    if (resp.fault_aborted || resp.dropped) {
       if (++c.block_retries >
-          ch.cfg.block_retry_cap + static_cast<unsigned>(n)) {
+          ch.cfg.block_retry_cap + static_cast<unsigned>(c.stream.size())) {
         c.verdict = DmaError::FaultAborted;
-        c.phase = Chain::Phase::Final;
-        finalize(idx);
         return;
       }
       c.retry.push_back(bi);
       ++stats_.block_resubmits;
-      c.progress_cycle = now;
-      continue;
+      return;
     }
-    if (resp->suppressed) c.suppressed = true;
+    if (resp.suppressed) c.suppressed = true;
     if (!c.done[bi]) {
       c.done[bi] = 1;
-      c.out[bi] = resp->data;
+      c.out[bi] = resp.data;
       ++c.collected;
     }
-    c.progress_cycle = now;
-  }
-
-  if (c.collected == n) {
-    c.phase = Chain::Phase::Final;
-    finalize(idx);
     return;
   }
+  // No live chain issued it: a stray from a quiesced attempt or a reset
+  // channel (or foreign traffic) — dropped.
+}
 
+void DmaRingEngine::stepIssue(unsigned idx) {
+  Channel& ch = chans_[idx];
+  Chain& c = *ch.chain;
   // Submit at most one block per cycle (retries first).
   std::optional<std::size_t> bi;
   if (!c.retry.empty()) {
     bi = c.retry.front();
-  } else if (c.submitted < n) {
+  } else if (c.submitted < c.stream.size()) {
     bi = c.submitted;
   }
   if (bi) {
@@ -575,43 +585,55 @@ void DmaRingEngine::stepExec(unsigned idx) {
       // The submit port is refusing outright (zeroized slot, dead key) —
       // no amount of watchdog patience will change the answer.
       c.verdict = DmaError::Rejected;
-      c.phase = Chain::Phase::Final;
       finalize(idx);
       return;
     }
   }
+  // Last block accepted: collect without the unit, so the next channel can
+  // fetch while this chain's tail drains the pipe.
+  if (c.retry.empty() && c.submitted == c.stream.size()) {
+    c.phase = Chain::Phase::Collect;
+    issuer_ = -1;
+  }
+}
 
-  // Watchdog: no progress for too long — quiesce, resync, resubmit.
-  if (now - c.progress_cycle > ch.cfg.watchdog_cycles) {
-    ++stats_.watchdog_fires;
-    // Quiesce: abandon in-flight requests (their late responses will miss
-    // the cleared map and be dropped — idempotent by construction).
-    c.inflight.clear();
-    // Resync: re-read the handshake word; a descriptor that was reclaimed
-    // or re-generationed under us is torn, not stalled.
-    const std::uint32_t flags = mem_.read32(c.head_addr);
-    if (hardened_ &&
-        (!(flags & kRingOwned) || (flags >> 16) != ch.generation)) {
-      ++stats_.torn_ownership;
-      c.verdict = DmaError::TornOwnership;
-      c.phase = Chain::Phase::Final;
-      finalize(idx);
-      return;
-    }
-    if (++c.attempts > ch.cfg.max_resubmits) {
-      c.verdict = DmaError::RingStalled;
-      c.phase = Chain::Phase::Final;
-      finalize(idx);
-      return;
-    }
-    ++stats_.recoveries;
-    acc_.noteHostEvent(accel::SecurityEventKind::DmaRingRecovery, c.user,
-                       "watchdog resubmit " + std::to_string(c.attempts) +
-                           "/" + std::to_string(ch.cfg.max_resubmits) +
-                           " seq " + std::to_string(c.seq));
-    resubmitChain(c);
+void DmaRingEngine::stepWatchdog(unsigned idx) {
+  Channel& ch = chans_[idx];
+  Chain& c = *ch.chain;
+  const std::uint64_t now = acc_.cycle();
+  // A chain queued for the issue unit is waiting its turn, not stalled.
+  if (c.phase == Chain::Phase::Collect && !c.retry.empty()) {
     c.progress_cycle = now;
+    return;
   }
+  if (now - c.progress_cycle <= ch.cfg.watchdog_cycles) return;
+  // No progress for too long — quiesce, resync, resubmit.
+  ++stats_.watchdog_fires;
+  // Quiesce: abandon in-flight requests (their late responses will miss
+  // every in-flight map and be dropped — idempotent by construction).
+  c.inflight.clear();
+  // Resync: re-read the handshake word; a descriptor that was reclaimed
+  // or re-generationed under us is torn, not stalled.
+  const std::uint32_t flags = mem_.read32(c.head_addr);
+  if (hardened_ &&
+      (!(flags & kRingOwned) || (flags >> 16) != ch.generation)) {
+    ++stats_.torn_ownership;
+    c.verdict = DmaError::TornOwnership;
+    finalize(idx);
+    return;
+  }
+  if (++c.attempts > ch.cfg.max_resubmits) {
+    c.verdict = DmaError::RingStalled;
+    finalize(idx);
+    return;
+  }
+  ++stats_.recoveries;
+  acc_.noteHostEvent(accel::SecurityEventKind::DmaRingRecovery, c.user,
+                     "watchdog resubmit " + std::to_string(c.attempts) +
+                         "/" + std::to_string(ch.cfg.max_resubmits) +
+                         " seq " + std::to_string(c.seq));
+  resubmitChain(c);
+  c.progress_cycle = now;
 }
 
 void DmaRingEngine::writeBack(const Chain& c) {
@@ -691,14 +713,13 @@ void DmaRingEngine::finalize(unsigned idx) {
     handback(ch, c);
     finishChain(idx);
   } else {
-    // Completion ring full: park. The exec unit is freed; the record is
+    // Completion ring full: park. The issue unit is freed; the record is
     // written once the host consumes a slot (hardened engines never
     // overwrite an unconsumed record).
     ch.parked = true;
-    ch.active = false;
     ch.park_start = acc_.cycle();
     ch.park_watchdog_logged = false;
-    if (exec_owner_ == static_cast<int>(idx)) exec_owner_ = -1;
+    if (issuer_ == static_cast<int>(idx)) issuer_ = -1;
   }
 }
 
@@ -737,15 +758,14 @@ void DmaRingEngine::handback(Channel& ch, const Chain& c) {
 void DmaRingEngine::finishChain(unsigned idx) {
   Channel& ch = chans_[idx];
   ch.chain.reset();
-  ch.active = false;
   ch.parked = false;
-  if (exec_owner_ == static_cast<int>(idx)) exec_owner_ = -1;
+  if (issuer_ == static_cast<int>(idx)) issuer_ = -1;
 }
 
 void DmaRingEngine::onDeviceTick() {
   const std::uint64_t now = acc_.cycle();
 
-  // Parked channels: retry the completion write (independent of the exec
+  // Parked channels: retry the completion write (independent of the issue
   // unit — it is just a host-memory store).
   for (unsigned i = 0; i < chans_.size(); ++i) {
     Channel& ch = chans_[i];
@@ -785,32 +805,42 @@ void DmaRingEngine::onDeviceTick() {
     }
   }
 
-  // Active chain owns the fetch/exec unit.
-  if (exec_owner_ >= 0) {
-    const unsigned idx = static_cast<unsigned>(exec_owner_);
-    Channel& ch = chans_[idx];
-    if (ch.chain) {
-      switch (ch.chain->phase) {
-        case Chain::Phase::Fetch: stepFetch(idx); break;
-        case Chain::Phase::Exec: stepExec(idx); break;
-        case Chain::Phase::Final: finalize(idx); break;
-      }
+  collect();
+  stepUnit(now);
+  for (unsigned i = 0; i < chans_.size(); ++i) {
+    if (executing(chans_[i])) stepWatchdog(i);
+  }
+}
+
+void DmaRingEngine::stepUnit(std::uint64_t now) {
+  if (issuer_ >= 0) {
+    const unsigned idx = static_cast<unsigned>(issuer_);
+    if (chans_[idx].chain->phase == Chain::Phase::Fetch) {
+      stepFetch(idx);
     } else {
-      exec_owner_ = -1;
+      stepIssue(idx);
     }
     return;
   }
-
-  // Idle exec unit: scan for a doorbell or a due poll, round-robin.
+  // A free unit goes to a collecting chain with retries first...
   const unsigned nch = static_cast<unsigned>(chans_.size());
   for (unsigned k = 0; k < nch; ++k) {
     const unsigned i = (rr_next_ + k) % nch;
     Channel& ch = chans_[i];
-    if (ch.chain) continue;  // parked (or mid-handoff)
+    if (!executing(ch) || ch.chain->retry.empty()) continue;
+    ch.chain->phase = Chain::Phase::Issue;
+    issuer_ = static_cast<int>(i);
+    stepIssue(i);
+    return;
+  }
+  // ...then to the next channel with a doorbell or a due poll, round-robin.
+  for (unsigned k = 0; k < nch; ++k) {
+    const unsigned i = (rr_next_ + k) % nch;
+    Channel& ch = chans_[i];
+    if (ch.chain) continue;  // one chain per channel
     if (!ch.doorbell && now < ch.next_poll_cycle) continue;
     ch.next_poll_cycle = now + std::max(1u, ch.cfg.poll_interval);
-    const std::uint32_t flags = mem_.read32(descAddr(ch));
-    if (flags & kRingOwned) {
+    if (mem_.read32(descAddr(ch)) & kRingOwned) {
       startChannel(i);
       rr_next_ = (i + 1) % nch;
       return;

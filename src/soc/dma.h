@@ -228,11 +228,17 @@ struct DmaRingStats {
 };
 
 // The device-side ring engine. One engine serves N channels (per-tenant
-// rings) over one shared fetch/exec unit, round-robin between descriptors;
-// a channel blocked on a full completion ring parks without holding the
-// exec unit. Drive it with tick() when the engine owns the device clock,
-// or register onDeviceTick() inside an accelerator tick hook to overlap
-// ring DMA with other traffic.
+// rings) over one shared fetch/issue unit, round-robin between descriptors.
+// A chain holds the unit only while it fetches and issues: once its last
+// block is accepted by the pipe it moves to collect and frees the unit, so
+// the next channel fetches while the previous chain's tail is still in the
+// pipe. Any number of chains may be collecting (at most one per channel,
+// so each channel's completion records stay in order); responses are
+// routed to the chain that issued them by request id, and a collecting
+// chain that needs a retry queues for the unit again. A channel blocked on
+// a full completion ring parks without holding the unit. Drive it with
+// tick() when the engine owns the device clock, or register onDeviceTick()
+// inside an accelerator tick hook to overlap ring DMA with other traffic.
 class DmaRingEngine {
  public:
   DmaRingEngine(accel::AesAccelerator& acc, HostMemory& mem,
@@ -281,8 +287,9 @@ class DmaRingEngine {
   };
 
   // One latched chain in flight (the shadow copy every decision uses).
+  // Fetch and Issue hold the fetch/issue unit; Collect does not.
   struct Chain {
-    enum class Phase { Fetch, Exec, Final };
+    enum class Phase { Fetch, Issue, Collect };
     Phase phase = Phase::Fetch;
     unsigned channel = 0;
     std::size_t head_addr = 0;
@@ -321,9 +328,8 @@ class DmaRingEngine {
     bool doorbell = false;
     std::uint64_t next_poll_cycle = 0;
     std::function<void()> on_completion;
-    bool active = false;           // owns the fetch/exec unit
     bool parked = false;           // completed, waiting on a comp slot
-    std::optional<Chain> chain;    // in-flight transfer (active or parked)
+    std::optional<Chain> chain;    // in-flight transfer (live or parked)
     std::uint64_t park_start = 0;
     bool park_watchdog_logged = false;
   };
@@ -336,9 +342,18 @@ class DmaRingEngine {
   DmaError validateHead(Channel& ch, Chain& c);
   DmaError latchSegment(Chain& c, std::size_t addr, bool head);
   void buildStream(Chain& c);
+  // A chain past fetch, with blocks in or headed for the pipe.
+  static bool executing(const Channel& ch) {
+    return ch.chain && !ch.parked && ch.chain->phase != Chain::Phase::Fetch;
+  }
   void startChannel(unsigned idx);
   void stepFetch(unsigned idx);
-  void stepExec(unsigned idx);
+  void collect();
+  void routeResponse(const accel::BlockResponse& resp);
+  void stepIssue(unsigned idx);
+  // The fetch/issue unit's cycle: step its holder, else grant it.
+  void stepUnit(std::uint64_t now);
+  void stepWatchdog(unsigned idx);
   void finalize(unsigned idx);
   void writeBack(const Chain& c);
   bool tryWriteCompletion(unsigned idx);
@@ -351,7 +366,7 @@ class DmaRingEngine {
   HostMemory& mem_;
   bool hardened_;
   std::vector<Channel> chans_;
-  int exec_owner_ = -1;   // channel index holding the fetch/exec unit
+  int issuer_ = -1;       // channel index holding the fetch/issue unit
   unsigned rr_next_ = 0;  // round-robin scan start
   std::uint64_t next_req_ = (1ull << 41);
   DmaRingStats stats_;

@@ -255,6 +255,7 @@ void AccelService::complete(unsigned tenant, const Request& req,
   c.submit_cycle = req.submit_cycle;
   c.complete_cycle = acc_.cycle();
   completions_.at(tenant).push_back(std::move(c));
+  ++completions_made_;
   if (st == CompletionStatus::Ok) ++completed_per_tenant_.at(tenant);
 }
 
@@ -322,6 +323,7 @@ void AccelService::complete(unsigned tenant, const AeadRequest& req,
   c.submit_cycle = req.submit_cycle;
   c.complete_cycle = acc_.cycle();
   aead_completions_.at(tenant).push_back(std::move(c));
+  ++completions_made_;
   if (st == CompletionStatus::Ok) ++completed_per_tenant_.at(tenant);
 }
 
@@ -508,17 +510,15 @@ void AccelService::serve(unsigned tenant, Req req) {
   }
 }
 
-bool AccelService::serveBatchRing(unsigned tenant,
-                                  const std::vector<Request>& run) {
-  if (tenant >= ring_drvs_.size() || !ring_drvs_[tenant]) return false;
-  if (run.size() < cfg_.dma_ring_min_run) return false;
+std::optional<std::uint16_t> AccelService::submitRing(
+    unsigned tenant, const std::vector<Request>& run) {
+  if (tenant >= ring_drvs_.size() || !ring_drvs_[tenant]) return std::nullopt;
+  if (run.size() < cfg_.dma_ring_min_run) return std::nullopt;
   const std::size_t len = run.size() * 16;
-  if (len > kRingStagingMax) return false;
+  if (len > kRingStagingMax) return std::nullopt;
   const TenantSpec& spec = tenants_[tenant];
-  auto& drv = *ring_drvs_[tenant];
   const std::size_t base = kRingTenantSpan * tenant;
   const std::size_t src = base + kRingStagingSrc;
-  const std::size_t dst = base + kRingStagingDst;
 
   std::vector<std::uint8_t> staged(len);
   for (std::size_t i = 0; i < run.size(); ++i)
@@ -531,52 +531,80 @@ bool AccelService::serveBatchRing(unsigned tenant,
   d.key_slot = spec.key_slot;
   d.mode = run.front().decrypt ? DmaMode::EcbDecrypt : DmaMode::EcbEncrypt;
   d.src = src;
-  d.dst = dst;
+  d.dst = base + kRingStagingDst;
   d.len = len;
-  const auto seq = drv.submitChain({d});
-  if (!seq) {
-    ++stats_.dma_ring_fallbacks;
-    return false;
-  }
-  // 1 block/cycle plus pipeline depth, with generous headroom for fault
-  // retries and a watchdog recovery; a transfer that outlives this budget
-  // is abandoned through a ring reset and re-served over MMIO.
-  const std::uint64_t budget = 16 * run.size() + 16384;
-  const DmaCompletion* c = drv.wait(*seq, budget);
-  if (c == nullptr) {
-    ring_eng_->ringReset(drv.channel());
-    drv.resync();
-    ++stats_.dma_ring_fallbacks;
-    return false;
-  }
-  if (c->status == DmaError::None) {
-    const auto out = ring_mem_->readBytes(dst, len);
+  const auto seq = ring_drvs_[tenant]->submitChain({d});
+  if (!seq) ++stats_.dma_ring_fallbacks;
+  return seq;
+}
+
+bool AccelService::completeRingRun(const RingRun& r, const DmaCompletion& c) {
+  if (c.status == DmaError::None) {
+    const std::size_t dst = kRingTenantSpan * r.tenant + kRingStagingDst;
+    const auto out = ring_mem_->readBytes(dst, r.run.size() * 16);
     ++stats_.dma_ring_runs;
-    stats_.dma_ring_blocks += run.size();
-    stats_.completed_hw += run.size();
-    for (std::size_t i = 0; i < run.size(); ++i) {
+    stats_.dma_ring_blocks += r.run.size();
+    stats_.completed_hw += r.run.size();
+    for (std::size_t i = 0; i < r.run.size(); ++i) {
       aes::Block b;
       std::copy(out.begin() + 16 * i, out.begin() + 16 * (i + 1), b.begin());
-      complete(tenant, run[i], CompletionStatus::Ok, ServedBy::Hardware, b);
+      complete(r.tenant, r.run[i], CompletionStatus::Ok, ServedBy::Hardware,
+               b);
     }
     return true;
   }
-  if (c->status == DmaError::OutputSuppressed) {
+  if (c.status == DmaError::OutputSuppressed) {
     // Same uniform-verdict argument as the MMIO batch path: suppression is
     // a function of the tenant's label, identical for every block.
-    for (const auto& req : run) {
-      complete(tenant, req, CompletionStatus::Suppressed, ServedBy::Hardware,
+    for (const auto& req : r.run) {
+      complete(r.tenant, req, CompletionStatus::Suppressed, ServedBy::Hardware,
                aes::Block{});
     }
     return true;
   }
-  ++stats_.dma_ring_fallbacks;  // typed refusal: re-serve over MMIO
   return false;
 }
 
-void AccelService::serveBatchHardware(unsigned tenant,
-                                      std::vector<Request> run) {
-  if (serveBatchRing(tenant, run)) return;
+void AccelService::reapRing() {
+  if (ring_pending_.empty()) return;
+  std::vector<RingRun> pending = std::move(ring_pending_);
+  ring_pending_.clear();
+  std::vector<RingRun> refused;
+  const std::uint64_t start = acc_.cycle();
+  while (!pending.empty()) {
+    // Complete each run in the cycle its future resolves, so every block
+    // carries its own run's completion cycle. One run per tenant is in
+    // flight, and serveRun reaps it before popping that tenant's next
+    // request, so per-tenant completion order cannot change.
+    for (auto it = pending.begin(); it != pending.end();) {
+      auto& drv = *ring_drvs_[it->tenant];
+      const DmaCompletion* c = drv.result(it->seq);
+      if (c == nullptr) {
+        // 1 block/cycle plus pipeline depth, with generous headroom for
+        // fault retries and a watchdog recovery; a transfer that outlives
+        // this budget is abandoned through a reset of its own channel.
+        if (acc_.cycle() - start < 16 * it->run.size() + 16384) {
+          ++it;
+          continue;
+        }
+        ring_eng_->ringReset(drv.channel());
+        drv.resync();
+      } else if (completeRingRun(*it, *c)) {
+        it = pending.erase(it);
+        continue;
+      }
+      ++stats_.dma_ring_fallbacks;  // typed refusal or stall: MMIO re-serve
+      refused.push_back(std::move(*it));
+      it = pending.erase(it);
+    }
+    if (!pending.empty()) ring_eng_->tick();
+  }
+  // The MMIO half runs only once no ring chain is in flight, so no session
+  // drains an output queue a collecting chain still reads from.
+  for (RingRun& r : refused) serveBatchMmio(r.tenant, std::move(r.run));
+}
+
+void AccelService::serveBatchMmio(unsigned tenant, std::vector<Request> run) {
   auto& session = sessions_[tenant];
   std::vector<aes::Block> blocks(run.size());
   for (std::size_t i = 0; i < run.size(); ++i) blocks[i] = run[i].data;
@@ -621,6 +649,15 @@ void AccelService::serveBatchHardware(unsigned tenant,
 unsigned AccelService::serveRun(unsigned tenant, unsigned max_run) {
   auto& q = queues_[tenant];
   if (q.empty()) return 0;
+  // A tenant has one ring run in flight (its staging pages hold one run),
+  // and reaping it may hand members back to the front of its queue: reap
+  // before popping, so per-tenant completion order cannot change.
+  for (const RingRun& p : ring_pending_) {
+    if (p.tenant == tenant) {
+      reapRing();
+      break;
+    }
+  }
   const HealthState st = monitor_.state();
   const bool hw_path = tenant_active_[tenant] &&
       (st == HealthState::Healthy || st == HealthState::Degraded);
@@ -633,6 +670,7 @@ unsigned AccelService::serveRun(unsigned tenant, unsigned max_run) {
     }
   }
   if (run_len == 1) {
+    reapRing();
     Request req = std::move(q.front());
     q.pop_front();
     serve(tenant, std::move(req));
@@ -644,7 +682,12 @@ unsigned AccelService::serveRun(unsigned tenant, unsigned max_run) {
     run.push_back(std::move(q.front()));
     q.pop_front();
   }
-  serveBatchHardware(tenant, std::move(run));
+  if (const auto seq = submitRing(tenant, run)) {
+    ring_pending_.push_back(RingRun{tenant, *seq, std::move(run)});
+  } else {
+    reapRing();
+    serveBatchMmio(tenant, std::move(run));
+  }
   return run_len;
 }
 
@@ -735,16 +778,18 @@ unsigned AccelService::pump() {
     runCanaries();
   }
 
-  unsigned resolved = 0;
+  // Ring runs are submitted as the loop meets them and reaped before the
+  // next synchronous serve and at the end of the round, so adjacent ring
+  // runs of different tenants overlap in the pipe.
+  const std::uint64_t made_before = completions_made_;
   const unsigned n = static_cast<unsigned>(tenants_.size());
   for (unsigned k = 0; k < n; ++k) {
     const unsigned t = (rr_next_ + k) % n;
     unsigned served = 0;
-    const std::size_t before = completions_[t].size();
-    const std::size_t before_aead = aead_completions_[t].size();
     // AEAD first: one whole GCM op is one quota unit, and serving it ahead
     // of the block queue keeps a long message from starving behind blocks.
     while (served < cfg_.quota_per_round && !aead_queues_[t].empty()) {
+      reapRing();
       AeadRequest areq = std::move(aead_queues_[t].front());
       aead_queues_[t].pop_front();
       serve(t, std::move(areq));
@@ -755,14 +800,12 @@ unsigned AccelService::pump() {
       // charged against the quota again, exactly as it was pre-batching.
       served += serveRun(t, cfg_.quota_per_round - served);
     }
-    resolved += static_cast<unsigned>(completions_[t].size() - before);
-    resolved +=
-        static_cast<unsigned>(aead_completions_[t].size() - before_aead);
   }
+  reapRing();
   if (n) rr_next_ = (rr_next_ + 1) % n;
 
   sampleWindowIfDue();
-  return resolved;
+  return static_cast<unsigned>(completions_made_ - made_before);
 }
 
 void AccelService::runUntilIdle(std::uint64_t max_device_cycles) {

@@ -317,11 +317,30 @@ class AccelService {
   // everything else through the single-request path. Returns the number of
   // requests consumed from the queue.
   unsigned serveRun(unsigned tenant, unsigned max_run);
-  // Try the descriptor-ring path for a same-direction run; true when the
-  // run was fully resolved (Ok or Suppressed), false to fall back.
-  bool serveBatchRing(unsigned tenant, const std::vector<Request>& run);
+  // A ring run submitted this round and not yet reaped.
+  struct RingRun {
+    unsigned tenant = 0;
+    std::uint16_t seq = 0;
+    std::vector<Request> run;
+  };
+  // Submit half of the descriptor-ring path: stage a same-direction run in
+  // the tenant's pages and publish it on its channel. Returns the future's
+  // sequence number, or nullopt when the run is not ring-eligible or the
+  // ring refused it (the caller serves it over MMIO).
+  std::optional<std::uint16_t> submitRing(unsigned tenant,
+                                          const std::vector<Request>& run);
+  // Reap half: tick the engine until every submitted ring run resolves,
+  // completing each in the cycle it resolves. Ok runs complete, suppressed
+  // runs suppress every member, and a typed refusal or an exhausted budget
+  // (which resets that channel only) is re-served over MMIO once no chain
+  // is left in flight.
+  void reapRing();
+  // Complete a reaped run on an Ok or suppressed verdict; false for a
+  // verdict the MMIO path must re-serve.
+  bool completeRingRun(const RingRun& r, const DmaCompletion& c);
   void setupTenantRing(unsigned tenant);
-  void serveBatchHardware(unsigned tenant, std::vector<Request> run);
+  // The MMIO batch path for a same-direction run.
+  void serveBatchMmio(unsigned tenant, std::vector<Request> run);
   // Admission shared by blocks and AEAD ops (retired tenant, global
   // watermark, then the tenant's own queue depth, shedding its oldest
   // request under ShedOldest). Returns the refusal, or nullopt to queue.
@@ -373,6 +392,8 @@ class AccelService {
   std::unique_ptr<HostMemory> ring_mem_;
   std::unique_ptr<DmaRingEngine> ring_eng_;
   std::vector<std::unique_ptr<DmaRingDriver>> ring_drvs_;
+  std::vector<RingRun> ring_pending_;  // submitted, not yet reaped
+  std::uint64_t completions_made_ = 0;  // completions recorded, any status
   std::uint64_t next_ticket_ = 1;
   std::uint64_t window_start_cycle_ = 0;
   accel::SessionTelemetry window_base_;  // telemetry at last window sample

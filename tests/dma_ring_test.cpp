@@ -426,6 +426,7 @@ TEST(DmaRing, HardenedCampaignInvariantsHoldAcrossSeeds) {
     EXPECT_EQ(rep.wrong_plaintext_releases, 0u) << "seed " << seed;
     EXPECT_EQ(rep.cross_label_writes, 0u) << "seed " << seed;
     EXPECT_EQ(rep.partial_writes, 0u) << "seed " << seed;
+    EXPECT_EQ(rep.reset_isolation_failures, 0u) << "seed " << seed;
     total += rep;
   }
   // The campaign must actually exercise the machinery it certifies.
@@ -470,6 +471,181 @@ TEST(DmaRing, UnhardenedEngineDemonstratesViolations) {
   EXPECT_GT(total.wrong_plaintext_releases + total.cross_label_writes +
                 total.partial_writes,
             0u);
+}
+
+// The checksum seals the seq field, so a head refused after it (here for
+// an out-of-range user) still completes under its own sequence number and
+// its future resolves instead of being dropped as a duplicate.
+TEST(DmaRing, OutOfRangeUserHeadResolvesItsFutureAsBadDescriptor) {
+  RingBench b;
+  b.mem.writeBytes(0x1000, b.randomBytes(64, 17));
+  DmaDescriptor d = b.desc(DmaMode::EcbEncrypt, 0x1000, 0x2000, 64);
+  d.user = b.acc.userCount() + 5;
+  const auto* c = b.run({d}, 1024);
+  ASSERT_NE(c, nullptr) << "refused head completed without its seq";
+  EXPECT_EQ(c->status, DmaError::BadDescriptor) << toString(c->status);
+  EXPECT_EQ(c->blocks, 0u);
+  EXPECT_EQ(b.drv->duplicateCompletions(), 0u);
+  EXPECT_EQ(b.drv->outstanding(), 0u);
+}
+
+// N ring channels on one engine, channel i owned by users[i % users] (one
+// or two users). Each channel has its own rings and staging in a
+// 0x2000-byte slice labelled with its user's authority.
+struct MultiRing {
+  static constexpr std::size_t kSlice = 0x2000;
+  AesAccelerator acc;
+  std::vector<unsigned> users;
+  std::vector<std::vector<std::uint8_t>> keys;  // per user, in key slot u+1
+  HostMemory mem{16 * kSlice};
+  DmaRingEngine eng{acc, mem};
+  std::vector<unsigned> owner;  // channel -> index into users
+  std::vector<std::unique_ptr<DmaRingDriver>> drvs;
+
+  MultiRing(SecurityMode mode, unsigned channels, unsigned nusers)
+      : acc{AcceleratorConfig{mode, 10, 64, false}} {
+    static constexpr const char* kNames[] = {"alice", "bob"};
+    Rng rng{0x0e7a};
+    for (unsigned u = 0; u < nusers; ++u) {
+      users.push_back(acc.addUser(Principal::user(kNames[u], u + 1)));
+      keys.emplace_back(16);
+      for (auto& byte : keys.back()) byte = static_cast<std::uint8_t>(rng.next());
+      EXPECT_TRUE(accel::loadKey128(acc, users[u], u + 1, 2 * u, keys[u],
+                                    acc.principal(users[u]).authority.c));
+    }
+    for (unsigned i = 0; i < channels; ++i) {
+      const std::size_t base = i * kSlice;
+      DmaRingConfig rc;
+      rc.desc_base = base;
+      rc.desc_slots = 4;
+      rc.comp_base = base + 0x400;
+      rc.comp_slots = 4;
+      owner.push_back(i % nusers);
+      mem.setPageLabel(base, kSlice,
+                       acc.principal(users[owner[i]]).authority);
+      drvs.push_back(std::make_unique<DmaRingDriver>(
+          eng, mem, eng.addChannel(rc), rc));
+    }
+  }
+
+  std::size_t src(unsigned ch) const { return ch * kSlice + 0x800; }
+  std::size_t dst(unsigned ch) const { return ch * kSlice + 0x1000; }
+
+  // Publish a k-block ECB encryption on every channel (all doorbells rung
+  // before the first engine cycle), then tick until every future resolves.
+  // Returns the cycles that took; the futures' seqs land in `seqs`.
+  std::uint64_t runAll(unsigned k, std::vector<std::uint16_t>& seqs) {
+    for (unsigned i = 0; i < drvs.size(); ++i) {
+      Rng rng{100 + i};
+      std::vector<std::uint8_t> msg(16 * k);
+      for (auto& byte : msg) byte = static_cast<std::uint8_t>(rng.next());
+      mem.writeBytes(src(i), msg);
+      DmaDescriptor d;
+      d.user = users[owner[i]];
+      d.key_slot = owner[i] + 1;
+      d.src = src(i);
+      d.dst = dst(i);
+      d.len = 16 * k;
+      const auto seq = drvs[i]->submit(d);
+      EXPECT_TRUE(seq.has_value());
+      seqs.push_back(seq.value_or(0));
+    }
+    const std::uint64_t start = acc.cycle();
+    auto all_done = [&] {
+      for (unsigned i = 0; i < drvs.size(); ++i)
+        if (!drvs[i]->done(seqs[i])) return false;
+      return true;
+    };
+    for (unsigned guard = 0; guard < 100000 && !all_done(); ++guard)
+      eng.tick();
+    return acc.cycle() - start;
+  }
+
+  bool outputMatches(unsigned ch, unsigned k) const {
+    const auto ek = aes::expandKey(keys[owner[ch]], aes::KeySize::Aes128);
+    return mem.readBytes(dst(ch), 16 * k) ==
+           aes::ecbEncrypt(mem.readBytes(src(ch), 16 * k), ek);
+  }
+};
+
+// The overlap's cycle identity: a chain holds the fetch/issue unit for one
+// scan cycle, two fetch cycles and K issue cycles, then frees it while its
+// tail drains the pipe. N channels rung together therefore finish in
+// N x (K + 3) + 31 cycles, a single channel in K + 34, and Protected mode
+// costs the same cycles as Baseline.
+TEST(RingOverlap, ChannelsRungTogetherFinishInDerivedCycleCount) {
+  for (const SecurityMode mode :
+       {SecurityMode::Protected, SecurityMode::Baseline}) {
+    for (const unsigned n : {1u, 2u, 3u, 4u}) {
+      for (const unsigned k : {1u, 16u, 64u}) {
+        MultiRing r{mode, n, 2};
+        std::vector<std::uint16_t> seqs;
+        const std::uint64_t cycles = r.runAll(k, seqs);
+        EXPECT_EQ(cycles, n * (k + 3) + 31)
+            << (mode == SecurityMode::Protected ? "protected" : "baseline")
+            << " n=" << n << " k=" << k;
+        if (n == 1) {
+          EXPECT_EQ(cycles, k + 34);
+        }
+        for (unsigned i = 0; i < n; ++i) {
+          const auto* c = r.drvs[i]->result(seqs[i]);
+          ASSERT_NE(c, nullptr);
+          EXPECT_EQ(c->status, DmaError::None) << toString(c->status);
+          EXPECT_TRUE(r.outputMatches(i, k)) << "channel " << i;
+        }
+        EXPECT_EQ(r.eng.stats().watchdog_fires, 0u);
+        EXPECT_EQ(r.eng.stats().block_resubmits, 0u);
+      }
+    }
+  }
+  // And the pipe itself is untouched: a lone block still spends exactly
+  // 30 cycles between acceptance and exit in both modes.
+  for (const SecurityMode mode :
+       {SecurityMode::Protected, SecurityMode::Baseline}) {
+    MultiRing r{mode, 1, 1};
+    ASSERT_TRUE(r.acc.submit({7, r.users[0], 1, false, aes::Block{}}));
+    std::optional<accel::BlockResponse> out;
+    for (unsigned c = 0; c < 100 && !out; ++c) {
+      r.acc.tick();
+      out = r.acc.fetchOutput(r.users[0]);
+    }
+    ASSERT_TRUE(out.has_value());
+    EXPECT_EQ(out->complete_cycle - out->accept_cycle, 30u);
+  }
+}
+
+// Two channels of ONE user collect at the same time: both chains drain the
+// same output queue, so each response must be routed by request id to the
+// chain that issued it. A warm-up transfer on channel 0 moves the scan
+// pointer, so channel 1 issues first and channel 0 is still issuing when
+// channel 1's tail leaves the pipe: a chain that took every response of
+// its user and dropped the ids it did not know would lose that tail and
+// stall into its watchdog.
+TEST(RingOverlap, TwoChannelsOfOneUserRouteEveryBlockToItsOwnChain) {
+  MultiRing r{SecurityMode::Protected, 2, 1};
+  DmaDescriptor warm;
+  warm.user = r.users[0];
+  warm.key_slot = 1;
+  warm.src = r.src(0);
+  warm.dst = r.dst(0);
+  warm.len = 16;
+  const auto wseq = r.drvs[0]->submit(warm);
+  ASSERT_TRUE(wseq.has_value());
+  ASSERT_NE(r.drvs[0]->wait(*wseq, 1024), nullptr);
+
+  std::vector<std::uint16_t> seqs;
+  const unsigned k = 32;
+  EXPECT_EQ(r.runAll(k, seqs), 2 * (k + 3) + 31);  // they did overlap
+  for (unsigned i = 0; i < 2; ++i) {
+    const auto* c = r.drvs[i]->result(seqs[i]);
+    ASSERT_NE(c, nullptr);
+    EXPECT_EQ(c->status, DmaError::None) << toString(c->status);
+    EXPECT_EQ(c->blocks, k);
+    EXPECT_TRUE(r.outputMatches(i, k)) << "channel " << i;
+  }
+  EXPECT_EQ(r.eng.stats().watchdog_fires, 0u);
+  EXPECT_EQ(r.eng.stats().block_resubmits, 0u);
+  EXPECT_EQ(r.eng.stats().completed_ok, 3u);
 }
 
 TEST(DmaRing, ServiceRingPathMatchesMmioPath) {

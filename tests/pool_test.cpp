@@ -204,5 +204,54 @@ TEST(PoolTiming, CompletionCyclesInvariantUnderOtherTenantsPlaintexts) {
   EXPECT_EQ(base, other);
 }
 
+// The same argument on the descriptor ring, where A's and B's 64-block runs
+// overlap in the pipe: B's completion cycles may depend on the issue
+// schedule, never on A's plaintexts or A's key.
+TEST(PoolTiming, RingOverlapCompletionCyclesInvariantUnderOtherTenantsData) {
+  struct Outcome {
+    std::vector<std::uint64_t> b_cycles;
+    std::uint64_t a_cycle = 0;
+  };
+  auto run = [](std::uint8_t a_seed, std::uint8_t a_key) {
+    PoolConfig cfg = poolConfig(1, 64);  // one shard => A and B co-resident
+    cfg.service.quota_per_round = 64;
+    cfg.service.use_dma_ring = true;
+    EnginePool pool{cfg};
+    PoolTenantSpec spec;
+    spec.name = "tenant-a";
+    spec.category = 1;
+    spec.key = keyOf(a_key);
+    spec.queue_depth = 64;
+    const unsigned a = pool.addTenant(spec).tenant;
+    const unsigned b = addTenantN(pool, 1);
+    for (unsigned i = 0; i < 64; ++i) {
+      EXPECT_TRUE(
+          pool.submit(a, patternBlock(static_cast<std::uint8_t>(a_seed + i)))
+              .admitted);
+      EXPECT_TRUE(pool.submit(b, patternBlock(static_cast<std::uint8_t>(i)))
+                      .admitted);
+    }
+    pool.runUntilIdle(100000);
+    Outcome o;
+    while (auto c = pool.fetch(a)) o.a_cycle = c->complete_cycle;
+    while (auto c = pool.fetch(b)) {
+      EXPECT_EQ(c->status, CompletionStatus::Ok);
+      o.b_cycles.push_back(c->complete_cycle);
+    }
+    EXPECT_EQ(pool.aggregateStats().dma_ring_runs, 2u);
+    return o;
+  };
+  const Outcome base = run(0x00, 0);
+  const Outcome other = run(0xa7, 5);
+  ASSERT_EQ(base.b_cycles.size(), 64u);
+  EXPECT_EQ(base.b_cycles, other.b_cycles);
+  // The runs overlapped: the second finished one descriptor slot (K + 3
+  // cycles) after the first, not a whole K + 34-cycle transfer later.
+  const std::uint64_t gap = base.b_cycles.back() > base.a_cycle
+                                ? base.b_cycles.back() - base.a_cycle
+                                : base.a_cycle - base.b_cycles.back();
+  EXPECT_EQ(gap, 64u + 3u);
+}
+
 }  // namespace
 }  // namespace aesifc::soc

@@ -28,6 +28,8 @@ TEST(RingStormSoak, HardenedInvariantsAcrossManySeedsAndRates) {
           << "seed " << cfg.seed << " rate " << rate;
       EXPECT_EQ(rep.partial_writes, 0u)
           << "seed " << cfg.seed << " rate " << rate;
+      EXPECT_EQ(rep.reset_isolation_failures, 0u)
+          << "seed " << cfg.seed << " rate " << rate;
       total += rep;
     }
   }

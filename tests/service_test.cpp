@@ -221,6 +221,48 @@ INSTANTIATE_TEST_SUITE_P(
       return "?";
     });
 
+// Two ring runs of one tenant in one round, the first refused by a zeroized
+// slot and re-served over MMIO: the requeue path leaves the first run's
+// last member in the queue, and it must still complete before any member of
+// the second run.
+TEST(ServiceServing, RefusedRingRunKeepsTenantCompletionOrder) {
+  ServiceConfig cfg;
+  cfg.use_dma_ring = true;
+  cfg.batch_size = 16;
+  cfg.quota_per_round = 32;
+  AesAccelerator acc{AcceleratorConfig{}};
+  AccelService svc{acc, cfg};
+  acc.addUser(Principal::supervisor());
+  TenantSpec spec;
+  spec.user = acc.addUser(Principal::user("t0", 1));
+  spec.key_slot = 1;
+  spec.key = keyOf(0);
+  spec.key_conf = Conf::category(1);
+  spec.queue_depth = 32;
+  const unsigned t = svc.addTenant(spec);
+  const auto golden = aes::expandKey(spec.key, aes::KeySize::Aes128);
+  ASSERT_TRUE(acc.clearKey(spec.user, spec.key_slot));
+
+  std::vector<std::uint64_t> tickets;
+  for (unsigned i = 0; i < 32; ++i) {
+    const auto res = svc.submit(t, patternBlock(static_cast<std::uint8_t>(i)));
+    ASSERT_TRUE(res.admitted);
+    tickets.push_back(res.ticket);
+  }
+  svc.runUntilIdle(1u << 16);
+  for (unsigned i = 0; i < 32; ++i) {
+    const auto c = svc.fetch(t);
+    ASSERT_TRUE(c.has_value()) << "block " << i;
+    EXPECT_EQ(c->ticket, tickets[i]) << "block " << i;
+    EXPECT_EQ(c->status, CompletionStatus::Ok) << "block " << i;
+    EXPECT_EQ(c->data, aes::encryptBlock(
+                           patternBlock(static_cast<std::uint8_t>(i)),
+                           golden));
+  }
+  EXPECT_FALSE(svc.fetch(t).has_value());
+  EXPECT_EQ(svc.stats().key_reprovisions, 1u);
+}
+
 // A service config that makes health transitions fast enough to unit-test.
 ServiceConfig fastHealthConfig() {
   ServiceConfig cfg;

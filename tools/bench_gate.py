@@ -18,7 +18,8 @@ Examples:
     bench_gate.py --fresh tp.jsonl --snapshot bench/BENCH_throughput.json \
         --bench throughput_pool --keys shards,batch
     bench_gate.py --fresh gcm.jsonl --snapshot bench/BENCH_gcm.json \
-        --bench gcm --keys shards,batch,mode
+        --bench gcm --keys shards,batch,mode \
+        --assert-eq conservation.offered=conservation.ok+conservation.shed
 """
 
 import argparse
@@ -62,6 +63,25 @@ def key_of(record, keys):
     return tuple(record.get(k) for k in keys)
 
 
+def field(record, path):
+    """Value at a dotted path (e.g. conservation.offered), or None."""
+    v = record
+    for part in path.split("."):
+        if not isinstance(v, dict):
+            return None
+        v = v.get(part)
+    return v
+
+
+def parse_eq(spec):
+    """'LHS=A+B+C' -> ('LHS', ['A', 'B', 'C']), or None if malformed."""
+    lhs, sep, rhs = spec.partition("=")
+    terms = [t.strip() for t in rhs.split("+")]
+    if not sep or not lhs.strip() or not all(terms):
+        return None
+    return lhs.strip(), terms
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--fresh", required=True,
@@ -83,6 +103,11 @@ def main():
                          "record[METRIC] >= record[FLOOR_FIELD] (e.g. "
                          "aggregate_availability:availability_floor); "
                          "repeatable")
+    ap.add_argument("--assert-eq", action="append", default=[],
+                    help="FIELD=TERM+TERM+... — every fresh record must have "
+                         "FIELD exactly equal to the sum of the TERM fields "
+                         "(dotted paths reach nested objects, e.g. the "
+                         "conservation identity); repeatable")
     args = ap.parse_args()
     keys = [k.strip() for k in args.keys.split(",") if k.strip()]
     if not keys:
@@ -138,6 +163,14 @@ def main():
                   "(want METRIC:FLOOR_FIELD)", file=sys.stderr)
             return 2
         ge_pairs.append((parts[0], parts[1]))
+    eq_specs = []
+    for spec in args.assert_eq:
+        parsed = parse_eq(spec)
+        if parsed is None:
+            print(f"bench_gate: bad --assert-eq spec '{spec}' "
+                  "(want FIELD=TERM+TERM...)", file=sys.stderr)
+            return 2
+        eq_specs.append(parsed)
     for f in fresh:
         label = str(key_of(f, keys)).ljust(width)
         for z in zero_fields:
@@ -162,6 +195,19 @@ def main():
             else:
                 print(f"  {label}  invariant {metric}={got:g} >= "
                       f"{floor_field}={floor:g}  ok")
+        for lhs, terms in eq_specs:
+            vals = [field(f, p) for p in [lhs] + terms]
+            if not all(isinstance(v, int) for v in vals):
+                print(f"  {label}  INVARIANT missing integer field for "
+                      f"{lhs}={'+'.join(terms)}")
+                failures += 1
+            elif vals[0] != sum(vals[1:]):
+                print(f"  {label}  INVARIANT {lhs}={vals[0]} != "
+                      f"{'+'.join(terms)}={sum(vals[1:])}")
+                failures += 1
+            else:
+                print(f"  {label}  invariant {lhs}={vals[0]} == "
+                      f"{'+'.join(terms)}  ok")
 
     extra = [k for k in fresh_by_key if k not in
              {key_of(s, keys) for s in snap}]

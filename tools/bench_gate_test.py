@@ -3,8 +3,9 @@
 
 A gate that passes a regression is a correctness bug, so each failure mode
 the CI relies on is exercised here against small hand-written records: a
-missing cell, a metric out of tolerance, a non-zero --assert-zero field and
-a value under its --assert-ge floor, plus the passing case.
+missing cell, a metric out of tolerance, a non-zero --assert-zero field, a
+value under its --assert-ge floor and a record breaking its --assert-eq
+identity, plus the passing case.
 
 Run: python3 tools/bench_gate_test.py
 """
@@ -20,10 +21,19 @@ GATE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                     "bench_gate.py")
 
 
-def cell(path, batch, bpc, floor=0.0, wrong=0):
+def cell(path, batch, bpc, floor=0.0, wrong=0, offered=16):
     return {"bench": "dma_path", "path": path, "batch": batch,
             "blocks_per_device_cycle": bpc, "amortization_floor": floor,
-            "wrong_plaintext_releases": wrong}
+            "wrong_plaintext_releases": wrong,
+            "conservation": {"offered": offered, "ok": 12, "suppressed": 1,
+                             "shed": 0, "rejected": 2, "failed": 1,
+                             "still_queued": 0}}
+
+
+# The identity CI asserts on every pool/service bench record.
+CONSERVATION = ("conservation.offered=conservation.ok+conservation.suppressed"
+                "+conservation.shed+conservation.rejected+conservation.failed"
+                "+conservation.still_queued")
 
 
 SNAPSHOT = [cell("ring", 16, 0.32, floor=0.1667), cell("service", 16, 0.34)]
@@ -55,7 +65,8 @@ class BenchGateTest(unittest.TestCase):
         self.assertEqual(
             self.gate(SNAPSHOT, "--assert-zero", "wrong_plaintext_releases",
                       "--assert-ge",
-                      "blocks_per_device_cycle:amortization_floor"), 0)
+                      "blocks_per_device_cycle:amortization_floor",
+                      "--assert-eq", CONSERVATION), 0)
 
     def test_snapshot_cell_without_fresh_record_fails(self):
         self.assertEqual(self.gate(SNAPSHOT[:1]), 1)
@@ -76,6 +87,14 @@ class BenchGateTest(unittest.TestCase):
         self.assertEqual(
             self.gate(fresh, "--assert-ge",
                       "blocks_per_device_cycle:amortization_floor"), 1)
+
+    def test_record_breaking_assert_eq_identity_fails(self):
+        # One offered request too many: a lost (or double-counted) ticket.
+        fresh = [SNAPSHOT[0], cell("service", 16, 0.34, offered=17)]
+        self.assertEqual(self.gate(fresh, "--assert-eq", CONSERVATION), 1)
+
+    def test_malformed_assert_eq_spec_is_a_usage_error(self):
+        self.assertEqual(self.gate(SNAPSHOT, "--assert-eq", "offered=ok+"), 2)
 
 
 if __name__ == "__main__":
