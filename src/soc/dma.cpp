@@ -108,6 +108,14 @@ std::string toString(DmaError e) {
 
 namespace {
 
+// Ring-engine timing and recovery budgets, the same for every channel.
+constexpr unsigned kRingMaxResubmits = 2;   // whole-descriptor recoveries
+constexpr unsigned kRingFetchCycles = 2;    // fetch + validate one segment
+constexpr unsigned kRingPollInterval = 8;   // idle head poll cadence
+                                            // (a doorbell skips it)
+constexpr unsigned kRingBlockRetryCap = 8;  // per-chain transient block
+                                            // resubmits
+
 std::uint16_t rd16(const HostMemory& m, std::size_t a) {
   return static_cast<std::uint16_t>(m.read8(a) |
                                     (static_cast<unsigned>(m.read8(a + 1))
@@ -471,7 +479,7 @@ void DmaRingEngine::startChannel(unsigned idx) {
   c.channel = idx;
   c.head_addr = descAddr(ch);
   c.next_fetch = c.head_addr;
-  c.fetch_wait = std::max(1u, ch.cfg.fetch_cycles);
+  c.fetch_wait = kRingFetchCycles;
   c.start_cycle = acc_.cycle();
   c.progress_cycle = acc_.cycle();
   ch.chain = std::move(c);
@@ -490,7 +498,7 @@ void DmaRingEngine::stepFetch(unsigned idx) {
     return;
   }
   if (c.next_fetch != 0) {
-    c.fetch_wait = std::max(1u, ch.cfg.fetch_cycles);
+    c.fetch_wait = kRingFetchCycles;
     return;  // more segments to latch
   }
   buildStream(c);
@@ -535,7 +543,7 @@ void DmaRingEngine::routeResponse(const accel::BlockResponse& resp) {
     c.progress_cycle = acc_.cycle();
     if (resp.fault_aborted || resp.dropped) {
       if (++c.block_retries >
-          ch.cfg.block_retry_cap + static_cast<unsigned>(c.stream.size())) {
+          kRingBlockRetryCap + static_cast<unsigned>(c.stream.size())) {
         c.verdict = DmaError::FaultAborted;
         return;
       }
@@ -622,7 +630,7 @@ void DmaRingEngine::stepWatchdog(unsigned idx) {
     finalize(idx);
     return;
   }
-  if (++c.attempts > ch.cfg.max_resubmits) {
+  if (++c.attempts > kRingMaxResubmits) {
     c.verdict = DmaError::RingStalled;
     finalize(idx);
     return;
@@ -630,7 +638,7 @@ void DmaRingEngine::stepWatchdog(unsigned idx) {
   ++stats_.recoveries;
   acc_.noteHostEvent(accel::SecurityEventKind::DmaRingRecovery, c.user,
                      "watchdog resubmit " + std::to_string(c.attempts) +
-                         "/" + std::to_string(ch.cfg.max_resubmits) +
+                         "/" + std::to_string(kRingMaxResubmits) +
                          " seq " + std::to_string(c.seq));
   resubmitChain(c);
   c.progress_cycle = now;
@@ -839,7 +847,7 @@ void DmaRingEngine::stepUnit(std::uint64_t now) {
     Channel& ch = chans_[i];
     if (ch.chain) continue;  // one chain per channel
     if (!ch.doorbell && now < ch.next_poll_cycle) continue;
-    ch.next_poll_cycle = now + std::max(1u, ch.cfg.poll_interval);
+    ch.next_poll_cycle = now + kRingPollInterval;
     if (mem_.read32(descAddr(ch)) & kRingOwned) {
       startChannel(i);
       rr_next_ = (i + 1) % nch;

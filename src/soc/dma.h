@@ -196,10 +196,6 @@ struct DmaRingConfig {
   // Per-descriptor execution watchdog: quiesce -> resync -> resubmit when
   // a transfer makes no progress for this many cycles.
   std::uint64_t watchdog_cycles = 4096;
-  unsigned max_resubmits = 2;  // whole-descriptor recovery attempts
-  unsigned fetch_cycles = 2;   // cycles to fetch + validate one segment
-  unsigned poll_interval = 8;  // idle head poll cadence (doorbell skips it)
-  unsigned block_retry_cap = 8;  // per-chain transient block resubmits
 };
 
 struct DmaRingStats {

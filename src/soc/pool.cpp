@@ -11,6 +11,15 @@ namespace {
 
 using accel::SecurityEventKind;
 
+// Load-aware spill: a tenant leaves its rendezvous-home shard only when the
+// home already holds more than kSpillFactor x the lightest shard's tenants
+// (counting the newcomer). 2.0 keeps placement sticky under balanced load
+// but stops pathological hash clumping.
+constexpr double kSpillFactor = 2.0;
+// Device-cycle budget for the drain / slot-quiesce barriers inside
+// migrateTenant and retireShard.
+constexpr std::uint64_t kMigrateDrainCycles = 1u << 16;
+
 // FNV-1a 64: placement depends only on the tenant's public name — never on
 // key material or traffic — so shard co-residency is data-independent.
 std::uint64_t fnv1a(const std::string& s) {
@@ -148,7 +157,7 @@ std::optional<unsigned> EnginePool::chooseShard(
       freeSlotOn(shards_[order[1]]) >= 0) {
     home = order[1];
   }
-  // Spill when the home (counting the newcomer) would REACH spill_factor
+  // Spill when the home (counting the newcomer) would REACH kSpillFactor
   // times the lightest (also counting a newcomer) — sticky by default, but
   // at factor 2.0 a second co-resident spills to an empty shard rather
   // than clump while capacity idles.
@@ -156,7 +165,7 @@ std::optional<unsigned> EnginePool::chooseShard(
     const double home_load = static_cast<double>(shards_[home].tenants + 1);
     const double light_load =
         static_cast<double>(shards_[lightest].tenants + 1);
-    if (home_load >= cfg_.spill_factor * light_load &&
+    if (home_load >= kSpillFactor * light_load &&
         shards_[lightest].tenants < shards_[home].tenants &&
         freeSlotOn(shards_[lightest]) >= 0) {
       return lightest;
@@ -204,7 +213,7 @@ std::optional<unsigned> EnginePool::pickTargetShard(
 bool EnginePool::quiesceSlot(Shard& sh, unsigned slot) const {
   std::uint64_t waited = 0;
   while (sh.engine->keySlotBusy(slot)) {
-    if (waited++ >= cfg_.migrate_drain_cycles) return false;
+    if (waited++ >= kMigrateDrainCycles) return false;
     sh.engine->tick();
   }
   return true;
@@ -243,7 +252,7 @@ MigrateResult EnginePool::migrateTenant(unsigned tenant, unsigned dst_shard) {
 
   // 1. Complete still-queued work at the source under the still-valid key,
   //    so no request ever spans the handover.
-  if (!src.service->drainTenant(rec.route.local, cfg_.migrate_drain_cycles)) {
+  if (!src.service->drainTenant(rec.route.local, kMigrateDrainCycles)) {
     return fail(MigrateError::DrainTimeout);
   }
 
@@ -320,7 +329,7 @@ bool EnginePool::retireShard(unsigned shard) {
   Shard& sh = shards_[shard];
   // Drain whatever the shard still owes (evacuation already drained each
   // tenant; this covers stragglers like canary traffic).
-  sh.service->runUntilIdle(cfg_.migrate_drain_cycles);
+  sh.service->runUntilIdle(kMigrateDrainCycles);
   // Zeroize every remaining valid slot through the same scrub path.
   for (unsigned s = 0; s < accel::kRoundKeySlots; ++s) {
     if (!sh.engine->roundKeys().valid(s)) continue;

@@ -78,17 +78,9 @@ struct PoolConfig {
   // configuration (including ServiceConfig::batch_size).
   accel::AcceleratorConfig engine;
   ServiceConfig service;
-  // Load-aware spill: a tenant leaves its rendezvous-home shard only when
-  // the home already holds more than spill_factor x the lightest shard's
-  // tenants (counting the newcomer). 2.0 keeps placement sticky under
-  // balanced load but stops pathological hash clumping.
-  double spill_factor = 2.0;
   // Drain shards on one worker thread each in runUntilIdle(). Safe (and
   // bit-identical to the serial drain) because shards share nothing.
   bool parallel_drain = true;
-  // Device-cycle budget for the drain / slot-quiesce barriers inside
-  // migrateTenant and retireShard.
-  std::uint64_t migrate_drain_cycles = 1u << 16;
 };
 
 // Why the pool could not place (or move) a tenant. Mirrors SubmitResult's

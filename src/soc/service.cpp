@@ -1,5 +1,7 @@
 #include "soc/service.h"
 
+#include <algorithm>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
 
@@ -99,6 +101,10 @@ constexpr std::size_t kRingTenantSpan = 0x8000;
 constexpr std::size_t kRingStagingSrc = 0x1000;
 constexpr std::size_t kRingStagingDst = 0x4000;
 constexpr std::size_t kRingStagingMax = kRingStagingDst - kRingStagingSrc;
+// Device cycles charged per software-fallback block, ticked on the
+// accelerator so quarantine residency and background scrubbing advance
+// while traffic is off the hardware.
+constexpr unsigned kFallbackCyclesPerBlock = 40;
 }  // namespace
 
 AccelService::AccelService(accel::AesAccelerator& acc, ServiceConfig cfg)
@@ -367,7 +373,7 @@ void AccelService::serveFallback(unsigned tenant, const Request& req) {
       acc_.principal(spec.user), spec.key_conf);
   // Model the software path's cost on the shared clock so quarantine
   // residency and the background scrub keep advancing.
-  acc_.run(cfg_.fallback_cycles_per_block);
+  acc_.run(kFallbackCyclesPerBlock);
   if (!decision.allowed) {
     ++stats_.fallback_suppressed;
     complete(tenant, req, CompletionStatus::Suppressed,
@@ -407,25 +413,12 @@ std::optional<CompletionStatus> AccelService::hardwareVerdict(
              : st == AccelStatus::Dropped    ? CompletionStatus::Dropped
                                              : CompletionStatus::TimedOut;
   }
-  // Requeue: the caller puts the request back at the front of its queue, so
+  // Requeue: the request goes (or stays) at the front of its queue, so
   // per-tenant order is preserved, and if the breaker trips before the next
   // round the request is served by the fallback.
   ++requeues;
   ++stats_.requeues;
   return std::nullopt;
-}
-
-void AccelService::serveHardware(unsigned tenant, Request req) {
-  auto& session = sessions_[tenant];
-  const auto r = req.decrypt ? session.decryptBlock(req.data)
-                             : session.encryptBlock(req.data);
-  const auto st = hardwareVerdict(tenant, r.status(), req.requeues);
-  if (!st) {
-    queues_[tenant].push_front(std::move(req));
-    return;
-  }
-  if (*st == CompletionStatus::Ok) ++stats_.completed_hw;
-  complete(tenant, req, *st, ServedBy::Hardware, r ? *r : aes::Block{});
 }
 
 void AccelService::serveFallback(unsigned tenant, const AeadRequest& req) {
@@ -439,7 +432,7 @@ void AccelService::serveFallback(unsigned tenant, const AeadRequest& req) {
   const std::uint64_t blocks = (req.data.size() + 15) / 16 +
                                (req.aad.size() + 15) / 16 +
                                (req.iv.size() + 15) / 16 + 2;  // + J0, tag
-  acc_.run(cfg_.fallback_cycles_per_block * blocks);
+  acc_.run(kFallbackCyclesPerBlock * blocks);
   if (!decision.allowed) {
     ++stats_.fallback_suppressed;
     complete(tenant, req, CompletionStatus::Suppressed,
@@ -492,8 +485,14 @@ void AccelService::serveHardware(unsigned tenant, AeadRequest req) {
   complete(tenant, req, *cs, ServedBy::Hardware, std::move(out), tag);
 }
 
+bool AccelService::onHardware(unsigned tenant) const {
+  const HealthState st = monitor_.state();
+  return tenant_active_[tenant] &&
+         (st == HealthState::Healthy || st == HealthState::Degraded);
+}
+
 template <typename Req>
-void AccelService::serve(unsigned tenant, Req req) {
+void AccelService::serveOffHardware(unsigned tenant, const Req& req) {
   if (!tenant_active_[tenant]) {
     // A request surfaced for a retired tenant: executing it would use a
     // stale or zeroized key. Refuse, and count the near-miss — the elastic
@@ -502,34 +501,29 @@ void AccelService::serve(unsigned tenant, Req req) {
     complete(tenant, req, CompletionStatus::Rejected, ServedBy::None, {});
     return;
   }
-  const HealthState st = monitor_.state();
-  if (st == HealthState::Quarantined || st == HealthState::Probation) {
-    serveFallback(tenant, req);
-  } else {
-    serveHardware(tenant, std::move(req));
-  }
+  serveFallback(tenant, req);
 }
 
-std::optional<std::uint16_t> AccelService::submitRing(
-    unsigned tenant, const std::vector<Request>& run) {
+std::optional<std::uint16_t> AccelService::submitRing(unsigned tenant,
+                                                      std::size_t n) {
   if (tenant >= ring_drvs_.size() || !ring_drvs_[tenant]) return std::nullopt;
-  if (run.size() < cfg_.dma_ring_min_run) return std::nullopt;
-  const std::size_t len = run.size() * 16;
+  if (n < cfg_.dma_ring_min_run) return std::nullopt;
+  const std::size_t len = n * 16;
   if (len > kRingStagingMax) return std::nullopt;
   const TenantSpec& spec = tenants_[tenant];
   const std::size_t base = kRingTenantSpan * tenant;
   const std::size_t src = base + kRingStagingSrc;
+  const auto& q = queues_[tenant];
 
   std::vector<std::uint8_t> staged(len);
-  for (std::size_t i = 0; i < run.size(); ++i)
-    std::copy(run[i].data.begin(), run[i].data.end(),
-              staged.begin() + 16 * i);
+  for (std::size_t i = 0; i < n; ++i)
+    std::copy(q[i].data.begin(), q[i].data.end(), staged.begin() + 16 * i);
   ring_mem_->writeBytes(src, staged);
 
   DmaDescriptor d;
   d.user = spec.user;
   d.key_slot = spec.key_slot;
-  d.mode = run.front().decrypt ? DmaMode::EcbDecrypt : DmaMode::EcbEncrypt;
+  d.mode = q.front().decrypt ? DmaMode::EcbDecrypt : DmaMode::EcbEncrypt;
   d.src = src;
   d.dst = base + kRingStagingDst;
   d.len = len;
@@ -538,38 +532,26 @@ std::optional<std::uint16_t> AccelService::submitRing(
   return seq;
 }
 
-bool AccelService::completeRingRun(const RingRun& r, const DmaCompletion& c) {
-  if (c.status == DmaError::None) {
-    const std::size_t dst = kRingTenantSpan * r.tenant + kRingStagingDst;
-    const auto out = ring_mem_->readBytes(dst, r.run.size() * 16);
-    ++stats_.dma_ring_runs;
-    stats_.dma_ring_blocks += r.run.size();
-    stats_.completed_hw += r.run.size();
-    for (std::size_t i = 0; i < r.run.size(); ++i) {
-      aes::Block b;
-      std::copy(out.begin() + 16 * i, out.begin() + 16 * (i + 1), b.begin());
-      complete(r.tenant, r.run[i], CompletionStatus::Ok, ServedBy::Hardware,
-               b);
-    }
-    return true;
+void AccelService::completeRun(unsigned tenant, std::size_t n,
+                               CompletionStatus st,
+                               std::span<const aes::Block> out) {
+  // A suppression verdict is a function of the tenant's label and its
+  // key's confidentiality, so it is uniform across a single-tenant run:
+  // every member is suppressed.
+  if (st == CompletionStatus::Ok) stats_.completed_hw += n;
+  auto& q = queues_[tenant];
+  for (std::size_t i = 0; i < n; ++i) {
+    complete(tenant, q.front(), st, ServedBy::Hardware,
+             st == CompletionStatus::Ok ? out[i] : aes::Block{});
+    q.pop_front();
   }
-  if (c.status == DmaError::OutputSuppressed) {
-    // Same uniform-verdict argument as the MMIO batch path: suppression is
-    // a function of the tenant's label, identical for every block.
-    for (const auto& req : r.run) {
-      complete(r.tenant, req, CompletionStatus::Suppressed, ServedBy::Hardware,
-               aes::Block{});
-    }
-    return true;
-  }
-  return false;
 }
 
 void AccelService::reapRing() {
   if (ring_pending_.empty()) return;
   std::vector<RingRun> pending = std::move(ring_pending_);
   ring_pending_.clear();
-  std::vector<RingRun> refused;
+  std::vector<std::pair<unsigned, std::size_t>> refused;  // tenant, length
   const std::uint64_t start = acc_.cycle();
   while (!pending.empty()) {
     // Complete each run in the cycle its future resolves, so every block
@@ -589,61 +571,66 @@ void AccelService::reapRing() {
         }
         ring_eng_->ringReset(drv.channel());
         drv.resync();
-      } else if (completeRingRun(*it, *c)) {
-        it = pending.erase(it);
-        continue;
       }
-      ++stats_.dma_ring_fallbacks;  // typed refusal or stall: MMIO re-serve
-      refused.push_back(std::move(*it));
+      // A resolved run goes back to the head of its tenant's queue, where
+      // it completes (or is re-served) like any MMIO run.
+      auto& q = queues_[it->tenant];
+      q.insert(q.begin(), std::make_move_iterator(it->run.begin()),
+               std::make_move_iterator(it->run.end()));
+      const std::size_t n = it->run.size();
+      if (c != nullptr && c->status == DmaError::None) {
+        const std::size_t dst = kRingTenantSpan * it->tenant + kRingStagingDst;
+        const auto bytes = ring_mem_->readBytes(dst, n * 16);
+        std::vector<aes::Block> out(n);
+        for (std::size_t i = 0; i < n; ++i)
+          std::copy_n(bytes.begin() + 16 * i, 16, out[i].begin());
+        ++stats_.dma_ring_runs;
+        stats_.dma_ring_blocks += n;
+        completeRun(it->tenant, n, CompletionStatus::Ok, out);
+      } else if (c != nullptr && c->status == DmaError::OutputSuppressed) {
+        completeRun(it->tenant, n, CompletionStatus::Suppressed, {});
+      } else {
+        ++stats_.dma_ring_fallbacks;  // typed refusal or stall: MMIO re-serve
+        refused.emplace_back(it->tenant, n);
+      }
       it = pending.erase(it);
     }
     if (!pending.empty()) ring_eng_->tick();
   }
   // The MMIO half runs only once no ring chain is in flight, so no session
   // drains an output queue a collecting chain still reads from.
-  for (RingRun& r : refused) serveBatchMmio(r.tenant, std::move(r.run));
+  for (const auto& [tenant, n] : refused) serveMmioRun(tenant, n);
 }
 
-void AccelService::serveBatchMmio(unsigned tenant, std::vector<Request> run) {
-  auto& session = sessions_[tenant];
-  std::vector<aes::Block> blocks(run.size());
-  for (std::size_t i = 0; i < run.size(); ++i) blocks[i] = run[i].data;
-  const bool decrypt = run.front().decrypt;
-  const auto r = decrypt ? session.decryptBlocks(blocks)
-                         : session.encryptBlocks(blocks);
-  ++stats_.batched_runs;
-  stats_.batched_blocks += run.size();
-  if (r.has_value()) {
-    stats_.completed_hw += run.size();
-    for (std::size_t i = 0; i < run.size(); ++i) {
-      complete(tenant, run[i], CompletionStatus::Ok, ServedBy::Hardware,
-               (*r)[i]);
-    }
-    return;
-  }
-  if (r.status() == AccelStatus::Suppressed) {
-    // A suppression verdict is a function of the tenant's label and its
-    // key's confidentiality, so it is uniform across a single-tenant
-    // batch: every member is suppressed.
-    for (const auto& req : run) {
-      complete(tenant, req, CompletionStatus::Suppressed, ServedBy::Hardware,
-               aes::Block{});
-    }
-    return;
-  }
-  // Transient failure or submit rejection: hand every member back to the
-  // single-request path, which owns the requeue / key-reprovision policy.
-  // Queue order (and therefore per-tenant completion order) is preserved.
-  ++stats_.batch_fallbacks;
+void AccelService::serveMmioRun(unsigned tenant, std::size_t n) {
   auto& q = queues_[tenant];
-  for (auto it = run.rbegin(); it != run.rend(); ++it) {
-    q.push_front(std::move(*it));
+  std::vector<aes::Block> blocks(n);
+  for (std::size_t i = 0; i < n; ++i) blocks[i] = q[i].data;
+  auto& session = sessions_[tenant];
+  const auto r = q.front().decrypt ? session.decryptBlocks(blocks)
+                                   : session.encryptBlocks(blocks);
+  if (n > 1) {
+    ++stats_.batched_runs;
+    stats_.batched_blocks += n;
   }
-  for (std::size_t i = 0; i < run.size() && !q.empty(); ++i) {
-    Request req = std::move(q.front());
-    q.pop_front();
-    serve(tenant, std::move(req));
+  if (r.has_value()) return completeRun(tenant, n, CompletionStatus::Ok, *r);
+  if (r.status() == AccelStatus::Suppressed)
+    return completeRun(tenant, n, CompletionStatus::Suppressed, {});
+  if (n == 1) {
+    // A requeued request stays at the head of its queue.
+    if (const auto st =
+            hardwareVerdict(tenant, r.status(), q.front().requeues)) {
+      complete(tenant, q.front(), *st, ServedBy::Hardware, aes::Block{});
+      q.pop_front();
+    }
+    return;
   }
+  // Transient failure or submit rejection: re-serve the members, still in
+  // order at the head of the queue, as runs of one, which own the requeue /
+  // key-reprovision policy. That is n serves in all; a requeued member
+  // stays at the head and takes the next one.
+  ++stats_.batch_fallbacks;
+  for (std::size_t i = 0; i < n; ++i) serveMmioRun(tenant, 1);
 }
 
 unsigned AccelService::serveRun(unsigned tenant, unsigned max_run) {
@@ -651,42 +638,35 @@ unsigned AccelService::serveRun(unsigned tenant, unsigned max_run) {
   if (q.empty()) return 0;
   // A tenant has one ring run in flight (its staging pages hold one run),
   // and reaping it may hand members back to the front of its queue: reap
-  // before popping, so per-tenant completion order cannot change.
+  // before taking the next run, so per-tenant completion order cannot
+  // change.
   for (const RingRun& p : ring_pending_) {
     if (p.tenant == tenant) {
       reapRing();
       break;
     }
   }
-  const HealthState st = monitor_.state();
-  const bool hw_path = tenant_active_[tenant] &&
-      (st == HealthState::Healthy || st == HealthState::Degraded);
-  unsigned run_len = 1;
-  if (hw_path && cfg_.batch_size > 1) {
-    const bool dir = q.front().decrypt;
-    while (run_len < max_run && run_len < cfg_.batch_size &&
-           run_len < q.size() && q[run_len].decrypt == dir) {
-      ++run_len;
-    }
-  }
-  if (run_len == 1) {
+  if (!onHardware(tenant)) {
     reapRing();
-    Request req = std::move(q.front());
+    serveOffHardware(tenant, q.front());
     q.pop_front();
-    serve(tenant, std::move(req));
     return 1;
   }
-  std::vector<Request> run;
-  run.reserve(run_len);
-  for (unsigned i = 0; i < run_len; ++i) {
-    run.push_back(std::move(q.front()));
-    q.pop_front();
+  const bool dir = q.front().decrypt;
+  unsigned run_len = 1;
+  while (run_len < max_run && run_len < cfg_.batch_size &&
+         run_len < q.size() && q[run_len].decrypt == dir) {
+    ++run_len;
   }
-  if (const auto seq = submitRing(tenant, run)) {
-    ring_pending_.push_back(RingRun{tenant, *seq, std::move(run)});
+  if (const auto seq = submitRing(tenant, run_len)) {
+    const auto end = q.begin() + run_len;
+    ring_pending_.push_back(RingRun{
+        tenant, *seq,
+        {std::make_move_iterator(q.begin()), std::make_move_iterator(end)}});
+    q.erase(q.begin(), end);
   } else {
     reapRing();
-    serveBatchMmio(tenant, std::move(run));
+    serveMmioRun(tenant, run_len);
   }
   return run_len;
 }
@@ -792,7 +772,11 @@ unsigned AccelService::pump() {
       reapRing();
       AeadRequest areq = std::move(aead_queues_[t].front());
       aead_queues_[t].pop_front();
-      serve(t, std::move(areq));
+      if (onHardware(t)) {
+        serveHardware(t, std::move(areq));
+      } else {
+        serveOffHardware(t, areq);
+      }
       ++served;
     }
     while (served < cfg_.quota_per_round && !queues_[t].empty()) {

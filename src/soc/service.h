@@ -34,6 +34,7 @@
 #include <deque>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -59,18 +60,14 @@ struct ServiceConfig {
   // Batch submission: up to this many same-direction requests from one
   // tenant's queue are drained into the pipeline back-to-back (one submit
   // per cycle, all in flight), so K blocks cost ~K + pipeline-depth cycles
-  // instead of K x (depth + 1). 1 reproduces the historical one-at-a-time
-  // path. Batching never crosses tenants and never reorders within a
-  // tenant: completions surface in submission order.
+  // instead of K x (depth + 1). 1 serves every block as a run of one.
+  // Batching never crosses tenants and never reorders within a tenant:
+  // completions surface in submission order.
   unsigned batch_size = 1;
   // Service-level retry budget per request: a request whose hardware serve
   // ends in a transient failure is re-queued at the front this many times
   // (it rides over to the fallback path if the breaker trips meanwhile).
   unsigned max_requeues = 1;
-  // Device cycles charged per software-fallback block, ticked on the
-  // accelerator so quarantine residency and background scrubbing advance
-  // while traffic is off the hardware.
-  unsigned fallback_cycles_per_block = 40;
   HealthConfig health;
   // Driver options for the Healthy hardware path…
   accel::SessionOptions healthy_opts{.timeout_cycles = 1024,
@@ -92,7 +89,7 @@ struct ServiceConfig {
   // Every tenant gets its own ring channel and staging pages labeled with
   // its authority, so the ring path is under exactly the same label
   // enforcement as the MMIO path. A ring refusal or stall falls back to the
-  // session batch path (counted in dma_ring_fallbacks); defaults keep the
+  // MMIO run path (counted in dma_ring_fallbacks); defaults keep the
   // ring off so existing deployments are byte-for-byte unchanged.
   bool use_dma_ring = false;
   unsigned dma_ring_min_run = 16;
@@ -175,7 +172,7 @@ struct ServiceStats {
   std::uint64_t batched_runs = 0;    // multi-block batches submitted
   std::uint64_t batched_blocks = 0;  // blocks that rode a multi-block batch
   // Batches whose verdict was transient/rejected: the member requests were
-  // re-queued and re-served through the single-block robustness path.
+  // re-served as runs of one, which own the requeue / reprovision policy.
   std::uint64_t batch_fallbacks = 0;
   std::uint64_t canary_rounds = 0;
   std::uint64_t canary_failures = 0;
@@ -312,10 +309,9 @@ class AccelService {
 
   void logTransitions();
   void applyStateOptions();
-  // Serve up to `max_run` requests from the tenant's queue head — a
-  // contiguous same-direction run goes through the batched hardware path,
-  // everything else through the single-request path. Returns the number of
-  // requests consumed from the queue.
+  // Serve one run from the tenant's queue head: up to `max_run` contiguous
+  // same-direction requests on the hardware path, one request off it.
+  // Returns the number of requests consumed from the queue.
   unsigned serveRun(unsigned tenant, unsigned max_run);
   // A ring run submitted this round and not yet reaped.
   struct RingRun {
@@ -323,24 +319,26 @@ class AccelService {
     std::uint16_t seq = 0;
     std::vector<Request> run;
   };
-  // Submit half of the descriptor-ring path: stage a same-direction run in
-  // the tenant's pages and publish it on its channel. Returns the future's
-  // sequence number, or nullopt when the run is not ring-eligible or the
-  // ring refused it (the caller serves it over MMIO).
-  std::optional<std::uint16_t> submitRing(unsigned tenant,
-                                          const std::vector<Request>& run);
-  // Reap half: tick the engine until every submitted ring run resolves,
-  // completing each in the cycle it resolves. Ok runs complete, suppressed
-  // runs suppress every member, and a typed refusal or an exhausted budget
-  // (which resets that channel only) is re-served over MMIO once no chain
-  // is left in flight.
+  // Submit half of the descriptor-ring path: stage the first `n` requests
+  // of the tenant's queue in its pages and publish them on its channel.
+  // Returns the future's sequence number, or nullopt when the run is not
+  // ring-eligible or the ring refused it (the caller serves it over MMIO).
+  std::optional<std::uint16_t> submitRing(unsigned tenant, std::size_t n);
+  // Reap half: tick the engine until every submitted ring run resolves and
+  // return each run to the head of its tenant's queue in the cycle it
+  // resolves. Ok and suppressed runs complete there; a typed refusal or an
+  // exhausted budget (which resets that channel only) is re-served over
+  // MMIO once no chain is left in flight.
   void reapRing();
-  // Complete a reaped run on an Ok or suppressed verdict; false for a
-  // verdict the MMIO path must re-serve.
-  bool completeRingRun(const RingRun& r, const DmaCompletion& c);
   void setupTenantRing(unsigned tenant);
-  // The MMIO batch path for a same-direction run.
-  void serveBatchMmio(unsigned tenant, std::vector<Request> run);
+  // The MMIO path for a same-direction run: the first `n` requests of the
+  // tenant's queue. A failed run of one goes through hardwareVerdict; a
+  // failed longer run is re-served as runs of one.
+  void serveMmioRun(unsigned tenant, std::size_t n);
+  // Complete and pop the first `n` requests of the tenant's queue on a
+  // uniform Ok (`out` holds one block each) or Suppressed verdict.
+  void completeRun(unsigned tenant, std::size_t n, CompletionStatus st,
+                   std::span<const aes::Block> out);
   // Admission shared by blocks and AEAD ops (retired tenant, global
   // watermark, then the tenant's own queue depth, shedding its oldest
   // request under ShedOldest). Returns the refusal, or nullopt to queue.
@@ -348,19 +346,22 @@ class AccelService {
   std::optional<SubmitResult> admissionRefusal(unsigned tenant,
                                                std::deque<Req>& q,
                                                std::size_t depth);
-  // One request of either kind: refused if its tenant is retired, else
-  // served by the hardware or, while the breaker is open, the fallback.
+  // True when the tenant's requests go to the hardware: it is active and
+  // the breaker is closed (Healthy or Degraded).
+  bool onHardware(unsigned tenant) const;
+  // One request of either kind off the hardware path: refused if its
+  // tenant is retired, else served by the fallback.
   template <typename Req>
-  void serve(unsigned tenant, Req req);
-  void serveHardware(unsigned tenant, Request req);
+  void serveOffHardware(unsigned tenant, const Req& req);
   void serveHardware(unsigned tenant, AeadRequest req);
   void serveFallback(unsigned tenant, const Request& req);
   void serveFallback(unsigned tenant, const AeadRequest& req);
   // The one driver-status -> completion mapping for a single hardware
-  // serve. Returns the terminal status, or nullopt when the request is to
-  // be requeued (a Rejected serve after a successful key re-provision, or a
-  // transient failure within the requeue budget); owns the requeue,
-  // re-provision and transient-failure accounting.
+  // serve (a run of one or an AEAD op). Returns the terminal status, or
+  // nullopt when the request is to be requeued (a Rejected serve after a
+  // successful key re-provision, or a transient failure within the requeue
+  // budget); owns the requeue, re-provision and transient-failure
+  // accounting.
   std::optional<CompletionStatus> hardwareVerdict(unsigned tenant,
                                                   accel::AccelStatus st,
                                                   unsigned& requeues);

@@ -64,7 +64,7 @@ TEST(PoolPlacement, StickyDeterministicAndSpillBounded) {
   // two pools built identically agree shard-for-shard.
   for (unsigned t = 0; t < 12; ++t) EXPECT_EQ(a.shardOf(t), b.shardOf(t));
 
-  // Load-aware spill keeps the heaviest shard within spill_factor of the
+  // Load-aware spill keeps the heaviest shard within the spill factor of the
   // lightest (counting the newcomer slack).
   std::size_t mn = a.tenantsOn(0), mx = a.tenantsOn(0);
   for (unsigned s = 1; s < a.shards(); ++s) {

@@ -11,6 +11,7 @@
 
 #include "aes/cipher.h"
 #include "aes/gcm.h"
+#include "common/rng.h"
 #include "soc/policy_engine.h"
 #include "soc/service.h"
 
@@ -148,7 +149,7 @@ TEST(ServiceServing, HealthyPathServesAllTenantsCorrectlyOnHardware) {
 // zeroized behind the service's back makes the first hardware serve end
 // Rejected; the service re-provisions the key once, requeues the request,
 // and the second serve completes Ok.
-enum class ServeRoute { SingleBlock, RingRun16, AeadSeal };
+enum class ServeRoute { SingleBlock, RingRun16, AeadSeal, BatchMmio4 };
 
 struct ServiceVerdictMapping : ::testing::TestWithParam<ServeRoute> {};
 
@@ -159,6 +160,9 @@ TEST_P(ServiceVerdictMapping, ZeroizedSlotIsReprovisionedAndRequeuedOnce) {
     cfg.use_dma_ring = true;
     cfg.batch_size = 16;
     cfg.quota_per_round = 16;
+  } else if (route == ServeRoute::BatchMmio4) {
+    cfg.batch_size = 4;
+    cfg.quota_per_round = 4;
   }
   AesAccelerator acc{AcceleratorConfig{}};
   AccelService svc{acc, cfg};
@@ -185,14 +189,21 @@ TEST_P(ServiceVerdictMapping, ZeroizedSlotIsReprovisionedAndRequeuedOnce) {
     EXPECT_EQ(c->tag, want.tag);
     EXPECT_FALSE(svc.fetchAead(t).has_value());
   } else {
-    const unsigned n = route == ServeRoute::RingRun16 ? 16 : 1;
-    for (unsigned i = 0; i < n; ++i)
-      ASSERT_TRUE(svc.submit(t, patternBlock(static_cast<std::uint8_t>(i)))
-                      .admitted);
+    const unsigned n = route == ServeRoute::RingRun16    ? 16
+                       : route == ServeRoute::BatchMmio4 ? 4
+                                                         : 1;
+    std::vector<std::uint64_t> tickets;
+    for (unsigned i = 0; i < n; ++i) {
+      const auto res =
+          svc.submit(t, patternBlock(static_cast<std::uint8_t>(i)));
+      ASSERT_TRUE(res.admitted);
+      tickets.push_back(res.ticket);
+    }
     svc.runUntilIdle(1u << 16);
     for (unsigned i = 0; i < n; ++i) {
       const auto c = svc.fetch(t);
       ASSERT_TRUE(c.has_value()) << "block " << i;
+      EXPECT_EQ(c->ticket, tickets[i]) << "block " << i;
       EXPECT_EQ(c->status, CompletionStatus::Ok) << "block " << i;
       EXPECT_EQ(c->data, aes::encryptBlock(
                              patternBlock(static_cast<std::uint8_t>(i)),
@@ -205,16 +216,21 @@ TEST_P(ServiceVerdictMapping, ZeroizedSlotIsReprovisionedAndRequeuedOnce) {
   if (route == ServeRoute::RingRun16) {
     EXPECT_EQ(svc.stats().dma_ring_fallbacks, 1u);
     EXPECT_EQ(svc.stats().batch_fallbacks, 1u);
+  } else if (route == ServeRoute::BatchMmio4) {
+    EXPECT_EQ(svc.stats().batch_fallbacks, 1u);
+    EXPECT_EQ(svc.stats().batched_runs, 1u);
+    EXPECT_EQ(svc.stats().completed_hw, 4u);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Routes, ServiceVerdictMapping,
-    ::testing::Values(ServeRoute::SingleBlock, ServeRoute::RingRun16,
-                      ServeRoute::AeadSeal),
+    ::testing::Values(ServeRoute::SingleBlock, ServeRoute::BatchMmio4,
+                      ServeRoute::RingRun16, ServeRoute::AeadSeal),
     [](const ::testing::TestParamInfo<ServeRoute>& info) -> std::string {
       switch (info.param) {
         case ServeRoute::SingleBlock: return "SingleBlock";
+        case ServeRoute::BatchMmio4: return "BatchMmio4";
         case ServeRoute::RingRun16: return "RingRun16";
         case ServeRoute::AeadSeal: return "AeadSeal";
       }
@@ -261,6 +277,104 @@ TEST(ServiceServing, RefusedRingRunKeepsTenantCompletionOrder) {
   }
   EXPECT_FALSE(svc.fetch(t).has_value());
   EXPECT_EQ(svc.stats().key_reprovisions, 1u);
+}
+
+// FNV-1a 64 over a completion trace.
+struct TraceHash {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  void byte(std::uint8_t b) { h = (h ^ b) * 0x100000001b3ULL; }
+  void u64(std::uint64_t v) {
+    for (unsigned i = 0; i < 8; ++i)
+      byte(static_cast<std::uint8_t>(v >> (8 * i)));
+  }
+};
+
+// A seeded two-tenant scenario. Each step queues one same-direction run of
+// each direction per tenant; over the first 32 steps tenant 0 walks the run
+// lengths 1-16 up twice and tenant 1 walks them down, then both queue runs
+// of 16 together. Step 9 forces a quarantine (software fallback, then
+// probation canaries); step 16, with the breaker closed again, zeroizes
+// tenant 1's key slot just before its runs of 16. Folds every completion's
+// (ticket, status, served_by, data, complete_cycle), the final stats and
+// the final device cycle into `h`, and returns the stats.
+ServiceStats runTraceScenario(bool ring, TraceHash& h) {
+  ServiceConfig cfg;
+  cfg.use_dma_ring = ring;
+  cfg.batch_size = 16;
+  cfg.quota_per_round = 32;
+  cfg.global_high_watermark = 512;
+  cfg.health.quarantine_residency_cycles = 1024;
+  AesAccelerator acc{AcceleratorConfig{}};
+  AccelService svc{acc, cfg};
+  acc.addUser(Principal::supervisor());
+  std::vector<TenantSpec> specs;
+  for (unsigned t = 0; t < 2; ++t) {
+    TenantSpec spec;
+    spec.user = acc.addUser(Principal::user("t" + std::to_string(t), t + 1));
+    spec.key_slot = t + 1;
+    spec.cell_base = 2 * t;
+    spec.key = keyOf(t);
+    spec.key_conf = Conf::category(t + 1);
+    spec.queue_depth = 96;
+    svc.addTenant(spec);
+    specs.push_back(spec);
+  }
+  Rng rng{ring ? 0x7ace1u : 0x7ace0u};
+  for (unsigned step = 0; step < 34; ++step) {
+    for (unsigned t = 0; t < 2; ++t) {
+      const unsigned n = step >= 32 ? 16
+                         : t == 0   ? 1 + step % 16
+                                    : 16 - step % 16;
+      for (const bool decrypt : {false, true}) {
+        for (unsigned i = 0; i < n; ++i) {
+          aes::Block b;
+          for (auto& x : b) x = static_cast<std::uint8_t>(rng.next());
+          svc.submit(t, b, decrypt);
+        }
+      }
+    }
+    if (step == 9) svc.forceQuarantine("completion-trace scenario");
+    if (step == 16) acc.clearKey(specs[1].user, specs[1].key_slot);
+    svc.pump();
+    svc.pump();
+  }
+  svc.runUntilIdle(1u << 20);
+  for (unsigned t = 0; t < 2; ++t) {
+    while (const auto c = svc.fetch(t)) {
+      h.u64(c->ticket);
+      h.u64(static_cast<std::uint64_t>(c->status));
+      h.u64(static_cast<std::uint64_t>(c->served_by));
+      for (const auto x : c->data) h.byte(x);
+      h.u64(c->complete_cycle);
+    }
+  }
+  for (const char ch : svc.stats().toJson())
+    h.byte(static_cast<std::uint8_t>(ch));
+  h.u64(acc.cycle());
+  return svc.stats();
+}
+
+// Pins what completes, and when, across every block route: MMIO runs of
+// one and longer, ring runs, a ring run refused by a zeroized slot, the
+// software fallback and the canary round. Any change to a completion's
+// ticket, status, route, data or cycle, to a counter or to the final device
+// cycle moves the digest.
+TEST(ServiceServing, CompletionTraceDigestIsPinnedAcrossRoutes) {
+  TraceHash h;
+  for (const bool ring : {false, true}) {
+    const ServiceStats s = runTraceScenario(ring, h);
+    EXPECT_GT(s.batched_runs, 0u) << "ring " << ring;
+    EXPECT_GT(s.completed_fallback, 0u) << "ring " << ring;
+    EXPECT_GT(s.canary_rounds, 0u) << "ring " << ring;
+    EXPECT_GT(s.key_reprovisions, 0u) << "ring " << ring;
+    EXPECT_GT(s.requeues, 0u) << "ring " << ring;
+    EXPECT_GT(s.batch_fallbacks, 0u) << "ring " << ring;
+    if (ring) {
+      EXPECT_GT(s.dma_ring_runs, 0u);
+      EXPECT_GT(s.dma_ring_fallbacks, 0u);
+    }
+  }
+  EXPECT_EQ(h.h, 0xb9ae0f1d3fb708d0ULL);
 }
 
 // A service config that makes health transitions fast enough to unit-test.
