@@ -7,9 +7,9 @@
 // counts a shed ticket as work, or loses one, breaks the identity.
 
 #include <cstdint>
-#include <sstream>
 #include <string>
 
+#include "common/counters.h"
 #include "soc/service.h"
 
 namespace aesifc::bench {
@@ -44,14 +44,17 @@ struct Conservation {
     }
   }
 
-  std::string toJson() const {
-    std::ostringstream os;
-    os << "{\"offered\":" << offered << ",\"ok\":" << ok
-       << ",\"suppressed\":" << suppressed << ",\"shed\":" << shed
-       << ",\"rejected\":" << rejected << ",\"failed\":" << failed
-       << ",\"still_queued\":" << still_queued << "}";
-    return os.str();
+  static constexpr auto counterFields() {
+    using C = Conservation;
+    using counters::field;
+    return std::tuple{
+        field("offered", &C::offered), field("ok", &C::ok),
+        field("suppressed", &C::suppressed), field("shed", &C::shed),
+        field("rejected", &C::rejected), field("failed", &C::failed),
+        field("still_queued", &C::still_queued)};
   }
+  std::string toJson() const { return counters::toJson(*this); }
 };
+static_assert(counters::listsEveryByte<Conservation>());
 
 }  // namespace aesifc::bench

@@ -26,6 +26,7 @@
 
 #include "accel/accelerator.h"
 #include "aes/modes.h"
+#include "common/counters.h"
 
 namespace aesifc::accel {
 
@@ -115,17 +116,24 @@ struct SessionTelemetry {
   std::uint64_t transientFailures() const {
     return timeouts + fault_aborts + drops;
   }
+  static constexpr auto counterFields() {
+    using T = SessionTelemetry;
+    using counters::field;
+    return std::tuple{
+        field("ok", &T::ok), field("suppressed", &T::suppressed),
+        field("timeouts", &T::timeouts),
+        field("fault_aborts", &T::fault_aborts), field("drops", &T::drops),
+        field("rejected", &T::rejected), field("auth_failed", &T::auth_failed)};
+  }
   SessionTelemetry& operator+=(const SessionTelemetry& o) {
-    ok += o.ok;
-    suppressed += o.suppressed;
-    timeouts += o.timeouts;
-    fault_aborts += o.fault_aborts;
-    drops += o.drops;
-    rejected += o.rejected;
-    auth_failed += o.auth_failed;
-    return *this;
+    return counters::addTo(*this, o);
+  }
+  // The counts between two snapshots (a health window).
+  SessionTelemetry operator-(const SessionTelemetry& o) const {
+    return counters::minus(*this, o);
   }
 };
+static_assert(counters::listsEveryByte<SessionTelemetry>());
 
 // Result of a successful GCM seal: ciphertext plus the authentication tag.
 struct GcmSealed {

@@ -1,10 +1,10 @@
 #include "soc/attacks.h"
 
 #include <algorithm>
-#include <sstream>
 #include <stdexcept>
 
 #include "accel/accelerator.h"
+#include "accel/driver.h"
 #include "aes/cipher.h"
 #include "aes/key_schedule.h"
 #include "aes/modes.h"
@@ -55,15 +55,7 @@ struct Bench {
 
   void loadKey128(unsigned user, unsigned slot, unsigned base,
                   const std::vector<std::uint8_t>& key, lattice::Conf conf) {
-    acc.configureKeyCells(user, base, 2);
-    for (unsigned c = 0; c < 2; ++c) {
-      std::uint64_t w = 0;
-      for (unsigned b = 0; b < 8; ++b)
-        w |= static_cast<std::uint64_t>(key[8 * c + b]) << (8 * b);
-      if (!acc.writeKeyCell(user, base + c, w))
-        throw std::runtime_error("attack bench: legitimate key write refused");
-    }
-    if (!acc.loadKey(user, slot, base, aes::KeySize::Aes128, conf))
+    if (!accel::loadKey128(acc, user, slot, base, key, conf))
       throw std::runtime_error("attack bench: legitimate key load refused");
   }
 
@@ -202,16 +194,8 @@ AcceptanceDelayResult runAcceptanceDelayAttack(bool meet_includes_inputs,
 
   auto load = [&](unsigned user, unsigned slot, unsigned base,
                   const std::vector<std::uint8_t>& key) {
-    acc.configureKeyCells(user, base, 2);
-    for (unsigned c = 0; c < 2; ++c) {
-      std::uint64_t w = 0;
-      for (unsigned b = 0; b < 8; ++b)
-        w |= static_cast<std::uint64_t>(key[8 * c + b]) << (8 * b);
-      if (!acc.writeKeyCell(user, base + c, w))
-        throw std::runtime_error("acceptance bench: key write refused");
-    }
-    if (!acc.loadKey(user, slot, base, aes::KeySize::Aes128,
-                     acc.principal(user).authority.c))
+    if (!accel::loadKey128(acc, user, slot, base, key,
+                           acc.principal(user).authority.c))
       throw std::runtime_error("acceptance bench: key load refused");
   };
   load(alice, 1, 2, alice_key);
@@ -842,47 +826,6 @@ RingCampaignReport runRingFaultCampaign(const RingCampaignConfig& cfg) {
   const auto frep = inj.report();
   rep.ring_faults = frep.host_ring_desc + frep.host_ring_comp;
   return rep;
-}
-
-std::string RingCampaignReport::toJson() const {
-  std::ostringstream os;
-  os << "{\"descriptors\":" << descriptors
-     << ",\"completed_ok\":" << completed_ok << ",\"refused\":" << refused
-     << ",\"unresolved\":" << unresolved
-     << ",\"wrong_plaintext_releases\":" << wrong_plaintext_releases
-     << ",\"cross_label_writes\":" << cross_label_writes
-     << ",\"partial_writes\":" << partial_writes
-     << ",\"watchdog_fires\":" << watchdog_fires
-     << ",\"recoveries\":" << recoveries
-     << ",\"ring_resets\":" << ring_resets
-     << ",\"ring_faults\":" << ring_faults
-     << ",\"corrupt_completions\":" << corrupt_completions
-     << ",\"duplicate_completions\":" << duplicate_completions
-     << ",\"submit_retries\":" << submit_retries
-     << ",\"reset_isolation_failures\":" << reset_isolation_failures
-     << ",\"ring\":" << ring.toJson() << "}";
-  return os.str();
-}
-
-RingCampaignReport& RingCampaignReport::operator+=(
-    const RingCampaignReport& o) {
-  descriptors += o.descriptors;
-  completed_ok += o.completed_ok;
-  refused += o.refused;
-  unresolved += o.unresolved;
-  wrong_plaintext_releases += o.wrong_plaintext_releases;
-  cross_label_writes += o.cross_label_writes;
-  partial_writes += o.partial_writes;
-  watchdog_fires += o.watchdog_fires;
-  recoveries += o.recoveries;
-  ring_resets += o.ring_resets;
-  ring_faults += o.ring_faults;
-  corrupt_completions += o.corrupt_completions;
-  duplicate_completions += o.duplicate_completions;
-  submit_retries += o.submit_retries;
-  reset_isolation_failures += o.reset_isolation_failures;
-  ring += o.ring;
-  return *this;
 }
 
 // --- Config tampering ----------------------------------------------------------

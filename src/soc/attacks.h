@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "accel/types.h"
+#include "common/counters.h"
 #include "soc/dma.h"
 #include "soc/metrics.h"
 
@@ -145,8 +146,30 @@ struct RingCampaignReport {
   std::uint64_t reset_isolation_failures = 0;
   DmaRingStats ring;              // engine-side counters
 
-  std::string toJson() const;
-  RingCampaignReport& operator+=(const RingCampaignReport& o);
+  static constexpr auto counterFields() {
+    using R = RingCampaignReport;
+    using counters::field;
+    return std::tuple{
+        field("descriptors", &R::descriptors),
+        field("completed_ok", &R::completed_ok), field("refused", &R::refused),
+        field("unresolved", &R::unresolved),
+        field("wrong_plaintext_releases", &R::wrong_plaintext_releases),
+        field("cross_label_writes", &R::cross_label_writes),
+        field("partial_writes", &R::partial_writes),
+        field("watchdog_fires", &R::watchdog_fires),
+        field("recoveries", &R::recoveries),
+        field("ring_resets", &R::ring_resets),
+        field("ring_faults", &R::ring_faults),
+        field("corrupt_completions", &R::corrupt_completions),
+        field("duplicate_completions", &R::duplicate_completions),
+        field("submit_retries", &R::submit_retries),
+        field("reset_isolation_failures", &R::reset_isolation_failures),
+        field("ring", &R::ring)};
+  }
+  std::string toJson() const { return counters::toJson(*this); }
+  RingCampaignReport& operator+=(const RingCampaignReport& o) {
+    return counters::addTo(*this, o);
+  }
 };
 
 RingCampaignReport runRingFaultCampaign(const RingCampaignConfig& cfg = {});

@@ -1,7 +1,6 @@
 #include "soc/dma.h"
 
 #include <algorithm>
-#include <sstream>
 #include <stdexcept>
 
 #include "accel/key_store.h"
@@ -200,59 +199,6 @@ void writeRingDescriptor(HostMemory& mem, std::size_t addr,
   // The release store: ownership flips only after every field (and the
   // checksum over them) is in place.
   mem.write32(addr + 0, gen_word | (owned ? kRingOwned : 0));
-}
-
-// ---------------------------------------------------------------------------
-// DmaRingStats
-// ---------------------------------------------------------------------------
-
-std::string DmaRingStats::toJson() const {
-  std::ostringstream os;
-  os << "{\"doorbells\":" << doorbells << ",\"idle_polls\":" << idle_polls
-     << ",\"descriptors_fetched\":" << descriptors_fetched
-     << ",\"segments_fetched\":" << segments_fetched
-     << ",\"completed_ok\":" << completed_ok << ",\"refused\":" << refused
-     << ",\"blocks\":" << blocks << ",\"watchdog_fires\":" << watchdog_fires
-     << ",\"recoveries\":" << recoveries
-     << ",\"block_resubmits\":" << block_resubmits
-     << ",\"torn_ownership\":" << torn_ownership
-     << ",\"checksum_rejects\":" << checksum_rejects
-     << ",\"stale_generation\":" << stale_generation
-     << ",\"comp_stall_cycles\":" << comp_stall_cycles
-     << ",\"comp_overflow_drops\":" << comp_overflow_drops
-     << ",\"cross_label_writes\":" << cross_label_writes
-     << ",\"ring_resets\":" << ring_resets << ",\"errors\":{";
-  bool first = true;
-  for (unsigned e = 0; e < kDmaErrors; ++e) {
-    if (by_error[e] == 0) continue;
-    if (!first) os << ",";
-    first = false;
-    os << "\"" << toString(static_cast<DmaError>(e)) << "\":" << by_error[e];
-  }
-  os << "}}";
-  return os.str();
-}
-
-DmaRingStats& DmaRingStats::operator+=(const DmaRingStats& o) {
-  doorbells += o.doorbells;
-  idle_polls += o.idle_polls;
-  descriptors_fetched += o.descriptors_fetched;
-  segments_fetched += o.segments_fetched;
-  completed_ok += o.completed_ok;
-  refused += o.refused;
-  blocks += o.blocks;
-  watchdog_fires += o.watchdog_fires;
-  recoveries += o.recoveries;
-  block_resubmits += o.block_resubmits;
-  torn_ownership += o.torn_ownership;
-  checksum_rejects += o.checksum_rejects;
-  stale_generation += o.stale_generation;
-  comp_stall_cycles += o.comp_stall_cycles;
-  comp_overflow_drops += o.comp_overflow_drops;
-  cross_label_writes += o.cross_label_writes;
-  ring_resets += o.ring_resets;
-  for (unsigned e = 0; e < kDmaErrors; ++e) by_error[e] += o.by_error[e];
-  return *this;
 }
 
 // ---------------------------------------------------------------------------

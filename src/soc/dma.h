@@ -52,6 +52,7 @@
 #include <vector>
 
 #include "accel/accelerator.h"
+#include "common/counters.h"
 
 namespace aesifc::soc {
 
@@ -219,9 +220,43 @@ struct DmaRingStats {
   std::uint64_t ring_resets = 0;
   std::array<std::uint64_t, kDmaErrors> by_error{};
 
-  std::string toJson() const;
-  DmaRingStats& operator+=(const DmaRingStats& o);
+  static constexpr auto counterFields() {
+    using S = DmaRingStats;
+    using counters::field;
+    return std::tuple{
+        field("doorbells", &S::doorbells), field("idle_polls", &S::idle_polls),
+        field("descriptors_fetched", &S::descriptors_fetched),
+        field("segments_fetched", &S::segments_fetched),
+        field("completed_ok", &S::completed_ok), field("refused", &S::refused),
+        field("blocks", &S::blocks),
+        field("watchdog_fires", &S::watchdog_fires),
+        field("recoveries", &S::recoveries),
+        field("block_resubmits", &S::block_resubmits),
+        field("torn_ownership", &S::torn_ownership),
+        field("checksum_rejects", &S::checksum_rejects),
+        field("stale_generation", &S::stale_generation),
+        field("comp_stall_cycles", &S::comp_stall_cycles),
+        field("comp_overflow_drops", &S::comp_overflow_drops),
+        field("cross_label_writes", &S::cross_label_writes),
+        field("ring_resets", &S::ring_resets),
+        field("errors", &S::by_error, [](std::ostream& os, const auto& n) {
+          const char* sep = "";  // nonzero entries only
+          os << '{';
+          for (unsigned e = 0; e < kDmaErrors; ++e) {
+            if (n[e] == 0) continue;
+            os << sep << '"' << toString(static_cast<DmaError>(e))
+               << "\":" << n[e];
+            sep = ",";
+          }
+          os << '}';
+        })};
+  }
+  std::string toJson() const { return counters::toJson(*this); }
+  DmaRingStats& operator+=(const DmaRingStats& o) {
+    return counters::addTo(*this, o);
+  }
 };
+static_assert(counters::listsEveryByte<DmaRingStats>());
 
 // The device-side ring engine. One engine serves N channels (per-tenant
 // rings) over one shared fetch/issue unit, round-robin between descriptors.

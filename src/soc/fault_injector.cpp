@@ -311,43 +311,4 @@ FaultCampaignReport FaultInjector::report() const {
   return r;
 }
 
-std::string FaultCampaignReport::summary() const {
-  std::ostringstream os;
-  os << "campaign: " << injected << " events, " << applied
-     << " hardware upsets applied, " << detected << " detected ("
-     << recovered << " recovered, " << aborted << " blocks aborted), host: "
-     << host_drops << " drops / " << host_duplicates << " duplicates / "
-     << host_stuck << " stuck-receiver / " << host_spurious << " spurious / "
-     << host_ring_desc << " ring-desc flips / " << host_ring_comp
-     << " ring-comp flips\n";
-  for (unsigned s = 0; s < accel::kHwFaultSites; ++s) {
-    os << "  " << toString(static_cast<FaultSite>(s)) << ": injected "
-       << injected_by_site[s] << ", applied " << applied_by_site[s]
-       << ", detected " << detected_by_site[s] << ", escaped " << escaped(s)
-       << "\n";
-  }
-  return os.str();
-}
-
-std::string FaultCampaignReport::toJson() const {
-  std::ostringstream os;
-  os << "{\"injected\":" << injected << ",\"applied\":" << applied
-     << ",\"detected\":" << detected << ",\"recovered\":" << recovered
-     << ",\"aborted\":" << aborted << ",\"host\":{\"drops\":" << host_drops
-     << ",\"duplicates\":" << host_duplicates << ",\"stuck\":" << host_stuck
-     << ",\"spurious\":" << host_spurious
-     << ",\"ring_desc\":" << host_ring_desc
-     << ",\"ring_comp\":" << host_ring_comp << "},\"sites\":[";
-  for (unsigned s = 0; s < accel::kHwFaultSites; ++s) {
-    if (s) os << ",";
-    os << "{\"site\":\"" << toString(static_cast<FaultSite>(s))
-       << "\",\"injected\":" << injected_by_site[s]
-       << ",\"applied\":" << applied_by_site[s]
-       << ",\"detected\":" << detected_by_site[s]
-       << ",\"escaped\":" << escaped(s) << "}";
-  }
-  os << "]}";
-  return os.str();
-}
-
 }  // namespace aesifc::soc

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "accel/accelerator.h"
+#include "common/counters.h"
 #include "common/rng.h"
 #include "soc/dma.h"
 
@@ -89,8 +90,38 @@ struct FaultCampaignReport {
     const auto d = detected_by_site[site];
     return a > d ? a - d : 0;
   }
-  std::string summary() const;
-  std::string toJson() const;
+  static constexpr auto counterFields() {
+    using R = FaultCampaignReport;
+    using counters::derived;
+    using counters::field;
+    return std::tuple{
+        field("injected", &R::injected), field("applied", &R::applied),
+        field("detected", &R::detected), field("recovered", &R::recovered),
+        field("aborted", &R::aborted),
+        derived("host", [](std::ostream& os, const R& r) {
+          counters::writeJson(
+              os, r,
+              std::tuple{field("drops", &R::host_drops),
+                         field("duplicates", &R::host_duplicates),
+                         field("stuck", &R::host_stuck),
+                         field("spurious", &R::host_spurious),
+                         field("ring_desc", &R::host_ring_desc),
+                         field("ring_comp", &R::host_ring_comp)});
+        }),
+        derived("sites", [](std::ostream& os, const R& r) {
+          os << '[';
+          for (unsigned s = 0; s < accel::kHwFaultSites; ++s) {
+            os << (s ? "," : "") << "{\"site\":\""
+               << toString(static_cast<accel::FaultSite>(s))
+               << "\",\"injected\":" << r.injected_by_site[s]
+               << ",\"applied\":" << r.applied_by_site[s]
+               << ",\"detected\":" << r.detected_by_site[s]
+               << ",\"escaped\":" << r.escaped(s) << "}";
+          }
+          os << ']';
+        })};
+  }
+  std::string toJson() const { return counters::toJson(*this); }
 };
 
 class FaultInjector {

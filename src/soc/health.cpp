@@ -4,6 +4,11 @@
 
 namespace aesifc::soc {
 
+// Windows with fewer terminated operations than this are too noisy for the
+// rate thresholds (one timeout out of one op would read as 100%); they still
+// count toward the wedged-window streak.
+constexpr std::uint64_t kMinWindowOps = 4;
+
 std::string toString(HealthState s) {
   switch (s) {
     case HealthState::Healthy: return "healthy";
@@ -59,7 +64,7 @@ HealthState HealthMonitor::onWindow(const RobustnessStats& window,
     moveTo(HealthState::Quarantined, cycle,
            why.str() + " (" + std::to_string(wedged_windows_) +
                " wedged windows)");
-  } else if (ops < cfg_.min_window_ops) {
+  } else if (ops < kMinWindowOps) {
     // Too few samples for the rate to mean anything; wait for more traffic.
   } else if (rate > cfg_.quarantine_threshold) {
     moveTo(HealthState::Quarantined, cycle,

@@ -43,10 +43,6 @@ struct HealthConfig {
   unsigned wedged_windows = 2;
   // Clean windows (rate <= degrade) needed to climb Degraded -> Healthy.
   unsigned recovery_windows = 2;
-  // Windows with fewer terminated operations than this are too noisy for
-  // the rate thresholds (one timeout out of one op would read as 100%);
-  // they still count toward the wedged-window streak.
-  std::uint64_t min_window_ops = 4;
   // Minimum cycles to sit quarantined before canaries may probe.
   std::uint64_t quarantine_residency_cycles = 2048;
 };

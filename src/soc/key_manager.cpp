@@ -1,5 +1,7 @@
 #include "soc/key_manager.h"
 
+#include "accel/driver.h"
+
 namespace aesifc::soc {
 
 using accel::kRoundKeySlots;
@@ -18,15 +20,8 @@ std::vector<std::uint8_t> KeyManager::freshKey() {
 }
 
 bool KeyManager::install(Session& s) {
-  acc_.configureKeyCells(s.user, s.cell_base, 2);
-  for (unsigned c = 0; c < 2; ++c) {
-    std::uint64_t w = 0;
-    for (unsigned b = 0; b < 8; ++b)
-      w |= static_cast<std::uint64_t>(s.key[8 * c + b]) << (8 * b);
-    if (!acc_.writeKeyCell(s.user, s.cell_base + c, w)) return false;
-  }
-  return acc_.loadKey(s.user, s.slot, s.cell_base, aes::KeySize::Aes128,
-                      acc_.principal(s.user).authority.c);
+  return accel::loadKey128(acc_, s.user, s.slot, s.cell_base, s.key,
+                           acc_.principal(s.user).authority.c);
 }
 
 std::optional<KeyManager::Session> KeyManager::openSession(unsigned user) {

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 #include <map>
-#include <sstream>
 
 namespace aesifc::soc {
 
@@ -101,26 +100,6 @@ LatencyStats latencyStats(const std::vector<std::uint64_t>& samples,
   s.p95 = nearest_rank(95.0);
   s.p99 = nearest_rank(99.0);
   return s;
-}
-
-std::string LatencyStats::toJson() const {
-  std::ostringstream os;
-  os << "{\"count\":" << count << ",\"mean\":" << mean
-     << ",\"stddev\":" << stddev << ",\"min\":" << min << ",\"max\":" << max
-     << ",\"p50\":" << p50 << ",\"p95\":" << p95 << ",\"p99\":" << p99 << "}";
-  return os.str();
-}
-
-std::string RobustnessStats::toJson() const {
-  std::ostringstream os;
-  os << "{\"faults_injected\":" << faults_injected
-     << ",\"faults_detected\":" << faults_detected
-     << ",\"faults_recovered\":" << faults_recovered
-     << ",\"fault_aborts\":" << fault_aborts << ",\"retries\":" << retries
-     << ",\"timeouts\":" << timeouts << ",\"drops\":" << drops
-     << ",\"detection_rate\":" << detectionRate()
-     << ",\"recovery_rate\":" << recoveryRate() << "}";
-  return os.str();
 }
 
 }  // namespace aesifc::soc

@@ -8,6 +8,8 @@
 #include <string>
 #include <vector>
 
+#include "common/counters.h"
+
 namespace aesifc::soc {
 
 // Empirical mutual information I(X;Y) in bits between two equal-length
@@ -47,7 +49,16 @@ struct LatencyStats {
   double p95 = 0.0;
   double p99 = 0.0;
 
-  std::string toJson() const;
+  static constexpr auto counterFields() {
+    using L = LatencyStats;
+    using counters::field;
+    return std::tuple{
+        field("count", &L::count), field("mean", &L::mean),
+        field("stddev", &L::stddev), field("min", &L::min),
+        field("max", &L::max), field("p50", &L::p50), field("p95", &L::p95),
+        field("p99", &L::p99)};
+  }
+  std::string toJson() const { return counters::toJson(*this); }
 };
 
 LatencyStats latencyStats(const std::vector<std::uint64_t>& samples,
@@ -88,20 +99,31 @@ struct RobustnessStats {
                : static_cast<double>(faults_recovered) /
                      static_cast<double>(faults_detected);
   }
-  std::string toJson() const;
+  static constexpr auto counterFields() {
+    using R = RobustnessStats;
+    using counters::derived;
+    using counters::field;
+    return std::tuple{
+        field("faults_injected", &R::faults_injected),
+        field("faults_detected", &R::faults_detected),
+        field("faults_recovered", &R::faults_recovered),
+        field("fault_aborts", &R::fault_aborts),
+        field("retries", &R::retries),
+        field("timeouts", &R::timeouts),
+        field("drops", &R::drops),
+        derived("detection_rate",
+                [](std::ostream& os, const R& r) { os << r.detectionRate(); }),
+        derived("recovery_rate",
+                [](std::ostream& os, const R& r) { os << r.recoveryRate(); })};
+  }
+  std::string toJson() const { return counters::toJson(*this); }
 
   // Aggregate campaign scorecards (across seeds, phases, or tenants); the
   // derived rates recompute from the summed raw counters.
   RobustnessStats& operator+=(const RobustnessStats& o) {
-    faults_injected += o.faults_injected;
-    faults_detected += o.faults_detected;
-    faults_recovered += o.faults_recovered;
-    fault_aborts += o.fault_aborts;
-    retries += o.retries;
-    timeouts += o.timeouts;
-    drops += o.drops;
-    return *this;
+    return counters::addTo(*this, o);
   }
 };
+static_assert(counters::listsEveryByte<RobustnessStats>());
 
 }  // namespace aesifc::soc

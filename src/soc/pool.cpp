@@ -58,15 +58,6 @@ std::string toString(MigrateError e) {
   return "?";
 }
 
-std::string PoolStats::toJson() const {
-  std::ostringstream os;
-  os << "{\"migrations\":" << migrations
-     << ",\"migration_failures\":" << migration_failures
-     << ",\"shards_added\":" << shards_added
-     << ",\"shards_retired\":" << shards_retired << "}";
-  return os.str();
-}
-
 EnginePool::EnginePool(PoolConfig cfg) : cfg_{std::move(cfg)} {
   if (cfg_.shards == 0) throw std::runtime_error("EnginePool: zero shards");
   shards_.reserve(cfg_.shards);

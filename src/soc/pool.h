@@ -119,8 +119,6 @@ struct PoolStats {
   std::uint64_t migration_failures = 0;
   std::uint64_t shards_added = 0;
   std::uint64_t shards_retired = 0;
-
-  std::string toJson() const;
 };
 
 class EnginePool {

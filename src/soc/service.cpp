@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <iterator>
-#include <sstream>
 #include <stdexcept>
 
 #include "aes/cipher.h"
@@ -33,62 +32,6 @@ std::string toString(ServedBy s) {
     case ServedBy::None: return "none";
   }
   return "?";
-}
-
-std::string ServiceStats::toJson() const {
-  std::ostringstream os;
-  os << "{\"offered\":" << offered << ",\"admitted\":" << admitted
-     << ",\"rejected_queue_full\":" << rejected_queue_full
-     << ",\"rejected_backpressure\":" << rejected_backpressure
-     << ",\"shed\":" << shed << ",\"completed_hw\":" << completed_hw
-     << ",\"completed_fallback\":" << completed_fallback
-     << ",\"fallback_suppressed\":" << fallback_suppressed
-     << ",\"hw_transient_failures\":" << hw_transient_failures
-     << ",\"requeues\":" << requeues << ",\"batched_runs\":" << batched_runs
-     << ",\"batched_blocks\":" << batched_blocks
-     << ",\"batch_fallbacks\":" << batch_fallbacks
-     << ",\"canary_rounds\":" << canary_rounds
-     << ",\"canary_failures\":" << canary_failures
-     << ",\"key_reprovisions\":" << key_reprovisions
-     << ",\"aead_offered\":" << aead_offered
-     << ",\"aead_admitted\":" << aead_admitted
-     << ",\"aead_completed_hw\":" << aead_completed_hw
-     << ",\"aead_completed_fallback\":" << aead_completed_fallback
-     << ",\"aead_auth_failed\":" << aead_auth_failed
-     << ",\"wrong_key_uses\":" << wrong_key_uses
-     << ",\"dma_ring_runs\":" << dma_ring_runs
-     << ",\"dma_ring_blocks\":" << dma_ring_blocks
-     << ",\"dma_ring_fallbacks\":" << dma_ring_fallbacks << "}";
-  return os.str();
-}
-
-ServiceStats& ServiceStats::operator+=(const ServiceStats& o) {
-  offered += o.offered;
-  admitted += o.admitted;
-  rejected_queue_full += o.rejected_queue_full;
-  rejected_backpressure += o.rejected_backpressure;
-  shed += o.shed;
-  completed_hw += o.completed_hw;
-  completed_fallback += o.completed_fallback;
-  fallback_suppressed += o.fallback_suppressed;
-  hw_transient_failures += o.hw_transient_failures;
-  requeues += o.requeues;
-  batched_runs += o.batched_runs;
-  batched_blocks += o.batched_blocks;
-  batch_fallbacks += o.batch_fallbacks;
-  canary_rounds += o.canary_rounds;
-  canary_failures += o.canary_failures;
-  key_reprovisions += o.key_reprovisions;
-  aead_offered += o.aead_offered;
-  aead_admitted += o.aead_admitted;
-  aead_completed_hw += o.aead_completed_hw;
-  aead_completed_fallback += o.aead_completed_fallback;
-  aead_auth_failed += o.aead_auth_failed;
-  wrong_key_uses += o.wrong_key_uses;
-  dma_ring_runs += o.dma_ring_runs;
-  dma_ring_blocks += o.dma_ring_blocks;
-  dma_ring_fallbacks += o.dma_ring_fallbacks;
-  return *this;
 }
 
 namespace {
@@ -675,14 +618,7 @@ void AccelService::sampleWindowIfDue() {
   if (acc_.cycle() < window_start_cycle_ + cfg_.health.window_cycles) return;
   accel::SessionTelemetry now;
   for (const auto& s : sessions_) now += s.telemetry();
-  accel::SessionTelemetry d = now;
-  d.ok -= window_base_.ok;
-  d.suppressed -= window_base_.suppressed;
-  d.timeouts -= window_base_.timeouts;
-  d.fault_aborts -= window_base_.fault_aborts;
-  d.drops -= window_base_.drops;
-  d.rejected -= window_base_.rejected;
-  d.auth_failed -= window_base_.auth_failed;
+  const accel::SessionTelemetry d = now - window_base_;
 
   RobustnessStats w;
   w.timeouts = d.timeouts;

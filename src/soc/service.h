@@ -41,6 +41,7 @@
 #include "accel/driver.h"
 #include "aes/gcm.h"
 #include "aes/key_schedule.h"
+#include "common/counters.h"
 #include "soc/dma.h"
 #include "soc/health.h"
 #include "soc/metrics.h"
@@ -194,11 +195,41 @@ struct ServiceStats {
   std::uint64_t dma_ring_blocks = 0;  // blocks those runs carried
   std::uint64_t dma_ring_fallbacks = 0;  // ring refusals re-served via MMIO
 
-  std::string toJson() const;
-
+  static constexpr auto counterFields() {
+    using S = ServiceStats;
+    using counters::field;
+    return std::tuple{
+        field("offered", &S::offered), field("admitted", &S::admitted),
+        field("rejected_queue_full", &S::rejected_queue_full),
+        field("rejected_backpressure", &S::rejected_backpressure),
+        field("shed", &S::shed), field("completed_hw", &S::completed_hw),
+        field("completed_fallback", &S::completed_fallback),
+        field("fallback_suppressed", &S::fallback_suppressed),
+        field("hw_transient_failures", &S::hw_transient_failures),
+        field("requeues", &S::requeues),
+        field("batched_runs", &S::batched_runs),
+        field("batched_blocks", &S::batched_blocks),
+        field("batch_fallbacks", &S::batch_fallbacks),
+        field("canary_rounds", &S::canary_rounds),
+        field("canary_failures", &S::canary_failures),
+        field("key_reprovisions", &S::key_reprovisions),
+        field("aead_offered", &S::aead_offered),
+        field("aead_admitted", &S::aead_admitted),
+        field("aead_completed_hw", &S::aead_completed_hw),
+        field("aead_completed_fallback", &S::aead_completed_fallback),
+        field("aead_auth_failed", &S::aead_auth_failed),
+        field("wrong_key_uses", &S::wrong_key_uses),
+        field("dma_ring_runs", &S::dma_ring_runs),
+        field("dma_ring_blocks", &S::dma_ring_blocks),
+        field("dma_ring_fallbacks", &S::dma_ring_fallbacks)};
+  }
+  std::string toJson() const { return counters::toJson(*this); }
   // Aggregate counters across shards of an engine pool (or across runs).
-  ServiceStats& operator+=(const ServiceStats& o);
+  ServiceStats& operator+=(const ServiceStats& o) {
+    return counters::addTo(*this, o);
+  }
 };
+static_assert(counters::listsEveryByte<ServiceStats>());
 
 class AccelService {
  public:

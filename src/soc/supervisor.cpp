@@ -1,16 +1,6 @@
 #include "soc/supervisor.h"
 
-#include <sstream>
-
 namespace aesifc::soc {
-
-std::string SupervisorStats::toJson() const {
-  std::ostringstream os;
-  os << "{\"polls\":" << polls << ",\"evacuated_tenants\":" << evacuated_tenants
-     << ",\"evacuation_failures\":" << evacuation_failures
-     << ",\"shards_added\":" << shards_added << "}";
-  return os.str();
-}
 
 PoolSupervisor::PoolSupervisor(EnginePool& pool, SupervisorConfig cfg)
     : pool_{pool}, cfg_{cfg} {
@@ -19,9 +9,8 @@ PoolSupervisor::PoolSupervisor(EnginePool& pool, SupervisorConfig cfg)
 
 bool PoolSupervisor::shardSick(unsigned shard) {
   if (pool_.shardRetired(shard)) return false;
-  const HealthState st = pool_.shardService(shard).health();
-  if (st == HealthState::Quarantined) return true;
-  return cfg_.evacuate_degraded && st == HealthState::Degraded;
+  // A Degraded shard still serves (with tightened options): not sick.
+  return pool_.shardService(shard).health() == HealthState::Quarantined;
 }
 
 SupervisorReport PoolSupervisor::poll() {

@@ -22,7 +22,6 @@
 // principal labels as the original placement.
 
 #include <cstdint>
-#include <string>
 
 #include "soc/pool.h"
 
@@ -36,9 +35,6 @@ struct SupervisorConfig {
   unsigned cooldown_polls = 8;
   // Hard ceiling on pool size; hot-add never exceeds it.
   unsigned max_shards = 8;
-  // Also evacuate away from Degraded shards (default: only Quarantined —
-  // Degraded still serves, just with tightened options).
-  bool evacuate_degraded = false;
 };
 
 // What one poll() did — so callers (and the fault campaign) can narrate.
@@ -54,8 +50,6 @@ struct SupervisorStats {
   std::uint64_t evacuated_tenants = 0;
   std::uint64_t evacuation_failures = 0;
   std::uint64_t shards_added = 0;
-
-  std::string toJson() const;
 };
 
 class PoolSupervisor {

@@ -3,6 +3,7 @@
 #include <map>
 #include <stdexcept>
 
+#include "accel/driver.h"
 #include "aes/cipher.h"
 #include "common/rng.h"
 
@@ -26,15 +27,7 @@ TenantSetup setupTenants(AesAccelerator& acc, unsigned tenants,
   std::vector<std::uint8_t> master(16);
   for (auto& b : master) b = static_cast<std::uint8_t>(rng.next());
   setup.keys.push_back(master);
-  acc.configureKeyCells(sup, 0, 2);
-  for (unsigned c = 0; c < 2; ++c) {
-    std::uint64_t w = 0;
-    for (unsigned b = 0; b < 8; ++b)
-      w |= static_cast<std::uint64_t>(master[8 * c + b]) << (8 * b);
-    if (!acc.writeKeyCell(sup, c, w))
-      throw std::runtime_error("setupTenants: master key cell write refused");
-  }
-  if (!acc.loadKey(sup, 0, 0, aes::KeySize::Aes128, lattice::Conf::top()))
+  if (!accel::loadKey128(acc, sup, 0, 0, master, lattice::Conf::top()))
     throw std::runtime_error("setupTenants: master key load refused");
 
   // Tenants: one secrecy/trust category, two scratchpad cells, one slot each.
@@ -48,16 +41,8 @@ TenantSetup setupTenants(AesAccelerator& acc, unsigned tenants,
     std::vector<std::uint8_t> key(16);
     for (auto& b : key) b = static_cast<std::uint8_t>(rng.next());
 
-    acc.configureKeyCells(u, base, 2);
-    for (unsigned c = 0; c < 2; ++c) {
-      std::uint64_t w = 0;
-      for (unsigned b = 0; b < 8; ++b)
-        w |= static_cast<std::uint64_t>(key[8 * c + b]) << (8 * b);
-      if (!acc.writeKeyCell(u, base + c, w))
-        throw std::runtime_error("setupTenants: tenant key cell write refused");
-    }
-    if (!acc.loadKey(u, slot, base, aes::KeySize::Aes128,
-                     acc.principal(u).authority.c))
+    if (!accel::loadKey128(acc, u, slot, base, key,
+                           acc.principal(u).authority.c))
       throw std::runtime_error("setupTenants: tenant key load refused");
 
     setup.users.push_back(u);

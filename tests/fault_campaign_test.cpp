@@ -118,9 +118,9 @@ TEST_P(FaultCampaignTest, ProtectedModeNeverLeaksAndAlwaysTerminates) {
   // The tag arrays are covered by the every-cycle scrub ring: no injected
   // tag upset may escape detection.
   EXPECT_EQ(report.escaped(static_cast<unsigned>(FaultSite::StageTag)), 0u)
-      << report.summary();
+      << report.toJson();
   EXPECT_EQ(report.escaped(static_cast<unsigned>(FaultSite::ScratchTag)), 0u)
-      << report.summary();
+      << report.toJson();
   // Telemetry is internally consistent.
   EXPECT_EQ(acc.stats().faults_detected,
             acc.eventCount(SecurityEventKind::FaultDetected) +

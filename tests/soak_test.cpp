@@ -196,9 +196,9 @@ TEST(Soak, TwentySeedFaultCampaignNeverLeaksAndAlwaysTerminates) {
     EXPECT_GT(ok_ops, 0u) << "seed " << seed;
     const auto report = inj.report();
     EXPECT_EQ(report.escaped(static_cast<unsigned>(FaultSite::StageTag)), 0u)
-        << "seed " << seed << "\n" << report.summary();
+        << "seed " << seed << "\n" << report.toJson();
     EXPECT_EQ(report.escaped(static_cast<unsigned>(FaultSite::ScratchTag)), 0u)
-        << "seed " << seed << "\n" << report.summary();
+        << "seed " << seed << "\n" << report.toJson();
     EXPECT_EQ(acc.stats().faults_detected,
               acc.eventCount(SecurityEventKind::FaultDetected) +
                   acc.eventCount(SecurityEventKind::FaultScrubbed));
