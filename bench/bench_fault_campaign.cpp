@@ -1,7 +1,14 @@
 // Fault-campaign bench: throughput and recovery-latency cost of the
 // fail-secure hardening under seeded fault injection, hardening on vs off,
-// at several fault rates. Emits one JSON record per configuration (plus a
-// human-readable table) so campaign results can be tracked over time.
+// at several fault rates. Each configuration is one run of
+// soc::runDeviceFaultCampaign (seed 2019, three tenants x 40 rounds of one
+// block op each, a decrypt with probability 0.4, plus a GCM seal every
+// fourth round), and its report is one JSON record: `fault_campaign` for
+// the hardened rows, `fault_campaign_unhardened` for the control rows.
+// Every released block and tag is compared with golden AES/GCM; CI gates
+// wrong_block_releases == wrong_tag_releases == 0 on the hardened rows, and
+// the unhardened rows show the check firing (wrong blocks at every nonzero
+// rate).
 //
 // "Recovery latency" is driver-visible: the mean extra device cycles a
 // successful operation costs at a given fault rate compared to the same
@@ -11,14 +18,11 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <string>
 #include <vector>
 
-#include <map>
-
 #include "conservation.h"
-#include "accel/driver.h"
-#include "aes/gcm.h"
 #include "common/rng.h"
 #include "soc/fault_injector.h"
 #include "soc/metrics.h"
@@ -28,35 +32,12 @@
 namespace {
 
 using namespace aesifc;
-using accel::AccelSession;
-using accel::AccelStatus;
-using accel::AcceleratorConfig;
-using accel::AesAccelerator;
-using accel::SecurityMode;
-using accel::SessionOptions;
-using lattice::Conf;
-using lattice::Principal;
-
-struct CampaignOutcome {
-  unsigned ops = 0;
-  unsigned ok = 0;
-  unsigned gcm_ops = 0;  // AEAD seals interleaved with the block traffic
-  unsigned gcm_ok = 0;
-  // The fail-secure property under GHASH-state faults: a released tag that
-  // differs from the golden host computation. Must stay 0 — a faulted op
-  // may abort, but may never authenticate wrong data.
-  unsigned wrong_tag_releases = 0;
-  std::uint64_t device_cycles = 0;
-  std::uint64_t retries = 0;
-  soc::FaultCampaignReport report;
-  AesAccelerator::Stats stats;
-  accel::SessionTelemetry telemetry;  // terminal driver verdicts
-};
+using soc::DeviceCampaignReport;
 
 // Offers are the campaign's own count of block and AEAD ops; the buckets are
 // the sessions' terminal verdicts, so a driver that loses or double-counts a
 // verdict breaks the identity.
-bench::Conservation conservationOf(const CampaignOutcome& o) {
+bench::Conservation conservationOf(const DeviceCampaignReport& o) {
   const accel::SessionTelemetry& t = o.telemetry;
   bench::Conservation c;
   c.offered = o.ops + o.gcm_ops;
@@ -69,161 +50,70 @@ bench::Conservation conservationOf(const CampaignOutcome& o) {
 
 // Single construction point for the robustness scorecard (the JSON record
 // and the aggregate row must agree on how counters map).
-soc::RobustnessStats robustnessOf(const CampaignOutcome& o) {
+soc::RobustnessStats robustnessOf(const DeviceCampaignReport& o) {
   soc::RobustnessStats rs;
-  rs.faults_injected = o.report.injected;
-  rs.faults_detected = o.stats.faults_detected;
-  rs.faults_recovered = o.stats.faults_recovered;
-  rs.fault_aborts = o.stats.fault_aborted;
+  rs.faults_injected = o.campaign.injected;
+  rs.faults_detected = o.campaign.detected;
+  rs.faults_recovered = o.campaign.recovered;
+  rs.fault_aborts = o.campaign.aborted;
   rs.retries = o.retries;
   rs.timeouts = o.telemetry.timeouts;
-  rs.drops = o.stats.dropped + o.report.host_drops;
+  rs.drops = o.dropped + o.campaign.host_drops;
   return rs;
 }
 
+// One record: the campaign's report, spliced between its keys and the
+// bench's derived fields.
 std::string campaignJson(bool hardened, double rate,
-                         const CampaignOutcome& o, double per_op,
+                         const DeviceCampaignReport& o, double per_op,
                          double recovery) {
-  char head[256];
+  const std::string report = o.toJson();
+  char head[128], tail[128];
   std::snprintf(head, sizeof(head),
-                "{\"bench\":\"fault_campaign\",\"hardened\":%s,"
-                "\"fault_rate\":%.3f,\"ops\":%u,\"ok\":%u,"
-                "\"gcm_ops\":%u,\"gcm_ok\":%u,\"wrong_tag_releases\":%u,"
-                "\"device_cycles\":%llu,\"cycles_per_ok_op\":%.2f,"
-                "\"recovery_latency_cycles\":%.2f",
-                hardened ? "true" : "false", rate, o.ops, o.ok, o.gcm_ops,
-                o.gcm_ok, o.wrong_tag_releases,
-                static_cast<unsigned long long>(o.device_cycles), per_op,
-                recovery);
-  return std::string(head) + ",\"robustness\":" + robustnessOf(o).toJson() +
-         ",\"campaign\":" + o.report.toJson() +
+                "{\"bench\":\"%s\",\"hardened\":%s,\"fault_rate\":%.3f,",
+                hardened ? "fault_campaign" : "fault_campaign_unhardened",
+                hardened ? "true" : "false", rate);
+  std::snprintf(tail, sizeof(tail),
+                ",\"cycles_per_ok_op\":%.2f,\"recovery_latency_cycles\":%.2f",
+                per_op, recovery);
+  return head + report.substr(1, report.size() - 2) + tail +
+         ",\"robustness\":" + robustnessOf(o).toJson() +
          ",\"conservation\":" + conservationOf(o).toJson() + "}";
 }
 
-CampaignOutcome runCampaign(bool hardened, double rate, std::uint64_t seed,
-                            unsigned ops_per_user) {
-  AcceleratorConfig cfg;
-  cfg.mode = SecurityMode::Protected;
-  cfg.fault_hardening = hardened;
-  cfg.out_buffer_depth = 16;
-  AesAccelerator acc{cfg};
-  acc.addUser(Principal::supervisor());
-  constexpr unsigned kUsers = 3;
-  unsigned users[kUsers];
-  std::vector<std::vector<std::uint8_t>> keys(kUsers);
-  Rng rng{seed};
-  for (unsigned u = 0; u < kUsers; ++u) {
-    users[u] = acc.addUser(Principal::user("u" + std::to_string(u), u + 1));
-    keys[u].resize(16);
-    for (auto& b : keys[u]) b = static_cast<std::uint8_t>(rng.next());
-    accel::loadKey128(acc, users[u], u + 1, 2 * u, keys[u],
-                      Conf::category(u + 1));
-  }
-
-  soc::FaultCampaignConfig fcfg;
-  fcfg.seed = seed * 7919;
-  fcfg.fault_rate = rate;
-  soc::FaultInjector inj{acc, fcfg, {users[0], users[1], users[2]}};
-  if (rate > 0.0) acc.setTickHook([&] { inj.tick(); });
-
-  SessionOptions opts;
-  opts.timeout_cycles = 1200;
-  opts.max_retries = 3;
-  opts.backoff_cycles = 16;
-  std::vector<AccelSession> sessions;
-  for (unsigned u = 0; u < kUsers; ++u)
-    sessions.emplace_back(acc, users[u], u + 1, opts);
-
-  CampaignOutcome out;
-  std::vector<bool> needs_reload(kUsers, false);
-  const std::uint64_t t0 = acc.cycle();
-  for (unsigned round = 0; round < ops_per_user; ++round) {
-    for (unsigned u = 0; u < kUsers; ++u) {
-      if (needs_reload[u]) {
-        if (!accel::loadKey128(acc, users[u], u + 1, 2 * u, keys[u],
-                               Conf::category(u + 1))) {
-          continue;
-        }
-        needs_reload[u] = false;
-      }
-      aes::Block pt;
-      for (auto& b : pt) b = static_cast<std::uint8_t>(rng.next());
-      ++out.ops;
-      const auto r = sessions[u].encryptBlock(pt);
-      if (r.has_value()) {
-        ++out.ok;
-      } else if (r.status() == AccelStatus::Rejected) {
-        needs_reload[u] = true;
-      }
-      // Every fourth round, a whole AEAD op rides along so the GHASH fault
-      // sites see live state. Any released tag is checked against the
-      // golden host GCM — hardened or not, a wrong tag accepted as valid
-      // is the campaign's one disqualifying outcome.
-      if (round % 4 == 3 && !needs_reload[u]) {
-        std::vector<std::uint8_t> msg(40), aad(8), iv(12);
-        for (auto& b : msg) b = static_cast<std::uint8_t>(rng.next());
-        for (auto& b : aad) b = static_cast<std::uint8_t>(rng.next());
-        for (auto& b : iv) b = static_cast<std::uint8_t>(rng.next());
-        ++out.gcm_ops;
-        const auto sealed = sessions[u].gcmSeal(msg, aad, iv);
-        if (sealed.has_value()) {
-          ++out.gcm_ok;
-          const auto want = aes::gcmEncrypt(
-              msg, aad, aes::expandKey(keys[u], aes::KeySize::Aes128), iv);
-          if (sealed->tag != want.tag ||
-              sealed->ciphertext != want.ciphertext) {
-            ++out.wrong_tag_releases;
-          }
-        } else if (sealed.status() == AccelStatus::Rejected) {
-          needs_reload[u] = true;
-        }
-      }
-    }
-  }
-  acc.setTickHook(nullptr);
-  inj.releaseStuckReceivers();
-  out.device_cycles = acc.cycle() - t0;
-  for (const auto& s : sessions) {
-    out.retries += s.retries();
-    out.telemetry += s.telemetry();
-  }
-  out.report = inj.report();
-  out.stats = acc.stats();
-  return out;
-}
-
 void printCampaigns() {
-  constexpr unsigned kOps = 40;
-  constexpr std::uint64_t kSeed = 2019;
-  const double rates[] = {0.0, 0.005, 0.02, 0.05};
-
   std::printf("==============================================================\n");
   std::printf("Fault campaign: fail-secure hardening cost & recovery\n");
   std::printf("==============================================================\n");
-  std::printf("%-9s %-7s %-6s %-6s %-8s %-9s %-10s %-9s %-9s %-8s\n",
+  std::printf("%-9s %-7s %-6s %-6s %-8s %-9s %-10s %-9s %-9s %-8s %-9s\n",
               "hardened", "rate", "ops", "ok", "gcm-ok", "cycles",
-              "cyc/ok-op", "detected", "aborted", "retries");
+              "cyc/ok-op", "detected", "aborted", "retries", "wrong-blk");
 
   // Per-mode fault-free baseline for the recovery-latency delta, plus one
   // aggregate scorecard per mode summed over all rates.
-  double base_cyc_per_op[2] = {0.0, 0.0};
-  for (const bool hardened : {false, true}) {
+  for (const bool hardened : soc::kGatedCampaignHardened) {
     soc::RobustnessStats aggregate;
-    for (const double rate : rates) {
-      const auto o = runCampaign(hardened, rate, kSeed, kOps);
+    double base_cyc_per_op = 0.0;
+    for (const double rate : soc::kGatedCampaignRates) {
+      const auto o =
+          soc::runDeviceFaultCampaign(soc::kGatedCampaignSeed, rate, hardened);
       const double per_op =
           o.ok ? static_cast<double>(o.device_cycles) / o.ok : 0.0;
-      if (rate == 0.0) base_cyc_per_op[hardened ? 1 : 0] = per_op;
-      const double recovery =
-          per_op - base_cyc_per_op[hardened ? 1 : 0];  // extra cycles/op
+      if (rate == 0.0) base_cyc_per_op = per_op;
+      const double recovery = per_op - base_cyc_per_op;  // extra cycles/op
       std::printf(
-          "%-9s %-7.3f %-6u %-6u %-2u/%-5u %-9llu %-10.1f %-9llu %-9llu "
-          "%-8llu%s\n",
-          hardened ? "yes" : "no", rate, o.ops, o.ok, o.gcm_ok, o.gcm_ops,
+          "%-9s %-7.3f %-6llu %-6llu %-2llu/%-5llu %-9llu %-10.1f %-9llu "
+          "%-9llu %-8llu %-9llu%s\n",
+          hardened ? "yes" : "no", rate,
+          static_cast<unsigned long long>(o.ops),
+          static_cast<unsigned long long>(o.ok),
+          static_cast<unsigned long long>(o.gcm_ok),
+          static_cast<unsigned long long>(o.gcm_ops),
           static_cast<unsigned long long>(o.device_cycles), per_op,
-          static_cast<unsigned long long>(o.stats.faults_detected),
-          static_cast<unsigned long long>(o.stats.fault_aborted),
+          static_cast<unsigned long long>(o.campaign.detected),
+          static_cast<unsigned long long>(o.campaign.aborted),
           static_cast<unsigned long long>(o.retries),
+          static_cast<unsigned long long>(o.wrong_block_releases),
           o.wrong_tag_releases ? "  [WRONG TAG RELEASED!]" : "");
       aggregate += robustnessOf(o);
       std::printf("JSON %s\n",
@@ -236,12 +126,11 @@ void printCampaigns() {
   }
   std::printf(
       "\nHardening on a quiet device costs ~0 cycles; under faults the\n"
-      "unhardened design keeps its throughput by silently emitting wrong\n"
-      "ciphertext, while the hardened design converts upsets into detected\n"
-      "aborts + bounded driver retries. The AEAD column is the fail-secure\n"
-      "check for the GHASH sites: the unhardened device releases auth tags\n"
-      "that differ from the golden host GCM, the hardened device must not —\n"
-      "its wrong_tag_releases stays 0 at every fault rate.\n\n");
+      "unhardened design keeps its throughput by silently releasing wrong\n"
+      "blocks (the wrong-blk column) and wrong auth tags, while the hardened\n"
+      "design converts upsets into detected aborts + bounded driver retries:\n"
+      "its wrong_block_releases and wrong_tag_releases stay 0 at every\n"
+      "fault rate.\n\n");
 }
 
 // --- Pool resilience: availability decorrelation under shard quarantine -----
@@ -424,21 +313,16 @@ void printPoolResilience() {
       kShards, 100.0 * floor);
 }
 
-void BM_CampaignHardened(benchmark::State& state) {
-  const double rate = static_cast<double>(state.range(0)) / 1000.0;
+void BM_Campaign(benchmark::State& state) {
+  const bool hardened = state.range(0) != 0;
+  const double rate = static_cast<double>(state.range(1)) / 1000.0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(runCampaign(true, rate, 2019, 20));
+    benchmark::DoNotOptimize(
+        soc::runDeviceFaultCampaign(soc::kGatedCampaignSeed, rate, hardened));
   }
 }
-BENCHMARK(BM_CampaignHardened)->Arg(0)->Arg(20)->Unit(benchmark::kMillisecond);
-
-void BM_CampaignUnhardened(benchmark::State& state) {
-  const double rate = static_cast<double>(state.range(0)) / 1000.0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(runCampaign(false, rate, 2019, 20));
-  }
-}
-BENCHMARK(BM_CampaignUnhardened)->Arg(0)->Arg(20)
+BENCHMARK(BM_Campaign)
+    ->ArgsProduct({{0, 1}, {0, 20}})
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

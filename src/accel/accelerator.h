@@ -134,7 +134,6 @@ class AesAccelerator {
   // single nonmalleable declassification when the result is released.
   bool submitGcm(GcmRequest req);
   std::optional<GcmResponse> fetchGcm(unsigned user);
-  std::size_t pendingGcm(unsigned user) const { return gcm_.pending(user); }
   const GhashUnit& ghash() const { return ghash_; }
   const GcmSequencer& gcm() const { return gcm_; }
 

@@ -25,10 +25,6 @@ class ConfigRegisters {
   bool write(const std::string& name, std::uint32_t value,
              const Label& writer);
 
-  bool exists(const std::string& name) const {
-    return regs_.count(name) != 0;
-  }
-
   static Label label() {
     return Label{lattice::Conf::bottom(), lattice::Integ::top()};
   }

@@ -59,6 +59,23 @@ bool loadKey128(AesAccelerator& acc, unsigned user, unsigned slot,
                       key_conf);
 }
 
+bool waitSlotIdle(AesAccelerator& acc, unsigned slot,
+                  std::uint64_t max_cycles) {
+  for (std::uint64_t waited = 0; acc.keySlotBusy(slot); ++waited) {
+    if (waited >= max_cycles) return false;
+    acc.tick();
+  }
+  return true;
+}
+
+bool zeroizeKey128(AesAccelerator& acc, unsigned user, unsigned slot,
+                   unsigned cell_base, std::uint64_t max_wait_cycles) {
+  if (!waitSlotIdle(acc, slot, max_wait_cycles)) return false;
+  const bool cleared = acc.clearKey(user, slot);
+  for (unsigned c = 0; c < 2; ++c) acc.writeKeyCell(user, cell_base + c, 0);
+  return cleared;
+}
+
 AccelSession::AccelSession(AesAccelerator& acc, unsigned user,
                            unsigned key_slot, SessionOptions opts)
     : acc_{acc}, user_{user}, key_slot_{key_slot}, opts_{opts} {}

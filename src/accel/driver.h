@@ -42,6 +42,17 @@ bool loadKey128(AesAccelerator& acc, unsigned user, unsigned slot,
                 unsigned cell_base, const std::vector<std::uint8_t>& key,
                 lattice::Conf key_conf);
 
+// Ticks `acc` until no in-flight block uses `slot`; false if it is still
+// busy after `max_cycles` ticks.
+bool waitSlotIdle(AesAccelerator& acc, unsigned slot, std::uint64_t max_cycles);
+
+// The inverse of loadKey128: waits for `slot` to go idle, clears it, then
+// scrubs the key's two staging cells. False if the slot never went idle
+// (nothing is touched) or the clear was refused (the cells are still
+// scrubbed).
+bool zeroizeKey128(AesAccelerator& acc, unsigned user, unsigned slot,
+                   unsigned cell_base, std::uint64_t max_wait_cycles);
+
 // Outcome of a driver operation. Every submitted request ends in exactly
 // one of these — there is no silent-drop state.
 enum class AccelStatus {

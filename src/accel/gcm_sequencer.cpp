@@ -114,10 +114,6 @@ std::optional<GcmResponse> GcmSequencer::fetch(unsigned user) {
   return r;
 }
 
-std::size_t GcmSequencer::pending(unsigned user) const {
-  return user < out_.size() ? out_[user].size() : 0;
-}
-
 lattice::Conf GcmSequencer::meetConf() const {
   lattice::Conf m = lattice::Conf::top();
   for (const auto& op : ops_) {

@@ -45,7 +45,6 @@ class GcmSequencer {
   // free, the key slot is unusable, or the IV is empty.
   bool submit(GcmRequest req);
   std::optional<GcmResponse> fetch(unsigned user);
-  std::size_t pending(unsigned user) const;
 
   // Meet over the confidentiality of every active op's label — folded into
   // the Fig. 8 stall meet together with the pipeline's and GHASH unit's.

@@ -3,6 +3,9 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "aes/cipher.h"
+#include "aes/gcm.h"
+
 namespace aesifc::soc {
 
 using accel::FaultSite;
@@ -309,6 +312,109 @@ FaultCampaignReport FaultInjector::report() const {
   r.recovered = st.faults_recovered;
   r.aborted = st.fault_aborted;
   return r;
+}
+
+DeviceCampaignReport runDeviceFaultCampaign(std::uint64_t seed,
+                                            double fault_rate, bool hardened) {
+  constexpr unsigned kTenants = 3, kRounds = 40, kSettleCycles = 64;
+  accel::AcceleratorConfig cfg;
+  cfg.mode = accel::SecurityMode::Protected;
+  cfg.fault_hardening = hardened;
+  cfg.out_buffer_depth = 16;
+  cfg.event_log_cap = kCampaignEventLogCap;
+  accel::AesAccelerator acc{cfg};
+  acc.addUser(lattice::Principal::supervisor());
+
+  Rng rng{seed};
+  std::vector<unsigned> users(kTenants);
+  std::vector<std::vector<std::uint8_t>> keys(kTenants);
+  std::vector<aes::ExpandedKey> golden;
+  auto loadKey = [&](unsigned u) {
+    return accel::loadKey128(acc, users[u], u + 1, 2 * u, keys[u],
+                             lattice::Conf::category(u + 1));
+  };
+  for (unsigned u = 0; u < kTenants; ++u) {
+    users[u] =
+        acc.addUser(lattice::Principal::user("u" + std::to_string(u), u + 1));
+    keys[u].resize(16);
+    for (auto& b : keys[u]) b = static_cast<std::uint8_t>(rng.next());
+    if (!loadKey(u))
+      throw std::runtime_error("runDeviceFaultCampaign: key load refused");
+    golden.push_back(aes::expandKey(keys[u], aes::KeySize::Aes128));
+  }
+
+  FaultCampaignConfig fcfg;
+  // A full-width LCG step, so neighbouring campaign seeds drive unrelated
+  // injector streams.
+  fcfg.seed = seed * 6364136223846793005ull + 1442695040888963407ull;
+  fcfg.fault_rate = fault_rate;
+  fcfg.stuck_cycles = 24;
+  FaultInjector inj{acc, fcfg, users};
+  acc.setTickHook([&] { inj.tick(); });
+
+  accel::SessionOptions opts;
+  opts.timeout_cycles = 1500;
+  opts.max_retries = 3;
+  opts.backoff_cycles = 16;
+  std::vector<accel::AccelSession> sessions;
+  for (unsigned u = 0; u < kTenants; ++u)
+    sessions.emplace_back(acc, users[u], u + 1, opts);
+
+  DeviceCampaignReport out;
+  std::vector<bool> needs_reload(kTenants, false);
+  const std::uint64_t t0 = acc.cycle();
+  for (unsigned round = 0; round < kRounds; ++round) {
+    for (unsigned u = 0; u < kTenants; ++u) {
+      if (needs_reload[u]) {
+        if (!loadKey(u)) continue;  // the reload itself was hit; next round
+        needs_reload[u] = false;
+      }
+      aes::Block in;
+      for (auto& b : in) b = static_cast<std::uint8_t>(rng.next());
+      const bool decrypt = rng.chance(0.4);
+      ++out.ops;
+      const auto r = decrypt ? sessions[u].decryptBlock(in)
+                             : sessions[u].encryptBlock(in);
+      if (r.has_value()) {
+        ++out.ok;
+        const aes::Block want = decrypt ? aes::decryptBlock(in, golden[u])
+                                        : aes::encryptBlock(in, golden[u]);
+        if (*r != want) ++out.wrong_block_releases;
+      } else if (r.status() == accel::AccelStatus::Rejected) {
+        needs_reload[u] = true;
+      }
+      if (round % 4 != 3 || needs_reload[u]) continue;
+      std::vector<std::uint8_t> msg(40), aad(8), iv(12);
+      for (auto& b : msg) b = static_cast<std::uint8_t>(rng.next());
+      for (auto& b : aad) b = static_cast<std::uint8_t>(rng.next());
+      for (auto& b : iv) b = static_cast<std::uint8_t>(rng.next());
+      ++out.gcm_ops;
+      const auto sealed = sessions[u].gcmSeal(msg, aad, iv);
+      if (sealed.has_value()) {
+        ++out.gcm_ok;
+        const auto want = aes::gcmEncrypt(msg, aad, golden[u], iv);
+        if (sealed->tag != want.tag || sealed->ciphertext != want.ciphertext)
+          ++out.wrong_tag_releases;
+      } else if (sealed.status() == accel::AccelStatus::Rejected) {
+        needs_reload[u] = true;
+      }
+    }
+  }
+  out.device_cycles = acc.cycle() - t0;
+
+  acc.setTickHook(nullptr);
+  inj.releaseStuckReceivers();
+  acc.run(kSettleCycles);
+  for (const auto& s : sessions) {
+    out.retries += s.retries();
+    out.telemetry += s.telemetry();
+  }
+  out.dropped = acc.stats().dropped;
+  out.fault_events = acc.eventCount(accel::SecurityEventKind::FaultDetected) +
+                     acc.eventCount(accel::SecurityEventKind::FaultScrubbed);
+  out.events_logged = acc.events().size();
+  out.campaign = inj.report();
+  return out;
 }
 
 }  // namespace aesifc::soc

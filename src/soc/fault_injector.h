@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "accel/accelerator.h"
+#include "accel/driver.h"
 #include "common/counters.h"
 #include "common/rng.h"
 #include "soc/dma.h"
@@ -188,5 +189,65 @@ class FaultInjector {
   std::vector<FaultRecord> replay_trace_;
   std::size_t replay_next_ = 0;
 };
+
+// --- The device fault campaign ------------------------------------------
+//
+// One seeded campaign over a Protected accelerator: a supervisor and three
+// tenants, each with its own key, run 40 rounds while a FaultInjector rolls
+// at `fault_rate` every cycle. Each round every tenant offers one block
+// through its AccelSession (a decrypt with probability 0.4), and every
+// fourth round a GCM seal. A tenant whose op comes back Rejected (its slot
+// was zeroized fail-secure) reloads its key before its next op. Every
+// released block and tag is compared with golden AES/GCM. After the rounds
+// the injector stops and the device settles for 64 cycles, so the slow
+// scrub rings finish before the report is read.
+
+// The configurations bench_fault_campaign prints and CI gates.
+inline constexpr std::uint64_t kGatedCampaignSeed = 2019;
+inline constexpr std::array<double, 4> kGatedCampaignRates{0.0, 0.005, 0.02,
+                                                           0.05};
+inline constexpr std::array<bool, 2> kGatedCampaignHardened{false, true};
+// Event-log cap of the campaign's accelerator.
+inline constexpr unsigned kCampaignEventLogCap = 256;
+
+struct DeviceCampaignReport {
+  std::uint64_t ops = 0;  // block ops offered
+  std::uint64_t ok = 0;
+  std::uint64_t gcm_ops = 0;  // GCM seals offered
+  std::uint64_t gcm_ok = 0;
+  // Released output that differs from golden AES / GCM. A faulted op may
+  // abort, but the hardened device may never release wrong data: both
+  // stay 0 there.
+  std::uint64_t wrong_block_releases = 0;
+  std::uint64_t wrong_tag_releases = 0;
+  std::uint64_t device_cycles = 0;  // the rounds, without the settle
+  std::uint64_t retries = 0;        // driver resubmissions
+  std::uint64_t dropped = 0;        // accelerator overflow drops
+  // FaultDetected + FaultScrubbed events: equals campaign.detected when the
+  // accelerator's telemetry is consistent.
+  std::uint64_t fault_events = 0;
+  std::uint64_t events_logged = 0;    // at most kCampaignEventLogCap
+  accel::SessionTelemetry telemetry;  // the sessions' terminal verdicts
+  FaultCampaignReport campaign;       // its `records` are the replay trace
+
+  static constexpr auto counterFields() {
+    using R = DeviceCampaignReport;
+    using counters::field;
+    return std::tuple{
+        field("ops", &R::ops), field("ok", &R::ok),
+        field("gcm_ops", &R::gcm_ops), field("gcm_ok", &R::gcm_ok),
+        field("wrong_block_releases", &R::wrong_block_releases),
+        field("wrong_tag_releases", &R::wrong_tag_releases),
+        field("device_cycles", &R::device_cycles),
+        field("retries", &R::retries), field("dropped", &R::dropped),
+        field("fault_events", &R::fault_events),
+        field("events_logged", &R::events_logged),
+        field("telemetry", &R::telemetry), field("campaign", &R::campaign)};
+  }
+  std::string toJson() const { return counters::toJson(*this); }
+};
+
+DeviceCampaignReport runDeviceFaultCampaign(std::uint64_t seed,
+                                            double fault_rate, bool hardened);
 
 }  // namespace aesifc::soc

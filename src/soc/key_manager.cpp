@@ -67,11 +67,8 @@ bool KeyManager::rotate(unsigned user, unsigned max_wait_cycles) {
   if (it->second.exporting) return false;
   // Updating the round-key RAM while a block of this slot is in flight
   // would corrupt it mid-encryption; drain first.
-  unsigned waited = 0;
-  while (acc_.keySlotBusy(it->second.slot)) {
-    if (waited++ >= max_wait_cycles) return false;
-    acc_.tick();
-  }
+  if (!accel::waitSlotIdle(acc_, it->second.slot, max_wait_cycles))
+    return false;
   Session candidate = it->second;
   candidate.key = freshKey();
   candidate.generation++;
@@ -81,16 +78,8 @@ bool KeyManager::rotate(unsigned user, unsigned max_wait_cycles) {
 }
 
 bool KeyManager::quiesceAndRelease(Session& s) {
-  unsigned waited = 0;
-  while (acc_.keySlotBusy(s.slot)) {
-    if (waited++ >= 256) return false;
-    acc_.tick();
-  }
-  if (!acc_.clearKey(s.user, s.slot)) return false;
-  // Scrub the scratchpad cells as well.
-  for (unsigned c = 0; c < 2; ++c) {
-    acc_.writeKeyCell(s.user, s.cell_base + c, 0);
-  }
+  if (!accel::zeroizeKey128(acc_, s.user, s.slot, s.cell_base, 256))
+    return false;
   slot_in_use_.reset(s.slot);
   cells_in_use_.reset(s.cell_base);
   cells_in_use_.reset(s.cell_base + 1);

@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <thread>
 
+#include "accel/driver.h"
+
 namespace aesifc::soc {
 
 namespace {
@@ -201,15 +203,6 @@ std::optional<unsigned> EnginePool::pickTargetShard(
   return chooseShard(rec.spec.name, ex, /*apply_spill=*/false);
 }
 
-bool EnginePool::quiesceSlot(Shard& sh, unsigned slot) const {
-  std::uint64_t waited = 0;
-  while (sh.engine->keySlotBusy(slot)) {
-    if (waited++ >= kMigrateDrainCycles) return false;
-    sh.engine->tick();
-  }
-  return true;
-}
-
 void EnginePool::noteBothRings(SecurityEventKind kind, unsigned src_shard,
                                unsigned dst_shard, unsigned user,
                                const std::string& detail) {
@@ -265,24 +258,22 @@ MigrateResult EnginePool::migrateTenant(unsigned tenant, unsigned dst_shard) {
 
   // 3. Slot-quiesce barrier (KeyManager::rotate discipline): no in-flight
   //    pipeline block may still reference the source slot.
-  if (!quiesceSlot(src, src_spec.key_slot)) {
+  if (!accel::waitSlotIdle(*src.engine, src_spec.key_slot,
+                           kMigrateDrainCycles)) {
     // Roll the target back — retire the orphan provisioning and zeroize
-    // its slot so exactly one live copy of the key remains (the source).
+    // its slot and staging cells, so exactly one live copy of the key
+    // remains (the source).
     dst.service->deactivateTenant(*dst_local);
-    dst.engine->clearKey(0, t2.key_slot);
+    accel::zeroizeKey128(*dst.engine, t2.user, t2.key_slot, t2.cell_base,
+                         kMigrateDrainCycles);
     return fail(MigrateError::QuiesceTimeout);
   }
 
-  // 4. Zeroize at the source (supervisor-integrity destructive write) and
-  //    retire the source-side tenant so nothing can be queued or served
-  //    under the dead slot. The staging cells are scrubbed as well.
+  // 4. Retire the source-side tenant so nothing can be queued or served
+  //    under the dead slot, then zeroize its slot and staging cells.
   src.service->deactivateTenant(rec.route.local);
-  src.engine->clearKey(0, src_spec.key_slot);
-  for (unsigned c = 0; c < 2; ++c) {
-    src.engine->writeKeyCell(src_spec.user,
-                             (src_spec.cell_base + c) % accel::kScratchpadCells,
-                             0);
-  }
+  accel::zeroizeKey128(*src.engine, src_spec.user, src_spec.key_slot,
+                       src_spec.cell_base, kMigrateDrainCycles);
   noteBothRings(SecurityEventKind::MigrationKeyZeroized, src_shard, dst_shard,
                 src_spec.user, what.str());
 
@@ -324,7 +315,7 @@ bool EnginePool::retireShard(unsigned shard) {
   // Zeroize every remaining valid slot through the same scrub path.
   for (unsigned s = 0; s < accel::kRoundKeySlots; ++s) {
     if (!sh.engine->roundKeys().valid(s)) continue;
-    quiesceSlot(sh, s);
+    accel::waitSlotIdle(*sh.engine, s, kMigrateDrainCycles);
     sh.engine->clearKey(0, s);
   }
   sh.retired = true;

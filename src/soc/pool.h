@@ -255,9 +255,6 @@ class EnginePool {
                                       const std::vector<unsigned>& exclude,
                                       bool apply_spill) const;
   int freeSlotOn(const Shard& sh) const;
-  // Wait (ticking the shard's engine) until no in-flight block references
-  // the slot — the KeyManager::rotate-style barrier.
-  bool quiesceSlot(Shard& sh, unsigned slot) const;
   void noteBothRings(accel::SecurityEventKind kind, unsigned src_shard,
                      unsigned dst_shard, unsigned user,
                      const std::string& detail);

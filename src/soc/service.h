@@ -291,9 +291,6 @@ class AccelService {
                           const aes::Tag128& tag,
                           const std::vector<std::uint8_t>& iv);
   std::optional<AeadCompletion> fetchAead(unsigned tenant);
-  std::size_t aeadQueued(unsigned tenant) const {
-    return aead_queues_.at(tenant).size();
-  }
 
   // One scheduling round: serve up to quota_per_round blocks per tenant
   // (hardware or fallback per the current health state), advance the error

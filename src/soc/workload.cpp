@@ -12,6 +12,13 @@ namespace aesifc::soc {
 using accel::AesAccelerator;
 using accel::BlockRequest;
 
+namespace {
+// Every tenant offers a block each cycle its input queue has room. The
+// draw stays in the stream so seeded runs keep their plaintexts.
+constexpr double kSubmitProb = 1.0;
+constexpr std::uint64_t kMaxCycles = 1u << 20;
+}  // namespace
+
 TenantSetup setupTenants(AesAccelerator& acc, unsigned tenants,
                          std::uint64_t seed) {
   if (tenants + 1 > accel::kRoundKeySlots)
@@ -82,11 +89,11 @@ WorkloadResult runSharedWorkload(AesAccelerator& acc, const TenantSetup& setup,
     return inflight.empty();
   };
 
-  while (!allDone() && acc.cycle() < cfg.max_cycles) {
+  while (!allDone() && acc.cycle() < kMaxCycles) {
     for (unsigned i = first; i < n; ++i) {
       if (submitted[i] >= cfg.blocks_per_user) continue;
       if (acc.pendingInputs(setup.users[i]) >= 2) continue;
-      if (!rng.chance(cfg.submit_prob)) continue;
+      if (!rng.chance(kSubmitProb)) continue;
       BlockRequest req;
       req.req_id = next_req++;
       req.user = setup.users[i];
@@ -107,7 +114,7 @@ WorkloadResult runSharedWorkload(AesAccelerator& acc, const TenantSetup& setup,
         ++result.blocks_completed;
         ++result.per_user_completed[it->second.setup_idx];
         latencies.push_back(out->complete_cycle - out->accept_cycle);
-        if (cfg.verify && !out->suppressed) {
+        if (!out->suppressed) {
           const aes::Block want =
               aes::encryptBlock(it->second.pt, golden[it->second.setup_idx]);
           if (want != out->data) {

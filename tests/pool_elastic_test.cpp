@@ -278,6 +278,45 @@ TEST(PoolElastic, MigrationRefusalsAreTypedAndLeaveSourceServing) {
   EXPECT_EQ(pool.aggregateStats().wrong_key_uses, 0u);
 }
 
+TEST(PoolElastic, QuiesceTimeoutRollbackLeavesNoKeyOnTheTarget) {
+  EnginePool pool{poolConfig(2, 1)};
+  const unsigned a = addTenantN(pool, 0);
+  const unsigned src = pool.shardOf(a);
+  const unsigned dst = 1 - src;
+  accel::AesAccelerator& src_eng = pool.shardEngine(src);
+  const TenantSpec spec = pool.shardService(src).tenantSpec(localOf(pool, a));
+
+  // One block in flight on the source slot that cannot leave the pipe: its
+  // receiver is held not-ready, so the slot never goes idle.
+  src_eng.setReceiverReady(spec.user, false);
+  accel::BlockRequest req;
+  req.req_id = 1000;
+  req.user = spec.user;
+  req.key_slot = spec.key_slot;
+  req.data = patternBlock(1);
+  ASSERT_TRUE(src_eng.submit(req));
+  src_eng.tick();
+
+  EXPECT_EQ(pool.migrateTenant(a, dst).error, MigrateError::QuiesceTimeout);
+  // The rollback leaves no copy of the key on the target: its slot is
+  // invalid and both staging cells are zero.
+  const accel::AesAccelerator& dst_eng = pool.shardEngine(dst);
+  EXPECT_FALSE(dst_eng.roundKeys().valid(1));
+  EXPECT_EQ(dst_eng.scratchpad().rawCell(0), 0u);
+  EXPECT_EQ(dst_eng.scratchpad().rawCell(1), 0u);
+
+  // Once the receiver is released the tenant still serves from its source.
+  src_eng.setReceiverReady(spec.user, true);
+  ASSERT_EQ(pool.shardOf(a), src);
+  ASSERT_TRUE(pool.submit(a, patternBlock(2)).admitted);
+  pool.runUntilIdle(100000);
+  auto c = pool.fetch(a);
+  ASSERT_TRUE(c.has_value());
+  EXPECT_EQ(c->status, CompletionStatus::Ok);
+  const auto golden = aes::expandKey(keyOf(0), aes::KeySize::Aes128);
+  EXPECT_EQ(c->data, aes::encryptBlock(patternBlock(2), golden));
+}
+
 TEST(PoolElastic, RetireShardEvacuatesZeroizesAndKeepsTenantsServing) {
   EnginePool pool{poolConfig(3, 4)};
   const unsigned kTenants = 6;

@@ -1,10 +1,11 @@
 // Nightly soak suite (ctest label: soak). Two long-horizon runs that are too
 // slow for the per-commit job but catch slow-burn defects: a extended chaos
 // workload (randomized receiver readiness, mixed modes, hundreds of blocks
-// per user) and a 20-seed fault campaign sweep over the Protected
-// accelerator. Both enforce the same invariants as their tier-1 cousins —
-// every delivered block matches the requester's own golden AES result, every
-// driver call terminates, and no injected tag upset escapes the scrub rings.
+// per user) and a 20-seed sweep of the device fault campaign
+// (soc::runDeviceFaultCampaign). Both enforce the same invariants as their
+// tier-1 cousins — every delivered block matches the requester's own golden
+// AES result, every driver call terminates, and no injected tag upset
+// escapes the scrub rings.
 
 #include <gtest/gtest.h>
 
@@ -13,8 +14,8 @@
 #include "accel/driver.h"
 #include "aes/cipher.h"
 #include "common/rng.h"
+#include "device_campaign_checks.h"
 #include "soc/fault_injector.h"
-#include "soc/service.h"
 
 namespace aesifc::accel {
 namespace {
@@ -123,85 +124,9 @@ TEST(Soak, LongChaosAllTrafficCorrectCompleteAndOrdered) {
 TEST(Soak, TwentySeedFaultCampaignNeverLeaksAndAlwaysTerminates) {
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     const double rate = (seed % 2) ? 0.01 : 0.03;
-    AcceleratorConfig cfg;
-    cfg.mode = SecurityMode::Protected;
-    cfg.out_buffer_depth = 16;
-    cfg.event_log_cap = 256;
-    AesAccelerator acc{cfg};
-    acc.addUser(Principal::supervisor());
-
-    constexpr unsigned kUsers = 3;
-    std::vector<unsigned> users(kUsers);
-    std::vector<std::vector<std::uint8_t>> keys(kUsers);
-    std::vector<aes::ExpandedKey> golden;
-    Rng rng{seed};
-    for (unsigned u = 0; u < kUsers; ++u) {
-      users[u] = acc.addUser(Principal::user("u" + std::to_string(u), u + 1));
-      keys[u].resize(16);
-      for (auto& b : keys[u]) b = static_cast<std::uint8_t>(rng.next());
-      ASSERT_TRUE(loadKey128(acc, users[u], u + 1, 2 * u, keys[u],
-                             Conf::category(u + 1)));
-      golden.push_back(aes::expandKey(keys[u], aes::KeySize::Aes128));
-    }
-
-    soc::FaultCampaignConfig fcfg;
-    fcfg.seed = seed * 6364136223846793005ull + 1442695040888963407ull;
-    fcfg.fault_rate = rate;
-    fcfg.stuck_cycles = 24;
-    soc::FaultInjector inj{acc, fcfg, users};
-    acc.setTickHook([&] { inj.tick(); });
-
-    SessionOptions opts;
-    opts.timeout_cycles = 1500;
-    opts.max_retries = 3;
-    opts.backoff_cycles = 16;
-    std::vector<AccelSession> sessions;
-    for (unsigned u = 0; u < kUsers; ++u)
-      sessions.emplace_back(acc, users[u], u + 1, opts);
-
-    std::vector<bool> needs_reload(kUsers, false);
-    std::uint64_t ok_ops = 0;
-    constexpr unsigned kRounds = 40;
-    for (unsigned round = 0; round < kRounds; ++round) {
-      for (unsigned u = 0; u < kUsers; ++u) {
-        if (needs_reload[u]) {
-          if (!loadKey128(acc, users[u], u + 1, 2 * u, keys[u],
-                          Conf::category(u + 1))) {
-            continue;  // the reload itself was hit; retry next round
-          }
-          needs_reload[u] = false;
-        }
-        aes::Block pt;
-        for (auto& b : pt) b = static_cast<std::uint8_t>(rng.next());
-        const bool decrypt = rng.chance(0.4);
-        const auto r = decrypt ? sessions[u].decryptBlock(pt)
-                               : sessions[u].encryptBlock(pt);
-        if (r.has_value()) {
-          const aes::Block want = decrypt ? aes::decryptBlock(pt, golden[u])
-                                          : aes::encryptBlock(pt, golden[u]);
-          ASSERT_EQ(*r, want)
-              << "seed " << seed << " user " << u << " round " << round
-              << "\nreplay trace:\n" << soc::traceToString(inj.trace());
-          ++ok_ops;
-        } else if (r.status() == AccelStatus::Rejected) {
-          needs_reload[u] = true;
-        }
-      }
-    }
-
-    acc.setTickHook(nullptr);
-    inj.releaseStuckReceivers();
-    acc.run(64);
-
-    EXPECT_GT(ok_ops, 0u) << "seed " << seed;
-    const auto report = inj.report();
-    EXPECT_EQ(report.escaped(static_cast<unsigned>(FaultSite::StageTag)), 0u)
-        << "seed " << seed << "\n" << report.toJson();
-    EXPECT_EQ(report.escaped(static_cast<unsigned>(FaultSite::ScratchTag)), 0u)
-        << "seed " << seed << "\n" << report.toJson();
-    EXPECT_EQ(acc.stats().faults_detected,
-              acc.eventCount(SecurityEventKind::FaultDetected) +
-                  acc.eventCount(SecurityEventKind::FaultScrubbed));
+    soc::expectFailSecure(
+        soc::runDeviceFaultCampaign(seed, rate, /*hardened=*/true),
+        "seed " + std::to_string(seed));
   }
 }
 
