@@ -5,8 +5,15 @@
 // memory. Both sides ride the same sharded engine pool so the comparison
 // isolates the cost of doing the authentication on-device.
 //
+// The service starts a round's seal ops together on the GCM sequencer's 8
+// op slots, so each op's E(K, J0) and GHASH tail hide under the next op's
+// keystream, and device GCM matches or beats the hybrid in every cell.
+//
 // Committed baseline: bench/BENCH_gcm.json (the `JSON ` lines below). The
-// CI gate checks the blocks/device-cycle columns stay within tolerance.
+// CI gate checks the blocks/device-cycle columns stay within tolerance,
+// and that every record of a (shards, batch) cell reaches the cell's
+// host_ghash figure, which each record carries as
+// `hybrid_blocks_per_device_cycle`.
 
 #include <chrono>
 #include <cstdio>
@@ -214,11 +221,15 @@ GcmRunResult runHostGhash(unsigned shards, unsigned msg_blocks,
   return r;
 }
 
+double blocksPerCycle(const GcmRunResult& r) {
+  return r.device_cycles ? static_cast<double>(r.blocks) /
+                               static_cast<double>(r.device_cycles)
+                         : 0.0;
+}
+
 void printRow(const char* mode, unsigned shards, unsigned batch,
-              const GcmRunResult& r) {
-  const double bpc = r.device_cycles ? static_cast<double>(r.blocks) /
-                                           static_cast<double>(r.device_cycles)
-                                     : 0.0;
+              const GcmRunResult& r, double hybrid_bpc) {
+  const double bpc = blocksPerCycle(r);
   std::printf("%-7u %-6u %-11s %-7llu %-9llu %-11llu %-12.3f%s\n", shards,
               batch, mode, static_cast<unsigned long long>(r.ops),
               static_cast<unsigned long long>(r.blocks),
@@ -227,12 +238,13 @@ void printRow(const char* mode, unsigned shards, unsigned batch,
   std::printf(
       "JSON {\"bench\":\"gcm\",\"shards\":%u,\"batch\":%u,\"mode\":\"%s\","
       "\"ops\":%llu,\"blocks\":%llu,\"device_cycles\":%llu,"
-      "\"blocks_per_device_cycle\":%.4f,\"wall_seconds\":%.4f,"
+      "\"blocks_per_device_cycle\":%.4f,"
+      "\"hybrid_blocks_per_device_cycle\":%.4f,\"wall_seconds\":%.4f,"
       "\"conservation\":%s}\n",
       shards, batch, mode, static_cast<unsigned long long>(r.ops),
       static_cast<unsigned long long>(r.blocks),
-      static_cast<unsigned long long>(r.device_cycles), bpc, r.wall_seconds,
-      r.cons.toJson().c_str());
+      static_cast<unsigned long long>(r.device_cycles), bpc, hybrid_bpc,
+      r.wall_seconds, r.cons.toJson().c_str());
 }
 
 }  // namespace
@@ -257,28 +269,22 @@ int main() {
           blocks_per_tenant / batch ? blocks_per_tenant / batch : 1;
       const auto dev = runDeviceGcm(shards, batch, tenants, ops);
       const auto host = runHostGhash(shards, batch, tenants, ops);
-      printRow("device", shards, batch, dev);
-      printRow("host_ghash", shards, batch, host);
-      const double dev_bpc =
-          dev.device_cycles ? static_cast<double>(dev.blocks) /
-                                  static_cast<double>(dev.device_cycles)
-                            : 0.0;
-      const double host_bpc =
-          host.device_cycles ? static_cast<double>(host.blocks) /
-                                   static_cast<double>(host.device_cycles)
-                             : 0.0;
-      if (batch >= 16 && dev_bpc > 0.0 && host_bpc / dev_bpc > 2.0) {
-        std::printf("  [SLOW] device GCM %.3f vs raw CTR %.3f blk/dev-cyc "
-                    "exceeds the 2x budget\n",
-                    dev_bpc, host_bpc);
+      const double hybrid = blocksPerCycle(host);
+      printRow("device", shards, batch, dev, hybrid);
+      printRow("host_ghash", shards, batch, host, hybrid);
+      if (blocksPerCycle(dev) < hybrid) {
+        std::printf("  [BELOW PARITY] device GCM %.3f < host_ghash %.3f "
+                    "blk/dev-cyc\n",
+                    blocksPerCycle(dev), hybrid);
       }
     }
   }
   std::printf(
       "\nThe device rows carry the whole AEAD (J0, keystream, GHASH, tag)\n"
       "under label enforcement; the host_ghash rows spend the same device\n"
-      "cycles on keystream only and leave H exposed in host memory. The\n"
-      "per-message overhead (J0 + E(K,J0) + lengths block) amortizes by\n"
-      "batch 16 to well inside 2x of raw CTR throughput.\n");
+      "cycles on keystream only and leave H exposed in host memory. With a\n"
+      "round's ops overlapped on the sequencer, the per-message overhead\n"
+      "(J0 + E(K,J0) + lengths block) hides under the next op's keystream,\n"
+      "and the device rows match or beat the hybrid in every cell.\n");
   return 0;
 }

@@ -462,7 +462,9 @@ std::size_t AesAccelerator::pendingOutputs(unsigned user) const {
   return output_queues_.at(user).size();
 }
 
-bool AesAccelerator::submitGcm(GcmRequest req) { return gcm_.submit(std::move(req)); }
+GcmSubmit AesAccelerator::submitGcm(GcmRequest req) {
+  return gcm_.submit(std::move(req));
+}
 
 std::optional<GcmResponse> AesAccelerator::fetchGcm(unsigned user) {
   return gcm_.fetch(user);

@@ -132,7 +132,8 @@ class AesAccelerator {
   // sequencer runs it end-to-end on the device: H and the CTR keystream
   // through the AES pipe, the digest through the tagged GHASH unit, and a
   // single nonmalleable declassification when the result is released.
-  bool submitGcm(GcmRequest req);
+  // Anything but Accepted is a refusal; only Full is transient.
+  GcmSubmit submitGcm(GcmRequest req);
   std::optional<GcmResponse> fetchGcm(unsigned user);
   const GhashUnit& ghash() const { return ghash_; }
   const GcmSequencer& gcm() const { return gcm_; }

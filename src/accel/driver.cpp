@@ -1,7 +1,7 @@
 #include "accel/driver.h"
 
+#include <algorithm>
 #include <cstring>
-#include <map>
 
 namespace aesifc::accel {
 
@@ -303,51 +303,104 @@ AccelResult<aes::Bytes> AccelSession::cbcDecrypt(const aes::Bytes& data,
 }
 
 AccelResult<GcmResponse> AccelSession::runGcm(GcmRequest req) {
-  const std::uint64_t start_cycle = acc_.cycle();
+  const auto h = startGcm(std::move(req));
+  if (!h) return finishVerdict(AccelStatus::Rejected, acc_.cycle());
+  for (;;) {
+    if (auto r = collectGcm(*h)) return std::move(*r);
+    acc_.tick();
+  }
+}
+
+GcmSubmit AccelSession::submitAttempt(GcmFlight& f) {
+  f.req.req_id = next_req_++;
+  f.budget = gcmWatchdog(gcmWorkBlocks(f.req));
+  const GcmSubmit s = acc_.submitGcm(f.req);
+  if (s == GcmSubmit::Accepted) {
+    f.submitted = true;
+    f.attempt_start = acc_.cycle();
+  }
+  return s;
+}
+
+std::uint64_t AccelSession::gcmWatchdog(std::uint64_t own_blocks) const {
+  // One AES pass per keystream/H/J0 block plus one GHASH pass per hashed
+  // block, for this op and for every op it shares the sequencer with, on
+  // top of the configured timeout. Ops share the pipe evenly, so ops
+  // accepted after this one slow it as much as ops ahead of it.
+  return opts_.timeout_cycles +
+         2 * (own_blocks + acc_.gcm().backlogBlocks());
+}
+
+std::optional<GcmHandle> AccelSession::startGcm(GcmRequest req) {
   req.user = user_;
   req.key_slot = key_slot_;
-  // Watchdog budget: the op needs one AES pass per keystream/H/J0 block
-  // plus one GHASH pass per hashed block on top of the configured timeout.
-  const std::uint64_t blocks =
-      (req.data.size() + 15) / 16 + (req.aad.size() + 15) / 16 +
-      (req.iv.size() + 15) / 16;
-  for (unsigned attempt = 0;; ++attempt) {
-    req.req_id = next_req_++;
-    if (!acc_.submitGcm(req))
-      return finishVerdict(AccelStatus::Rejected, start_cycle);
-    const std::uint64_t attempt_start = acc_.cycle();
-    std::optional<GcmResponse> got;
-    while (true) {
-      acc_.tick();
-      while (auto r = acc_.fetchGcm(user_)) {
-        if (r->req_id == req.req_id) {
-          got = std::move(*r);
-          break;  // responses from abandoned attempts are discarded
-        }
-      }
-      if (got.has_value()) break;
-      if (acc_.cycle() - attempt_start > opts_.timeout_cycles + 2 * blocks)
+  GcmFlight f;
+  f.req = std::move(req);
+  f.start_cycle = acc_.cycle();
+  const GcmSubmit s = submitAttempt(f);
+  if (s == GcmSubmit::Full) return std::nullopt;
+  if (s != GcmSubmit::Accepted)
+    f.refused = finishVerdict(AccelStatus::Rejected, f.start_cycle);
+  const GcmHandle h = next_gcm_++;
+  gcm_flights_.emplace(h, std::move(f));
+  return h;
+}
+
+std::optional<AccelResult<GcmResponse>> AccelSession::collectGcm(
+    GcmHandle h) {
+  // Hand each arrived response to the attempt it answers; one from an
+  // abandoned attempt matches none and is discarded.
+  while (auto r = acc_.fetchGcm(user_)) {
+    for (auto& [id, fl] : gcm_flights_) {
+      if (fl.submitted && fl.req.req_id == r->req_id) {
+        fl.got = std::move(*r);
         break;
+      }
     }
-    AccelStatus verdict;
-    if (!got.has_value()) {
-      verdict = AccelStatus::Timeout;
-    } else if (got->suppressed) {
-      return finishVerdict(AccelStatus::Suppressed, start_cycle);  // final
-    } else if (got->auth_failed) {
-      return finishVerdict(AccelStatus::AuthFailed, start_cycle);  // verdict
-    } else if (got->fault_aborted) {
-      verdict = AccelStatus::FaultAborted;
+  }
+  const auto it = gcm_flights_.find(h);
+  GcmFlight& f = it->second;
+  const auto spend = [&](AccelResult<GcmResponse> r) {
+    gcm_flights_.erase(it);
+    return r;
+  };
+  if (f.refused) return spend(*f.refused);
+  for (;;) {
+    AccelStatus failed = AccelStatus::Timeout;
+    if (f.submitted) {
+      if (f.got && f.got->suppressed)  // final
+        return spend(finishVerdict(AccelStatus::Suppressed, f.start_cycle));
+      if (f.got && f.got->auth_failed)  // a verdict
+        return spend(finishVerdict(AccelStatus::AuthFailed, f.start_cycle));
+      if (f.got && !f.got->fault_aborted) {
+        (void)finishVerdict(AccelStatus::Ok, f.start_cycle);
+        return spend(std::move(*f.got));
+      }
+      if (f.got) {
+        failed = AccelStatus::FaultAborted;
+      } else {
+        // The backlog counts this op while it computes, and every op that
+        // joined it since.
+        f.budget = std::max(f.budget, gcmWatchdog(0));
+        if (acc_.cycle() - f.attempt_start <= f.budget) return std::nullopt;
+      }
     } else {
-      (void)finishVerdict(AccelStatus::Ok, start_cycle);
-      return std::move(*got);
+      if (acc_.cycle() < f.attempt_start) return std::nullopt;  // backoff
+      const GcmSubmit s = submitAttempt(f);
+      if (s == GcmSubmit::Accepted) return std::nullopt;
+      if (s != GcmSubmit::Full)
+        return spend(finishVerdict(AccelStatus::Rejected, f.start_cycle));
+      // Every op slot is busy: wait for one on this attempt's watchdog.
+      if (acc_.cycle() - f.attempt_start <= f.budget) return std::nullopt;
     }
-    if (attempt >= opts_.max_retries)
-      return finishVerdict(verdict, start_cycle);
+    if (f.attempt >= opts_.max_retries)
+      return spend(finishVerdict(failed, f.start_cycle));
     ++retries_;
     acc_.noteRetry();
-    const std::uint64_t backoff = opts_.backoff_cycles << attempt;
-    for (std::uint64_t i = 0; i < backoff; ++i) acc_.tick();
+    f.attempt_start = acc_.cycle() + (opts_.backoff_cycles << f.attempt);
+    ++f.attempt;
+    f.submitted = false;
+    f.got.reset();
   }
 }
 

@@ -2,7 +2,9 @@
 // Software driver layer: what a kernel driver / user library would run on
 // the host CPU to use the accelerator. `AccelSession` is one user's handle;
 // it performs synchronous block operations and block-cipher modes by
-// submitting work and ticking the device until completion.
+// submitting work and ticking the device until completion. GCM ops also
+// come in start/collect halves, so a caller that owns the clock can keep
+// several in flight on the sequencer.
 //
 // The driver is written for an imperfect device and an imperfect bus: every
 // operation returns an `AccelResult` whose status distinguishes a security
@@ -20,6 +22,7 @@
 // latency per block.
 
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -152,6 +155,9 @@ struct GcmSealed {
   aes::Tag128 tag{};
 };
 
+// A GCM op between startGcm and the collectGcm call that resolves it.
+using GcmHandle = std::uint64_t;
+
 class AccelSession {
  public:
   AccelSession(AesAccelerator& acc, unsigned user, unsigned key_slot,
@@ -197,7 +203,22 @@ class AccelSession {
       const std::vector<std::uint8_t>& aad, const aes::Tag128& tag,
       const std::vector<std::uint8_t>& iv);
 
-  // Device cycles consumed by this session's synchronous calls.
+  // The two halves of one GCM op (gcmSeal/gcmOpen are start + collect).
+  // startGcm submits `req` (user and key slot are the session's) without
+  // ticking. It returns nullopt only when every sequencer op slot is busy:
+  // nothing is charged, and the caller collects an op and starts again.
+  // Any other refusal still yields a handle, which collects as Rejected.
+  std::optional<GcmHandle> startGcm(GcmRequest req);
+  // Never ticks: takes the op's response if it has arrived, runs the
+  // watchdog and the retry/backoff schedule against the current cycle, and
+  // returns the verdict once it is final (the handle is then spent). Call
+  // it once per cycle for each op in flight. An attempt's watchdog grows
+  // with the sequencer's backlog, so an op sharing the pipe with others is
+  // not timed out for waiting its turn.
+  std::optional<AccelResult<GcmResponse>> collectGcm(GcmHandle h);
+
+  // Device cycles from each call's start to its verdict, summed (ops in
+  // flight together each count their own span).
   std::uint64_t cyclesUsed() const { return cycles_used_; }
   unsigned user() const { return user_; }
   // Status of the most recent operation and retry telemetry.
@@ -216,8 +237,23 @@ class AccelSession {
   // failed blocks up to the retry budget.
   AccelResult<std::vector<aes::Block>> runBatch(
       const std::vector<aes::Block>& blocks, bool decrypt);
-  // Run one GCM op synchronously, retrying transient failures.
+  // One GCM op from start to verdict, ticking the device meanwhile.
   AccelResult<GcmResponse> runGcm(GcmRequest req);
+  // A started GCM op: its current attempt and the retry schedule.
+  struct GcmFlight {
+    GcmRequest req;                   // req_id is the current attempt's
+    std::uint64_t start_cycle = 0;    // cycles are charged from here
+    std::uint64_t attempt_start = 0;  // submit cycle (backoff: resubmit at)
+    std::uint64_t budget = 0;         // the attempt's watchdog
+    unsigned attempt = 0;
+    bool submitted = false;  // false while backing off or waiting a slot
+    std::optional<GcmResponse> got;       // the attempt's response
+    std::optional<AccelStatus> refused;   // final refusal at a submit
+  };
+  // Submit the flight's next attempt, sizing its watchdog.
+  GcmSubmit submitAttempt(GcmFlight& f);
+  // An attempt's watchdog, given the blocks of its op if not yet accepted.
+  std::uint64_t gcmWatchdog(std::uint64_t own_blocks) const;
   // Charge the operation's cycles, record `verdict` as the last status and
   // bump its telemetry counter; returns `verdict`.
   AccelStatus finishVerdict(AccelStatus verdict, std::uint64_t start_cycle);
@@ -231,6 +267,8 @@ class AccelSession {
   std::uint64_t retries_ = 0;
   AccelStatus last_status_ = AccelStatus::Ok;
   SessionTelemetry telemetry_;
+  std::map<GcmHandle, GcmFlight> gcm_flights_;
+  GcmHandle next_gcm_ = 1;
 };
 
 }  // namespace aesifc::accel

@@ -40,14 +40,14 @@ aes::Tag128 stateToTag(const aes::State& s) {
 
 }  // namespace
 
-bool GcmSequencer::submit(GcmRequest req) {
-  if (req.user >= acc_.users_.size()) return false;
+GcmSubmit GcmSequencer::submit(GcmRequest req) {
+  if (req.user >= acc_.users_.size()) return GcmSubmit::BadRequest;
   if (req.key_slot >= kRoundKeySlots ||
       !acc_.round_keys_.valid(req.key_slot)) {
     acc_.recordEvent(SecurityEventKind::KeySlotBlocked, req.user,
                      "gcm submit with unusable key slot " +
                          std::to_string(req.key_slot));
-    return false;
+    return GcmSubmit::KeyUnusable;
   }
   if (acc_.hardened() && !acc_.round_keys_.slotParityOk(req.key_slot)) {
     // Same fail-secure rule as the block submit port: never start an op on
@@ -58,14 +58,14 @@ bool GcmSequencer::submit(GcmRequest req) {
                    "slot " + std::to_string(slot) +
                        " parity at gcm submit; zeroized (" +
                        std::to_string(casualties) + " blocks squashed)");
-    return false;
+    return GcmSubmit::KeyUnusable;
   }
   if (acc_.round_keys_.rounds(req.key_slot) > acc_.pipeline_.maxRounds()) {
     acc_.recordEvent(SecurityEventKind::KeySlotBlocked, req.user,
                      "gcm key needs more rounds than the pipeline supports");
-    return false;
+    return GcmSubmit::TooManyRounds;
   }
-  if (req.iv.empty()) return false;
+  if (req.iv.empty()) return GcmSubmit::BadRequest;
 
   unsigned idx = kGcmOps;
   for (unsigned i = 0; i < kGcmOps; ++i) {
@@ -74,7 +74,7 @@ bool GcmSequencer::submit(GcmRequest req) {
       break;
     }
   }
-  if (idx == kGcmOps) return false;
+  if (idx == kGcmOps) return GcmSubmit::Full;
 
   Op& op = ops_[idx];
   op = Op{};
@@ -103,8 +103,9 @@ bool GcmSequencer::submit(GcmRequest req) {
     // J0 = GHASH_H(IV || pad || 0^64 || [len(IV)]_64).
     op.iv_blocks = blocksOf(op.req.iv.size()) + 1;
   }
+  backlog_blocks_ += gcmWorkBlocks(op.req);
   ++acc_.stats_.gcm_ops;
-  return true;
+  return GcmSubmit::Accepted;
 }
 
 std::optional<GcmResponse> GcmSequencer::fetch(unsigned user) {
@@ -349,6 +350,7 @@ void GcmSequencer::abortOp(unsigned idx) {
 }
 
 void GcmSequencer::freeOp(Op& op) {
+  backlog_blocks_ -= gcmWorkBlocks(op.req);  // the op stops computing here
   if (op.inflight > 0) {
     // Internal blocks still in the pipe: hold the slot (drained by stepOp /
     // deliver) so a new op cannot alias their gcm_op index.

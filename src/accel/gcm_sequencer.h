@@ -28,6 +28,24 @@ class AesAccelerator;
 
 inline constexpr unsigned kGcmOps = 8;  // concurrent GCM operations
 
+// The sequencer's answer at submit. Only `Full` is transient: an op slot
+// frees as soon as an earlier op completes, so a caller that overlaps ops
+// collects one and submits again. Every other refusal is deterministic.
+enum class GcmSubmit : std::uint8_t {
+  Accepted,
+  Full,           // all kGcmOps op slots busy
+  KeyUnusable,    // key slot empty, out of range, or failed its parity check
+  TooManyRounds,  // the key needs more rounds than the pipeline has
+  BadRequest,     // unknown user or empty IV
+};
+
+// The AES and GHASH passes one op costs besides its fixed J0/H/tag work:
+// one per data, AAD and IV block (the driver's watchdog unit).
+inline std::uint64_t gcmWorkBlocks(const GcmRequest& req) {
+  return (req.data.size() + 15) / 16 + (req.aad.size() + 15) / 16 +
+         (req.iv.size() + 15) / 16;
+}
+
 // Role of an internal AES block in flight for the sequencer.
 enum class GcmRole : std::uint8_t {
   None = 0,
@@ -41,9 +59,8 @@ class GcmSequencer {
   GcmSequencer(AesAccelerator& acc, GhashUnit& ghash)
       : acc_{acc}, ghash_{ghash} {}
 
-  // Accept one GCM operation (seal or open). False when no op slot is
-  // free, the key slot is unusable, or the IV is empty.
-  bool submit(GcmRequest req);
+  // Accept one GCM operation (seal or open), or say why not.
+  GcmSubmit submit(GcmRequest req);
   std::optional<GcmResponse> fetch(unsigned user);
 
   // Meet over the confidentiality of every active op's label — folded into
@@ -55,6 +72,9 @@ class GcmSequencer {
   bool usesKeySlot(unsigned slot) const;
 
   unsigned activeOps() const;
+  // gcmWorkBlocks summed over the ops still computing (not draining): the
+  // work a newly accepted op shares the pipe with.
+  std::uint64_t backlogBlocks() const { return backlog_blocks_; }
   bool idle() const { return activeOps() == 0; }
 
   // One clock of every op state machine: at most one internal AES submit
@@ -114,6 +134,7 @@ class GcmSequencer {
   std::array<bool, kGhashKeySlots> h_pending_{};
   std::array<std::uint32_t, kGhashKeySlots> h_epoch_{};
   std::vector<std::deque<GcmResponse>> out_;  // per-user completions
+  std::uint64_t backlog_blocks_ = 0;  // added at submit, removed at freeOp
 };
 
 }  // namespace aesifc::accel

@@ -211,6 +211,9 @@ void AccelService::complete(unsigned tenant, const Request& req,
 SubmitResult AccelService::submitAead(unsigned tenant, AeadRequest req) {
   ++stats_.offered;
   ++stats_.aead_offered;
+  // Refused here, not by the sequencer, so that the only refusals left at
+  // the device are a full sequencer and an unusable key.
+  if (req.op.iv.empty()) return {false, 0, AdmitError::Malformed};
   auto& q = aead_queues_.at(tenant);
   if (auto refused =
           admissionRefusal(tenant, q, tenants_[tenant].aead_queue_depth))
@@ -229,10 +232,10 @@ SubmitResult AccelService::submitSeal(unsigned tenant,
                                       const std::vector<std::uint8_t>& aad,
                                       const std::vector<std::uint8_t>& iv) {
   AeadRequest req;
-  req.open = false;
-  req.iv = iv;
-  req.aad = aad;
-  req.data = plaintext;
+  req.op.open = false;
+  req.op.iv = iv;
+  req.op.aad = aad;
+  req.op.data = plaintext;
   return submitAead(tenant, std::move(req));
 }
 
@@ -242,11 +245,11 @@ SubmitResult AccelService::submitOpen(unsigned tenant,
                                       const aes::Tag128& tag,
                                       const std::vector<std::uint8_t>& iv) {
   AeadRequest req;
-  req.open = true;
-  req.iv = iv;
-  req.aad = aad;
-  req.data = ciphertext;
-  req.tag = tag;
+  req.op.open = true;
+  req.op.iv = iv;
+  req.op.aad = aad;
+  req.op.data = ciphertext;
+  req.op.tag = tag;
   return submitAead(tenant, std::move(req));
 }
 
@@ -372,9 +375,7 @@ void AccelService::serveFallback(unsigned tenant, const AeadRequest& req) {
   const auto& spec = tenants_[tenant];
   const auto decision =
       degradedReleaseDecision(acc_.principal(spec.user), spec.key_conf);
-  const std::uint64_t blocks = (req.data.size() + 15) / 16 +
-                               (req.aad.size() + 15) / 16 +
-                               (req.iv.size() + 15) / 16 + 2;  // + J0, tag
+  const std::uint64_t blocks = accel::gcmWorkBlocks(req.op) + 2;  // J0, tag
   acc_.run(kFallbackCyclesPerBlock * blocks);
   if (!decision.allowed) {
     ++stats_.fallback_suppressed;
@@ -382,9 +383,9 @@ void AccelService::serveFallback(unsigned tenant, const AeadRequest& req) {
              ServedBy::SoftwareFallback, {});
     return;
   }
-  if (req.open) {
-    auto pt = aes::gcmDecrypt(req.data, req.aad, req.tag, golden_[tenant],
-                              req.iv);
+  const accel::GcmRequest& op = req.op;
+  if (op.open) {
+    auto pt = aes::gcmDecrypt(op.data, op.aad, op.tag, golden_[tenant], op.iv);
     if (!pt.has_value()) {
       ++stats_.aead_auth_failed;
       complete(tenant, req, CompletionStatus::AuthFailed,
@@ -396,36 +397,69 @@ void AccelService::serveFallback(unsigned tenant, const AeadRequest& req) {
              std::move(*pt));
     return;
   }
-  auto r = aes::gcmEncrypt(req.data, req.aad, golden_[tenant], req.iv);
+  auto r = aes::gcmEncrypt(op.data, op.aad, golden_[tenant], op.iv);
   ++stats_.aead_completed_fallback;
   complete(tenant, req, CompletionStatus::Ok, ServedBy::SoftwareFallback,
            std::move(r.ciphertext), r.tag);
 }
 
-void AccelService::serveHardware(unsigned tenant, AeadRequest req) {
-  auto& session = sessions_[tenant];
-  AccelStatus st;
+bool AccelService::startAead(unsigned tenant) {
+  auto& q = aead_queues_[tenant];
+  const auto h = sessions_[tenant].startGcm(q.front().op);
+  if (!h) return false;
+  aead_pending_.push_back({tenant, std::move(q.front()), *h, {}, false});
+  q.pop_front();
+  return true;
+}
+
+bool AccelService::finishAead(AeadFlight& f) {
+  auto& r = *f.result;
+  const auto cs = hardwareVerdict(f.tenant, r.status(), f.req.requeues);
+  if (!cs) return false;
   std::vector<std::uint8_t> out;
-  aes::Tag128 tag{};
-  if (req.open) {
-    auto r = session.gcmOpen(req.data, req.aad, req.tag, req.iv);
-    st = r.status();
-    if (r.has_value()) out = std::move(*r);
-  } else {
-    auto r = session.gcmSeal(req.data, req.aad, req.iv);
-    st = r.status();
-    if (r.has_value()) {
-      out = std::move(r->ciphertext);
-      tag = r->tag;
-    }
-  }
-  const auto cs = hardwareVerdict(tenant, st, req.requeues);
-  if (!cs) {
-    aead_queues_[tenant].push_front(std::move(req));
-    return;
+  aes::Tag128 tag{};  // an open's response carries no tag
+  if (r.has_value()) {
+    out = std::move(r->data);
+    tag = r->tag;
   }
   if (*cs == CompletionStatus::Ok) ++stats_.aead_completed_hw;
-  complete(tenant, req, *cs, ServedBy::Hardware, std::move(out), tag);
+  complete(f.tenant, f.req, *cs, ServedBy::Hardware, std::move(out), tag);
+  f.done = true;
+  return true;
+}
+
+void AccelService::reapAead() {
+  if (aead_pending_.empty()) return;
+  // The reap ticks the accelerator directly, which must not run under a
+  // ring chain in flight.
+  reapRing();
+  std::vector<AeadFlight> pending = std::move(aead_pending_);
+  aead_pending_.clear();
+  // held: the tenant has an op going back to its queue; everything after it
+  // goes back too, so no later ticket completes ahead of it.
+  // blocked: held, or an earlier op of the tenant is still unresolved.
+  std::vector<char> held(tenants_.size(), 0), blocked;
+  for (;;) {
+    bool open = false;
+    for (auto& f : pending) {
+      if (!f.result) f.result = sessions_[f.tenant].collectGcm(f.handle);
+      open = open || !f.result;
+    }
+    blocked.assign(held.begin(), held.end());
+    for (auto& f : pending) {
+      if (f.done || blocked[f.tenant]) continue;
+      if (!f.result) {
+        blocked[f.tenant] = 1;
+      } else if (!finishAead(f)) {
+        blocked[f.tenant] = held[f.tenant] = 1;
+      }
+    }
+    if (!open) break;
+    acc_.tick();
+  }
+  for (auto it = pending.rbegin(); it != pending.rend(); ++it) {
+    if (!it->done) aead_queues_[it->tenant].push_front(std::move(it->req));
+  }
 }
 
 bool AccelService::onHardware(unsigned tenant) const {
@@ -694,9 +728,10 @@ unsigned AccelService::pump() {
     runCanaries();
   }
 
-  // Ring runs are submitted as the loop meets them and reaped before the
-  // next synchronous serve and at the end of the round, so adjacent ring
-  // runs of different tenants overlap in the pipe.
+  // Ring runs and AEAD ops are started as the loop meets them and reaped
+  // before the next synchronous serve and at the end of the round, so
+  // adjacent ring runs of different tenants overlap in the pipe, and a
+  // round's AEAD ops overlap on the GCM sequencer.
   const std::uint64_t made_before = completions_made_;
   const unsigned n = static_cast<unsigned>(tenants_.size());
   for (unsigned k = 0; k < n; ++k) {
@@ -704,17 +739,22 @@ unsigned AccelService::pump() {
     unsigned served = 0;
     // AEAD first: one whole GCM op is one quota unit, and serving it ahead
     // of the block queue keeps a long message from starving behind blocks.
+    // Ops are started, not waited on, so the sequencer overlaps a round's
+    // ops; when its op slots are all busy, reap and start again.
     while (served < cfg_.quota_per_round && !aead_queues_[t].empty()) {
-      reapRing();
-      AeadRequest areq = std::move(aead_queues_[t].front());
-      aead_queues_[t].pop_front();
-      if (onHardware(t)) {
-        serveHardware(t, std::move(areq));
-      } else {
-        serveOffHardware(t, areq);
+      if (!onHardware(t)) {
+        reapRing();
+        reapAead();
+        serveOffHardware(t, aead_queues_[t].front());
+        aead_queues_[t].pop_front();
+      } else if (!startAead(t)) {
+        reapAead();
+        // Still full (only draining ops hold the slots): next round.
+        if (!startAead(t)) break;
       }
       ++served;
     }
+    if (served < cfg_.quota_per_round && !queues_[t].empty()) reapAead();
     while (served < cfg_.quota_per_round && !queues_[t].empty()) {
       // A request the robustness path re-queues is re-popped here and
       // charged against the quota again, exactly as it was pre-batching.
@@ -722,6 +762,7 @@ unsigned AccelService::pump() {
     }
   }
   reapRing();
+  reapAead();
   if (n) rr_next_ = (rr_next_ + 1) % n;
 
   sampleWindowIfDue();

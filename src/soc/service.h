@@ -150,7 +150,12 @@ struct AeadCompletion {
 };
 
 // Why an offered block was not queued.
-enum class AdmitError { QueueFull, Backpressure, TenantRetired };
+enum class AdmitError {
+  QueueFull,
+  Backpressure,
+  TenantRetired,
+  Malformed,  // no device could serve it (an AEAD op with an empty IV)
+};
 
 struct SubmitResult {
   bool admitted = false;
@@ -326,11 +331,8 @@ class AccelService {
 
   struct AeadRequest {
     std::uint64_t ticket = 0;
-    bool open = false;
-    std::vector<std::uint8_t> iv;
-    std::vector<std::uint8_t> aad;
-    std::vector<std::uint8_t> data;  // plaintext (seal) or ciphertext (open)
-    aes::Tag128 tag{};               // expected tag (open only)
+    // The message; the session fills in its user, key slot and req_id.
+    accel::GcmRequest op;
     std::uint64_t submit_cycle = 0;
     unsigned requeues = 0;
   };
@@ -381,7 +383,25 @@ class AccelService {
   // tenant is retired, else served by the fallback.
   template <typename Req>
   void serveOffHardware(unsigned tenant, const Req& req);
-  void serveHardware(unsigned tenant, AeadRequest req);
+  // An AEAD op started on its tenant's session and not yet reaped.
+  struct AeadFlight {
+    unsigned tenant = 0;
+    AeadRequest req;
+    accel::GcmHandle handle = 0;
+    std::optional<accel::AccelResult<accel::GcmResponse>> result;
+    bool done = false;  // completed by the reap
+  };
+  // Start half of the AEAD path: start the head of the tenant's AEAD queue
+  // on the GCM sequencer without waiting for it. False when every op slot
+  // is busy; the op then stays queued and nothing is charged.
+  bool startAead(unsigned tenant);
+  // Reap half: tick the device until every started op resolves. Each op
+  // completes in the cycle its verdict arrives, but never ahead of an
+  // earlier op of its tenant; a requeued op and the tenant's later ops go
+  // back to the head of its queue in ticket order.
+  void reapAead();
+  // Map a resolved op's verdict; false when it is to be requeued.
+  bool finishAead(AeadFlight& f);
   void serveFallback(unsigned tenant, const Request& req);
   void serveFallback(unsigned tenant, const AeadRequest& req);
   // The one driver-status -> completion mapping for a single hardware
@@ -422,6 +442,7 @@ class AccelService {
   std::unique_ptr<DmaRingEngine> ring_eng_;
   std::vector<std::unique_ptr<DmaRingDriver>> ring_drvs_;
   std::vector<RingRun> ring_pending_;  // submitted, not yet reaped
+  std::vector<AeadFlight> aead_pending_;  // started, not yet reaped
   std::uint64_t completions_made_ = 0;  // completions recorded, any status
   std::uint64_t next_ticket_ = 1;
   std::uint64_t window_start_cycle_ = 0;

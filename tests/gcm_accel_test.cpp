@@ -2,7 +2,8 @@
 // the SP 800-38D vectors and the host oracle, the label-enforcement story
 // (a digest never leaves below join(label(H), label(data))), tamper
 // verdicts, completion-timing invariance of the open path, fail-secure
-// behavior under GHASH-state faults, and the service/pool AEAD routing.
+// behavior under GHASH-state faults, typed submit refusals, and the
+// service/pool AEAD routing with a round's ops overlapped on the sequencer.
 
 #include <gtest/gtest.h>
 
@@ -496,6 +497,49 @@ TEST(GcmAccelFaults, GhashKeyChecksumCatchesEverySingleBitFlip) {
   }
 }
 
+// --- Typed refusal at the sequencer's submit port ------------------------------
+
+// Each refusal names its reason, so a caller that overlaps ops can tell the
+// one transient refusal (every op slot busy) from the deterministic ones.
+TEST(GcmAccelRefusal, SubmitNamesWhyItRefused) {
+  Rng rng{109};
+  const auto key = randomBytes(rng, 16);
+  GcmRig rig{SecurityMode::Protected, key};
+  GcmRequest req;
+  req.user = rig.user;
+  req.key_slot = 1;
+  req.iv = randomBytes(rng, 12);
+  req.data = randomBytes(rng, 64);
+
+  GcmRequest no_iv = req;
+  no_iv.iv.clear();
+  EXPECT_EQ(rig.acc.submitGcm(no_iv), GcmSubmit::BadRequest);
+  GcmRequest stranger = req;
+  stranger.user = 99;
+  EXPECT_EQ(rig.acc.submitGcm(stranger), GcmSubmit::BadRequest);
+  GcmRequest empty_slot = req;
+  empty_slot.key_slot = 2;
+  EXPECT_EQ(rig.acc.submitGcm(empty_slot), GcmSubmit::KeyUnusable);
+  // An AES-256 key needs 14 rounds; this pipe has 10.
+  ASSERT_TRUE(loadKeyBytes(rig.acc, rig.user, 3, 4, randomBytes(rng, 32),
+                           aes::KeySize::Aes256, Conf::category(1)));
+  GcmRequest long_key = req;
+  long_key.key_slot = 3;
+  EXPECT_EQ(rig.acc.submitGcm(long_key), GcmSubmit::TooManyRounds);
+
+  for (unsigned i = 0; i < kGcmOps; ++i) {
+    req.req_id = i + 1;
+    EXPECT_EQ(rig.acc.submitGcm(req), GcmSubmit::Accepted);
+  }
+  req.req_id = kGcmOps + 1;
+  EXPECT_EQ(rig.acc.submitGcm(req), GcmSubmit::Full);
+  // The driver's start half reports a full sequencer as "not started":
+  // no verdict, no telemetry, no cycles charged.
+  EXPECT_FALSE(rig.session.startGcm(req).has_value());
+  EXPECT_EQ(rig.session.telemetry().operations(), 0u);
+  EXPECT_EQ(rig.session.cyclesUsed(), 0u);
+}
+
 }  // namespace
 }  // namespace aesifc::accel
 
@@ -605,6 +649,239 @@ TEST(GcmPool, AeadRoundTripsAcrossShards) {
     EXPECT_EQ(opened->data, pts[i]) << "tenant " << i;
   }
 }
+
+// --- Overlapped AEAD ops in the service ----------------------------------------
+
+// A service over one accelerator with `n` AEAD tenants: user i + 1 holds
+// key slot i + 1, loaded from scratchpad cells 2i and 2i + 1.
+struct AeadRig {
+  AesAccelerator acc{AcceleratorConfig{}};
+  AccelService svc;
+  std::vector<aes::ExpandedKey> golden;
+
+  AeadRig(unsigned n, ServiceConfig cfg) : svc{acc, cfg} {
+    acc.addUser(Principal::supervisor());
+    for (unsigned i = 0; i < n; ++i) {
+      TenantSpec spec;
+      spec.user = acc.addUser(Principal::user("t" + std::to_string(i), i + 1));
+      spec.key_slot = i + 1;
+      spec.cell_base = 2 * i;
+      spec.key = std::vector<std::uint8_t>(16, static_cast<std::uint8_t>(0x42 + i));
+      spec.key_conf = Conf::category(i + 1);
+      svc.addTenant(spec);
+      golden.push_back(aes::expandKey(spec.key, aes::KeySize::Aes128));
+    }
+  }
+};
+
+// One queued AEAD op and what golden GCM says it must release.
+struct AeadCase {
+  bool open = false;
+  std::vector<std::uint8_t> pt, aad, iv;
+  aes::GcmResult host;  // seal of pt under the tenant's key
+  std::uint64_t ticket = 0;
+};
+
+AeadCase makeCase(Rng& rng, const aes::ExpandedKey& key, bool open,
+                  std::size_t blocks, std::size_t aad_bytes) {
+  AeadCase c;
+  c.open = open;
+  c.pt = accel::randomBytes(rng, 16 * blocks);
+  c.aad = accel::randomBytes(rng, aad_bytes);
+  c.iv = accel::randomBytes(rng, 12);
+  c.host = aes::gcmEncrypt(c.pt, c.aad, key, c.iv);
+  return c;
+}
+
+void submitCase(AccelService& svc, unsigned tenant, AeadCase& c) {
+  const SubmitResult r =
+      c.open ? svc.submitOpen(tenant, c.host.ciphertext, c.aad, c.host.tag, c.iv)
+             : svc.submitSeal(tenant, c.pt, c.aad, c.iv);
+  ASSERT_TRUE(r.admitted);
+  c.ticket = r.ticket;
+}
+
+// True when an Ok completion released exactly what golden GCM computes.
+bool releasedGolden(const AeadCase& c, const AeadCompletion& got) {
+  if (c.open) return got.data == c.pt;
+  return got.data == c.host.ciphertext && got.tag == c.host.tag;
+}
+
+// GCM needs an IV. An op without one is refused at admission, so it never
+// reaches the sequencer, where its refusal would cost a key re-provision.
+TEST(GcmService, EmptyIvIsRefusedAtAdmission) {
+  AeadRig r{1, ServiceConfig{}};
+  const std::vector<std::uint8_t> pt(32, 0x5a);
+  const SubmitResult res = r.svc.submitSeal(0, pt, {}, {});
+  EXPECT_FALSE(res.admitted);
+  EXPECT_EQ(res.error, AdmitError::Malformed);
+  r.svc.runUntilIdle(1u << 12);
+  EXPECT_FALSE(r.svc.fetchAead(0).has_value());
+  EXPECT_EQ(r.svc.stats().aead_admitted, 0u);
+  EXPECT_EQ(r.svc.stats().key_reprovisions, 0u);
+}
+
+// A round that serves one AEAD op is the synchronous driver call: the op
+// completes in the very cycle a session's gcmSeal on a twin device returns.
+TEST(GcmService, LoneOpRoundIsCycleIdenticalToSynchronousSeal) {
+  Rng rng{204};
+  AeadRig r{1, ServiceConfig{}};
+  AeadCase c = makeCase(rng, r.golden[0], false, 20, 13);
+  submitCase(r.svc, 0, c);
+  EXPECT_EQ(r.svc.pump(), 1u);
+  const auto got = r.svc.fetchAead(0);
+  ASSERT_TRUE(got.has_value());
+  ASSERT_EQ(got->status, CompletionStatus::Ok);
+  EXPECT_TRUE(releasedGolden(c, *got));
+
+  AeadRig twin{1, ServiceConfig{}};
+  accel::AccelSession session{twin.acc, 1, 1};
+  twin.acc.tick();  // the round's scheduling cycle
+  const auto sealed = session.gcmSeal(c.pt, c.aad, c.iv);
+  ASSERT_TRUE(sealed.has_value());
+  EXPECT_EQ(got->complete_cycle, twin.acc.cycle());
+  EXPECT_EQ(r.svc.session(0).cyclesUsed(), session.cyclesUsed());
+}
+
+// A 64-block seal and then a 1-block open from one tenant start in the same
+// round. The open's verdict arrives long before the seal's, but it completes
+// with the seal, never ahead of the earlier ticket.
+TEST(GcmService, OverlappedOpsCompleteInTicketOrder) {
+  Rng rng{205};
+  AeadRig r{1, ServiceConfig{}};
+  AeadCase seal = makeCase(rng, r.golden[0], false, 64, 32);
+  AeadCase open = makeCase(rng, r.golden[0], true, 1, 0);
+  submitCase(r.svc, 0, seal);
+  submitCase(r.svc, 0, open);
+  EXPECT_EQ(r.svc.pump(), 2u);  // both started and reaped in one round
+  const auto first = r.svc.fetchAead(0);
+  const auto second = r.svc.fetchAead(0);
+  ASSERT_TRUE(first.has_value() && second.has_value());
+  EXPECT_EQ(first->ticket, seal.ticket);
+  EXPECT_EQ(second->ticket, open.ticket);
+  ASSERT_EQ(first->status, CompletionStatus::Ok);
+  ASSERT_EQ(second->status, CompletionStatus::Ok);
+  EXPECT_TRUE(releasedGolden(seal, *first));
+  EXPECT_TRUE(releasedGolden(open, *second));
+  EXPECT_EQ(second->complete_cycle, first->complete_cycle);
+}
+
+// Sixteen 64-block ops with 32 B of AAD: tenant 0's eight fill every op
+// slot, so tenant 1's first start finds the sequencer full. The watchdog is
+// far shorter than a full sequencer's round; only a budget that grows with
+// the ops sharing the pipe keeps these ops from timing out. A busy
+// sequencer costs no retry, requeue or key re-provision.
+TEST(GcmService, FullSequencerNeitherTimesOutNorCostsARequeue) {
+  ServiceConfig cfg;
+  cfg.quota_per_round = accel::kGcmOps;
+  cfg.healthy_opts.timeout_cycles = 64;
+  AeadRig r{2, cfg};
+  Rng rng{206};
+  std::vector<std::vector<AeadCase>> cases(2);
+  for (unsigned t = 0; t < 2; ++t) {
+    for (unsigned i = 0; i < accel::kGcmOps; ++i) {
+      cases[t].push_back(makeCase(rng, r.golden[t], i % 2 == 1, 64, 32));
+      submitCase(r.svc, t, cases[t].back());
+    }
+  }
+  EXPECT_EQ(r.svc.pump(), 2 * accel::kGcmOps);
+  for (unsigned t = 0; t < 2; ++t) {
+    for (const AeadCase& c : cases[t]) {
+      const auto got = r.svc.fetchAead(t);
+      ASSERT_TRUE(got.has_value());
+      EXPECT_EQ(got->ticket, c.ticket);
+      ASSERT_EQ(got->status, CompletionStatus::Ok);
+      EXPECT_TRUE(releasedGolden(c, *got));
+    }
+    EXPECT_EQ(r.svc.session(t).telemetry().timeouts, 0u);
+    EXPECT_EQ(r.svc.session(t).retries(), 0u);
+  }
+  EXPECT_EQ(r.svc.stats().requeues, 0u);
+  EXPECT_EQ(r.svc.stats().key_reprovisions, 0u);
+  EXPECT_EQ(r.svc.stats().hw_transient_failures, 0u);
+  EXPECT_EQ(r.acc.gcm().backlogBlocks(), 0u);
+}
+
+// A fault lands on tenant 0's key mid-round, while its three ops and tenant
+// 1's two are in flight together. Every op ends in a definite status, no
+// op releases anything but golden GCM output, each tenant's completions
+// keep ticket order, tenant 1 is served as if nothing happened, and the
+// service's counters balance.
+enum class MidRoundFault { KeyZeroized, GhashKeyTable };
+
+struct GcmServiceFault : ::testing::TestWithParam<MidRoundFault> {};
+
+TEST_P(GcmServiceFault, FaultOnOneTenantFailsSecureAndKeepsOrder) {
+  AeadRig r{2, ServiceConfig{}};
+  Rng rng{207};
+  std::vector<std::vector<AeadCase>> cases(2);
+  cases[0].push_back(makeCase(rng, r.golden[0], false, 48, 20));
+  cases[0].push_back(makeCase(rng, r.golden[0], true, 16, 0));
+  cases[0].push_back(makeCase(rng, r.golden[0], false, 8, 32));
+  cases[1].push_back(makeCase(rng, r.golden[1], false, 32, 7));
+  cases[1].push_back(makeCase(rng, r.golden[1], true, 24, 16));
+  for (unsigned t = 0; t < 2; ++t) {
+    for (auto& c : cases[t]) submitCase(r.svc, t, c);
+  }
+  // Tenant 0's key slot is 1. A round-key bit flip is caught by parity and
+  // zeroizes the slot; an H-table flip voids the slot's hash subkey.
+  const std::uint64_t at = r.acc.cycle() + 60;
+  bool armed = true;
+  r.acc.setTickHook([&] {
+    if (!armed || r.acc.cycle() < at) return;
+    armed = false;
+    if (GetParam() == MidRoundFault::KeyZeroized) {
+      EXPECT_TRUE(r.acc.injectFault(accel::FaultSite::RoundKey, 1, 200));
+    } else {
+      EXPECT_TRUE(r.acc.injectFault(accel::FaultSite::GhashKeyTable, 1, 77));
+    }
+  });
+  r.svc.runUntilIdle(1u << 20);
+  ASSERT_FALSE(armed);
+
+  unsigned ok = 0, fetched = 0;
+  for (unsigned t = 0; t < 2; ++t) {
+    for (const AeadCase& c : cases[t]) {
+      const auto got = r.svc.fetchAead(t);
+      ASSERT_TRUE(got.has_value());
+      ++fetched;
+      EXPECT_EQ(got->ticket, c.ticket);
+      if (got->status == CompletionStatus::Ok) {
+        ++ok;
+        EXPECT_TRUE(releasedGolden(c, *got)) << "ticket " << c.ticket;
+      } else {
+        EXPECT_EQ(t, 0u);
+        EXPECT_TRUE(got->status == CompletionStatus::FaultAborted ||
+                    got->status == CompletionStatus::Rejected)
+            << toString(got->status);
+        EXPECT_TRUE(got->data.empty());
+      }
+    }
+    EXPECT_FALSE(r.svc.fetchAead(t).has_value());
+  }
+  // The fault hit tenant 0's ops in flight: its driver retried, or the
+  // service requeued, and tenant 1 never noticed.
+  const auto& s = r.svc.stats();
+  EXPECT_GT(r.svc.session(0).retries() + s.requeues, 0u);
+  EXPECT_EQ(r.svc.session(1).retries(), 0u);
+  EXPECT_EQ(r.svc.session(1).telemetry().ok, 2u);
+  EXPECT_EQ(fetched, s.aead_admitted);
+  EXPECT_EQ(ok, s.aead_completed_hw);
+  EXPECT_EQ(s.aead_completed_fallback + s.aead_auth_failed +
+                s.wrong_key_uses,
+            0u);
+  EXPECT_EQ(r.svc.totalQueued(), 0u);
+  // Every op, aborted ones included, left the sequencer's backlog.
+  EXPECT_EQ(r.acc.gcm().backlogBlocks(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Faults, GcmServiceFault,
+    ::testing::Values(MidRoundFault::KeyZeroized, MidRoundFault::GhashKeyTable),
+    [](const ::testing::TestParamInfo<MidRoundFault>& info) -> std::string {
+      return info.param == MidRoundFault::KeyZeroized ? "KeyZeroized"
+                                                      : "GhashKeyTable";
+    });
 
 }  // namespace
 }  // namespace aesifc::soc
