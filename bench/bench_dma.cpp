@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "accel/accelerator.h"
 #include "accel/driver.h"
 #include "aes/modes.h"
@@ -122,7 +123,6 @@ PathResult runServicePath(unsigned batch, bool use_ring) {
   TenantSpec spec;
   spec.user = rig.alice;
   spec.key_slot = 1;
-  spec.cell_base = 0;
   spec.key = rig.key;
   spec.key_conf = rig.acc.principal(rig.alice).authority.c;
   spec.queue_depth = batch + 4;
@@ -281,8 +281,7 @@ int main(int argc, char** argv) {
   printRingCampaign();
   // AESIFC_BENCH_SMOKE: CI keep-alive mode — the matrices and JSON records
   // above already ran; skip the Google Benchmark timing loops.
-  const char* smoke = std::getenv("AESIFC_BENCH_SMOKE");
-  if (smoke && *smoke && std::string{smoke} != "0") return 0;
+  if (aesifc::bench::smokeMode()) return 0;
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "conservation.h"
 #include "common/rng.h"
 #include "soc/fault_injector.h"
@@ -332,8 +333,7 @@ int main(int argc, char** argv) {
   printPoolResilience();
   // AESIFC_BENCH_SMOKE: CI keep-alive mode — the campaign table and JSON
   // records above already ran; skip the Google Benchmark timing loops.
-  const char* smoke = std::getenv("AESIFC_BENCH_SMOKE");
-  if (smoke && *smoke && std::string{smoke} != "0") return 0;
+  if (aesifc::bench::smokeMode()) return 0;
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

@@ -17,11 +17,10 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "conservation.h"
 #include "aes/gcm.h"
 #include "soc/pool.h"
@@ -29,18 +28,9 @@
 namespace {
 
 using namespace aesifc;
-
-unsigned envOr(const char* name, unsigned fallback) {
-  const char* v = std::getenv(name);
-  if (!v || !*v) return fallback;
-  const unsigned long n = std::strtoul(v, nullptr, 10);
-  return n == 0 ? fallback : static_cast<unsigned>(n);
-}
-
-bool smokeMode() {
-  const char* v = std::getenv("AESIFC_BENCH_SMOKE");
-  return v && *v && std::string{v} != "0";
-}
+using bench::addTenants;
+using bench::envOr;
+using bench::smokeMode;
 
 struct GcmRunResult {
   std::uint64_t ops = 0;
@@ -63,23 +53,6 @@ soc::EnginePool makePool(unsigned shards, unsigned msg_blocks) {
   cfg.service.quota_per_round = msg_blocks < 16 ? 16 : msg_blocks;
   cfg.service.global_high_watermark = 1u << 20;
   return soc::EnginePool{cfg};
-}
-
-std::vector<unsigned> addTenants(soc::EnginePool& pool, unsigned tenants) {
-  std::vector<unsigned> ids;
-  for (unsigned t = 0; t < tenants; ++t) {
-    soc::PoolTenantSpec spec;
-    spec.name = "tenant-" + std::to_string(t);
-    spec.category = t + 1;
-    spec.key.assign(16, 0);
-    for (unsigned i = 0; i < 16; ++i)
-      spec.key[i] = static_cast<std::uint8_t>(0x40 + 13 * t + i);
-    spec.queue_depth = 64;
-    const soc::PlaceResult placed = pool.addTenant(spec);
-    if (!placed.placed) throw std::runtime_error("bench: pool refused tenant");
-    ids.push_back(placed.tenant);
-  }
-  return ids;
 }
 
 std::vector<std::uint8_t> messageOf(unsigned tenant, unsigned op,

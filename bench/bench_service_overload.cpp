@@ -69,7 +69,6 @@ struct Harness {
       TenantSpec spec;
       spec.user = u;
       spec.key_slot = t + 1;
-      spec.cell_base = 2 * t;
       spec.key.resize(16);
       for (unsigned i = 0; i < 16; ++i)
         spec.key[i] = static_cast<std::uint8_t>(0x40 + 29 * t + i);

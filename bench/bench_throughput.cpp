@@ -7,11 +7,10 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "conservation.h"
 #include "accel/driver.h"
 #include "soc/metrics.h"
@@ -24,6 +23,8 @@ using namespace aesifc;
 using accel::AcceleratorConfig;
 using accel::AesAccelerator;
 using accel::SecurityMode;
+using bench::envOr;
+using bench::smokeMode;
 
 soc::WorkloadResult run(SecurityMode mode, bool coarse, unsigned users,
                         unsigned blocks) {
@@ -116,18 +117,6 @@ void printThroughput() {
 // wave) instead of shedding an admitted block, and only Ok completions count
 // as work.
 
-unsigned envOr(const char* name, unsigned fallback) {
-  const char* v = std::getenv(name);
-  if (!v || !*v) return fallback;
-  const unsigned long n = std::strtoul(v, nullptr, 10);
-  return n == 0 ? fallback : static_cast<unsigned>(n);
-}
-
-bool smokeMode() {
-  const char* v = std::getenv("AESIFC_BENCH_SMOKE");
-  return v && *v && std::string{v} != "0";
-}
-
 struct PoolRunResult {
   std::uint64_t blocks = 0;         // Ok completions
   std::uint64_t not_ok = 0;         // completions with any other status
@@ -147,20 +136,7 @@ PoolRunResult runPool(unsigned shards, unsigned batch, unsigned tenants,
   cfg.service.global_high_watermark = 1u << 20;
   cfg.service.overflow = soc::OverflowPolicy::RejectNew;
   soc::EnginePool pool{cfg};
-
-  std::vector<unsigned> ids;
-  for (unsigned t = 0; t < tenants; ++t) {
-    soc::PoolTenantSpec spec;
-    spec.name = "tenant-" + std::to_string(t);
-    spec.category = t + 1;
-    spec.key.assign(16, 0);
-    for (unsigned i = 0; i < 16; ++i)
-      spec.key[i] = static_cast<std::uint8_t>(0x40 + 13 * t + i);
-    spec.queue_depth = 64;
-    const soc::PlaceResult placed = pool.addTenant(spec);
-    if (!placed.placed) throw std::runtime_error("bench: pool refused tenant");
-    ids.push_back(placed.tenant);
-  }
+  const std::vector<unsigned> ids = bench::addTenants(pool, tenants);
 
   // Closed loop in waves: top every tenant's queue up, drain the pool to
   // idle, collect completions — so queues stay deep enough for batching to

@@ -1,7 +1,8 @@
 // Register-level programming walkthrough: what a kernel driver does on the
 // Fig. 4 AXI interface, step by step — allocate cells, stage and install a
 // key, submit a block, poll STATUS, read the result, and watch the
-// protection respond to a hostile window.
+// protection respond to a hostile window. Exits 1 if any step does not do
+// what the walkthrough says it does.
 //
 // Build & run:  ./build/examples/mmio_programming
 
@@ -16,8 +17,19 @@ using W = accel::MmioWindow;
 
 namespace {
 
+bool all_ok = true;
+
 void show(const char* step, std::uint32_t value) {
   std::printf("  %-46s -> 0x%08x\n", step, value);
+}
+
+// Shows a register read and checks it against what the step must yield.
+void expect(const char* step, std::uint32_t value, std::uint32_t want) {
+  show(step, value);
+  if (value != want) {
+    std::printf("  MISMATCH: expected 0x%08x\n", want);
+    all_ok = false;
+  }
 }
 
 }  // namespace
@@ -55,14 +67,14 @@ int main() {
   alice_win.write(W::kKeySlot, 1);
   alice_win.write(W::kKeyArg, (1u << 8) | 0);  // palette 1 = category 1
   alice_win.write(W::kKeyGo, 4);               // expand into slot 1
-  show("KEY_GO expand, LAST_OP_OK", alice_win.read(W::kLastOpOk));
+  expect("KEY_GO expand, LAST_OP_OK", alice_win.read(W::kLastOpOk), 1);
 
   std::printf("\nStep 3: Eve's window tries to poke Alice's cells\n");
   eve_win.write(W::kKeyArg, 0);
   eve_win.write(W::kKeyLo, 0xdeadbeef);
   eve_win.write(W::kKeyGo, 1);
-  show("Eve KEY_GO write, LAST_OP_OK (0 = refused)",
-       eve_win.read(W::kLastOpOk));
+  expect("Eve KEY_GO write, LAST_OP_OK (0 = refused)",
+         eve_win.read(W::kLastOpOk), 0);
 
   std::printf("\nStep 4: Alice encrypts one block\n");
   aes::Block pt{};
@@ -75,7 +87,7 @@ int main() {
   }
   alice_win.write(W::kCtrl, 1);  // submit-encrypt
   unsigned polls = 0;
-  while ((alice_win.read(W::kStatus) & 1u) == 0) {
+  while ((alice_win.read(W::kStatus) & 1u) == 0 && polls < 1000) {
     acc.tick();
     ++polls;
   }
@@ -94,17 +106,18 @@ int main() {
   for (unsigned i = 0; i < 16; ++i) std::printf("%02x", ct[i]);
   std::printf("\n  matches software AES: %s\n",
               ct == golden ? "yes" : "NO");
+  all_ok = all_ok && ct == golden;
 
   std::printf("\nStep 5: config window integrity\n");
   eve_win.write(W::kCfgBase + 0x0, 1);  // debug_enable tamper
-  show("Eve CFG write, LAST_OP_OK", eve_win.read(W::kLastOpOk));
+  expect("Eve CFG write, LAST_OP_OK", eve_win.read(W::kLastOpOk), 0);
   sup_win.write(W::kCfgBase + 0x0, 1);
-  show("supervisor CFG write, LAST_OP_OK", sup_win.read(W::kLastOpOk));
+  expect("supervisor CFG write, LAST_OP_OK", sup_win.read(W::kLastOpOk), 1);
 
   std::printf("\nsecurity events logged by the device: %zu\n",
               acc.events().size());
   for (const auto& e : acc.events()) {
     std::printf("  %s\n", e.toString().c_str());
   }
-  return ct == golden ? 0 : 1;
+  return all_ok ? 0 : 1;
 }

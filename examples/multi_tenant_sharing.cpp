@@ -57,7 +57,6 @@ void serviceDegradedModeDemo() {
   soc::TenantSpec a;
   a.user = alice;
   a.key_slot = 1;
-  a.cell_base = 0;
   a.key.assign(16, 0x51);
   a.key_conf = lattice::Conf::category(1);
   const unsigned ta = svc.addTenant(a);
@@ -68,7 +67,6 @@ void serviceDegradedModeDemo() {
   soc::TenantSpec e;
   e.user = eve;
   e.key_slot = 2;
-  e.cell_base = 2;
   e.key.assign(16, 0xE5);
   e.key_conf = lattice::Conf::top();
   const unsigned te = svc.addTenant(e);

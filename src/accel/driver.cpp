@@ -38,7 +38,7 @@ std::string toString(AccelStatus s) {
 }
 
 bool loadKeyBytes(AesAccelerator& acc, unsigned user, unsigned slot,
-                  unsigned cell_base, const std::vector<std::uint8_t>& key,
+                  unsigned cell_base, std::span<const std::uint8_t> key,
                   aes::KeySize ks, lattice::Conf key_conf) {
   if (key.size() != aes::keyBytes(ks)) return false;
   const unsigned cells = aes::keyBytes(ks) / 8;
@@ -53,7 +53,7 @@ bool loadKeyBytes(AesAccelerator& acc, unsigned user, unsigned slot,
 }
 
 bool loadKey128(AesAccelerator& acc, unsigned user, unsigned slot,
-                unsigned cell_base, const std::vector<std::uint8_t>& key,
+                unsigned cell_base, std::span<const std::uint8_t> key,
                 lattice::Conf key_conf) {
   return loadKeyBytes(acc, user, slot, cell_base, key, aes::KeySize::Aes128,
                       key_conf);
@@ -72,7 +72,12 @@ bool zeroizeKey128(AesAccelerator& acc, unsigned user, unsigned slot,
                    unsigned cell_base, std::uint64_t max_wait_cycles) {
   if (!waitSlotIdle(acc, slot, max_wait_cycles)) return false;
   const bool cleared = acc.clearKey(user, slot);
-  for (unsigned c = 0; c < 2; ++c) acc.writeKeyCell(user, cell_base + c, 0);
+  // A cell another key's load has re-tagged since is no longer this key's
+  // (the re-tag scrubbed it); writing it would only log a blocked write.
+  const Label& owner = acc.principal(user).authority;
+  for (unsigned c = cell_base; c < cell_base + 2; ++c) {
+    if (acc.scratchpad().cellLabel(c) == owner) acc.writeKeyCell(user, c, 0);
+  }
   return cleared;
 }
 

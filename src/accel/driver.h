@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -37,12 +38,12 @@ namespace aesifc::accel {
 // (configure keyBytes/8 cells, write the 64-bit words, expand into `slot`).
 // Returns false if any step is refused.
 bool loadKeyBytes(AesAccelerator& acc, unsigned user, unsigned slot,
-                  unsigned cell_base, const std::vector<std::uint8_t>& key,
+                  unsigned cell_base, std::span<const std::uint8_t> key,
                   aes::KeySize ks, lattice::Conf key_conf);
 
 // Convenience for the common AES-128 case.
 bool loadKey128(AesAccelerator& acc, unsigned user, unsigned slot,
-                unsigned cell_base, const std::vector<std::uint8_t>& key,
+                unsigned cell_base, std::span<const std::uint8_t> key,
                 lattice::Conf key_conf);
 
 // Ticks `acc` until no in-flight block uses `slot`; false if it is still
@@ -50,9 +51,9 @@ bool loadKey128(AesAccelerator& acc, unsigned user, unsigned slot,
 bool waitSlotIdle(AesAccelerator& acc, unsigned slot, std::uint64_t max_cycles);
 
 // The inverse of loadKey128: waits for `slot` to go idle, clears it, then
-// scrubs the key's two staging cells. False if the slot never went idle
-// (nothing is touched) or the clear was refused (the cells are still
-// scrubbed).
+// scrubs the key's two staging cells that are still tagged to `user`. False
+// if the slot never went idle (nothing is touched) or the clear was refused
+// (the cells are still scrubbed).
 bool zeroizeKey128(AesAccelerator& acc, unsigned user, unsigned slot,
                    unsigned cell_base, std::uint64_t max_wait_cycles);
 

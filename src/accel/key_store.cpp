@@ -32,6 +32,13 @@ void KeyScratchpad::configureCells(unsigned base, unsigned count,
   for (unsigned i = 0; i < count; ++i) {
     tags_[base + i] = l;
     tag_parity_[base + i] = labelParity(l);
+    // A cell handed to a new owner starts empty: re-tagging without a scrub
+    // would let the new owner expand the previous owner's key words under
+    // its own label. The unprotected baseline keeps the stale data.
+    if (mode_ == SecurityMode::Protected) {
+      cells_[base + i] = 0;
+      cell_sum_[base + i] = checksumStep(kChecksumBasis, 0);
+    }
   }
 }
 

@@ -39,18 +39,19 @@ void HealthMonitor::moveTo(HealthState to, std::uint64_t cycle,
   if (to == HealthState::Healthy) wedged_windows_ = 0;
 }
 
-HealthState HealthMonitor::onWindow(const RobustnessStats& window,
-                                    std::uint64_t ops, std::uint64_t ok,
-                                    std::uint64_t cycle) {
+HealthState HealthMonitor::onWindow(
+    const accel::SessionTelemetry& window_delta, std::uint64_t cycle) {
   // Quarantine and probation are left via residency + canaries, not via
   // traffic windows (fallback traffic says nothing about the hardware).
   if (state_ == HealthState::Quarantined || state_ == HealthState::Probation)
     return state_;
+  const std::uint64_t ok = window_delta.ok;
+  const std::uint64_t transient = window_delta.transientFailures();
+  const std::uint64_t ops = ok + transient;
   if (ops == 0) return state_;
 
-  const double rate = static_cast<double>(window.timeouts +
-                                          window.fault_aborts + window.drops) /
-                      static_cast<double>(ops);
+  const double rate =
+      static_cast<double>(transient) / static_cast<double>(ops);
   if (ok == 0) {
     ++wedged_windows_;
   } else {

@@ -1,8 +1,9 @@
 #pragma once
 // Accelerator health-state machine driven by an error-budget window over
-// RobustnessStats. The service layer samples driver/device telemetry once
-// per window and feeds the delta here; the monitor decides whether the
-// hardware path is trustworthy enough to carry traffic.
+// the drivers' SessionTelemetry. The service layer samples its sessions'
+// telemetry once per window and feeds the delta here; the monitor decides
+// which verdicts count and whether the hardware path is trustworthy enough
+// to carry traffic.
 //
 //   Healthy ──(window error rate > degrade threshold)──▶ Degraded
 //   Degraded ──(clean windows)──▶ Healthy
@@ -21,7 +22,7 @@
 #include <string>
 #include <vector>
 
-#include "soc/metrics.h"
+#include "accel/driver.h"
 
 namespace aesifc::soc {
 
@@ -64,12 +65,15 @@ class HealthMonitor {
   // Count of entries into `s` (quarantine flaps, probation attempts, ...).
   unsigned entries(HealthState s) const;
 
-  // One error-budget window worth of telemetry: `window` holds the deltas
-  // accumulated since the previous sample (retries/timeouts/aborts/drops),
-  // `ops` the driver operations that terminated in the window, `ok` the
-  // ones that succeeded. Returns the (possibly new) state.
-  HealthState onWindow(const RobustnessStats& window, std::uint64_t ops,
-                       std::uint64_t ok, std::uint64_t cycle);
+  // One error-budget window worth of telemetry: the verdicts the driver
+  // sessions reached since the previous sample. Only verdicts about device
+  // health count: the transient failures (timeouts, fault aborts, drops)
+  // over those plus the Ok ones. Suppressed, Rejected and AuthFailed are
+  // deterministic verdicts about labels, keys and messages, and counting
+  // them would dilute the rate exactly when the service is churning through
+  // key re-provisions. Returns the (possibly new) state.
+  HealthState onWindow(const accel::SessionTelemetry& window_delta,
+                       std::uint64_t cycle);
 
   // True once the quarantine residency has elapsed and canaries may run.
   // Calling this moves Quarantined -> Probation so the service runs probes

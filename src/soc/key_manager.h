@@ -1,102 +1,86 @@
 #pragma once
-// Key management plane: the supervisor-side software that allocates
-// scratchpad cells and round-key slots to tenants, generates and installs
-// session keys, rotates them safely (only when the pipeline holds no block
-// using the old key), and zeroizes slots when sessions close. Exercises
-// the lifecycle story around the paper's key scratchpad (Fig. 5) and
-// zeroization semantics.
+// Key ledger: the one owner of an engine's round-key slots and key staging
+// cells. Every tenant key is loaded, re-loaded, rotated, quiesced and
+// zeroized through it — the service provisions and re-provisions its
+// tenants here, and the engine pool migrates and retires keys here — so the
+// lifecycle around the paper's key scratchpad (Fig. 5) and its zeroization
+// semantics is written once.
 //
-// Migration between devices reuses this same audited lifecycle instead of
-// ad-hoc install code: exportForMigration() freezes a session and hands out
-// a generation-stamped ticket, importProvisioned() installs it on the
-// target manager under the next generation, and finishMigration() — which
-// demands proof of that exact generation — quiesces and zeroizes the
-// source. Load-at-target therefore strictly precedes zeroize-at-source,
-// and a stale ticket (wrong generation) can neither install nor release
-// the source key.
+// Slot 0 is left to the supervisor (the master key) by convention; a device
+// holds up to kRoundKeySlots - 1 tenant keys. The staging cells are not a
+// held resource: a key for slot s is staged in the two cells cellBase(s)
+// names, which slots share round-robin. Every load re-tags the cells to the
+// loading tenant, and a re-tag scrubs them (KeyScratchpad::configureCells),
+// so a shared cell never hands one tenant's key words to another.
 
-#include <bitset>
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <map>
 #include <optional>
-#include <vector>
+#include <span>
 
 #include "accel/accelerator.h"
-#include "common/rng.h"
 
 namespace aesifc::soc {
 
 class KeyManager {
  public:
   struct Session {
+    bool open = false;
     unsigned user = 0;
     unsigned slot = 0;
-    unsigned cell_base = 0;
-    std::vector<std::uint8_t> key;   // current session key (16 bytes)
-    std::uint64_t generation = 0;    // bumped by every rotation / migration
-    bool exporting = false;          // frozen by exportForMigration
+    std::array<std::uint8_t, 16> key{};  // current AES-128 key bytes
+    lattice::Conf key_conf{};            // ck of the installed key
+    std::uint64_t generation = 0;  // 1 at open, bumped by every rotation
   };
 
-  // Generation-stamped key handoff between two KeyManagers (one per
-  // device). The ticket never carries device resources — the importer
-  // allocates its own slot and cells — only the key material and the
-  // lifecycle proof.
-  struct MigrationTicket {
-    unsigned user = 0;
-    std::vector<std::uint8_t> key;
-    std::uint64_t generation = 0;
-  };
+  explicit KeyManager(accel::AesAccelerator& acc);
 
-  KeyManager(accel::AesAccelerator& acc, std::uint64_t seed = 0x6b657930);
+  // First of the two scratchpad cells a key for `slot` is staged in.
+  static unsigned cellBase(unsigned slot);
 
-  // Allocates a slot + two scratchpad cells for `user`, generates a fresh
-  // key and installs it. Fails when resources are exhausted or the device
-  // refuses a step.
-  std::optional<Session> openSession(unsigned user);
+  // Lowest free tenant slot, or nullopt when every slot is taken.
+  std::optional<unsigned> freeSlot() const;
 
-  // Installs a fresh key into the user's existing slot. Waits (ticking the
-  // device) until no in-flight block references the slot; fails after
-  // `max_wait_cycles`. Blocks submitted before the rotation complete under
-  // the old key; blocks submitted after use the new one. Refused while the
-  // session is frozen for export.
-  bool rotate(unsigned user, unsigned max_wait_cycles = 256);
+  // Claims `slot` for `user` (one session per user) and installs the
+  // 16-byte `key` under `key_conf`. Fails, leaving the slot free, when
+  // either is taken, the key is not 16 bytes, or the device refuses a step.
+  bool openSession(unsigned user, unsigned slot,
+                   std::span<const std::uint8_t> key, lattice::Conf key_conf);
 
-  // Zeroizes the slot and frees the resources.
-  bool closeSession(unsigned user);
+  // Re-installs the session's current key, e.g. after fail-secure
+  // zeroization destroyed the slot.
+  bool reload(unsigned user);
 
-  // --- Migration (export / import / finish) ---------------------------------
-  // Freeze the session and return its generation-stamped ticket. The source
-  // key stays installed and serving until finishMigration — load-at-target
-  // happens first, so the tenant is never keyless.
-  std::optional<MigrationTicket> exportForMigration(unsigned user);
-  // Install an exported ticket on THIS manager's device under the next
-  // generation. Refuses when the user already has a session here or the
-  // device refuses the load. Returns the new session.
-  std::optional<Session> importProvisioned(const MigrationTicket& ticket);
-  // Source-side commit: requires the generation the importer reports
-  // (ticket generation + 1) as proof that the key really is live at the
-  // target; then quiesces the slot, zeroizes it, and frees the resources.
-  // A wrong generation leaves the source session intact (and unfrozen, so
-  // the migration can be retried or abandoned).
-  bool finishMigration(unsigned user, std::uint64_t imported_generation);
+  // Installs `key` into the user's slot once no in-flight block references
+  // it; fails after `max_wait_cycles` ticks. Blocks submitted before the
+  // rotation complete under the old key, later ones use the new one.
+  bool rotate(unsigned user, std::span<const std::uint8_t> key,
+              std::uint64_t max_wait_cycles = 256);
 
+  // Ticks the device until no in-flight block or GCM op references the
+  // user's slot; false after `max_wait_cycles` ticks.
+  bool quiesce(unsigned user, std::uint64_t max_wait_cycles);
+
+  // Quiesces, clears the slot, scrubs its staging cells and frees the slot.
+  // False, with the session left open, when the slot never goes idle or
+  // the clear is refused while the key is still installed.
+  bool closeSession(unsigned user, std::uint64_t max_wait_cycles);
+
+  // Clears every installed key, the supervisor's included, once each slot
+  // is idle, and forgets every session: the device is leaving service.
+  void zeroizeAll(std::uint64_t max_wait_cycles);
+
+  // The user's open session, or nullptr.
   const Session* session(unsigned user) const;
-  std::size_t activeSessions() const { return sessions_.size(); }
+  std::size_t activeSessions() const;
 
  private:
-  std::vector<std::uint8_t> freshKey();
-  bool install(Session& s);
-  bool quiesceAndRelease(Session& s);
+  Session* find(unsigned user);
+  bool install(const Session& s);
 
   accel::AesAccelerator& acc_;
-  Rng rng_;
-  std::map<unsigned, Session> sessions_;  // by user
-  // Width-checked occupancy masks sized from the accelerator config: a
-  // bitset refuses an out-of-range slot index loudly instead of silently
-  // truncating the shift the way the old uint8_t masks would if the
-  // scratchpad or round-key RAM ever grew past 8 entries.
-  std::bitset<accel::kRoundKeySlots> slot_in_use_;
-  std::bitset<accel::kScratchpadCells> cells_in_use_;
+  std::array<Session, accel::kRoundKeySlots> slots_{};  // by slot
 };
 
 }  // namespace aesifc::soc

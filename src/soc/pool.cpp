@@ -5,8 +5,6 @@
 #include <stdexcept>
 #include <thread>
 
-#include "accel/driver.h"
-
 namespace aesifc::soc {
 
 namespace {
@@ -71,7 +69,6 @@ unsigned EnginePool::makeShard() {
   sh.engine = std::make_unique<accel::AesAccelerator>(cfg_.engine);
   sh.engine->addUser(lattice::Principal::supervisor());  // user 0
   sh.service = std::make_unique<AccelService>(*sh.engine, cfg_.service);
-  sh.slots.set(0);  // shard-supervisor convention
   shards_.push_back(std::move(sh));
   return static_cast<unsigned>(shards_.size() - 1);
 }
@@ -89,13 +86,6 @@ unsigned EnginePool::activeShards() const {
     if (!sh.retired) ++n;
   }
   return n;
-}
-
-int EnginePool::freeSlotOn(const Shard& sh) const {
-  for (unsigned s = 1; s < accel::kRoundKeySlots; ++s) {
-    if (!sh.slots.test(s)) return static_cast<int>(s);
-  }
-  return -1;
 }
 
 unsigned EnginePool::placementOf(const std::string& name) const {
@@ -147,7 +137,7 @@ std::optional<unsigned> EnginePool::chooseShard(
   unsigned home = order[0];
   if (order.size() > 1 &&
       shards_[order[1]].tenants < shards_[home].tenants &&
-      freeSlotOn(shards_[order[1]]) >= 0) {
+      hasFreeSlot(order[1])) {
     home = order[1];
   }
   // Spill when the home (counting the newcomer) would REACH kSpillFactor
@@ -160,13 +150,13 @@ std::optional<unsigned> EnginePool::chooseShard(
         static_cast<double>(shards_[lightest].tenants + 1);
     if (home_load >= kSpillFactor * light_load &&
         shards_[lightest].tenants < shards_[home].tenants &&
-        freeSlotOn(shards_[lightest]) >= 0) {
+        hasFreeSlot(lightest)) {
       return lightest;
     }
   }
-  if (freeSlotOn(shards_[home]) >= 0) return home;
+  if (hasFreeSlot(home)) return home;
   for (unsigned s : order) {
-    if (freeSlotOn(shards_[s]) >= 0) return s;
+    if (hasFreeSlot(s)) return s;
   }
   return std::nullopt;
 }
@@ -175,21 +165,16 @@ PlaceResult EnginePool::addTenant(const PoolTenantSpec& spec) {
   const auto shard = chooseShard(spec.name, {}, /*apply_spill=*/true);
   if (!shard.has_value()) return {false, 0, PlaceError::PoolFull};
   Shard& sh = shards_[*shard];
-  const int slot = freeSlotOn(sh);
 
   TenantSpec t;
   t.user = sh.engine->addUser(lattice::Principal::user(spec.name, spec.category));
-  t.key_slot = static_cast<unsigned>(slot);
-  // Staging cells are re-tagged on every key (re)load, so reusing them
-  // round-robin across a shard's slots is safe.
-  t.cell_base = (2 * (t.key_slot - 1)) % accel::kScratchpadCells;
+  t.key_slot = *sh.service->keys().freeSlot();
   t.key = spec.key;
   t.key_conf = lattice::Conf::category(spec.category);
   t.queue_depth = spec.queue_depth;
 
   const auto local_id = sh.service->tryAddTenant(t);
   if (!local_id.has_value()) return {false, 0, PlaceError::ProvisionRefused};
-  sh.slots.set(t.key_slot);
   ++sh.tenants;
   recs_.push_back(TenantRec{spec, Route{*shard, *local_id}, {}});
   return {true, static_cast<unsigned>(recs_.size() - 1), PlaceError::None};
@@ -223,13 +208,13 @@ MigrateResult EnginePool::migrateTenant(unsigned tenant, unsigned dst_shard) {
   Shard& src = shards_[src_shard];
   Shard& dst = shards_[dst_shard];
   if (dst.retired) return fail(MigrateError::TargetRetired);
-  const int dst_slot = freeSlotOn(dst);
-  if (dst_slot < 0) return fail(MigrateError::TargetFull);
+  const auto dst_slot = dst.service->keys().freeSlot();
+  if (!dst_slot) return fail(MigrateError::TargetFull);
 
   const TenantSpec src_spec = src.service->tenantSpec(rec.route.local);
   std::ostringstream what;
   what << "tenant '" << rec.spec.name << "' shard " << src_shard << " -> "
-       << dst_shard << " (slot " << src_spec.key_slot << " -> " << dst_slot
+       << dst_shard << " (slot " << src_spec.key_slot << " -> " << *dst_slot
        << ")";
   noteBothRings(SecurityEventKind::MigrationBegun, src_shard, dst_shard,
                 src_spec.user, what.str());
@@ -244,46 +229,36 @@ MigrateResult EnginePool::migrateTenant(unsigned tenant, unsigned dst_shard) {
   //    and under the same principal/category label as the original
   //    provisioning, so the key travels at (ck = category conf, owner =
   //    the tenant's own label) and never below it.
-  TenantSpec t2;
+  TenantSpec t2 = src_spec;
   t2.user = dst.engine->addUser(
       lattice::Principal::user(rec.spec.name, rec.spec.category));
-  t2.key_slot = static_cast<unsigned>(dst_slot);
-  t2.cell_base = (2 * (t2.key_slot - 1)) % accel::kScratchpadCells;
-  t2.key = src_spec.key;
-  t2.key_conf = src_spec.key_conf;
-  t2.queue_depth = src_spec.queue_depth;
-  t2.aead_queue_depth = src_spec.aead_queue_depth;
+  t2.key_slot = *dst_slot;
   const auto dst_local = dst.service->tryAddTenant(t2);
   if (!dst_local.has_value()) return fail(MigrateError::ProvisionRefused);
 
-  // 3. Slot-quiesce barrier (KeyManager::rotate discipline): no in-flight
-  //    pipeline block may still reference the source slot.
-  if (!accel::waitSlotIdle(*src.engine, src_spec.key_slot,
-                           kMigrateDrainCycles)) {
+  // 3. Slot-quiesce barrier: no in-flight pipeline block may still
+  //    reference the source slot.
+  if (!src.service->keys().quiesce(src_spec.user, kMigrateDrainCycles)) {
     // Roll the target back — retire the orphan provisioning and zeroize
     // its slot and staging cells, so exactly one live copy of the key
     // remains (the source).
     dst.service->deactivateTenant(*dst_local);
-    accel::zeroizeKey128(*dst.engine, t2.user, t2.key_slot, t2.cell_base,
-                         kMigrateDrainCycles);
+    dst.service->keys().closeSession(t2.user, kMigrateDrainCycles);
     return fail(MigrateError::QuiesceTimeout);
   }
 
   // 4. Retire the source-side tenant so nothing can be queued or served
   //    under the dead slot, then zeroize its slot and staging cells.
   src.service->deactivateTenant(rec.route.local);
-  accel::zeroizeKey128(*src.engine, src_spec.user, src_spec.key_slot,
-                       src_spec.cell_base, kMigrateDrainCycles);
+  src.service->keys().closeSession(src_spec.user, kMigrateDrainCycles);
   noteBothRings(SecurityEventKind::MigrationKeyZeroized, src_shard, dst_shard,
                 src_spec.user, what.str());
 
   // 5. Commit the route. Completions already delivered at the source stay
   //    fetchable through the history chain.
-  src.slots.reset(src_spec.key_slot);
   --src.tenants;
   rec.history.push_back(rec.route);
   rec.route = Route{dst_shard, *dst_local};
-  dst.slots.set(t2.key_slot);
   ++dst.tenants;
   ++pool_stats_.migrations;
   noteBothRings(SecurityEventKind::MigrationCommitted, src_shard, dst_shard,
@@ -312,12 +287,8 @@ bool EnginePool::retireShard(unsigned shard) {
   // Drain whatever the shard still owes (evacuation already drained each
   // tenant; this covers stragglers like canary traffic).
   sh.service->runUntilIdle(kMigrateDrainCycles);
-  // Zeroize every remaining valid slot through the same scrub path.
-  for (unsigned s = 0; s < accel::kRoundKeySlots; ++s) {
-    if (!sh.engine->roundKeys().valid(s)) continue;
-    accel::waitSlotIdle(*sh.engine, s, kMigrateDrainCycles);
-    sh.engine->clearKey(0, s);
-  }
+  // Zeroize every key still installed, the supervisor's included.
+  sh.service->keys().zeroizeAll(kMigrateDrainCycles);
   sh.retired = true;
   ++pool_stats_.shards_retired;
   sh.engine->noteServiceEvent(0, "shard retired: tenants evacuated, key "

@@ -39,18 +39,20 @@
 //    security argument: (1) still-queued work completes at the source
 //    under the old provisioning, (2) the session key is re-provisioned at
 //    the TARGET through the same tagged scratchpad path as the original
-//    load, (3) a KeyManager::rotate-style slot-quiesce barrier waits out
-//    in-flight pipeline blocks, (4) only then is the source slot zeroized
-//    and the source-side tenant retired. MigrationBegun / KeyZeroized /
-//    Committed events land in BOTH shards' rings, and any request that
-//    would have executed under a stale or zeroized key is refused and
-//    counted in ServiceStats::wrong_key_uses — which must stay 0.
+//    load, (3) the source shard's key ledger quiesces the source slot,
+//    waiting out in-flight pipeline blocks, (4) only then is the source-
+//    side tenant retired and its slot zeroized. MigrationBegun /
+//    KeyZeroized / Committed events land in BOTH shards' rings, and any
+//    request that would have executed under a stale or zeroized key is
+//    refused and counted in ServiceStats::wrong_key_uses — which must
+//    stay 0.
 //
 // Capacity: each shard hosts up to kRoundKeySlots - 1 tenants (slot 0 is
-// left to the shard supervisor by convention); the scratchpad cells are a
-// reusable staging area, re-tagged per key load.
+// left to the shard supervisor by convention). Every key slot is assigned,
+// loaded, quiesced and zeroized through the shard service's key ledger
+// (AccelService::keys()); the scratchpad cells are a reusable staging area,
+// re-tagged (and so scrubbed) per key load.
 
-#include <bitset>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -232,10 +234,6 @@ class EnginePool {
     std::unique_ptr<AccelService> service;
     std::size_t tenants = 0;  // active tenants currently homed here
     bool retired = false;
-    // Key-slot occupancy (slot 0 reserved for the shard supervisor).
-    // Migration frees slots, so allocation walks this instead of assuming
-    // slot == 1 + arrival order.
-    std::bitset<accel::kRoundKeySlots> slots;
   };
   struct Route {
     unsigned shard = 0;
@@ -254,7 +252,9 @@ class EnginePool {
   std::optional<unsigned> chooseShard(const std::string& name,
                                       const std::vector<unsigned>& exclude,
                                       bool apply_spill) const;
-  int freeSlotOn(const Shard& sh) const;
+  bool hasFreeSlot(unsigned shard) const {
+    return shards_[shard].service->keys().freeSlot().has_value();
+  }
   void noteBothRings(accel::SecurityEventKind kind, unsigned src_shard,
                      unsigned dst_shard, unsigned user,
                      const std::string& detail);

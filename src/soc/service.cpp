@@ -51,7 +51,7 @@ constexpr unsigned kFallbackCyclesPerBlock = 40;
 }  // namespace
 
 AccelService::AccelService(accel::AesAccelerator& acc, ServiceConfig cfg)
-    : acc_{acc}, cfg_{cfg}, monitor_{cfg.health},
+    : acc_{acc}, cfg_{cfg}, keys_{acc}, monitor_{cfg.health},
       window_start_cycle_{acc.cycle()} {
   if (cfg_.use_dma_ring) {
     ring_mem_ = std::make_unique<HostMemory>(kRingArenaBytes);
@@ -92,10 +92,8 @@ unsigned AccelService::addTenant(const TenantSpec& spec) {
 }
 
 std::optional<unsigned> AccelService::tryAddTenant(const TenantSpec& spec) {
-  if (!accel::loadKeyBytes(acc_, spec.user, spec.key_slot, spec.cell_base,
-                           spec.key, aes::KeySize::Aes128, spec.key_conf)) {
+  if (!keys_.openSession(spec.user, spec.key_slot, spec.key, spec.key_conf))
     return std::nullopt;
-  }
   const unsigned t = static_cast<unsigned>(tenants_.size());
   tenants_.push_back(spec);
   sessions_.emplace_back(acc_, spec.user, spec.key_slot, cfg_.healthy_opts);
@@ -299,12 +297,8 @@ bool AccelService::reprovisionKey(unsigned tenant) {
   // Never resurrect a retired tenant's key: after migration the slot is
   // zeroized on purpose, and re-installing it here would silently undo the
   // handover's security argument.
-  if (!tenant_active_[tenant]) return false;
-  const auto& spec = tenants_[tenant];
-  if (!accel::loadKeyBytes(acc_, spec.user, spec.key_slot, spec.cell_base,
-                           spec.key, aes::KeySize::Aes128, spec.key_conf)) {
+  if (!tenant_active_[tenant] || !keys_.reload(tenants_[tenant].user))
     return false;
-  }
   ++stats_.key_reprovisions;
   return true;
 }
@@ -652,21 +646,8 @@ void AccelService::sampleWindowIfDue() {
   if (acc_.cycle() < window_start_cycle_ + cfg_.health.window_cycles) return;
   accel::SessionTelemetry now;
   for (const auto& s : sessions_) now += s.telemetry();
-  const accel::SessionTelemetry d = now - window_base_;
-
-  RobustnessStats w;
-  w.timeouts = d.timeouts;
-  w.fault_aborts = d.fault_aborts;
-  w.drops = d.drops;
   const HealthState before = monitor_.state();
-  // Deterministic refusals (rejected, suppressed) say nothing about device
-  // health — counting them would dilute the transient rate exactly when the
-  // service is churning through key reprovisions. The denominator is only
-  // the verdicts a healthy device would have completed. Auth-tag mismatches
-  // are likewise message verdicts, not device health, and stay out of both
-  // numerator and denominator.
-  const std::uint64_t ops = d.ok + d.timeouts + d.fault_aborts + d.drops;
-  monitor_.onWindow(w, ops, d.ok, acc_.cycle());
+  monitor_.onWindow(now - window_base_, acc_.cycle());
   window_start_cycle_ = acc_.cycle();
   window_base_ = now;
   if (monitor_.state() != before) {

@@ -14,10 +14,10 @@
 //    denial of service.
 //
 //  * Circuit breaker: a HealthMonitor watches an error-budget window over
-//    the drivers' RobustnessStats-style telemetry. When the device is
-//    Quarantined the service fails over to the golden software AES — but
-//    every fallback block first re-checks the tenant's (conf, integ) label
-//    via soc::degradedReleaseDecision, the same Eq. 1 declassification the
+//    the drivers' SessionTelemetry. When the device is Quarantined the
+//    service fails over to the golden software AES — but every fallback
+//    block first re-checks the tenant's (conf, integ) label via
+//    soc::degradedReleaseDecision, the same Eq. 1 declassification the
 //    tagged pipeline applies at its exit. Degraded mode can therefore never
 //    release a ciphertext the hardware would have suppressed.
 //
@@ -44,6 +44,7 @@
 #include "common/counters.h"
 #include "soc/dma.h"
 #include "soc/health.h"
+#include "soc/key_manager.h"
 #include "soc/metrics.h"
 
 namespace aesifc::soc {
@@ -98,11 +99,11 @@ struct ServiceConfig {
 
 // One tenant as the service sees it: an accelerator principal plus the key
 // material the service provisioned for it (which is what makes both the
-// software fallback and canary re-provisioning possible).
+// software fallback and canary re-provisioning possible). The engine's key
+// ledger stages the key through the cells it derives from the slot.
 struct TenantSpec {
   unsigned user = 0;         // accelerator user id (already addUser'ed)
-  unsigned key_slot = 0;     // round-key RAM slot
-  unsigned cell_base = 0;    // scratchpad cells used to (re)load the key
+  unsigned key_slot = 0;     // round-key RAM slot (1 .. kRoundKeySlots - 1)
   std::vector<std::uint8_t> key;  // raw AES-128 key bytes
   lattice::Conf key_conf{};  // ck of the provisioned key
   std::size_t queue_depth = 16;
@@ -240,16 +241,23 @@ class AccelService {
  public:
   AccelService(accel::AesAccelerator& acc, ServiceConfig cfg);
 
-  // Provisions the tenant's key into its slot (throws on refusal — a
-  // legitimate setup step must not fail silently) and registers its queue.
-  // Returns the tenant index used by submit()/fetch().
+  // Provisions the tenant's key into its slot through the key ledger
+  // (throws on refusal — a legitimate setup step must not fail silently)
+  // and registers its queue. Returns the tenant index used by
+  // submit()/fetch().
   unsigned addTenant(const TenantSpec& spec);
 
   // Non-throwing variant for callers that can degrade gracefully (the
   // elastic pool's migration path: a refused provisioning at the target
   // must leave the source untouched, not unwind the stack). Returns the
-  // tenant index, or nullopt when the device refuses the key load.
+  // tenant index, or nullopt when the ledger or the device refuses the key
+  // load.
   std::optional<unsigned> tryAddTenant(const TenantSpec& spec);
+
+  // The engine's key ledger: the one owner of its key slots and staging
+  // cells, through which tenant keys are loaded, quiesced and zeroized.
+  KeyManager& keys() { return keys_; }
+  const KeyManager& keys() const { return keys_; }
 
   // Retire a tenant: future submits are refused (AdmitError::TenantRetired)
   // and any request that still reaches a serve path is refused and counted
@@ -425,6 +433,7 @@ class AccelService {
 
   accel::AesAccelerator& acc_;
   ServiceConfig cfg_;
+  KeyManager keys_;
   HealthMonitor monitor_;
   std::vector<TenantSpec> tenants_;
   std::vector<accel::AccelSession> sessions_;

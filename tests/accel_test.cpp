@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "accel/mmio.h"
+
 #include "aes/cipher.h"
 #include "common/rng.h"
 
@@ -163,6 +165,55 @@ TEST_F(ProtectedFixture, SupervisorCanReadUserCells) {
   const auto v = acc.scratchpad().readCell(2, acc.principal(sup).authority);
   ASSERT_TRUE(v.has_value());
   EXPECT_EQ(*v, 0x9999u);
+}
+
+// Fig. 5 reuse: the arbiter re-tags cells for a new owner. The previous
+// owner's key words must not survive the re-tag, or the new owner could
+// expand them into its own slot and encrypt under a key it never saw.
+TEST_F(ProtectedFixture, RetaggedCellsDoNotCarryThePreviousOwnersKey) {
+  const auto alice_key = AccelFixture::key16(0xa1);
+  const auto zero_key = std::vector<std::uint8_t>(16, 0);
+  auto firstRoundKey = [&](unsigned slot) {
+    const aes::RoundKey& rk = acc.roundKeys().roundKey(slot, 0);
+    return std::vector<std::uint8_t>(rk.begin(), rk.end());
+  };
+
+  // Direct API: Alice stages her key in cells 2-3 and expands it into
+  // slot 1; Eve re-tags the cells to herself and expands them into slot 2.
+  AccelFixture::load(acc, alice, 1, 2, alice_key, Conf::category(1));
+  acc.configureKeyCells(eve, 2, 2);
+  EXPECT_EQ(acc.scratchpad().rawCell(2), 0u);
+  EXPECT_EQ(acc.scratchpad().rawCell(3), 0u);
+  EXPECT_TRUE(acc.scratchpad().cellParityOk(2));
+  EXPECT_TRUE(acc.scratchpad().cellParityOk(3));
+  ASSERT_TRUE(acc.loadKey(eve, 2, 2, aes::KeySize::Aes128, Conf::category(2)));
+  EXPECT_EQ(firstRoundKey(2), zero_key);
+  aes::Block pt{};
+  for (unsigned i = 0; i < 16; ++i) pt[i] = static_cast<std::uint8_t>(i);
+  ASSERT_TRUE(acc.submit(BlockRequest{1, eve, 2, false, pt}));
+  std::optional<BlockResponse> out;
+  for (unsigned i = 0; i < 200 && !out; ++i) {
+    acc.tick();
+    out = acc.fetchOutput(eve);
+  }
+  ASSERT_TRUE(out.has_value());
+  EXPECT_NE(out->data,
+            aes::encryptBlock(pt, alice_key.data(), aes::KeySize::Aes128));
+  EXPECT_EQ(out->data,
+            aes::encryptBlock(pt, zero_key.data(), aes::KeySize::Aes128));
+
+  // The same theft over the register interface: KEY_GO op 2 re-tags, op 4
+  // expands (palette 2 = category 2).
+  AccelFixture::load(acc, alice, 3, 4, alice_key, Conf::category(1));
+  MmioWindow eve_win{acc, eve};
+  eve_win.write(MmioWindow::kKeyArg, (2u << 8) | 4);
+  eve_win.write(MmioWindow::kKeyGo, 2);
+  eve_win.write(MmioWindow::kKeySlot, 4);
+  eve_win.write(MmioWindow::kKeyArg, (2u << 8) | 4);
+  eve_win.write(MmioWindow::kKeyGo, 4);
+  ASSERT_EQ(eve_win.read(MmioWindow::kLastOpOk), 1u);
+  EXPECT_EQ(firstRoundKey(4), zero_key);
+  EXPECT_EQ(firstRoundKey(3), alice_key);  // Alice's own slot is untouched
 }
 
 TEST_F(ProtectedFixture, ConfigWriteRequiresSupervisor) {

@@ -665,7 +665,6 @@ TEST(DmaRing, ServiceRingPathMatchesMmioPath) {
   TenantSpec spec;
   spec.user = u;
   spec.key_slot = 1;
-  spec.cell_base = 0;
   spec.key = key;
   spec.key_conf = acc.principal(u).authority.c;
   spec.queue_depth = 64;

@@ -561,7 +561,6 @@ TEST(GcmService, SealAndOpenRouteThroughAdmissionAndBatching) {
   TenantSpec spec;
   spec.user = user;
   spec.key_slot = 1;
-  spec.cell_base = 0;
   spec.key = std::vector<std::uint8_t>(16, 0x42);
   spec.key_conf = Conf::category(1);
   const unsigned t = svc.addTenant(spec);
@@ -653,7 +652,7 @@ TEST(GcmPool, AeadRoundTripsAcrossShards) {
 // --- Overlapped AEAD ops in the service ----------------------------------------
 
 // A service over one accelerator with `n` AEAD tenants: user i + 1 holds
-// key slot i + 1, loaded from scratchpad cells 2i and 2i + 1.
+// key slot i + 1, provisioned through the service's key ledger.
 struct AeadRig {
   AesAccelerator acc{AcceleratorConfig{}};
   AccelService svc;
@@ -665,7 +664,6 @@ struct AeadRig {
       TenantSpec spec;
       spec.user = acc.addUser(Principal::user("t" + std::to_string(i), i + 1));
       spec.key_slot = i + 1;
-      spec.cell_base = 2 * i;
       spec.key = std::vector<std::uint8_t>(16, static_cast<std::uint8_t>(0x42 + i));
       spec.key_conf = Conf::category(i + 1);
       svc.addTenant(spec);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "accel/driver.h"
 #include "aes/cipher.h"
 #include "common/rng.h"
 
@@ -11,6 +12,7 @@ namespace {
 using accel::AcceleratorConfig;
 using accel::AesAccelerator;
 using accel::BlockRequest;
+using lattice::Conf;
 using lattice::Principal;
 
 struct KmFixture : ::testing::Test {
@@ -19,6 +21,29 @@ struct KmFixture : ::testing::Test {
   unsigned alice = acc.addUser(Principal::user("alice", 1));
   unsigned bob = acc.addUser(Principal::user("bob", 2));
   KeyManager km{acc};
+  Rng rng{0x6b6579};
+
+  std::vector<std::uint8_t> freshKey() {
+    std::vector<std::uint8_t> k(16);
+    for (auto& b : k) b = static_cast<std::uint8_t>(rng.next());
+    return k;
+  }
+
+  // Opens `user`'s session on the lowest free slot under the user's own
+  // confidentiality; returns it, or nullptr when refused.
+  const KeyManager::Session* open(unsigned user) {
+    const auto slot = km.freeSlot();
+    const Conf own = acc.principal(user).authority.c;
+    if (!slot || !km.openSession(user, *slot, freshKey(), own)) return nullptr;
+    return km.session(user);
+  }
+
+  // open() that must succeed.
+  KeyManager::Session mustOpen(unsigned user) {
+    const auto* s = open(user);
+    EXPECT_NE(s, nullptr) << "user " << user;
+    return s != nullptr ? *s : KeyManager::Session{};
+  }
 
   accel::BlockResponse crypt(unsigned user, unsigned slot,
                              const aes::Block& data) {
@@ -35,8 +60,8 @@ struct KmFixture : ::testing::Test {
 };
 
 TEST_F(KmFixture, OpenSessionInstallsWorkingKey) {
-  const auto s = km.openSession(alice);
-  ASSERT_TRUE(s.has_value());
+  const auto* s = open(alice);
+  ASSERT_NE(s, nullptr);
   EXPECT_EQ(s->generation, 1u);
   aes::Block pt{};
   const auto resp = crypt(alice, s->slot, pt);
@@ -45,35 +70,51 @@ TEST_F(KmFixture, OpenSessionInstallsWorkingKey) {
 }
 
 TEST_F(KmFixture, SessionsGetDisjointResources) {
-  const auto sa = km.openSession(alice);
-  const auto sb = km.openSession(bob);
-  ASSERT_TRUE(sa && sb);
-  EXPECT_NE(sa->slot, sb->slot);
-  EXPECT_NE(sa->cell_base, sb->cell_base);
-  EXPECT_NE(sa->key, sb->key);
+  const auto sa = mustOpen(alice);
+  const auto sb = mustOpen(bob);
+  EXPECT_NE(sa.slot, sb.slot);
+  EXPECT_NE(KeyManager::cellBase(sa.slot), KeyManager::cellBase(sb.slot));
+  EXPECT_NE(sa.key, sb.key);
   // Slot 0 stays reserved for the master key.
-  EXPECT_NE(sa->slot, 0u);
-  EXPECT_NE(sb->slot, 0u);
-  // One session per user.
-  EXPECT_FALSE(km.openSession(alice).has_value());
+  EXPECT_NE(sa.slot, 0u);
+  EXPECT_NE(sb.slot, 0u);
+  const unsigned carol = acc.addUser(Principal::user("carol", 3));
+  const Conf c3 = Conf::category(3);
+  EXPECT_FALSE(km.openSession(carol, 0, freshKey(), c3));
+  // One session per user, one user per slot.
+  EXPECT_FALSE(km.openSession(alice, *km.freeSlot(), freshKey(),
+                              Conf::category(1)));
+  EXPECT_FALSE(km.openSession(carol, sa.slot, freshKey(), c3));
+  EXPECT_EQ(km.activeSessions(), 2u);
 }
 
 TEST_F(KmFixture, ResourceExhaustionReported) {
-  // 8 cells / 2 per session = 4 sessions; one slot is reserved, leaving
-  // enough slots, so cells are the limiting resource.
-  std::vector<unsigned> extra_users;
-  unsigned opened = 0;
-  for (unsigned i = 0; i < 6; ++i) {
-    const unsigned u = acc.addUser(Principal::user("t" + std::to_string(i),
-                                                   (i % 13) + 3));
-    if (km.openSession(u).has_value()) ++opened;
+  // Slots, not staging cells, bound a device: every load re-tags (and so
+  // scrubs) its slot's cell pair, so slots share the eight cells round-robin
+  // and every slot but the master key's holds a tenant key.
+  std::vector<unsigned> users;
+  for (unsigned i = 0; i < accel::kRoundKeySlots + 1; ++i) {
+    users.push_back(acc.addUser(
+        Principal::user("t" + std::to_string(i), (i % 13) + 3)));
   }
-  EXPECT_EQ(opened, 4u);
+  unsigned opened = 0;
+  for (unsigned u : users) opened += open(u) != nullptr ? 1 : 0;
+  EXPECT_EQ(opened, accel::kRoundKeySlots - 1);
+  EXPECT_FALSE(km.freeSlot().has_value());
+  // Each key survives the later loads that re-used its staging cells.
+  aes::Block pt{};
+  for (unsigned u : users) {
+    const auto* s = km.session(u);
+    if (s == nullptr) continue;
+    EXPECT_EQ(crypt(u, s->slot, pt).data,
+              aes::encryptBlock(pt, s->key.data(), aes::KeySize::Aes128))
+        << "slot " << s->slot;
+  }
 }
 
 TEST_F(KmFixture, RotationChangesKeyAndGeneration) {
-  const auto s1 = *km.openSession(alice);
-  ASSERT_TRUE(km.rotate(alice));
+  const auto s1 = mustOpen(alice);
+  ASSERT_TRUE(km.rotate(alice, freshKey()));
   const auto* s2 = km.session(alice);
   ASSERT_NE(s2, nullptr);
   EXPECT_EQ(s2->generation, 2u);
@@ -87,14 +128,14 @@ TEST_F(KmFixture, RotationChangesKeyAndGeneration) {
 }
 
 TEST_F(KmFixture, RotationWaitsForInFlightBlocks) {
-  const auto s = *km.openSession(alice);
+  const auto s = mustOpen(alice);
   // Put a block in flight, then rotate: the old block must complete under
   // the OLD key (the manager drains before touching the slot).
   BlockRequest req{777, alice, s.slot, false, {}};
   ASSERT_TRUE(acc.submit(req));
   acc.tick();  // in stage 0 now
   ASSERT_TRUE(acc.keySlotBusy(s.slot));
-  ASSERT_TRUE(km.rotate(alice));
+  ASSERT_TRUE(km.rotate(alice, freshKey()));
   EXPECT_FALSE(acc.keySlotBusy(s.slot));
 
   // Collect the pre-rotation block.
@@ -121,25 +162,55 @@ TEST_F(KmFixture, RotationWaitsForInFlightBlocks) {
 }
 
 TEST_F(KmFixture, CloseSessionZeroizesAndFrees) {
-  const auto s = *km.openSession(alice);
-  ASSERT_TRUE(km.closeSession(alice));
+  const auto s = mustOpen(alice);
+  ASSERT_TRUE(km.closeSession(alice, 256));
   EXPECT_EQ(km.session(alice), nullptr);
   EXPECT_FALSE(acc.roundKeys().valid(s.slot));
-  EXPECT_EQ(acc.scratchpad().rawCell(s.cell_base), 0u);
+  EXPECT_EQ(acc.scratchpad().rawCell(KeyManager::cellBase(s.slot)), 0u);
+  EXPECT_EQ(acc.scratchpad().rawCell(KeyManager::cellBase(s.slot) + 1), 0u);
   // Resources are reusable.
-  const auto s2 = km.openSession(bob);
-  ASSERT_TRUE(s2.has_value());
+  const auto* s2 = open(bob);
+  ASSERT_NE(s2, nullptr);
   EXPECT_EQ(s2->slot, s.slot);
 }
 
+TEST_F(KmFixture, CloseSessionReleasesASlotFailSecureAlreadyCleared) {
+  const auto s = mustOpen(alice);
+  ASSERT_TRUE(acc.clearKey(alice, s.slot));  // as fail-secure zeroization
+  EXPECT_TRUE(km.closeSession(alice, 256));
+  EXPECT_EQ(km.freeSlot(), s.slot);
+}
+
+TEST_F(KmFixture, ReloadRestoresAZeroizedSlot) {
+  const auto s = mustOpen(alice);
+  ASSERT_TRUE(acc.clearKey(alice, s.slot));
+  ASSERT_TRUE(km.reload(alice));
+  EXPECT_EQ(km.session(alice)->generation, 1u);  // same key, same generation
+  aes::Block pt{};
+  EXPECT_EQ(crypt(alice, s.slot, pt).data,
+            aes::encryptBlock(pt, s.key.data(), aes::KeySize::Aes128));
+}
+
+TEST_F(KmFixture, ZeroizeAllClearsEverySlotAndForgetsSessions) {
+  ASSERT_TRUE(accel::loadKey128(acc, sup, 0, 6, freshKey(), Conf::top()));
+  ASSERT_NE(open(alice), nullptr);
+  ASSERT_NE(open(bob), nullptr);
+  km.zeroizeAll(256);
+  for (unsigned s = 0; s < accel::kRoundKeySlots; ++s)
+    EXPECT_FALSE(acc.roundKeys().valid(s)) << "slot " << s;
+  EXPECT_EQ(km.activeSessions(), 0u);
+  EXPECT_EQ(km.freeSlot(), 1u);
+}
+
 TEST_F(KmFixture, RotateUnknownUserFails) {
-  EXPECT_FALSE(km.rotate(alice));
-  EXPECT_FALSE(km.closeSession(alice));
+  EXPECT_FALSE(km.rotate(alice, freshKey()));
+  EXPECT_FALSE(km.reload(alice));
+  EXPECT_FALSE(km.quiesce(alice, 256));
+  EXPECT_FALSE(km.closeSession(alice, 256));
 }
 
 TEST_F(KmFixture, ContinuousTrafficAcrossRotations) {
-  const auto s0 = *km.openSession(alice);
-  Rng rng{5};
+  const auto s0 = mustOpen(alice);
   unsigned slot = s0.slot;
   for (unsigned round = 0; round < 5; ++round) {
     const auto* s = km.session(alice);
@@ -151,98 +222,9 @@ TEST_F(KmFixture, ContinuousTrafficAcrossRotations) {
                 aes::encryptBlock(pt, s->key.data(), aes::KeySize::Aes128))
           << "round " << round;
     }
-    ASSERT_TRUE(km.rotate(alice)) << "round " << round;
+    ASSERT_TRUE(km.rotate(alice, freshKey())) << "round " << round;
   }
   EXPECT_EQ(km.session(alice)->generation, 6u);
-}
-
-// --- Migration: export / import / finish -------------------------------------
-
-// Cross-device fixture: one KeyManager per accelerator, as the elastic pool
-// has one per shard.
-struct KmMigrateFixture : ::testing::Test {
-  AesAccelerator src_acc{AcceleratorConfig{}};
-  AesAccelerator dst_acc{AcceleratorConfig{}};
-  unsigned src_sup = src_acc.addUser(Principal::supervisor());
-  unsigned dst_sup = dst_acc.addUser(Principal::supervisor());
-  unsigned src_alice = src_acc.addUser(Principal::user("alice", 1));
-  unsigned dst_alice = dst_acc.addUser(Principal::user("alice", 1));
-  KeyManager src_km{src_acc, 0x5eed5eed};
-  KeyManager dst_km{dst_acc, 0xfeedfeed};
-};
-
-TEST_F(KmMigrateFixture, ExportImportFinishMovesKeyWithGenerationProof) {
-  const auto s = *src_km.openSession(src_alice);
-  ASSERT_EQ(s.generation, 1u);
-
-  const auto ticket = src_km.exportForMigration(src_alice);
-  ASSERT_TRUE(ticket.has_value());
-  EXPECT_EQ(ticket->generation, 1u);
-  EXPECT_EQ(ticket->key, s.key);
-  // Export freezes the session: rotation is refused while a ticket is out,
-  // so the ticket's generation proof cannot be invalidated underneath it.
-  EXPECT_FALSE(src_km.rotate(src_alice));
-  // But the source key stays installed and serving (load-before-zeroize).
-  EXPECT_TRUE(src_acc.roundKeys().valid(s.slot));
-
-  const auto imported = dst_km.importProvisioned(*ticket);
-  ASSERT_TRUE(imported.has_value());
-  EXPECT_EQ(imported->generation, 2u);  // ticket generation + 1
-  EXPECT_EQ(imported->key, s.key);      // same key material, new device
-  EXPECT_TRUE(dst_acc.roundKeys().valid(imported->slot));
-
-  // Source commit requires the importer's exact generation as proof.
-  ASSERT_TRUE(src_km.finishMigration(src_alice, imported->generation));
-  EXPECT_EQ(src_km.session(src_alice), nullptr);
-  EXPECT_FALSE(src_acc.roundKeys().valid(s.slot));          // zeroized
-  EXPECT_EQ(src_acc.scratchpad().rawCell(s.cell_base), 0u);  // scrubbed
-}
-
-TEST_F(KmMigrateFixture, WrongGenerationProofNeitherInstallsNorReleases) {
-  const auto s = *src_km.openSession(src_alice);
-  const auto ticket = *src_km.exportForMigration(src_alice);
-
-  // A stale proof (wrong generation) is refused and the source session
-  // survives — unfrozen, so it can rotate or retry.
-  EXPECT_FALSE(src_km.finishMigration(src_alice, ticket.generation + 7));
-  ASSERT_NE(src_km.session(src_alice), nullptr);
-  EXPECT_TRUE(src_acc.roundKeys().valid(s.slot));
-  EXPECT_TRUE(src_km.rotate(src_alice));  // unfrozen after the refusal
-
-  // The rotation bumped the generation, so the OLD ticket's proof chain is
-  // dead: finish with its would-be imported generation is still refused.
-  EXPECT_FALSE(src_km.finishMigration(src_alice, ticket.generation + 1));
-  ASSERT_NE(src_km.session(src_alice), nullptr);
-}
-
-TEST_F(KmMigrateFixture, ImportRefusalsLeaveTargetClean) {
-  // Corrupt ticket (wrong key size) is refused outright.
-  KeyManager::MigrationTicket bad;
-  bad.user = dst_alice;
-  bad.key.assign(7, 0xaa);
-  bad.generation = 1;
-  EXPECT_FALSE(dst_km.importProvisioned(bad).has_value());
-  EXPECT_EQ(dst_km.activeSessions(), 0u);
-
-  // A user that already holds a session on the target cannot be imported
-  // over it.
-  ASSERT_TRUE(dst_km.openSession(dst_alice).has_value());
-  KeyManager::MigrationTicket dup;
-  dup.user = dst_alice;
-  dup.key.assign(16, 0xbb);
-  dup.generation = 3;
-  EXPECT_FALSE(dst_km.importProvisioned(dup).has_value());
-  EXPECT_EQ(dst_km.activeSessions(), 1u);
-}
-
-TEST_F(KmMigrateFixture, ExportIsIdempotentUntilFinished) {
-  ASSERT_TRUE(src_km.openSession(src_alice).has_value());
-  const auto t1 = src_km.exportForMigration(src_alice);
-  const auto t2 = src_km.exportForMigration(src_alice);
-  ASSERT_TRUE(t1 && t2);
-  EXPECT_EQ(t1->generation, t2->generation);
-  EXPECT_EQ(t1->key, t2->key);
-  EXPECT_FALSE(src_km.exportForMigration(99).has_value());  // no session
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -315,6 +316,56 @@ TEST(PoolElastic, QuiesceTimeoutRollbackLeavesNoKeyOnTheTarget) {
   EXPECT_EQ(c->status, CompletionStatus::Ok);
   const auto golden = aes::expandKey(keyOf(0), aes::KeySize::Aes128);
   EXPECT_EQ(c->data, aes::encryptBlock(patternBlock(2), golden));
+}
+
+// The quiesce barrier runs on the pool's migration budget, not the key
+// ledger's 256-cycle rotation default: a GCM op that holds the source slot
+// for over 512 cycles delays the migration but does not fail it.
+TEST(PoolElastic, MigrationQuiesceOutlastsALongInFlightGcmOp) {
+  EnginePool pool{poolConfig(2, 1)};
+  const unsigned a = addTenantN(pool, 0);
+  const unsigned src = pool.shardOf(a);
+  accel::AesAccelerator& src_eng = pool.shardEngine(src);
+  const TenantSpec spec = pool.shardService(src).tenantSpec(localOf(pool, a));
+
+  accel::GcmRequest op;
+  op.req_id = 77;
+  op.user = spec.user;
+  op.key_slot = spec.key_slot;
+  op.iv.assign(12, 0x24);
+  op.data.assign(512 * 16, 0x5a);
+  ASSERT_EQ(src_eng.submitGcm(op), accel::GcmSubmit::Accepted);
+  src_eng.tick();
+  ASSERT_TRUE(src_eng.keySlotBusy(spec.key_slot));
+
+  const std::uint64_t before = src_eng.cycle();
+  const MigrateResult r = pool.migrateTenant(a, 1 - src);
+  EXPECT_TRUE(r.moved) << toString(r.error);
+  EXPECT_GT(src_eng.cycle() - before, 512u);
+  EXPECT_FALSE(src_eng.roundKeys().valid(spec.key_slot));
+  EXPECT_EQ(pool.shardOf(a), 1 - src);
+}
+
+// Slots 1 and 5 stage their keys through the same cell pair, and slot 5's
+// load re-tagged (and scrubbed) it. Zeroizing slot 1's key must leave those
+// cells to their new owner: a legitimate migration logs no blocked write.
+TEST(PoolElastic, MigrationOffASharedCellPairLogsNoBlockedWrite) {
+  EnginePool pool{poolConfig(2, 1)};
+  for (unsigned t = 0; t < 12; ++t) addTenantN(pool, t);
+  std::optional<unsigned> victim;
+  for (unsigned t = 0; t < pool.tenants() && !victim; ++t) {
+    const unsigned sh = pool.shardOf(t);
+    if (pool.tenantsOn(sh) >= 5 &&
+        pool.shardService(sh).tenantSpec(localOf(pool, t)).key_slot == 1)
+      victim = t;
+  }
+  ASSERT_TRUE(victim.has_value());
+  const unsigned src = pool.shardOf(*victim);
+  ASSERT_TRUE(pool.migrateTenant(*victim, 1 - src).moved);
+  const accel::AesAccelerator& src_eng = pool.shardEngine(src);
+  EXPECT_EQ(src_eng.eventCount(SecurityEventKind::ScratchpadWriteBlocked), 0u);
+  EXPECT_FALSE(src_eng.roundKeys().valid(1));
+  EXPECT_TRUE(src_eng.roundKeys().valid(5));  // the pair's new owner serves
 }
 
 TEST(PoolElastic, RetireShardEvacuatesZeroizesAndKeepsTenantsServing) {

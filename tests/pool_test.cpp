@@ -94,6 +94,38 @@ TEST(PoolPlacement, CapacityIsSevenTenantsPerShardThenTypedRejection) {
   EXPECT_EQ(pool.tenants(), cap);  // nothing half-placed
 }
 
+// A shard's key ledger hands out every slot but the supervisor's, and the
+// seven keys stay intact although their loads share the eight staging cells.
+TEST(PoolPlacement, ShardLedgerHoldsSevenTenantKeys) {
+  EnginePool pool{poolConfig(1, 1)};
+  const unsigned kCap = accel::kRoundKeySlots - 1;
+  for (unsigned t = 0; t < kCap; ++t) addTenantN(pool, t);
+  const KeyManager& keys = pool.shardService(0).keys();
+  EXPECT_EQ(keys.activeSessions(), kCap);
+  EXPECT_FALSE(keys.freeSlot().has_value());
+  for (unsigned t = 0; t < kCap; ++t) {
+    const auto* s = keys.session(pool.shardService(0).tenantSpec(t).user);
+    ASSERT_NE(s, nullptr);
+    EXPECT_EQ(s->slot, t + 1);  // slots in arrival order
+  }
+  PoolTenantSpec spec;
+  spec.name = "tenant-overflow";
+  spec.key = keyOf(kCap);
+  EXPECT_EQ(pool.addTenant(spec).error, PlaceError::PoolFull);
+
+  for (unsigned t = 0; t < kCap; ++t)
+    ASSERT_TRUE(pool.submit(t, patternBlock(t)).admitted);
+  pool.runUntilIdle(100000);
+  for (unsigned t = 0; t < kCap; ++t) {
+    const auto c = pool.fetch(t);
+    ASSERT_TRUE(c.has_value());
+    EXPECT_EQ(c->status, CompletionStatus::Ok);
+    const auto golden = aes::expandKey(keyOf(t), aes::KeySize::Aes128);
+    EXPECT_EQ(c->data, aes::encryptBlock(patternBlock(t), golden))
+        << "tenant " << t;
+  }
+}
+
 TEST(PoolBatch, BatchedResultsMatchGoldenAesInSubmissionOrder) {
   EnginePool pool{poolConfig(2, 16)};
   const unsigned kTenants = 4, kBlocks = 24;

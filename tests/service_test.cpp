@@ -48,7 +48,6 @@ struct Rig {
       TenantSpec spec;
       spec.user = user;
       spec.key_slot = t + 1;
-      spec.cell_base = 2 * t;
       spec.key = keyOf(t);
       spec.key_conf = Conf::category(t + 1);
       spec.queue_depth = 8;
@@ -312,7 +311,6 @@ ServiceStats runTraceScenario(bool ring, TraceHash& h) {
     TenantSpec spec;
     spec.user = acc.addUser(Principal::user("t" + std::to_string(t), t + 1));
     spec.key_slot = t + 1;
-    spec.cell_base = 2 * t;
     spec.key = keyOf(t);
     spec.key_conf = Conf::category(t + 1);
     spec.queue_depth = 96;
@@ -469,7 +467,6 @@ TEST(ServiceLabelSafety, FallbackRefusesWhatTaggedPipelineRefuses) {
   TenantSpec spec;
   spec.user = eve;
   spec.key_slot = 5;
-  spec.cell_base = 4;
   spec.key = keyOf(7);
   spec.key_conf = Conf::top();  // ck = top: only the supervisor may release
   const unsigned te = r.svc.addTenant(spec);
@@ -529,7 +526,6 @@ TEST(ServiceLabelSafety, SuppressedTenantDoesNotBlockProbationRecovery) {
   TenantSpec spec;
   spec.user = eve;
   spec.key_slot = 5;
-  spec.cell_base = 4;
   spec.key = keyOf(7);
   spec.key_conf = Conf::top();
   r.svc.addTenant(spec);
@@ -555,6 +551,27 @@ TEST(ServiceLabelSafety, SuppressedTenantDoesNotBlockProbationRecovery) {
   EXPECT_GE(r.svc.stats().canary_rounds, 1u);
 }
 
+// The engine's key ledger owns the slots: a second tenant naming a slot
+// that already holds a tenant key is refused, instead of overwriting that
+// key and leaving the first tenant encrypting under the newcomer's.
+TEST(ServiceKeys, TenantCannotTakeAnotherTenantsSlot) {
+  Rig r{1};
+  TenantSpec spec;
+  spec.user = r.acc.addUser(Principal::user("mallory", 5));
+  spec.key_slot = r.svc.tenantSpec(0).key_slot;
+  spec.key = keyOf(5);
+  spec.key_conf = Conf::category(5);
+  EXPECT_FALSE(r.svc.tryAddTenant(spec).has_value());
+  EXPECT_EQ(r.svc.keys().activeSessions(), 1u);
+
+  ASSERT_TRUE(r.svc.submit(0, patternBlock(3)).admitted);
+  r.svc.runUntilIdle(1u << 12);
+  const auto c = r.svc.fetch(0);
+  ASSERT_TRUE(c.has_value());
+  EXPECT_EQ(c->status, CompletionStatus::Ok);
+  EXPECT_EQ(c->data, aes::encryptBlock(patternBlock(3), r.golden[0]));
+}
+
 TEST(ServiceLabelSafety, SupervisorMayReleaseMasterKeyResultsEvenDegraded) {
   AesAccelerator acc{AcceleratorConfig{}};
   const unsigned sup = acc.addUser(Principal::supervisor());
@@ -568,23 +585,26 @@ TEST(HealthMonitorUnit, RateThresholdsDriveDegradeAndQuarantine) {
   cfg.recovery_windows = 2;
   HealthMonitor m{cfg};
 
-  RobustnessStats quiet;
-  EXPECT_EQ(m.onWindow(quiet, 10, 10, 100), HealthState::Healthy);
+  accel::SessionTelemetry quiet;
+  quiet.ok = 10;
+  EXPECT_EQ(m.onWindow(quiet, 100), HealthState::Healthy);
 
-  RobustnessStats some;
-  some.timeouts = 2;  // rate 0.2 > degrade
-  EXPECT_EQ(m.onWindow(some, 10, 8, 200), HealthState::Degraded);
+  accel::SessionTelemetry some;
+  some.ok = 8;
+  some.timeouts = 2;  // rate 2/10 = 0.2 > degrade
+  EXPECT_EQ(m.onWindow(some, 200), HealthState::Degraded);
 
   // One clean window is not enough; two are.
-  EXPECT_EQ(m.onWindow(quiet, 10, 10, 300), HealthState::Degraded);
-  EXPECT_EQ(m.onWindow(quiet, 10, 10, 400), HealthState::Healthy);
+  EXPECT_EQ(m.onWindow(quiet, 300), HealthState::Degraded);
+  EXPECT_EQ(m.onWindow(quiet, 400), HealthState::Healthy);
 
-  RobustnessStats storm;
-  storm.fault_aborts = 6;  // rate 0.6 > quarantine
-  EXPECT_EQ(m.onWindow(storm, 10, 4, 500), HealthState::Quarantined);
+  accel::SessionTelemetry storm;
+  storm.ok = 4;
+  storm.fault_aborts = 6;  // rate 6/10 = 0.6 > quarantine
+  EXPECT_EQ(m.onWindow(storm, 500), HealthState::Quarantined);
 
   // Traffic windows cannot leave quarantine…
-  EXPECT_EQ(m.onWindow(quiet, 10, 10, 600), HealthState::Quarantined);
+  EXPECT_EQ(m.onWindow(quiet, 600), HealthState::Quarantined);
   // …only residency + canaries can.
   EXPECT_FALSE(m.tryBeginProbation(500 + cfg.quarantine_residency_cycles - 1));
   EXPECT_TRUE(m.tryBeginProbation(500 + cfg.quarantine_residency_cycles));
@@ -603,18 +623,29 @@ TEST(HealthMonitorUnit, WedgedWindowsQuarantineWithoutRateSignal) {
   HealthConfig cfg;
   cfg.wedged_windows = 2;
   HealthMonitor m{cfg};
-  RobustnessStats w;
+  accel::SessionTelemetry w;
   w.timeouts = 1;
-  // Low rate (0.05 < degrade) but zero successes: wedged.
-  EXPECT_EQ(m.onWindow(w, 20, 0, 100), HealthState::Healthy);
-  EXPECT_EQ(m.onWindow(w, 20, 0, 200), HealthState::Quarantined);
+  // One op per window is too few for the rate thresholds, but zero
+  // successes twice running is wedged.
+  EXPECT_EQ(m.onWindow(w, 100), HealthState::Healthy);
+  EXPECT_EQ(m.onWindow(w, 200), HealthState::Quarantined);
 }
 
 TEST(HealthMonitorUnit, EmptyWindowsAreNeutral) {
   HealthMonitor m{HealthConfig{}};
-  RobustnessStats w;
-  EXPECT_EQ(m.onWindow(w, 0, 0, 100), HealthState::Healthy);
-  EXPECT_TRUE(m.transitions().empty());
+  EXPECT_EQ(m.onWindow(accel::SessionTelemetry{}, 100), HealthState::Healthy);
+  // Deterministic verdicts say nothing about device health: a window of
+  // only those is empty, and they never dilute the transient rate.
+  accel::SessionTelemetry verdicts;
+  verdicts.suppressed = 40;
+  verdicts.rejected = 40;
+  verdicts.auth_failed = 40;
+  EXPECT_EQ(m.onWindow(verdicts, 200), HealthState::Healthy);
+  EXPECT_EQ(m.onWindow(verdicts, 300), HealthState::Healthy);
+  verdicts.ok = 8;
+  verdicts.drops = 2;  // 2/10 > degrade, though 2/130 would not be
+  EXPECT_EQ(m.onWindow(verdicts, 400), HealthState::Degraded);
+  EXPECT_EQ(m.transitions().size(), 1u);
 }
 
 }  // namespace
