@@ -48,6 +48,10 @@ void printAttacks() {
         yn(mis.master_key_output_released), yn(mis.alice_key_output_released),
         yn(mis.own_key_ok), yn(mis.supervisor_master_ok),
         mis.declass_rejected);
+    std::printf(
+        "  key-slot overwrite        : Alice slot overwritten=%s, master "
+        "slot overwritten=%s\n",
+        yn(mis.alice_slot_overwritten), yn(mis.master_slot_overwritten));
 
     const auto cfg = soc::runConfigTamper(mode);
     std::printf(

@@ -1,8 +1,6 @@
 #include "accel/accelerator.h"
 
 #include <bit>
-#include <cassert>
-#include <stdexcept>
 
 #include "lattice/downgrade.h"
 
@@ -87,6 +85,76 @@ unsigned AesAccelerator::zeroizeSlotSquash(unsigned slot) {
   return casualties;
 }
 
+void AesAccelerator::failSecureStage(unsigned stage, unsigned user,
+                                     const char* what) {
+  // The corrupted stage is squashed before its contents or tag are used
+  // again — the tag can only ever fail upward, never toward public. A tag
+  // fault also voids the key binding: zeroize the slot.
+  const StageSlot s = pipeline_.stage(stage);
+  const bool tag_fault = s.tag_parity != labelParity(s.tag);
+  pipeline_.squash(stage);
+  deliverAbort(s);
+  noteFault(tag_fault ? FaultSite::StageTag : FaultSite::StageData,
+            /*recovered=*/false, user,
+            "stage " + std::to_string(stage) + " parity " + what);
+  if (tag_fault) zeroizeSlotSquash(s.key_slot);
+}
+
+std::optional<GcmSubmit> AesAccelerator::slotRefusal(unsigned user,
+                                                     unsigned slot,
+                                                     const char* port) {
+  auto refuse = [&](const char* why, GcmSubmit verdict) {
+    recordEvent(SecurityEventKind::KeySlotBlocked, user,
+                std::string(port) + " refused: key slot " +
+                    std::to_string(slot) + " " + why);
+    return verdict;
+  };
+  if (slot >= kRoundKeySlots)
+    return refuse("out of range", GcmSubmit::KeyUnusable);
+  if (!round_keys_.valid(slot)) return refuse("empty", GcmSubmit::KeyUnusable);
+  if (hardened() && !round_keys_.slotParityOk(slot)) {
+    // Fail secure: never start work on a corrupted key.
+    failSecureSlot(slot, user, port, /*at_use=*/true);
+    return GcmSubmit::KeyUnusable;
+  }
+  if (round_keys_.rounds(slot) > pipeline_.maxRounds())
+    return refuse("needs more rounds than the pipeline supports",
+                  GcmSubmit::TooManyRounds);
+  return std::nullopt;
+}
+
+void AesAccelerator::failSecureSlot(unsigned slot, unsigned user,
+                                    const char* where, bool at_use) {
+  const unsigned casualties = zeroizeSlotSquash(slot);
+  noteFault(FaultSite::RoundKey, /*recovered=*/!at_use && casualties == 0,
+            user,
+            "slot " + std::to_string(slot) + " parity at " + where +
+                "; zeroized (" + std::to_string(casualties) +
+                " blocks squashed)");
+}
+
+bool AesAccelerator::ownerAllows(unsigned user, unsigned slot,
+                                 const char* op) {
+  if (slot >= kRoundKeySlots) {
+    recordEvent(SecurityEventKind::KeySlotBlocked, user,
+                std::string(op) + " refused: slot " + std::to_string(slot) +
+                    " out of range");
+    return false;
+  }
+  // Open: Baseline, an empty slot, and a slot whose checksum fails (its
+  // owner label cannot be trusted, and the device would not use its key).
+  if (cfg_.mode != SecurityMode::Protected || !round_keys_.valid(slot) ||
+      (hardened() && !round_keys_.slotParityOk(slot)))
+    return true;
+  const Label& owner = round_keys_.slot(slot).owner;
+  const Label& requester = users_.at(user).authority;
+  if (requester.i.flowsTo(owner.i)) return true;
+  recordEvent(SecurityEventKind::KeySlotBlocked, user,
+              std::string(op) + " refused: " + requester.i.toString() +
+                  " does not dominate owner integrity " + owner.i.toString());
+  return false;
+}
+
 void AesAccelerator::scrubTick() {
   // Fast ring: every pipeline-stage comparator and every scratchpad tag
   // comparator runs each cycle (parallel hardware), so a flipped tag is
@@ -96,18 +164,8 @@ void AesAccelerator::scrubTick() {
   // and stageParityOk re-reads validity, so the snapshot stays exact.
   for (std::uint64_t occ = pipeline_.occupancy(); occ != 0; occ &= occ - 1) {
     const unsigned i = static_cast<unsigned>(std::countr_zero(occ));
-    if (pipeline_.stageParityOk(i)) continue;
-    const StageSlot s = pipeline_.stage(i);
-    const bool tag_fault = s.tag_parity != labelParity(s.tag);
-    // Fail secure: the corrupted stage is squashed before its contents or
-    // tag are used again — the tag can only ever fail upward, never toward
-    // public. A tag fault also voids the key binding: zeroize the slot.
-    pipeline_.squash(i);
-    deliverAbort(s);
-    noteFault(tag_fault ? FaultSite::StageTag : FaultSite::StageData,
-              /*recovered=*/false, s.user,
-              "stage " + std::to_string(i) + " parity mismatch; squashed");
-    if (tag_fault) zeroizeSlotSquash(s.key_slot);
+    if (!pipeline_.stageParityOk(i))
+      failSecureStage(i, pipeline_.stage(i).user, "mismatch; squashed");
   }
   for (unsigned c = 0; c < kScratchpadCells; ++c) {
     if (scratchpad_.tagParityOk(c)) continue;
@@ -135,12 +193,8 @@ void AesAccelerator::scrubTick() {
     }
   } else if (idx < kScratchpadCells + kRoundKeySlots) {
     const unsigned slot = idx - kScratchpadCells;
-    if (!round_keys_.slotParityOk(slot)) {
-      const unsigned casualties = zeroizeSlotSquash(slot);
-      noteFault(FaultSite::RoundKey, /*recovered=*/casualties == 0, 0,
-                "slot " + std::to_string(slot) + " parity; zeroized (" +
-                    std::to_string(casualties) + " blocks squashed)");
-    }
+    if (!round_keys_.slotParityOk(slot))
+      failSecureSlot(slot, 0, "scrub", /*at_use=*/false);
   } else if (idx < kScratchpadCells + kRoundKeySlots + names.size()) {
     const auto& name = names[idx - kScratchpadCells - kRoundKeySlots];
     if (!config_regs_.parityOk(name)) {
@@ -205,9 +259,9 @@ bool AesAccelerator::injectDropOutput(unsigned user) {
   return true;
 }
 
-void AesAccelerator::configureKeyCells(unsigned user, unsigned base,
+bool AesAccelerator::configureKeyCells(unsigned user, unsigned base,
                                        unsigned count) {
-  scratchpad_.configureCells(base, count, users_.at(user).authority);
+  return scratchpad_.configureCells(base, count, users_.at(user).authority);
 }
 
 bool AesAccelerator::writeKeyCell(unsigned user, unsigned cell,
@@ -234,13 +288,13 @@ bool AesAccelerator::writeKeyCell(unsigned user, unsigned cell,
 
 bool AesAccelerator::loadKey(unsigned user, unsigned slot, unsigned cell_base,
                              aes::KeySize ks, lattice::Conf key_conf) {
+  if (!ownerAllows(user, slot, "loadKey")) return false;
   const unsigned cells = aes::keyBytes(ks) / 8;
   std::vector<std::uint8_t> key_bytes;
   key_bytes.reserve(aes::keyBytes(ks));
   const Label& requester = users_.at(user).authority;
-  for (unsigned i = 0; i < cells; ++i) {
-    if (hardened() && cell_base + i < kScratchpadCells) {
-      const unsigned c = cell_base + i;
+  for (unsigned c = cell_base; c < cell_base + cells; ++c) {
+    if (hardened() && c < kScratchpadCells) {
       const bool tag_bad = !scratchpad_.tagParityOk(c);
       if (tag_bad || !scratchpad_.cellParityOk(c)) {
         scratchpad_.failSecure(c);
@@ -250,11 +304,11 @@ bool AesAccelerator::loadKey(unsigned user, unsigned slot, unsigned cell_base,
         return false;
       }
     }
-    const auto v = scratchpad_.readCell(cell_base + i, requester);
+    const auto v = scratchpad_.readCell(c, requester);
     if (!v.has_value()) {
       recordEvent(SecurityEventKind::ScratchpadReadBlocked, user,
-                  "key expansion read of cell " +
-                      std::to_string(cell_base + i) + " blocked");
+                  "key expansion read of cell " + std::to_string(c) +
+                      " blocked");
       return false;
     }
     for (unsigned b = 0; b < 8; ++b) {
@@ -280,7 +334,7 @@ bool AesAccelerator::keySlotBusy(unsigned slot) const {
 }
 
 bool AesAccelerator::clearKey(unsigned user, unsigned slot) {
-  if (!round_keys_.valid(slot)) return false;
+  if (slot >= kRoundKeySlots || !round_keys_.valid(slot)) return false;
   // Refuse while the slot is referenced by in-flight work.
   if (keySlotBusy(slot)) {
     recordEvent(SecurityEventKind::KeySlotBlocked, user,
@@ -288,19 +342,8 @@ bool AesAccelerator::clearKey(unsigned user, unsigned slot) {
                     " has blocks in flight");
     return false;
   }
-  const Label& owner = round_keys_.slot(slot).owner;
-  const Label& requester = users_.at(user).authority;
-  if (cfg_.mode == SecurityMode::Protected &&
-      !requester.i.flowsTo(owner.i)) {
-    recordEvent(SecurityEventKind::KeySlotBlocked, user,
-                "clearKey refused: " + requester.i.toString() +
-                    " does not dominate owner integrity " +
-                    owner.i.toString());
-    return false;
-  }
-  round_keys_.clear(slot);
-  ghash_.invalidateKey(slot);
-  gcm_.noteKeySlotInvalid(slot);
+  if (!ownerAllows(user, slot, "clearKey")) return false;
+  zeroizeSlotSquash(slot);  // idle: nothing to squash
   return true;
 }
 
@@ -347,14 +390,7 @@ std::optional<aes::Block> AesAccelerator::debugReadStage(unsigned user,
   if (hardened() && !pipeline_.stageParityOk(stage)) {
     // Corrupt stage: squash before anything is released through the
     // debug port (the tag may have failed toward public).
-    const StageSlot copy = s;
-    const bool tag_fault = copy.tag_parity != labelParity(copy.tag);
-    pipeline_.squash(stage);
-    deliverAbort(copy);
-    noteFault(tag_fault ? FaultSite::StageTag : FaultSite::StageData,
-              /*recovered=*/false, user,
-              "stage " + std::to_string(stage) + " parity at debug read");
-    if (tag_fault) zeroizeSlotSquash(copy.key_slot);
+    failSecureStage(stage, user, "at debug read");
     return std::nullopt;
   }
   // A debug read is a confidentiality flow from the stage register to the
@@ -372,32 +408,18 @@ std::optional<aes::Block> AesAccelerator::debugReadStage(unsigned user,
 
 bool AesAccelerator::submit(BlockRequest req) {
   if (req.user >= users_.size()) return false;
-  if (req.key_slot >= kRoundKeySlots) {
-    recordEvent(SecurityEventKind::KeySlotBlocked, req.user,
-                "submit with out-of-range key slot " +
-                    std::to_string(req.key_slot));
-    return false;
-  }
-  if (!round_keys_.valid(req.key_slot)) {
-    recordEvent(SecurityEventKind::KeySlotBlocked, req.user,
-                "submit with invalid key slot " + std::to_string(req.key_slot));
-    return false;
-  }
-  if (hardened() && !round_keys_.slotParityOk(req.key_slot)) {
-    // Fail secure: never start a block on a corrupted key. Zeroize the slot
-    // (squashing any in-flight blocks that still reference it) and refuse.
-    const unsigned casualties = zeroizeSlotSquash(req.key_slot);
-    noteFault(FaultSite::RoundKey, /*recovered=*/false, req.user,
-              "slot " + std::to_string(req.key_slot) +
-                  " parity at submit; zeroized (" +
-                  std::to_string(casualties) + " blocks squashed)");
-    return false;
-  }
-  if (round_keys_.rounds(req.key_slot) > pipeline_.maxRounds()) {
-    recordEvent(SecurityEventKind::KeySlotBlocked, req.user,
-                "key needs more rounds than the pipeline supports");
-    return false;
-  }
+  if (slotRefusal(req.user, req.key_slot, "submit")) return false;
+  enqueueBlock(req, workLabel(req.user, req.key_slot));
+  return true;
+}
+
+Label AesAccelerator::workLabel(unsigned user, unsigned slot) const {
+  const Label& u = users_.at(user).authority;
+  return Label{u.c.join(round_keys_.slot(slot).key_conf), u.i};
+}
+
+StageSlot& AesAccelerator::enqueueBlock(const BlockRequest& req,
+                                        const Label& tag) {
   StageSlot slot;
   slot.valid = true;
   slot.state = aes::blockToState(req.data);
@@ -406,14 +428,9 @@ bool AesAccelerator::submit(BlockRequest req) {
   slot.decrypt = req.decrypt;
   slot.req_id = req.req_id;
   slot.user = req.user;
-  // The tag carried through the pipeline: the user's confidentiality joined
-  // with the key's confidentiality (the data now depends on both), at the
-  // user's integrity.
-  const Label& u = users_.at(req.user).authority;
-  slot.tag = Label{u.c.join(round_keys_.slot(req.key_slot).key_conf), u.i};
+  slot.tag = tag;
   stampParity(slot);
-  input_queues_[req.user].push_back(std::move(slot));
-  return true;
+  return input_queues_[req.user].emplace_back(std::move(slot));
 }
 
 std::size_t AesAccelerator::submitBatch(const std::vector<BlockRequest>& reqs) {
@@ -671,11 +688,9 @@ void AesAccelerator::tick() {
         // corrupted key before the sweep reaches the slot. Never deliver
         // ciphertext computed from an unverified key — abort the block and
         // zeroize the slot now.
-        const unsigned slot = completed->key_slot;
         deliverAbort(*completed);
-        noteFault(FaultSite::RoundKey, /*recovered=*/false, completed->user,
-                  "slot " + std::to_string(slot) + " parity at pipeline exit");
-        zeroizeSlotSquash(slot);
+        failSecureSlot(completed->key_slot, completed->user, "pipeline exit",
+                       /*at_use=*/true);
       } else if (completed->gcm_internal) {
         // Hand internal blocks back to the sequencer — no declassification
         // here; the op's single declassification happens at its release.

@@ -70,13 +70,15 @@ class AesAccelerator {
 
   // --- Key path (Fig. 5) ----------------------------------------------------
   // Arbiter-side cell allocation: retags `count` cells at `base` with the
-  // user's label before the user stores its key.
-  void configureKeyCells(unsigned user, unsigned base, unsigned count);
+  // user's label before the user stores its key. Refused (false) when the
+  // range runs past the scratchpad.
+  bool configureKeyCells(unsigned user, unsigned base, unsigned count);
   // One 64-bit store into the scratchpad; tag-checked in Protected mode.
   bool writeKeyCell(unsigned user, unsigned cell, std::uint64_t value);
   // Expand the key material in cells [base, base + keyBytes/8) into a
   // round-key RAM slot. `key_conf` is the confidentiality of the key itself
-  // (ck); pass Conf::top() for the master key.
+  // (ck); pass Conf::top() for the master key. Refused by the owner rule
+  // (ownerAllows); a busy slot is not refused, its GCM ops fault-abort.
   bool loadKey(unsigned user, unsigned slot, unsigned cell_base,
                aes::KeySize ks, lattice::Conf key_conf);
 
@@ -84,10 +86,8 @@ class AesAccelerator {
   // and zeroization must wait for this to clear).
   bool keySlotBusy(unsigned slot) const;
 
-  // Key zeroization: destroys a round-key slot. A destructive write, so it
-  // requires the requester's integrity to dominate the owner's (the owner
-  // itself or the supervisor); refused while blocks using the slot are
-  // still in flight. Baseline mode skips the integrity check.
+  // Key zeroization: destroys a round-key slot. Refused while blocks use
+  // the slot, then by loadKey's owner rule; false when there is no key.
   bool clearKey(unsigned user, unsigned slot);
 
   const KeyScratchpad& scratchpad() const { return scratchpad_; }
@@ -108,8 +108,8 @@ class AesAccelerator {
   std::optional<aes::Block> debugReadStage(unsigned user, unsigned stage);
 
   // --- Data path --------------------------------------------------------------
-  // Enqueue one block. Returns false if the key slot is unusable (invalid,
-  // or needs more rounds than the pipeline has).
+  // Enqueue one block. Returns false if the admit gate refuses the key slot
+  // (out of range, empty, corrupted, or more rounds than the pipeline has).
   bool submit(BlockRequest req);
   // Batch submit: enqueue a contiguous run of requests (the arbiter still
   // accepts at most one per cycle — this fills the input queue so the
@@ -135,7 +135,6 @@ class AesAccelerator {
   // Anything but Accepted is a refusal; only Full is transient.
   GcmSubmit submitGcm(GcmRequest req);
   std::optional<GcmResponse> fetchGcm(unsigned user);
-  const GhashUnit& ghash() const { return ghash_; }
   const GcmSequencer& gcm() const { return gcm_; }
 
   // --- Clock -----------------------------------------------------------------
@@ -222,6 +221,11 @@ class AesAccelerator {
   };
 
   void recordEvent(SecurityEventKind kind, unsigned user, std::string detail);
+  // The tag of work on `slot`: the user's confidentiality joined with the
+  // key's (the data depends on both), at the user's integrity.
+  Label workLabel(unsigned user, unsigned slot) const;
+  // Queue an admitted block; parity covers only its state and tag.
+  StageSlot& enqueueBlock(const BlockRequest& req, const Label& tag);
   std::optional<StageSlot> arbiterPick();
   void routeCompleted(StageSlot slot, bool to_buffer);
   void drainBuffer();
@@ -237,6 +241,24 @@ class AesAccelerator {
   // it (their remaining rounds would otherwise read zeroed keys). Returns
   // the number of squashed blocks.
   unsigned zeroizeSlotSquash(unsigned slot);
+  // Squash a stage whose parity fails and log the fault ("stage N parity
+  // <what>"); a tag fault also zeroizes the stage's key slot.
+  void failSecureStage(unsigned stage, unsigned user, const char* what);
+
+  // --- Key-slot gate: every decision about a round-key slot ----------------
+  // Admit: refuses (KeySlotBlocked) an out-of-range or empty slot and a key
+  // with more rounds than the pipe; a slot failing its checksum takes the
+  // fail-secure step. Returns the refusal, or nullopt when admitted.
+  std::optional<GcmSubmit> slotRefusal(unsigned user, unsigned slot,
+                                       const char* port);
+  // Fail-secure step: zeroize, squash the slot's blocks, log the RoundKey
+  // fault (recovered only for a scrub find, `!at_use`, that squashed none).
+  void failSecureSlot(unsigned slot, unsigned user, const char* where,
+                      bool at_use);
+  // Owner rule for replacing or destroying a slot: refuses an out-of-range
+  // slot and, in Protected mode, a requester whose integrity does not flow
+  // to the owner's while the slot holds a verified key.
+  bool ownerAllows(unsigned user, unsigned slot, const char* op);
   // Parity sweep: all stage and scratchpad-tag comparators run every cycle
   // (parallel hardware); scratchpad cells, round-key slots and config
   // registers are visited round-robin, one site per cycle.

@@ -42,7 +42,7 @@ bool loadKeyBytes(AesAccelerator& acc, unsigned user, unsigned slot,
                   aes::KeySize ks, lattice::Conf key_conf) {
   if (key.size() != aes::keyBytes(ks)) return false;
   const unsigned cells = aes::keyBytes(ks) / 8;
-  acc.configureKeyCells(user, cell_base, cells);
+  if (!acc.configureKeyCells(user, cell_base, cells)) return false;
   for (unsigned c = 0; c < cells; ++c) {
     std::uint64_t w = 0;
     for (unsigned b = 0; b < 8; ++b)

@@ -42,29 +42,9 @@ aes::Tag128 stateToTag(const aes::State& s) {
 
 GcmSubmit GcmSequencer::submit(GcmRequest req) {
   if (req.user >= acc_.users_.size()) return GcmSubmit::BadRequest;
-  if (req.key_slot >= kRoundKeySlots ||
-      !acc_.round_keys_.valid(req.key_slot)) {
-    acc_.recordEvent(SecurityEventKind::KeySlotBlocked, req.user,
-                     "gcm submit with unusable key slot " +
-                         std::to_string(req.key_slot));
-    return GcmSubmit::KeyUnusable;
-  }
-  if (acc_.hardened() && !acc_.round_keys_.slotParityOk(req.key_slot)) {
-    // Same fail-secure rule as the block submit port: never start an op on
-    // a corrupted key.
-    const unsigned slot = req.key_slot;
-    const unsigned casualties = acc_.zeroizeSlotSquash(slot);
-    acc_.noteFault(FaultSite::RoundKey, /*recovered=*/false, req.user,
-                   "slot " + std::to_string(slot) +
-                       " parity at gcm submit; zeroized (" +
-                       std::to_string(casualties) + " blocks squashed)");
-    return GcmSubmit::KeyUnusable;
-  }
-  if (acc_.round_keys_.rounds(req.key_slot) > acc_.pipeline_.maxRounds()) {
-    acc_.recordEvent(SecurityEventKind::KeySlotBlocked, req.user,
-                     "gcm key needs more rounds than the pipeline supports");
-    return GcmSubmit::TooManyRounds;
-  }
+  // The block submit port's admit gate: same checks, same fail-secure step.
+  if (const auto why = acc_.slotRefusal(req.user, req.key_slot, "gcm submit"))
+    return *why;
   if (req.iv.empty()) return GcmSubmit::BadRequest;
 
   unsigned idx = kGcmOps;
@@ -80,12 +60,9 @@ GcmSubmit GcmSequencer::submit(GcmRequest req) {
   op = Op{};
   op.active = true;
   op.req = std::move(req);
-  // The op's label is the AES submit rule's: the user's confidentiality
-  // joined with the key's, at the user's integrity. Every internal block
-  // and every absorbed GHASH block carries it.
-  const Label& u = acc_.users_.at(op.req.user).authority;
-  op.label =
-      Label{u.c.join(acc_.round_keys_.slot(op.req.key_slot).key_conf), u.i};
+  // The block submit port's label; every internal block and every
+  // absorbed GHASH block carries it.
+  op.label = acc_.workLabel(op.req.user, op.req.key_slot);
   op.accept_cycle = acc_.cycle_;
   op.aad_blocks = blocksOf(op.req.aad.size());
   op.ct_blocks = blocksOf(op.req.data.size());
@@ -369,32 +346,16 @@ bool GcmSequencer::submitInternal(unsigned idx, GcmRole role,
                                   const aes::Block& data, std::uint32_t aux) {
   Op& op = ops_[idx];
   const unsigned ks = op.req.key_slot;
-  if (acc_.hardened() && !acc_.round_keys_.slotParityOk(ks)) {
-    // Fail secure, same as the submit port. zeroizeSlotSquash() notifies
-    // this sequencer, which fault-aborts the op — the caller must not
-    // touch it again this cycle.
-    const unsigned casualties = acc_.zeroizeSlotSquash(ks);
-    acc_.noteFault(FaultSite::RoundKey, /*recovered=*/false, op.req.user,
-                   "slot " + std::to_string(ks) +
-                       " parity at gcm internal submit; zeroized (" +
-                       std::to_string(casualties) + " blocks squashed)");
-    return false;
-  }
-  StageSlot slot;
-  slot.valid = true;
-  slot.state = aes::blockToState(data);
-  slot.key_slot = ks;
-  slot.total_rounds = acc_.round_keys_.rounds(ks);
-  slot.decrypt = false;
-  slot.req_id = op.req.req_id;
-  slot.user = op.req.user;
-  slot.tag = op.label;
+  // The admit gate, as at the submit port. A corrupted key's fail-secure
+  // step notifies this sequencer, which fault-aborts the op — the caller
+  // must not touch it again this cycle.
+  if (acc_.slotRefusal(op.req.user, ks, "gcm internal submit")) return false;
+  StageSlot& slot = acc_.enqueueBlock(
+      BlockRequest{op.req.req_id, op.req.user, ks, false, data}, op.label);
   slot.gcm_internal = true;
   slot.gcm_op = idx;
   slot.gcm_role = static_cast<std::uint8_t>(role);
   slot.gcm_aux = aux;
-  stampParity(slot);
-  acc_.input_queues_[op.req.user].push_back(std::move(slot));
   ++op.inflight;
   return true;
 }

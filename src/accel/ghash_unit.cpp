@@ -90,10 +90,6 @@ bool GhashUnit::keyReady(unsigned key_slot, std::uint64_t now) const {
   return k.valid && now >= k.ready_at;
 }
 
-const Label& GhashUnit::keyLabel(unsigned key_slot) const {
-  return keys_.at(key_slot).label;
-}
-
 std::optional<unsigned> GhashUnit::openStream(unsigned user, unsigned key_slot,
                                               std::uint64_t total_blocks,
                                               Label label) {

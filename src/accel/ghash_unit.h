@@ -92,7 +92,6 @@ class GhashUnit {
   void invalidateKey(unsigned key_slot);
   bool keyValid(unsigned key_slot) const;
   bool keyReady(unsigned key_slot, std::uint64_t now) const;
-  const Label& keyLabel(unsigned key_slot) const;
 
   // --- Streams ---------------------------------------------------------------
   // Open a hash stream of exactly `total_blocks` 16-byte blocks over the
@@ -108,12 +107,6 @@ class GhashUnit {
   bool open(unsigned stream) const { return streams_.at(stream).open; }
   bool done(unsigned stream) const;  // every block issued and written back
   bool faulted(unsigned stream) const { return streams_.at(stream).faulted; }
-  unsigned streamUser(unsigned stream) const {
-    return streams_.at(stream).user;
-  }
-  const Label& streamLabel(unsigned stream) const {
-    return streams_.at(stream).label;
-  }
 
   // Digest without declassification — for internal consumers (J0
   // derivation) whose result stays tagged inside the device.

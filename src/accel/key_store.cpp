@@ -1,7 +1,6 @@
 #include "accel/key_store.h"
 
 #include <cstring>
-#include <stdexcept>
 
 namespace aesifc::accel {
 namespace {
@@ -25,10 +24,10 @@ KeyScratchpad::KeyScratchpad(SecurityMode mode) : mode_{mode} {
   for (auto& s : cell_sum_) s = checksumStep(kChecksumBasis, 0);
 }
 
-void KeyScratchpad::configureCells(unsigned base, unsigned count,
+bool KeyScratchpad::configureCells(unsigned base, unsigned count,
                                    const Label& l) {
-  if (base + count > kScratchpadCells)
-    throw std::out_of_range("configureCells: range exceeds scratchpad");
+  if (count > kScratchpadCells || base > kScratchpadCells - count)
+    return false;
   for (unsigned i = 0; i < count; ++i) {
     tags_[base + i] = l;
     tag_parity_[base + i] = labelParity(l);
@@ -40,6 +39,7 @@ void KeyScratchpad::configureCells(unsigned base, unsigned count,
       cell_sum_[base + i] = checksumStep(kChecksumBasis, 0);
     }
   }
+  return true;
 }
 
 bool KeyScratchpad::writeCell(unsigned idx, std::uint64_t value,

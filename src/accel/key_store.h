@@ -33,7 +33,8 @@ class KeyScratchpad {
   // a user writes its key (the paper's "arbiter accepts the request and
   // configures the cells with l(Eve)"). In Protected mode the cells are
   // zeroed too, so a re-tag never hands the previous owner's words over.
-  void configureCells(unsigned base, unsigned count, const Label& l);
+  // Returns false, changing nothing, when the range runs past the cells.
+  bool configureCells(unsigned base, unsigned count, const Label& l);
 
   // Returns false (and does not write) if the requester's label does not
   // match the cell's tag in Protected mode.

@@ -62,8 +62,7 @@ void MmioWindow::doKeyGo(std::uint32_t op) {
     case 2: {  // configure cells [base, base+count) to this user
       const unsigned base = key_arg_ & 0xff;
       const unsigned count = (key_arg_ >> 8) & 0xff;
-      acc_.configureKeyCells(user_, base, count);
-      last_ok_ = true;
+      last_ok_ = acc_.configureKeyCells(user_, base, count);
       break;
     }
     case 4: {  // expand from cells into KEY_SLOT

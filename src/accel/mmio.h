@@ -23,7 +23,9 @@
 //                            into KEY_SLOT with conf palette index in the
 //                            second byte (0 = public, k = category k,
 //                            15 = top/master)
-//   0x050 LAST_OP_OK(R)  result of the last CTRL/KEY_GO side effect
+//   0x050 LAST_OP_OK(R)  result of the last CTRL/KEY_GO side effect; 0 on
+//                        a refusal, including an out-of-range KEY_GO (op 2
+//                        past cell 8, op 4 with KEY_SLOT >= 8)
 //   0x100 CFG_DEBUG_ENABLE / 0x104 CFG_ARBITER_MODE /
 //   0x108 CFG_OUT_BUF_DEPTH / 0x10c CFG_VERSION    (RW; writes go through
 //                        the integrity-checked config path)

@@ -394,6 +394,15 @@ KeyMisuseResult runKeyMisuseAttack(SecurityMode mode) {
   const auto sup_master = bench.crypt(bench.sup, 0, pt_e, false);
   r.supervisor_master_ok = !sup_master.suppressed && sup_master.data == ct_master;
 
+  // Eve expands her key (still in her cells 0-1) over Alice's slot and the
+  // master slot, labelled like the key it replaces so outputs still leave.
+  const auto ks = aes::KeySize::Aes128;
+  const aes::Block ct_eve = aes::encryptBlock(pt_e, bench.eve_key.data(), ks);
+  bench.acc.loadKey(bench.eve, 1, 0, ks, lattice::Conf::category(1));
+  bench.acc.loadKey(bench.eve, 0, 0, ks, lattice::Conf::top());
+  r.alice_slot_overwritten = bench.crypt(bench.alice, 1, pt_e, false).data == ct_eve;
+  r.master_slot_overwritten = bench.crypt(bench.sup, 0, pt_e, false).data == ct_eve;
+
   r.declass_rejected =
       bench.acc.eventCount(SecurityEventKind::DeclassifyRejected);
   return r;

@@ -76,10 +76,13 @@ struct DebugPortResult {
 DebugPortResult runDebugPortAttack(accel::SecurityMode mode);
 
 // --- Section 3.2.2: inappropriate key use -------------------------------------
-// Eve encrypts with the master key (slot 0) and decrypts with Alice's key.
+// Eve encrypts with the master key (slot 0), decrypts with Alice's key, and
+// stores her own key over both slots.
 struct KeyMisuseResult {
   bool master_key_output_released = false;  // Eve got ciphertext under master key
   bool alice_key_output_released = false;   // Eve decrypted with Alice's key
+  bool alice_slot_overwritten = false;      // Alice now encrypts under Eve's key
+  bool master_slot_overwritten = false;     // ...and so does the master slot
   bool supervisor_master_ok = false;        // supervisor may use the master key
   bool own_key_ok = false;                  // normal operation is unaffected
   std::size_t declass_rejected = 0;

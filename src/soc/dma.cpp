@@ -263,10 +263,6 @@ std::size_t DmaRingEngine::headSlot(unsigned channel) const {
   return chans_.at(channel).head;
 }
 
-bool DmaRingEngine::channelIdle(unsigned channel) const {
-  return !chans_.at(channel).chain.has_value();
-}
-
 bool DmaRingEngine::channelStalled(unsigned channel) const {
   return chans_.at(channel).parked;
 }

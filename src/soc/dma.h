@@ -295,7 +295,6 @@ class DmaRingEngine {
 
   std::uint16_t generation(unsigned channel) const;
   std::size_t headSlot(unsigned channel) const;
-  bool channelIdle(unsigned channel) const;
   // True while the channel is parked on an unconsumable completion ring.
   bool channelStalled(unsigned channel) const;
 
@@ -370,7 +369,6 @@ class DmaRingEngine {
   }
   bool ringPageOk(const lattice::Label& user_label, std::size_t addr,
                   std::size_t len) const;
-  DmaError validateHead(Channel& ch, Chain& c);
   DmaError latchSegment(Chain& c, std::size_t addr, bool head);
   void buildStream(Chain& c);
   // A chain past fetch, with blocks in or headed for the pipe.

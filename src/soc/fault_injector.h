@@ -156,7 +156,6 @@ class FaultInjector {
   void releaseStuckReceivers();
 
   std::uint64_t injected() const { return injected_; }
-  bool replaying() const { return replay_; }
   // The injection log so far (the replay trace of this run).
   const std::vector<FaultRecord>& trace() const { return records_; }
   FaultCampaignReport report() const;

@@ -33,12 +33,16 @@ std::vector<PolicyVerdict> evaluatePolicies(accel::SecurityMode mode) {
            ? "Eve recovered Alice's full AES key via the debug peripheral"
            : "debug read of Alice's in-flight state blocked by tag check"});
 
-  // 2. A protected key cannot be modified by a less trusted user.
+  // 2. A protected key cannot be modified by a less trusted user: neither
+  //    its scratchpad cells nor its round-key slot.
+  const bool modified = overflow.alice_key_corrupted ||
+                        misuse.alice_slot_overwritten ||
+                        misuse.master_slot_overwritten;
   verdicts.push_back(
-      {2, !overflow.alice_key_corrupted,
-       overflow.alice_key_corrupted
-           ? "Eve's scratchpad overrun overwrote Alice's key cell"
-           : "overflowing write blocked by the per-cell tag check"});
+      {2, !modified,
+       modified ? "Eve overwrote Alice's key cell or another principal's "
+                  "round-key slot"
+                : "per-cell tag check and key-slot owner rule block Eve"});
 
   // 3. A classified key cannot be used by a less trusted user.
   const bool used = misuse.master_key_output_released ||

@@ -62,8 +62,6 @@ class PoolSupervisor {
   SupervisorReport poll();
 
   const SupervisorStats& stats() const { return stats_; }
-  unsigned pressureStreak() const { return streak_; }
-  unsigned cooldown() const { return cooldown_; }
 
  private:
   bool shardSick(unsigned shard);

@@ -216,6 +216,53 @@ TEST_F(ProtectedFixture, RetaggedCellsDoNotCarryThePreviousOwnersKey) {
   EXPECT_EQ(firstRoundKey(3), alice_key);  // Alice's own slot is untouched
 }
 
+// Section 3.2.2 key store: replacing a round-key slot is a destructive
+// write. Were it open, Eve could store her key over Alice's slot or the
+// master slot and the owner's next ciphertext would be under a key Eve
+// knows. The owner rule refuses both, on the direct API and over MMIO.
+TEST_F(ProtectedFixture, TenantCannotOverwriteAnotherPrincipalsKeySlot) {
+  const auto master_key = AccelFixture::key16(0x5a);
+  const auto alice_key = AccelFixture::key16(0xa1);
+  const auto eve_key = AccelFixture::key16(0xe5);
+  auto firstRoundKey = [&](unsigned slot) {
+    const aes::RoundKey& rk = acc.roundKeys().roundKey(slot, 0);
+    return std::vector<std::uint8_t>(rk.begin(), rk.end());
+  };
+  AccelFixture::load(acc, sup, 0, 6, master_key, Conf::top());
+  AccelFixture::load(acc, alice, 1, 2, alice_key, Conf::category(1));
+  AccelFixture::load(acc, eve, 2, 0, eve_key, Conf::category(2));
+
+  // Direct API: Eve expands her staged key (cells 0-1) over both slots,
+  // labelled as the key she replaces.
+  EXPECT_FALSE(acc.loadKey(eve, 1, 0, aes::KeySize::Aes128, Conf::category(1)));
+  EXPECT_FALSE(acc.loadKey(eve, 0, 0, aes::KeySize::Aes128, Conf::top()));
+  // Register interface: KEY_SLOT picks the victim, KEY_GO op 4 expands
+  // (palette 1 = category 1, 15 = top).
+  MmioWindow eve_win{acc, eve};
+  for (const auto& [victim, palette] : {std::pair{1u, 1u}, std::pair{0u, 15u}}) {
+    eve_win.write(MmioWindow::kKeySlot, victim);
+    eve_win.write(MmioWindow::kKeyArg, palette << 8);
+    eve_win.write(MmioWindow::kKeyGo, 4);
+    EXPECT_EQ(eve_win.read(MmioWindow::kLastOpOk), 0u) << "slot " << victim;
+  }
+  EXPECT_EQ(acc.eventCount(SecurityEventKind::KeySlotBlocked), 4u);
+  EXPECT_EQ(firstRoundKey(0), master_key);
+  EXPECT_EQ(firstRoundKey(1), alice_key);
+  EXPECT_EQ(acc.roundKeys().slot(1).owner, acc.principal(alice).authority);
+  aes::Block pt{};
+  for (unsigned i = 0; i < 16; ++i) pt[i] = static_cast<std::uint8_t>(3 * i);
+  EXPECT_EQ(AccelFixture::crypt(acc, alice, 1, pt).data,
+            aes::encryptBlock(pt, alice_key.data(), aes::KeySize::Aes128));
+
+  // The rule leaves legitimate stores open: Eve re-keys her own slot,
+  // Alice hers, and the supervisor may replace a tenant's key.
+  EXPECT_TRUE(acc.loadKey(eve, 2, 0, aes::KeySize::Aes128, Conf::category(2)));
+  EXPECT_TRUE(acc.loadKey(alice, 1, 2, aes::KeySize::Aes128, Conf::category(1)));
+  EXPECT_TRUE(acc.loadKey(sup, 1, 6, aes::KeySize::Aes128, Conf::top()));
+  EXPECT_EQ(firstRoundKey(1), master_key);
+  EXPECT_EQ(acc.eventCount(SecurityEventKind::KeySlotBlocked), 4u);
+}
+
 TEST_F(ProtectedFixture, ConfigWriteRequiresSupervisor) {
   EXPECT_FALSE(acc.writeConfig(eve, "debug_enable", 1));
   EXPECT_EQ(acc.readConfig("debug_enable"), 0u);

@@ -73,6 +73,9 @@ TEST(KeyMisuse, BaselineIsAnEncryptionOracle) {
   EXPECT_TRUE(r.master_key_output_released);
   EXPECT_TRUE(r.alice_key_output_released);
   EXPECT_TRUE(r.own_key_ok);
+  // No owner rule: Eve's key replaces Alice's and the master key.
+  EXPECT_TRUE(r.alice_slot_overwritten);
+  EXPECT_TRUE(r.master_slot_overwritten);
 }
 
 TEST(KeyMisuse, ProtectedSuppressesForeignKeyOutputs) {
@@ -83,6 +86,9 @@ TEST(KeyMisuse, ProtectedSuppressesForeignKeyOutputs) {
   // Usability is preserved: own-key and supervisor flows unaffected.
   EXPECT_TRUE(r.own_key_ok);
   EXPECT_TRUE(r.supervisor_master_ok);
+  // The owner rule refuses Eve's stores over both foreign slots.
+  EXPECT_FALSE(r.alice_slot_overwritten);
+  EXPECT_FALSE(r.master_slot_overwritten);
 }
 
 // --- Section 3.2.4: config tampering ---------------------------------------------------

@@ -517,15 +517,48 @@ TEST(GcmAccelRefusal, SubmitNamesWhyItRefused) {
   GcmRequest stranger = req;
   stranger.user = 99;
   EXPECT_EQ(rig.acc.submitGcm(stranger), GcmSubmit::BadRequest);
-  GcmRequest empty_slot = req;
-  empty_slot.key_slot = 2;
-  EXPECT_EQ(rig.acc.submitGcm(empty_slot), GcmSubmit::KeyUnusable);
-  // An AES-256 key needs 14 rounds; this pipe has 10.
+
+  // The block port and the GCM port share one admit gate: the same bad
+  // slots are refused with the same events, and a corrupted key is
+  // zeroized fail-secure. Slot 2 held a key and was zeroized; slot 3 holds
+  // an AES-256 key, which needs 14 rounds on this 10-round pipe; slot 4 is
+  // re-loaded and corrupted for each port.
+  ASSERT_TRUE(loadKey128(rig.acc, rig.user, 2, 2, randomBytes(rng, 16),
+                         Conf::category(1)));
+  ASSERT_TRUE(rig.acc.clearKey(rig.user, 2));
   ASSERT_TRUE(loadKeyBytes(rig.acc, rig.user, 3, 4, randomBytes(rng, 32),
                            aes::KeySize::Aes256, Conf::category(1)));
-  GcmRequest long_key = req;
-  long_key.key_slot = 3;
-  EXPECT_EQ(rig.acc.submitGcm(long_key), GcmSubmit::TooManyRounds);
+  struct BadSlot {
+    unsigned slot;
+    GcmSubmit verdict;
+  };
+  const BadSlot bad_slots[] = {{kRoundKeySlots, GcmSubmit::KeyUnusable},
+                               {2, GcmSubmit::KeyUnusable},
+                               {4, GcmSubmit::KeyUnusable},
+                               {3, GcmSubmit::TooManyRounds}};
+  for (const bool gcm_port : {false, true}) {
+    SCOPED_TRACE(gcm_port ? "gcm port" : "block port");
+    ASSERT_TRUE(loadKey128(rig.acc, rig.user, 4, 2, randomBytes(rng, 16),
+                           Conf::category(1)));
+    ASSERT_TRUE(rig.acc.injectFault(FaultSite::RoundKey, 4, 77));
+    const auto blocked = rig.acc.eventCount(SecurityEventKind::KeySlotBlocked);
+    const auto faults = rig.acc.eventCount(SecurityEventKind::FaultDetected);
+    for (const auto& b : bad_slots) {
+      if (gcm_port) {
+        GcmRequest bad = req;
+        bad.key_slot = b.slot;
+        EXPECT_EQ(rig.acc.submitGcm(bad), b.verdict) << "slot " << b.slot;
+      } else {
+        EXPECT_FALSE(rig.acc.submit(BlockRequest{1, rig.user, b.slot, false, {}}))
+            << "slot " << b.slot;
+      }
+    }
+    EXPECT_EQ(rig.acc.eventCount(SecurityEventKind::KeySlotBlocked) - blocked,
+              3u);
+    EXPECT_EQ(rig.acc.eventCount(SecurityEventKind::FaultDetected) - faults,
+              1u);
+    EXPECT_FALSE(rig.acc.roundKeys().valid(4));
+  }
 
   for (unsigned i = 0; i < kGcmOps; ++i) {
     req.req_id = i + 1;

@@ -145,6 +145,34 @@ TEST_F(MmioFixture, StatusCountsPendingOutputs) {
   EXPECT_EQ(id2, id1 + 1);
 }
 
+// An out-of-range KEY_GO is refused through LAST_OP_OK like any other
+// refusal: it never throws out of the register interface, and it changes
+// nothing.
+TEST_F(MmioFixture, OutOfRangeKeyGoIsRefusedNotThrown) {
+  std::vector<std::uint8_t> key(16, 0x77);
+  ASSERT_TRUE(mmioLoadKey(alice_win, 1, 6, key, 1));  // LAST_OP_OK = 1
+  const std::uint64_t cell6 = acc.scratchpad().rawCell(6);
+
+  // Op 2 over cells 6..8, one past the end, and over a wrapped range.
+  for (const std::uint32_t arg : {(3u << 8) | 6u, (0xffu << 8) | 0xffu}) {
+    alice_win.write(W::kKeyArg, arg);
+    EXPECT_NO_THROW(alice_win.write(W::kKeyGo, 2));
+    EXPECT_EQ(alice_win.read(W::kLastOpOk), 0u) << std::hex << arg;
+  }
+  EXPECT_EQ(acc.scratchpad().rawCell(6), cell6);  // not re-tagged or zeroed
+
+  // Op 4 into KEY_SLOT 8, one past the round-key RAM.
+  alice_win.write(W::kKeySlot, kRoundKeySlots);
+  alice_win.write(W::kKeyArg, (1u << 8) | 6u);
+  EXPECT_NO_THROW(alice_win.write(W::kKeyGo, 4));
+  EXPECT_EQ(alice_win.read(W::kLastOpOk), 0u);
+
+  // The window keeps working after both refusals.
+  alice_win.write(W::kKeySlot, 2);
+  alice_win.write(W::kKeyGo, 4);
+  EXPECT_EQ(alice_win.read(W::kLastOpOk), 1u);
+}
+
 TEST_F(MmioFixture, UnmappedReadsReturnZero) {
   EXPECT_EQ(alice_win.read(0xffc), 0u);
   alice_win.write(0xffc, 123);  // ignored, no crash
