@@ -8,8 +8,10 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <optional>
 #include <vector>
 
+#include "aes/cipher.h"
 #include "soc/pool.h"
 #include "soc/service.h"
 #include "soc/supervisor.h"
@@ -37,8 +39,12 @@ soc::WorkloadResult run(SecurityMode mode, bool coarse, unsigned tenants) {
 // A wedged device trips the circuit breaker into software fallback — but
 // the fallback re-checks each tenant's label with the same declassification
 // rule the tagged pipeline applies at its exit, so a tenant the hardware
-// refuses stays refused in degraded mode.
-void serviceDegradedModeDemo() {
+// refuses stays refused in degraded mode. Alice rotates her key through the
+// engine's key ledger first; the fallback and the canaries read the ledger,
+// so both use her current key. Returns false when alice's fallback block is
+// not AES under that key, eve's fallback is not suppressed, or the service
+// does not return to Healthy.
+bool serviceDegradedModeDemo() {
   AcceleratorConfig cfg;
   cfg.mode = SecurityMode::Protected;
   cfg.out_buffer_depth = 16;
@@ -77,12 +83,16 @@ void serviceDegradedModeDemo() {
       b[i] = static_cast<std::uint8_t>(seed + i);
     return b;
   };
-  auto lastVerdict = [&](unsigned tenant) {
-    std::string v = "(none)";
-    while (auto c = svc.fetch(tenant))
-      v = toString(c->status) + " via " + toString(c->served_by);
-    return v;
+  auto lastOf = [&](unsigned tenant) {
+    std::optional<soc::Completion> last;
+    while (auto c = svc.fetch(tenant)) last = c;
+    return last;
   };
+  auto verdict = [](const std::optional<soc::Completion>& c) {
+    return c ? toString(c->status) + " via " + toString(c->served_by)
+             : std::string("(none)");
+  };
+  auto lastVerdict = [&](unsigned tenant) { return verdict(lastOf(tenant)); };
 
   std::printf("\n--- Act 2: service layer, breaker trip, label-safe "
               "fallback ---\n");
@@ -98,6 +108,13 @@ void serviceDegradedModeDemo() {
               toString(svc.health()).c_str(), lastVerdict(ta).c_str(),
               lastVerdict(te).c_str());
 
+  // Alice rotates her key; the ledger now holds the only copy of the new one.
+  const std::vector<std::uint8_t> rotated(16, 0x52);
+  const bool rotated_ok = svc.keys().rotate(alice, rotated);
+  const auto alice_key = aes::expandKey(rotated, aes::KeySize::Aes128);
+  std::printf("%-22s %-12s %-28s\n", "alice rotates her key",
+              toString(svc.health()).c_str(), rotated_ok ? "ok" : "REFUSED");
+
   // Wedge both receivers: every hardware serve times out until the error
   // budget trips the breaker.
   acc.setReceiverReady(alice, false);
@@ -112,15 +129,26 @@ void serviceDegradedModeDemo() {
               toString(svc.health()).c_str(), lastVerdict(ta).c_str(),
               lastVerdict(te).c_str());
 
-  // Quarantined: the software fallback carries alice's traffic — and
-  // refuses eve's with the very same declassification verdict.
+  // Quarantined: the software fallback carries alice's traffic under her
+  // current key — and refuses eve's with the very same declassification
+  // verdict.
   svc.submit(ta, block(0x40));
   svc.submit(te, block(0x41));
   for (unsigned guard = 0; svc.totalQueued() > 0 && guard < 200; ++guard)
     svc.pump();
+  const auto alice_fb = lastOf(ta), eve_fb = lastOf(te);
+  const bool alice_fb_ok =
+      alice_fb && alice_fb->status == soc::CompletionStatus::Ok &&
+      alice_fb->served_by == soc::ServedBy::SoftwareFallback &&
+      alice_fb->data == aes::encryptBlock(block(0x40), alice_key);
+  const bool eve_fb_ok =
+      eve_fb && eve_fb->status == soc::CompletionStatus::Suppressed &&
+      eve_fb->served_by == soc::ServedBy::SoftwareFallback;
   std::printf("%-22s %-12s %-28s %-28s\n", "software fallback",
-              toString(svc.health()).c_str(), lastVerdict(ta).c_str(),
-              lastVerdict(te).c_str());
+              toString(svc.health()).c_str(), verdict(alice_fb).c_str(),
+              verdict(eve_fb).c_str());
+  std::printf("%-22s %-12s %-28s\n", "", "",
+              alice_fb_ok ? "= AES under current key" : "WRONG KEY");
 
   // Receivers return; probation canaries re-admit the hardware.
   acc.setReceiverReady(alice, true);
@@ -128,6 +156,7 @@ void serviceDegradedModeDemo() {
   for (unsigned guard = 0;
        svc.health() != soc::HealthState::Healthy && guard < 2000; ++guard)
     svc.pump();
+  const bool recovered = svc.health() == soc::HealthState::Healthy;
   svc.submit(ta, block(0x50));
   svc.runUntilIdle(1u << 14);
   std::printf("%-22s %-12s %-28s %-28s\n", "after canary probes",
@@ -145,6 +174,7 @@ void serviceDegradedModeDemo() {
       static_cast<unsigned long long>(st.fallback_suppressed),
       static_cast<unsigned long long>(st.canary_rounds),
       static_cast<unsigned long long>(st.key_reprovisions));
+  return rotated_ok && alice_fb_ok && eve_fb_ok && recovered;
 }
 
 // Act three: an elastic three-shard pool loses a shard mid-traffic. The
@@ -273,7 +303,12 @@ int main() {
       " * coarse-grained sharing pays a full pipeline drain per user switch;\n"
       " * the protected design's tags and checkers cost no cycles.\n");
 
-  serviceDegradedModeDemo();
+  const bool degraded_ok = serviceDegradedModeDemo();
   elasticPoolQuarantineDemo();
+  if (!degraded_ok) {
+    std::printf("\nFAIL: degraded mode did not use alice's current key, "
+                "released to eve, or did not recover.\n");
+    return 1;
+  }
   return 0;
 }

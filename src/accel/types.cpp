@@ -25,6 +25,7 @@ std::string toString(SecurityEventKind k) {
     case SecurityEventKind::MigrationKeyZeroized:
       return "migration-key-zeroized";
     case SecurityEventKind::MigrationCommitted: return "migration-committed";
+    case SecurityEventKind::MigrationAborted: return "migration-aborted";
     case SecurityEventKind::DmaRingViolation: return "dma-ring-violation";
     case SecurityEventKind::DmaRingRecovery: return "dma-ring-recovery";
   }

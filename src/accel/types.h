@@ -36,14 +36,15 @@ enum class SecurityEventKind {
   FaultScrubbed,   // parity mismatch caught by the background scrub pass
   ServiceHealth,   // service-layer health-state transition (soc::AccelService)
   AuthTagMismatch, // GCM open failed authentication (a verdict, not a fault)
-  // Tenant-migration audit trail (soc::EnginePool). The three kinds are
-  // emitted pairwise into BOTH the source and destination shards' rings so
-  // either ring alone tells the whole handover story in cycle order:
-  // Begun -> (key live at target) -> KeyZeroized (source slot destroyed)
-  // -> Committed. Load-at-target strictly precedes zeroize-at-source.
+  // Tenant-migration audit trail (soc::EnginePool), emitted pairwise into
+  // BOTH the source and destination shards' rings so either ring alone
+  // tells the handover story in cycle order: Begun -> (key live at target)
+  // -> KeyZeroized (source slot destroyed) -> Committed, or Aborted with its
+  // MigrateError. Load-at-target strictly precedes zeroize-at-source.
   MigrationBegun,
   MigrationKeyZeroized,
   MigrationCommitted,
+  MigrationAborted,
   // Tagged DMA descriptor-ring path (soc::DmaRingEngine). The ring lives in
   // untrusted host memory, so refusals (malformed/corrupted descriptors,
   // label denials, torn ownership) and recoveries (watchdog quiesce ->
@@ -52,7 +53,7 @@ enum class SecurityEventKind {
   DmaRingRecovery,
 };
 
-inline constexpr unsigned kSecurityEventKinds = 17;
+inline constexpr unsigned kSecurityEventKinds = 18;
 
 std::string toString(SecurityEventKind k);
 

@@ -176,7 +176,7 @@ PlaceResult EnginePool::addTenant(const PoolTenantSpec& spec) {
   const auto local_id = sh.service->tryAddTenant(t);
   if (!local_id.has_value()) return {false, 0, PlaceError::ProvisionRefused};
   ++sh.tenants;
-  recs_.push_back(TenantRec{spec, Route{*shard, *local_id}, {}});
+  recs_.push_back(TenantRec{spec.name, Route{*shard, *local_id}, {}});
   return {true, static_cast<unsigned>(recs_.size() - 1), PlaceError::None};
 }
 
@@ -185,7 +185,7 @@ std::optional<unsigned> EnginePool::pickTargetShard(
   const TenantRec& rec = recs_.at(tenant);
   std::vector<unsigned> ex = exclude;
   ex.push_back(rec.route.shard);
-  return chooseShard(rec.spec.name, ex, /*apply_spill=*/false);
+  return chooseShard(rec.name, ex, /*apply_spill=*/false);
 }
 
 void EnginePool::noteBothRings(SecurityEventKind kind, unsigned src_shard,
@@ -213,28 +213,36 @@ MigrateResult EnginePool::migrateTenant(unsigned tenant, unsigned dst_shard) {
 
   const TenantSpec src_spec = src.service->tenantSpec(rec.route.local);
   std::ostringstream what;
-  what << "tenant '" << rec.spec.name << "' shard " << src_shard << " -> "
+  what << "tenant '" << rec.name << "' shard " << src_shard << " -> "
        << dst_shard << " (slot " << src_spec.key_slot << " -> " << *dst_slot
        << ")";
   noteBothRings(SecurityEventKind::MigrationBegun, src_shard, dst_shard,
                 src_spec.user, what.str());
+  auto abort = [&](MigrateError e) {
+    noteBothRings(SecurityEventKind::MigrationAborted, src_shard, dst_shard,
+                  src_spec.user, what.str() + ": " + toString(e));
+    return fail(e);
+  };
 
   // 1. Complete still-queued work at the source under the still-valid key,
   //    so no request ever spans the handover.
   if (!src.service->drainTenant(rec.route.local, kMigrateDrainCycles)) {
-    return fail(MigrateError::DrainTimeout);
+    return abort(MigrateError::DrainTimeout);
   }
 
-  // 2. Load at the TARGET first — through the same tagged scratchpad path
-  //    and under the same principal/category label as the original
-  //    provisioning, so the key travels at (ck = category conf, owner =
-  //    the tenant's own label) and never below it.
+  // 2. Load the source ledger's current key at the TARGET first — through
+  //    the same tagged scratchpad path and under the source's principal and
+  //    key_conf, so the key travels at (ck = category conf, owner = the
+  //    tenant's own label) and never below it.
+  const KeyManager::Session* key = src.service->keys().session(src_spec.user);
+  if (key == nullptr) return abort(MigrateError::ProvisionRefused);
   TenantSpec t2 = src_spec;
-  t2.user = dst.engine->addUser(
-      lattice::Principal::user(rec.spec.name, rec.spec.category));
+  t2.user = dst.engine->addUser(src.engine->principal(src_spec.user));
   t2.key_slot = *dst_slot;
+  t2.key.assign(key->key.begin(), key->key.end());
+  t2.key_conf = key->key_conf;
   const auto dst_local = dst.service->tryAddTenant(t2);
-  if (!dst_local.has_value()) return fail(MigrateError::ProvisionRefused);
+  if (!dst_local.has_value()) return abort(MigrateError::ProvisionRefused);
 
   // 3. Slot-quiesce barrier: no in-flight pipeline block may still
   //    reference the source slot.
@@ -244,7 +252,7 @@ MigrateResult EnginePool::migrateTenant(unsigned tenant, unsigned dst_shard) {
     // remains (the source).
     dst.service->deactivateTenant(*dst_local);
     dst.service->keys().closeSession(t2.user, kMigrateDrainCycles);
-    return fail(MigrateError::QuiesceTimeout);
+    return abort(MigrateError::QuiesceTimeout);
   }
 
   // 4. Retire the source-side tenant so nothing can be queued or served

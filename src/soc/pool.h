@@ -37,15 +37,15 @@
 //
 //  * migrateTenant() is a first-class audited operation. Ordering is the
 //    security argument: (1) still-queued work completes at the source
-//    under the old provisioning, (2) the session key is re-provisioned at
-//    the TARGET through the same tagged scratchpad path as the original
-//    load, (3) the source shard's key ledger quiesces the source slot,
+//    under the old provisioning, (2) the source ledger's current key is
+//    loaded at the TARGET through the same tagged scratchpad path as the
+//    original load, (3) the source ledger quiesces the source slot,
 //    waiting out in-flight pipeline blocks, (4) only then is the source-
-//    side tenant retired and its slot zeroized. MigrationBegun /
-//    KeyZeroized / Committed events land in BOTH shards' rings, and any
-//    request that would have executed under a stale or zeroized key is
-//    refused and counted in ServiceStats::wrong_key_uses — which must
-//    stay 0.
+//    side tenant retired and its ledger session closed (slot zeroized,
+//    key forgotten). MigrationBegun / KeyZeroized / Committed (or Aborted)
+//    events land in BOTH shards' rings, and any request that would have
+//    executed under a stale or zeroized key is refused and counted in
+//    ServiceStats::wrong_key_uses — which must stay 0.
 //
 // Capacity: each shard hosts up to kRoundKeySlots - 1 tenants (slot 0 is
 // left to the shard supervisor by convention). Every key slot is assigned,
@@ -66,7 +66,8 @@
 namespace aesifc::soc {
 
 // One tenant as offered to the pool: the pool picks the shard and the
-// hardware resources (user id, key slot, staging cells) itself.
+// hardware resources (user id, key slot, staging cells) itself. `key` is
+// handed to the chosen shard's ledger and not kept.
 struct PoolTenantSpec {
   std::string name;               // placement key — must be unique
   unsigned category = 1;          // lattice category of the tenant's label
@@ -208,9 +209,6 @@ class EnginePool {
     return recs_.at(tenant).route.shard;
   }
   std::vector<unsigned> tenantsOnShard(unsigned shard) const;
-  const PoolTenantSpec& tenantSpec(unsigned tenant) const {
-    return recs_.at(tenant).spec;
-  }
   std::size_t tenantsOn(unsigned shard) const {
     return shards_.at(shard).tenants;
   }
@@ -240,7 +238,7 @@ class EnginePool {
     unsigned local = 0;  // tenant index within the shard's AccelService
   };
   struct TenantRec {
-    PoolTenantSpec spec;
+    std::string name;  // placement key
     Route route;
     // Previous homes, oldest first: fetch() drains their completion queues
     // before the current shard's so migration never reorders or strands a

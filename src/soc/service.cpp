@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <iterator>
 #include <stdexcept>
+#include <type_traits>
 
 #include "aes/cipher.h"
 #include "soc/policy_engine.h"
@@ -48,6 +49,9 @@ constexpr std::size_t kRingStagingMax = kRingStagingDst - kRingStagingSrc;
 // accelerator so quarantine residency and background scrubbing advance
 // while traffic is off the hardware.
 constexpr unsigned kFallbackCyclesPerBlock = 40;
+// Every tenant's AEAD queue depth: GCM ops queue apart from blocks, one op
+// per entry.
+constexpr std::size_t kAeadQueueDepth = 8;
 }  // namespace
 
 AccelService::AccelService(accel::AesAccelerator& acc, ServiceConfig cfg)
@@ -95,9 +99,10 @@ std::optional<unsigned> AccelService::tryAddTenant(const TenantSpec& spec) {
   if (!keys_.openSession(spec.user, spec.key_slot, spec.key, spec.key_conf))
     return std::nullopt;
   const unsigned t = static_cast<unsigned>(tenants_.size());
-  tenants_.push_back(spec);
+  tenants_.push_back({.user = spec.user, .key_slot = spec.key_slot, .key = {},
+                      .key_conf = spec.key_conf,
+                      .queue_depth = spec.queue_depth});
   sessions_.emplace_back(acc_, spec.user, spec.key_slot, cfg_.healthy_opts);
-  golden_.push_back(aes::expandKey(spec.key, aes::KeySize::Aes128));
   queues_.emplace_back();
   completions_.emplace_back();
   aead_queues_.emplace_back();
@@ -213,8 +218,7 @@ SubmitResult AccelService::submitAead(unsigned tenant, AeadRequest req) {
   // the device are a full sequencer and an unusable key.
   if (req.op.iv.empty()) return {false, 0, AdmitError::Malformed};
   auto& q = aead_queues_.at(tenant);
-  if (auto refused =
-          admissionRefusal(tenant, q, tenants_[tenant].aead_queue_depth))
+  if (auto refused = admissionRefusal(tenant, q, kAeadQueueDepth))
     return *refused;
   req.ticket = next_ticket_++;
   req.submit_cycle = acc_.cycle();
@@ -303,26 +307,10 @@ bool AccelService::reprovisionKey(unsigned tenant) {
   return true;
 }
 
-void AccelService::serveFallback(unsigned tenant, const Request& req) {
-  // The breaker is open: compute in software, but release under exactly the
-  // declassification rule the tagged pipeline applies at its exit. A label
-  // the hardware would suppress stays suppressed — degraded mode must never
-  // become a policy bypass.
-  const auto& spec = tenants_[tenant];
-  const auto decision = degradedReleaseDecision(
-      acc_.principal(spec.user), spec.key_conf);
-  // Model the software path's cost on the shared clock so quarantine
-  // residency and the background scrub keep advancing.
-  acc_.run(kFallbackCyclesPerBlock);
-  if (!decision.allowed) {
-    ++stats_.fallback_suppressed;
-    complete(tenant, req, CompletionStatus::Suppressed,
-             ServedBy::SoftwareFallback, aes::Block{});
-    return;
-  }
-  const aes::Block out = req.decrypt
-                             ? aes::decryptBlock(req.data, golden_[tenant])
-                             : aes::encryptBlock(req.data, golden_[tenant]);
+void AccelService::serveFallback(unsigned tenant, const Request& req,
+                                 const aes::ExpandedKey& ek) {
+  const aes::Block out = req.decrypt ? aes::decryptBlock(req.data, ek)
+                                     : aes::encryptBlock(req.data, ek);
   ++stats_.completed_fallback;
   complete(tenant, req, CompletionStatus::Ok, ServedBy::SoftwareFallback, out);
 }
@@ -361,25 +349,11 @@ std::optional<CompletionStatus> AccelService::hardwareVerdict(
   return std::nullopt;
 }
 
-void AccelService::serveFallback(unsigned tenant, const AeadRequest& req) {
-  // Same contract as the block fallback, lifted to a whole message: the golden
-  // software GCM computes the answer, but release still passes the Eq. 1
-  // declassification check, and the shared clock is charged per block so
-  // quarantine residency reflects the real work.
-  const auto& spec = tenants_[tenant];
-  const auto decision =
-      degradedReleaseDecision(acc_.principal(spec.user), spec.key_conf);
-  const std::uint64_t blocks = accel::gcmWorkBlocks(req.op) + 2;  // J0, tag
-  acc_.run(kFallbackCyclesPerBlock * blocks);
-  if (!decision.allowed) {
-    ++stats_.fallback_suppressed;
-    complete(tenant, req, CompletionStatus::Suppressed,
-             ServedBy::SoftwareFallback, {});
-    return;
-  }
+void AccelService::serveFallback(unsigned tenant, const AeadRequest& req,
+                                 const aes::ExpandedKey& ek) {
   const accel::GcmRequest& op = req.op;
   if (op.open) {
-    auto pt = aes::gcmDecrypt(op.data, op.aad, op.tag, golden_[tenant], op.iv);
+    auto pt = aes::gcmDecrypt(op.data, op.aad, op.tag, ek, op.iv);
     if (!pt.has_value()) {
       ++stats_.aead_auth_failed;
       complete(tenant, req, CompletionStatus::AuthFailed,
@@ -391,7 +365,7 @@ void AccelService::serveFallback(unsigned tenant, const AeadRequest& req) {
              std::move(*pt));
     return;
   }
-  auto r = aes::gcmEncrypt(op.data, op.aad, golden_[tenant], op.iv);
+  auto r = aes::gcmEncrypt(op.data, op.aad, ek, op.iv);
   ++stats_.aead_completed_fallback;
   complete(tenant, req, CompletionStatus::Ok, ServedBy::SoftwareFallback,
            std::move(r.ciphertext), r.tag);
@@ -464,15 +438,32 @@ bool AccelService::onHardware(unsigned tenant) const {
 
 template <typename Req>
 void AccelService::serveOffHardware(unsigned tenant, const Req& req) {
-  if (!tenant_active_[tenant]) {
-    // A request surfaced for a retired tenant: executing it would use a
-    // stale or zeroized key. Refuse, and count the near-miss — the elastic
-    // pool's invariant is that this counter stays 0.
-    ++stats_.wrong_key_uses;
+  // A retired tenant's request would use a stale or zeroized key (a
+  // near-miss the elastic pool's invariant keeps at 0), and a closed ledger
+  // session leaves no key at all: refuse both.
+  const KeyManager::Session* key = keys_.session(tenants_[tenant].user);
+  if (!tenant_active_[tenant] || key == nullptr) {
+    if (!tenant_active_[tenant]) ++stats_.wrong_key_uses;
     complete(tenant, req, CompletionStatus::Rejected, ServedBy::None, {});
     return;
   }
-  serveFallback(tenant, req);
+  // The breaker is open: compute in software, but release under exactly the
+  // declassification rule the tagged pipeline applies at its exit, so
+  // degraded mode never becomes a policy bypass. The shared clock is charged
+  // per 16-byte unit so quarantine residency and the scrub keep advancing.
+  std::uint64_t blocks = 1;
+  if constexpr (std::is_same_v<Req, AeadRequest>)
+    blocks = accel::gcmWorkBlocks(req.op) + 2;  // J0, tag
+  acc_.run(kFallbackCyclesPerBlock * blocks);
+  if (!degradedReleaseDecision(acc_.principal(key->user), key->key_conf)
+           .allowed) {
+    ++stats_.fallback_suppressed;
+    complete(tenant, req, CompletionStatus::Suppressed,
+             ServedBy::SoftwareFallback, {});
+    return;
+  }
+  serveFallback(tenant, req,
+                aes::expandKey(key->key.data(), aes::KeySize::Aes128));
 }
 
 std::optional<std::uint16_t> AccelService::submitRing(unsigned tenant,
@@ -663,10 +654,11 @@ void AccelService::runCanaries() {
     // Retired tenants have no key on this shard (zeroized at migration);
     // probing them would re-provision a key that must stay gone.
     if (!tenant_active_[t]) continue;
-    const auto& spec = tenants_[t];
     // Fail-secure zeroization may have destroyed the slot while the device
     // was sick; a canary round re-provisions before probing.
-    if (!acc_.roundKeys().valid(spec.key_slot) && !reprovisionKey(t)) {
+    const KeyManager::Session* key = keys_.session(tenants_[t].user);
+    if (key == nullptr ||
+        (!acc_.roundKeys().valid(key->slot) && !reprovisionKey(t))) {
       all_ok = false;
       continue;
     }
@@ -681,10 +673,11 @@ void AccelService::runCanaries() {
     // suppresses it. For such a tenant the expected canary verdict IS
     // suppression — anything else (timeout, abort, wrong data) still fails.
     const bool release_allowed =
-        degradedReleaseDecision(acc_.principal(spec.user), spec.key_conf)
+        degradedReleaseDecision(acc_.principal(key->user), key->key_conf)
             .allowed;
     if (release_allowed) {
-      const aes::Block want = aes::encryptBlock(pt, golden_[t]);
+      const aes::Block want = aes::encryptBlock(
+          pt, aes::expandKey(key->key.data(), aes::KeySize::Aes128));
       if (!got.has_value() || *got != want) all_ok = false;
     } else if (got.has_value() ||
                got.status() != accel::AccelStatus::Suppressed) {

@@ -40,7 +40,6 @@
 
 #include "accel/driver.h"
 #include "aes/gcm.h"
-#include "aes/key_schedule.h"
 #include "common/counters.h"
 #include "soc/dma.h"
 #include "soc/health.h"
@@ -97,19 +96,16 @@ struct ServiceConfig {
   unsigned dma_ring_min_run = 16;
 };
 
-// One tenant as the service sees it: an accelerator principal plus the key
-// material the service provisioned for it (which is what makes both the
-// software fallback and canary re-provisioning possible). The engine's key
-// ledger stages the key through the cells it derives from the slot.
+// One tenant as offered to the service. `key` opens the tenant's session in
+// the engine's key ledger (keys()), the one host copy of the key that the
+// fallback, the canaries and re-provisioning read; the record the service
+// keeps (tenantSpec()) holds no key bytes.
 struct TenantSpec {
   unsigned user = 0;         // accelerator user id (already addUser'ed)
   unsigned key_slot = 0;     // round-key RAM slot (1 .. kRoundKeySlots - 1)
   std::vector<std::uint8_t> key;  // raw AES-128 key bytes
   lattice::Conf key_conf{};  // ck of the provisioned key
   std::size_t queue_depth = 16;
-  // AEAD operations queue separately (one GCM op is one scheduling unit,
-  // not one block), with their own depth bound.
-  std::size_t aead_queue_depth = 8;
 };
 
 enum class ServedBy { Hardware, SoftwareFallback, None };
@@ -268,6 +264,7 @@ class AccelService {
   bool tenantActive(unsigned tenant) const {
     return tenant_active_.at(tenant) != 0;
   }
+  // The tenant as added, with an empty `key`: keys().session(user) holds it.
   const TenantSpec& tenantSpec(unsigned tenant) const {
     return tenants_.at(tenant);
   }
@@ -387,8 +384,8 @@ class AccelService {
   // True when the tenant's requests go to the hardware: it is active and
   // the breaker is closed (Healthy or Degraded).
   bool onHardware(unsigned tenant) const;
-  // One request of either kind off the hardware path: refused if its
-  // tenant is retired, else served by the fallback.
+  // One request of either kind off the hardware path: refused (retired
+  // tenant or no ledger session), suppressed, or served by the fallback.
   template <typename Req>
   void serveOffHardware(unsigned tenant, const Req& req);
   // An AEAD op started on its tenant's session and not yet reaped.
@@ -410,8 +407,10 @@ class AccelService {
   void reapAead();
   // Map a resolved op's verdict; false when it is to be requeued.
   bool finishAead(AeadFlight& f);
-  void serveFallback(unsigned tenant, const Request& req);
-  void serveFallback(unsigned tenant, const AeadRequest& req);
+  void serveFallback(unsigned tenant, const Request& req,
+                     const aes::ExpandedKey& ek);
+  void serveFallback(unsigned tenant, const AeadRequest& req,
+                     const aes::ExpandedKey& ek);
   // The one driver-status -> completion mapping for a single hardware
   // serve (a run of one or an AEAD op). Returns the terminal status, or
   // nullopt when the request is to be requeued (a Rejected serve after a
@@ -437,7 +436,6 @@ class AccelService {
   HealthMonitor monitor_;
   std::vector<TenantSpec> tenants_;
   std::vector<accel::AccelSession> sessions_;
-  std::vector<aes::ExpandedKey> golden_;  // fallback + canary expectations
   std::vector<std::deque<Request>> queues_;
   std::vector<std::deque<Completion>> completions_;
   std::vector<std::deque<AeadRequest>> aead_queues_;

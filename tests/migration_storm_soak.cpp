@@ -13,7 +13,8 @@
 //    golden software AES.
 //  * Audit pairing — MigrationBegun/KeyZeroized/Committed counts agree
 //    across the pool (each successful migration stamps each kind twice:
-//    once per ring).
+//    once per ring), and every Begun is closed by a Committed or an
+//    Aborted.
 
 #include <gtest/gtest.h>
 
@@ -163,6 +164,10 @@ TEST(MigrationStormSoak, FortySeedStormHoldsAllInvariants) {
         << "seed " << seed;
     EXPECT_EQ(poolEventCount(pool, SecurityEventKind::MigrationKeyZeroized),
               2 * ps.migrations)
+        << "seed " << seed;
+    EXPECT_EQ(poolEventCount(pool, SecurityEventKind::MigrationBegun),
+              poolEventCount(pool, SecurityEventKind::MigrationCommitted) +
+                  poolEventCount(pool, SecurityEventKind::MigrationAborted))
         << "seed " << seed;
   }
 }

@@ -305,6 +305,13 @@ TEST(PoolElastic, QuiesceTimeoutRollbackLeavesNoKeyOnTheTarget) {
   EXPECT_FALSE(dst_eng.roundKeys().valid(1));
   EXPECT_EQ(dst_eng.scratchpad().rawCell(0), 0u);
   EXPECT_EQ(dst_eng.scratchpad().rawCell(1), 0u);
+  // Both rings close the failed move's audit trail.
+  for (unsigned shard : {src, dst}) {
+    const auto& eng = pool.shardEngine(shard);
+    EXPECT_EQ(countEvents(eng, SecurityEventKind::MigrationBegun), 1u);
+    EXPECT_EQ(countEvents(eng, SecurityEventKind::MigrationAborted), 1u);
+    EXPECT_EQ(countEvents(eng, SecurityEventKind::MigrationCommitted), 0u);
+  }
 
   // Once the receiver is released the tenant still serves from its source.
   src_eng.setReceiverReady(spec.user, true);
@@ -316,6 +323,44 @@ TEST(PoolElastic, QuiesceTimeoutRollbackLeavesNoKeyOnTheTarget) {
   EXPECT_EQ(c->status, CompletionStatus::Ok);
   const auto golden = aes::expandKey(keyOf(0), aes::KeySize::Aes128);
   EXPECT_EQ(c->data, aes::encryptBlock(patternBlock(2), golden));
+}
+
+// A migration moves the key the source ledger holds now, so a key rotated
+// on the home shard is the key the tenant is served under at the target.
+TEST(PoolElastic, MigrationCarriesTheRotatedKey) {
+  EnginePool pool{poolConfig(2, 1)};
+  const unsigned a = addTenantN(pool, 0);
+  const unsigned src = pool.shardOf(a);
+  const unsigned user =
+      pool.shardService(src).tenantSpec(localOf(pool, a)).user;
+  const auto fresh = keyOf(9);
+  ASSERT_TRUE(pool.shardService(src).keys().rotate(user, fresh));
+
+  ASSERT_TRUE(pool.migrateTenant(a, 1 - src).moved);
+  ASSERT_TRUE(pool.submit(a, patternBlock(3)).admitted);
+  pool.runUntilIdle(100000);
+  const auto c = pool.fetch(a);
+  ASSERT_TRUE(c.has_value());
+  EXPECT_EQ(c->status, CompletionStatus::Ok);
+  EXPECT_EQ(c->data,
+            aes::encryptBlock(patternBlock(3),
+                              aes::expandKey(fresh, aes::KeySize::Aes128)));
+}
+
+// After the move the source keeps no copy of the key: its ledger session is
+// closed, and the tenant record it keeps for history holds no key bytes.
+TEST(PoolElastic, MigrationLeavesNoKeyCopyAtTheSource) {
+  EnginePool pool{poolConfig(2, 1)};
+  const unsigned a = addTenantN(pool, 0);
+  const unsigned src = pool.shardOf(a);
+  const unsigned local = localOf(pool, a);
+  const unsigned user = pool.shardService(src).tenantSpec(local).user;
+
+  ASSERT_TRUE(pool.migrateTenant(a, 1 - src).moved);
+  const AccelService& svc = pool.shardService(src);
+  EXPECT_EQ(svc.keys().session(user), nullptr);
+  EXPECT_EQ(svc.keys().activeSessions(), 0u);
+  EXPECT_TRUE(svc.tenantSpec(local).key.empty());
 }
 
 // The quiesce barrier runs on the pool's migration budget, not the key
@@ -509,6 +554,15 @@ TEST(PoolElastic, SixteenSeedFaultSweepMigrationStormKeepsWrongKeyUsesZero) {
       EXPECT_EQ(fetched, admitted[t]) << "seed " << seed << " tenant " << t;
     }
     EXPECT_EQ(pool.aggregateStats().wrong_key_uses, 0u) << "seed " << seed;
+    // Audit pairing: in every ring, each Begun is closed by a Committed or
+    // an Aborted.
+    for (unsigned s = 0; s < pool.shards(); ++s) {
+      const auto& eng = pool.shardEngine(s);
+      EXPECT_EQ(eng.eventCount(SecurityEventKind::MigrationBegun),
+                eng.eventCount(SecurityEventKind::MigrationCommitted) +
+                    eng.eventCount(SecurityEventKind::MigrationAborted))
+          << "seed " << seed << " shard " << s;
+    }
   }
 }
 

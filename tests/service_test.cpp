@@ -572,6 +572,74 @@ TEST(ServiceKeys, TenantCannotTakeAnotherTenantsSlot) {
   EXPECT_EQ(c->data, aes::encryptBlock(patternBlock(3), r.golden[0]));
 }
 
+// The ledger holds the one host copy of a tenant key: a key rotated through
+// it is the key the hardware, the block and GCM fallbacks and the canary
+// expectation all use.
+TEST(ServiceKeys, RotationThroughTheLedgerReachesFallbackAndCanaries) {
+  Rig r{1, fastHealthConfig()};
+  const auto fresh = keyOf(9);
+  ASSERT_TRUE(r.svc.keys().rotate(r.svc.tenantSpec(0).user, fresh));
+  const auto ek = aes::expandKey(fresh, aes::KeySize::Aes128);
+  auto serveOne = [&](std::uint8_t seed) {
+    EXPECT_TRUE(r.svc.submit(0, patternBlock(seed)).admitted);
+    for (unsigned guard = 0; r.svc.totalQueued() > 0 && guard < 100; ++guard)
+      r.svc.pump();
+    return r.svc.fetch(0);
+  };
+
+  const auto hw = serveOne(1);
+  ASSERT_TRUE(hw.has_value());
+  EXPECT_EQ(hw->served_by, ServedBy::Hardware);
+  EXPECT_EQ(hw->status, CompletionStatus::Ok);
+  EXPECT_EQ(hw->data, aes::encryptBlock(patternBlock(1), ek));
+
+  r.svc.forceQuarantine("test: breaker open");
+  const auto fb = serveOne(2);
+  ASSERT_TRUE(fb.has_value());
+  EXPECT_EQ(fb->served_by, ServedBy::SoftwareFallback);
+  EXPECT_EQ(fb->status, CompletionStatus::Ok);
+  EXPECT_EQ(fb->data, aes::encryptBlock(patternBlock(2), ek));
+
+  const std::vector<std::uint8_t> iv(12, 0x24), aad(5, 0xaa), pt(40, 0x5c);
+  ASSERT_TRUE(r.svc.submitSeal(0, pt, aad, iv).admitted);
+  for (unsigned guard = 0; r.svc.totalQueued() > 0 && guard < 100; ++guard)
+    r.svc.pump();
+  const auto seal = r.svc.fetchAead(0);
+  ASSERT_TRUE(seal.has_value());
+  EXPECT_EQ(seal->served_by, ServedBy::SoftwareFallback);
+  EXPECT_EQ(seal->status, CompletionStatus::Ok);
+  const auto want = aes::gcmEncrypt(pt, aad, ek, iv);
+  EXPECT_EQ(seal->data, want.ciphertext);
+  EXPECT_EQ(seal->tag, want.tag);
+
+  // Receivers are ready, so the next canary round passes.
+  ASSERT_EQ(r.svc.health(), HealthState::Quarantined);
+  for (unsigned guard = 0;
+       r.svc.stats().canary_rounds == 0 && guard < 4000; ++guard)
+    r.svc.pump();
+  EXPECT_EQ(r.svc.stats().canary_rounds, 1u);
+  EXPECT_EQ(r.svc.stats().canary_failures, 0u);
+  EXPECT_EQ(r.svc.health(), HealthState::Healthy);
+}
+
+// A tenant whose ledger session was closed while it is still active has no
+// key left to serve under: its fallback request is refused, not served
+// under a key the service remembers.
+TEST(ServiceKeys, ClosedSessionFallbackIsRejectedNotServed) {
+  Rig r{1, fastHealthConfig()};
+  ASSERT_TRUE(r.svc.keys().closeSession(r.svc.tenantSpec(0).user, 256));
+  r.svc.forceQuarantine("test: breaker open");
+  ASSERT_TRUE(r.svc.submit(0, patternBlock(4)).admitted);
+  for (unsigned guard = 0; r.svc.totalQueued() > 0 && guard < 100; ++guard)
+    r.svc.pump();
+  const auto c = r.svc.fetch(0);
+  ASSERT_TRUE(c.has_value());
+  EXPECT_EQ(c->status, CompletionStatus::Rejected);
+  EXPECT_EQ(c->served_by, ServedBy::None);
+  EXPECT_EQ(c->data, aes::Block{});
+  EXPECT_EQ(r.svc.stats().completed_fallback, 0u);
+}
+
 TEST(ServiceLabelSafety, SupervisorMayReleaseMasterKeyResultsEvenDegraded) {
   AesAccelerator acc{AcceleratorConfig{}};
   const unsigned sup = acc.addUser(Principal::supervisor());
