@@ -32,6 +32,7 @@ using bench::addTenants;
 using bench::envOr;
 using bench::smokeMode;
 
+// Only Ok completions count as work.
 struct GcmRunResult {
   std::uint64_t ops = 0;
   std::uint64_t blocks = 0;         // payload blocks authenticated+encrypted
@@ -95,15 +96,18 @@ GcmRunResult runDeviceGcm(unsigned shards, unsigned msg_blocks,
       while (auto c = pool.fetchAead(ids[t])) {
         ++done;
         r.cons.resolve(c->status);
-        if (c->status != soc::CompletionStatus::Ok) r.all_ok = false;
+        if (c->status != soc::CompletionStatus::Ok) {
+          r.all_ok = false;
+          continue;
+        }
+        ++r.ops;
+        r.blocks += msg_blocks;
       }
     }
   }
   r.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  r.ops = done;
-  r.blocks = done * msg_blocks;
   r.device_cycles = pool.maxShardCycle();
   r.cons.still_queued = pool.totalQueued();
   return r;
@@ -160,7 +164,11 @@ GcmRunResult runHostGhash(unsigned shards, unsigned msg_blocks,
       while (auto c = pool.fetch(ids[t])) {
         ++done;
         r.cons.resolve(c->status);
-        if (c->status != soc::CompletionStatus::Ok) r.all_ok = false;
+        if (c->status != soc::CompletionStatus::Ok) {
+          r.all_ok = false;
+        } else {
+          ++r.blocks;
+        }
         // Host half: XOR into ciphertext and fold into the running GHASH.
         aes::Tag128 ct{};
         for (unsigned i = 0; i < 16; ++i)
@@ -188,7 +196,6 @@ GcmRunResult runHostGhash(unsigned shards, unsigned msg_blocks,
   r.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  r.blocks = done;
   r.device_cycles = pool.maxShardCycle();
   r.cons.still_queued = pool.totalQueued();
   return r;

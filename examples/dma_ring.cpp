@@ -6,6 +6,12 @@
 // watch the engine refuse, fire its watchdog, and recover, narrating from
 // the accelerator's security event ring.
 //
+// The walkthrough checks what it narrates and exits 1 when step 2's
+// destination is not software ECB, step 3 is not refused TornOwnership or
+// touched its destination, step 4 does not end Ok after a watchdog fire
+// and a recovery with no duplicate completion, or any write crossed a
+// label.
+//
 // Build & run:  ./build/examples/dma_ring
 
 #include <cstdio>
@@ -82,22 +88,30 @@ int main() {
     d.len = 160;
     chain.push_back(d);
   }
+  bool ok = true;
   const auto seq1 = drv.submitChain(chain);
+  if (!seq1) {
+    std::printf("  ring refused the chain\n");
+    return 1;
+  }
   std::printf(
       "  head descriptor at slot 0 (OWNED set last: the release store),\n"
       "  continuations in the chain arena, doorbell rung -> seq %u\n", *seq1);
   const auto* c1 = drv.wait(*seq1, 8192);
-  std::printf("  completion: status=%s blocks=%llu exec_cycles=%u\n",
-              toString(c1->status).c_str(),
-              static_cast<unsigned long long>(c1->blocks), c1->exec_cycles);
+  if (c1 != nullptr) {
+    std::printf("  completion: status=%s blocks=%llu exec_cycles=%u\n",
+                toString(c1->status).c_str(),
+                static_cast<unsigned long long>(c1->blocks), c1->exec_cycles);
+  }
   const auto ek = aes::expandKey(key, aes::KeySize::Aes128);
-  std::printf("  dst == software ECB? %s\n",
-              mem.readBytes(0x2000, msg.size()) == aes::ecbEncrypt(msg, ek)
-                  ? "yes"
-                  : "NO");
+  const bool ecb_ok =
+      mem.readBytes(0x2000, msg.size()) == aes::ecbEncrypt(msg, ek);
+  std::printf("  dst == software ECB? %s\n", ecb_ok ? "yes" : "NO");
+  ok = ok && ecb_ok;
 
   std::printf(
       "\nStep 3: torn ownership — reclaim the descriptor mid-execution\n");
+  const auto dst_before = mem.readBytes(0x2800, 480);
   const auto seq2 = drv.submitChain(
       {[&] { DmaDescriptor d = seg; d.src = 0x1000; d.dst = 0x2800;
              d.len = 480; return d; }()});
@@ -107,9 +121,13 @@ int main() {
   std::printf("  host clears OWNED while %u blocks are in flight...\n", 30u);
   mem.write32(live_desc,
               static_cast<std::uint32_t>(eng.generation(ch)) << 16);
-  const auto* c2 = drv.wait(*seq2, 8192);
-  std::printf("  completion: status=%s (fail-secure: dst untouched)\n",
-              toString(c2->status).c_str());
+  const auto* c2 = seq2 ? drv.wait(*seq2, 8192) : nullptr;
+  const bool untouched = mem.readBytes(0x2800, 480) == dst_before;
+  std::printf("  completion: status=%s, dst untouched? %s\n",
+              c2 != nullptr ? toString(c2->status).c_str() : "none",
+              untouched ? "yes" : "NO");
+  ok = ok && c2 != nullptr && c2->status == DmaError::TornOwnership &&
+       untouched;
   drainEvents(acc);
 
   std::printf(
@@ -123,14 +141,17 @@ int main() {
   std::printf("  ...%llu watchdog fires while the receiver is wedged\n",
               static_cast<unsigned long long>(eng.stats().watchdog_fires));
   acc.setReceiverReady(alice, true);
-  const auto* c3 = drv.wait(*seq3, 1u << 16);
+  const auto* c3 = seq3 ? drv.wait(*seq3, 1u << 16) : nullptr;
   std::printf(
       "  receiver released: status=%s blocks=%llu, recoveries=%llu,\n"
-      "  completions delivered exactly once (duplicates: %llu)\n",
-      toString(c3->status).c_str(),
-      static_cast<unsigned long long>(c3->blocks),
+      "  duplicate completions: %llu\n",
+      c3 != nullptr ? toString(c3->status).c_str() : "none",
+      static_cast<unsigned long long>(c3 != nullptr ? c3->blocks : 0),
       static_cast<unsigned long long>(eng.stats().recoveries),
       static_cast<unsigned long long>(drv.duplicateCompletions()));
+  ok = ok && c3 != nullptr && c3->status == DmaError::None &&
+       eng.stats().watchdog_fires >= 1 && eng.stats().recoveries >= 1 &&
+       drv.duplicateCompletions() == 0;
   drainEvents(acc);
 
   const auto& st = eng.stats();
@@ -147,5 +168,7 @@ int main() {
       static_cast<unsigned long long>(st.watchdog_fires),
       static_cast<unsigned long long>(st.recoveries),
       static_cast<unsigned long long>(st.cross_label_writes));
-  return 0;
+  ok = ok && st.cross_label_writes == 0;
+  std::printf("\nwalkthrough checks: %s\n", ok ? "pass" : "FAIL");
+  return ok ? 0 : 1;
 }

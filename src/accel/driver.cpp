@@ -17,6 +17,19 @@ void storeBlock(aes::Bytes& b, std::size_t off, const aes::Block& blk) {
   std::memcpy(b.data() + off, blk.data(), 16);
 }
 
+std::vector<aes::Block> toBlocks(const aes::Bytes& b) {
+  std::vector<aes::Block> out(b.size() / 16);
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] = loadBlock(b, 16 * i);
+  return out;
+}
+
+aes::Bytes toBytes(const std::vector<aes::Block>& blocks) {
+  aes::Bytes out(16 * blocks.size());
+  for (std::size_t i = 0; i < blocks.size(); ++i)
+    storeBlock(out, 16 * i, blocks[i]);
+  return out;
+}
+
 aes::Block xorBlocks(aes::Block a, const aes::Block& b) {
   for (unsigned i = 0; i < 16; ++i) a[i] ^= b[i];
   return a;
@@ -85,129 +98,128 @@ AccelSession::AccelSession(AesAccelerator& acc, unsigned user,
                            unsigned key_slot, SessionOptions opts)
     : acc_{acc}, user_{user}, key_slot_{key_slot}, opts_{opts} {}
 
-AccelResult<std::vector<aes::Block>> AccelSession::runBatch(
-    const std::vector<aes::Block>& blocks, bool decrypt) {
-  const std::uint64_t start_cycle = acc_.cycle();
-  std::vector<aes::Block> out(blocks.size());
+AccelResult<std::vector<aes::Block>> AccelSession::runBlocks(
+    std::vector<aes::Block> blocks, bool decrypt) {
+  const GcmHandle h = next_flight_++;
+  Flight& f = flights_[h];
+  f.start_cycle = acc_.cycle();
+  f.decrypt = decrypt;
+  f.units.assign(blocks.size(), Flight::Unit::Pending);
+  f.data = std::move(blocks);
+  // The first block is submitted before the first tick; from then on each
+  // cycle drains the output queue after the tick.
+  auto v = advance(f);
+  while (!v) {
+    acc_.tick();
+    route(false);
+    v = advance(f);
+  }
+  auto spent = flights_.extract(h);
+  if (*v != AccelStatus::Ok) return *v;
+  return std::move(spent.mapped().data);
+}
 
-  // Terminal per-block states. `order` maps every request id ever issued
-  // (across attempts) to its block index; an entry is erased when its
-  // response is consumed, so a duplicated response — or the late original
-  // racing a resubmission — can never be delivered twice.
-  enum class St : std::uint8_t { Pending, Done, Supp, Fail };
-  std::vector<St> st(blocks.size(), St::Pending);
-  std::map<std::uint64_t, std::size_t> order;
-
-  AccelStatus attempt_fail = AccelStatus::Ok;
-  std::vector<BlockResponse> drained;  // reused batch-drain buffer
-  auto drain = [&] {
-    drained.clear();
-    acc_.fetchOutputs(user_, drained);
-    for (const auto& resp : drained) {
-      auto it = order.find(resp.req_id);
-      if (it == order.end()) continue;  // unknown / already-consumed id
-      const std::size_t idx = it->second;
-      order.erase(it);
-      if (st[idx] == St::Done || st[idx] == St::Supp) continue;  // stale
-      if (resp.suppressed) {
-        st[idx] = St::Supp;  // security refusal: final, never retried
-      } else if (resp.fault_aborted || resp.dropped) {
-        st[idx] = St::Fail;
-        if (attempt_fail == AccelStatus::Ok) {
-          attempt_fail = resp.fault_aborted ? AccelStatus::FaultAborted
-                                            : AccelStatus::Dropped;
-        }
-      } else {
-        out[idx] = resp.data;
-        st[idx] = St::Done;
-      }
-    }
-  };
-  for (unsigned attempt = 0;; ++attempt) {
-    // (Re)open failed blocks and collect this attempt's submission list.
-    std::vector<std::size_t> todo;
-    for (std::size_t i = 0; i < blocks.size(); ++i) {
-      if (st[i] == St::Fail) st[i] = St::Pending;
-      if (st[i] == St::Pending) todo.push_back(i);
-    }
-    attempt_fail = AccelStatus::Ok;
-    std::size_t submitted = 0;
-    const std::uint64_t attempt_start = acc_.cycle();
-    bool timed_out = false;
-    bool rejected = false;
-
-    while (true) {
-      bool any_open = false;
-      for (auto i : todo) {
-        if (st[i] == St::Pending) {
-          any_open = true;
-          break;
-        }
-      }
-      if (!any_open) break;
-      // One submission per cycle; skip blocks a late response from an
-      // earlier attempt already resolved.
-      while (submitted < todo.size() && st[todo[submitted]] != St::Pending)
-        ++submitted;
-      if (submitted < todo.size()) {
-        BlockRequest req;
-        req.req_id = next_req_++;
-        req.user = user_;
-        req.key_slot = key_slot_;
-        req.decrypt = decrypt;
-        req.data = blocks[todo[submitted]];
-        if (acc_.submit(req)) {
-          order[req.req_id] = todo[submitted];
-          ++submitted;
-        } else {
-          rejected = true;  // deterministic refusal (e.g. zeroized slot)
-          break;
-        }
-      }
-      acc_.tick();
-      drain();
-      if (acc_.cycle() - attempt_start >
-          opts_.timeout_cycles + todo.size()) {
-        timed_out = true;  // device wedged (e.g. permanently stalled)
-        break;
-      }
-    }
-
-    if (rejected) return finishVerdict(AccelStatus::Rejected, start_cycle);
-
-    bool need_retry = false;
-    for (auto s : st) {
-      if (s == St::Fail || s == St::Pending) {
-        need_retry = true;
-        break;
-      }
-    }
-    if (!need_retry) {
-      for (auto s : st) {
-        if (s == St::Supp)
-          return finishVerdict(AccelStatus::Suppressed, start_cycle);
-      }
-      (void)finishVerdict(AccelStatus::Ok, start_cycle);
-      return out;
-    }
-
-    const AccelStatus verdict =
-        attempt_fail != AccelStatus::Ok
-            ? attempt_fail
-            : (timed_out ? AccelStatus::Timeout : AccelStatus::FaultAborted);
-    if (attempt >= opts_.max_retries)
-      return finishVerdict(verdict, start_cycle);
-
-    // Bounded backoff before the retry; keep draining so in-flight
-    // responses from this attempt are still credited.
+std::optional<AccelStatus> AccelSession::advance(Flight& f) {
+  for (;;) {
+    if (!f.open && acc_.cycle() < f.attempt_start) return std::nullopt;
+    const auto st = f.gcm ? stepGcm(f) : stepBlocks(f);
+    if (!st) return std::nullopt;
+    if (!isRetryable(*st) || f.attempt >= opts_.max_retries)
+      return finishVerdict(*st, f.start_cycle);
+    // Bounded backoff before the retry; route() keeps crediting responses
+    // that arrive meanwhile.
     ++retries_;
     acc_.noteRetry();
-    const std::uint64_t backoff = opts_.backoff_cycles << attempt;
-    for (std::uint64_t i = 0; i < backoff; ++i) {
-      acc_.tick();
-      drain();
+    f.attempt_start = acc_.cycle() + (opts_.backoff_cycles << f.attempt);
+    ++f.attempt;
+    f.open = false;
+  }
+}
+
+void AccelSession::route(bool gcm) {
+  // Each id is taken once, so a duplicated response — or the late original
+  // racing a resubmission — can never be delivered twice.
+  const auto take = [&](std::uint64_t id) -> std::pair<Flight*, std::size_t> {
+    for (auto& [h, f] : flights_) {
+      if (const auto it = f.ids.find(id); it != f.ids.end()) {
+        const std::size_t unit = it->second;
+        f.ids.erase(it);
+        return {&f, unit};
+      }
+    }
+    return {nullptr, 0};
+  };
+  if (gcm) {
+    while (auto r = acc_.fetchGcm(user_)) {
+      if (Flight* f = take(r->req_id).first) f->got = std::move(*r);
+    }
+    return;
+  }
+  using U = Flight::Unit;
+  drained_.clear();
+  acc_.fetchOutputs(user_, drained_);
+  for (const auto& resp : drained_) {
+    const auto [f, i] = take(resp.req_id);
+    if (f == nullptr) continue;
+    if (f->units[i] == U::Done || f->units[i] == U::Suppressed) continue;
+    if (resp.suppressed) {
+      f->units[i] = U::Suppressed;  // security refusal: final
+    } else if (resp.fault_aborted || resp.dropped) {
+      f->units[i] = U::Failed;
+      if (f->attempt_fail == AccelStatus::Ok) {
+        f->attempt_fail = resp.fault_aborted ? AccelStatus::FaultAborted
+                                             : AccelStatus::Dropped;
+      }
+    } else {
+      f->data[i] = resp.data;
+      f->units[i] = U::Done;
     }
   }
+}
+
+std::optional<AccelStatus> AccelSession::stepBlocks(Flight& f) {
+  using U = Flight::Unit;
+  if (!f.open) {
+    // The attempt takes every block not yet resolved.
+    f.todo.clear();
+    for (std::size_t i = 0; i < f.units.size(); ++i) {
+      if (f.units[i] == U::Failed) f.units[i] = U::Pending;
+      if (f.units[i] == U::Pending) f.todo.push_back(i);
+    }
+    f.next = 0;
+    f.attempt_fail = AccelStatus::Ok;
+    f.attempt_start = acc_.cycle();
+    f.open = true;
+  }
+  const auto pending = [&](std::size_t i) { return f.units[i] == U::Pending; };
+  // The device is wedged (e.g. permanently stalled) past this watchdog.
+  const bool timed_out =
+      acc_.cycle() - f.attempt_start > opts_.timeout_cycles + f.todo.size();
+  if (!timed_out && std::any_of(f.todo.begin(), f.todo.end(), pending)) {
+    // One submission per cycle; skip blocks a late response from an
+    // earlier attempt already resolved.
+    while (f.next < f.todo.size() && !pending(f.todo[f.next])) ++f.next;
+    if (f.next < f.todo.size()) {
+      BlockRequest req;
+      req.req_id = next_req_++;
+      req.user = user_;
+      req.key_slot = key_slot_;
+      req.decrypt = f.decrypt;
+      req.data = f.data[f.todo[f.next]];
+      // A deterministic refusal (e.g. a zeroized slot) is final.
+      if (!acc_.submit(req)) return AccelStatus::Rejected;
+      f.ids[req.req_id] = f.todo[f.next++];
+    }
+    return std::nullopt;
+  }
+  const auto open = [](U u) { return u == U::Pending || u == U::Failed; };
+  if (std::none_of(f.units.begin(), f.units.end(), open)) {
+    return std::count(f.units.begin(), f.units.end(), U::Suppressed)
+               ? AccelStatus::Suppressed
+               : AccelStatus::Ok;
+  }
+  if (f.attempt_fail != AccelStatus::Ok) return f.attempt_fail;
+  return timed_out ? AccelStatus::Timeout : AccelStatus::FaultAborted;
 }
 
 AccelStatus AccelSession::finishVerdict(AccelStatus verdict,
@@ -228,48 +240,38 @@ AccelStatus AccelSession::finishVerdict(AccelStatus verdict,
 
 AccelResult<std::vector<aes::Block>> AccelSession::encryptBlocks(
     const std::vector<aes::Block>& pts) {
-  return runBatch(pts, false);
+  return runBlocks(pts, false);
 }
 
 AccelResult<std::vector<aes::Block>> AccelSession::decryptBlocks(
     const std::vector<aes::Block>& cts) {
-  return runBatch(cts, true);
+  return runBlocks(cts, true);
 }
 
 AccelResult<aes::Block> AccelSession::encryptBlock(const aes::Block& pt) {
-  auto r = runBatch({pt}, false);
+  auto r = runBlocks({pt}, false);
   if (!r) return r.status();
   return (*r)[0];
 }
 
 AccelResult<aes::Block> AccelSession::decryptBlock(const aes::Block& ct) {
-  auto r = runBatch({ct}, true);
+  auto r = runBlocks({ct}, true);
   if (!r) return r.status();
   return (*r)[0];
 }
 
 AccelResult<aes::Bytes> AccelSession::ecbEncrypt(const aes::Bytes& data) {
   if (data.size() % 16 != 0) return AccelStatus::Rejected;
-  std::vector<aes::Block> blocks(data.size() / 16);
-  for (std::size_t i = 0; i < blocks.size(); ++i)
-    blocks[i] = loadBlock(data, 16 * i);
-  auto r = runBatch(blocks, false);
+  auto r = runBlocks(toBlocks(data), false);
   if (!r) return r.status();
-  aes::Bytes out(data.size());
-  for (std::size_t i = 0; i < r->size(); ++i) storeBlock(out, 16 * i, (*r)[i]);
-  return out;
+  return toBytes(*r);
 }
 
 AccelResult<aes::Bytes> AccelSession::ecbDecrypt(const aes::Bytes& data) {
   if (data.size() % 16 != 0) return AccelStatus::Rejected;
-  std::vector<aes::Block> blocks(data.size() / 16);
-  for (std::size_t i = 0; i < blocks.size(); ++i)
-    blocks[i] = loadBlock(data, 16 * i);
-  auto r = runBatch(blocks, true);
+  auto r = runBlocks(toBlocks(data), true);
   if (!r) return r.status();
-  aes::Bytes out(data.size());
-  for (std::size_t i = 0; i < r->size(); ++i) storeBlock(out, 16 * i, (*r)[i]);
-  return out;
+  return toBytes(*r);
 }
 
 AccelResult<aes::Bytes> AccelSession::ctrCrypt(const aes::Bytes& data,
@@ -281,7 +283,7 @@ AccelResult<aes::Bytes> AccelSession::ctrCrypt(const aes::Bytes& data,
     c = ctr;
     aes::incCounterBe(ctr, 64);  // CTR counts in the low 64 bits
   }
-  auto ks = runBatch(counters, false);  // keystream, fully pipelined
+  auto ks = runBlocks(std::move(counters), false);  // keystream, pipelined
   if (!ks) return ks.status();
   aes::Bytes out(data.size());
   for (std::size_t i = 0; i < data.size(); ++i) {
@@ -293,10 +295,8 @@ AccelResult<aes::Bytes> AccelSession::ctrCrypt(const aes::Bytes& data,
 AccelResult<aes::Bytes> AccelSession::cbcDecrypt(const aes::Bytes& data,
                                                  const aes::Iv& iv) {
   if (data.size() % 16 != 0 || data.empty()) return AccelStatus::Rejected;
-  std::vector<aes::Block> blocks(data.size() / 16);
-  for (std::size_t i = 0; i < blocks.size(); ++i)
-    blocks[i] = loadBlock(data, 16 * i);
-  auto r = runBatch(blocks, true);  // all blocks decrypt in parallel
+  const auto blocks = toBlocks(data);
+  auto r = runBlocks(blocks, true);  // all blocks decrypt in parallel
   if (!r) return r.status();
   aes::Bytes out(data.size());
   aes::Block prev = iv;
@@ -316,13 +316,14 @@ AccelResult<GcmResponse> AccelSession::runGcm(GcmRequest req) {
   }
 }
 
-GcmSubmit AccelSession::submitAttempt(GcmFlight& f) {
+GcmSubmit AccelSession::submitAttempt(Flight& f) {
   f.req.req_id = next_req_++;
   f.budget = gcmWatchdog(gcmWorkBlocks(f.req));
   const GcmSubmit s = acc_.submitGcm(f.req);
   if (s == GcmSubmit::Accepted) {
-    f.submitted = true;
+    f.open = true;
     f.attempt_start = acc_.cycle();
+    f.ids.emplace(f.req.req_id, 0);
   }
   return s;
 }
@@ -337,76 +338,56 @@ std::uint64_t AccelSession::gcmWatchdog(std::uint64_t own_blocks) const {
 }
 
 std::optional<GcmHandle> AccelSession::startGcm(GcmRequest req) {
-  req.user = user_;
-  req.key_slot = key_slot_;
-  GcmFlight f;
+  Flight f;
+  f.gcm = true;
   f.req = std::move(req);
+  f.req.user = user_;
+  f.req.key_slot = key_slot_;
   f.start_cycle = acc_.cycle();
   const GcmSubmit s = submitAttempt(f);
   if (s == GcmSubmit::Full) return std::nullopt;
   if (s != GcmSubmit::Accepted)
     f.refused = finishVerdict(AccelStatus::Rejected, f.start_cycle);
-  const GcmHandle h = next_gcm_++;
-  gcm_flights_.emplace(h, std::move(f));
+  const GcmHandle h = next_flight_++;
+  flights_.emplace(h, std::move(f));
   return h;
 }
 
 std::optional<AccelResult<GcmResponse>> AccelSession::collectGcm(
     GcmHandle h) {
-  // Hand each arrived response to the attempt it answers; one from an
-  // abandoned attempt matches none and is discarded.
-  while (auto r = acc_.fetchGcm(user_)) {
-    for (auto& [id, fl] : gcm_flights_) {
-      if (fl.submitted && fl.req.req_id == r->req_id) {
-        fl.got = std::move(*r);
-        break;
-      }
-    }
+  Flight& f = flights_.at(h);
+  route(true);
+  const auto v = f.refused ? f.refused : advance(f);
+  if (!v) return std::nullopt;
+  auto spent = flights_.extract(h);
+  if (*v != AccelStatus::Ok) return *v;
+  return std::move(*spent.mapped().got);
+}
+
+std::optional<AccelStatus> AccelSession::stepGcm(Flight& f) {
+  if (!f.open) {
+    const GcmSubmit s = submitAttempt(f);
+    if (s == GcmSubmit::Accepted) return std::nullopt;
+    if (s != GcmSubmit::Full) return AccelStatus::Rejected;
+    // Every op slot is busy: wait for one on this attempt's watchdog.
+    if (acc_.cycle() - f.attempt_start <= f.budget) return std::nullopt;
+    return AccelStatus::Timeout;
   }
-  const auto it = gcm_flights_.find(h);
-  GcmFlight& f = it->second;
-  const auto spend = [&](AccelResult<GcmResponse> r) {
-    gcm_flights_.erase(it);
-    return r;
-  };
-  if (f.refused) return spend(*f.refused);
-  for (;;) {
-    AccelStatus failed = AccelStatus::Timeout;
-    if (f.submitted) {
-      if (f.got && f.got->suppressed)  // final
-        return spend(finishVerdict(AccelStatus::Suppressed, f.start_cycle));
-      if (f.got && f.got->auth_failed)  // a verdict
-        return spend(finishVerdict(AccelStatus::AuthFailed, f.start_cycle));
-      if (f.got && !f.got->fault_aborted) {
-        (void)finishVerdict(AccelStatus::Ok, f.start_cycle);
-        return spend(std::move(*f.got));
-      }
-      if (f.got) {
-        failed = AccelStatus::FaultAborted;
-      } else {
-        // The backlog counts this op while it computes, and every op that
-        // joined it since.
-        f.budget = std::max(f.budget, gcmWatchdog(0));
-        if (acc_.cycle() - f.attempt_start <= f.budget) return std::nullopt;
-      }
-    } else {
-      if (acc_.cycle() < f.attempt_start) return std::nullopt;  // backoff
-      const GcmSubmit s = submitAttempt(f);
-      if (s == GcmSubmit::Accepted) return std::nullopt;
-      if (s != GcmSubmit::Full)
-        return spend(finishVerdict(AccelStatus::Rejected, f.start_cycle));
-      // Every op slot is busy: wait for one on this attempt's watchdog.
-      if (acc_.cycle() - f.attempt_start <= f.budget) return std::nullopt;
-    }
-    if (f.attempt >= opts_.max_retries)
-      return spend(finishVerdict(failed, f.start_cycle));
-    ++retries_;
-    acc_.noteRetry();
-    f.attempt_start = acc_.cycle() + (opts_.backoff_cycles << f.attempt);
-    ++f.attempt;
-    f.submitted = false;
-    f.got.reset();
+  if (f.got && f.got->suppressed) return AccelStatus::Suppressed;  // final
+  if (f.got && f.got->auth_failed) return AccelStatus::AuthFailed;  // verdict
+  if (f.got && !f.got->fault_aborted) return AccelStatus::Ok;
+  if (!f.got) {
+    // The backlog counts this op while it computes, and every op that
+    // joined it since.
+    f.budget = std::max(f.budget, gcmWatchdog(0));
+    if (acc_.cycle() - f.attempt_start <= f.budget) return std::nullopt;
   }
+  // The attempt failed; a response to it from now on is discarded.
+  const AccelStatus failed =
+      f.got ? AccelStatus::FaultAborted : AccelStatus::Timeout;
+  f.ids.clear();
+  f.got.reset();
+  return failed;
 }
 
 AccelResult<GcmSealed> AccelSession::gcmSeal(

@@ -1,10 +1,12 @@
 #pragma once
 // Software driver layer: what a kernel driver / user library would run on
-// the host CPU to use the accelerator. `AccelSession` is one user's handle;
-// it performs synchronous block operations and block-cipher modes by
-// submitting work and ticking the device until completion. GCM ops also
-// come in start/collect halves, so a caller that owns the clock can keep
-// several in flight on the sequencer.
+// the host CPU to use the accelerator. `AccelSession` is one user's handle.
+// Every operation it runs — a block run (the block calls and the
+// block-cipher modes) or a GCM op — is a flight in the session's one flight
+// table: started, then collected once per device cycle until its verdict.
+// The synchronous calls tick the device between collects themselves; GCM
+// ops also come in public start/collect halves, so a caller that owns the
+// clock can keep several in flight on the sequencer.
 //
 // The driver is written for an imperfect device and an imperfect bus: every
 // operation returns an `AccelResult` whose status distinguishes a security
@@ -109,8 +111,8 @@ struct SessionOptions {
   std::uint64_t backoff_cycles = 32;  // idle ticks before retry, doubles per attempt
 };
 
-// Terminal-outcome counters for one session. Every runBatch() verdict bumps
-// exactly one field, so the sum equals the number of driver operations; a
+// Terminal-outcome counters for one session. Every verdict bumps exactly
+// one field, so the sum equals the number of driver operations; a
 // health monitor can difference two snapshots to get a window's error rate.
 struct SessionTelemetry {
   std::uint64_t ok = 0;
@@ -156,7 +158,8 @@ struct GcmSealed {
   aes::Tag128 tag{};
 };
 
-// A GCM op between startGcm and the collectGcm call that resolves it.
+// A GCM op between startGcm and the collectGcm call that resolves it (its
+// key in the session's flight table).
 using GcmHandle = std::uint64_t;
 
 class AccelSession {
@@ -221,7 +224,6 @@ class AccelSession {
   // Device cycles from each call's start to its verdict, summed (ops in
   // flight together each count their own span).
   std::uint64_t cyclesUsed() const { return cycles_used_; }
-  unsigned user() const { return user_; }
   // Status of the most recent operation and retry telemetry.
   AccelStatus lastStatus() const { return last_status_; }
   std::uint64_t retries() const { return retries_; }
@@ -230,29 +232,54 @@ class AccelSession {
   // Retune the robustness knobs mid-session (a degraded-mode service
   // tightens the watchdog and retry budget without reopening the session).
   void setOptions(const SessionOptions& opts) { opts_ = opts; }
-  const SessionOptions& options() const { return opts_; }
 
  private:
-  // Submit `blocks` (optionally XORed against `chain` upstream by caller),
-  // pipelined, and collect responses in submission order — resubmitting
-  // failed blocks up to the retry budget.
-  AccelResult<std::vector<aes::Block>> runBatch(
-      const std::vector<aes::Block>& blocks, bool decrypt);
-  // One GCM op from start to verdict, ticking the device meanwhile.
-  AccelResult<GcmResponse> runGcm(GcmRequest req);
-  // A started GCM op: its current attempt and the retry schedule.
-  struct GcmFlight {
-    GcmRequest req;                   // req_id is the current attempt's
+  // One operation from its start to its verdict, with its current attempt
+  // and retry schedule: a block run or a GCM op.
+  struct Flight {
+    enum class Unit : std::uint8_t { Pending, Done, Suppressed, Failed };
+    bool gcm = false;
     std::uint64_t start_cycle = 0;    // cycles are charged from here
-    std::uint64_t attempt_start = 0;  // submit cycle (backoff: resubmit at)
-    std::uint64_t budget = 0;         // the attempt's watchdog
+    std::uint64_t attempt_start = 0;  // backing off: the next attempt's
     unsigned attempt = 0;
-    bool submitted = false;  // false while backing off or waiting a slot
-    std::optional<GcmResponse> got;       // the attempt's response
-    std::optional<AccelStatus> refused;   // final refusal at a submit
+    bool open = false;  // false while backing off or waiting for an op slot
+    std::optional<AccelStatus> refused;  // final refusal at start
+    // Request id -> unit (block index; 0 for a GCM op) of each response
+    // still taken: every attempt's for a block run, so a late response is
+    // credited, and only the current attempt's for a GCM op.
+    std::map<std::uint64_t, std::size_t> ids;
+    // Block run: inputs, overwritten by each Done block's output.
+    bool decrypt = false;
+    std::vector<aes::Block> data;
+    std::vector<Unit> units;        // a Failed block rides the next attempt
+    std::vector<std::size_t> todo;  // the attempt's blocks
+    std::size_t next = 0;           // todo[next] is submitted next
+    AccelStatus attempt_fail = AccelStatus::Ok;  // first failed response
+    // GCM op.
+    GcmRequest req;            // req_id is the current attempt's
+    std::uint64_t budget = 0;  // the attempt's watchdog
+    std::optional<GcmResponse> got;
   };
-  // Submit the flight's next attempt, sizing its watchdog.
-  GcmSubmit submitAttempt(GcmFlight& f);
+
+  // A block run, or one GCM op, from start to verdict: collected once per
+  // cycle, ticking the device in between.
+  AccelResult<std::vector<aes::Block>> runBlocks(
+      std::vector<aes::Block> blocks, bool decrypt);
+  AccelResult<GcmResponse> runGcm(GcmRequest req);
+  // The one retry step: takes the flight's step and retries a failed
+  // attempt after its backoff or, with the retry budget spent, makes the
+  // failure the verdict. Returns the verdict once final; never ticks.
+  std::optional<AccelStatus> advance(Flight& f);
+  // Hands each response on the GCM or the block output queue to the flight
+  // that still takes its id; any other response is discarded.
+  void route(bool gcm);
+  // A kind's step this cycle: nullopt while the attempt runs, a retryable
+  // status when it failed, any other status as the verdict. A block run
+  // submits one block per cycle, on a watchdog of timeout + its blocks.
+  std::optional<AccelStatus> stepBlocks(Flight& f);
+  std::optional<AccelStatus> stepGcm(Flight& f);
+  // Submit the GCM op's next attempt, sizing its watchdog.
+  GcmSubmit submitAttempt(Flight& f);
   // An attempt's watchdog, given the blocks of its op if not yet accepted.
   std::uint64_t gcmWatchdog(std::uint64_t own_blocks) const;
   // Charge the operation's cycles, record `verdict` as the last status and
@@ -268,8 +295,9 @@ class AccelSession {
   std::uint64_t retries_ = 0;
   AccelStatus last_status_ = AccelStatus::Ok;
   SessionTelemetry telemetry_;
-  std::map<GcmHandle, GcmFlight> gcm_flights_;
-  GcmHandle next_gcm_ = 1;
+  std::map<GcmHandle, Flight> flights_;
+  GcmHandle next_flight_ = 1;
+  std::vector<BlockResponse> drained_;  // route()'s buffer
 };
 
 }  // namespace aesifc::accel

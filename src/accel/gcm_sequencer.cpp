@@ -107,14 +107,6 @@ bool GcmSequencer::usesKeySlot(unsigned slot) const {
   return false;
 }
 
-unsigned GcmSequencer::activeOps() const {
-  unsigned n = 0;
-  for (const auto& op : ops_) {
-    if (op.active) ++n;
-  }
-  return n;
-}
-
 void GcmSequencer::pump() {
   for (unsigned i = 0; i < kGcmOps; ++i) stepOp(i);
 }

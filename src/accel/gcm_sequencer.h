@@ -71,11 +71,9 @@ class GcmSequencer {
   // blocks) references the AES key slot; key zeroization must wait.
   bool usesKeySlot(unsigned slot) const;
 
-  unsigned activeOps() const;
   // gcmWorkBlocks summed over the ops still computing (not draining): the
   // work a newly accepted op shares the pipe with.
   std::uint64_t backlogBlocks() const { return backlog_blocks_; }
-  bool idle() const { return activeOps() == 0; }
 
   // One clock of every op state machine: at most one internal AES submit
   // and one GHASH absorb per op per cycle. Frozen during stall cycles.

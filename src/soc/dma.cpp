@@ -109,6 +109,7 @@ namespace {
 
 // Ring-engine timing and recovery budgets, the same for every channel.
 constexpr unsigned kRingMaxResubmits = 2;   // whole-descriptor recoveries
+constexpr unsigned kRingMaxChain = 64;      // segments followed (incl. head)
 constexpr unsigned kRingFetchCycles = 2;    // fetch + validate one segment
 constexpr unsigned kRingPollInterval = 8;   // idle head poll cadence
                                             // (a doorbell skips it)
@@ -381,7 +382,7 @@ DmaError DmaRingEngine::latchSegment(Chain& c, std::size_t addr, bool head) {
   for (const Segment& s : c.segs) {
     if (s.addr == next) return DmaError::ChainLoop;
   }
-  if (c.segs.size() >= ch.cfg.max_chain) return DmaError::ChainTooLong;
+  if (c.segs.size() >= kRingMaxChain) return DmaError::ChainTooLong;
   c.next_fetch = next;
   return DmaError::None;
 }

@@ -109,7 +109,7 @@ enum class DmaError : std::uint8_t {
   BadChecksum,        // descriptor checksum mismatch (corrupt or forged)
   OobNextPointer,     // chain pointer outside host memory / unaligned
   ChainLoop,          // next-pointer cycle detected
-  ChainTooLong,       // chain exceeds the configured segment cap
+  ChainTooLong,       // chain exceeds the 64-segment cap
   TornOwnership,      // ownership bits changed under the engine mid-flight
   StaleGeneration,    // descriptor generation predates a ring reset
   CompletionOverflow, // completion ring full past the watchdog (unhardened)
@@ -193,7 +193,6 @@ struct DmaRingConfig {
   // inside it (kDescBytes-aligned) or the chain is refused OobNextPointer.
   std::size_t chain_base = 0;
   unsigned chain_slots = 0;
-  unsigned max_chain = 64;     // longest chain followed (incl. the head)
   // Per-descriptor execution watchdog: quiesce -> resync -> resubmit when
   // a transfer makes no progress for this many cycles.
   std::uint64_t watchdog_cycles = 4096;
@@ -276,7 +275,6 @@ class DmaRingEngine {
                 bool hardened = true);
 
   unsigned addChannel(const DmaRingConfig& cfg);
-  unsigned channels() const { return static_cast<unsigned>(chans_.size()); }
 
   // Host doorbell: the driver rang after publishing a descriptor; the
   // engine checks the head slot on its next cycle instead of waiting out

@@ -375,59 +375,110 @@ bool AccelService::startAead(unsigned tenant) {
   auto& q = aead_queues_[tenant];
   const auto h = sessions_[tenant].startGcm(q.front().op);
   if (!h) return false;
-  aead_pending_.push_back({tenant, std::move(q.front()), *h, {}, false});
+  Flight& f = pending_.emplace_back();
+  f.tenant = tenant;
+  f.aead = true;
+  f.handle = *h;
+  f.req = std::move(q.front());
   q.pop_front();
   return true;
 }
 
-bool AccelService::finishAead(AeadFlight& f) {
-  auto& r = *f.result;
-  const auto cs = hardwareVerdict(f.tenant, r.status(), f.req.requeues);
-  if (!cs) return false;
-  std::vector<std::uint8_t> out;
-  aes::Tag128 tag{};  // an open's response carries no tag
-  if (r.has_value()) {
-    out = std::move(r->data);
-    tag = r->tag;
-  }
-  if (*cs == CompletionStatus::Ok) ++stats_.aead_completed_hw;
-  complete(f.tenant, f.req, *cs, ServedBy::Hardware, std::move(out), tag);
-  f.done = true;
-  return true;
-}
-
-void AccelService::reapAead() {
-  if (aead_pending_.empty()) return;
-  // The reap ticks the accelerator directly, which must not run under a
-  // ring chain in flight.
-  reapRing();
-  std::vector<AeadFlight> pending = std::move(aead_pending_);
-  aead_pending_.clear();
+void AccelService::reap() {
+  if (pending_.empty()) return;
+  std::vector<Flight> pending = std::move(pending_);
+  pending_.clear();
+  std::vector<std::pair<unsigned, std::size_t>> refused;  // tenant, length
   // held: the tenant has an op going back to its queue; everything after it
   // goes back too, so no later ticket completes ahead of it.
   // blocked: held, or an earlier op of the tenant is still unresolved.
   std::vector<char> held(tenants_.size(), 0), blocked;
+  const std::uint64_t start = acc_.cycle();
   for (;;) {
+    bool chains = false;  // a ring run is still in flight
     bool open = false;
     for (auto& f : pending) {
-      if (!f.result) f.result = sessions_[f.tenant].collectGcm(f.handle);
-      open = open || !f.result;
+      if (f.done) continue;
+      if (f.aead) {
+        if (!f.result) f.result = sessions_[f.tenant].collectGcm(f.handle);
+        open = open || !f.result;
+        continue;
+      }
+      // A ring run completes in the cycle its future resolves. One run per
+      // tenant is in flight, and serveRun reaps it before popping that
+      // tenant's next request, so per-tenant completion order cannot change.
+      auto& drv = *ring_drvs_[f.tenant];
+      const DmaCompletion* c = drv.result(f.seq);
+      if (c == nullptr) {
+        // 1 block/cycle plus pipeline depth, with generous headroom for
+        // fault retries and a watchdog recovery; a transfer that outlives
+        // this budget is abandoned through a reset of its own channel.
+        if (acc_.cycle() - start < 16 * f.run.size() + 16384) {
+          chains = open = true;
+          continue;
+        }
+        ring_eng_->ringReset(drv.channel());
+        drv.resync();
+      }
+      // A resolved run goes back to the head of its tenant's queue, where
+      // it completes (or is re-served) like any MMIO run.
+      auto& q = queues_[f.tenant];
+      q.insert(q.begin(), std::make_move_iterator(f.run.begin()),
+               std::make_move_iterator(f.run.end()));
+      const std::size_t n = f.run.size();
+      if (c != nullptr && c->status == DmaError::None) {
+        const std::size_t dst = kRingTenantSpan * f.tenant + kRingStagingDst;
+        const auto bytes = ring_mem_->readBytes(dst, n * 16);
+        std::vector<aes::Block> out(n);
+        for (std::size_t i = 0; i < n; ++i)
+          std::copy_n(bytes.begin() + 16 * i, 16, out[i].begin());
+        ++stats_.dma_ring_runs;
+        stats_.dma_ring_blocks += n;
+        completeRun(f.tenant, n, CompletionStatus::Ok, out);
+      } else if (c != nullptr && c->status == DmaError::OutputSuppressed) {
+        completeRun(f.tenant, n, CompletionStatus::Suppressed, {});
+      } else {
+        ++stats_.dma_ring_fallbacks;  // typed refusal or stall: MMIO re-serve
+        refused.emplace_back(f.tenant, n);
+      }
+      f.done = true;
     }
+    // An AEAD op completes in the cycle its verdict arrives, but never
+    // ahead of an earlier op of its tenant.
     blocked.assign(held.begin(), held.end());
     for (auto& f : pending) {
-      if (f.done || blocked[f.tenant]) continue;
+      if (!f.aead || f.done || blocked[f.tenant]) continue;
       if (!f.result) {
         blocked[f.tenant] = 1;
-      } else if (!finishAead(f)) {
-        blocked[f.tenant] = held[f.tenant] = 1;
+        continue;
       }
+      auto& r = *f.result;
+      const auto cs = hardwareVerdict(f.tenant, r.status(), f.req.requeues);
+      if (!cs) {
+        blocked[f.tenant] = held[f.tenant] = 1;
+        continue;
+      }
+      std::vector<std::uint8_t> out;
+      aes::Tag128 tag{};  // an open's response carries no tag
+      if (r.has_value()) {
+        out = std::move(r->data);
+        tag = r->tag;
+      }
+      if (*cs == CompletionStatus::Ok) ++stats_.aead_completed_hw;
+      complete(f.tenant, f.req, *cs, ServedBy::Hardware, std::move(out), tag);
+      f.done = true;
     }
     if (!open) break;
-    acc_.tick();
+    // The ring engine owns the clock while a chain is in flight.
+    chains ? ring_eng_->tick() : acc_.tick();
   }
   for (auto it = pending.rbegin(); it != pending.rend(); ++it) {
-    if (!it->done) aead_queues_[it->tenant].push_front(std::move(it->req));
+    if (it->aead && !it->done)
+      aead_queues_[it->tenant].push_front(std::move(it->req));
   }
+  // The MMIO half runs only once nothing is in flight, so no session
+  // drains an output queue a collecting chain still reads from.
+  for (const auto& [tenant, n] : refused) serveMmioRun(tenant, n);
 }
 
 bool AccelService::onHardware(unsigned tenant) const {
@@ -509,61 +560,6 @@ void AccelService::completeRun(unsigned tenant, std::size_t n,
   }
 }
 
-void AccelService::reapRing() {
-  if (ring_pending_.empty()) return;
-  std::vector<RingRun> pending = std::move(ring_pending_);
-  ring_pending_.clear();
-  std::vector<std::pair<unsigned, std::size_t>> refused;  // tenant, length
-  const std::uint64_t start = acc_.cycle();
-  while (!pending.empty()) {
-    // Complete each run in the cycle its future resolves, so every block
-    // carries its own run's completion cycle. One run per tenant is in
-    // flight, and serveRun reaps it before popping that tenant's next
-    // request, so per-tenant completion order cannot change.
-    for (auto it = pending.begin(); it != pending.end();) {
-      auto& drv = *ring_drvs_[it->tenant];
-      const DmaCompletion* c = drv.result(it->seq);
-      if (c == nullptr) {
-        // 1 block/cycle plus pipeline depth, with generous headroom for
-        // fault retries and a watchdog recovery; a transfer that outlives
-        // this budget is abandoned through a reset of its own channel.
-        if (acc_.cycle() - start < 16 * it->run.size() + 16384) {
-          ++it;
-          continue;
-        }
-        ring_eng_->ringReset(drv.channel());
-        drv.resync();
-      }
-      // A resolved run goes back to the head of its tenant's queue, where
-      // it completes (or is re-served) like any MMIO run.
-      auto& q = queues_[it->tenant];
-      q.insert(q.begin(), std::make_move_iterator(it->run.begin()),
-               std::make_move_iterator(it->run.end()));
-      const std::size_t n = it->run.size();
-      if (c != nullptr && c->status == DmaError::None) {
-        const std::size_t dst = kRingTenantSpan * it->tenant + kRingStagingDst;
-        const auto bytes = ring_mem_->readBytes(dst, n * 16);
-        std::vector<aes::Block> out(n);
-        for (std::size_t i = 0; i < n; ++i)
-          std::copy_n(bytes.begin() + 16 * i, 16, out[i].begin());
-        ++stats_.dma_ring_runs;
-        stats_.dma_ring_blocks += n;
-        completeRun(it->tenant, n, CompletionStatus::Ok, out);
-      } else if (c != nullptr && c->status == DmaError::OutputSuppressed) {
-        completeRun(it->tenant, n, CompletionStatus::Suppressed, {});
-      } else {
-        ++stats_.dma_ring_fallbacks;  // typed refusal or stall: MMIO re-serve
-        refused.emplace_back(it->tenant, n);
-      }
-      it = pending.erase(it);
-    }
-    if (!pending.empty()) ring_eng_->tick();
-  }
-  // The MMIO half runs only once no ring chain is in flight, so no session
-  // drains an output queue a collecting chain still reads from.
-  for (const auto& [tenant, n] : refused) serveMmioRun(tenant, n);
-}
-
 void AccelService::serveMmioRun(unsigned tenant, std::size_t n) {
   auto& q = queues_[tenant];
   std::vector<aes::Block> blocks(n);
@@ -602,14 +598,13 @@ unsigned AccelService::serveRun(unsigned tenant, unsigned max_run) {
   // and reaping it may hand members back to the front of its queue: reap
   // before taking the next run, so per-tenant completion order cannot
   // change.
-  for (const RingRun& p : ring_pending_) {
-    if (p.tenant == tenant) {
-      reapRing();
-      break;
-    }
+  if (std::any_of(pending_.begin(), pending_.end(), [&](const Flight& f) {
+        return !f.aead && f.tenant == tenant;
+      })) {
+    reap();
   }
   if (!onHardware(tenant)) {
-    reapRing();
+    reap();
     serveOffHardware(tenant, q.front());
     q.pop_front();
     return 1;
@@ -622,12 +617,14 @@ unsigned AccelService::serveRun(unsigned tenant, unsigned max_run) {
   }
   if (const auto seq = submitRing(tenant, run_len)) {
     const auto end = q.begin() + run_len;
-    ring_pending_.push_back(RingRun{
-        tenant, *seq,
-        {std::make_move_iterator(q.begin()), std::make_move_iterator(end)}});
+    Flight& f = pending_.emplace_back();
+    f.tenant = tenant;
+    f.seq = *seq;
+    f.run.assign(std::make_move_iterator(q.begin()),
+                 std::make_move_iterator(end));
     q.erase(q.begin(), end);
   } else {
-    reapRing();
+    reap();
     serveMmioRun(tenant, run_len);
   }
   return run_len;
@@ -703,9 +700,9 @@ unsigned AccelService::pump() {
   }
 
   // Ring runs and AEAD ops are started as the loop meets them and reaped
-  // before the next synchronous serve and at the end of the round, so
-  // adjacent ring runs of different tenants overlap in the pipe, and a
-  // round's AEAD ops overlap on the GCM sequencer.
+  // together before the next synchronous serve and at the end of the
+  // round, so a round's ring runs overlap in the pipe and its AEAD ops on
+  // the GCM sequencer.
   const std::uint64_t made_before = completions_made_;
   const unsigned n = static_cast<unsigned>(tenants_.size());
   for (unsigned k = 0; k < n; ++k) {
@@ -717,26 +714,23 @@ unsigned AccelService::pump() {
     // ops; when its op slots are all busy, reap and start again.
     while (served < cfg_.quota_per_round && !aead_queues_[t].empty()) {
       if (!onHardware(t)) {
-        reapRing();
-        reapAead();
+        reap();
         serveOffHardware(t, aead_queues_[t].front());
         aead_queues_[t].pop_front();
       } else if (!startAead(t)) {
-        reapAead();
+        reap();
         // Still full (only draining ops hold the slots): next round.
         if (!startAead(t)) break;
       }
       ++served;
     }
-    if (served < cfg_.quota_per_round && !queues_[t].empty()) reapAead();
     while (served < cfg_.quota_per_round && !queues_[t].empty()) {
       // A request the robustness path re-queues is re-popped here and
       // charged against the quota again, exactly as it was pre-batching.
       served += serveRun(t, cfg_.quota_per_round - served);
     }
   }
-  reapRing();
-  reapAead();
+  reap();
   if (n) rr_next_ = (rr_next_ + 1) % n;
 
   sampleWindowIfDue();

@@ -348,23 +348,42 @@ class AccelService {
   // same-direction requests on the hardware path, one request off it.
   // Returns the number of requests consumed from the queue.
   unsigned serveRun(unsigned tenant, unsigned max_run);
-  // A ring run submitted this round and not yet reaped.
-  struct RingRun {
+  // A ring run or AEAD op started this round and not yet resolved by
+  // reap(); the service keeps one list of them.
+  struct Flight {
     unsigned tenant = 0;
+    bool aead = false;
+    // Ring run: its future's sequence number and its requests, which are
+    // off the queue while it is in flight.
     std::uint16_t seq = 0;
     std::vector<Request> run;
+    // AEAD op: its session handle, its request and, once collected, its
+    // verdict.
+    accel::GcmHandle handle = 0;
+    AeadRequest req;
+    std::optional<accel::AccelResult<accel::GcmResponse>> result;
+    bool done = false;  // resolved by the reap
   };
   // Submit half of the descriptor-ring path: stage the first `n` requests
   // of the tenant's queue in its pages and publish them on its channel.
   // Returns the future's sequence number, or nullopt when the run is not
   // ring-eligible or the ring refused it (the caller serves it over MMIO).
   std::optional<std::uint16_t> submitRing(unsigned tenant, std::size_t n);
-  // Reap half: tick the engine until every submitted ring run resolves and
-  // return each run to the head of its tenant's queue in the cycle it
-  // resolves. Ok and suppressed runs complete there; a typed refusal or an
-  // exhausted budget (which resets that channel only) is re-served over
-  // MMIO once no chain is left in flight.
-  void reapRing();
+  // Start half of the AEAD path: start the head of the tenant's AEAD queue
+  // on the GCM sequencer without waiting for it. False when every op slot
+  // is busy; the op then stays queued and nothing is charged.
+  bool startAead(unsigned tenant);
+  // Resolve every flight. Each cycle it polls them all, then ticks the ring
+  // engine while a chain is in flight and the accelerator otherwise. A
+  // ring run returns to the head of its tenant's queue in the cycle its
+  // future resolves: Ok and suppressed runs complete there, and a typed
+  // refusal or an exhausted budget (which resets that channel only) is
+  // re-served over MMIO once nothing is in flight. An AEAD op completes in
+  // the cycle its verdict arrives, but never ahead of an earlier op of its
+  // tenant; a requeued op and the tenant's later ops go back to the head of
+  // its AEAD queue in ticket order. Called before every synchronous serve,
+  // which ticks the device itself, and at the end of each round.
+  void reap();
   void setupTenantRing(unsigned tenant);
   // The MMIO path for a same-direction run: the first `n` requests of the
   // tenant's queue. A failed run of one goes through hardwareVerdict; a
@@ -388,25 +407,6 @@ class AccelService {
   // tenant or no ledger session), suppressed, or served by the fallback.
   template <typename Req>
   void serveOffHardware(unsigned tenant, const Req& req);
-  // An AEAD op started on its tenant's session and not yet reaped.
-  struct AeadFlight {
-    unsigned tenant = 0;
-    AeadRequest req;
-    accel::GcmHandle handle = 0;
-    std::optional<accel::AccelResult<accel::GcmResponse>> result;
-    bool done = false;  // completed by the reap
-  };
-  // Start half of the AEAD path: start the head of the tenant's AEAD queue
-  // on the GCM sequencer without waiting for it. False when every op slot
-  // is busy; the op then stays queued and nothing is charged.
-  bool startAead(unsigned tenant);
-  // Reap half: tick the device until every started op resolves. Each op
-  // completes in the cycle its verdict arrives, but never ahead of an
-  // earlier op of its tenant; a requeued op and the tenant's later ops go
-  // back to the head of its queue in ticket order.
-  void reapAead();
-  // Map a resolved op's verdict; false when it is to be requeued.
-  bool finishAead(AeadFlight& f);
   void serveFallback(unsigned tenant, const Request& req,
                      const aes::ExpandedKey& ek);
   void serveFallback(unsigned tenant, const AeadRequest& req,
@@ -448,8 +448,7 @@ class AccelService {
   std::unique_ptr<HostMemory> ring_mem_;
   std::unique_ptr<DmaRingEngine> ring_eng_;
   std::vector<std::unique_ptr<DmaRingDriver>> ring_drvs_;
-  std::vector<RingRun> ring_pending_;  // submitted, not yet reaped
-  std::vector<AeadFlight> aead_pending_;  // started, not yet reaped
+  std::vector<Flight> pending_;  // started, not yet reaped
   std::uint64_t completions_made_ = 0;  // completions recorded, any status
   std::uint64_t next_ticket_ = 1;
   std::uint64_t window_start_cycle_ = 0;

@@ -40,8 +40,7 @@ struct RingBench {
   unsigned ch = 0;
   std::unique_ptr<DmaRingDriver> drv;
 
-  explicit RingBench(bool hardened = true, unsigned comp_slots = 8,
-                     unsigned max_chain = 64)
+  explicit RingBench(bool hardened = true, unsigned comp_slots = 8)
       : acc{AcceleratorConfig{SecurityMode::Protected, 10, 64, false}},
         eng{acc, mem, hardened} {
     alice = acc.addUser(Principal::user("alice", 1));
@@ -57,7 +56,6 @@ struct RingBench {
     rc.chain_slots = 16;
     rc.comp_base = 0x800;
     rc.comp_slots = comp_slots;
-    rc.max_chain = max_chain;
     rc.watchdog_cycles = 256;
     ch = eng.addChannel(rc);
     drv = std::make_unique<DmaRingDriver>(eng, mem, ch, rc);
@@ -284,13 +282,25 @@ TEST(DmaRing, ChainLoopAndChainTooLongRefused) {
     EXPECT_EQ(c->status, DmaError::ChainLoop) << toString(c->status);
   }
   {
-    RingBench b{/*hardened=*/true, /*comp_slots=*/8, /*max_chain=*/2};
-    b.mem.writeBytes(0x1000, b.randomBytes(192, 11));
-    std::vector<DmaDescriptor> segs{
-        b.desc(DmaMode::EcbEncrypt, 0x1000, 0x2000, 64),
-        b.desc(DmaMode::EcbEncrypt, 0x1040, 0x2040, 64),
-        b.desc(DmaMode::EcbEncrypt, 0x1080, 0x2080, 64)};
-    const auto* c = b.run(segs, 4096);
+    // The engine follows at most 64 segments, the head included. A second
+    // channel's arena has room for all 64 continuations of a 65-segment
+    // chain, so only the segment cap can refuse it.
+    RingBench b;
+    DmaRingConfig rc = b.rc;
+    rc.desc_base = 0x8000;
+    rc.comp_base = 0x8400;
+    rc.chain_base = 0x9000;
+    rc.chain_slots = 64;
+    b.mem.setPageLabel(0x8000, 0x2000, b.acc.principal(b.alice).authority);
+    DmaRingDriver drv{b.eng, b.mem, b.eng.addChannel(rc), rc};
+    b.mem.writeBytes(0x1000, b.randomBytes(65 * 16, 11));
+    std::vector<DmaDescriptor> segs;
+    for (std::size_t s = 0; s < 65; ++s)
+      segs.push_back(b.desc(DmaMode::EcbEncrypt, 0x1000 + 16 * s,
+                            0x2000 + 16 * s, 16));
+    const auto seq = drv.submitChain(segs);
+    ASSERT_TRUE(seq.has_value());
+    const auto* c = drv.wait(*seq, 4096);
     ASSERT_NE(c, nullptr);
     EXPECT_EQ(c->status, DmaError::ChainTooLong) << toString(c->status);
   }

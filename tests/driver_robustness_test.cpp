@@ -2,12 +2,17 @@
 // Timeout (never a hang, never a misreported security refusal), duplicated
 // responses are consumed at most once, dropped responses are recovered by
 // bounded retry without double delivery, and non-retryable outcomes
-// (Suppressed, Rejected) are final on the first attempt.
+// (Suppressed, Rejected) are final on the first attempt. A seeded
+// session under injected faults pins every verdict, output and cycle.
 
 #include <gtest/gtest.h>
 
+#include <span>
+
 #include "accel/driver.h"
 #include "aes/cipher.h"
+#include "common/rng.h"
+#include "soc/fault_injector.h"
 
 namespace aesifc::accel {
 namespace {
@@ -219,6 +224,93 @@ TEST(DriverRobustness, InvalidKeySlotRejectedImmediately) {
   EXPECT_EQ(res.status(), AccelStatus::Rejected);
   EXPECT_EQ(s.retries(), 0u);
   EXPECT_LE(r.acc.cycle() - before, 2u);  // no watchdog wait, no backoff
+}
+
+// FNV-1a over a session's observable trace.
+struct TraceHash {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  void byte(std::uint8_t b) { h = (h ^ b) * 0x100000001b3ULL; }
+  void u64(std::uint64_t v) {
+    for (unsigned i = 0; i < 8; ++i)
+      byte(static_cast<std::uint8_t>(v >> (8 * i)));
+  }
+  void bytes(std::span<const std::uint8_t> v) {
+    for (const auto b : v) byte(b);
+  }
+};
+
+// One seeded session under device and host faults: block runs of 1-16
+// blocks in both directions, a GCM seal after every fourth run and an open
+// of what it sealed (one open with a tampered tag). The watchdog is short
+// and the retry budget small, so attempts time out, fault-abort, back off
+// and retry. Any change to a verdict, its output, the cycles charged, the
+// retry count, the telemetry or the final device cycle moves the digest.
+TEST(AccelSessionTrace, DigestIsPinned) {
+  Rig r;
+  soc::FaultCampaignConfig fc;
+  fc.seed = 0xd1e5;
+  fc.fault_rate = 0.02;
+  fc.stuck_cycles = 96;
+  soc::FaultInjector inj{r.acc, fc, {r.alice}};
+  r.acc.setTickHook([&] { inj.tick(); });
+  AccelSession s{r.acc, r.alice, 1,
+                 SessionOptions{.timeout_cycles = 32, .max_retries = 1,
+                                .backoff_cycles = 4}};
+  Rng rng{0x7ace};
+  TraceHash h;
+  auto verdict = [&](AccelStatus st) {
+    h.u64(static_cast<std::uint64_t>(st));
+    h.u64(s.cyclesUsed());
+    h.u64(s.retries());
+    // A round-key upset zeroizes the slot fail-secure: provision it again.
+    if (st == AccelStatus::Rejected) {
+      ASSERT_TRUE(loadKey128(r.acc, r.alice, 1, 0, testKey(),
+                             Conf::category(1)));
+    }
+  };
+  for (unsigned i = 0; i < 64; ++i) {
+    std::vector<aes::Block> blocks(1 + i % 16);
+    for (auto& b : blocks)
+      for (auto& x : b) x = static_cast<std::uint8_t>(rng.next());
+    const auto run =
+        i % 2 ? s.decryptBlocks(blocks) : s.encryptBlocks(blocks);
+    verdict(run.status());
+    if (run) {
+      for (const auto& b : *run) h.bytes(b);
+    }
+    if (i % 4 != 3) continue;
+    std::vector<std::uint8_t> pt(16 * blocks.size() - i % 5), aad(i % 7),
+        iv(12);
+    for (auto* v : {&pt, &aad, &iv})
+      for (auto& x : *v) x = static_cast<std::uint8_t>(rng.next());
+    const auto sealed = s.gcmSeal(pt, aad, iv);
+    verdict(sealed.status());
+    if (!sealed) continue;
+    h.bytes(sealed->ciphertext);
+    h.bytes(sealed->tag);
+    aes::Tag128 tag = sealed->tag;
+    if (i == 7) tag[3] ^= 0x40;
+    const auto opened = s.gcmOpen(sealed->ciphertext, aad, tag, iv);
+    verdict(opened.status());
+    if (opened) {
+      EXPECT_EQ(*opened, pt);
+      h.bytes(*opened);
+    }
+  }
+  const SessionTelemetry& t = s.telemetry();
+  for (const auto n : {t.ok, t.suppressed, t.timeouts, t.fault_aborts,
+                       t.drops, t.rejected, t.auth_failed})
+    h.u64(n);
+  h.u64(r.acc.cycle());
+  r.acc.setTickHook(nullptr);
+
+  EXPECT_GT(s.retries(), 0u);
+  EXPECT_GT(t.timeouts, 0u);
+  EXPECT_GT(t.fault_aborts + t.drops, 0u);
+  EXPECT_GT(t.rejected, 0u);
+  EXPECT_EQ(t.auth_failed, 1u);
+  EXPECT_GT(t.ok, 64u);
+  EXPECT_EQ(h.h, 0xa672f7924ef9ba1dULL) << std::hex << h.h;
 }
 
 TEST(DriverRobustness, StatusNamesAreStable) {

@@ -13,6 +13,7 @@
 
 #include "accel/driver.h"
 #include "accel/ghash_unit.h"
+#include "aes/cipher.h"
 #include "aes/gcm.h"
 #include "common/rng.h"
 #include "soc/pool.h"
@@ -691,7 +692,8 @@ struct AeadRig {
   AccelService svc;
   std::vector<aes::ExpandedKey> golden;
 
-  AeadRig(unsigned n, ServiceConfig cfg) : svc{acc, cfg} {
+  AeadRig(unsigned n, ServiceConfig cfg, std::size_t queue_depth = 16)
+      : svc{acc, cfg} {
     acc.addUser(Principal::supervisor());
     for (unsigned i = 0; i < n; ++i) {
       TenantSpec spec;
@@ -699,6 +701,7 @@ struct AeadRig {
       spec.key_slot = i + 1;
       spec.key = std::vector<std::uint8_t>(16, static_cast<std::uint8_t>(0x42 + i));
       spec.key_conf = Conf::category(i + 1);
+      spec.queue_depth = queue_depth;
       svc.addTenant(spec);
       golden.push_back(aes::expandKey(spec.key, aes::KeySize::Aes128));
     }
@@ -795,6 +798,63 @@ TEST(GcmService, OverlappedOpsCompleteInTicketOrder) {
   EXPECT_TRUE(releasedGolden(seal, *first));
   EXPECT_TRUE(releasedGolden(open, *second));
   EXPECT_EQ(second->complete_cycle, first->complete_cycle);
+}
+
+// Tenant 0's 64-block ring run and tenant 1's 8-block seal are in flight
+// in the same round. The seal completes in the cycle after the sequencer
+// releases it, as it would alone, not when the ring run finishes; both
+// tenants get golden output in ticket order.
+TEST(GcmService, MixedRoundAeadOpCompletesInTheCycleItsVerdictArrives) {
+  ServiceConfig cfg;
+  cfg.use_dma_ring = true;
+  cfg.batch_size = 64;
+  cfg.quota_per_round = 64;
+  cfg.global_high_watermark = 128;
+  AeadRig r{2, cfg, /*queue_depth=*/64};
+  Rng rng{208};
+  std::vector<aes::Block> blocks(64);
+  std::vector<std::uint64_t> tickets;
+  for (auto& b : blocks) {
+    for (auto& x : b) x = static_cast<std::uint8_t>(rng.next());
+    const SubmitResult sub = r.svc.submit(0, b);
+    ASSERT_TRUE(sub.admitted);
+    tickets.push_back(sub.ticket);
+  }
+  AeadCase seal = makeCase(rng, r.golden[1], false, 8, 0);
+  submitCase(r.svc, 1, seal);
+
+  // The tick hook runs inside the cycle that releases the seal; the
+  // response is fetchable from the next cycle on.
+  std::uint64_t released = 0;
+  std::uint64_t released_at = 0;
+  r.acc.setTickHook([&] {
+    if (r.acc.stats().gcm_ok > released) {
+      released = r.acc.stats().gcm_ok;
+      released_at = r.acc.cycle();
+    }
+  });
+  EXPECT_EQ(r.svc.pump(), 65u);
+  r.acc.setTickHook(nullptr);
+  EXPECT_EQ(r.svc.stats().dma_ring_runs, 1u);
+  ASSERT_EQ(released, 1u);
+
+  const auto got = r.svc.fetchAead(1);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->ticket, seal.ticket);
+  ASSERT_EQ(got->status, CompletionStatus::Ok);
+  EXPECT_TRUE(releasedGolden(seal, *got));
+  EXPECT_EQ(got->complete_cycle, released_at + 1);
+
+  std::uint64_t ring_done = 0;
+  for (unsigned i = 0; i < blocks.size(); ++i) {
+    const auto c = r.svc.fetch(0);
+    ASSERT_TRUE(c.has_value()) << "block " << i;
+    EXPECT_EQ(c->ticket, tickets[i]);
+    ASSERT_EQ(c->status, CompletionStatus::Ok);
+    EXPECT_EQ(c->data, aes::encryptBlock(blocks[i], r.golden[0]));
+    ring_done = c->complete_cycle;
+  }
+  EXPECT_GT(ring_done, got->complete_cycle);
 }
 
 // Sixteen 64-block ops with 32 B of AAD: tenant 0's eight fill every op
