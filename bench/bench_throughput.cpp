@@ -160,9 +160,10 @@ PoolRunResult runPool(unsigned shards, unsigned batch, unsigned tenants,
       }
     }
     pool.runUntilIdle(1u << 24);
+    std::uint64_t progress = 0;
     for (unsigned t = 0; t < tenants; ++t) {
       while (auto c = pool.fetch(ids[t])) {
-        ++done;
+        ++progress;
         r.cons.resolve(c->status);
         if (c->status != soc::CompletionStatus::Ok) {
           ++r.not_ok;
@@ -172,6 +173,8 @@ PoolRunResult runPool(unsigned shards, unsigned batch, unsigned tenants,
         lat.push_back(c->complete_cycle - c->submit_cycle);
       }
     }
+    done += progress;
+    if (progress == 0) break;  // stuck: the identity reports what is left
   }
   r.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)

@@ -1,6 +1,9 @@
 #include "soc/pool.h"
 
 #include <algorithm>
+#include <condition_variable>
+#include <exception>
+#include <mutex>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -11,11 +14,6 @@ namespace {
 
 using accel::SecurityEventKind;
 
-// Load-aware spill: a tenant leaves its rendezvous-home shard only when the
-// home already holds more than kSpillFactor x the lightest shard's tenants
-// (counting the newcomer). 2.0 keeps placement sticky under balanced load
-// but stops pathological hash clumping.
-constexpr double kSpillFactor = 2.0;
 // Device-cycle budget for the drain / slot-quiesce barriers inside
 // migrateTenant and retireShard.
 constexpr std::uint64_t kMigrateDrainCycles = 1u << 16;
@@ -44,6 +42,92 @@ std::uint64_t hrwWeight(std::uint64_t name_hash, unsigned shard) {
 
 }  // namespace
 
+// Long-lived drain workers, parked between waves. drain() publishes one job
+// per worker under the mutex, bumps the generation to wake them, drains its
+// own shard, and waits until every worker has reported the wave done. Each
+// worker only ever touches its own wave's shard and shards share nothing, so
+// the result is the serial drain's.
+class EnginePool::DrainCrew {
+ public:
+  DrainCrew() = default;
+  DrainCrew(const DrainCrew&) = delete;
+  DrainCrew& operator=(const DrainCrew&) = delete;
+  ~DrainCrew() {
+    {
+      std::lock_guard<std::mutex> lk(m_);
+      stop_ = true;
+    }
+    wake_.notify_all();
+    for (auto& w : workers_) w.join();
+  }
+
+  void drain(AccelService& own, const std::vector<AccelService*>& others,
+             std::uint64_t budget) {
+    {
+      std::lock_guard<std::mutex> lk(m_);
+      // Grow on demand (after addShard); a worker with no job this wave
+      // (its shard retired) wakes, reports done and parks again.
+      while (workers_.size() < others.size()) {
+        const unsigned i = static_cast<unsigned>(workers_.size());
+        workers_.emplace_back([this, i, g = generation_] { work(i, g); });
+      }
+      jobs_ = others;
+      jobs_.resize(workers_.size(), nullptr);
+      budget_ = budget;
+      pending_ = workers_.size();
+      error_ = nullptr;
+      ++generation_;
+    }
+    wake_.notify_all();
+    // Wait out the wave even if a drain throws: no worker may still be
+    // inside a shard when the caller next touches the pool.
+    std::exception_ptr error;
+    try {
+      own.runUntilIdle(budget);
+    } catch (...) {
+      error = std::current_exception();
+    }
+    std::unique_lock<std::mutex> lk(m_);
+    done_.wait(lk, [this] { return pending_ == 0; });
+    if (!error) error = error_;
+    if (error) std::rethrow_exception(error);
+  }
+
+ private:
+  void work(unsigned i, std::uint64_t seen) {
+    std::unique_lock<std::mutex> lk(m_);
+    for (;;) {
+      wake_.wait(lk, [&] { return stop_ || generation_ != seen; });
+      if (stop_) return;
+      seen = generation_;
+      AccelService* job = jobs_[i];
+      const std::uint64_t budget = budget_;
+      lk.unlock();
+      std::exception_ptr error;
+      if (job != nullptr) {
+        try {
+          job->runUntilIdle(budget);
+        } catch (...) {
+          error = std::current_exception();  // forwarded to the caller
+        }
+      }
+      lk.lock();
+      if (error && !error_) error_ = error;
+      if (--pending_ == 0) done_.notify_one();
+    }
+  }
+
+  std::mutex m_;
+  std::condition_variable wake_, done_;
+  std::uint64_t generation_ = 0;
+  std::size_t pending_ = 0;
+  bool stop_ = false;
+  std::vector<AccelService*> jobs_;
+  std::uint64_t budget_ = 0;
+  std::exception_ptr error_;  // first worker failure of the wave
+  std::vector<std::thread> workers_;
+};
+
 std::string toString(MigrateError e) {
   switch (e) {
     case MigrateError::None: return "none";
@@ -63,6 +147,8 @@ EnginePool::EnginePool(PoolConfig cfg) : cfg_{std::move(cfg)} {
   shards_.reserve(cfg_.shards);
   for (unsigned s = 0; s < cfg_.shards; ++s) makeShard();
 }
+
+EnginePool::~EnginePool() = default;
 
 unsigned EnginePool::makeShard() {
   Shard sh;
@@ -106,55 +192,31 @@ unsigned EnginePool::placementOf(const std::string& name) const {
 }
 
 std::optional<unsigned> EnginePool::chooseShard(
-    const std::string& name, const std::vector<unsigned>& exclude,
-    bool apply_spill) const {
+    const std::string& name, const std::vector<unsigned>& exclude) const {
   const std::uint64_t h = fnv1a(name);
   auto excluded = [&](unsigned s) {
     return std::find(exclude.begin(), exclude.end(), s) != exclude.end();
   };
-  // Candidates in descending rendezvous weight: the walk preserves HRW's
-  // minimal-disruption property — a tenant only leaves its top-weight home
-  // when that home is full (or crowded past the spill bound).
+  // Candidates in descending rendezvous weight: a tenant only leaves its
+  // top-weight home when that home is at the residency cap or full.
   std::vector<unsigned> order;
+  std::size_t placed = 0;
   for (unsigned s = 0; s < shards_.size(); ++s) {
-    if (!shards_[s].retired && !excluded(s)) order.push_back(s);
+    if (shards_[s].retired || excluded(s)) continue;
+    order.push_back(s);
+    placed += shards_[s].tenants;
   }
   if (order.empty()) return std::nullopt;
   std::sort(order.begin(), order.end(), [&](unsigned a, unsigned b) {
     return hrwWeight(h, a) > hrwWeight(h, b);
   });
-
-  unsigned lightest = order[0];
+  // Residency cap: no candidate may hold more than ceil((T + 1) / S)
+  // tenants counting the newcomer, so a wave on the most crowded shard is
+  // never more than one tenant's run longer than on the least crowded.
+  const std::size_t cap = (placed + order.size()) / order.size();
   for (unsigned s : order) {
-    if (shards_[s].tenants < shards_[lightest].tenants) lightest = s;
+    if (shards_[s].tenants < cap && hasFreeSlot(s)) return s;
   }
-  // Power-of-two-choices over the rendezvous order: the tenant's TWO
-  // top-weight shards are its stable candidate set, and it takes the less
-  // loaded of them (ties keep the higher weight). A pure top-1 pick clumps
-  // tenants with birthday probability and idles shards; two choices keep
-  // the load near-uniform while the candidate set — and therefore remap
-  // stability under hot-add — stays a function of the name alone.
-  unsigned home = order[0];
-  if (order.size() > 1 &&
-      shards_[order[1]].tenants < shards_[home].tenants &&
-      hasFreeSlot(order[1])) {
-    home = order[1];
-  }
-  // Spill when the home (counting the newcomer) would REACH kSpillFactor
-  // times the lightest (also counting a newcomer) — sticky by default, but
-  // at factor 2.0 a second co-resident spills to an empty shard rather
-  // than clump while capacity idles.
-  if (apply_spill) {
-    const double home_load = static_cast<double>(shards_[home].tenants + 1);
-    const double light_load =
-        static_cast<double>(shards_[lightest].tenants + 1);
-    if (home_load >= kSpillFactor * light_load &&
-        shards_[lightest].tenants < shards_[home].tenants &&
-        hasFreeSlot(lightest)) {
-      return lightest;
-    }
-  }
-  if (hasFreeSlot(home)) return home;
   for (unsigned s : order) {
     if (hasFreeSlot(s)) return s;
   }
@@ -162,7 +224,7 @@ std::optional<unsigned> EnginePool::chooseShard(
 }
 
 PlaceResult EnginePool::addTenant(const PoolTenantSpec& spec) {
-  const auto shard = chooseShard(spec.name, {}, /*apply_spill=*/true);
+  const auto shard = chooseShard(spec.name, {});
   if (!shard.has_value()) return {false, 0, PlaceError::PoolFull};
   Shard& sh = shards_[*shard];
 
@@ -185,7 +247,7 @@ std::optional<unsigned> EnginePool::pickTargetShard(
   const TenantRec& rec = recs_.at(tenant);
   std::vector<unsigned> ex = exclude;
   ex.push_back(rec.route.shard);
-  return chooseShard(rec.name, ex, /*apply_spill=*/false);
+  return chooseShard(rec.name, ex);
 }
 
 void EnginePool::noteBothRings(SecurityEventKind kind, unsigned src_shard,
@@ -366,21 +428,17 @@ unsigned EnginePool::pump() {
 }
 
 void EnginePool::runUntilIdle(std::uint64_t max_device_cycles_per_shard) {
-  if (cfg_.parallel_drain && activeShards() > 1) {
-    std::vector<std::thread> workers;
-    workers.reserve(shards_.size());
-    for (auto& sh : shards_) {
-      if (sh.retired) continue;
-      // Each worker touches exactly one shard and shards share nothing, so
-      // this is a data-race-free, deterministic fan-out.
-      workers.emplace_back([&sh, max_device_cycles_per_shard] {
-        sh.service->runUntilIdle(max_device_cycles_per_shard);
-      });
-    }
-    for (auto& w : workers) w.join();
+  std::vector<AccelService*> active;
+  for (auto& sh : shards_) {
+    if (!sh.retired) active.push_back(sh.service.get());
+  }
+  if (cfg_.parallel_drain && active.size() > 1) {
+    if (!crew_) crew_ = std::make_unique<DrainCrew>();
+    crew_->drain(*active[0], {active.begin() + 1, active.end()},
+                 max_device_cycles_per_shard);
   } else {
-    for (auto& sh : shards_) {
-      if (!sh.retired) sh.service->runUntilIdle(max_device_cycles_per_shard);
+    for (AccelService* sv : active) {
+      sv->runUntilIdle(max_device_cycles_per_shard);
     }
   }
 }

@@ -13,14 +13,18 @@
 //    another shard's results or timing — and draining shards on parallel
 //    threads is deterministic because there is nothing to race on.
 //
-//  * Placement is data-independent. A tenant's shard is the highest-
-//    random-weight (rendezvous) hash of its NAME against the active shard
-//    set (with a load-aware spill to the lightest shard when the home
-//    shard is crowded); neither keys nor traffic contents ever influence
-//    placement, so co-residency reveals nothing about secrets. Rendezvous
-//    makes placement stable under shard-count change: hot-adding shard
-//    N+1 only remaps the tenants whose top weight IS the new shard
-//    (expected 1/(N+1) of them) — everyone else keeps their home.
+//  * Placement is data-independent. A tenant walks the active shards in
+//    highest-random-weight (rendezvous) order of its NAME and takes the
+//    first one below the residency cap ceil((T + 1) / S) — T tenants
+//    already on the S candidate shards — that has a free key slot; if
+//    none is below the cap, the first with a free slot. Arrivals and
+//    evacuations use the same rule, so shard loads stay level and no
+//    closed-loop wave waits on one crowded shard. Only
+//    names and counts are read: neither keys nor traffic contents ever
+//    influence placement, so co-residency reveals nothing about secrets.
+//    Rendezvous makes the home stable under shard-count change: hot-adding
+//    shard N+1 only changes the home of the names whose top weight IS the
+//    new shard (expected 1/(N+1) of them) — everyone else keeps theirs.
 //
 //  * Batching stays inside a tenant. The per-shard service drains one
 //    tenant's queue back-to-back into the 30-stage pipe (K blocks in
@@ -81,8 +85,10 @@ struct PoolConfig {
   // configuration (including ServiceConfig::batch_size).
   accel::AcceleratorConfig engine;
   ServiceConfig service;
-  // Drain shards on one worker thread each in runUntilIdle(). Safe (and
-  // bit-identical to the serial drain) because shards share nothing.
+  // Drain shards in parallel in runUntilIdle(): the caller drains one
+  // active shard and a crew of parked long-lived workers, started at the
+  // first parallel drain, drains the others. Bit-identical to the serial
+  // drain because shards share nothing.
   bool parallel_drain = true;
 };
 
@@ -127,15 +133,16 @@ struct PoolStats {
 class EnginePool {
  public:
   explicit EnginePool(PoolConfig cfg);
+  ~EnginePool();  // stops and joins the drain crew, if one was started
 
   EnginePool(const EnginePool&) = delete;
   EnginePool& operator=(const EnginePool&) = delete;
 
-  // Places the tenant (rendezvous hash + spill), provisions its key on the
-  // chosen shard, and returns the pool-wide tenant id used by submit()/
-  // fetch(). Refusal is a typed verdict, never an exception: PoolFull when
-  // no active shard has a free key slot, ProvisionRefused when the device
-  // refused the key load.
+  // Places the tenant (rendezvous order + residency cap), provisions its
+  // key on the chosen shard, and returns the pool-wide tenant id used by
+  // submit()/fetch(). Refusal is a typed verdict, never an exception:
+  // PoolFull when no active shard has a free key slot, ProvisionRefused
+  // when the device refused the key load.
   PlaceResult addTenant(const PoolTenantSpec& spec);
 
   // --- Elasticity ----------------------------------------------------------
@@ -143,7 +150,7 @@ class EnginePool {
   // joins the placement set. Returns the new shard id.
   unsigned addShard();
 
-  // Evacuate every tenant (to rendezvous-chosen healthy shards), drain
+  // Evacuate every tenant (to capped rendezvous targets), drain
   // in-flight work, zeroize every remaining key slot through the scrub
   // path, and remove the shard from the placement set. Fails (false)
   // without touching anything when the remaining shards lack capacity.
@@ -161,8 +168,9 @@ class EnginePool {
   // this).
   unsigned placementOf(const std::string& name) const;
 
-  // Best migration/evacuation target for `tenant`: highest-weight active
-  // shard with a free slot, skipping `exclude`. nullopt when none fits.
+  // Migration/evacuation target for `tenant` by the placement rule
+  // (rendezvous order + residency cap) over the active shards other than
+  // its own and `exclude`. nullopt when none has a free slot.
   std::optional<unsigned> pickTargetShard(
       unsigned tenant, const std::vector<unsigned>& exclude) const;
 
@@ -195,8 +203,11 @@ class EnginePool {
   unsigned pump();
 
   // Drain every active shard until idle, each within its own device-cycle
-  // budget. Uses one thread per shard when cfg.parallel_drain (results
-  // identical to the serial order — shards share nothing).
+  // budget. With cfg.parallel_drain and more than one active shard, the
+  // caller drains the first active shard while the drain crew (one parked
+  // worker per other active shard; it grows after addShard, and a retired
+  // shard's worker idles) drains the rest; results are identical to the
+  // serial order — shards share nothing.
   void runUntilIdle(std::uint64_t max_device_cycles_per_shard);
 
   unsigned shards() const { return static_cast<unsigned>(shards_.size()); }
@@ -246,10 +257,11 @@ class EnginePool {
     std::vector<Route> history;
   };
 
+  class DrainCrew;
+
   unsigned makeShard();
-  std::optional<unsigned> chooseShard(const std::string& name,
-                                      const std::vector<unsigned>& exclude,
-                                      bool apply_spill) const;
+  std::optional<unsigned> chooseShard(
+      const std::string& name, const std::vector<unsigned>& exclude) const;
   bool hasFreeSlot(unsigned shard) const {
     return shards_[shard].service->keys().freeSlot().has_value();
   }
@@ -261,6 +273,7 @@ class EnginePool {
   std::vector<Shard> shards_;
   std::vector<TenantRec> recs_;
   PoolStats pool_stats_;
+  std::unique_ptr<DrainCrew> crew_;  // created at the first parallel drain
 };
 
 }  // namespace aesifc::soc

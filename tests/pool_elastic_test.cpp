@@ -444,6 +444,28 @@ TEST(PoolElastic, RetireShardEvacuatesZeroizesAndKeepsTenantsServing) {
   EXPECT_EQ(pool.poolStats().shards_retired, 1u);
 }
 
+// Evacuation targets obey the same residency cap as arrivals: after a
+// retirement every survivor holds at most ceil(T / S) tenants, whichever
+// shard is retired.
+TEST(PoolElastic, EvacuationKeepsSurvivorsWithinTheResidencyCap) {
+  for (unsigned shards : {3u, 4u, 5u}) {
+    for (unsigned tenants = 2 * shards; tenants <= 3 * shards; ++tenants) {
+      for (unsigned victim = 0; victim < shards; ++victim) {
+        EnginePool pool{poolConfig(shards, 1)};
+        for (unsigned t = 0; t < tenants; ++t) addTenantN(pool, t);
+        ASSERT_TRUE(pool.retireShard(victim));
+        const std::size_t cap = (tenants + shards - 2) / (shards - 1);
+        for (unsigned s = 0; s < shards; ++s) {
+          if (s == victim) continue;
+          EXPECT_LE(pool.tenantsOn(s), cap)
+              << shards << " shards, " << tenants << " tenants, victim "
+              << victim << ", shard " << s;
+        }
+      }
+    }
+  }
+}
+
 // --- Supervisor policy ------------------------------------------------------
 
 TEST(PoolSupervisorPolicy, QuarantineTriggersEvacuationToHealthyShards) {

@@ -1,12 +1,15 @@
-// EnginePool coverage: sticky/spill placement and capacity limits, batched
+// EnginePool coverage: residency-capped placement and capacity limits, batched
 // correctness against the golden software AES, per-shard fault isolation
 // (a fault in shard 0's key store never perturbs shard 1), and the
 // timing-leak argument for batching — one tenant's completion-cycle
-// sequence is invariant under another tenant's plaintexts.
+// sequence is invariant under another tenant's plaintexts — and the drain
+// crew's parallel waves match the serial drain bit for bit.
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -65,14 +68,25 @@ TEST(PoolPlacement, StickyDeterministicAndSpillBounded) {
   // two pools built identically agree shard-for-shard.
   for (unsigned t = 0; t < 12; ++t) EXPECT_EQ(a.shardOf(t), b.shardOf(t));
 
-  // Load-aware spill keeps the heaviest shard within the spill factor of the
-  // lightest (counting the newcomer slack).
+  // The residency cap keeps arrivals level: no shard holds more than one
+  // tenant above any other.
   std::size_t mn = a.tenantsOn(0), mx = a.tenantsOn(0);
   for (unsigned s = 1; s < a.shards(); ++s) {
     mn = std::min(mn, a.tenantsOn(s));
     mx = std::max(mx, a.tenantsOn(s));
   }
-  EXPECT_LE(static_cast<double>(mx), 2.0 * static_cast<double>(mn + 1));
+  EXPECT_LE(mx - mn, 1u);
+}
+
+// Eight arrivals on four shards land two per shard, although five of the
+// names share one rendezvous home: a closed-loop wave lasts as long as its
+// most crowded shard needs.
+TEST(PoolPlacement, ResidencyCapSpreadsArrivalsEvenly) {
+  EnginePool pool{poolConfig(4, 1)};
+  for (unsigned t = 0; t < 8; ++t) addTenantN(pool, t);
+  for (unsigned s = 0; s < pool.shards(); ++s) {
+    EXPECT_EQ(pool.tenantsOn(s), 2u) << "shard " << s;
+  }
 }
 
 TEST(PoolPlacement, CapacityIsSevenTenantsPerShardThenTypedRejection) {
@@ -351,6 +365,85 @@ TEST(PoolTiming, GcmOverlapCompletionCyclesInvariantUnderOtherTenantsData) {
   // plus a ~35-cycle J0/GHASH tail later as when each op ran alone.
   ASSERT_GT(base.b_cycles.back(), base.a_cycle);
   EXPECT_EQ(base.b_cycles.back() - base.a_cycle, 1u);
+}
+
+// Two pools built and driven identically, one draining on the crew and one
+// serially, agree on every completion, every shard's clock and event count
+// and the aggregate counters — across a hot-add (the crew grows) and a
+// retirement (a worker idles) between waves.
+TEST(PoolDrain, CrewMatchesSerialDrainAcrossResizes) {
+  auto make = [](bool parallel) {
+    PoolConfig cfg = poolConfig(3, 16);
+    cfg.parallel_drain = parallel;
+    return std::make_unique<EnginePool>(cfg);
+  };
+  auto crew = make(true);
+  auto serial = make(false);
+  std::vector<unsigned> ids;
+  auto addBoth = [&](unsigned n) {
+    const unsigned id = addTenantN(*crew, n);
+    EXPECT_EQ(addTenantN(*serial, n), id);
+    EXPECT_EQ(crew->shardOf(id), serial->shardOf(id));
+    ids.push_back(id);
+  };
+  for (unsigned n = 0; n < 6; ++n) addBoth(n);
+
+  for (unsigned wave = 0; wave < 6; ++wave) {
+    if (wave == 2) {
+      EXPECT_EQ(crew->addShard(), serial->addShard());
+      addBoth(6);
+      addBoth(7);
+    }
+    if (wave == 4) {
+      const unsigned victim = crew->shardOf(ids[0]);
+      ASSERT_TRUE(crew->retireShard(victim));
+      ASSERT_TRUE(serial->retireShard(victim));
+    }
+    std::size_t offered = 0;
+    for (unsigned t : ids) {
+      const unsigned blocks = 1 + (wave * 7 + t * 5) % 40;
+      const bool decrypt = (wave + t) % 3 == 0;
+      for (unsigned i = 0; i < blocks; ++i) {
+        const aes::Block b =
+            patternBlock(static_cast<std::uint8_t>(wave * 31 + t + i));
+        const bool admitted = crew->submit(t, b, decrypt).admitted;
+        EXPECT_EQ(serial->submit(t, b, decrypt).admitted, admitted);
+        if (admitted) ++offered;
+      }
+    }
+    crew->runUntilIdle(1u << 20);
+    serial->runUntilIdle(1u << 20);
+    std::size_t fetched = 0;
+    for (unsigned t : ids) {
+      while (auto c = crew->fetch(t)) {
+        const auto s = serial->fetch(t);
+        ASSERT_TRUE(s.has_value()) << "wave " << wave << " tenant " << t;
+        EXPECT_EQ(c->ticket, s->ticket);
+        EXPECT_EQ(c->status, s->status);
+        EXPECT_EQ(c->status, CompletionStatus::Ok);
+        EXPECT_EQ(c->data, s->data);
+        EXPECT_EQ(c->submit_cycle, s->submit_cycle);
+        EXPECT_EQ(c->complete_cycle, s->complete_cycle);
+        ++fetched;
+      }
+      EXPECT_FALSE(serial->fetch(t).has_value());
+    }
+    EXPECT_EQ(fetched, offered) << "wave " << wave;
+  }
+  ASSERT_EQ(crew->shards(), serial->shards());
+  for (unsigned s = 0; s < crew->shards(); ++s) {
+    EXPECT_EQ(crew->shardEngine(s).cycle(), serial->shardEngine(s).cycle())
+        << "shard " << s;
+    EXPECT_EQ(crew->shardEngine(s).events().size(),
+              serial->shardEngine(s).events().size())
+        << "shard " << s;
+  }
+  EXPECT_EQ(crew->aggregateStats().toJson(), serial->aggregateStats().toJson());
+
+  // The crew is parked now; tearing the pool down wakes and joins it.
+  const auto t0 = std::chrono::steady_clock::now();
+  crew.reset();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(5));
 }
 
 }  // namespace
