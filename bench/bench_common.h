@@ -28,8 +28,16 @@ inline bool smokeMode() {
   return v && *v && std::string{v} != "0";
 }
 
-// Places tenants "tenant-0" .. "tenant-<n-1>" (category t + 1, a key
-// derived from t, queue depth 64) and returns their pool ids in order.
+// Tenant t's AES-128 key: byte i is 0x40 + 13 t + i.
+inline std::vector<std::uint8_t> tenantKey(unsigned t) {
+  std::vector<std::uint8_t> key(16);
+  for (unsigned i = 0; i < 16; ++i)
+    key[i] = static_cast<std::uint8_t>(0x40 + 13 * t + i);
+  return key;
+}
+
+// Places tenants "tenant-0" .. "tenant-<n-1>" (category t + 1, key
+// tenantKey(t), queue depth 64) and returns their pool ids in order.
 inline std::vector<unsigned> addTenants(soc::EnginePool& pool,
                                         unsigned tenants) {
   std::vector<unsigned> ids;
@@ -37,9 +45,7 @@ inline std::vector<unsigned> addTenants(soc::EnginePool& pool,
     soc::PoolTenantSpec spec;
     spec.name = "tenant-" + std::to_string(t);
     spec.category = t + 1;
-    spec.key.assign(16, 0);
-    for (unsigned i = 0; i < 16; ++i)
-      spec.key[i] = static_cast<std::uint8_t>(0x40 + 13 * t + i);
+    spec.key = tenantKey(t);
     spec.queue_depth = 64;
     const soc::PlaceResult placed = pool.addTenant(spec);
     if (!placed.placed) throw std::runtime_error("bench: pool refused tenant");

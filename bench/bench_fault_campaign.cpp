@@ -23,12 +23,12 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "conservation.h"
 #include "common/rng.h"
 #include "soc/fault_injector.h"
 #include "soc/metrics.h"
 #include "soc/pool.h"
 #include "soc/supervisor.h"
+#include "soc/workload.h"
 
 namespace {
 
@@ -38,9 +38,9 @@ using soc::DeviceCampaignReport;
 // Offers are the campaign's own count of block and AEAD ops; the buckets are
 // the sessions' terminal verdicts, so a driver that loses or double-counts a
 // verdict breaks the identity.
-bench::Conservation conservationOf(const DeviceCampaignReport& o) {
+soc::Conservation conservationOf(const DeviceCampaignReport& o) {
   const accel::SessionTelemetry& t = o.telemetry;
-  bench::Conservation c;
+  soc::Conservation c;
   c.offered = o.ops + o.gcm_ops;
   c.ok = t.ok;
   c.suppressed = t.suppressed;
@@ -164,7 +164,7 @@ struct PoolResilienceOutcome {
   unsigned quarantined = 0;     // shard hit in the quarantine scenario
   std::uint64_t migrations = 0;
   std::uint64_t wrong_key_uses = 0;
-  bench::Conservation cons;
+  soc::Conservation cons;
 };
 
 PoolResilienceOutcome runPoolResilience(bool quarantine, std::uint64_t seed) {

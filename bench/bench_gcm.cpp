@@ -2,8 +2,10 @@
 // tag — all under label enforcement on the accelerator) versus the
 // host-GHASH split the paper's threat model warns about, where the device
 // only produces the CTR keystream and the hash subkey H lives in host
-// memory. Both sides ride the same sharded engine pool so the comparison
-// isolates the cost of doing the authentication on-device.
+// memory. Both sides ride the same sharded engine pool and the same
+// closed-loop waves (soc::runClosedWaves, which returns each record's
+// conservation identity), so the comparison isolates the cost of doing the
+// authentication on-device.
 //
 // The service starts a round's seal ops together on the GCM sequencer's 8
 // op slots, so each op's E(K, J0) and GHASH tail hide under the next op's
@@ -21,9 +23,9 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "conservation.h"
 #include "aes/gcm.h"
 #include "soc/pool.h"
+#include "soc/workload.h"
 
 namespace {
 
@@ -39,7 +41,7 @@ struct GcmRunResult {
   std::uint64_t device_cycles = 0;  // slowest shard's cycle counter
   double wall_seconds = 0.0;
   bool all_ok = true;
-  bench::Conservation cons;  // ops (device) or keystream blocks (host_ghash)
+  soc::Conservation cons;  // ops (device) or keystream blocks (host_ghash)
 };
 
 soc::EnginePool makePool(unsigned shards, unsigned msg_blocks) {
@@ -76,43 +78,26 @@ GcmRunResult runDeviceGcm(unsigned shards, unsigned msg_blocks,
                           unsigned tenants, unsigned ops_per_tenant) {
   auto pool = makePool(shards, msg_blocks);
   const auto ids = addTenants(pool, tenants);
-  std::vector<unsigned> submitted(tenants, 0);
   GcmRunResult r;
   const auto t0 = std::chrono::steady_clock::now();
-  std::uint64_t done = 0;
-  while (done < static_cast<std::uint64_t>(tenants) * ops_per_tenant) {
-    for (unsigned t = 0; t < tenants; ++t) {
-      while (submitted[t] < ops_per_tenant) {
-        const auto pt = messageOf(t, submitted[t], msg_blocks);
-        const bool admitted =
-            pool.submitSeal(ids[t], pt, {}, ivOf(t, submitted[t])).admitted;
-        r.cons.offer(admitted);
-        if (!admitted) break;  // AEAD queue full: next wave
-        ++submitted[t];
-      }
-    }
-    pool.runUntilIdle(1u << 24);
-    std::uint64_t progress = 0;
-    for (unsigned t = 0; t < tenants; ++t) {
-      while (auto c = pool.fetchAead(ids[t])) {
-        ++progress;
-        r.cons.resolve(c->status);
-        if (c->status != soc::CompletionStatus::Ok) {
+  r.cons = soc::runClosedWaves(
+      pool, ids, ops_per_tenant,
+      [&](unsigned t, unsigned i) {
+        return pool.submitSeal(ids[t], messageOf(t, i, msg_blocks), {},
+                               ivOf(t, i));
+      },
+      [&](unsigned, const soc::AeadCompletion& c) {
+        if (c.status != soc::CompletionStatus::Ok) {
           r.all_ok = false;
-          continue;
+          return;
         }
         ++r.ops;
         r.blocks += msg_blocks;
-      }
-    }
-    done += progress;
-    if (progress == 0) break;  // stuck: the identity reports what is left
-  }
+      });
   r.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
   r.device_cycles = pool.maxShardCycle();
-  r.cons.still_queued = pool.totalQueued();
   return r;
 }
 
@@ -126,52 +111,32 @@ GcmRunResult runHostGhash(unsigned shards, unsigned msg_blocks,
   const auto ids = addTenants(pool, tenants);
   // Host-side GHASH keys, one per tenant (H = E(K, 0)).
   std::vector<aes::GhashKey> hkeys;
-  for (unsigned t = 0; t < tenants; ++t) {
-    std::vector<std::uint8_t> key(16);
-    for (unsigned i = 0; i < 16; ++i)
-      key[i] = static_cast<std::uint8_t>(0x40 + 13 * t + i);
-    const auto ek = aes::expandKey(key, aes::KeySize::Aes128);
-    const auto h = aes::encryptBlock(aes::Block{}, ek);
-    aes::Tag128 ht{};
-    std::copy(h.begin(), h.end(), ht.begin());
-    hkeys.emplace_back(ht);
-  }
-  const std::uint64_t total_blocks =
-      static_cast<std::uint64_t>(tenants) * ops_per_tenant * msg_blocks;
-  std::vector<unsigned> submitted(tenants, 0);
+  for (unsigned t = 0; t < tenants; ++t)
+    hkeys.emplace_back(aes::encryptBlock(
+        aes::Block{}, bench::tenantKey(t).data(), aes::KeySize::Aes128));
   std::vector<std::vector<aes::Tag128>> pending(tenants);
   // A message counts as an op only when every one of its keystream blocks
   // came back Ok.
   std::vector<bool> message_ok(tenants, true);
   GcmRunResult r;
   const auto t0 = std::chrono::steady_clock::now();
-  std::uint64_t done = 0;
-  const unsigned blocks_per_tenant = ops_per_tenant * msg_blocks;
-  while (done < total_blocks) {
-    for (unsigned t = 0; t < tenants; ++t) {
-      while (submitted[t] < blocks_per_tenant) {
-        // A counter block: the CTR keystream request for block i of op j.
+  std::uint64_t done = 0;  // completions so far, folded into the host XOR
+  r.cons = soc::runClosedWaves(
+      pool, ids, ops_per_tenant * msg_blocks,
+      [&](unsigned t, unsigned i) {
+        // A counter block: the CTR keystream request for block i.
         aes::Block b{};
-        for (unsigned i = 0; i < 12; ++i)
-          b[i] = static_cast<std::uint8_t>(0x90 + t + i);
-        b[12] = static_cast<std::uint8_t>(submitted[t] >> 24);
-        b[13] = static_cast<std::uint8_t>(submitted[t] >> 16);
-        b[14] = static_cast<std::uint8_t>(submitted[t] >> 8);
-        b[15] = static_cast<std::uint8_t>(submitted[t]);
-        const bool admitted = pool.submit(ids[t], b).admitted;
-        r.cons.offer(admitted);
-        if (!admitted) break;
-        ++submitted[t];
-      }
-    }
-    pool.runUntilIdle(1u << 24);
-    std::uint64_t progress = 0;
-    for (unsigned t = 0; t < tenants; ++t) {
-      while (auto c = pool.fetch(ids[t])) {
+        for (unsigned j = 0; j < 12; ++j)
+          b[j] = static_cast<std::uint8_t>(0x90 + t + j);
+        b[12] = static_cast<std::uint8_t>(i >> 24);
+        b[13] = static_cast<std::uint8_t>(i >> 16);
+        b[14] = static_cast<std::uint8_t>(i >> 8);
+        b[15] = static_cast<std::uint8_t>(i);
+        return pool.submit(ids[t], b);
+      },
+      [&](unsigned t, const soc::Completion& c) {
         ++done;
-        ++progress;
-        r.cons.resolve(c->status);
-        if (c->status != soc::CompletionStatus::Ok) {
+        if (c.status != soc::CompletionStatus::Ok) {
           r.all_ok = false;
           message_ok[t] = false;
         } else {
@@ -180,35 +145,30 @@ GcmRunResult runHostGhash(unsigned shards, unsigned msg_blocks,
         // Host half: XOR into ciphertext and fold into the running GHASH.
         aes::Tag128 ct{};
         for (unsigned i = 0; i < 16; ++i)
-          ct[i] = static_cast<std::uint8_t>(c->data[i] ^ (done + 7 * i + t));
+          ct[i] = static_cast<std::uint8_t>(c.data[i] ^ (done + 7 * i + t));
         pending[t].push_back(ct);
-        if (pending[t].size() == msg_blocks) {
-          aes::Tag128 y{};
-          for (const auto& blk : pending[t]) {
-            for (unsigned i = 0; i < 16; ++i) y[i] ^= blk[i];
-            y = hkeys[t].mul(y);
-          }
-          // Fold the lengths block, completing GHASH for the message.
-          aes::Tag128 len{};
-          const std::uint64_t bits = 128ull * msg_blocks;
-          for (int i = 0; i < 8; ++i)
-            len[15 - i] = static_cast<std::uint8_t>(bits >> (8 * i));
-          for (unsigned i = 0; i < 16; ++i) y[i] ^= len[i];
+        if (pending[t].size() < msg_blocks) return;
+        aes::Tag128 y{};
+        for (const auto& blk : pending[t]) {
+          for (unsigned i = 0; i < 16; ++i) y[i] ^= blk[i];
           y = hkeys[t].mul(y);
-          if (y == aes::Tag128{}) r.all_ok = false;  // keep y observable
-          if (message_ok[t]) ++r.ops;
-          message_ok[t] = true;
-          pending[t].clear();
         }
-      }
-    }
-    if (progress == 0) break;  // stuck: the identity reports what is left
-  }
+        // Fold the lengths block, completing GHASH for the message.
+        aes::Tag128 len{};
+        const std::uint64_t bits = 128ull * msg_blocks;
+        for (int i = 0; i < 8; ++i)
+          len[15 - i] = static_cast<std::uint8_t>(bits >> (8 * i));
+        for (unsigned i = 0; i < 16; ++i) y[i] ^= len[i];
+        y = hkeys[t].mul(y);
+        if (y == aes::Tag128{}) r.all_ok = false;  // keep y observable
+        if (message_ok[t]) ++r.ops;
+        message_ok[t] = true;
+        pending[t].clear();
+      });
   r.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
   r.device_cycles = pool.maxShardCycle();
-  r.cons.still_queued = pool.totalQueued();
   return r;
 }
 

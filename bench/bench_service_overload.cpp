@@ -11,10 +11,10 @@
 #include <string>
 #include <vector>
 
-#include "conservation.h"
 #include "common/rng.h"
 #include "soc/fault_injector.h"
 #include "soc/service.h"
+#include "soc/workload.h"
 
 namespace {
 
@@ -38,7 +38,7 @@ struct Harness {
   AccelService svc;
   std::vector<unsigned> users;
   Rng traffic{42};
-  bench::Conservation cons;  // every offer since construction
+  soc::Conservation cons;  // every offer since construction
 
   Harness()
       : acc{[] {

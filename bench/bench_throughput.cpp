@@ -2,6 +2,8 @@
 // one block per cycle (51.2 Gbps at the prototype's 400 MHz), protection
 // costs no cycles, and fine-grained sharing beats the coarse-grained
 // (drain-between-users) policy the paper's introduction argues against.
+// The engine-pool matrix runs its closed-loop waves through
+// soc::runClosedWaves, which returns each record's conservation identity.
 
 #include <benchmark/benchmark.h>
 
@@ -11,7 +13,6 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "conservation.h"
 #include "accel/driver.h"
 #include "soc/metrics.h"
 #include "soc/pool.h"
@@ -113,9 +114,9 @@ void printThroughput() {
 // Two throughput views per cell: blocks per wall-second (host simulation
 // speed) and blocks per device cycle of the slowest shard (what real
 // silicon would see — shards are independent hardware and run in parallel).
-// Admission is RejectNew, so a full queue refuses the submit (retried next
-// wave) instead of shedding an admitted block, and only Ok completions count
-// as work.
+// Admission is RejectNew, so a full queue refuses the submit (the driver
+// retries it next wave) instead of shedding an admitted block, and only Ok
+// completions count as work.
 
 struct PoolRunResult {
   std::uint64_t blocks = 0;         // Ok completions
@@ -124,7 +125,7 @@ struct PoolRunResult {
   double wall_seconds = 0.0;
   soc::LatencyStats latency;  // submit->complete, device cycles
   soc::ServiceStats stats;
-  bench::Conservation cons;
+  soc::Conservation cons;
 };
 
 PoolRunResult runPool(unsigned shards, unsigned batch, unsigned tenants,
@@ -138,51 +139,35 @@ PoolRunResult runPool(unsigned shards, unsigned batch, unsigned tenants,
   soc::EnginePool pool{cfg};
   const std::vector<unsigned> ids = bench::addTenants(pool, tenants);
 
-  // Closed loop in waves: top every tenant's queue up, drain the pool to
-  // idle, collect completions — so queues stay deep enough for batching to
-  // engage but latency still covers the queue wait, not just the pipe.
-  std::vector<unsigned> submitted(tenants, 0);
-  std::uint64_t done = 0;  // completions of any status
+  // Closed loop in waves (soc::runClosedWaves): queues stay deep enough
+  // for batching to engage, and latency still covers the queue wait, not
+  // just the pipe.
   std::vector<std::uint64_t> lat;
   lat.reserve(static_cast<std::size_t>(tenants) * blocks_per_tenant);
   PoolRunResult r;
   const auto t0 = std::chrono::steady_clock::now();
-  while (done < static_cast<std::uint64_t>(tenants) * blocks_per_tenant) {
-    for (unsigned t = 0; t < tenants; ++t) {
-      while (submitted[t] < blocks_per_tenant) {
+  r.cons = soc::runClosedWaves(
+      pool, ids, blocks_per_tenant,
+      [&](unsigned t, unsigned i) {
         aes::Block b{};
-        for (unsigned i = 0; i < 16; ++i)
-          b[i] = static_cast<std::uint8_t>(submitted[t] + 7 * i + t);
-        const bool admitted = pool.submit(ids[t], b).admitted;
-        r.cons.offer(admitted);
-        if (!admitted) break;  // queue full: next wave
-        ++submitted[t];
-      }
-    }
-    pool.runUntilIdle(1u << 24);
-    std::uint64_t progress = 0;
-    for (unsigned t = 0; t < tenants; ++t) {
-      while (auto c = pool.fetch(ids[t])) {
-        ++progress;
-        r.cons.resolve(c->status);
-        if (c->status != soc::CompletionStatus::Ok) {
+        for (unsigned j = 0; j < 16; ++j)
+          b[j] = static_cast<std::uint8_t>(i + 7 * j + t);
+        return pool.submit(ids[t], b);
+      },
+      [&](unsigned, const soc::Completion& c) {
+        if (c.status != soc::CompletionStatus::Ok) {
           ++r.not_ok;
-          continue;
+          return;
         }
         ++r.blocks;
-        lat.push_back(c->complete_cycle - c->submit_cycle);
-      }
-    }
-    done += progress;
-    if (progress == 0) break;  // stuck: the identity reports what is left
-  }
+        lat.push_back(c.complete_cycle - c.submit_cycle);
+      });
   r.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
   r.device_cycles = pool.maxShardCycle();
   r.latency = soc::latencyStats(lat);
   r.stats = pool.aggregateStats();
-  r.cons.still_queued = pool.totalQueued();
   return r;
 }
 

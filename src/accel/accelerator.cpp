@@ -385,6 +385,12 @@ std::optional<aes::Block> AesAccelerator::debugReadStage(unsigned user,
                 "debug peripheral disabled");
     return std::nullopt;
   }
+  // A stage select past the pipe is refused like any other debug read.
+  if (stage >= pipeline_.depth()) {
+    recordEvent(SecurityEventKind::DebugReadBlocked, user,
+                "no stage " + std::to_string(stage));
+    return std::nullopt;
+  }
   const StageSlot& s = pipeline_.stage(stage);
   if (!s.valid) return std::nullopt;
   if (hardened() && !pipeline_.stageParityOk(stage)) {

@@ -104,7 +104,8 @@ class AesAccelerator {
 
   // --- Debug peripheral (Section 3.1, attack of [10]) -------------------------
   // Reads the raw state held in pipeline stage `stage`. Requires
-  // debug_enable; tag-checked against the reader in Protected mode.
+  // debug_enable; tag-checked against the reader in Protected mode. A
+  // stage past the pipe is refused (nullopt), never thrown.
   std::optional<aes::Block> debugReadStage(unsigned user, unsigned stage);
 
   // --- Data path --------------------------------------------------------------

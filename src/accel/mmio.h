@@ -32,7 +32,8 @@
 //   0x200 DEBUG_STAGE (W) stage select
 //   0x210-0x21c DEBUG_DATA[0..3] (R) tag-checked stage readout (zeros when
 //                        refused)
-//   0x220 DEBUG_OK    (R) last debug read honored
+//   0x220 DEBUG_OK    (R) last debug read honored; 0 on a refusal,
+//                        including a DEBUG_STAGE past the pipe
 
 #include <cstdint>
 

@@ -1,14 +1,19 @@
 #pragma once
-// Multi-user traffic generation through a shared accelerator (the Fig. 2
-// SoC scenario): registers users with per-user labels and keys, streams
-// blocks through the pipeline, verifies every result against the golden
-// software AES, and reports throughput/latency.
+// Traffic generation. runSharedWorkload streams multi-user traffic through
+// one shared accelerator (the Fig. 2 SoC scenario), verifies every result
+// against the golden software AES, and reports throughput/latency.
+// runClosedWaves is the one closed-loop wave driver over an EnginePool; it
+// returns the conservation identity every pool bench record carries.
 
 #include <cstdint>
+#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "accel/accelerator.h"
+#include "common/counters.h"
 #include "soc/metrics.h"
+#include "soc/pool.h"
 
 namespace aesifc::soc {
 
@@ -51,5 +56,106 @@ struct WorkloadResult {
 WorkloadResult runSharedWorkload(accel::AesAccelerator& acc,
                                  const TenantSetup& setup,
                                  const WorkloadConfig& cfg);
+
+// The conservation identity a bench record carries: every offered request
+// (block or AEAD op) ends in exactly one bucket,
+//   offered = ok + suppressed + shed + rejected + failed + still_queued.
+// `rejected` counts admission refusals and Rejected verdicts; `failed` the
+// timed-out, fault-aborted, dropped and auth-failed ones. A bench that
+// counts a shed ticket as work, or loses one, breaks the identity.
+struct Conservation {
+  std::uint64_t offered = 0;
+  std::uint64_t ok = 0;
+  std::uint64_t suppressed = 0;
+  std::uint64_t shed = 0;
+  std::uint64_t rejected = 0;
+  std::uint64_t failed = 0;
+  std::uint64_t still_queued = 0;
+
+  // One offer: a refused one is already resolved as rejected.
+  void offer(bool admitted) {
+    ++offered;
+    if (!admitted) ++rejected;
+  }
+
+  // One terminal verdict fetched from the service.
+  void resolve(CompletionStatus st) {
+    switch (st) {
+      case CompletionStatus::Ok: ++ok; break;
+      case CompletionStatus::Suppressed: ++suppressed; break;
+      case CompletionStatus::Shed: ++shed; break;
+      case CompletionStatus::Rejected: ++rejected; break;
+      case CompletionStatus::TimedOut:
+      case CompletionStatus::FaultAborted:
+      case CompletionStatus::Dropped:
+      case CompletionStatus::AuthFailed: ++failed; break;
+    }
+  }
+
+  static constexpr auto counterFields() {
+    using C = Conservation;
+    using counters::field;
+    return std::tuple{
+        field("offered", &C::offered), field("ok", &C::ok),
+        field("suppressed", &C::suppressed), field("shed", &C::shed),
+        field("rejected", &C::rejected), field("failed", &C::failed),
+        field("still_queued", &C::still_queued)};
+  }
+  std::string toJson() const { return counters::toJson(*this); }
+};
+static_assert(counters::listsEveryByte<Conservation>());
+
+// Closed-loop waves over `pool` until each of the tenants `ids` has had
+// `per_tenant` items come back. A wave tops each tenant up, in index order,
+// through `offer(t, i)` (the SubmitResult of tenant t's i-th item) until
+// its first refusal, drains the pool to idle (at most 2^24 device cycles
+// per shard), then fetches each tenant's completions in index order and
+// hands each to `on_done(t, completion)` after counting its verdict. The
+// completion type `on_done` takes picks the queue: `const Completion&`
+// fetches blocks, `const AeadCompletion&` AEAD ops. It stops when every
+// item has come back, or after a wave that brought none back (a stuck
+// pool), and returns the identity with `still_queued` filled in.
+template <class Offer, class OnDone>
+Conservation runClosedWaves(EnginePool& pool, const std::vector<unsigned>& ids,
+                            unsigned per_tenant, Offer&& offer,
+                            OnDone&& on_done) {
+  constexpr bool kAead =
+      std::is_invocable_v<OnDone&, unsigned, const AeadCompletion&>;
+  static_assert(
+      kAead != std::is_invocable_v<OnDone&, unsigned, const Completion&>,
+      "on_done takes (unsigned, const Completion&) or an AeadCompletion");
+  constexpr std::uint64_t kDrainCycles = 1u << 24;
+  const auto fetch = [&pool](unsigned id) {
+    if constexpr (kAead) return pool.fetchAead(id);
+    else return pool.fetch(id);
+  };
+  const std::uint64_t total = ids.size() * std::uint64_t{per_tenant};
+  std::vector<unsigned> submitted(ids.size(), 0);
+  Conservation cons;
+  std::uint64_t done = 0;
+  while (done < total) {
+    for (unsigned t = 0; t < ids.size(); ++t) {
+      while (submitted[t] < per_tenant) {
+        const bool admitted = offer(t, submitted[t]).admitted;
+        cons.offer(admitted);
+        if (!admitted) break;  // queue full: next wave
+        ++submitted[t];
+      }
+    }
+    pool.runUntilIdle(kDrainCycles);
+    std::uint64_t progress = 0;
+    for (unsigned t = 0; t < ids.size(); ++t) {
+      while (auto c = fetch(ids[t])) {
+        ++progress;
+        cons.resolve(c->status);
+        on_done(t, *c);
+      }
+    }
+    done += progress;
+    if (progress == 0) break;  // stuck: the identity reports what is left
+  }
+  cons.still_queued = pool.totalQueued();
+  return cons;
+}
 
 }  // namespace aesifc::soc

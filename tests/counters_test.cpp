@@ -12,7 +12,6 @@
 #include <type_traits>
 #include <vector>
 
-#include "../bench/conservation.h"
 #include "accel/driver.h"
 #include "common/rng.h"
 #include "soc/attacks.h"
@@ -20,6 +19,7 @@
 #include "soc/fault_injector.h"
 #include "soc/metrics.h"
 #include "soc/service.h"
+#include "soc/workload.h"
 
 namespace aesifc::soc {
 namespace {
@@ -224,7 +224,7 @@ TEST(CounterJson, FaultCampaignReportWithPerSiteCounts) {
 }
 
 TEST(CounterJson, Conservation) {
-  EXPECT_EQ(distinct<bench::Conservation>(3).toJson(),
+  EXPECT_EQ(distinct<Conservation>(3).toJson(),
             R"({"offered":3,"ok":4,"suppressed":5,"shed":6,"rejected":7,)"
             R"("failed":8,"still_queued":9})");
 }

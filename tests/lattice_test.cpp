@@ -157,7 +157,9 @@ TEST_P(LatticeLawTest, JoinIsLeastUpperBound) {
     EXPECT_TRUE(b.flowsTo(j));
     // Least: any upper bound dominates the join.
     const Label u = j.join(randomLabel(rng));
-    if (a.flowsTo(u) && b.flowsTo(u)) EXPECT_TRUE(j.flowsTo(u));
+    if (a.flowsTo(u) && b.flowsTo(u)) {
+      EXPECT_TRUE(j.flowsTo(u));
+    }
   }
 }
 
@@ -177,8 +179,12 @@ TEST_P(LatticeLawTest, FlowIsPartialOrder) {
     const Label a = randomLabel(rng), b = randomLabel(rng),
                 c = randomLabel(rng);
     EXPECT_TRUE(a.flowsTo(a));
-    if (a.flowsTo(b) && b.flowsTo(a)) EXPECT_EQ(a, b);
-    if (a.flowsTo(b) && b.flowsTo(c)) EXPECT_TRUE(a.flowsTo(c));
+    if (a.flowsTo(b) && b.flowsTo(a)) {
+      EXPECT_EQ(a, b);
+    }
+    if (a.flowsTo(b) && b.flowsTo(c)) {
+      EXPECT_TRUE(a.flowsTo(c));
+    }
   }
 }
 

@@ -173,6 +173,47 @@ TEST_F(MmioFixture, OutOfRangeKeyGoIsRefusedNotThrown) {
   EXPECT_EQ(alice_win.read(W::kLastOpOk), 1u);
 }
 
+// No register write or read throws out of an unprivileged window, whatever
+// the value, in either mode, with the debug port on or off. A debug read of
+// a stage past the pipe is refused through DEBUG_OK.
+TEST_F(MmioFixture, NoRegisterAccessThrows) {
+  const std::uint32_t values[] = {0, 1, 2, 4, 7, 8, 29, 30, 31, 255,
+                                  0xffffffffu};
+  for (const SecurityMode mode :
+       {SecurityMode::Baseline, SecurityMode::Protected}) {
+    for (const std::uint32_t debug : {0u, 1u}) {
+      AcceleratorConfig cfg;
+      cfg.mode = mode;
+      AesAccelerator a{cfg};
+      const unsigned s = a.addUser(Principal::supervisor());
+      const unsigned e = a.addUser(Principal::user("eve", 2));
+      ASSERT_TRUE(a.writeConfig(s, "debug_enable", debug));
+      MmioWindow win{a, e};
+      for (std::uint32_t addr = 0; addr <= W::kDebugOk; addr += 4) {
+        for (const std::uint32_t v : values) {
+          EXPECT_NO_THROW(win.write(addr, v)) << std::hex << addr << " " << v;
+          EXPECT_NO_THROW((void)win.read(addr)) << std::hex << addr << " " << v;
+          a.tick();
+        }
+      }
+      for (const std::uint32_t stage : values) {
+        win.write(W::kDebugStage, stage);
+        const bool past_pipe = stage >= a.pipeline().depth();
+        for (unsigned w = 0; w < 4; ++w) {
+          std::uint32_t data = 1;
+          EXPECT_NO_THROW(data = win.read(W::kDebugData + 4 * w)) << stage;
+          if (past_pipe) {
+            EXPECT_EQ(data, 0u) << stage;
+          }
+        }
+        if (past_pipe) {
+          EXPECT_EQ(win.read(W::kDebugOk), 0u) << stage;
+        }
+      }
+    }
+  }
+}
+
 TEST_F(MmioFixture, UnmappedReadsReturnZero) {
   EXPECT_EQ(alice_win.read(0xffc), 0u);
   alice_win.write(0xffc, 123);  // ignored, no crash

@@ -123,7 +123,9 @@ TEST(PoolElastic, RetiredShardLeavesPlacementSet) {
   EXPECT_TRUE(pool.shardRetired(victim));
   EXPECT_EQ(pool.activeShards(), 2u);
   for (unsigned i = 0; i < 64; ++i) {
-    EXPECT_NE(pool.placementOf("n" + std::to_string(i)), victim);
+    std::string name = "n";
+    name += std::to_string(i);
+    EXPECT_NE(pool.placementOf(name), victim);
   }
 }
 
