@@ -63,8 +63,8 @@ struct Harness {
         svc{acc, cfg} {
     acc.addUser(Principal::supervisor());
     for (unsigned t = 0; t < kTenants; ++t) {
-      const unsigned u =
-          acc.addUser(Principal::user("t" + std::to_string(t), t + 1));
+      const unsigned u = acc.addUser(
+          Principal::user(std::string("t").append(std::to_string(t)), t + 1));
       users.push_back(u);
       TenantSpec spec;
       spec.user = u;

@@ -2,8 +2,6 @@
 
 #include <bit>
 
-#include "lattice/downgrade.h"
-
 namespace aesifc::accel {
 
 AesAccelerator::AesAccelerator(AcceleratorConfig cfg)
@@ -54,16 +52,11 @@ void AesAccelerator::deliverAbort(const StageSlot& slot) {
     gcm_.deliverAbort(slot);
     return;
   }
-  BlockResponse resp;
-  resp.req_id = slot.req_id;
-  resp.user = slot.user;
-  resp.data = aes::Block{};  // nothing is released from a squashed stage
-  resp.accept_cycle = slot.accept_cycle;
-  resp.complete_cycle = cycle_;
-  resp.fault_aborted = true;
+  // Nothing is released from a squashed stage.
   ++stats_.fault_aborted;
   if (slot.user < output_queues_.size())
-    output_queues_[slot.user].push_back(std::move(resp));
+    output_queues_[slot.user].push_back(respond<BlockResponse>(
+        slot.req_id, slot.user, slot.accept_cycle, AccelStatus::FaultAborted));
 }
 
 unsigned AesAccelerator::zeroizeSlotSquash(unsigned slot) {
@@ -420,8 +413,7 @@ bool AesAccelerator::submit(BlockRequest req) {
 }
 
 Label AesAccelerator::workLabel(unsigned user, unsigned slot) const {
-  const Label& u = users_.at(user).authority;
-  return Label{u.c.join(round_keys_.slot(slot).key_conf), u.i};
+  return accel::workLabel(users_.at(user), round_keys_.slot(slot).key_conf);
 }
 
 StageSlot& AesAccelerator::enqueueBlock(const BlockRequest& req,
@@ -540,33 +532,16 @@ std::optional<StageSlot> AesAccelerator::arbiterPick() {
 }
 
 void AesAccelerator::routeCompleted(StageSlot slot, bool to_buffer) {
-  BlockResponse resp;
-  resp.req_id = slot.req_id;
-  resp.user = slot.user;
-  resp.data = aes::stateToBlock(slot.state);
-  resp.accept_cycle = slot.accept_cycle;
-  resp.complete_cycle = cycle_;
-
-  if (cfg_.mode == SecurityMode::Protected) {
-    // Nonmalleable declassification at the pipeline exit (Fig. 7): the
-    // result carries (ck join cu, iu); releasing it to the output port
-    // declassifies to (bottom, iu), performed by the requesting user. With
-    // an authorized key ck <=C r(iu) and this succeeds; with the master key
-    // (ck = top) only the supervisor passes (Section 3.2.2).
-    const Label from = slot.tag;
-    const Label to{lattice::Conf::bottom(), from.i};
-    const auto decision =
-        lattice::checkDeclassify(from, to, users_.at(slot.user));
-    if (!decision.allowed) {
-      recordEvent(SecurityEventKind::DeclassifyRejected, slot.user,
-                  decision.reason);
-      ++stats_.suppressed;
-      resp.suppressed = true;
-      resp.data = aes::Block{};  // nothing is released
-      output_queues_[slot.user].push_back(std::move(resp));
-      return;
-    }
+  // Nonmalleable declassification at the pipeline exit (Fig. 7): the
+  // result carries (ck join cu, iu) and leaves as (bottom, iu), a
+  // declassification performed by the requesting user.
+  BlockResponse resp = exitResponse<BlockResponse>(
+      slot.req_id, slot.user, slot.accept_cycle, slot.tag, stats_.suppressed);
+  if (resp.status == AccelStatus::Suppressed) {
+    output_queues_[slot.user].push_back(std::move(resp));
+    return;
   }
+  resp.data = aes::stateToBlock(slot.state);
 
   // Per-user ordering: if this user already has blocks waiting in the
   // overflow buffer, later completions must queue behind them even when the
@@ -586,7 +561,7 @@ void AesAccelerator::routeCompleted(StageSlot slot, bool to_buffer) {
       ++stats_.dropped;
       // No silent drops: deliver a completion record carrying no data so
       // the request still terminates in a definite outcome.
-      resp.dropped = true;
+      resp.status = AccelStatus::Dropped;
       resp.data = aes::Block{};
       output_queues_[resp.user].push_back(std::move(resp));
       return;

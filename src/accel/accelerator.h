@@ -185,9 +185,6 @@ class AesAccelerator {
     std::uint64_t gcm_fault_aborted = 0; // ops killed by the fail-secure path
   };
   const Stats& stats() const { return stats_; }
-  // Zero the counters (long campaigns reset between phases); the cycle
-  // counter, event log, and device state are untouched.
-  void resetStats() { stats_ = Stats{}; }
   // Driver-side hook: a session retried a failed request.
   void noteRetry() { ++stats_.retries; }
 
@@ -222,9 +219,42 @@ class AesAccelerator {
   };
 
   void recordEvent(SecurityEventKind kind, unsigned user, std::string detail);
-  // The tag of work on `slot`: the user's confidentiality joined with the
-  // key's (the data depends on both), at the user's integrity.
+  // The tag of the user's work on `slot` (accel::workLabel).
   Label workLabel(unsigned user, unsigned slot) const;
+  // A response for request `req_id` of `user`, accepted at `accept_cycle`,
+  // completing now with verdict `st`; it carries no data yet.
+  template <typename Response>
+  Response respond(std::uint64_t req_id, unsigned user,
+                   std::uint64_t accept_cycle, AccelStatus st) const {
+    Response r;
+    r.req_id = req_id;
+    r.user = user;
+    r.accept_cycle = accept_cycle;
+    r.complete_cycle = cycle_;
+    r.status = st;
+    return r;
+  }
+  // Both device exits, the pipe exit and the GCM digest release, release
+  // through here. The response is Ok unless, in Protected mode, the Eq. 1
+  // gate (releaseDecision) refuses to declassify `tag` for `user`. Then it
+  // is Suppressed and carries nothing, DeclassifyRejected is logged with
+  // the rule's reason, and `refused` is counted.
+  template <typename Response>
+  Response exitResponse(std::uint64_t req_id, unsigned user,
+                        std::uint64_t accept_cycle, const Label& tag,
+                        std::uint64_t& refused) {
+    AccelStatus st = AccelStatus::Ok;
+    if (cfg_.mode == SecurityMode::Protected) {
+      auto decision = releaseDecision(tag, users_.at(user));
+      if (!decision.allowed) {
+        recordEvent(SecurityEventKind::DeclassifyRejected, user,
+                    std::move(decision.reason));
+        ++refused;
+        st = AccelStatus::Suppressed;
+      }
+    }
+    return respond<Response>(req_id, user, accept_cycle, st);
+  }
   // Queue an admitted block; parity covers only its state and tag.
   StageSlot& enqueueBlock(const BlockRequest& req, const Label& tag);
   std::optional<StageSlot> arbiterPick();

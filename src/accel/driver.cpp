@@ -37,19 +37,6 @@ aes::Block xorBlocks(aes::Block a, const aes::Block& b) {
 
 }  // namespace
 
-std::string toString(AccelStatus s) {
-  switch (s) {
-    case AccelStatus::Ok: return "ok";
-    case AccelStatus::Suppressed: return "suppressed";
-    case AccelStatus::Timeout: return "timeout";
-    case AccelStatus::FaultAborted: return "fault-aborted";
-    case AccelStatus::Dropped: return "dropped";
-    case AccelStatus::Rejected: return "rejected";
-    case AccelStatus::AuthFailed: return "auth-failed";
-  }
-  return "?";
-}
-
 bool loadKeyBytes(AesAccelerator& acc, unsigned user, unsigned slot,
                   unsigned cell_base, std::span<const std::uint8_t> key,
                   aes::KeySize ks, lattice::Conf key_conf) {
@@ -162,17 +149,14 @@ void AccelSession::route(bool gcm) {
     const auto [f, i] = take(resp.req_id);
     if (f == nullptr) continue;
     if (f->units[i] == U::Done || f->units[i] == U::Suppressed) continue;
-    if (resp.suppressed) {
-      f->units[i] = U::Suppressed;  // security refusal: final
-    } else if (resp.fault_aborted || resp.dropped) {
-      f->units[i] = U::Failed;
-      if (f->attempt_fail == AccelStatus::Ok) {
-        f->attempt_fail = resp.fault_aborted ? AccelStatus::FaultAborted
-                                             : AccelStatus::Dropped;
-      }
-    } else {
+    if (resp.status == AccelStatus::Ok) {
       f->data[i] = resp.data;
       f->units[i] = U::Done;
+    } else if (resp.status == AccelStatus::Suppressed) {
+      f->units[i] = U::Suppressed;  // security refusal: final
+    } else {
+      f->units[i] = U::Failed;  // fault-aborted or dropped
+      if (f->attempt_fail == AccelStatus::Ok) f->attempt_fail = resp.status;
     }
   }
 }
@@ -373,9 +357,9 @@ std::optional<AccelStatus> AccelSession::stepGcm(Flight& f) {
     if (acc_.cycle() - f.attempt_start <= f.budget) return std::nullopt;
     return AccelStatus::Timeout;
   }
-  if (f.got && f.got->suppressed) return AccelStatus::Suppressed;  // final
-  if (f.got && f.got->auth_failed) return AccelStatus::AuthFailed;  // verdict
-  if (f.got && !f.got->fault_aborted) return AccelStatus::Ok;
+  // Ok, or a final Suppressed or AuthFailed verdict.
+  if (f.got && f.got->status != AccelStatus::FaultAborted)
+    return f.got->status;
   if (!f.got) {
     // The backlog counts this op while it computes, and every op that
     // joined it since.

@@ -59,27 +59,6 @@ bool waitSlotIdle(AesAccelerator& acc, unsigned slot, std::uint64_t max_cycles);
 bool zeroizeKey128(AesAccelerator& acc, unsigned user, unsigned slot,
                    unsigned cell_base, std::uint64_t max_wait_cycles);
 
-// Outcome of a driver operation. Every submitted request ends in exactly
-// one of these — there is no silent-drop state.
-enum class AccelStatus {
-  Ok,           // all blocks completed and verified deliverable
-  Suppressed,   // the device refused to declassify (security; NOT retryable)
-  Timeout,      // watchdog expired with responses outstanding (retryable)
-  FaultAborted, // squashed by the fail-secure fault path (retryable)
-  Dropped,      // lost to overflow-buffer pressure (retryable)
-  Rejected,     // refused at the submit port (e.g. zeroized key slot)
-  AuthFailed,   // GCM open: tag mismatch — a verdict, NOT retryable
-};
-
-std::string toString(AccelStatus s);
-
-// Retryable = transient device/bus condition; security refusals and
-// deterministic submit rejections are final.
-constexpr bool isRetryable(AccelStatus s) {
-  return s == AccelStatus::Timeout || s == AccelStatus::FaultAborted ||
-         s == AccelStatus::Dropped;
-}
-
 // Value-or-status result. Mirrors the std::optional surface the driver
 // used to return (`has_value`, `operator*`, `operator->`, bool tests) so
 // existing call sites read unchanged, plus `status()` for the failure kind.

@@ -163,7 +163,7 @@ void GcmSequencer::stepOp(unsigned idx) {
         if (ghash_.absorb(ivs, b, op.label)) ++op.iv_fed;
       }
       if (ghash_.done(ivs)) {
-        const aes::Tag128 d = ghash_.digestInternal(ivs);  // stays tagged
+        const aes::Tag128 d = ghash_.digest(ivs);  // stays tagged
         std::memcpy(op.j0.data(), d.data(), 16);
         ghash_.closeStream(ivs);
         op.iv_stream = -1;
@@ -232,67 +232,45 @@ void GcmSequencer::stepOp(unsigned idx) {
 void GcmSequencer::finalize(unsigned idx) {
   Op& op = ops_[idx];
   const unsigned ms = static_cast<unsigned>(op.stream);
-  GcmResponse resp;
-  resp.req_id = op.req.req_id;
-  resp.user = op.req.user;
-  resp.accept_cycle = op.accept_cycle;
-  resp.complete_cycle = acc_.cycle_;
-
-  // The ONE declassification of the op: the digest leaves the GHASH unit
-  // under the same nonmalleable-downgrade rule as ciphertext at the
-  // pipeline exit. Everything the response carries (ciphertext, plaintext,
-  // tag, even the open verdict) derives from data at the op's label, so
-  // this single check gates the whole release.
-  aes::Tag128 digest{};
-  if (acc_.cfg_.mode == SecurityMode::Protected) {
-    const auto rel = ghash_.release(ms, acc_.users_.at(op.req.user));
-    switch (rel.status) {
-      case GhashUnit::ReleaseStatus::Faulted:
-        abortOp(idx);
-        return;
-      case GhashUnit::ReleaseStatus::Refused:
-        acc_.recordEvent(SecurityEventKind::DeclassifyRejected, op.req.user,
-                         rel.reason);
-        ++acc_.stats_.gcm_suppressed;
-        resp.suppressed = true;  // nothing is released
-        ghash_.closeStream(ms);
-        op.stream = -1;
-        emit(std::move(resp));
-        freeOp(op);
-        return;
-      case GhashUnit::ReleaseStatus::NotReady:
-        return;  // unreachable: finalize() is guarded by done()
-      case GhashUnit::ReleaseStatus::Ok:
-        digest = rel.digest;
-        break;
-    }
-  } else {
-    digest = ghash_.digestInternal(ms);
+  // Point of use: a Protected release never consults a lane accumulator or
+  // label whose parity no longer matches.
+  if (acc_.cfg_.mode == SecurityMode::Protected &&
+      !ghash_.verifyAtRelease(ms)) {
+    abortOp(idx);
+    return;
   }
-  ghash_.closeStream(ms);
-  op.stream = -1;
-
-  aes::Tag128 tag{};
-  for (unsigned i = 0; i < 16; ++i) tag[i] = digest[i] ^ op.ekj0[i];
-  if (!op.req.open) {
-    resp.data = std::move(op.out);
-    resp.tag = tag;
-    ++acc_.stats_.gcm_ok;
-  } else {
-    // Constant-time comparison; a mismatch is a verdict, not a fault.
+  // The ONE declassification of the op: the digest leaves through the same
+  // exit gate as ciphertext at the pipeline exit. Everything the response
+  // carries (ciphertext, plaintext, tag, even the open verdict) derives
+  // from data at the stream's label, so this single check gates the whole
+  // release.
+  GcmResponse resp = acc_.exitResponse<GcmResponse>(
+      op.req.req_id, op.req.user, op.accept_cycle, ghash_.label(ms),
+      acc_.stats_.gcm_suppressed);
+  if (resp.status == AccelStatus::Ok) {
+    const aes::Tag128 digest = ghash_.digest(ms);
+    aes::Tag128 tag{};
+    for (unsigned i = 0; i < 16; ++i) tag[i] = digest[i] ^ op.ekj0[i];
+    // An open compares in constant time; a mismatch is a verdict, not a
+    // fault.
     std::uint8_t diff = 0;
-    for (unsigned i = 0; i < 16; ++i) diff |= tag[i] ^ op.req.tag[i];
+    if (op.req.open) {
+      for (unsigned i = 0; i < 16; ++i) diff |= tag[i] ^ op.req.tag[i];
+    }
     if (diff != 0) {
-      resp.auth_failed = true;
+      resp.status = AccelStatus::AuthFailed;
       acc_.recordEvent(SecurityEventKind::AuthTagMismatch, op.req.user,
                        "gcm open req " + std::to_string(op.req.req_id) +
                            ": tag mismatch; plaintext withheld");
       ++acc_.stats_.gcm_auth_failed;
     } else {
       resp.data = std::move(op.out);
+      if (!op.req.open) resp.tag = tag;
       ++acc_.stats_.gcm_ok;
     }
   }
+  ghash_.closeStream(ms);
+  op.stream = -1;
   emit(std::move(resp));
   freeOp(op);
 }
@@ -307,14 +285,10 @@ void GcmSequencer::abortOp(unsigned idx) {
     ghash_.closeStream(static_cast<unsigned>(op.iv_stream));
     op.iv_stream = -1;
   }
-  GcmResponse resp;
-  resp.req_id = op.req.req_id;
-  resp.user = op.req.user;
-  resp.accept_cycle = op.accept_cycle;
-  resp.complete_cycle = acc_.cycle_;
-  resp.fault_aborted = true;  // definite outcome; nothing released
+  // A definite outcome; nothing is released.
   ++acc_.stats_.gcm_fault_aborted;
-  emit(std::move(resp));
+  emit(acc_.respond<GcmResponse>(op.req.req_id, op.req.user, op.accept_cycle,
+                                 AccelStatus::FaultAborted));
   freeOp(op);
 }
 

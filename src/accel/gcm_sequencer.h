@@ -6,9 +6,9 @@
 // ordinary StageSlots marked `gcm_internal`; at the pipeline exit they are
 // handed back here instead of being declassified to an output queue, so a
 // GCM operation performs exactly ONE declassification: when its finished
-// digest leaves the GHASH unit under the same nonmalleable-downgrade rule
-// as ciphertext at the pipeline exit. An open whose tag comparison fails
-// is a verdict (auth_failed), not a fault; a fault anywhere in the op's
+// digest leaves through the accelerator's exit gate, the one ciphertext
+// passes at the pipeline exit. An open whose tag comparison fails
+// is a verdict (AuthFailed), not a fault; a fault anywhere in the op's
 // state (stage parity, accumulator parity, H-table checksum, key
 // zeroization mid-op) fail-secures the whole op — nothing is released.
 
@@ -82,7 +82,7 @@ class GcmSequencer {
   // Pipeline-exit hand-back of an internal block (never declassified).
   void deliver(const StageSlot& s);
   // An internal block was squashed by the fail-secure path: the owning op
-  // aborts (fault_aborted) — a definite outcome, never a silent drop.
+  // aborts (FaultAborted) — a definite outcome, never a silent drop.
   void deliverAbort(const StageSlot& s);
   // The AES key slot was re-stored, cleared, or zeroized: its H is stale;
   // every op bound to it fault-aborts (retryable by the driver).
@@ -116,7 +116,7 @@ class GcmSequencer {
 
   void stepOp(unsigned idx);
   void finalize(unsigned idx);
-  // Fail-secure abort: emits a fault_aborted response, closes the op's
+  // Fail-secure abort: emits a FaultAborted response, closes the op's
   // GHASH streams, and holds the slot until in-flight blocks drain.
   void abortOp(unsigned idx);
   void freeOp(Op& op);

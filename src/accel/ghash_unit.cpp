@@ -2,7 +2,6 @@
 
 #include <cstring>
 
-#include "lattice/downgrade.h"
 
 namespace aesifc::accel {
 
@@ -136,34 +135,17 @@ bool GhashUnit::done(unsigned stream) const {
   return st.open && !st.faulted && st.written == st.total;
 }
 
-aes::Tag128 GhashUnit::digestInternal(unsigned stream) const {
+aes::Tag128 GhashUnit::digest(unsigned stream) const {
   const Stream& st = streams_.at(stream);
   aes::Tag128 d{};
   for (const auto& lane : st.lanes) d = xorTags(d, lane);
   return d;
 }
 
-GhashUnit::ReleaseResult GhashUnit::release(unsigned stream,
-                                            const Principal& p) {
-  Stream& st = streams_.at(stream);
-  if (!st.open) return {ReleaseStatus::NotReady, {}, "stream not open"};
-  if (st.faulted) return {ReleaseStatus::Faulted, {}, "stream faulted"};
-  if (st.written != st.total)
-    return {ReleaseStatus::NotReady, {}, "blocks still in flight"};
-  if (hardened_ && !streamParityOk(st)) {
-    // Point of use: never consult a lane accumulator or label whose parity
-    // no longer matches.
-    faultStream(stream);
-    return {ReleaseStatus::Faulted, {}, "accumulator parity at release"};
-  }
-  // Nonmalleable declassification, same rule as the pipeline exit: the
-  // digest carries (c, i); it leaves as (bottom, i) only when p may
-  // declassify it (Eq. 1).
-  const Label from = st.label;
-  const Label to{lattice::Conf::bottom(), from.i};
-  const auto decision = lattice::checkDeclassify(from, to, p);
-  if (!decision.allowed) return {ReleaseStatus::Refused, {}, decision.reason};
-  return {ReleaseStatus::Ok, digestInternal(stream), {}};
+bool GhashUnit::verifyAtRelease(unsigned stream) {
+  if (!hardened_ || streamParityOk(streams_.at(stream))) return true;
+  faultStream(stream);
+  return false;
 }
 
 void GhashUnit::closeStream(unsigned stream) {

@@ -19,9 +19,9 @@
 //
 // Security tags travel exactly as in the AES pipe: each stage slot carries
 // a label; a stream's running label is the join of the H-table label and
-// every absorbed block's label; the digest leaves the unit only through a
-// nonmalleable declassification check (same Eq. 1 rule as ciphertext at
-// the pipeline exit) or through `digestInternal`, which keeps the label.
+// every absorbed block's label. The digest stays tagged inside the device:
+// it leaves only through the accelerator's Eq. 1 exit gate on the stream's
+// label (`releaseDecision`, the rule ciphertext leaves the pipe under).
 //
 // Fail-secure hardening mirrors the AES datapath: parity on stage x/z and
 // tag registers, parity over each stream's lane accumulators + label, and
@@ -108,22 +108,18 @@ class GhashUnit {
   bool done(unsigned stream) const;  // every block issued and written back
   bool faulted(unsigned stream) const { return streams_.at(stream).faulted; }
 
-  // Digest without declassification — for internal consumers (J0
-  // derivation) whose result stays tagged inside the device.
-  aes::Tag128 digestInternal(unsigned stream) const;
-
-  enum class ReleaseStatus { NotReady, Faulted, Refused, Ok };
-  struct ReleaseResult {
-    ReleaseStatus status = ReleaseStatus::NotReady;
-    aes::Tag128 digest{};
-    std::string reason;  // declassify-refusal reason, for the event log
-  };
-  // Release the digest to `p`: the same nonmalleable declassification as
-  // ciphertext at the pipeline exit — label (c, i) may leave as
-  // (bottom, i) only if checkDeclassify allows it for `p`. A hardened
-  // release also re-verifies the stream's accumulator parity at this point
-  // of use (Faulted if it fails; nothing is released).
-  ReleaseResult release(unsigned stream, const Principal& p);
+  // The stream's running label, which the exit gate declassifies.
+  const Label& label(unsigned stream) const {
+    return streams_.at(stream).label;
+  }
+  // The digest (the XOR of the lanes), still at the stream's label: an
+  // internal consumer (J0 derivation) keeps it on-device, and the
+  // sequencer releases it only through the exit gate.
+  aes::Tag128 digest(unsigned stream) const;
+  // Point-of-use check before a release: a hardened unit re-verifies the
+  // stream's lane accumulators and label against their parity, and faults
+  // the stream (false) on a mismatch — nothing is released.
+  bool verifyAtRelease(unsigned stream);
   void closeStream(unsigned stream);
 
   // Meet over the confidentiality of all in-flight stage tags and open

@@ -127,7 +127,9 @@ std::uint32_t MmioWindow::read(std::uint32_t addr) {
       std::uint32_t s = 0;
       if (head != nullptr) {
         s |= 1u;
-        if (head->suppressed) s |= 2u;
+        if (head->status == AccelStatus::Suppressed) s |= 2u;
+        if (head->status == AccelStatus::FaultAborted) s |= 4u;
+        if (head->status == AccelStatus::Dropped) s |= 8u;
       }
       s |= static_cast<std::uint32_t>(
                std::min<std::size_t>(acc_.pendingOutputs(user_), 0xffff))

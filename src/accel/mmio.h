@@ -8,8 +8,13 @@
 // Register map (byte offsets, 32-bit registers):
 //   0x000 CTRL      (W)  bit0 submit-encrypt, bit1 submit-decrypt,
 //                        bit2 pop-output
-//   0x004 STATUS    (R)  bit0 out-ready, bit1 out-suppressed,
-//                        bits[23:8] pending output count
+//   0x004 STATUS    (R)  bit0 out-ready, bits[23:8] pending output count;
+//                        bits 1-3 give the head output's verdict, at most
+//                        one set: bit1 out-suppressed (declassification
+//                        refused), bit2 out-fault-aborted (squashed
+//                        fail-secure), bit3 out-dropped (overflow buffer
+//                        full). With any of them set DATA_OUT reads zero
+//                        and is no result.
 //   0x008 KEY_SLOT  (RW) round-key slot for submits / expansion
 //   0x010-0x01c DATA_IN[0..3]  (W) 128-bit input block, little-endian words
 //   0x020-0x02c DATA_OUT[0..3] (R) head of the output queue

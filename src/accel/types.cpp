@@ -32,6 +32,29 @@ std::string toString(SecurityEventKind k) {
   return "?";
 }
 
+Label workLabel(const Principal& p, lattice::Conf key_conf) {
+  return Label{p.authority.c.join(key_conf), p.authority.i};
+}
+
+lattice::DowngradeDecision releaseDecision(const Label& work,
+                                           const Principal& p) {
+  return lattice::checkDeclassify(work, Label{lattice::Conf::bottom(), work.i},
+                                  p);
+}
+
+std::string toString(AccelStatus s) {
+  switch (s) {
+    case AccelStatus::Ok: return "ok";
+    case AccelStatus::Suppressed: return "suppressed";
+    case AccelStatus::Timeout: return "timeout";
+    case AccelStatus::FaultAborted: return "fault-aborted";
+    case AccelStatus::Dropped: return "dropped";
+    case AccelStatus::Rejected: return "rejected";
+    case AccelStatus::AuthFailed: return "auth-failed";
+  }
+  return "?";
+}
+
 std::string toString(FaultSite s) {
   switch (s) {
     case FaultSite::StageData: return "stage-data";

@@ -8,6 +8,7 @@
 
 #include "aes/block.h"
 #include "aes/gcm.h"
+#include "lattice/downgrade.h"
 #include "lattice/label.h"
 #include "lattice/tag.h"
 
@@ -123,6 +124,45 @@ struct SecurityEvent {
   std::string toString() const;
 };
 
+// The label of work a principal runs under a key of confidentiality
+// `key_conf`: the principal's confidentiality joined with the key's (the
+// data depends on both), at the principal's integrity. Every block and
+// GHASH absorb of that work carries it.
+Label workLabel(const Principal& p, lattice::Conf key_conf);
+
+// The Eq. 1 release gate (Fig. 7): a result labelled `work` leaves the
+// tagged pipe to `p` as (bottom, i) only through nonmalleable
+// declassification, which `p` may perform only when its trust covers the
+// released categories. With an authorized key this succeeds; with the
+// master key (ck = top) only the supervisor passes (Section 3.2.2). The
+// pipe exit, the GCM digest release, the service's software fallback and
+// its canary all decide release here, so they cannot disagree.
+lattice::DowngradeDecision releaseDecision(const Label& work,
+                                           const Principal& p);
+
+// The verdict of a device response and of a driver operation. The device
+// sets Ok, Suppressed, FaultAborted, Dropped or AuthFailed; the driver adds
+// Timeout and Rejected. Every submitted request ends in exactly one of
+// these — there is no silent-drop state.
+enum class AccelStatus {
+  Ok,           // all blocks completed and verified deliverable
+  Suppressed,   // the device refused to declassify (security; NOT retryable)
+  Timeout,      // watchdog expired with responses outstanding (retryable)
+  FaultAborted, // squashed by the fail-secure fault path (retryable)
+  Dropped,      // lost to overflow-buffer pressure (retryable)
+  Rejected,     // refused at the submit port (e.g. zeroized key slot)
+  AuthFailed,   // GCM open: tag mismatch — a verdict, NOT retryable
+};
+
+std::string toString(AccelStatus s);
+
+// Retryable = transient device/bus condition; security refusals and
+// deterministic submit rejections are final.
+constexpr bool isRetryable(AccelStatus s) {
+  return s == AccelStatus::Timeout || s == AccelStatus::FaultAborted ||
+         s == AccelStatus::Dropped;
+}
+
 // One block submitted for encryption/decryption.
 struct BlockRequest {
   std::uint64_t req_id = 0;
@@ -139,9 +179,9 @@ struct BlockResponse {
   aes::Block data{};
   std::uint64_t accept_cycle = 0;    // cycle the pipeline accepted it
   std::uint64_t complete_cycle = 0;  // cycle it exited (or left the buffer)
-  bool suppressed = false;  // protected mode refused to declassify the output
-  bool fault_aborted = false;  // squashed by the fail-secure fault path
-  bool dropped = false;        // overflow buffer full; completion record only
+  // Ok, or why `data` is all zero: Suppressed (declassification refused),
+  // FaultAborted (squashed fail-secure), Dropped (overflow buffer full).
+  AccelStatus status = AccelStatus::Ok;
 };
 
 // One authenticated-encryption operation submitted to the GCM sequencer.
@@ -158,10 +198,10 @@ struct GcmRequest {
   aes::Tag128 tag{};  // expected tag (open only)
 };
 
-// Terminal outcome of a GCM operation. Exactly one of the flag fields is
-// set on failure; on success `data` holds ciphertext (seal) or plaintext
-// (open) and `tag` the computed auth tag (seal only — an open never echoes
-// a tag, it only verdicts).
+// Terminal outcome of a GCM operation. On Ok `data` holds ciphertext
+// (seal) or plaintext (open) and `tag` the computed auth tag (seal only —
+// an open never echoes a tag, it only verdicts); any other status releases
+// nothing.
 struct GcmResponse {
   std::uint64_t req_id = 0;
   unsigned user = 0;
@@ -169,9 +209,9 @@ struct GcmResponse {
   aes::Tag128 tag{};
   std::uint64_t accept_cycle = 0;
   std::uint64_t complete_cycle = 0;
-  bool suppressed = false;    // declassification of the result was refused
-  bool fault_aborted = false; // a fault hit the op's state; nothing released
-  bool auth_failed = false;   // open only: tag mismatch (verdict, not fault)
+  // Ok, Suppressed (declassification refused), FaultAborted (a fault hit
+  // the op's state) or AuthFailed (open only: tag mismatch, a verdict).
+  AccelStatus status = AccelStatus::Ok;
 };
 
 }  // namespace aesifc::accel

@@ -13,7 +13,9 @@ std::string hexLiteral(const BitVec& v) {
   return os.str();
 }
 
-std::string net(ExprId id) { return "e" + std::to_string(id.v); }
+std::string net(ExprId id) {
+  return std::string("e").append(std::to_string(id.v));
+}
 
 void collectReachable(const Module& m, ExprId id, std::set<std::uint32_t>& out) {
   if (!out.insert(id.v).second) return;

@@ -76,7 +76,7 @@ NiResult checkNoninterference(const Module& m, const Label& observer,
   }
 
   sim::Simulator sim{m};
-  std::map<std::vector<std::uint8_t>, BucketEntry> buckets;
+  std::map<std::string, BucketEntry> buckets;
 
   const std::uint64_t space = 1ull << total_bits;
   for (std::uint64_t idx = 0; idx < space; ++idx) {
@@ -94,15 +94,16 @@ NiResult checkNoninterference(const Module& m, const Label& observer,
     }
     sim.evalComb();
 
-    // The observer's view of the inputs (resolved under this valuation).
-    std::vector<std::uint8_t> key;
+    // The observer's view of the inputs (resolved under this valuation), as
+    // a byte string.
+    std::string key;
     for (const auto in : inputs) {
       const Label l = resolveAnnotation(m, in, pinned);
       if (!l.flowsTo(observer)) continue;
-      key.push_back(static_cast<std::uint8_t>(in.v));
+      key.push_back(static_cast<char>(in.v));
       const auto& v = pinned.at(in.v);
       for (unsigned b = 0; b < v.width(); b += 8)
-        key.push_back(v.byte(b / 8));
+        key.push_back(static_cast<char>(v.byte(b / 8)));
     }
 
     // The observer's view of the outputs.

@@ -3,7 +3,8 @@
 namespace aesifc::lattice {
 
 std::string Label::toString() const {
-  return "(" + c.toString() + "," + i.toString() + ")";
+  const std::string conf = c.toString(), integ = i.toString();
+  return "(" + conf + "," + integ + ")";
 }
 
 Principal Principal::user(std::string name, unsigned cat) {

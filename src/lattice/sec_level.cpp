@@ -34,13 +34,13 @@ std::string CatSet::toString() const {
 std::string Conf::toString() const {
   if (cats == CatSet::none()) return "PUB";
   if (cats == CatSet::all()) return "SEC";
-  return "C" + cats.toString();
+  return std::string("C").append(cats.toString());
 }
 
 std::string Integ::toString() const {
   if (cats == CatSet::all()) return "TRU";
   if (cats == CatSet::none()) return "UNT";
-  return "I" + cats.toString();
+  return std::string("I").append(cats.toString());
 }
 
 }  // namespace aesifc::lattice

@@ -312,9 +312,10 @@ Module buildAesPipelineIr(AesPipeIrPorts* ports) {
   ExprId prev_valid = m.read(p.in_valid);
   std::vector<hdl::SignalId> stage(10), valid(10);
   for (unsigned r = 1; r <= 10; ++r) {
-    stage[r - 1] = m.reg("s" + std::to_string(r), 128,
+    stage[r - 1] = m.reg(std::string("s").append(std::to_string(r)), 128,
                          LabelTerm::of(data_label));
-    valid[r - 1] = m.reg("v" + std::to_string(r), 1, LabelTerm::of(ctl));
+    valid[r - 1] = m.reg(std::string("v").append(std::to_string(r)), 1,
+                         LabelTerm::of(ctl));
     m.regWrite(stage[r - 1], emitAesRound(m, prev_data, m.read(p.rk[r]),
                                           r == 10));
     m.regWrite(valid[r - 1], prev_valid);

@@ -176,10 +176,10 @@ Module buildStallPipelineN(unsigned stages, bool meet_gated) {
   // of their stage's tag (Fig. 7).
   std::vector<SignalId> tag_regs(stages), data_regs(stages);
   for (unsigned i = 0; i < stages; ++i) {
-    tag_regs[i] =
-        m.reg("s" + std::to_string(i + 1) + "_tag", 2, LabelTerm::of(kPT));
-    data_regs[i] = m.reg("s" + std::to_string(i + 1) + "_data", 8,
-                         LabelTerm::dependent(tag_regs[i], table));
+    const std::string stage = std::string("s").append(std::to_string(i + 1));
+    tag_regs[i] = m.reg(stage + "_tag", 2, LabelTerm::of(kPT));
+    data_regs[i] =
+        m.reg(stage + "_data", 8, LabelTerm::dependent(tag_regs[i], table));
   }
 
   const auto out_data =

@@ -81,6 +81,11 @@ struct Bench {
   }
 };
 
+// True when `r` released a result and it equals `want`.
+bool releasedAs(const BlockResponse& r, const aes::Block& want) {
+  return r.status == accel::AccelStatus::Ok && r.data == want;
+}
+
 aes::Block blockOf(std::uint8_t fill) {
   aes::Block b;
   for (unsigned i = 0; i < 16; ++i)
@@ -315,7 +320,7 @@ OverflowResult runScratchpadOverflow(SecurityMode mode) {
                    acc.principal(bench.alice).authority.c))
     throw std::runtime_error("overflow bench: alice reload refused");
   const auto after = bench.crypt(bench.alice, 1, pt, false);
-  r.alice_key_corrupted = (after.data != golden) || after.suppressed;
+  r.alice_key_corrupted = !releasedAs(after, golden);
   r.blocked_events = acc.eventCount(SecurityEventKind::ScratchpadWriteBlocked);
   return r;
 }
@@ -375,24 +380,22 @@ KeyMisuseResult runKeyMisuseAttack(SecurityMode mode) {
   const aes::Block pt_a = blockOf(0x10);
   const aes::Block ct_a =
       aes::encryptBlock(pt_a, bench.alice_key.data(), aes::KeySize::Aes128);
-  const auto alice_resp = bench.crypt(bench.alice, 1, pt_a, false);
-  r.own_key_ok = !alice_resp.suppressed && alice_resp.data == ct_a;
+  r.own_key_ok = releasedAs(bench.crypt(bench.alice, 1, pt_a, false), ct_a);
 
   // Eve encrypts with the master key (slot 0).
   const aes::Block pt_e = blockOf(0x30);
   const aes::Block ct_master =
       aes::encryptBlock(pt_e, bench.master_key.data(), aes::KeySize::Aes128);
-  const auto eve_master = bench.crypt(bench.eve, 0, pt_e, false);
   r.master_key_output_released =
-      !eve_master.suppressed && eve_master.data == ct_master;
+      releasedAs(bench.crypt(bench.eve, 0, pt_e, false), ct_master);
 
   // Eve decrypts Alice's ciphertext with Alice's key slot.
-  const auto eve_alice = bench.crypt(bench.eve, 1, ct_a, true);
-  r.alice_key_output_released = !eve_alice.suppressed && eve_alice.data == pt_a;
+  r.alice_key_output_released =
+      releasedAs(bench.crypt(bench.eve, 1, ct_a, true), pt_a);
 
   // The supervisor is trusted enough to declassify master-key output.
-  const auto sup_master = bench.crypt(bench.sup, 0, pt_e, false);
-  r.supervisor_master_ok = !sup_master.suppressed && sup_master.data == ct_master;
+  r.supervisor_master_ok =
+      releasedAs(bench.crypt(bench.sup, 0, pt_e, false), ct_master);
 
   // Eve expands her key (still in her cells 0-1) over Alice's slot and the
   // master slot, labelled like the key it replaces so outputs still leave.
@@ -552,7 +555,6 @@ RingCampaignReport runRingFaultCampaign(const RingCampaignConfig& cfg) {
   fcfg.seed = cfg.seed;
   fcfg.fault_rate = cfg.fault_rate;
   fcfg.hw_faults = false;  // this campaign is about the ring, not the core
-  fcfg.host_faults = true;
   FaultInjector inj{acc, fcfg, {bench.alice}};
   inj.attachRingMemory(
       &mem,

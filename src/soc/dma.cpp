@@ -484,7 +484,7 @@ void DmaRingEngine::routeResponse(const accel::BlockResponse& resp) {
     const std::size_t bi = it->second;
     c.inflight.erase(it);
     c.progress_cycle = acc_.cycle();
-    if (resp.fault_aborted || resp.dropped) {
+    if (accel::isRetryable(resp.status)) {  // fault-aborted or dropped
       if (++c.block_retries >
           kRingBlockRetryCap + static_cast<unsigned>(c.stream.size())) {
         c.verdict = DmaError::FaultAborted;
@@ -494,7 +494,7 @@ void DmaRingEngine::routeResponse(const accel::BlockResponse& resp) {
       ++stats_.block_resubmits;
       return;
     }
-    if (resp.suppressed) c.suppressed = true;
+    if (resp.status == accel::AccelStatus::Suppressed) c.suppressed = true;
     if (!c.done[bi]) {
       c.done[bi] = 1;
       c.out[bi] = resp.data;

@@ -79,10 +79,9 @@ void FaultInjector::tick() {
     return;
   }
   if (!rng_.chance(cfg_.fault_rate)) return;
-  const bool hw = cfg_.hw_faults && (!cfg_.host_faults || rng_.chance(0.7));
-  if (hw) {
+  if (cfg_.hw_faults && rng_.chance(0.7)) {
     injectHw();
-  } else if (cfg_.host_faults) {
+  } else {
     injectHost();
   }
 }
@@ -334,8 +333,8 @@ DeviceCampaignReport runDeviceFaultCampaign(std::uint64_t seed,
                              lattice::Conf::category(u + 1));
   };
   for (unsigned u = 0; u < kTenants; ++u) {
-    users[u] =
-        acc.addUser(lattice::Principal::user("u" + std::to_string(u), u + 1));
+    users[u] = acc.addUser(lattice::Principal::user(
+        std::string("u").append(std::to_string(u)), u + 1));
     keys[u].resize(16);
     for (auto& b : keys[u]) b = static_cast<std::uint8_t>(rng.next());
     if (!loadKey(u))

@@ -39,8 +39,10 @@ struct RingRange {
 struct FaultCampaignConfig {
   std::uint64_t seed = 1;
   double fault_rate = 0.01;    // per-cycle probability of one fault event
-  bool hw_faults = true;       // bit flips in device state
-  bool host_faults = true;     // interface perturbations
+  // A fault event flips a bit of device state with probability 0.7 and
+  // perturbs the host interface otherwise; false makes every event an
+  // interface perturbation.
+  bool hw_faults = true;
   unsigned stuck_cycles = 48;  // receiver-not-ready hold time
 };
 

@@ -8,6 +8,13 @@ namespace aesifc::soc {
 // rate thresholds (one timeout out of one op would read as 100%); they still
 // count toward the wedged-window streak.
 constexpr std::uint64_t kMinWindowOps = 4;
+// A window's transient-failure rate above which the hardware is suspect
+// (Degraded).
+constexpr double kDegradeThreshold = 0.10;
+// Consecutive all-fail windows (ops > 0, zero successes) that force
+// quarantine regardless of rates — a wedged device times out slowly and
+// may never reach the rate threshold.
+constexpr unsigned kWedgedWindows = 2;
 
 std::string toString(HealthState s) {
   switch (s) {
@@ -61,7 +68,7 @@ HealthState HealthMonitor::onWindow(
   std::ostringstream why;
   why << "window: ops=" << ops << " ok=" << ok << " transient-rate=" << rate;
 
-  if (wedged_windows_ >= cfg_.wedged_windows) {
+  if (wedged_windows_ >= kWedgedWindows) {
     moveTo(HealthState::Quarantined, cycle,
            why.str() + " (" + std::to_string(wedged_windows_) +
                " wedged windows)");
@@ -70,7 +77,7 @@ HealthState HealthMonitor::onWindow(
   } else if (rate > cfg_.quarantine_threshold) {
     moveTo(HealthState::Quarantined, cycle,
            why.str() + " > quarantine threshold");
-  } else if (rate > cfg_.degrade_threshold) {
+  } else if (rate > kDegradeThreshold) {
     clean_windows_ = 0;
     moveTo(HealthState::Degraded, cycle, why.str() + " > degrade threshold");
   } else if (state_ == HealthState::Degraded) {

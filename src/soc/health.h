@@ -34,14 +34,9 @@ struct HealthConfig {
   // Error-budget window: the service feeds one sample per this many cycles.
   std::uint64_t window_cycles = 1024;
   // Transient failures (timeouts + fault aborts + drops) per completed
-  // operation in one window. Above `degrade` the hardware is suspect; above
-  // `quarantine` it is taken out of rotation.
-  double degrade_threshold = 0.10;
+  // operation in one window above which the hardware is taken out of
+  // rotation. Above kDegradeThreshold (0.10, health.cpp) it is suspect.
   double quarantine_threshold = 0.50;
-  // Consecutive all-fail windows (ops > 0, zero successes) that force
-  // quarantine regardless of rates — a wedged device times out slowly and
-  // may never reach the rate threshold.
-  unsigned wedged_windows = 2;
   // Clean windows (rate <= degrade) needed to climb Degraded -> Healthy.
   unsigned recovery_windows = 2;
   // Minimum cycles to sit quarantined before canaries may probe.

@@ -6,17 +6,6 @@
 
 namespace aesifc::soc {
 
-lattice::DowngradeDecision degradedReleaseDecision(
-    const lattice::Principal& requester, lattice::Conf key_conf) {
-  // Mirror of AesAccelerator::routeCompleted: the result label is the key's
-  // confidentiality joined with the requester's, at the requester's
-  // integrity; release declassifies the confidentiality to bottom.
-  const lattice::Label from{key_conf.join(requester.authority.c),
-                            requester.authority.i};
-  const lattice::Label to{lattice::Conf::bottom(), from.i};
-  return lattice::checkDeclassify(from, to, requester);
-}
-
 std::vector<PolicyVerdict> evaluatePolicies(accel::SecurityMode mode) {
   const auto debug = runDebugPortAttack(mode);
   const auto overflow = runScratchpadOverflow(mode);

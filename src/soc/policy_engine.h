@@ -8,7 +8,6 @@
 
 #include "accel/types.h"
 #include "ifc/policy.h"
-#include "lattice/downgrade.h"
 
 namespace aesifc::soc {
 
@@ -17,18 +16,6 @@ struct PolicyVerdict {
   bool holds = false;
   std::string evidence;
 };
-
-// The release decision the protected pipeline makes at its exit (Fig. 7),
-// evaluated in software: a result computed under a key of confidentiality
-// `key_conf` by `requester` carries (ck join cu, iu) and is released to the
-// output port as (bottom, iu) — a declassification performed by the
-// requester, legal only if the requester's trust covers the released
-// categories (Eq. 1). The degraded-mode software fallback of
-// soc::AccelService MUST consult this before encrypting with the golden
-// model, so a circuit-broken service can never release a ciphertext the
-// tagged hardware would have suppressed.
-lattice::DowngradeDecision degradedReleaseDecision(
-    const lattice::Principal& requester, lattice::Conf key_conf);
 
 // Runs all attack drivers once under `mode` and scores each Table 1 row.
 std::vector<PolicyVerdict> evaluatePolicies(accel::SecurityMode mode);

@@ -6,7 +6,6 @@
 #include <type_traits>
 
 #include "aes/cipher.h"
-#include "soc/policy_engine.h"
 
 namespace aesifc::soc {
 
@@ -52,6 +51,15 @@ constexpr unsigned kFallbackCyclesPerBlock = 40;
 // Every tenant's AEAD queue depth: GCM ops queue apart from blocks, one op
 // per entry.
 constexpr std::size_t kAeadQueueDepth = 8;
+
+// The release verdict the tagged pipe gives work under a ledger key: the
+// Eq. 1 gate on the key owner's work label. The software fallback
+// releases, and the canary expects a release, exactly when it passes.
+bool releasable(const accel::AesAccelerator& acc,
+                const KeyManager::Session& key) {
+  const accel::Principal& p = acc.principal(key.user);
+  return accel::releaseDecision(accel::workLabel(p, key.key_conf), p).allowed;
+}
 }  // namespace
 
 AccelService::AccelService(accel::AesAccelerator& acc, ServiceConfig cfg)
@@ -506,8 +514,7 @@ void AccelService::serveOffHardware(unsigned tenant, const Req& req) {
   if constexpr (std::is_same_v<Req, AeadRequest>)
     blocks = accel::gcmWorkBlocks(req.op) + 2;  // J0, tag
   acc_.run(kFallbackCyclesPerBlock * blocks);
-  if (!degradedReleaseDecision(acc_.principal(key->user), key->key_conf)
-           .allowed) {
+  if (!releasable(acc_, *key)) {
     ++stats_.fallback_suppressed;
     complete(tenant, req, CompletionStatus::Suppressed,
              ServedBy::SoftwareFallback, {});
@@ -669,10 +676,7 @@ void AccelService::runCanaries() {
     // pattern) can never show the probe its ciphertext: healthy hardware
     // suppresses it. For such a tenant the expected canary verdict IS
     // suppression — anything else (timeout, abort, wrong data) still fails.
-    const bool release_allowed =
-        degradedReleaseDecision(acc_.principal(key->user), key->key_conf)
-            .allowed;
-    if (release_allowed) {
+    if (releasable(acc_, *key)) {
       const aes::Block want = aes::encryptBlock(
           pt, aes::expandKey(key->key.data(), aes::KeySize::Aes128));
       if (!got.has_value() || *got != want) all_ok = false;

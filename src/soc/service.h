@@ -16,10 +16,10 @@
 //  * Circuit breaker: a HealthMonitor watches an error-budget window over
 //    the drivers' SessionTelemetry. When the device is Quarantined the
 //    service fails over to the golden software AES — but every fallback
-//    block first re-checks the tenant's (conf, integ) label via
-//    soc::degradedReleaseDecision, the same Eq. 1 declassification the
-//    tagged pipeline applies at its exit. Degraded mode can therefore never
-//    release a ciphertext the hardware would have suppressed.
+//    block first passes the tagged pipeline's own exit gate
+//    (accel::releaseDecision, Eq. 1) on the tenant's work label
+//    (accel::workLabel). Degraded mode can therefore never release a
+//    ciphertext the hardware would have suppressed.
 //
 //  * Probation: quarantine is left only through canary probes — a known-
 //    answer block per tenant key slot, re-provisioned first if fail-secure

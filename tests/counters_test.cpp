@@ -274,8 +274,8 @@ TEST(CounterWindow, HealthWindowsSeeTelemetryDifferences) {
   constexpr unsigned kTenants = 4;
   std::vector<unsigned> users;
   for (unsigned t = 0; t < kTenants; ++t) {
-    const unsigned u =
-        acc.addUser(lattice::Principal::user("t" + std::to_string(t), t + 1));
+    const unsigned u = acc.addUser(lattice::Principal::user(
+        std::string("t").append(std::to_string(t)), t + 1));
     users.push_back(u);
     TenantSpec spec;
     spec.user = u;

@@ -261,8 +261,8 @@ TEST(GcmAccelIfc, SealSuppressedForUnauthorizedUser) {
 
 TEST(GcmAccelIfc, GhashUnitRefusesReleaseBelowJoin) {
   // Direct unit check of the release rule: a digest whose stream label
-  // joined a top-confidentiality H cannot be released to a principal whose
-  // authority does not cover it — independent of the sequencer above.
+  // joined a top-confidentiality H cannot pass the exit gate to a principal
+  // whose authority does not cover it — independent of the sequencer above.
   GhashUnit gh{true};
   Rng rng{105};
   aes::Tag128 h{};
@@ -282,16 +282,15 @@ TEST(GcmAccelIfc, GhashUnitRefusesReleaseBelowJoin) {
     ++now;
   }
 
-  const auto refused = gh.release(*sid, Principal::user("eve", 2));
-  EXPECT_EQ(refused.status, GhashUnit::ReleaseStatus::Refused);
-  EXPECT_EQ(refused.digest, aes::Tag128{});  // nothing leaks on refusal
+  EXPECT_FALSE(
+      releaseDecision(gh.label(*sid), Principal::user("eve", 2)).allowed);
 
   // The supervisor's authority covers the join; the released digest matches
   // the host GHASH of the same single block.
-  const auto ok = gh.release(*sid, Principal::supervisor());
-  ASSERT_EQ(ok.status, GhashUnit::ReleaseStatus::Ok);
+  EXPECT_TRUE(releaseDecision(gh.label(*sid), Principal::supervisor()).allowed);
+  ASSERT_TRUE(gh.verifyAtRelease(*sid));
   std::vector<std::uint8_t> data(block.begin(), block.end());
-  EXPECT_EQ(ok.digest, aes::ghash(h, data));
+  EXPECT_EQ(gh.digest(*sid), aes::ghash(h, data));
 }
 
 // Once every stream has closed, the unit holds nothing: a tick and a fast
@@ -323,7 +322,7 @@ TEST(GcmAccelIfc, GhashTickIsANoOpOnceEveryStreamCloses) {
       EXPECT_TRUE(gh.scrubFast().empty());
       EXPECT_TRUE(gh.tick(now++).empty());
     }
-    EXPECT_EQ(gh.digestInternal(*sid), aes::ghash(h, data));
+    EXPECT_EQ(gh.digest(*sid), aes::ghash(h, data));
     gh.closeStream(*sid);
   };
 
@@ -697,7 +696,8 @@ struct AeadRig {
     acc.addUser(Principal::supervisor());
     for (unsigned i = 0; i < n; ++i) {
       TenantSpec spec;
-      spec.user = acc.addUser(Principal::user("t" + std::to_string(i), i + 1));
+      spec.user = acc.addUser(
+          Principal::user(std::string("t").append(std::to_string(i)), i + 1));
       spec.key_slot = i + 1;
       spec.key = std::vector<std::uint8_t>(16, static_cast<std::uint8_t>(0x42 + i));
       spec.key_conf = Conf::category(i + 1);

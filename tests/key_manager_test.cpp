@@ -94,8 +94,8 @@ TEST_F(KmFixture, ResourceExhaustionReported) {
   // and every slot but the master key's holds a tenant key.
   std::vector<unsigned> users;
   for (unsigned i = 0; i < accel::kRoundKeySlots + 1; ++i) {
-    users.push_back(acc.addUser(
-        Principal::user("t" + std::to_string(i), (i % 13) + 3)));
+    users.push_back(acc.addUser(Principal::user(
+        std::string("t").append(std::to_string(i)), (i % 13) + 3)));
   }
   unsigned opened = 0;
   for (unsigned u : users) opened += open(u) != nullptr ? 1 : 0;

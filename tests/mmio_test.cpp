@@ -85,6 +85,68 @@ TEST_F(MmioFixture, FullEncryptFlowThroughRegisters) {
   EXPECT_EQ(alice_win.read(W::kStatus) & 1u, 0u);
 }
 
+// A fail-secure abort delivers a zeroed completion record. STATUS must say
+// so: a host that saw only out-ready would take the zeros for ciphertext.
+TEST_F(MmioFixture, StatusFlagsAFaultAbortedHead) {
+  ASSERT_TRUE(mmioLoadKey(alice_win, 1, 0, std::vector<std::uint8_t>(16, 0x5a),
+                          1));
+  alice_win.write(W::kKeySlot, 1);
+  alice_win.write(W::kCtrl, 1);
+  ASSERT_EQ(alice_win.read(W::kLastOpOk), 1u);
+  acc.run(3);
+  unsigned stage = acc.pipeline().depth();
+  for (unsigned i = 0; i < acc.pipeline().depth(); ++i) {
+    if (acc.pipeline().stage(i).valid) stage = i;
+  }
+  ASSERT_LT(stage, acc.pipeline().depth());
+  ASSERT_TRUE(acc.injectFault(FaultSite::StageData, stage, 77));
+  unsigned waited = 0;
+  while ((alice_win.read(W::kStatus) & 1u) == 0 && waited++ < 100) acc.tick();
+  ASSERT_LT(waited, 100u);
+  // One pending output, out-ready, out-fault-aborted.
+  EXPECT_EQ(alice_win.read(W::kStatus), 0x105u);
+  for (unsigned w = 0; w < 4; ++w)
+    EXPECT_EQ(alice_win.read(W::kDataOut + 4 * w), 0u);
+}
+
+// Eve's block under alice's key is refused at the exit: bit1 alone.
+TEST_F(MmioFixture, StatusFlagsASuppressedHead) {
+  ASSERT_TRUE(mmioLoadKey(alice_win, 1, 0, std::vector<std::uint8_t>(16, 0x33),
+                          1));
+  eve_win.write(W::kKeySlot, 1);
+  eve_win.write(W::kCtrl, 1);
+  ASSERT_EQ(eve_win.read(W::kLastOpOk), 1u);
+  acc.run(40);
+  // One pending output, out-ready, out-suppressed.
+  EXPECT_EQ(eve_win.read(W::kStatus), 0x103u);
+  EXPECT_EQ(eve_win.read(W::kDataOut), 0u);
+}
+
+// An overflow drop delivers a zeroed completion record too, flagged by its
+// own STATUS bit.
+TEST_F(MmioFixture, StatusFlagsADroppedHead) {
+  ASSERT_TRUE(mmioLoadKey(alice_win, 1, 0, std::vector<std::uint8_t>(16, 0x11),
+                          1));
+  ASSERT_TRUE(
+      mmioLoadKey(eve_win, 2, 2, std::vector<std::uint8_t>(16, 0x22), 2));
+  alice_win.write(W::kKeySlot, 1);
+  eve_win.write(W::kKeySlot, 2);
+  // Alice's receiver is not ready while eve's blocks share the pipe, so the
+  // Fig. 8 meet denies her stall: her results fill the overflow buffer,
+  // and the first one past it comes back as a dropped record.
+  acc.setReceiverReady(alice, false);
+  for (unsigned i = 0; i < 400 && acc.stats().dropped == 0; ++i) {
+    if (acc.pendingInputs(alice) < 2) alice_win.write(W::kCtrl, 1);
+    if (acc.pendingInputs(eve) < 2) eve_win.write(W::kCtrl, 1);
+    acc.tick();
+  }
+  ASSERT_EQ(acc.stats().dropped, 1u);
+  // One pending output, out-ready, out-dropped.
+  EXPECT_EQ(alice_win.read(W::kStatus), 0x109u);
+  for (unsigned w = 0; w < 4; ++w)
+    EXPECT_EQ(alice_win.read(W::kDataOut + 4 * w), 0u);
+}
+
 TEST_F(MmioFixture, KeyCellProtectionVisibleThroughMmio) {
   std::vector<std::uint8_t> key(16, 0x42);
   ASSERT_TRUE(mmioLoadKey(alice_win, 1, 2, key, 1));

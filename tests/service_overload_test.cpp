@@ -47,9 +47,7 @@ TEST(ServiceOverload, FourTenantsWithFaultsNoStarvationQuarantineRecovers) {
   cfg.quota_per_round = 2;
   cfg.max_requeues = 2;
   cfg.health.window_cycles = 512;
-  cfg.health.degrade_threshold = 0.10;
   cfg.health.quarantine_threshold = 0.40;
-  cfg.health.wedged_windows = 2;
   cfg.health.recovery_windows = 1;
   cfg.health.quarantine_residency_cycles = 1024;
   cfg.healthy_opts = {.timeout_cycles = 400, .max_retries = 2,
@@ -63,8 +61,8 @@ TEST(ServiceOverload, FourTenantsWithFaultsNoStarvationQuarantineRecovers) {
   std::vector<unsigned> users;
   std::vector<aes::ExpandedKey> golden;
   for (unsigned t = 0; t < kTenants; ++t) {
-    const unsigned u =
-        acc.addUser(Principal::user("t" + std::to_string(t), t + 1));
+    const unsigned u = acc.addUser(
+        Principal::user(std::string("t").append(std::to_string(t)), t + 1));
     users.push_back(u);
     TenantSpec spec;
     spec.user = u;
@@ -152,7 +150,6 @@ TEST(ServiceOverload, FourTenantsWithFaultsNoStarvationQuarantineRecovers) {
   FaultCampaignConfig storm_cfg;
   storm_cfg.seed = 777;
   storm_cfg.fault_rate = 0.10;
-  storm_cfg.host_faults = true;
   storm_cfg.stuck_cycles = 1500;
   FaultInjector storm{acc, storm_cfg, users};
   acc.setTickHook([&] { storm.tick(); });

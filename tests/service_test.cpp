@@ -12,7 +12,6 @@
 #include "aes/cipher.h"
 #include "aes/gcm.h"
 #include "common/rng.h"
-#include "soc/policy_engine.h"
 #include "soc/service.h"
 
 namespace aesifc::soc {
@@ -43,8 +42,8 @@ struct Rig {
       : acc{acfg}, svc{acc, cfg} {
     acc.addUser(Principal::supervisor());
     for (unsigned t = 0; t < n; ++t) {
-      const unsigned user =
-          acc.addUser(Principal::user("t" + std::to_string(t), t + 1));
+      const unsigned user = acc.addUser(
+          Principal::user(std::string("t").append(std::to_string(t)), t + 1));
       TenantSpec spec;
       spec.user = user;
       spec.key_slot = t + 1;
@@ -56,6 +55,12 @@ struct Rig {
     }
   }
 };
+
+// The Eq. 1 exit gate's verdict on `p`'s work under a key of
+// confidentiality `key_conf`.
+bool gateAllows(const Principal& p, Conf key_conf) {
+  return accel::releaseDecision(accel::workLabel(p, key_conf), p).allowed;
+}
 
 aes::Block patternBlock(std::uint8_t seed) {
   aes::Block b;
@@ -309,7 +314,8 @@ ServiceStats runTraceScenario(bool ring, TraceHash& h) {
   std::vector<TenantSpec> specs;
   for (unsigned t = 0; t < 2; ++t) {
     TenantSpec spec;
-    spec.user = acc.addUser(Principal::user("t" + std::to_string(t), t + 1));
+    spec.user = acc.addUser(
+        Principal::user(std::string("t").append(std::to_string(t)), t + 1));
     spec.key_slot = t + 1;
     spec.key = keyOf(t);
     spec.key_conf = Conf::category(t + 1);
@@ -379,7 +385,6 @@ TEST(ServiceServing, CompletionTraceDigestIsPinnedAcrossRoutes) {
 ServiceConfig fastHealthConfig() {
   ServiceConfig cfg;
   cfg.health.window_cycles = 256;
-  cfg.health.wedged_windows = 2;
   cfg.health.quarantine_residency_cycles = 400;
   cfg.health.recovery_windows = 1;
   cfg.healthy_opts = {.timeout_cycles = 100, .max_retries = 0,
@@ -508,11 +513,9 @@ TEST(ServiceLabelSafety, FallbackRefusesWhatTaggedPipelineRefuses) {
   EXPECT_TRUE(saw_fallback_suppression);
   EXPECT_GE(r.svc.stats().fallback_suppressed, 1u);
 
-  // The policy-engine decision matches the hardware's for both tenants.
-  EXPECT_FALSE(
-      degradedReleaseDecision(r.acc.principal(eve), Conf::top()).allowed);
-  EXPECT_TRUE(
-      degradedReleaseDecision(r.acc.principal(1), Conf::category(1)).allowed);
+  // The exit gate's verdict matches the hardware's for both tenants.
+  EXPECT_FALSE(gateAllows(r.acc.principal(eve), Conf::top()));
+  EXPECT_TRUE(gateAllows(r.acc.principal(1), Conf::category(1)));
 }
 
 // A tenant whose releases are always suppressed (ck = top) can never show a
@@ -643,12 +646,77 @@ TEST(ServiceKeys, ClosedSessionFallbackIsRejectedNotServed) {
 TEST(ServiceLabelSafety, SupervisorMayReleaseMasterKeyResultsEvenDegraded) {
   AesAccelerator acc{AcceleratorConfig{}};
   const unsigned sup = acc.addUser(Principal::supervisor());
-  EXPECT_TRUE(degradedReleaseDecision(acc.principal(sup), Conf::top()).allowed);
+  EXPECT_TRUE(gateAllows(acc.principal(sup), Conf::top()));
+}
+
+// The Eq. 1 release rule has one owner, and every release point asks it:
+// the pipe exit (a block), the GCM digest release (a seal), the software
+// fallback under quarantine (a block and a seal), and the canary, whose
+// expected verdict must match the hardware's or probation fails. Over
+// principals x key confidentialities they all agree with the gate, and
+// the gate with the paper's rule: the supervisor may release any result, a
+// user only results under public keys and keys of its own category.
+TEST(ServiceLabelSafety, EveryReleasePointAgreesWithTheExitGate) {
+  const Conf key_confs[] = {Conf::bottom(), Conf::category(1),
+                            Conf::category(2), Conf::top()};
+  const std::vector<std::uint8_t> pt(32, 0x5c), iv(12, 0x07);
+  for (unsigned who = 0; who < 3; ++who) {
+    for (unsigned k = 0; k < 4; ++k) {
+      SCOPED_TRACE(::testing::Message() << "principal " << who
+                                        << ", key conf "
+                                        << key_confs[k].toString());
+      AesAccelerator acc{AcceleratorConfig{}};
+      acc.addUser(Principal::supervisor());
+      acc.addUser(Principal::user("alice", 1));
+      acc.addUser(Principal::user("eve", 2));
+      AccelService svc{acc, fastHealthConfig()};
+      TenantSpec spec;
+      spec.user = who;
+      spec.key_slot = 1;
+      spec.key = keyOf(k);
+      spec.key_conf = key_confs[k];
+      // The ledger provisions every pair of the grid.
+      const auto t = svc.tryAddTenant(spec);
+      ASSERT_TRUE(t.has_value());
+
+      const bool allowed = gateAllows(acc.principal(who), key_confs[k]);
+      EXPECT_EQ(allowed, who == 0 || k == 0 || k == who);
+      const auto want =
+          allowed ? CompletionStatus::Ok : CompletionStatus::Suppressed;
+      const auto serveBoth = [&](ServedBy by) {
+        ASSERT_TRUE(svc.submit(*t, patternBlock(7)).admitted);
+        ASSERT_TRUE(svc.submitSeal(*t, pt, {}, iv).admitted);
+        svc.runUntilIdle(1u << 14);
+        const auto block = svc.fetch(*t);
+        ASSERT_TRUE(block.has_value());
+        EXPECT_EQ(block->served_by, by);
+        EXPECT_EQ(block->status, want);
+        const auto seal = svc.fetchAead(*t);
+        ASSERT_TRUE(seal.has_value());
+        EXPECT_EQ(seal->served_by, by);
+        EXPECT_EQ(seal->status, want);
+        if (!allowed) {
+          EXPECT_EQ(block->data, aes::Block{});
+          EXPECT_TRUE(seal->data.empty());
+          EXPECT_EQ(seal->tag, aes::Tag128{});
+        }
+      };
+      serveBoth(ServedBy::Hardware);
+      svc.forceQuarantine("test: breaker open");
+      serveBoth(ServedBy::SoftwareFallback);
+
+      for (unsigned guard = 0;
+           svc.health() != HealthState::Healthy && guard < 4000; ++guard)
+        svc.pump();
+      EXPECT_EQ(svc.health(), HealthState::Healthy);
+      EXPECT_GE(svc.stats().canary_rounds, 1u);
+      EXPECT_EQ(svc.stats().canary_failures, 0u);
+    }
+  }
 }
 
 TEST(HealthMonitorUnit, RateThresholdsDriveDegradeAndQuarantine) {
   HealthConfig cfg;
-  cfg.degrade_threshold = 0.1;
   cfg.quarantine_threshold = 0.5;
   cfg.recovery_windows = 2;
   HealthMonitor m{cfg};
@@ -688,9 +756,7 @@ TEST(HealthMonitorUnit, RateThresholdsDriveDegradeAndQuarantine) {
 }
 
 TEST(HealthMonitorUnit, WedgedWindowsQuarantineWithoutRateSignal) {
-  HealthConfig cfg;
-  cfg.wedged_windows = 2;
-  HealthMonitor m{cfg};
+  HealthMonitor m{HealthConfig{}};
   accel::SessionTelemetry w;
   w.timeouts = 1;
   // One op per window is too few for the rate thresholds, but zero

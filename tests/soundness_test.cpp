@@ -87,7 +87,7 @@ RandomDesign generate(std::uint64_t seed) {
   std::vector<SignalId> regs;
   const unsigned n_regs = 1 + static_cast<unsigned>(rng.below(3));
   for (unsigned i = 0; i < n_regs; ++i) {
-    const SignalId r = m.reg("r" + std::to_string(i), kWidth,
+    const SignalId r = m.reg(std::string("r").append(std::to_string(i)), kWidth,
                              LabelTerm::of(randomLabel(rng)));
     regs.push_back(r);
     wide.push_back(m.read(r));

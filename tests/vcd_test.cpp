@@ -88,7 +88,7 @@ TEST(VcdIdCodes, UniqueAndPrintable) {
   std::vector<hdl::SignalId> sigs;
   const auto a = m.input("a", 1, kPT);
   for (int i = 0; i < 120; ++i) {
-    const auto w = m.output("w" + std::to_string(i), 1, kPT);
+    const auto w = m.output(std::string("w").append(std::to_string(i)), 1, kPT);
     m.assign(w, m.read(a));
   }
   Simulator sim{m};
