@@ -7,8 +7,12 @@
 
 #include <cstdio>
 
+#include "accel/accelerator.h"
+#include "accel/driver.h"
 #include "accel/pipeline.h"
 #include "aes/cipher.h"
+#include "aes/gcm.h"
+#include "aes/ttable.h"
 #include "common/rng.h"
 
 namespace {
@@ -81,6 +85,66 @@ void BM_DecryptBlock(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 16);
 }
 BENCHMARK(BM_DecryptBlock);
+
+// The word-wise kernel the pipe finishes a block with at its exit: rounds
+// 1..N after the entry AddRoundKey (compare BM_EncryptBlock, the byte-wise
+// reference).
+void BM_EncryptRoundsWordWise(benchmark::State& state) {
+  const auto ks = static_cast<aes::KeySize>(state.range(0));
+  Rng rng{5};
+  std::vector<std::uint8_t> key(aes::keyBytes(ks));
+  for (auto& b : key) b = static_cast<std::uint8_t>(rng.next());
+  const auto ek = aes::expandKey(key, ks);
+  aes::State s{};
+  for (auto _ : state) {
+    aes::encryptRounds(s, ek.round_keys, ek.rounds());
+    benchmark::DoNotOptimize(s);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 16);
+}
+BENCHMARK(BM_EncryptRoundsWordWise)
+    ->Arg(static_cast<int>(aes::KeySize::Aes128))
+    ->Arg(static_cast<int>(aes::KeySize::Aes256));
+
+// One 32-step Shoup multiply by H, the work the GHASH unit's four stages
+// share per block.
+void BM_GhashKeyMul(benchmark::State& state) {
+  Rng rng{6};
+  aes::Tag128 h{}, x{};
+  for (auto& b : h) b = static_cast<std::uint8_t>(rng.next());
+  for (auto& b : x) b = static_cast<std::uint8_t>(rng.next());
+  const aes::GhashKey gk{h};
+  for (auto _ : state) {
+    x = gk.mul(x);
+    benchmark::DoNotOptimize(x);
+  }
+}
+BENCHMARK(BM_GhashKeyMul);
+
+// One hardened accelerator tick with a full pipe: a tenant keeps its input
+// queue fed and fetches its output every cycle, the busy tick a serving
+// shard pays. Arg 1 decrypts.
+void BM_AcceleratorTick(benchmark::State& state) {
+  accel::AesAccelerator acc{accel::AcceleratorConfig{}};
+  const unsigned u = acc.addUser(lattice::Principal::user("alice", 1));
+  const std::vector<std::uint8_t> key(16, 0x2b);
+  if (!accel::loadKey128(acc, u, 1, 0, key, lattice::Conf::category(1))) {
+    state.SkipWithError("key load refused");
+    return;
+  }
+  const bool decrypt = state.range(0) != 0;
+  std::uint64_t id = 1;
+  std::vector<accel::BlockResponse> out;
+  for (auto _ : state) {
+    if (acc.pendingInputs(u) < 2)
+      acc.submit(accel::BlockRequest{id++, u, 1, decrypt, {}});
+    acc.tick();
+    out.clear();
+    acc.fetchOutputs(u, out);
+  }
+  state.counters["stages_occupied"] = acc.pipeline().validCount();
+}
+BENCHMARK(BM_AcceleratorTick)->Arg(0)->Arg(1);
 
 void BM_KeyExpansion(benchmark::State& state) {
   const auto ks = static_cast<aes::KeySize>(state.range(0));

@@ -62,7 +62,7 @@ void AesAccelerator::deliverAbort(const StageSlot& slot) {
 unsigned AesAccelerator::zeroizeSlotSquash(unsigned slot) {
   unsigned casualties = 0;
   for (unsigned i = 0; i < pipeline_.depth(); ++i) {
-    const StageSlot& s = pipeline_.stage(i);
+    const StageSlot& s = pipeline_.meta(i);
     if (s.valid && s.key_slot == slot) {
       const StageSlot copy = s;
       pipeline_.squash(i);
@@ -83,7 +83,7 @@ void AesAccelerator::failSecureStage(unsigned stage, unsigned user,
   // The corrupted stage is squashed before its contents or tag are used
   // again — the tag can only ever fail upward, never toward public. A tag
   // fault also voids the key binding: zeroize the slot.
-  const StageSlot s = pipeline_.stage(stage);
+  const StageSlot s = pipeline_.meta(stage);
   const bool tag_fault = s.tag_parity != labelParity(s.tag);
   pipeline_.squash(stage);
   deliverAbort(s);
@@ -158,7 +158,7 @@ void AesAccelerator::scrubTick() {
   for (std::uint64_t occ = pipeline_.occupancy(); occ != 0; occ &= occ - 1) {
     const unsigned i = static_cast<unsigned>(std::countr_zero(occ));
     if (!pipeline_.stageParityOk(i))
-      failSecureStage(i, pipeline_.stage(i).user, "mismatch; squashed");
+      failSecureStage(i, pipeline_.meta(i).user, "mismatch; squashed");
   }
   for (unsigned c = 0; c < kScratchpadCells; ++c) {
     if (scratchpad_.tagParityOk(c)) continue;
@@ -215,10 +215,14 @@ bool AesAccelerator::injectFault(FaultSite site, unsigned index,
       return scratchpad_.faultFlipCellBit(index % kScratchpadCells, bit % 64);
     case FaultSite::ScratchTag:
       return scratchpad_.faultFlipTagBit(index % kScratchpadCells, bit % 32);
-    case FaultSite::RoundKey:
-      return round_keys_.faultFlipKeyBit(index % kRoundKeySlots,
-                                         (bit / 128) % 15, (bit % 128) / 8,
-                                         bit % 8);
+    case FaultSite::RoundKey: {
+      // Blocks in flight on the slot have done their earlier rounds with
+      // the unflipped key: make them eager before the key changes.
+      const unsigned slot = index % kRoundKeySlots;
+      pipeline_.materializeKeySlot(slot);
+      return round_keys_.faultFlipKeyBit(slot, (bit / 128) % 15,
+                                         (bit % 128) / 8, bit % 8);
+    }
     case FaultSite::ConfigReg: {
       const auto& names = config_regs_.names();
       if (names.empty()) return false;
@@ -308,17 +312,18 @@ bool AesAccelerator::loadKey(unsigned user, unsigned slot, unsigned cell_base,
       key_bytes.push_back(static_cast<std::uint8_t>(*v >> (8 * b)));
     }
   }
-  round_keys_.store(slot, aes::expandKey(key_bytes, ks), key_conf, requester);
-  // A re-keyed slot voids any H derived from the previous key; GCM ops
+  // A re-keyed slot first drops everything bound to the previous key:
+  // blocks in flight on it fault-abort instead of finishing under a mix of
+  // old and new round keys, the H derived from it is voided, and GCM ops
   // bound to the slot fault-abort (the driver re-runs them on the new key).
-  ghash_.invalidateKey(slot);
-  gcm_.noteKeySlotInvalid(slot);
+  zeroizeSlotSquash(slot);
+  round_keys_.store(slot, aes::expandKey(key_bytes, ks), key_conf, requester);
   return true;
 }
 
 bool AesAccelerator::keySlotBusy(unsigned slot) const {
   for (unsigned i = 0; i < pipeline_.depth(); ++i) {
-    const auto& s = pipeline_.stage(i);
+    const auto& s = pipeline_.meta(i);
     if (s.valid && s.key_slot == slot) return true;
   }
   // A GCM op holds its key slot for its whole lifetime (H tables, pending
@@ -341,7 +346,7 @@ bool AesAccelerator::clearKey(unsigned user, unsigned slot) {
 }
 
 std::optional<lattice::HwTag> AesAccelerator::stageHwTag(unsigned stage) const {
-  const StageSlot& s = pipeline_.stage(stage);
+  const StageSlot& s = pipeline_.meta(stage);
   if (!s.valid) return std::nullopt;
   // Fail secure: a tag that fails its parity check is never reported (the
   // scrub pass will squash the stage at the next tick).
@@ -384,7 +389,7 @@ std::optional<aes::Block> AesAccelerator::debugReadStage(unsigned user,
                 "no stage " + std::to_string(stage));
     return std::nullopt;
   }
-  const StageSlot& s = pipeline_.stage(stage);
+  const StageSlot& s = pipeline_.meta(stage);
   if (!s.valid) return std::nullopt;
   if (hardened() && !pipeline_.stageParityOk(stage)) {
     // Corrupt stage: squash before anything is released through the
@@ -402,7 +407,7 @@ std::optional<aes::Block> AesAccelerator::debugReadStage(unsigned user,
                     users_.at(user).authority.toString());
     return std::nullopt;
   }
-  return aes::stateToBlock(s.state);
+  return aes::stateToBlock(pipeline_.stage(stage).state);
 }
 
 bool AesAccelerator::submit(BlockRequest req) {
@@ -645,16 +650,22 @@ void AesAccelerator::tick() {
     // sequencer-side timing channel).
     gcm_.pump();
     std::optional<StageSlot> input = arbiterPick();
-    if (input.has_value() && !round_keys_.valid(input->key_slot)) {
-      // The slot was zeroized (fail-secure) after this request was queued
-      // but before the arbiter picked it. Never start a block on a dead
-      // key: abort it at the accept stage instead.
-      input->accept_cycle = cycle_;
-      deliverAbort(*input);
-      recordEvent(SecurityEventKind::KeySlotBlocked, input->user,
-                  "queued request aborted at accept: key slot " +
-                      std::to_string(input->key_slot) + " zeroized");
-      input.reset();
+    // A request's slot may have been zeroized (fail-secure), or reloaded
+    // with a key of another size, while the request sat in its queue.
+    // Never start a block on a dead key or with a round count its key
+    // schedule lacks: abort it at the accept stage instead.
+    if (input.has_value()) {
+      const bool zeroized = !round_keys_.valid(input->key_slot);
+      if (zeroized ||
+          round_keys_.rounds(input->key_slot) != input->total_rounds) {
+        input->accept_cycle = cycle_;
+        deliverAbort(*input);
+        recordEvent(SecurityEventKind::KeySlotBlocked, input->user,
+                    "queued request aborted at accept: key slot " +
+                        std::to_string(input->key_slot) +
+                        (zeroized ? " zeroized" : " reloaded"));
+        input.reset();
+      }
     }
     if (input.has_value()) {
       input->accept_cycle = cycle_;

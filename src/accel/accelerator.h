@@ -78,7 +78,8 @@ class AesAccelerator {
   // Expand the key material in cells [base, base + keyBytes/8) into a
   // round-key RAM slot. `key_conf` is the confidentiality of the key itself
   // (ck); pass Conf::top() for the master key. Refused by the owner rule
-  // (ownerAllows); a busy slot is not refused, its GCM ops fault-abort.
+  // (ownerAllows); a busy slot is not refused: its blocks in flight and
+  // its GCM ops fault-abort before the new key is stored.
   bool loadKey(unsigned user, unsigned slot, unsigned cell_base,
                aes::KeySize ks, lattice::Conf key_conf);
 

@@ -13,9 +13,13 @@ aes::Tag128 xorTags(aes::Tag128 a, const aes::Tag128& b) {
 }
 
 bool tagDataParity(const aes::Tag128& x, const aes::Tag128& z) {
-  std::uint8_t acc = 0;
-  for (auto b : x) acc ^= b;
-  for (auto b : z) acc ^= b;
+  return parity64(fold128(x) ^ fold128(z));
+}
+
+// Parity of every lane accumulator's bits together.
+bool lanesParity(const std::array<aes::Tag128, kGhashLanes>& lanes) {
+  std::uint64_t acc = 0;
+  for (const auto& lane : lanes) acc ^= fold128(lane);
   return parity64(acc);
 }
 
@@ -292,19 +296,11 @@ bool GhashUnit::faultFlipKeyLabelBit(unsigned slot, unsigned bit) {
 }
 
 void GhashUnit::restampStream(Stream& st) {
-  std::uint8_t acc = 0;
-  for (const auto& lane : st.lanes) {
-    for (auto b : lane) acc ^= b;
-  }
-  st.parity = parity64(acc) != labelParity(st.label);
+  st.parity = lanesParity(st.lanes) != labelParity(st.label);
 }
 
 bool GhashUnit::streamParityOk(const Stream& st) const {
-  std::uint8_t acc = 0;
-  for (const auto& lane : st.lanes) {
-    for (auto b : lane) acc ^= b;
-  }
-  return st.parity == (parity64(acc) != labelParity(st.label));
+  return st.parity == (lanesParity(st.lanes) != labelParity(st.label));
 }
 
 void GhashUnit::faultStream(unsigned sid) {

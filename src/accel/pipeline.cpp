@@ -1,10 +1,10 @@
 #include "accel/pipeline.h"
 
 #include <cassert>
-#include <cstring>
 #include <stdexcept>
 
 #include "aes/block.h"
+#include "aes/ttable.h"
 
 namespace aesifc::accel {
 
@@ -21,23 +21,23 @@ std::size_t AesPipeline::slotIndex(unsigned i) const {
   return p < n ? p : p - n;
 }
 
-bool stateParity(const aes::State& s) {
-  // Parity of all 128 bits: fold the two halves, then one 64-bit parity.
-  std::uint64_t lo, hi;
-  std::memcpy(&lo, s.data(), 8);
-  std::memcpy(&hi, s.data() + 8, 8);
-  return parity64(lo ^ hi);
-}
+bool stateParity(const aes::State& s) { return parity64(fold128(s)); }
 
 void stampParity(StageSlot& s) {
   s.data_parity = stateParity(s.state);
   s.tag_parity = labelParity(s.tag);
 }
 
+StageSlot AesPipeline::stage(unsigned i) const {
+  StageSlot s = meta(i);
+  if (s.lazy) replay(i, s);
+  return s;
+}
+
 bool AesPipeline::stageParityOk(unsigned i) const {
-  const StageSlot& s = stage(i);
+  const StageSlot& s = meta(i);
   if (!s.valid) return true;
-  return s.data_parity == stateParity(s.state) &&
+  return (s.lazy || s.data_parity == stateParity(s.state)) &&
          s.tag_parity == labelParity(s.tag);
 }
 
@@ -46,11 +46,14 @@ void AesPipeline::squash(unsigned i) {
   s = StageSlot{};
   stampParity(s);
   occupancy_ &= ~(std::uint64_t{1} << i);
+  eager_ &= ~(std::uint64_t{1} << i);
 }
 
 bool AesPipeline::faultFlipStageDataBit(unsigned stage, unsigned bit) {
-  StageSlot& s = stages_[slotIndex(stage % depth())];
+  const unsigned i = stage % depth();
+  StageSlot& s = stages_[slotIndex(i)];
   if (!s.valid || bit >= 128) return false;
+  materialize(i);
   s.state[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
   return true;
 }
@@ -62,10 +65,18 @@ bool AesPipeline::faultFlipStageTagBit(unsigned stage, unsigned bit) {
   return true;
 }
 
+void AesPipeline::materializeKeySlot(unsigned key_slot) {
+  for (std::uint64_t lazy = occupancy_ & ~eager_; lazy != 0;
+       lazy &= lazy - 1) {
+    const unsigned i = static_cast<unsigned>(std::countr_zero(lazy));
+    if (meta(i).key_slot == key_slot) materialize(i);
+  }
+}
+
 lattice::Conf AesPipeline::meetConf() const {
   lattice::Conf m = lattice::Conf::top();  // identity of the meet
   for (std::uint64_t occ = occupancy_; occ != 0; occ &= occ - 1) {
-    m = m.meet(stage(static_cast<unsigned>(std::countr_zero(occ))).tag.c);
+    m = m.meet(meta(static_cast<unsigned>(std::countr_zero(occ))).tag.c);
   }
   return m;
 }
@@ -118,27 +129,55 @@ void AesPipeline::compute(unsigned idx, StageSlot& s) const {
   s.data_parity = stateParity(s.state);
 }
 
+void AesPipeline::replay(unsigned i, StageSlot& s) const {
+  for (unsigned j = 0; j <= i; ++j) compute(j, s);
+  s.lazy = false;
+}
+
+void AesPipeline::materialize(unsigned i) {
+  StageSlot& s = stages_[slotIndex(i)];
+  if (!s.lazy) return;
+  replay(i, s);
+  eager_ |= std::uint64_t{1} << i;
+}
+
+void AesPipeline::finish(StageSlot& s) const {
+  const auto& rk = keys_.slot(s.key_slot).key.round_keys;
+  if (s.decrypt) {
+    aes::decryptRounds(s.state, rk, s.total_rounds);
+  } else {
+    aes::encryptRounds(s.state, rk, s.total_rounds);
+  }
+  s.data_parity = stateParity(s.state);
+  s.lazy = false;
+}
+
 std::optional<StageSlot> AesPipeline::advance(std::optional<StageSlot> input) {
   const std::size_t n = stages_.size();
   const std::uint64_t final_bit = std::uint64_t{1} << (n - 1);
   std::optional<StageSlot> out;
-  if (occupancy_ & final_bit) out = std::move(stages_[slotIndex(depth() - 1)]);
+  if (occupancy_ & final_bit) {
+    out = std::move(stages_[slotIndex(depth() - 1)]);
+    if (out->lazy) finish(*out);
+  }
 
   // The final stage's register becomes the new stage 0; every occupied slot
-  // moves one logical stage on and gets that stage's micro-op in place.
-  // Empty registers are never written by a micro-op, so skipping them is
-  // exact.
+  // moves one logical stage on, and each eager one gets that stage's
+  // micro-op in place. Empty registers are never written by a micro-op, so
+  // skipping them is exact.
   head_ = head_ == 0 ? n - 1 : head_ - 1;
   occupancy_ = (occupancy_ & ~final_bit) << 1;
-  for (std::uint64_t occ = occupancy_; occ != 0; occ &= occ - 1) {
+  eager_ = (eager_ & ~final_bit) << 1;
+  for (std::uint64_t occ = eager_; occ != 0; occ &= occ - 1) {
     const unsigned i = static_cast<unsigned>(std::countr_zero(occ));
     compute(i, stages_[slotIndex(i)]);
   }
   StageSlot& first = stages_[head_];
   if (input.has_value()) {
+    assert(input->total_rounds <= max_rounds_);
     first = std::move(*input);
     applyEntry(first);
-    compute(0, first);
+    first.lazy = first.valid;
   } else {
     first = StageSlot{};
   }

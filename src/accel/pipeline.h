@@ -7,6 +7,14 @@
 // up to the configured maximum) can be in flight simultaneously; each stage
 // slot carries the block's security tag, which is the hardware of Fig. 7's
 // per-stage tag registers.
+//
+// Busy ticks are lazy: only the tags are observable every cycle, so a block
+// keeps the state it entered with (after the entry AddRoundKey) and its
+// rounds are computed word-wise when it leaves the final stage. Anything
+// that would see or change a lazy block's data first replays the block's
+// stage micro-ops up to its current stage: a data read sees the replayed
+// view, and a data or round-key fault flip makes the block eager (stepped
+// by its stage micro-ops every cycle from then on, as the hardware does).
 
 #include <bit>
 #include <cstdint>
@@ -41,6 +49,8 @@ struct StageSlot {
   // (written once at acceptance; tags are immutable in flight).
   bool data_parity = false;
   bool tag_parity = false;
+  // Lazy datapath: `state` still holds the block as it entered stage 0.
+  bool lazy = false;
 };
 
 // Parity over a 16-byte AES state — the per-stage data parity bit.
@@ -64,11 +74,20 @@ class AesPipeline {
   std::uint64_t occupancy() const { return occupancy_; }
   // Stage indices are logical: 0 is the entry stage, depth() - 1 the final
   // one, whatever register currently holds them.
-  const StageSlot& stage(unsigned i) const { return stages_[slotIndex(i)]; }
-  const StageSlot& finalStage() const { return stage(depth() - 1); }
+  //
+  // The register of stage i, for its metadata (validity, tag, routing,
+  // parity bits). Its `state` is the stage's data only when `!lazy`; read
+  // data through stage(i). Never replays anything.
+  const StageSlot& meta(unsigned i) const { return stages_[slotIndex(i)]; }
+  const StageSlot& finalStage() const { return meta(depth() - 1); }
+  // Stage i with its data as the stage register holds it: a lazy block is
+  // replayed on a copy up to stage i, and the register stays lazy.
+  StageSlot stage(unsigned i) const;
 
   // --- Fail-secure hardening -------------------------------------------------
   // True when the stage is empty or both parity bits match its contents.
+  // A lazy stage's data parity holds by construction (no flip reaches it
+  // without making it eager), so only its tag is checked.
   bool stageParityOk(unsigned i) const;
   // Squash a stage: zeroize the data register and invalidate the slot (the
   // block is aborted; the accelerator reports the outcome to its user).
@@ -79,13 +98,19 @@ class AesPipeline {
   bool faultFlipStageDataBit(unsigned stage, unsigned bit);   // bit 0..127
   bool faultFlipStageTagBit(unsigned stage, unsigned bit);    // bit 0..31
 
+  // Make every block in flight on `key_slot` eager. Call before anything
+  // writes the slot's round keys under blocks in flight (a fault flip), so
+  // each block keeps the key bits of the rounds it has already done.
+  void materializeKeySlot(unsigned key_slot);
+
   // Meet (greatest lower bound in the confidentiality order) over the tags
   // of all occupied stages — the Fig. 8 stall-gating value. Top when empty.
   lattice::Conf meetConf() const;
 
   // Shift the pipeline by one stage. `input`, if present, is a freshly
-  // accepted block *before* the entry AddRoundKey (which this call applies).
-  // Returns the slot leaving the final stage, if any.
+  // accepted block *before* the entry AddRoundKey (which this call applies);
+  // its total_rounds must not exceed maxRounds(). Returns the slot leaving
+  // the final stage, if any, with its data complete.
   std::optional<StageSlot> advance(std::optional<StageSlot> input);
 
  private:
@@ -95,6 +120,13 @@ class AesPipeline {
   // Apply the micro-op of stage `idx` to a slot entering it, in place.
   void compute(unsigned idx, StageSlot& s) const;
   void applyEntry(StageSlot& s) const;
+  // Run the micro-ops of stages 0..i on a lazy slot; it is eager after.
+  void replay(unsigned i, StageSlot& s) const;
+  // Make the block in stage i eager in its register.
+  void materialize(unsigned i);
+  // Complete a lazy block leaving the final stage: all its rounds at once,
+  // word-wise, with the round keys the RAM holds now.
+  void finish(StageSlot& s) const;
 
   unsigned max_rounds_;
   const RoundKeyRam& keys_;
@@ -106,6 +138,9 @@ class AesPipeline {
   // Logical occupancy: bit i mirrors stage(i).valid, so a tick computes
   // only the occupied stages and an empty pipe costs next to nothing.
   std::uint64_t occupancy_ = 0;
+  // Bit i is set when stage i holds an eager block: only these are stepped
+  // by their stage micro-op on a tick.
+  std::uint64_t eager_ = 0;
 };
 
 }  // namespace aesifc::accel

@@ -3,6 +3,7 @@
 // request/response records crossing the host interface.
 
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -94,6 +95,15 @@ constexpr bool parity64(std::uint64_t v) {
   v ^= v >> 2;
   v ^= v >> 1;
   return (v & 1) != 0;
+}
+
+// XOR of a 16-byte register's two 64-bit halves. Its parity is the
+// register's parity, and the folds of several registers combine by XOR.
+inline std::uint64_t fold128(const aes::Tag128& r) {
+  std::uint64_t lo = 0, hi = 0;
+  std::memcpy(&lo, r.data(), 8);
+  std::memcpy(&hi, r.data() + 8, 8);
+  return lo ^ hi;
 }
 
 // Parity over both category masks of a label — the tag-array parity bit.

@@ -1,5 +1,6 @@
 #include "aes/gcm.h"
 
+#include <bit>
 #include <cstring>
 
 #include "aes/modes.h"
@@ -57,25 +58,43 @@ Tag128 mulX(const Tag128& v) {
   return out;
 }
 
-// Reduction table for the 4-bit Horner step: rem4[n] holds the two bytes
-// xored into z[0..1] after a 4-bit right shift drops nibble n (its
-// x^124..x^127 coefficients wrapping through the reduction polynomial).
-// Built from the same single-bit mulX step the naive oracle uses, so the
-// two paths cannot disagree on the bit convention.
-const std::array<std::array<std::uint8_t, 2>, 16>& rem4Table() {
+// Reduction table for the 4-bit Horner step: rem4[n] is what a 4-bit right
+// shift that drops nibble n (its x^124..x^127 coefficients wrapping through
+// the reduction polynomial) xors into the product's high word. Built from
+// the same single-bit mulX step the naive oracle uses, so the two paths
+// cannot disagree on the bit convention.
+const std::array<std::uint64_t, 16>& rem4Table() {
   static const auto table = [] {
-    std::array<std::array<std::uint8_t, 2>, 16> t{};
+    std::array<std::uint64_t, 16> t{};
     for (unsigned n = 0; n < 16; ++n) {
       Tag128 v{};
       v[15] = static_cast<std::uint8_t>(n);
       for (unsigned k = 0; k < 4; ++k) v = mulX(v);
       // Only the reduction contribution survives the four shifts, and it
       // lands entirely in the first two bytes (degree <= 10).
-      t[n] = {v[0], v[1]};
+      t[n] = std::uint64_t{v[0]} << 56 | std::uint64_t{v[1]} << 48;
     }
     return t;
   }();
   return table;
+}
+
+// Bytes b[0..7] as a big-endian word: byte 0 holds the lowest powers, so a
+// right shift of the word is a multiply by x^k, as on the byte string.
+std::uint64_t toBe(std::uint64_t native) {
+  return std::endian::native == std::endian::big ? native
+                                                 : __builtin_bswap64(native);
+}
+
+std::uint64_t loadBe(const std::uint8_t* b) {
+  std::uint64_t v = 0;
+  std::memcpy(&v, b, 8);
+  return toBe(v);
+}
+
+void storeBe(std::uint64_t v, std::uint8_t* b) {
+  v = toBe(v);
+  std::memcpy(b, &v, 8);
 }
 
 void appendPadded(std::vector<std::uint8_t>& s,
@@ -144,23 +163,23 @@ Tag128 GhashKey::mul(const Tag128& x) const {
 Tag128 GhashKey::mulSteps(const Tag128& x, Tag128 z, unsigned first,
                           unsigned count) const {
   const auto& rem = rem4Table();
+  // z as two big-endian words: hi = bytes 0..7, lo = bytes 8..15.
+  std::uint64_t hi = loadBe(z.data()), lo = loadBe(z.data() + 8);
   // Step s walks byte 15 down to 0, low nibble before high — the same
   // order mul() has always used, just re-startable at any step boundary.
   for (unsigned s = first; s < first + count && s < 32; ++s) {
     const unsigned b = 15 - s / 2;
-    const unsigned half = s % 2;
-    const unsigned dropped = z[15] & 0x0F;
-    for (int i = 15; i > 0; --i) {
-      z[static_cast<unsigned>(i)] = static_cast<std::uint8_t>(
-          (z[static_cast<unsigned>(i)] >> 4) |
-          (z[static_cast<unsigned>(i - 1)] << 4));
-    }
-    z[0] >>= 4;
-    z[0] ^= rem[dropped][0];
-    z[1] ^= rem[dropped][1];
-    const unsigned nib = half == 0 ? (x[b] & 0x0F) : (x[b] >> 4);
-    z = xorTags(z, table_[nib]);
+    const unsigned dropped = lo & 0x0F;
+    lo = (lo >> 4) | (hi << 60);
+    hi = (hi >> 4) ^ rem[dropped];
+    const unsigned nib = s % 2 == 0 ? (x[b] & 0x0F) : (x[b] >> 4);
+    // The table entry is read at its use, so a flipped table bit lands.
+    const Tag128& t = table_[nib];
+    hi ^= loadBe(t.data());
+    lo ^= loadBe(t.data() + 8);
   }
+  storeBe(hi, z.data());
+  storeBe(lo, z.data() + 8);
   return z;
 }
 

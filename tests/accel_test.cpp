@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "accel/driver.h"
 #include "accel/mmio.h"
 
 #include "aes/cipher.h"
@@ -127,6 +128,103 @@ TEST_P(AccelFixture, ConfigReadableByAll) {
   (void)u;
   EXPECT_EQ(acc.readConfig("version"), 0x20190602u);
   EXPECT_THROW(acc.readConfig("bogus"), std::out_of_range);
+}
+
+// A key reload over a slot with blocks in flight must not let them finish
+// under a mix of old and new round keys. AES-256 blocks mid-pipe (and more
+// queued behind them) when an AES-128 key lands in their slot need round
+// keys the new schedule does not have: every one fault-aborts, and the
+// device keeps running.
+TEST_P(AccelFixture, ReloadToShorterKeyAbortsBlocksInFlightAndQueued) {
+  AcceleratorConfig c = cfg();
+  c.max_rounds = 14;
+  AesAccelerator acc{c};
+  const unsigned u = acc.addUser(Principal::user("alice", 1));
+  ASSERT_TRUE(loadKeyBytes(acc, u, 1, 0, std::vector<std::uint8_t>(32, 0x5a),
+                           aes::KeySize::Aes256, Conf::category(1)));
+  for (std::uint64_t id = 1; id <= 8; ++id)
+    ASSERT_TRUE(acc.submit(BlockRequest{id, u, 1, id % 2 == 0, {}}));
+  acc.run(4);  // four blocks in the pipe, four still queued
+  const auto key = key16(0x33);
+  ASSERT_TRUE(loadKeyBytes(acc, u, 1, 0, key, aes::KeySize::Aes128,
+                           Conf::category(1)));
+  std::vector<BlockResponse> out;
+  ASSERT_NO_THROW({
+    for (unsigned i = 0; i < 60; ++i) acc.tick();
+  });
+  acc.fetchOutputs(u, out);
+  ASSERT_EQ(out.size(), 8u);
+  for (const auto& r : out) {
+    EXPECT_EQ(r.status, AccelStatus::FaultAborted) << "req " << r.req_id;
+    EXPECT_EQ(r.data, aes::Block{});
+  }
+  // The slot serves the new key.
+  aes::Block pt{};
+  pt[3] = 0x77;
+  const auto resp = crypt(acc, u, 1, pt);
+  EXPECT_EQ(resp.status, AccelStatus::Ok);
+  EXPECT_EQ(resp.data, aes::encryptBlock(pt, key.data(), aes::KeySize::Aes128));
+}
+
+// A same-size reload under blocks in flight: nothing they computed with
+// the old key's early rounds may be released as Ok.
+TEST_P(AccelFixture, ReloadOfSameSizeKeyNeverReleasesMixedKeyBlocks) {
+  AesAccelerator acc{cfg()};
+  const unsigned u = acc.addUser(Principal::user("alice", 1));
+  load(acc, u, 1, 0, key16(0x44), Conf::category(1));
+  for (std::uint64_t id = 1; id <= 6; ++id)
+    ASSERT_TRUE(acc.submit(BlockRequest{id, u, 1, id % 3 == 0, {}}));
+  acc.run(12);  // all six mid-pipe
+  load(acc, u, 1, 0, key16(0x45), Conf::category(1));
+  acc.run(40);
+  std::vector<BlockResponse> out;
+  acc.fetchOutputs(u, out);
+  ASSERT_EQ(out.size(), 6u);
+  for (const auto& r : out)
+    EXPECT_EQ(r.status, AccelStatus::FaultAborted) << "req " << r.req_id;
+}
+
+// The same through the register interface: KEY_GO's expand op reloads the
+// slot under blocks that were submitted through CTRL.
+TEST_P(AccelFixture, MmioKeyReloadNeverReleasesMixedKeyBlocks) {
+  AesAccelerator acc{cfg()};
+  const unsigned u = acc.addUser(Principal::user("alice", 1));
+  MmioWindow win{acc, u};
+  using W = MmioWindow;
+  const auto mmioLoad = [&](const std::vector<std::uint8_t>& key) {
+    win.write(W::kKeyArg, 2u << 8);  // configure cells 0..1
+    win.write(W::kKeyGo, 2);
+    for (unsigned c = 0; c < 2; ++c) {
+      std::uint32_t lo = 0, hi = 0;
+      for (unsigned i = 0; i < 4; ++i) {
+        lo |= static_cast<std::uint32_t>(key[8 * c + i]) << (8 * i);
+        hi |= static_cast<std::uint32_t>(key[8 * c + 4 + i]) << (8 * i);
+      }
+      win.write(W::kKeyArg, c);
+      win.write(W::kKeyLo, lo);
+      win.write(W::kKeyHi, hi);
+      win.write(W::kKeyGo, 1);
+    }
+    win.write(W::kKeySlot, 1);
+    win.write(W::kKeyArg, 1u << 8);  // palette 1, cells from 0
+    win.write(W::kKeyGo, 4);
+    return win.read(W::kLastOpOk) == 1;
+  };
+  ASSERT_TRUE(mmioLoad(key16(0x51)));
+  for (unsigned i = 0; i < 4; ++i) {
+    win.write(W::kDataIn, i);
+    win.write(W::kCtrl, 1);  // submit an encryption
+    ASSERT_EQ(win.read(W::kLastOpOk), 1u);
+    acc.tick();
+  }
+  acc.run(8);
+  ASSERT_TRUE(mmioLoad(key16(0x52)));
+  acc.run(40);
+  std::vector<BlockResponse> out;
+  acc.fetchOutputs(u, out);
+  ASSERT_EQ(out.size(), 4u);
+  for (const auto& r : out)
+    EXPECT_EQ(r.status, AccelStatus::FaultAborted) << "req " << r.req_id;
 }
 
 INSTANTIATE_TEST_SUITE_P(BothModes, AccelFixture,

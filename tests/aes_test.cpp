@@ -3,6 +3,7 @@
 #include "aes/cipher.h"
 #include "aes/gf256.h"
 #include "aes/sbox.h"
+#include "aes/ttable.h"
 #include "common/rng.h"
 
 namespace aesifc::aes {
@@ -288,6 +289,36 @@ TEST_P(CipherPropertyTest, KeySensitivity) {
   key[0] ^= 1;
   const Block c1 = encryptBlock(pt, expandKey(key, GetParam()));
   EXPECT_NE(c0, c1);
+}
+
+// The word-wise kernels the accelerator pipe finishes blocks with must give
+// the byte-wise reference cipher's answer, from the state after the entry
+// AddRoundKey, in both directions.
+TEST_P(CipherPropertyTest, WordWiseRoundsMatchReferenceCipher) {
+  Rng rng{static_cast<std::uint64_t>(GetParam()) + 400};
+  for (int i = 0; i < 64; ++i) {
+    std::vector<std::uint8_t> key(keyBytes(GetParam()));
+    for (auto& b : key) b = static_cast<std::uint8_t>(rng.next());
+    Block in{};
+    for (auto& b : in) b = static_cast<std::uint8_t>(rng.next());
+    const auto ek = expandKey(key, GetParam());
+    const unsigned nr = ek.rounds();
+
+    State enc = blockToState(in);
+    addRoundKey(enc, ek.round_keys[0]);
+    encryptRounds(enc, ek.round_keys, nr);
+    EXPECT_EQ(stateToBlock(enc), encryptBlock(in, ek));
+
+    State dec = blockToState(in);
+    addRoundKey(dec, ek.round_keys[nr]);
+    decryptRounds(dec, ek.round_keys, nr);
+    EXPECT_EQ(stateToBlock(dec), decryptBlock(in, ek));
+  }
+  // Too few round keys for the round count is refused, not read past.
+  const auto ek = expandKey(std::vector<std::uint8_t>(16, 1), KeySize::Aes128);
+  State s{};
+  EXPECT_THROW(encryptRounds(s, ek.round_keys, 14), std::out_of_range);
+  EXPECT_THROW(decryptRounds(s, ek.round_keys, 14), std::out_of_range);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllKeySizes, CipherPropertyTest,

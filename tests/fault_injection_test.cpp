@@ -7,9 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <span>
 
 #include "accel/driver.h"
 #include "aes/cipher.h"
+#include "common/rng.h"
 #include "ifc/tracker.h"
 #include "soc/fault_injector.h"
 
@@ -637,6 +639,111 @@ TEST(FaultReplay, ReplayedCampaignReproducesRecordedRun) {
   EXPECT_EQ(stats_b.completed, stats_a.completed);
   // The replay emitted the identical trace.
   EXPECT_EQ(trace_b, trace_a);
+}
+
+
+// An unhardened device releases whatever its registers hold, so under a
+// seeded fault campaign each flipped stage-data or round-key bit shows up
+// in the responses of the blocks it landed on. AES-128 and AES-256 tenants
+// share a 42-stage pipe in both directions, with GCM seals mixed in. The
+// digest covers every response (status, data, completion cycle), every
+// logged event kind and the final cycle, so it moves if any flip lands on
+// a different block, round or cycle.
+TEST(FaultInjection, UnhardenedTraceDigestIsPinned) {
+  AcceleratorConfig cfg;
+  cfg.max_rounds = 14;
+  cfg.fault_hardening = false;
+  AesAccelerator acc{cfg};
+  acc.addUser(Principal::supervisor());
+  const unsigned alice = acc.addUser(Principal::user("alice", 1));
+  const unsigned bob = acc.addUser(Principal::user("bob", 2));
+  Rng rng{0xd16e57};
+  const auto randomBytes = [&](std::size_t n) {
+    std::vector<std::uint8_t> v(n);
+    for (auto& b : v) b = static_cast<std::uint8_t>(rng.next());
+    return v;
+  };
+  const auto k128 = randomBytes(16);
+  const auto k256 = randomBytes(32);
+  ASSERT_TRUE(loadKeyBytes(acc, alice, 1, 0, k128, aes::KeySize::Aes128,
+                           Conf::category(1)));
+  ASSERT_TRUE(loadKeyBytes(acc, bob, 2, 2, k256, aes::KeySize::Aes256,
+                           Conf::category(2)));
+  const aes::ExpandedKey golden[] = {
+      aes::expandKey(k128, aes::KeySize::Aes128),
+      aes::expandKey(k256, aes::KeySize::Aes256)};
+
+  soc::FaultCampaignConfig fc;
+  fc.seed = 0xf11b;
+  fc.fault_rate = 0.05;
+  fc.stuck_cycles = 24;
+  soc::FaultInjector inj{acc, fc, {alice, bob}};
+  acc.setTickHook([&] { inj.tick(); });
+
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto hashU64 = [&](std::uint64_t v) {
+    for (unsigned i = 0; i < 8; ++i)
+      h = (h ^ static_cast<std::uint8_t>(v >> (8 * i))) * 0x100000001b3ULL;
+  };
+  const auto hashBytes = [&](std::span<const std::uint8_t> v) {
+    for (const auto b : v) h = (h ^ b) * 0x100000001b3ULL;
+  };
+
+  std::map<std::uint64_t, aes::Block> expect;
+  std::uint64_t next_id = 1;
+  unsigned ok = 0, wrong = 0, gcm_ok = 0;
+  for (unsigned cycle = 0; cycle < 4000; ++cycle) {
+    for (unsigned t = 0; t < 2; ++t) {
+      const unsigned user = t == 0 ? alice : bob;
+      if (acc.pendingInputs(user) >= 2 || !rng.chance(0.45)) continue;
+      BlockRequest req{next_id++, user, 1 + t, rng.chance(0.4), {}};
+      const auto data = randomBytes(16);
+      std::copy(data.begin(), data.end(), req.data.begin());
+      expect[req.req_id] = req.decrypt ? aes::decryptBlock(req.data, golden[t])
+                                       : aes::encryptBlock(req.data, golden[t]);
+      acc.submit(req);
+    }
+    if (cycle % 61 == 0) {
+      GcmRequest g;
+      g.req_id = next_id++;
+      g.user = alice;
+      g.key_slot = 1;
+      g.iv = randomBytes(12);
+      g.aad = randomBytes(rng.below(24));
+      g.data = randomBytes(1 + rng.below(64));
+      acc.submitGcm(std::move(g));
+    }
+    acc.tick();
+    for (const unsigned user : {alice, bob}) {
+      while (const auto r = acc.fetchOutput(user)) {
+        hashU64(r->req_id);
+        hashU64(static_cast<std::uint64_t>(r->status));
+        hashBytes(r->data);
+        hashU64(r->complete_cycle);
+        if (r->status != AccelStatus::Ok) continue;
+        ++ok;
+        const auto it = expect.find(r->req_id);
+        if (it != expect.end() && it->second != r->data) ++wrong;
+      }
+      while (const auto g = acc.fetchGcm(user)) {
+        hashU64(g->req_id);
+        hashU64(static_cast<std::uint64_t>(g->status));
+        hashBytes(g->data);
+        hashBytes(g->tag);
+        hashU64(g->complete_cycle);
+        if (g->status == AccelStatus::Ok) ++gcm_ok;
+      }
+    }
+  }
+  acc.setTickHook(nullptr);
+  for (const auto& e : acc.events()) hashU64(static_cast<std::uint64_t>(e.kind));
+  hashU64(acc.cycle());
+
+  EXPECT_GT(inj.injected(), 100u);
+  EXPECT_GT(ok, 1000u);
+  EXPECT_GT(wrong, 0u);  // the flips are visible in what the device released
+  EXPECT_GT(gcm_ok, 0u);
+  EXPECT_EQ(h, 0xb154447b87e11dccULL) << std::hex << h;
 }
 
 }  // namespace

@@ -285,6 +285,61 @@ TEST(Gf128, GhashMatchesNaiveOracle) {
   }
 }
 
+// The staged multiplier runs mulSteps a few nibble-steps at a time; any
+// split of the 32 steps must compose to the definition's product, and a
+// GHASH chained through such splits to the bit-at-a-time oracle.
+TEST(Gf128, MulStepsComposeOverAnySplit) {
+  Rng rng{45};
+  const auto randomTag = [&] {
+    Tag128 t{};
+    for (auto& b : t) b = static_cast<std::uint8_t>(rng.next());
+    return t;
+  };
+  const auto splitMul = [&](const GhashKey& gk, const Tag128& x) {
+    Tag128 z{};
+    for (unsigned s = 0; s < 32;) {
+      const unsigned count = 1 + static_cast<unsigned>(rng.below(12));
+      z = gk.mulSteps(x, z, s, count);
+      s += count;
+    }
+    return z;
+  };
+  for (int i = 0; i < 50; ++i) {
+    const Tag128 h = randomTag(), x = randomTag();
+    const GhashKey gk{h};
+    EXPECT_EQ(splitMul(gk, x), gf128Mul(x, h));
+  }
+  const Tag128 h = randomTag();
+  const GhashKey gk{h};
+  std::vector<std::uint8_t> data(16 * 9);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng.next());
+  Tag128 y{};
+  for (std::size_t off = 0; off < data.size(); off += 16) {
+    for (unsigned j = 0; j < 16; ++j) y[j] ^= data[off + j];
+    y = splitMul(gk, y);
+  }
+  EXPECT_EQ(y, ghashNaive(h, data));
+}
+
+// A flipped table bit is read by the very next multiply that uses its
+// entry (the hardened unit's checksum, not a stale copy, must catch it).
+TEST(Gf128, FlippedTableBitChangesTheProduct) {
+  Rng rng{46};
+  Tag128 h{};
+  for (auto& b : h) b = static_cast<std::uint8_t>(rng.next());
+  for (unsigned entry = 1; entry < 16; ++entry) {
+    for (const unsigned bit : {0u, 63u, 64u, 127u}) {
+      GhashKey gk{h};
+      // Every nibble of x selects `entry`, so the flipped entry is used.
+      Tag128 x{};
+      x.fill(static_cast<std::uint8_t>(entry << 4 | entry));
+      const Tag128 clean = gk.mul(x);
+      ASSERT_TRUE(gk.flipTableBit(entry, bit));
+      EXPECT_NE(gk.mul(x), clean) << "entry " << entry << " bit " << bit;
+    }
+  }
+}
+
 TEST(Gcm, DifferentIvsGiveDifferentCiphertexts) {
   const auto key = expandKey(std::vector<std::uint8_t>(16, 7), KeySize::Aes128);
   std::array<std::uint8_t, 12> iv1{}, iv2{};

@@ -328,5 +328,152 @@ TEST_F(PipelineFixture, OccupancyMaskMirrorsStagesUnderRandomTraffic) {
   EXPECT_GT(completed, kSteps / 4);
 }
 
+
+// A test-local eager model of the stage schedule: each logical stage holds
+// its block's data after that stage's byte-wise micro-op, stepped on every
+// edge, with round keys read from the RAM when the stage computes — the
+// datapath as the hardware clocks it. Parity is stamped with every write
+// and never by a fault flip.
+struct EagerModel {
+  struct Block {
+    aes::State state{};
+    bool parity = false;
+    unsigned key_slot = 0;
+    unsigned rounds = 0;
+    bool decrypt = false;
+    std::uint64_t id = 0;
+  };
+
+  const RoundKeyRam& ram;
+  std::vector<std::optional<Block>> stages;
+
+  EagerModel(const RoundKeyRam& r, unsigned depth) : ram{r}, stages(depth) {}
+
+  void step(unsigned idx, Block& b) const {
+    const unsigned r = idx / 3 + 1;
+    if (r > b.rounds) return;
+    const unsigned n = b.rounds;
+    switch (idx % 3) {
+      case 0:
+        b.decrypt ? aes::invShiftRows(b.state) : aes::subBytes(b.state);
+        break;
+      case 1:
+        if (b.decrypt) {
+          aes::invSubBytes(b.state);
+        } else {
+          aes::shiftRows(b.state);
+          if (r < n) aes::mixColumns(b.state);
+        }
+        break;
+      case 2:
+        aes::addRoundKey(b.state,
+                         ram.roundKey(b.key_slot, b.decrypt ? n - r : r));
+        if (b.decrypt && r < n) aes::invMixColumns(b.state);
+        break;
+    }
+    b.parity = stateParity(b.state);
+  }
+
+  std::optional<Block> advance(std::optional<Block> in) {
+    std::optional<Block> out = std::move(stages.back());
+    for (std::size_t i = stages.size() - 1; i > 0; --i) {
+      stages[i] = std::move(stages[i - 1]);
+      if (stages[i]) step(static_cast<unsigned>(i), *stages[i]);
+    }
+    stages[0] = std::move(in);
+    if (stages[0]) {
+      Block& b = *stages[0];
+      aes::addRoundKey(b.state,
+                       ram.roundKey(b.key_slot, b.decrypt ? b.rounds : 0));
+      step(0, b);
+    }
+    return out;
+  }
+};
+
+// The lazy pipe must be indistinguishable from the eager schedule: every
+// exit and every stage's data view, at every step, under a seeded mix of
+// accepts, bubbles, squashes, stage data and tag flips, and round-key flips
+// landing on blocks mid-flight (the pipe is told before the key changes,
+// as the accelerator does). Three key sizes share a 42-stage pipe in both
+// directions.
+TEST_F(PipelineFixture, LazyPipeMatchesEagerScheduleUnderFaults) {
+  const aes::KeySize sizes[] = {aes::KeySize::Aes128, aes::KeySize::Aes192,
+                                aes::KeySize::Aes256};
+  for (unsigned k = 0; k < 3; ++k) {
+    ram.store(k, aes::expandKey(randomKey(aes::keyBytes(sizes[k])), sizes[k]),
+              lattice::Conf::bottom(), lattice::Label::publicTrusted());
+  }
+  AesPipeline p{14, ram};
+  EagerModel model{ram, p.depth()};
+
+  const auto sameView = [&](unsigned step) {
+    for (unsigned i = 0; i < p.depth(); ++i) {
+      const StageSlot s = p.stage(i);
+      const auto& m = model.stages[i];
+      ASSERT_EQ(s.valid, m.has_value()) << "step " << step << " stage " << i;
+      if (!m) continue;
+      ASSERT_FALSE(s.lazy);
+      ASSERT_EQ(s.req_id, m->id) << "step " << step << " stage " << i;
+      ASSERT_EQ(s.state, m->state) << "step " << step << " stage " << i;
+      ASSERT_EQ(s.data_parity, m->parity) << "step " << step << " stage " << i;
+    }
+  };
+
+  std::uint64_t next_id = 1;
+  unsigned exits = 0, key_flips = 0, data_flips = 0;
+  constexpr unsigned kSteps = 3000;
+  for (unsigned step = 0; step < kSteps; ++step) {
+    const auto r = rng.below(100);
+    const unsigned stage = static_cast<unsigned>(rng.below(p.depth()));
+    if (r < 6) {
+      p.squash(stage);
+      model.stages[stage].reset();
+    } else if (r < 12) {
+      const unsigned bit = static_cast<unsigned>(rng.below(128));
+      if (p.faultFlipStageDataBit(stage, bit)) {
+        model.stages[stage]->state[bit / 8] ^=
+            static_cast<std::uint8_t>(1u << (bit % 8));
+        ++data_flips;
+      }
+    } else if (r < 16) {
+      p.faultFlipStageTagBit(stage, static_cast<unsigned>(rng.below(32)));
+    } else if (r < 22) {
+      const unsigned slot = static_cast<unsigned>(rng.below(3));
+      const unsigned round =
+          static_cast<unsigned>(rng.below(ram.rounds(slot) + 1));
+      p.materializeKeySlot(slot);
+      ASSERT_TRUE(ram.faultFlipKeyBit(slot, round,
+                                      static_cast<unsigned>(rng.below(16)),
+                                      static_cast<unsigned>(rng.below(8))));
+      ++key_flips;
+    } else {
+      std::optional<StageSlot> in;
+      std::optional<EagerModel::Block> min;
+      if (r < 70) {
+        const unsigned slot = static_cast<unsigned>(rng.below(3));
+        in = makeSlot(slot, randomBlock(), rng.chance(0.5), next_id++);
+        min = EagerModel::Block{in->state, false, slot, in->total_rounds,
+                                in->decrypt, in->req_id};
+      }
+      const auto out = p.advance(std::move(in));
+      const auto mout = model.advance(std::move(min));
+      ASSERT_EQ(out.has_value(), mout.has_value()) << "step " << step;
+      if (out) {
+        ASSERT_FALSE(out->lazy);
+        ASSERT_EQ(out->req_id, mout->id) << "step " << step;
+        ASSERT_EQ(out->state, mout->state) << "step " << step;
+        ASSERT_EQ(out->data_parity, mout->parity) << "step " << step;
+        ++exits;
+      }
+    }
+    sameView(step);
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GT(exits, kSteps / 4);
+  EXPECT_GT(key_flips, 100u);
+  EXPECT_GT(data_flips, 50u);
+}
+
 }  // namespace
 }  // namespace aesifc::accel

@@ -116,6 +116,23 @@ gate \
   --metric ok --tolerance 0.25 \
   --assert-eq "$CONSERVATION"
 
+# Fault campaign exact replay. The campaign is seeded and the device model
+# deterministic, so both row sets reproduce their cycle counts, retries,
+# fault events and wrong releases exactly: any drift means a change moved
+# where an upset lands or what the device does with it. The unhardened
+# rows release flipped blocks, so their wrong-release counts pin where each
+# flip landed.
+for row in fault_campaign fault_campaign_unhardened; do
+  for metric in device_cycles retries fault_events wrong_block_releases \
+      wrong_tag_releases; do
+    gate \
+      --fresh bench_fault_campaign.smoke.jsonl \
+      --snapshot "$root/bench/BENCH_fault_campaign.json" \
+      --bench "$row" --keys hardened,fault_rate \
+      --metric "$metric" --tolerance 0
+  done
+done
+
 # Service overload vs snapshot. One record per phase (healthy overload,
 # fault storm, recovery). Its `service` object is ServiceStats::toJson(), so
 # the service's own offers, sheds and completions are checked against the
