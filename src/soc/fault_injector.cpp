@@ -1,5 +1,6 @@
 #include "soc/fault_injector.h"
 
+#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 
@@ -413,6 +414,152 @@ DeviceCampaignReport runDeviceFaultCampaign(std::uint64_t seed,
                      acc.eventCount(accel::SecurityEventKind::FaultScrubbed);
   out.events_logged = acc.events().size();
   out.campaign = inj.report();
+  return out;
+}
+
+namespace {
+
+constexpr unsigned kServiceTenants = 4;
+
+accel::AcceleratorConfig serviceCampaignAccelerator() {
+  accel::AcceleratorConfig a;
+  a.out_buffer_depth = 16;
+  a.event_log_cap = 512;
+  return a;
+}
+
+ServiceConfig serviceCampaignService() {
+  ServiceConfig c;
+  c.global_high_watermark = 48;
+  c.quota_per_round = 2;
+  c.max_requeues = 2;
+  c.health.window_cycles = 512;
+  c.health.quarantine_threshold = 0.40;
+  c.health.recovery_windows = 1;
+  c.health.quarantine_residency_cycles = 1024;
+  c.healthy_opts = {.timeout_cycles = 400, .max_retries = 2,
+                    .backoff_cycles = 8};
+  return c;
+}
+
+}  // namespace
+
+ServiceCampaign::ServiceCampaign()
+    : acc_{serviceCampaignAccelerator()},
+      svc_{acc_, serviceCampaignService()} {
+  acc_.addUser(lattice::Principal::supervisor());
+  for (unsigned t = 0; t < kServiceTenants; ++t) {
+    const unsigned u = acc_.addUser(lattice::Principal::user(
+        std::string("t").append(std::to_string(t)), t + 1));
+    users_.push_back(u);
+    TenantSpec spec;
+    spec.user = u;
+    spec.key_slot = t + 1;
+    spec.key.resize(16);
+    for (unsigned i = 0; i < 16; ++i)
+      spec.key[i] = static_cast<std::uint8_t>(0x40 + 29 * t + i);
+    spec.key_conf = lattice::Conf::category(t + 1);
+    spec.queue_depth = 6;
+    svc_.addTenant(spec);
+    golden_.push_back(aes::expandKey(spec.key, aes::KeySize::Aes128));
+  }
+}
+
+std::uint64_t ServiceCampaign::round() {
+  for (unsigned t = 0; t < kServiceTenants; ++t) {
+    if (svc_.queued(t) >= 5) continue;
+    aes::Block pt;
+    const auto bits = traffic_.bits(128).toBytes();
+    for (unsigned i = 0; i < 16; ++i) pt[i] = bits[i];
+    const SubmitResult res = svc_.submit(t, pt);
+    cons_.offer(res.admitted);
+    if (res.admitted) admitted_[res.ticket] = {t, pt};
+  }
+  svc_.pump();
+  std::uint64_t ok = 0;
+  for (unsigned t = 0; t < kServiceTenants; ++t) {
+    while (const auto c = svc_.fetch(t)) {
+      cons_.resolve(c->status);
+      if (!fetched_.insert(c->ticket).second) {
+        ++duplicates_;
+        continue;
+      }
+      const auto it = admitted_.find(c->ticket);
+      if (it == admitted_.end() || it->second.tenant != t) {
+        ++unknown_;
+        continue;
+      }
+      if (c->status == CompletionStatus::Ok) {
+        ++ok;
+        if (c->data != aes::encryptBlock(it->second.pt, golden_[t]))
+          ++wrong_outputs_;
+      }
+      admitted_.erase(it);
+    }
+  }
+  return ok;
+}
+
+ServiceCampaignPhase ServiceCampaign::record(std::string phase,
+                                             std::uint64_t ok,
+                                             std::uint64_t cycles) const {
+  ServiceCampaignPhase p;
+  p.phase = std::move(phase);
+  p.ok = ok;
+  p.cycles = cycles;
+  p.min_tenant_ok = p.max_tenant_ok = svc_.completedOf(0);
+  for (unsigned t = 0; t < kServiceTenants; ++t) {
+    p.min_tenant_ok = std::min(p.min_tenant_ok, svc_.completedOf(t));
+    p.max_tenant_ok = std::max(p.max_tenant_ok, svc_.completedOf(t));
+  }
+  p.health = svc_.health();
+  p.service = svc_.stats();
+  p.conservation = cons_;
+  p.conservation.still_queued = svc_.totalQueued();
+  p.wrong_outputs = wrong_outputs_;
+  p.duplicate_resolutions = duplicates_;
+  p.unknown_tickets = unknown_;
+  p.unresolved = admitted_.size();
+  return p;
+}
+
+ServiceCampaignReport runServiceCampaign() {
+  ServiceCampaign c;
+  accel::AesAccelerator& acc = c.device();
+  const AccelService& svc = c.service();
+  ServiceCampaignReport out;
+  // Rounds until `done` or `guard` rounds, then `extra` more; the phase's
+  // record.
+  auto phase = [&](const char* name, auto done, unsigned guard,
+                   unsigned extra) {
+    const std::uint64_t c0 = acc.cycle();
+    std::uint64_t ok = 0;
+    for (unsigned g = 0; !done() && g < guard; ++g) ok += c.round();
+    for (unsigned r = 0; r < extra; ++r) ok += c.round();
+    return c.record(name, ok, acc.cycle() - c0);
+  };
+
+  out.phases[0] = phase("healthy", [] { return false; }, 400, 0);
+
+  FaultCampaignConfig storm_cfg;
+  storm_cfg.seed = 777;
+  storm_cfg.fault_rate = 0.10;
+  storm_cfg.stuck_cycles = 1500;
+  FaultInjector storm{acc, storm_cfg, c.users()};
+  acc.setTickHook([&] { storm.tick(); });
+  out.phases[1] = phase(
+      "storm", [&] { return svc.health() == HealthState::Quarantined; }, 3000,
+      0);
+
+  acc.setTickHook(nullptr);
+  storm.releaseStuckReceivers();
+  out.phases[2] = phase(
+      "recovery", [&] { return svc.health() == HealthState::Healthy; }, 4000,
+      200);
+
+  out.transitions = svc.monitor().transitions();
+  out.health_events = acc.eventCount(accel::SecurityEventKind::ServiceHealth);
+  out.probation_entries = svc.monitor().entries(HealthState::Probation);
   return out;
 }
 

@@ -17,14 +17,21 @@
 
 #include <array>
 #include <cstdint>
+#include <cstdio>
+#include <map>
+#include <ostream>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "accel/accelerator.h"
 #include "accel/driver.h"
+#include "aes/cipher.h"
 #include "common/counters.h"
 #include "common/rng.h"
 #include "soc/dma.h"
+#include "soc/service.h"
+#include "soc/workload.h"
 
 namespace aesifc::soc {
 
@@ -250,5 +257,135 @@ struct DeviceCampaignReport {
 
 DeviceCampaignReport runDeviceFaultCampaign(std::uint64_t seed,
                                             double fault_rate, bool hardened);
+
+// --- The service fault campaign -----------------------------------------
+//
+// One seeded campaign over the multi-tenant service (the Fig. 2 SoC
+// serving tenants who distrust each other). Four tenants t0..t3 (category
+// i + 1, key slot i + 1, key byte j = 0x40 + 29 i + j, queue depth 6) share
+// one accelerator (output buffer 16, event log 512) behind an AccelService
+// (watermark 48, quota 2, 2 requeues, health window 512 cycles, quarantine
+// at 0.40, 1 recovery window, residency 1024, healthy driver options
+// {400, 2, 8}). Each round, every tenant with fewer than 5 queued offers one
+// block drawn from Rng{42}, the service pumps once, and every completion is
+// fetched. Three phases:
+//   healthy   400 rounds on a clean device;
+//   storm     a FaultInjector (seed 777, rate 0.10, stuck receivers for
+//             1500 cycles) until the breaker quarantines the device, at
+//             most 3000 rounds;
+//   recovery  the storm ends, the fallback serves until probation canaries
+//             re-admit the hardware (at most 4000 rounds), then 200 rounds.
+// Every fetched completion is checked: an Ok block must equal golden AES of
+// the plaintext admitted under its ticket, no ticket may resolve twice, and
+// a completion must carry a ticket its tenant was admitted. The checks only
+// observe: they draw no random number and touch no device state.
+
+// One phase's record. Counts are cumulative from the campaign's start
+// except `ok` and `cycles`, which cover the phase alone.
+struct ServiceCampaignPhase {
+  std::string phase;
+  std::uint64_t ok = 0;      // Ok completions fetched in the phase
+  std::uint64_t cycles = 0;  // device cycles the phase took
+  std::uint64_t min_tenant_ok = 0;  // AccelService::completedOf over tenants
+  std::uint64_t max_tenant_ok = 0;
+  HealthState health = HealthState::Healthy;  // at the phase's end
+  ServiceStats service;
+  Conservation conservation;  // every offer; still_queued at the phase's end
+  // The campaign's invariants, all 0 on a correct service: Ok blocks that
+  // differ from golden AES, tickets fetched a second time, and completions
+  // whose ticket was never admitted to the fetching tenant.
+  std::uint64_t wrong_outputs = 0;
+  std::uint64_t duplicate_resolutions = 0;
+  std::uint64_t unknown_tickets = 0;
+  std::uint64_t unresolved = 0;  // admitted tickets not yet fetched
+
+  double blocksPerCycle() const {
+    return cycles ? static_cast<double>(ok) / cycles : 0.0;
+  }
+
+  static constexpr auto counterFields() {
+    using P = ServiceCampaignPhase;
+    using counters::derived;
+    using counters::field;
+    return std::tuple{
+        field("phase", &P::phase,
+              [](std::ostream& os, const std::string& v) {
+                os << '"' << v << '"';
+              }),
+        field("ok", &P::ok), field("cycles", &P::cycles),
+        derived("blocks_per_cycle",
+                [](std::ostream& os, const P& p) {
+                  char buf[32];
+                  std::snprintf(buf, sizeof buf, "%.4f", p.blocksPerCycle());
+                  os << buf;
+                }),
+        field("min_tenant_ok", &P::min_tenant_ok),
+        field("max_tenant_ok", &P::max_tenant_ok),
+        field("health", &P::health,
+              [](std::ostream& os, HealthState v) {
+                os << '"' << toString(v) << '"';
+              }),
+        field("service", &P::service),
+        field("conservation", &P::conservation),
+        field("wrong_outputs", &P::wrong_outputs),
+        field("duplicate_resolutions", &P::duplicate_resolutions),
+        field("unknown_tickets", &P::unknown_tickets),
+        field("unresolved", &P::unresolved)};
+  }
+  std::string toJson() const { return counters::toJson(*this); }
+};
+
+struct ServiceCampaignReport {
+  // healthy, storm, recovery. The canary rounds are in the recovery
+  // record's `service`.
+  std::array<ServiceCampaignPhase, 3> phases;
+  std::vector<HealthMonitor::Transition> transitions;  // the monitor's
+  std::uint64_t health_events = 0;  // ServiceHealth events on the device ring
+  unsigned probation_entries = 0;
+};
+
+// The campaign's SoC and its traffic. The bench's timing loops drive it
+// round by round; runServiceCampaign() drives it through the three phases.
+class ServiceCampaign {
+ public:
+  ServiceCampaign();
+  // The service holds the device's address.
+  ServiceCampaign(const ServiceCampaign&) = delete;
+  ServiceCampaign& operator=(const ServiceCampaign&) = delete;
+
+  // One round: offer, pump, fetch and check. Returns the Ok completions
+  // fetched.
+  std::uint64_t round();
+
+  accel::AesAccelerator& device() { return acc_; }
+  AccelService& service() { return svc_; }
+  const std::vector<unsigned>& users() const { return users_; }
+
+ private:
+  friend ServiceCampaignReport runServiceCampaign();
+  // The record of a phase that fetched `ok` Ok completions in `cycles`
+  // device cycles, as of now.
+  ServiceCampaignPhase record(std::string phase, std::uint64_t ok,
+                              std::uint64_t cycles) const;
+
+  struct Admitted {
+    unsigned tenant = 0;
+    aes::Block pt{};
+  };
+
+  accel::AesAccelerator acc_;
+  AccelService svc_;
+  std::vector<unsigned> users_;
+  std::vector<aes::ExpandedKey> golden_;
+  Rng traffic_{42};
+  Conservation cons_;
+  std::map<std::uint64_t, Admitted> admitted_;  // not yet fetched
+  std::set<std::uint64_t> fetched_;
+  std::uint64_t wrong_outputs_ = 0;
+  std::uint64_t duplicates_ = 0;
+  std::uint64_t unknown_ = 0;
+};
+
+ServiceCampaignReport runServiceCampaign();
 
 }  // namespace aesifc::soc

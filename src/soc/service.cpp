@@ -51,6 +51,13 @@ constexpr unsigned kFallbackCyclesPerBlock = 40;
 // Every tenant's AEAD queue depth: GCM ops queue apart from blocks, one op
 // per entry.
 constexpr std::size_t kAeadQueueDepth = 8;
+// Driver options in Degraded mode: a shorter watchdog and one retry, so a
+// sick device wastes less of everyone's cycle budget per failure.
+constexpr accel::SessionOptions kDegradedOpts{
+    .timeout_cycles = 256, .max_retries = 1, .backoff_cycles = 8};
+// Canary probe options: probation must not hang on a wedged device.
+constexpr accel::SessionOptions kCanaryOpts{
+    .timeout_cycles = 512, .max_retries = 1, .backoff_cycles = 8};
 
 // The release verdict the tagged pipe gives work under a ledger key: the
 // Eq. 1 gate on the key owner's work label. The software fallback
@@ -300,7 +307,7 @@ void AccelService::logTransitions() {
 
 void AccelService::applyStateOptions() {
   const auto& opts = monitor_.state() == HealthState::Degraded
-                         ? cfg_.degraded_opts
+                         ? kDegradedOpts
                          : cfg_.healthy_opts;
   for (auto& s : sessions_) s.setOptions(opts);
 }
@@ -670,7 +677,7 @@ void AccelService::runCanaries() {
     for (unsigned i = 0; i < 16; ++i)
       pt[i] = static_cast<std::uint8_t>(i ^ (t * 0x11));
     auto& session = sessions_[t];
-    session.setOptions(cfg_.canary_opts);
+    session.setOptions(kCanaryOpts);
     const auto got = session.encryptBlock(pt);
     // A tenant whose label forbids release to itself (the master-key
     // pattern) can never show the probe its ciphertext: healthy hardware

@@ -70,19 +70,11 @@ struct ServiceConfig {
   // (it rides over to the fallback path if the breaker trips meanwhile).
   unsigned max_requeues = 1;
   HealthConfig health;
-  // Driver options for the Healthy hardware path…
+  // Driver options for the Healthy hardware path. Degraded mode and the
+  // canary probes use fixed tighter ones (service.cpp).
   accel::SessionOptions healthy_opts{.timeout_cycles = 1024,
                                      .max_retries = 2,
                                      .backoff_cycles = 16};
-  // …and the tightened Degraded ones (shorter watchdog, one retry, so a
-  // sick device wastes less of everyone's cycle budget per failure).
-  accel::SessionOptions degraded_opts{.timeout_cycles = 256,
-                                      .max_retries = 1,
-                                      .backoff_cycles = 8};
-  // Canary probe options (probation must not hang on a wedged device).
-  accel::SessionOptions canary_opts{.timeout_cycles = 512,
-                                    .max_retries = 1,
-                                    .backoff_cycles = 8};
   // Descriptor-ring data path: when enabled, a same-direction run of at
   // least `dma_ring_min_run` blocks is staged into the tenant's tagged
   // host-memory pages and moved through the hardened DmaRingEngine as one

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "accel/driver.h"
-#include "common/rng.h"
 #include "soc/attacks.h"
 #include "soc/dma.h"
 #include "soc/fault_injector.h"
@@ -229,6 +228,23 @@ TEST(CounterJson, Conservation) {
             R"("failed":8,"still_queued":9})");
 }
 
+TEST(CounterJson, ServiceCampaignPhaseQuotesStringsAndDerivesRate) {
+  ServiceCampaignPhase p;
+  p.phase = "storm";
+  p.ok = 450;
+  p.cycles = 76886;
+  p.health = HealthState::Quarantined;
+  p.unresolved = 3;
+  EXPECT_EQ(p.toJson(),
+            R"({"phase":"storm","ok":450,"cycles":76886,)"
+            R"("blocks_per_cycle":0.0059,"min_tenant_ok":0,)"
+            R"("max_tenant_ok":0,"health":"quarantined","service":)" +
+                ServiceStats{}.toJson() + R"(,"conservation":)" +
+                Conservation{}.toJson() +
+                R"(,"wrong_outputs":0,"duplicate_resolutions":0,)"
+                R"("unknown_tickets":0,"unresolved":3})");
+}
+
 TEST(CounterSum, AllUint64StructsAddWordByWord) {
   expectWordwiseSum<ServiceStats>(1, 1000);
   expectWordwiseSum<DmaRingStats>(5, 7000);
@@ -253,75 +269,12 @@ TEST(CounterSum, RingCampaignReportAddsTopLevelAndNestedRing) {
 // The service's health windows see the per-window difference of its
 // sessions' cumulative telemetry. Every window-driven transition reason
 // prints that window's ops and ok counts, so a difference taken against the
-// wrong base (or none) changes the reasons below.
+// wrong base (or none) changes the reasons below. The transitions are those
+// of the service campaign bench_service_overload prints.
 TEST(CounterWindow, HealthWindowsSeeTelemetryDifferences) {
-  accel::AcceleratorConfig ac;
-  ac.out_buffer_depth = 16;
-  ac.event_log_cap = 512;
-  accel::AesAccelerator acc{ac};
-  ServiceConfig cfg;
-  cfg.global_high_watermark = 48;
-  cfg.quota_per_round = 2;
-  cfg.max_requeues = 2;
-  cfg.health.window_cycles = 512;
-  cfg.health.quarantine_threshold = 0.40;
-  cfg.health.recovery_windows = 1;
-  cfg.health.quarantine_residency_cycles = 1024;
-  cfg.healthy_opts = {.timeout_cycles = 400, .max_retries = 2,
-                      .backoff_cycles = 8};
-  AccelService svc{acc, cfg};
-  acc.addUser(lattice::Principal::supervisor());
-  constexpr unsigned kTenants = 4;
-  std::vector<unsigned> users;
-  for (unsigned t = 0; t < kTenants; ++t) {
-    const unsigned u = acc.addUser(lattice::Principal::user(
-        std::string("t").append(std::to_string(t)), t + 1));
-    users.push_back(u);
-    TenantSpec spec;
-    spec.user = u;
-    spec.key_slot = t + 1;
-    spec.key.resize(16);
-    for (unsigned i = 0; i < 16; ++i)
-      spec.key[i] = static_cast<std::uint8_t>(0x40 + 29 * t + i);
-    spec.key_conf = lattice::Conf::category(t + 1);
-    spec.queue_depth = 6;
-    svc.addTenant(spec);
-  }
-  Rng traffic{42};
-  auto drive = [&](unsigned rounds) {
-    for (unsigned r = 0; r < rounds; ++r) {
-      for (unsigned t = 0; t < kTenants; ++t) {
-        if (svc.queued(t) >= 5) continue;
-        aes::Block pt;
-        const auto bits = traffic.bits(128).toBytes();
-        for (unsigned i = 0; i < 16; ++i) pt[i] = bits[i];
-        svc.submit(t, pt);
-      }
-      svc.pump();
-      for (unsigned t = 0; t < kTenants; ++t)
-        while (svc.fetch(t)) {
-        }
-    }
-  };
-
-  drive(400);  // healthy: ok accumulates over many windows
-  FaultCampaignConfig storm_cfg;
-  storm_cfg.seed = 777;
-  storm_cfg.fault_rate = 0.10;
-  storm_cfg.stuck_cycles = 1500;
-  FaultInjector storm{acc, storm_cfg, users};
-  acc.setTickHook([&] { storm.tick(); });
-  for (unsigned g = 0; svc.health() != HealthState::Quarantined && g < 3000;
-       ++g)
-    drive(1);
-  acc.setTickHook(nullptr);
-  storm.releaseStuckReceivers();
-  for (unsigned g = 0; svc.health() != HealthState::Healthy && g < 4000; ++g)
-    drive(1);
-  drive(200);
-
+  const ServiceCampaignReport campaign = runServiceCampaign();
   std::string reasons;
-  for (const auto& tr : svc.monitor().transitions())
+  for (const auto& tr : campaign.transitions)
     reasons += toString(tr.from) + "->" + toString(tr.to) + "@" +
                std::to_string(tr.cycle) + ": " + tr.reason + "\n";
   EXPECT_EQ(reasons,

@@ -15,14 +15,13 @@
 
 #include "accel/key_store.h"
 #include "aes/cipher.h"
-#include "common/rng.h"
+#include "migration_storm_checks.h"
 #include "soc/pool.h"
 #include "soc/supervisor.h"
 
 namespace aesifc::soc {
 namespace {
 
-using accel::FaultSite;
 using accel::SecurityEventKind;
 
 std::vector<std::uint8_t> keyOf(unsigned tenant) {
@@ -529,65 +528,10 @@ TEST(PoolSupervisorPolicy, SustainedBackpressureHotAddsWithHysteresis) {
 // --- Migration storms under fault injection ---------------------------------
 
 // The core invariant, swept across seeds: whatever order faults, quarantine,
-// evacuation, and traffic interleave in, no request ever reaches a serve
-// path under a stale or zeroized key.
+// evacuation, migration and traffic interleave in, no request ever reaches
+// a serve path under a stale or zeroized key.
 TEST(PoolElastic, SixteenSeedFaultSweepMigrationStormKeepsWrongKeyUsesZero) {
-  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
-    PoolConfig cfg = poolConfig(3, 4);
-    cfg.service.health.quarantine_residency_cycles = 512;
-    EnginePool pool{cfg};
-    std::vector<unsigned> ids;
-    for (unsigned t = 0; t < 6; ++t) ids.push_back(addTenantN(pool, t));
-    PoolSupervisor sup{pool, SupervisorConfig{}};
-    Rng rng{0x57085708u ^ seed};
-
-    std::vector<std::uint64_t> admitted(ids.size(), 0);
-    for (unsigned round = 0; round < 12; ++round) {
-      // Traffic burst.
-      for (unsigned i = 0; i < 8; ++i) {
-        for (std::size_t t = 0; t < ids.size(); ++t) {
-          if (pool.submit(ids[t], patternBlock(static_cast<std::uint8_t>(
-                                      rng.next())))
-                  .admitted) {
-            ++admitted[t];
-          }
-        }
-      }
-      // Random hardware fault on a random shard, sometimes escalated to a
-      // forced quarantine (the storm).
-      const unsigned shard =
-          static_cast<unsigned>(rng.next() % pool.shards());
-      if (!pool.shardRetired(shard)) {
-        (void)pool.shardEngine(shard).injectFault(
-            FaultSite::RoundKey, 1 + (rng.next() % 6),
-            static_cast<unsigned>(rng.next() % 128));
-        if (rng.next() % 2 == 0) {
-          pool.shardService(shard).forceQuarantine("storm seed " +
-                                                   std::to_string(seed));
-        }
-      }
-      sup.poll();
-      for (unsigned p = 0; p < 4; ++p) pool.pump();
-    }
-    pool.runUntilIdle(400000);
-
-    // Every admitted request resolves exactly once, and the invariant held.
-    for (std::size_t t = 0; t < ids.size(); ++t) {
-      std::uint64_t fetched = 0;
-      while (pool.fetch(ids[t]).has_value()) ++fetched;
-      EXPECT_EQ(fetched, admitted[t]) << "seed " << seed << " tenant " << t;
-    }
-    EXPECT_EQ(pool.aggregateStats().wrong_key_uses, 0u) << "seed " << seed;
-    // Audit pairing: in every ring, each Begun is closed by a Committed or
-    // an Aborted.
-    for (unsigned s = 0; s < pool.shards(); ++s) {
-      const auto& eng = pool.shardEngine(s);
-      EXPECT_EQ(eng.eventCount(SecurityEventKind::MigrationBegun),
-                eng.eventCount(SecurityEventKind::MigrationCommitted) +
-                    eng.eventCount(SecurityEventKind::MigrationAborted))
-          << "seed " << seed << " shard " << s;
-    }
-  }
+  expectMigrationStormHolds(/*seeds=*/16, /*rounds=*/12);
 }
 
 }  // namespace

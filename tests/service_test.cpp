@@ -389,10 +389,6 @@ ServiceConfig fastHealthConfig() {
   cfg.health.recovery_windows = 1;
   cfg.healthy_opts = {.timeout_cycles = 100, .max_retries = 0,
                       .backoff_cycles = 4};
-  cfg.degraded_opts = {.timeout_cycles = 60, .max_retries = 0,
-                       .backoff_cycles = 4};
-  cfg.canary_opts = {.timeout_cycles = 200, .max_retries = 1,
-                     .backoff_cycles = 4};
   cfg.quota_per_round = 2;
   cfg.max_requeues = 1;
   return cfg;
@@ -405,10 +401,13 @@ TEST(ServiceHealth, WedgedDeviceQuarantinesFailsOverAndRecoversViaCanaries) {
   r.acc.setReceiverReady(2, false);
 
   std::uint64_t sent = 0;
+  std::map<std::uint64_t, aes::Block> admitted;  // ticket -> plaintext
   auto offer = [&] {
     for (unsigned t = 0; t < 2; ++t) {
       if (r.svc.queued(t) < 4) {
-        r.svc.submit(t, patternBlock(static_cast<std::uint8_t>(sent++)));
+        const aes::Block pt = patternBlock(static_cast<std::uint8_t>(sent++));
+        const auto res = r.svc.submit(t, pt);
+        if (res.admitted) admitted[res.ticket] = pt;
       }
     }
   };
@@ -449,13 +448,19 @@ TEST(ServiceHealth, WedgedDeviceQuarantinesFailsOverAndRecoversViaCanaries) {
   EXPECT_EQ(r.acc.eventCount(accel::SecurityEventKind::ServiceHealth),
             r.svc.monitor().transitions().size());
 
-  // Fallback results were correct (spot check: everything fetched Ok must
-  // match the golden model).
+  // Hardware and fallback results were correct: everything fetched Ok is
+  // golden AES of the plaintext admitted under its ticket.
+  unsigned ok = 0;
   for (unsigned t = 0; t < 2; ++t) {
     while (auto c = r.svc.fetch(t)) {
       if (c->status != CompletionStatus::Ok) continue;
+      ++ok;
+      ASSERT_EQ(admitted.count(c->ticket), 1u) << "ticket " << c->ticket;
+      EXPECT_EQ(c->data, aes::encryptBlock(admitted[c->ticket], r.golden[t]))
+          << "ticket " << c->ticket;
     }
   }
+  EXPECT_GT(ok, 0u);
 }
 
 // THE no-bypass property: a tenant whose result the tagged pipeline refuses

@@ -133,19 +133,31 @@ for row in fault_campaign fault_campaign_unhardened; do
   done
 done
 
-# Service overload vs snapshot. One record per phase (healthy overload,
-# fault storm, recovery). Its `service` object is ServiceStats::toJson(), so
-# the service's own offers, sheds and completions are checked against the
-# bench's conservation buckets.
+# Service overload vs snapshot. One record per phase of
+# soc::runServiceCampaign (healthy overload, fault storm, recovery). Its
+# `service` object is ServiceStats::toJson(), so the service's own offers,
+# sheds and completions are checked against the bench's conservation
+# buckets. Every Ok block is checked against golden AES and every ticket
+# against the campaign's ledger: wrong outputs, second resolutions and
+# completions for tickets never admitted stay 0, the ledger's unresolved
+# tickets are exactly the service's queued ones, and that count is pinned
+# per phase, so the recovery phase ends with every ticket resolved.
 gate \
   --fresh bench_service_overload.smoke.jsonl \
   --snapshot "$root/bench/BENCH_service_overload.json" \
   --bench service_overload --keys phase \
   --metric blocks_per_cycle --tolerance 0.25 \
+  --assert-zero wrong_outputs,duplicate_resolutions,unknown_tickets \
   --assert-eq "$CONSERVATION" \
   --assert-eq conservation.offered=service.offered \
   --assert-eq conservation.shed=service.shed \
-  --assert-eq conservation.ok=service.completed_hw+service.completed_fallback
+  --assert-eq conservation.ok=service.completed_hw+service.completed_fallback \
+  --assert-eq unresolved=conservation.still_queued
+gate \
+  --fresh bench_service_overload.smoke.jsonl \
+  --snapshot "$root/bench/BENCH_service_overload.json" \
+  --bench service_overload --keys phase \
+  --metric unresolved --tolerance 0
 
 # DMA path throughput vs snapshot. Cell-by-cell regression gate over
 # {ring, service, service_ring} x batch {1,4,16,64}, PLUS the ring
