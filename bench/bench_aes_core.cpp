@@ -146,6 +146,30 @@ void BM_AcceleratorTick(benchmark::State& state) {
 }
 BENCHMARK(BM_AcceleratorTick)->Arg(0)->Arg(1);
 
+// One 5-block session run on a hardened engine (mixed_open's mean run
+// length): 5 submits, then a wait for the pipe to carry the blocks out.
+// Arg 1 attaches a no-op tick hook, which turns quiet spans off, so the
+// wait is ticked cycle by cycle.
+void BM_SessionShortRun(benchmark::State& state) {
+  accel::AesAccelerator acc{accel::AcceleratorConfig{}};
+  const unsigned u = acc.addUser(lattice::Principal::user("alice", 1));
+  const std::vector<std::uint8_t> key(16, 0x2b);
+  if (!accel::loadKey128(acc, u, 1, 0, key, lattice::Conf::category(1))) {
+    state.SkipWithError("key load refused");
+    return;
+  }
+  if (state.range(0) != 0) acc.setTickHook([] {});
+  accel::AccelSession session{acc, u, 1};
+  const std::vector<aes::Block> blocks(5);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(session.encryptBlocks(blocks));
+  }
+  state.counters["cycles_per_run"] = benchmark::Counter(
+      static_cast<double>(acc.cycle()) /
+      static_cast<double>(state.iterations()));
+}
+BENCHMARK(BM_SessionShortRun)->Arg(0)->Arg(1);
+
 void BM_KeyExpansion(benchmark::State& state) {
   const auto ks = static_cast<aes::KeySize>(state.range(0));
   std::vector<std::uint8_t> key(aes::keyBytes(ks), 0x5a);

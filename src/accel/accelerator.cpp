@@ -1,5 +1,6 @@
 #include "accel/accelerator.h"
 
+#include <algorithm>
 #include <bit>
 
 namespace aesifc::accel {
@@ -173,35 +174,56 @@ void AesAccelerator::scrubTick() {
     noteFault(f.site, /*recovered=*/false, f.user, f.detail);
   }
   // Slow ring: one scratchpad cell, round-key slot, config register, or
-  // GHASH H-table slot per cycle, round-robin.
+  // GHASH H-table slot per cycle, round-robin. The cursor stays in
+  // [0, slowScrubSize()), so n ticks always visit the same entries however
+  // many cycles came before.
+  const unsigned idx = scrub_next_;
+  scrub_next_ = idx + 1 == slowScrubSize() ? 0 : idx + 1;
+  if (slowScrubOk(idx)) return;
   const auto& names = config_regs_.names();
-  const unsigned total = kScratchpadCells + kRoundKeySlots +
-                         static_cast<unsigned>(names.size()) + kGhashKeySlots;
-  const unsigned idx = scrub_next_++ % total;
   if (idx < kScratchpadCells) {
-    if (!scratchpad_.cellParityOk(idx)) {
-      scratchpad_.failSecure(idx);
-      noteFault(FaultSite::ScratchCell, /*recovered=*/true, 0,
-                "cell " + std::to_string(idx) + " data parity; zeroized");
-    }
+    scratchpad_.failSecure(idx);
+    noteFault(FaultSite::ScratchCell, /*recovered=*/true, 0,
+              "cell " + std::to_string(idx) + " data parity; zeroized");
   } else if (idx < kScratchpadCells + kRoundKeySlots) {
-    const unsigned slot = idx - kScratchpadCells;
-    if (!round_keys_.slotParityOk(slot))
-      failSecureSlot(slot, 0, "scrub", /*at_use=*/false);
+    failSecureSlot(idx - kScratchpadCells, 0, "scrub", /*at_use=*/false);
   } else if (idx < kScratchpadCells + kRoundKeySlots + names.size()) {
     const auto& name = names[idx - kScratchpadCells - kRoundKeySlots];
-    if (!config_regs_.parityOk(name)) {
-      config_regs_.restoreDefault(name);
-      noteFault(FaultSite::ConfigReg, /*recovered=*/true, 0,
-                "'" + name + "' parity; restored power-on default");
-    }
+    config_regs_.restoreDefault(name);
+    noteFault(FaultSite::ConfigReg, /*recovered=*/true, 0,
+              "'" + name + "' parity; restored power-on default");
   } else {
     const unsigned slot = idx - kScratchpadCells - kRoundKeySlots -
                           static_cast<unsigned>(names.size());
-    if (const auto f = ghash_.scrubKeySlot(slot); f.has_value()) {
-      noteFault(f->site, /*recovered=*/false, f->user, f->detail);
-    }
+    const auto f = ghash_.scrubKeySlot(slot);
+    noteFault(f->site, /*recovered=*/false, f->user, f->detail);
   }
+}
+
+bool AesAccelerator::fastScrubOk() const {
+  for (std::uint64_t occ = pipeline_.occupancy(); occ != 0; occ &= occ - 1) {
+    if (!pipeline_.stageParityOk(static_cast<unsigned>(std::countr_zero(occ))))
+      return false;
+  }
+  for (unsigned c = 0; c < kScratchpadCells; ++c) {
+    if (!scratchpad_.tagParityOk(c)) return false;
+  }
+  return true;
+}
+
+unsigned AesAccelerator::slowScrubSize() const {
+  return kScratchpadCells + kRoundKeySlots +
+         static_cast<unsigned>(config_regs_.names().size()) + kGhashKeySlots;
+}
+
+bool AesAccelerator::slowScrubOk(unsigned idx) const {
+  if (idx < kScratchpadCells) return scratchpad_.cellParityOk(idx);
+  idx -= kScratchpadCells;
+  if (idx < kRoundKeySlots) return round_keys_.slotParityOk(idx);
+  idx -= kRoundKeySlots;
+  const auto& names = config_regs_.names();
+  if (idx < names.size()) return config_regs_.parityOk(names[idx]);
+  return ghash_.keySlotOk(idx - static_cast<unsigned>(names.size()));
 }
 
 bool AesAccelerator::injectFault(FaultSite site, unsigned index,
@@ -258,6 +280,20 @@ bool AesAccelerator::injectDropOutput(unsigned user) {
 
 bool AesAccelerator::configureKeyCells(unsigned user, unsigned base,
                                        unsigned count) {
+  // The re-tag overwrites each cell's tag (and, Protected, its data) with
+  // fresh parity, so it runs the cells' comparators first: an upset it
+  // would erase is reported, not lost.
+  if (hardened() && count <= kScratchpadCells &&
+      base <= kScratchpadCells - count) {
+    for (unsigned c = base; c < base + count; ++c) {
+      const bool tag_bad = !scratchpad_.tagParityOk(c);
+      if (!tag_bad && scratchpad_.cellParityOk(c)) continue;
+      scratchpad_.failSecure(c);
+      noteFault(tag_bad ? FaultSite::ScratchTag : FaultSite::ScratchCell,
+                /*recovered=*/true, user,
+                "cell " + std::to_string(c) + " parity at re-tag");
+    }
+  }
   return scratchpad_.configureCells(base, count, users_.at(user).authority);
 }
 
@@ -709,7 +745,55 @@ void AesAccelerator::tick() {
 }
 
 void AesAccelerator::run(unsigned cycles) {
-  for (unsigned i = 0; i < cycles; ++i) tick();
+  for (std::uint64_t left = cycles; left > 0;) {
+    const std::uint64_t quiet = skipQuiet(left);
+    if (quiet == 0) tick();
+    left -= quiet == 0 ? 1 : quiet;
+  }
+}
+
+std::uint64_t AesAccelerator::skipQuiet(std::uint64_t limit) {
+  // A quiet tick finds nothing to accept, pump, hash, step, deliver or
+  // drain, and no hook to call: every gate of tick() is shut, so all it
+  // does is move lazy blocks one stage on and run the scrub checks.
+  if (limit == 0 || tick_hook_ || !overflow_buffer_.empty() ||
+      gcm_.anyActive() || !ghash_.idle() || pipeline_.anyEager())
+    return 0;
+  for (const auto& q : input_queues_) {
+    if (!q.empty()) return 0;
+  }
+  // The next tick's arbiter would end a drained coarse-grained tenure.
+  if (coarse_active_ && !pipeline_.anyValid()) return 0;
+  // The tick that finds a block at the final stage delivers it, and with
+  // it the stall rule and the exit gate; the span stops before that tick.
+  std::uint64_t span = limit;
+  if (const std::uint64_t occ = pipeline_.occupancy(); occ != 0) {
+    span = std::min<std::uint64_t>(
+        span, pipeline_.depth() - static_cast<unsigned>(std::bit_width(occ)));
+  }
+  if (span == 0) return 0;
+  if (hardened()) {
+    // The fast-ring checks read stage tags and the scratchpad tag array
+    // with their parity bits, which nothing writes during the span (a
+    // lazy block's tag rides in its register), so one evaluation gives
+    // every cycle's verdict; a failure is left to tick(). The slow-ring
+    // entries are as constant, so the span ends before the first entry
+    // it would visit that fails.
+    if (!fastScrubOk()) return 0;
+    const unsigned ring = slowScrubSize();
+    for (std::uint64_t j = 0; j < span && j < ring; ++j) {
+      const unsigned idx = static_cast<unsigned>((scrub_next_ + j) % ring);
+      if (!slowScrubOk(idx)) {
+        span = j;
+        break;
+      }
+    }
+    if (span == 0) return 0;
+    scrub_next_ = static_cast<unsigned>((scrub_next_ + span) % ring);
+  }
+  pipeline_.rotate(span);
+  cycle_ += span;
+  return span;
 }
 
 std::size_t AesAccelerator::eventCount(SecurityEventKind k) const {

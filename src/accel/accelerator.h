@@ -141,7 +141,17 @@ class AesAccelerator {
 
   // --- Clock -----------------------------------------------------------------
   void tick();
+  // `cycles` clock cycles: quiet spans at once (skipQuiet), the rest by tick.
   void run(unsigned cycles);
+  // Advances the clock by up to `limit` cycles at once and returns how many:
+  // only cycles whose tick could do nothing but move lazy blocks one stage
+  // on and pass every scrub check. It skips nothing while a tick hook is
+  // attached, input is queued, the overflow buffer holds a response, a GCM
+  // op is active, the GHASH unit is busy, an eager block is in flight, or a
+  // fast-ring check fails; it stops before the oldest block's exit tick and
+  // before the first slow-ring entry whose check fails. The device then
+  // stands exactly where that many ticks would have left it.
+  std::uint64_t skipQuiet(std::uint64_t limit);
   // Called at the end of every tick — between clock edges, after this
   // cycle's outputs are queued but before host logic can fetch them. Lets
   // an environment model (fault injector, monitor) act on device state and
@@ -292,9 +302,15 @@ class AesAccelerator {
   // to the owner's while the slot holds a verified key.
   bool ownerAllows(unsigned user, unsigned slot, const char* op);
   // Parity sweep: all stage and scratchpad-tag comparators run every cycle
-  // (parallel hardware); scratchpad cells, round-key slots and config
-  // registers are visited round-robin, one site per cycle.
+  // (parallel hardware); scratchpad cells, round-key slots, config
+  // registers and GHASH H-table slots are visited round-robin, one entry
+  // of the slow ring per cycle.
   void scrubTick();
+  // The fast ring's stage and scratchpad-tag checks all pass.
+  bool fastScrubOk() const;
+  // Slow-ring entries, and whether entry `idx` passes its check.
+  unsigned slowScrubSize() const;
+  bool slowScrubOk(unsigned idx) const;
 
   AcceleratorConfig cfg_;
   std::vector<Principal> users_;
@@ -320,7 +336,7 @@ class AesAccelerator {
   std::uint64_t events_overflowed_ = 0;
   std::array<std::size_t, kSecurityEventKinds> event_counts_{};
   std::array<std::uint64_t, kHwFaultSites> faults_by_site_{};
-  unsigned scrub_next_ = 0;  // round-robin pointer of the slow scrub ring
+  unsigned scrub_next_ = 0;  // next slow-ring entry, in [0, slowScrubSize())
   std::function<void()> tick_hook_;
 };
 

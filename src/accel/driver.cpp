@@ -61,9 +61,13 @@ bool loadKey128(AesAccelerator& acc, unsigned user, unsigned slot,
 
 bool waitSlotIdle(AesAccelerator& acc, unsigned slot,
                   std::uint64_t max_cycles) {
-  for (std::uint64_t waited = 0; acc.keySlotBusy(slot); ++waited) {
+  // A quiet span moves no block out of the pipe and runs no GCM op, so the
+  // slot stays busy through it.
+  for (std::uint64_t waited = 0; acc.keySlotBusy(slot);) {
     if (waited >= max_cycles) return false;
-    acc.tick();
+    const std::uint64_t quiet = acc.skipQuiet(max_cycles - waited);
+    if (quiet == 0) acc.tick();
+    waited += quiet == 0 ? 1 : quiet;
   }
   return true;
 }
@@ -94,10 +98,11 @@ AccelResult<std::vector<aes::Block>> AccelSession::runBlocks(
   f.units.assign(blocks.size(), Flight::Unit::Pending);
   f.data = std::move(blocks);
   // The first block is submitted before the first tick; from then on each
-  // cycle drains the output queue after the tick.
+  // cycle drains the output queue after the tick. A quiet span delivers
+  // nothing, so the collects it skips would have found nothing.
   auto v = advance(f);
   while (!v) {
-    acc_.tick();
+    if (acc_.skipQuiet(idleCycles(f)) == 0) acc_.tick();
     route(false);
     v = advance(f);
   }
@@ -206,6 +211,14 @@ std::optional<AccelStatus> AccelSession::stepBlocks(Flight& f) {
   return timed_out ? AccelStatus::Timeout : AccelStatus::FaultAborted;
 }
 
+std::uint64_t AccelSession::idleCycles(const Flight& f) const {
+  const std::uint64_t now = acc_.cycle();
+  if (!f.open) return f.attempt_start > now ? f.attempt_start - now : 0;
+  if (f.gcm || f.next < f.todo.size()) return 0;
+  // stepBlocks times the attempt out on the first cycle past this.
+  return f.attempt_start + opts_.timeout_cycles + f.todo.size() + 1 - now;
+}
+
 AccelStatus AccelSession::finishVerdict(AccelStatus verdict,
                                         std::uint64_t start_cycle) {
   cycles_used_ += acc_.cycle() - start_cycle;
@@ -296,7 +309,7 @@ AccelResult<GcmResponse> AccelSession::runGcm(GcmRequest req) {
   if (!h) return finishVerdict(AccelStatus::Rejected, acc_.cycle());
   for (;;) {
     if (auto r = collectGcm(*h)) return std::move(*r);
-    acc_.tick();
+    if (acc_.skipQuiet(idleCycles(flights_.at(*h))) == 0) acc_.tick();
   }
 }
 

@@ -257,6 +257,11 @@ class AccelSession {
   // submits one block per cycle, on a watchdog of timeout + its blocks.
   std::optional<AccelStatus> stepBlocks(Flight& f);
   std::optional<AccelStatus> stepGcm(Flight& f);
+  // Cycles from now on whose collects would find nothing for the flight to
+  // do unless a response arrives: the rest of a backoff, or, once a block
+  // run's attempt is wholly submitted, the cycles before its watchdog
+  // fires. The caller may skip that many quiet cycles (skipQuiet).
+  std::uint64_t idleCycles(const Flight& f) const;
   // Submit the GCM op's next attempt, sizing its watchdog.
   GcmSubmit submitAttempt(Flight& f);
   // An attempt's watchdog, given the blocks of its op if not yet accepted.

@@ -107,6 +107,13 @@ bool GcmSequencer::usesKeySlot(unsigned slot) const {
   return false;
 }
 
+bool GcmSequencer::anyActive() const {
+  for (const auto& op : ops_) {
+    if (op.active) return true;
+  }
+  return false;
+}
+
 void GcmSequencer::pump() {
   for (unsigned i = 0; i < kGcmOps; ++i) stepOp(i);
 }

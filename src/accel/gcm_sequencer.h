@@ -70,6 +70,8 @@ class GcmSequencer {
   // True while any op (including one draining its in-flight internal
   // blocks) references the AES key slot; key zeroization must wait.
   bool usesKeySlot(unsigned slot) const;
+  // True while any op is active (computing or draining): pump() may act.
+  bool anyActive() const;
 
   // gcmWorkBlocks summed over the ops still computing (not draining): the
   // work a newly accepted op shares the pipe with.

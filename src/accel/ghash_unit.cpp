@@ -31,24 +31,20 @@ void stampStage(GhashStageSlot& s) {
 }  // namespace
 
 std::uint64_t GhashUnit::keyChecksum(const KeySlot& k) const {
-  // Rotate-xor fold, 8 table bytes per step, then the label masks. The fold
-  // is linear over GF(2) and each step's rotation is a bijection, so any
-  // single flipped bit moves exactly one digest bit: single-event upsets
-  // are always detected.
-  const auto step = [](std::uint64_t acc, std::uint64_t word) {
-    return (acc << 7 | acc >> 57) ^ word;
-  };
-  std::uint64_t acc = 0x9e3779b97f4a7c15ull;
+  // The storage checksum over every table entry, 8 bytes per step, then
+  // the label masks. It is not linear, so two upsets in one table cancel
+  // only by chance.
+  std::uint64_t acc = kChecksumBasis;
   for (const auto& p : k.powers) {
     for (const auto& entry : p.table()) {
       std::uint64_t lo, hi;
       std::memcpy(&lo, entry.data(), 8);
       std::memcpy(&hi, entry.data() + 8, 8);
-      acc = step(step(acc, lo), hi);
+      acc = checksumStep(checksumStep(acc, lo), hi);
     }
   }
-  acc = step(acc, k.label.c.cats.mask());
-  acc = step(acc, k.label.i.cats.mask());
+  acc = checksumStep(acc, k.label.c.cats.mask());
+  acc = checksumStep(acc, k.label.i.cats.mask());
   return acc;
 }
 
@@ -67,6 +63,7 @@ void GhashUnit::loadH(unsigned key_slot, const aes::Tag128& h, Label label,
   k.valid = true;
   k.ready_at = now + kGhashLanes;  // power-table build latency
   k.checksum = keyChecksum(k);
+  k.verified = true;
 }
 
 void GhashUnit::invalidateKey(unsigned key_slot) {
@@ -147,7 +144,13 @@ aes::Tag128 GhashUnit::digest(unsigned stream) const {
 }
 
 bool GhashUnit::verifyAtRelease(unsigned stream) {
-  if (!hardened_ || streamParityOk(streams_.at(stream))) return true;
+  // The H table is checked again too: a flip that lands while the stream's
+  // last multiplies are in flight passes every issue check, and the product
+  // it corrupts is stamped with fresh stage parity. The slow ring still
+  // finds and reports the flip; the stream only faults here.
+  const Stream& st = streams_.at(stream);
+  if (!hardened_ || (streamParityOk(st) && keySlotOk(st.key_slot)))
+    return true;
   faultStream(stream);
   return false;
 }
@@ -219,7 +222,7 @@ std::vector<GhashScrubFinding> GhashUnit::tick(std::uint64_t now) {
     if (!st.open || st.faulted || st.fifo.empty()) continue;
     const KeySlot& key = keys_[st.key_slot];
     if (!key.valid || now < key.ready_at) continue;
-    if (hardened_ && keyChecksum(key) != key.checksum) {
+    if (!keySlotOk(st.key_slot)) {
       // Point of use: never multiply by a corrupted table.
       findings.push_back({FaultSite::GhashKeyTable, st.key_slot, st.user,
                           "H-table checksum at issue; slot invalidated"});
@@ -285,12 +288,14 @@ bool GhashUnit::faultFlipKeyTableBit(unsigned slot, unsigned bit) {
   if (!k.valid || bit >= total) return false;
   const unsigned power = bit / (16 * 128);
   const unsigned entry = (bit / 128) % 16;
+  k.verified = false;
   return k.powers[power].flipTableBit(entry, bit % 128);
 }
 
 bool GhashUnit::faultFlipKeyLabelBit(unsigned slot, unsigned bit) {
   KeySlot& k = keys_.at(slot % kGhashKeySlots);
   if (!k.valid || bit >= 32) return false;
+  k.verified = false;
   flipLabelBit(k.label, bit);
   return true;
 }
@@ -346,10 +351,15 @@ std::vector<GhashScrubFinding> GhashUnit::scrubFast() {
   return findings;
 }
 
+bool GhashUnit::keySlotOk(unsigned slot) const {
+  const KeySlot& k = keys_.at(slot);
+  if (!hardened_ || !k.valid || k.verified) return true;
+  k.verified = keyChecksum(k) == k.checksum;
+  return k.verified;
+}
+
 std::optional<GhashScrubFinding> GhashUnit::scrubKeySlot(unsigned slot) {
-  if (!hardened_) return std::nullopt;
-  KeySlot& k = keys_.at(slot);
-  if (!k.valid || keyChecksum(k) == k.checksum) return std::nullopt;
+  if (keySlotOk(slot)) return std::nullopt;
   GhashScrubFinding f{FaultSite::GhashKeyTable, slot, 0,
                       "H-table checksum on slot " + std::to_string(slot) +
                           "; invalidated"};

@@ -117,8 +117,9 @@ class GhashUnit {
   // sequencer releases it only through the exit gate.
   aes::Tag128 digest(unsigned stream) const;
   // Point-of-use check before a release: a hardened unit re-verifies the
-  // stream's lane accumulators and label against their parity, and faults
-  // the stream (false) on a mismatch — nothing is released.
+  // stream's lane accumulators and label against their parity and its H
+  // table against the checksum, and faults the stream (false) on a
+  // mismatch — nothing is released.
   bool verifyAtRelease(unsigned stream);
   void closeStream(unsigned stream);
 
@@ -145,6 +146,12 @@ class GhashUnit {
   std::vector<GhashScrubFinding> scrubFast();
   // Slow ring: one H-key slot per visit.
   std::optional<GhashScrubFinding> scrubKeySlot(unsigned slot);
+  // The slow ring's check of an H-key slot, without acting on it: true
+  // when the slot is empty, the unit unhardened, or the checksum holds.
+  bool keySlotOk(unsigned slot) const;
+  // No stage holds a block and no stream is open: a tick and a fast scrub
+  // change nothing.
+  bool idle() const;
 
   // --- Telemetry / test access ----------------------------------------------
   std::uint64_t blocksProcessed() const { return blocks_; }
@@ -159,6 +166,9 @@ class GhashUnit {
     std::vector<aes::GhashKey> powers;  // H^1 .. H^kGhashLanes
     Label label{};
     std::uint64_t checksum = 0;  // over every table byte + the label
+    // Nothing has written the tables or label since the checksum last
+    // matched, so it still does: a check may skip the recomputation.
+    mutable bool verified = false;
   };
 
   struct Stream {
@@ -181,8 +191,6 @@ class GhashUnit {
   bool streamParityOk(const Stream& st) const;
   void faultStream(unsigned sid);
   std::uint64_t keyChecksum(const KeySlot& k) const;
-  // No stage holds a block and no stream is open.
-  bool idle() const;
 
   bool hardened_;
   std::array<KeySlot, kGhashKeySlots> keys_{};

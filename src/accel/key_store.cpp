@@ -3,19 +3,6 @@
 #include <cstring>
 
 namespace aesifc::accel {
-namespace {
-
-// Position-sensitive 64-bit rolling checksum (FNV-1a step). Models the
-// CRC/SECDED word real key RAMs carry: any small perturbation — including
-// several accumulated single-bit upsets — changes the digest, where a
-// folded parity bit lets an even number of flips cancel.
-constexpr std::uint64_t kChecksumBasis = 1469598103934665603ull;
-
-std::uint64_t checksumStep(std::uint64_t h, std::uint64_t v) {
-  return (h ^ v) * 1099511628211ull;
-}
-
-}  // namespace
 
 // The checksum of reset state is not zero, so power-on must stamp the
 // digests to match the zeroed storage or the first scrub visit would
@@ -99,6 +86,7 @@ bool KeyScratchpad::faultFlipTagBit(unsigned idx, unsigned bit) {
 RoundKeyRam::RoundKeyRam() {
   for (unsigned s = 0; s < kRoundKeySlots; ++s)
     sum_[s] = computeChecksum(slots_[s]);
+  verified_.fill(true);
 }
 
 void RoundKeyRam::store(unsigned slot, aes::ExpandedKey key,
@@ -109,11 +97,13 @@ void RoundKeyRam::store(unsigned slot, aes::ExpandedKey key,
   s.key_conf = key_conf;
   s.owner = owner;
   sum_.at(slot) = computeChecksum(s);
+  verified_[slot] = true;
 }
 
 void RoundKeyRam::clear(unsigned slot) {
   slots_.at(slot) = KeySlot{};
   sum_.at(slot) = computeChecksum(slots_.at(slot));
+  verified_[slot] = true;
 }
 
 std::uint64_t RoundKeyRam::computeChecksum(const KeySlot& s) const {
@@ -135,7 +125,9 @@ std::uint64_t RoundKeyRam::computeChecksum(const KeySlot& s) const {
 }
 
 bool RoundKeyRam::slotParityOk(unsigned slot) const {
-  return computeChecksum(slots_.at(slot)) == sum_.at(slot);
+  if (verified_.at(slot)) return true;
+  verified_[slot] = computeChecksum(slots_[slot]) == sum_[slot];
+  return verified_[slot];
 }
 
 bool RoundKeyRam::faultFlipKeyBit(unsigned slot, unsigned round, unsigned byte,
@@ -144,6 +136,7 @@ bool RoundKeyRam::faultFlipKeyBit(unsigned slot, unsigned round, unsigned byte,
   if (!s.valid || bit >= 8 || byte >= 16) return false;
   if (round >= s.key.round_keys.size()) return false;
   s.key.round_keys[round][byte] ^= static_cast<std::uint8_t>(1u << bit);
+  verified_[slot % kRoundKeySlots] = false;
   return true;
 }
 
@@ -160,6 +153,7 @@ bool RoundKeyRam::faultFlipMetaBit(unsigned slot, unsigned bit) {
   } else {
     return false;
   }
+  verified_[slot % kRoundKeySlots] = false;
   return true;
 }
 

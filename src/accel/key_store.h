@@ -122,6 +122,9 @@ class RoundKeyRam {
 
   std::array<KeySlot, kRoundKeySlots> slots_{};
   std::array<std::uint64_t, kRoundKeySlots> sum_{};
+  // Nothing has written the slot since its checksum last matched, so it
+  // still does: a check may skip the recomputation.
+  mutable std::array<bool, kRoundKeySlots> verified_{};
 };
 
 }  // namespace aesifc::accel

@@ -185,4 +185,18 @@ std::optional<StageSlot> AesPipeline::advance(std::optional<StageSlot> input) {
   return out;
 }
 
+void AesPipeline::rotate(std::uint64_t cycles) {
+  const std::size_t n = stages_.size();
+  assert(eager_ == 0);
+  assert(occupancy_ == 0 || cycles <= n - std::bit_width(occupancy_));
+  // After n steps every register has been emptied once; later steps only
+  // turn the head.
+  for (std::uint64_t j = 0; j < cycles && j < n; ++j) {
+    head_ = head_ == 0 ? n - 1 : head_ - 1;
+    stages_[head_] = StageSlot{};
+  }
+  if (cycles > n) head_ = (head_ + n - (cycles - n) % n) % n;
+  if (occupancy_ != 0) occupancy_ <<= cycles;
+}
+
 }  // namespace aesifc::accel

@@ -72,6 +72,8 @@ class AesPipeline {
   }
   // Bit i is set exactly when logical stage i holds a valid block.
   std::uint64_t occupancy() const { return occupancy_; }
+  // True when some block in flight is eager (stepped on every advance).
+  bool anyEager() const { return eager_ != 0; }
   // Stage indices are logical: 0 is the entry stage, depth() - 1 the final
   // one, whatever register currently holds them.
   //
@@ -112,6 +114,10 @@ class AesPipeline {
   // its total_rounds must not exceed maxRounds(). Returns the slot leaving
   // the final stage, if any, with its data complete.
   std::optional<StageSlot> advance(std::optional<StageSlot> input);
+  // `cycles` calls of advance(nullopt) at once, for a pipe whose blocks are
+  // all lazy and none of which passes the final stage: the ring head turns
+  // and each register rotating into stage 0 is emptied.
+  void rotate(std::uint64_t cycles);
 
  private:
   // Register holding logical stage `i` (throws std::out_of_range past the

@@ -97,6 +97,21 @@ constexpr bool parity64(std::uint64_t v) {
   return (v & 1) != 0;
 }
 
+// The storage checksum (round-key slots, scratchpad cells, GHASH H
+// tables) folds 64-bit words from kChecksumBasis with checksumStep. It
+// models the CRC/SECDED word real key RAMs carry. Each step is a bijection
+// of h for a fixed word and of the word for a fixed h, so corruption
+// confined to one word always changes the digest. The shift folds the top
+// bits down before the next multiply, so flips in several words cancel
+// only by chance: without it a flip of bit 63 passes every later multiply
+// unchanged, and a second bit-63 flip in any later word cancels it.
+inline constexpr std::uint64_t kChecksumBasis = 1469598103934665603ull;
+
+constexpr std::uint64_t checksumStep(std::uint64_t h, std::uint64_t v) {
+  h = (h ^ v) * 1099511628211ull;
+  return h ^ (h >> 29);
+}
+
 // XOR of a 16-byte register's two 64-bit halves. Its parity is the
 // register's parity, and the folds of several registers combine by XOR.
 inline std::uint64_t fold128(const aes::Tag128& r) {

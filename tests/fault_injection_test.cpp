@@ -92,6 +92,24 @@ TEST(FaultInjection, ScratchTagFaultQuarantinesUpward) {
   EXPECT_TRUE(loadKey128(r.acc, r.alice, 1, 0, testKey(), Conf::category(1)));
 }
 
+// A re-tag rewrites a cell's tag and data with fresh parity, so an upset it
+// overwrites before the next scrub would otherwise never be reported: the
+// re-tag runs the comparators first.
+TEST(FaultInjection, ReTagReportsTheUpsetItOverwrites) {
+  for (const FaultSite site : {FaultSite::ScratchTag, FaultSite::ScratchCell}) {
+    SCOPED_TRACE(toString(site));
+    Rig r;
+    ASSERT_TRUE(r.acc.injectFault(site, 1, 4));
+    // No tick between the upset and the re-provisioning of the key.
+    EXPECT_TRUE(
+        loadKey128(r.acc, r.alice, 1, 0, testKey(), Conf::category(1)));
+    EXPECT_EQ(r.acc.faultsDetectedBySite()[static_cast<unsigned>(site)], 1u);
+    EXPECT_EQ(r.acc.eventCount(SecurityEventKind::FaultScrubbed), 1u);
+    r.acc.run(64);  // nothing left for the scrub rings to find
+    EXPECT_EQ(r.acc.stats().faults_detected, 1u);
+  }
+}
+
 TEST(FaultInjection, ScratchCellFaultCaughtBySlowScrub) {
   Rig r;
   ASSERT_TRUE(r.acc.injectFault(FaultSite::ScratchCell, 1, 17));

@@ -455,10 +455,78 @@ TEST(GcmAccelFaults, GhashStateFaultsNeverReleaseWrongTag) {
   EXPECT_GT(aborted, 0u);
 }
 
-// The H-table checksum folds the power tables 8 bytes per step. The fold
-// is linear and every step a bijection, so each single flipped bit, in any
-// H-power table or in the key's label, must be caught both by the slow
-// scrub ring and at the next issue that consults the slot.
+// An H-table upset that lands while a stream's last multiplies are in
+// flight passes every issue check, and the product it corrupts carries
+// fresh stage parity. The release must still catch it: sweep the upset
+// over every cycle of a seal (a burst over every table entry, so whatever
+// multiply is in flight reads a flipped entry). Each seal either releases
+// the exact host result or fails.
+TEST(GcmAccelFaults, HTableUpsetDuringTheLastMultiplyNeverReleasesWrongTag) {
+  Rng rng{109};
+  const auto key = randomBytes(rng, 16);
+  const auto pt = randomBytes(rng, 16);
+  // A 20-byte IV hashes J0 on its own stream first.
+  for (const std::size_t iv_len : {12u, 20u}) {
+    const auto iv = randomBytes(rng, iv_len);
+    const auto host = aes::gcmEncrypt(
+        pt, {}, aes::expandKey(key, aes::KeySize::Aes128), iv);
+    unsigned failed = 0;
+    for (unsigned at = 0; at < 160; ++at) {
+      SCOPED_TRACE("IV " + std::to_string(iv_len) +
+                   " bytes, upset at cycle " + std::to_string(at));
+      GcmRig rig{SecurityMode::Protected, key};
+      const std::uint64_t start = rig.acc.cycle();
+      rig.acc.setTickHook([&] {
+        if (rig.acc.cycle() != start + at) return;
+        for (unsigned power = 0; power < kGhashLanes; ++power)
+          for (unsigned entry = 1; entry < 16; ++entry)
+            rig.acc.injectFault(FaultSite::GhashKeyTable, 1,
+                                power * 2048 + entry * 128 + 5);
+      });
+      const auto sealed = rig.session.gcmSeal(pt, {}, iv);
+      if (sealed.has_value()) {
+        EXPECT_EQ(sealed->ciphertext, host.ciphertext);
+        EXPECT_EQ(sealed->tag, host.tag);
+      } else {
+        ++failed;
+      }
+    }
+    EXPECT_GT(failed, 0u);
+  }
+}
+
+// Two upsets in one H table between scrub visits must not cancel in the
+// checksum. Pairs that cancelled in earlier folds: a flip in word j and
+// the flip in word j + 1 seven bits on (a rotate-by-7 xor fold), and bit
+// 63 of any two words (an odd multiply carries a bit-63 difference
+// unchanged).
+TEST(GcmAccelFaults, GhashKeyChecksumCatchesDoubleFlips) {
+  Rng rng{110};
+  aes::Tag128 h{};
+  for (auto& b : h) b = static_cast<std::uint8_t>(rng.next());
+  const Label label{Conf::category(3), Integ::category(3)};
+  constexpr unsigned kWords = kGhashLanes * 16 * 2;
+  const auto caught = [&](unsigned a, unsigned b) {
+    GhashUnit gh{true};
+    gh.loadH(1, h, label, 0);
+    EXPECT_TRUE(gh.faultFlipKeyTableBit(1, a));
+    EXPECT_TRUE(gh.faultFlipKeyTableBit(1, b));
+    return gh.scrubKeySlot(1).has_value();
+  };
+  for (unsigned j = 0; j + 1 < kWords; ++j) {
+    for (unsigned bit = 0; bit < 64; bit += 9)
+      EXPECT_TRUE(caught(64 * j + bit, 64 * (j + 1) + (bit + 7) % 64))
+          << "word " << j << " bit " << bit;
+    EXPECT_TRUE(caught(64 * j + 63, 64 * (j + 1 + j % 5) % (64 * kWords) +
+                                        63))
+        << "bit 63 of word " << j;
+  }
+}
+
+// The H-table checksum folds the power tables 8 bytes per step, and every
+// step is a bijection of the running digest, so each single flipped bit,
+// in any H-power table or in the key's label, must be caught both by the
+// slow scrub ring and at the next issue that consults the slot.
 TEST(GcmAccelFaults, GhashKeyChecksumCatchesEverySingleBitFlip) {
   Rng rng{108};
   aes::Tag128 h{};

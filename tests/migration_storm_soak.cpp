@@ -12,8 +12,8 @@
 namespace aesifc::soc {
 namespace {
 
-TEST(MigrationStormSoak, FortySeedStormHoldsAllInvariants) {
-  expectMigrationStormHolds(/*seeds=*/40, /*rounds=*/60);
+TEST(MigrationStormSoak, ManySeedStormHoldsAllInvariants) {
+  expectMigrationStormHolds(/*seeds=*/500, /*rounds=*/1000);
 }
 
 }  // namespace
