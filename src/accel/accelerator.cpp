@@ -152,16 +152,19 @@ bool AesAccelerator::ownerAllows(unsigned user, unsigned slot,
 void AesAccelerator::scrubTick() {
   // Fast ring: every pipeline-stage comparator and every scratchpad tag
   // comparator runs each cycle (parallel hardware), so a flipped tag is
-  // caught before any release decision can consult it. An empty stage's
-  // comparator passes by definition, so only occupied stages are
-  // evaluated, in ascending stage order. A squash can only empty stages,
-  // and stageParityOk re-reads validity, so the snapshot stays exact.
-  for (std::uint64_t occ = pipeline_.occupancy(); occ != 0; occ &= occ - 1) {
-    const unsigned i = static_cast<unsigned>(std::countr_zero(occ));
+  // caught before any release decision can consult it. Every writer but a
+  // fault port restamps the parity it changes, so a comparator can only
+  // fail on storage a fault port wrote since it last matched: only those
+  // (the suspects) are evaluated, in ascending order, and the rest pass by
+  // construction. A squash can only empty stages, and stageParityOk
+  // re-reads validity, so the snapshot stays exact.
+  for (std::uint64_t sus = pipeline_.suspects(); sus != 0; sus &= sus - 1) {
+    const unsigned i = static_cast<unsigned>(std::countr_zero(sus));
     if (!pipeline_.stageParityOk(i))
       failSecureStage(i, pipeline_.meta(i).user, "mismatch; squashed");
   }
-  for (unsigned c = 0; c < kScratchpadCells; ++c) {
+  for (unsigned sus = scratchpad_.suspectTags(); sus != 0; sus &= sus - 1) {
+    const unsigned c = static_cast<unsigned>(std::countr_zero(sus));
     if (scratchpad_.tagParityOk(c)) continue;
     scratchpad_.failSecure(c);
     noteFault(FaultSite::ScratchTag, /*recovered=*/true, 0,
@@ -201,12 +204,13 @@ void AesAccelerator::scrubTick() {
 }
 
 bool AesAccelerator::fastScrubOk() const {
-  for (std::uint64_t occ = pipeline_.occupancy(); occ != 0; occ &= occ - 1) {
-    if (!pipeline_.stageParityOk(static_cast<unsigned>(std::countr_zero(occ))))
+  for (std::uint64_t sus = pipeline_.suspects(); sus != 0; sus &= sus - 1) {
+    if (!pipeline_.stageParityOk(static_cast<unsigned>(std::countr_zero(sus))))
       return false;
   }
-  for (unsigned c = 0; c < kScratchpadCells; ++c) {
-    if (!scratchpad_.tagParityOk(c)) return false;
+  for (unsigned sus = scratchpad_.suspectTags(); sus != 0; sus &= sus - 1) {
+    if (!scratchpad_.tagParityOk(static_cast<unsigned>(std::countr_zero(sus))))
+      return false;
   }
   return true;
 }
@@ -578,24 +582,30 @@ void AesAccelerator::routeCompleted(StageSlot slot, bool to_buffer) {
   // declassification performed by the requesting user.
   BlockResponse resp = exitResponse<BlockResponse>(
       slot.req_id, slot.user, slot.accept_cycle, slot.tag, stats_.suppressed);
+
+  // Per-user ordering: if this user already has results waiting in the
+  // overflow buffer, later completions must queue behind them even when the
+  // receiver is ready again. A record carrying no data (Suppressed, or
+  // Dropped below) rides behind the user's last buffered result without
+  // taking a data slot, and leaves with it.
+  PendingOutput* last = nullptr;
+  for (auto& p : overflow_buffer_) {
+    if (p.resp.user == resp.user) last = &p;
+  }
+  const auto deliverRecord = [&](BlockResponse r) {
+    if (last != nullptr) {
+      last->trailing.push_back(std::move(r));
+    } else {
+      output_queues_[r.user].push_back(std::move(r));
+    }
+  };
   if (resp.status == AccelStatus::Suppressed) {
-    output_queues_[slot.user].push_back(std::move(resp));
+    deliverRecord(std::move(resp));
     return;
   }
   resp.data = aes::stateToBlock(slot.state);
 
-  // Per-user ordering: if this user already has blocks waiting in the
-  // overflow buffer, later completions must queue behind them even when the
-  // receiver is ready again.
-  bool behind_buffered = false;
-  for (const auto& p : overflow_buffer_) {
-    if (p.resp.user == resp.user) {
-      behind_buffered = true;
-      break;
-    }
-  }
-
-  if (to_buffer || behind_buffered) {
+  if (to_buffer || last != nullptr) {
     if (overflow_buffer_.size() >= cfg_.out_buffer_depth) {
       recordEvent(SecurityEventKind::OutputBufferOverflow, slot.user,
                   "overflow buffer full; block dropped");
@@ -604,11 +614,11 @@ void AesAccelerator::routeCompleted(StageSlot slot, bool to_buffer) {
       // the request still terminates in a definite outcome.
       resp.status = AccelStatus::Dropped;
       resp.data = aes::Block{};
-      output_queues_[resp.user].push_back(std::move(resp));
+      deliverRecord(std::move(resp));
       return;
     }
     ++stats_.buffered;
-    overflow_buffer_.push_back({std::move(resp), slot.tag});
+    overflow_buffer_.push_back({std::move(resp), {}});
     return;
   }
   ++stats_.completed;
@@ -616,14 +626,19 @@ void AesAccelerator::routeCompleted(StageSlot slot, bool to_buffer) {
 }
 
 void AesAccelerator::drainBuffer() {
-  // Deliver the oldest entry whose receiver is ready (one per cycle);
-  // per-user order is preserved because entries of the same user stay in
-  // FIFO order.
+  // Deliver the oldest entry whose receiver is ready (one per cycle), with
+  // the no-data records queued behind it; per-user order is preserved
+  // because entries of the same user stay in FIFO order.
   for (auto it = overflow_buffer_.begin(); it != overflow_buffer_.end(); ++it) {
     if (receiver_ready_.at(it->resp.user)) {
+      auto& q = output_queues_[it->resp.user];
       it->resp.complete_cycle = cycle_;
       ++stats_.completed;
-      output_queues_[it->resp.user].push_back(std::move(it->resp));
+      q.push_back(std::move(it->resp));
+      for (auto& r : it->trailing) {
+        r.complete_cycle = cycle_;
+        q.push_back(std::move(r));
+      }
       overflow_buffer_.erase(it);
       return;
     }

@@ -224,9 +224,11 @@ class AesAccelerator {
  private:
   friend class GcmSequencer;  // drives the datapaths on the op's behalf
 
+  // An overflow-buffer entry: one result, then the user's no-data records
+  // (Suppressed, Dropped) that completed after it, delivered right behind.
   struct PendingOutput {
     BlockResponse resp;
-    Label tag;
+    std::vector<BlockResponse> trailing;
   };
 
   void recordEvent(SecurityEventKind kind, unsigned user, std::string detail);

@@ -308,7 +308,9 @@ AccelResult<GcmResponse> AccelSession::runGcm(GcmRequest req) {
   const auto h = startGcm(std::move(req));
   if (!h) return finishVerdict(AccelStatus::Rejected, acc_.cycle());
   for (;;) {
-    if (auto r = collectGcm(*h)) return std::move(*r);
+    if (gcmDue(*h)) {
+      if (auto r = collectGcm(*h)) return std::move(*r);
+    }
     if (acc_.skipQuiet(idleCycles(flights_.at(*h))) == 0) acc_.tick();
   }
 }
@@ -359,6 +361,16 @@ std::optional<AccelResult<GcmResponse>> AccelSession::collectGcm(
   auto spent = flights_.extract(h);
   if (*v != AccelStatus::Ok) return *v;
   return std::move(*spent.mapped().got);
+}
+
+bool AccelSession::gcmDue(GcmHandle h) const {
+  const Flight& f = flights_.at(h);
+  if (f.refused || f.got || acc_.gcm().hasResponse(user_)) return true;
+  if (!f.open) return acc_.cycle() >= f.attempt_start;
+  // stepGcm's two effects on an open attempt with no response: raising the
+  // budget, and firing the watchdog.
+  return gcmWatchdog(0) > f.budget ||
+         acc_.cycle() - f.attempt_start > f.budget;
 }
 
 std::optional<AccelStatus> AccelSession::stepGcm(Flight& f) {

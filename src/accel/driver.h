@@ -195,10 +195,17 @@ class AccelSession {
   // Never ticks: takes the op's response if it has arrived, runs the
   // watchdog and the retry/backoff schedule against the current cycle, and
   // returns the verdict once it is final (the handle is then spent). Call
-  // it once per cycle for each op in flight. An attempt's watchdog grows
-  // with the sequencer's backlog, so an op sharing the pipe with others is
-  // not timed out for waiting its turn.
+  // it once per cycle for each op in flight, or only in the cycles
+  // gcmDue(h) names. An attempt's watchdog grows with the sequencer's
+  // backlog, so an op sharing the pipe with others is not timed out for
+  // waiting its turn.
   std::optional<AccelResult<GcmResponse>> collectGcm(GcmHandle h);
+  // False when collectGcm(h) would change nothing now: no response waits
+  // for this session's user or is held for the op, no backoff has ended,
+  // the backlog has not risen past what the watchdog budget has seen (it
+  // rises only when the sequencer accepts a submit), and the watchdog
+  // cannot fire.
+  bool gcmDue(GcmHandle h) const;
 
   // Device cycles from each call's start to its verdict, summed (ops in
   // flight together each count their own span).

@@ -1,6 +1,7 @@
 #include "accel/gcm_sequencer.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "accel/accelerator.h"
@@ -47,18 +48,13 @@ GcmSubmit GcmSequencer::submit(GcmRequest req) {
     return *why;
   if (req.iv.empty()) return GcmSubmit::BadRequest;
 
-  unsigned idx = kGcmOps;
-  for (unsigned i = 0; i < kGcmOps; ++i) {
-    if (!ops_[i].active) {
-      idx = i;
-      break;
-    }
-  }
-  if (idx == kGcmOps) return GcmSubmit::Full;
+  const unsigned free = ~active_ & ((1u << kGcmOps) - 1);
+  if (free == 0) return GcmSubmit::Full;
+  const unsigned idx = static_cast<unsigned>(std::countr_zero(free));
 
   Op& op = ops_[idx];
   op = Op{};
-  op.active = true;
+  active_ |= static_cast<std::uint8_t>(1u << idx);
   op.req = std::move(req);
   // The block submit port's label; every internal block and every
   // absorbed GHASH block carries it.
@@ -94,35 +90,31 @@ std::optional<GcmResponse> GcmSequencer::fetch(unsigned user) {
 
 lattice::Conf GcmSequencer::meetConf() const {
   lattice::Conf m = lattice::Conf::top();
-  for (const auto& op : ops_) {
-    if (op.active && !op.draining) m = m.meet(op.label.c);
+  for (unsigned a = active_; a != 0; a &= a - 1) {
+    const Op& op = ops_[std::countr_zero(a)];
+    if (!op.draining) m = m.meet(op.label.c);
   }
   return m;
 }
 
 bool GcmSequencer::usesKeySlot(unsigned slot) const {
-  for (const auto& op : ops_) {
-    if (op.active && op.req.key_slot == slot) return true;
-  }
-  return false;
-}
-
-bool GcmSequencer::anyActive() const {
-  for (const auto& op : ops_) {
-    if (op.active) return true;
+  for (unsigned a = active_; a != 0; a &= a - 1) {
+    if (ops_[std::countr_zero(a)].req.key_slot == slot) return true;
   }
   return false;
 }
 
 void GcmSequencer::pump() {
-  for (unsigned i = 0; i < kGcmOps; ++i) stepOp(i);
+  // An op a step ends is skipped by its own active() check; none starts.
+  for (unsigned a = active_; a != 0; a &= a - 1)
+    stepOp(static_cast<unsigned>(std::countr_zero(a)));
 }
 
 void GcmSequencer::stepOp(unsigned idx) {
+  if (!active(idx)) return;
   Op& op = ops_[idx];
-  if (!op.active) return;
   if (op.draining) {
-    if (op.inflight == 0) op = Op{};
+    if (op.inflight == 0) release(idx);
     return;
   }
   const unsigned ks = op.req.key_slot;
@@ -279,7 +271,7 @@ void GcmSequencer::finalize(unsigned idx) {
   ghash_.closeStream(ms);
   op.stream = -1;
   emit(std::move(resp));
-  freeOp(op);
+  freeOp(idx);
 }
 
 void GcmSequencer::abortOp(unsigned idx) {
@@ -296,18 +288,24 @@ void GcmSequencer::abortOp(unsigned idx) {
   ++acc_.stats_.gcm_fault_aborted;
   emit(acc_.respond<GcmResponse>(op.req.req_id, op.req.user, op.accept_cycle,
                                  AccelStatus::FaultAborted));
-  freeOp(op);
+  freeOp(idx);
 }
 
-void GcmSequencer::freeOp(Op& op) {
+void GcmSequencer::freeOp(unsigned idx) {
+  Op& op = ops_[idx];
   backlog_blocks_ -= gcmWorkBlocks(op.req);  // the op stops computing here
   if (op.inflight > 0) {
     // Internal blocks still in the pipe: hold the slot (drained by stepOp /
     // deliver) so a new op cannot alias their gcm_op index.
     op.draining = true;
   } else {
-    op = Op{};
+    release(idx);
   }
+}
+
+void GcmSequencer::release(unsigned idx) {
+  ops_[idx] = Op{};
+  active_ &= static_cast<std::uint8_t>(~(1u << idx));
 }
 
 void GcmSequencer::emit(GcmResponse resp) {
@@ -349,7 +347,7 @@ void GcmSequencer::deliver(const StageSlot& s) {
     }
     return;
   }
-  if (!op.active || op.draining) return;
+  if (!active(s.gcm_op) || op.draining) return;
   if (role == GcmRole::EncryptJ0) {
     op.ekj0 = stateToTag(s.state);
     op.ekj0_ready = true;
@@ -375,10 +373,10 @@ void GcmSequencer::deliverAbort(const StageSlot& s) {
       s.key_slot < kGhashKeySlots && s.gcm_aux == h_epoch_[s.key_slot]) {
     h_pending_[s.key_slot] = false;  // allow a fresh derivation
   }
-  if (op.active && !op.draining) {
+  if (active(s.gcm_op) && !op.draining) {
     abortOp(s.gcm_op);
   } else if (op.draining && op.inflight == 0) {
-    op = Op{};
+    release(s.gcm_op);
   }
 }
 
@@ -388,8 +386,8 @@ void GcmSequencer::noteKeySlotInvalid(unsigned key_slot) {
     h_pending_[key_slot] = false;
   }
   for (unsigned i = 0; i < kGcmOps; ++i) {
-    Op& op = ops_[i];
-    if (op.active && !op.draining && op.req.key_slot == key_slot) abortOp(i);
+    const Op& op = ops_[i];
+    if (active(i) && !op.draining && op.req.key_slot == key_slot) abortOp(i);
   }
 }
 

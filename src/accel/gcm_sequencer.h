@@ -71,7 +71,11 @@ class GcmSequencer {
   // blocks) references the AES key slot; key zeroization must wait.
   bool usesKeySlot(unsigned slot) const;
   // True while any op is active (computing or draining): pump() may act.
-  bool anyActive() const;
+  bool anyActive() const { return active_ != 0; }
+  // True when a response for `user` waits to be fetched.
+  bool hasResponse(unsigned user) const {
+    return user < out_.size() && !out_[user].empty();
+  }
 
   // gcmWorkBlocks summed over the ops still computing (not draining): the
   // work a newly accepted op shares the pipe with.
@@ -92,7 +96,6 @@ class GcmSequencer {
 
  private:
   struct Op {
-    bool active = false;
     bool draining = false;  // response emitted; internal blocks in flight
     GcmRequest req;
     Label label{};  // join(user conf, key conf) at user integrity
@@ -116,12 +119,16 @@ class GcmSequencer {
     std::vector<std::uint8_t> out;  // seal: ciphertext; open: plaintext
   };
 
+  bool active(unsigned idx) const { return (active_ >> idx & 1) != 0; }
   void stepOp(unsigned idx);
   void finalize(unsigned idx);
   // Fail-secure abort: emits a FaultAborted response, closes the op's
   // GHASH streams, and holds the slot until in-flight blocks drain.
   void abortOp(unsigned idx);
-  void freeOp(Op& op);
+  // The op stops computing: it drains its in-flight blocks, or is released.
+  void freeOp(unsigned idx);
+  // Empty the op slot.
+  void release(unsigned idx);
   void emit(GcmResponse resp);
   bool submitInternal(unsigned idx, GcmRole role, const aes::Block& data,
                       std::uint32_t aux);
@@ -129,6 +136,10 @@ class GcmSequencer {
   AesAccelerator& acc_;
   GhashUnit& ghash_;
   std::array<Op, kGcmOps> ops_{};
+  // Bit i is set while op slot i is active (computing or draining), so a
+  // pump steps only active ops.
+  static_assert(kGcmOps <= 8);
+  std::uint8_t active_ = 0;
   // H derivation dedup: one DeriveH in flight per key slot; the epoch
   // guards against a stale H landing after the slot was re-keyed.
   std::array<bool, kGhashKeySlots> h_pending_{};

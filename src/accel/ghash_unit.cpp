@@ -1,5 +1,6 @@
 #include "accel/ghash_unit.h"
 
+#include <bit>
 #include <cstring>
 
 
@@ -98,15 +99,15 @@ std::optional<unsigned> GhashUnit::openStream(unsigned user, unsigned key_slot,
   for (unsigned s = 0; s < kGhashStreams; ++s) {
     Stream& st = streams_[s];
     if (st.open) continue;
-    st = Stream{};
+    resetStream(st);
     st.open = true;
+    st.lazy = true;
     st.user = user;
     st.key_slot = key_slot;
     // Running tag starts at join(label(data), label(H)) and only ever
     // rises as blocks are absorbed.
     st.label = label.join(keys_[key_slot].label);
     st.total = total_blocks;
-    restampStream(st);
     return s;
   }
   return std::nullopt;
@@ -117,18 +118,18 @@ bool GhashUnit::absorb(unsigned stream, const aes::Tag128& block,
   Stream& st = streams_.at(stream);
   if (!st.open || st.faulted) return false;
   if (st.absorbed >= st.total) return false;
-  if (st.fifo.size() >= kGhashFifoDepth) return false;
-  st.fifo.push_back(block);
+  if (st.absorbed - st.issued >= kGhashFifoDepth) return false;
+  st.blocks.push_back(block);
   ++st.absorbed;
   st.label = st.label.join(label);
-  restampStream(st);
+  if (!st.lazy) restampStream(st);
   return true;
 }
 
 std::size_t GhashUnit::fifoSpace(unsigned stream) const {
   const Stream& st = streams_.at(stream);
   if (!st.open || st.faulted) return 0;
-  return kGhashFifoDepth - st.fifo.size();
+  return kGhashFifoDepth - static_cast<std::size_t>(st.absorbed - st.issued);
 }
 
 bool GhashUnit::done(unsigned stream) const {
@@ -136,8 +137,9 @@ bool GhashUnit::done(unsigned stream) const {
   return st.open && !st.faulted && st.written == st.total;
 }
 
-aes::Tag128 GhashUnit::digest(unsigned stream) const {
-  const Stream& st = streams_.at(stream);
+aes::Tag128 GhashUnit::digest(unsigned stream) {
+  materialize(stream);
+  const Stream& st = streams_[stream];
   aes::Tag128 d{};
   for (const auto& lane : st.lanes) d = xorTags(d, lane);
   return d;
@@ -157,7 +159,7 @@ bool GhashUnit::verifyAtRelease(unsigned stream) {
 
 void GhashUnit::closeStream(unsigned stream) {
   Stream& st = streams_.at(stream);
-  st = Stream{};  // zeroizes lanes and FIFO
+  resetStream(st);  // zeroizes lanes and FIFO
   restampStream(st);
   for (auto& s : stages_) {
     if (s.valid && s.stream == stream) s = GhashStageSlot{};
@@ -180,11 +182,72 @@ GhashStageSlot GhashUnit::computeStage(unsigned idx, GhashStageSlot s) const {
   if (!s.valid) return s;
   const KeySlot& k = keys_[s.key_slot];
   if (!k.valid || s.power >= k.powers.size()) return GhashStageSlot{};
+  if (s.lazy) return s;
   // 8 of the 32 nibble-steps of the Shoup multiply — the exact host
   // algorithm, restarted at this stage's step boundary.
   s.z = k.powers[s.power].mulSteps(s.x, s.z, 8 * idx, 8);
   s.data_parity = tagDataParity(s.x, s.z);
   return s;
+}
+
+unsigned GhashUnit::powerOf(const Stream& st, std::uint64_t i) {
+  // Lane Horner: interior blocks multiply by H^d; the last block of each
+  // lane by H^(n - i), which makes the final digest the plain XOR of the
+  // lanes (exponents n-i are exactly what GHASH assigns block i).
+  const bool lane_last = i + kGhashLanes >= st.total;
+  return lane_last ? static_cast<unsigned>(st.total - i) - 1 : kGhashLanes - 1;
+}
+
+std::array<aes::Tag128, kGhashLanes> GhashUnit::lanesAfter(
+    const Stream& st, std::uint64_t n) const {
+  // A lane's next block issues only after its previous one is written
+  // back, so each lane is the plain Horner chain over its blocks.
+  const auto& powers = keys_[st.key_slot].powers;
+  std::array<aes::Tag128, kGhashLanes> lanes{};
+  for (std::uint64_t i = 0; i < n; ++i) {
+    aes::Tag128& lane = lanes[i % kGhashLanes];
+    lane = powers[powerOf(st, i)].mul(xorTags(lane, st.blocks[i]));
+  }
+  return lanes;
+}
+
+GhashStageSlot GhashUnit::replayStage(
+    unsigned idx, GhashStageSlot s,
+    const std::array<aes::Tag128, kGhashLanes>& lanes) const {
+  // The lane the block read at issue is the lane now: its next writeback is
+  // this block's own.
+  s.x = xorTags(lanes[s.lane], streams_[s.stream].blocks[s.block]);
+  s.z = keys_[s.key_slot].powers[s.power].mulSteps(s.x, aes::Tag128{}, 0,
+                                                   8 * (idx + 1));
+  s.data_parity = tagDataParity(s.x, s.z);
+  s.lazy = false;
+  return s;
+}
+
+void GhashUnit::materialize(unsigned sid) {
+  Stream& st = streams_[sid];
+  if (!st.lazy) return;
+  st.lanes = lanesAfter(st, st.written);
+  for (unsigned i = 0; i < kGhashStages; ++i) {
+    GhashStageSlot& s = stages_[i];
+    if (s.valid && s.stream == sid) s = replayStage(i, s, st.lanes);
+  }
+  st.lazy = false;
+  restampStream(st);
+}
+
+GhashStageSlot GhashUnit::stage(unsigned i) const {
+  const GhashStageSlot& s = stages_.at(i);
+  if (!s.lazy) return s;
+  const Stream& st = streams_[s.stream];
+  return replayStage(i, s, lanesAfter(st, st.written));
+}
+
+void GhashUnit::resetStream(Stream& st) {
+  std::vector<aes::Tag128> blocks = std::move(st.blocks);
+  blocks.clear();
+  st = Stream{};
+  st.blocks = std::move(blocks);
 }
 
 bool GhashUnit::idle() const {
@@ -198,14 +261,17 @@ std::vector<GhashScrubFinding> GhashUnit::tick(std::uint64_t now) {
   std::vector<GhashScrubFinding> findings;
   if (idle()) return findings;
 
-  // Writeback: the slot leaving the last stage has all 32 steps applied.
+  // Writeback: the slot leaving the last stage has all 32 steps applied
+  // (a lazy stream only counts it).
   GhashStageSlot& out = stages_[kGhashStages - 1];
   if (out.valid) {
     Stream& st = streams_[out.stream];
     if (st.open && !st.faulted) {
-      st.lanes[out.lane] = out.z;
       ++st.written;
-      restampStream(st);
+      if (!st.lazy) {
+        st.lanes[out.lane] = out.z;
+        restampStream(st);
+      }
     }
   }
 
@@ -214,12 +280,13 @@ std::vector<GhashScrubFinding> GhashUnit::tick(std::uint64_t now) {
     stages_[s] = computeStage(s, stages_[s - 1]);
   }
   stages_[0] = GhashStageSlot{};
+  suspect_stages_ = (suspect_stages_ << 1) & ((1u << kGhashStages) - 1);
 
   // Issue: round-robin over streams with a pending block and a ready H.
   for (unsigned k = 0; k < kGhashStreams; ++k) {
     const unsigned sid = (issue_rr_ + k) % kGhashStreams;
     Stream& st = streams_[sid];
-    if (!st.open || st.faulted || st.fifo.empty()) continue;
+    if (!st.open || st.faulted || st.absorbed == st.issued) continue;
     const KeySlot& key = keys_[st.key_slot];
     if (!key.valid || now < key.ready_at) continue;
     if (!keySlotOk(st.key_slot)) {
@@ -230,24 +297,21 @@ std::vector<GhashScrubFinding> GhashUnit::tick(std::uint64_t now) {
       continue;
     }
     const std::uint64_t i = st.issued;
-    const unsigned lane = static_cast<unsigned>(i % kGhashLanes);
-    // Lane Horner: interior blocks multiply by H^d; the last block of each
-    // lane by H^(n - i), which makes the final digest the plain XOR of the
-    // lanes (exponents n-i are exactly what GHASH assigns block i).
-    const bool lane_last = i + kGhashLanes >= st.total;
-    const unsigned power =
-        lane_last ? static_cast<unsigned>(st.total - i) - 1 : kGhashLanes - 1;
     GhashStageSlot slot;
     slot.valid = true;
     slot.stream = sid;
-    slot.lane = lane;
+    slot.lane = static_cast<unsigned>(i % kGhashLanes);
     slot.key_slot = st.key_slot;
-    slot.power = power;
-    slot.x = xorTags(st.lanes[lane], st.fifo.front());
-    st.fifo.pop_front();
-    slot.z = aes::Tag128{};
+    slot.power = powerOf(st, i);
+    slot.block = i;
     slot.tag = st.label;
-    stampStage(slot);
+    slot.lazy = st.lazy;
+    if (slot.lazy) {
+      slot.tag_parity = labelParity(slot.tag);
+    } else {
+      slot.x = xorTags(st.lanes[slot.lane], st.blocks[i]);
+      stampStage(slot);
+    }
     ++st.issued;
     ++blocks_;
     issue_rr_ = (sid + 1) % kGhashStreams;
@@ -258,34 +322,49 @@ std::vector<GhashScrubFinding> GhashUnit::tick(std::uint64_t now) {
 }
 
 bool GhashUnit::faultFlipStageBit(unsigned stage, unsigned bit) {
-  GhashStageSlot& s = stages_.at(stage % kGhashStages);
+  const unsigned i = stage % kGhashStages;
+  GhashStageSlot& s = stages_[i];
   if (!s.valid || bit >= 256) return false;
+  // The flipped product reaches its lane and every later block of it.
+  materialize(s.stream);
   aes::Tag128& t = bit < 128 ? s.x : s.z;
   const unsigned b = bit % 128;
   t[b / 8] ^= static_cast<std::uint8_t>(1u << (b % 8));
+  suspect_stages_ |= static_cast<std::uint8_t>(1u << i);
   return true;
 }
 
 bool GhashUnit::faultFlipStageTagBit(unsigned stage, unsigned bit) {
-  GhashStageSlot& s = stages_.at(stage % kGhashStages);
+  const unsigned i = stage % kGhashStages;
+  GhashStageSlot& s = stages_[i];
   if (!s.valid || bit >= 32) return false;
   flipLabelBit(s.tag, bit);
+  suspect_stages_ |= static_cast<std::uint8_t>(1u << i);
   return true;
 }
 
 bool GhashUnit::faultFlipAccBit(unsigned stream, unsigned bit) {
-  Stream& st = streams_.at(stream % kGhashStreams);
+  const unsigned sid = stream % kGhashStreams;
+  Stream& st = streams_[sid];
   if (!st.open || bit >= 128 * kGhashLanes) return false;
+  materialize(sid);
   aes::Tag128& lane = st.lanes[bit / 128];
   const unsigned b = bit % 128;
   lane[b / 8] ^= static_cast<std::uint8_t>(1u << (b % 8));
+  suspect_streams_ |= static_cast<std::uint8_t>(1u << sid);
   return true;
 }
 
 bool GhashUnit::faultFlipKeyTableBit(unsigned slot, unsigned bit) {
-  KeySlot& k = keys_.at(slot % kGhashKeySlots);
+  const unsigned ks = slot % kGhashKeySlots;
+  KeySlot& k = keys_[ks];
   const unsigned total = kGhashLanes * 16 * 128;
   if (!k.valid || bit >= total) return false;
+  // Multiplies already done used the table as it was; the stage steps from
+  // now on read the flipped entry.
+  for (unsigned sid = 0; sid < kGhashStreams; ++sid) {
+    if (streams_[sid].open && streams_[sid].key_slot == ks) materialize(sid);
+  }
   const unsigned power = bit / (16 * 128);
   const unsigned entry = (bit / 128) % 16;
   k.verified = false;
@@ -305,7 +384,10 @@ void GhashUnit::restampStream(Stream& st) {
 }
 
 bool GhashUnit::streamParityOk(const Stream& st) const {
-  return st.parity == (lanesParity(st.lanes) != labelParity(st.label));
+  // A lazy stream's lanes are computed from its blocks when needed, so
+  // their parity holds by construction.
+  return st.lazy ||
+         st.parity == (lanesParity(st.lanes) != labelParity(st.label));
 }
 
 void GhashUnit::faultStream(unsigned sid) {
@@ -314,7 +396,8 @@ void GhashUnit::faultStream(unsigned sid) {
   // Fail secure: zeroize the partial digest and pending blocks; nothing of
   // the stream's state is consulted again.
   st.lanes = {};
-  st.fifo.clear();
+  st.blocks.clear();
+  st.lazy = false;
   restampStream(st);
   for (auto& s : stages_) {
     if (s.valid && s.stream == sid) s = GhashStageSlot{};
@@ -323,12 +406,14 @@ void GhashUnit::faultStream(unsigned sid) {
 
 std::vector<GhashScrubFinding> GhashUnit::scrubFast() {
   std::vector<GhashScrubFinding> findings;
-  if (!hardened_ || idle()) return findings;
-  for (unsigned i = 0; i < kGhashStages; ++i) {
+  if (!hardened_) return findings;
+  for (; suspect_stages_ != 0; suspect_stages_ &= suspect_stages_ - 1) {
+    const unsigned i = static_cast<unsigned>(std::countr_zero(suspect_stages_));
     GhashStageSlot& s = stages_[i];
     if (!s.valid) continue;
     const bool tag_bad = s.tag_parity != labelParity(s.tag);
-    const bool data_bad = s.data_parity != tagDataParity(s.x, s.z);
+    const bool data_bad =
+        !s.lazy && s.data_parity != tagDataParity(s.x, s.z);
     if (!tag_bad && !data_bad) continue;
     const unsigned sid = s.stream;
     findings.push_back({tag_bad ? FaultSite::GhashStageTag
@@ -339,7 +424,9 @@ std::vector<GhashScrubFinding> GhashUnit::scrubFast() {
     s = GhashStageSlot{};
     faultStream(sid);
   }
-  for (unsigned sid = 0; sid < kGhashStreams; ++sid) {
+  for (; suspect_streams_ != 0; suspect_streams_ &= suspect_streams_ - 1) {
+    const unsigned sid =
+        static_cast<unsigned>(std::countr_zero(suspect_streams_));
     Stream& st = streams_[sid];
     if (!st.open || st.faulted) continue;
     if (streamParityOk(st)) continue;

@@ -28,10 +28,20 @@
 // a checksum over each H-power table (checked at point of use on every
 // issue and by the slow scrub ring). Any mismatch faults the stream —
 // a faulted stream can never release a digest.
+//
+// Streams are lazy, like the AES pipe's blocks: the issue schedule (FIFO
+// space, round-robin issue, writeback, done()) runs every cycle on counters
+// and stage metadata, while a stream keeps the blocks it absorbed and
+// computes its lanes once, when the digest is needed, with whole multiplies
+// over the lane powers. Anything that would see or change a stream's data
+// first materialises it (lanes and in-flight stage data as the staged
+// multiplier holds them now), and the stream is then stepped stage by stage
+// every cycle, as the hardware does: a stage read sees a replayed copy, and
+// a stage-data, accumulator or H-table flip makes the streams it touches
+// eager before it lands.
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <string>
 #include <vector>
@@ -58,6 +68,7 @@ struct GhashStageSlot {
   unsigned lane = 0;
   unsigned key_slot = 0;
   unsigned power = 0;  // selects H^(power+1) for this multiply
+  std::uint64_t block = 0;  // index of the absorbed block it multiplies
   aes::Tag128 x{};     // multiplicand (lane accumulator ^ absorbed block)
   aes::Tag128 z{};     // partial product, advanced 8 nibble-steps per stage
   Label tag{};         // per-stage security tag (Fig. 7, extended)
@@ -65,6 +76,9 @@ struct GhashStageSlot {
   // over the tag register (written once at issue).
   bool data_parity = false;
   bool tag_parity = false;
+  // Its stream is lazy: x, z and data_parity are not computed (stage(i)
+  // replays them), and only the tag parity is checked.
+  bool lazy = false;
 };
 
 // One fail-secure detection inside the unit, reported to the accelerator
@@ -114,8 +128,9 @@ class GhashUnit {
   }
   // The digest (the XOR of the lanes), still at the stream's label: an
   // internal consumer (J0 derivation) keeps it on-device, and the
-  // sequencer releases it only through the exit gate.
-  aes::Tag128 digest(unsigned stream) const;
+  // sequencer releases it only through the exit gate. Materialises a lazy
+  // stream's lanes.
+  aes::Tag128 digest(unsigned stream);
   // Point-of-use check before a release: a hardened unit re-verifies the
   // stream's lane accumulators and label against their parity and its H
   // table against the checksum, and faults the stream (false) on a
@@ -135,6 +150,7 @@ class GhashUnit {
   std::vector<GhashScrubFinding> tick(std::uint64_t now);
 
   // --- Fault-injection ports (no parity/checksum restamp) --------------------
+  // The data ports materialise the streams they touch first (see above).
   bool faultFlipStageBit(unsigned stage, unsigned bit);     // 0..255 over x||z
   bool faultFlipStageTagBit(unsigned stage, unsigned bit);  // 0..31
   bool faultFlipAccBit(unsigned stream, unsigned bit);  // 0..128*lanes-1
@@ -142,7 +158,10 @@ class GhashUnit {
   bool faultFlipKeyLabelBit(unsigned slot, unsigned bit);  // 0..31
 
   // --- Fail-secure scrub (driven by the accelerator's scrub pass) ------------
-  // Fast ring: every stage and stream comparator, every cycle.
+  // Fast ring: every stage and stream comparator, every cycle. Only the
+  // fault ports write that storage without restamping its parity, so only
+  // what they wrote since it last matched is re-checked; every other
+  // comparator passes by construction.
   std::vector<GhashScrubFinding> scrubFast();
   // Slow ring: one H-key slot per visit.
   std::optional<GhashScrubFinding> scrubKeySlot(unsigned slot);
@@ -157,7 +176,8 @@ class GhashUnit {
   std::uint64_t blocksProcessed() const { return blocks_; }
   unsigned activeStreams() const;
   bool anyValid() const;
-  const GhashStageSlot& stage(unsigned i) const { return stages_.at(i); }
+  // Stage i with its data: a lazy stage is replayed on a copy.
+  GhashStageSlot stage(unsigned i) const;
 
  private:
   struct KeySlot {
@@ -180,13 +200,30 @@ class GhashUnit {
     std::uint64_t absorbed = 0;  // pushed into the FIFO
     std::uint64_t issued = 0;    // entered the multiplier
     std::uint64_t written = 0;   // writebacks completed
+    // The lane accumulators; stale while the stream is lazy.
     std::array<aes::Tag128, kGhashLanes> lanes{};
-    std::deque<aes::Tag128> fifo;
+    // Every absorbed block; blocks[issued..] is the FIFO.
+    std::vector<aes::Tag128> blocks;
+    bool lazy = false;
     bool faulted = false;
-    bool parity = false;  // over the lane accumulators + label
+    // Over the lane accumulators + label; stamped once the stream is eager.
+    bool parity = false;
   };
 
   GhashStageSlot computeStage(unsigned idx, GhashStageSlot s) const;
+  // Block i of `st` multiplies by H^(powerOf(st, i) + 1).
+  static unsigned powerOf(const Stream& st, std::uint64_t i);
+  // The lanes after the first `n` blocks of `st`, by whole multiplies.
+  std::array<aes::Tag128, kGhashLanes> lanesAfter(const Stream& st,
+                                                  std::uint64_t n) const;
+  // A lazy stage's x, z and data parity, given its stream's lanes now.
+  GhashStageSlot replayStage(unsigned idx, GhashStageSlot s,
+                             const std::array<aes::Tag128, kGhashLanes>&
+                                 lanes) const;
+  // Compute a lazy stream's lanes and in-flight stages; it is eager after.
+  void materialize(unsigned sid);
+  // Empty a stream slot, keeping its block buffer's storage.
+  void resetStream(Stream& st);
   void restampStream(Stream& st);
   bool streamParityOk(const Stream& st) const;
   void faultStream(unsigned sid);
@@ -196,6 +233,11 @@ class GhashUnit {
   std::array<KeySlot, kGhashKeySlots> keys_{};
   std::array<Stream, kGhashStreams> streams_{};
   std::array<GhashStageSlot, kGhashStages> stages_{};
+  // Bit i: a fault port wrote stage i (stream i) since its comparator last
+  // matched. The stage bits move down the pipe with the stages.
+  static_assert(kGhashStages <= 8 && kGhashStreams <= 8);
+  std::uint8_t suspect_stages_ = 0;
+  std::uint8_t suspect_streams_ = 0;
   unsigned issue_rr_ = 0;
   std::uint64_t blocks_ = 0;
 };

@@ -18,6 +18,7 @@ bool KeyScratchpad::configureCells(unsigned base, unsigned count,
   for (unsigned i = 0; i < count; ++i) {
     tags_[base + i] = l;
     tag_parity_[base + i] = labelParity(l);
+    tag_suspect_ &= static_cast<std::uint8_t>(~(1u << (base + i)));
     // A cell handed to a new owner starts empty: re-tagging without a scrub
     // would let the new owner expand the previous owner's key words under
     // its own label. The unprotected baseline keeps the stale data.
@@ -59,7 +60,12 @@ bool KeyScratchpad::cellParityOk(unsigned idx) const {
 }
 
 bool KeyScratchpad::tagParityOk(unsigned idx) const {
-  return labelParity(tags_.at(idx)) == tag_parity_.at(idx);
+  const Label& tag = tags_.at(idx);
+  const auto bit = static_cast<std::uint8_t>(1u << idx);
+  if ((tag_suspect_ & bit) == 0) return true;
+  if (labelParity(tag) != tag_parity_[idx]) return false;
+  tag_suspect_ &= static_cast<std::uint8_t>(~bit);
+  return true;
 }
 
 void KeyScratchpad::failSecure(unsigned idx) {
@@ -69,6 +75,7 @@ void KeyScratchpad::failSecure(unsigned idx) {
   // tag must only ever fail upward, never toward public.
   tags_.at(idx) = Label{lattice::Conf::top(), lattice::Integ::bottom()};
   tag_parity_.at(idx) = labelParity(tags_.at(idx));
+  tag_suspect_ &= static_cast<std::uint8_t>(~(1u << idx));
 }
 
 bool KeyScratchpad::faultFlipCellBit(unsigned idx, unsigned bit) {
@@ -80,6 +87,7 @@ bool KeyScratchpad::faultFlipCellBit(unsigned idx, unsigned bit) {
 bool KeyScratchpad::faultFlipTagBit(unsigned idx, unsigned bit) {
   if (idx >= kScratchpadCells || bit >= 32) return false;
   flipLabelBit(tags_[idx], bit);
+  tag_suspect_ |= static_cast<std::uint8_t>(1u << idx);
   return true;
 }
 

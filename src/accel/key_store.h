@@ -56,7 +56,12 @@ class KeyScratchpad {
   // checks); cell data is only visited by the slow ring, where upsets can
   // accumulate — a full checksum keeps multi-bit corruption detectable.
   bool cellParityOk(unsigned idx) const;
+  // Only a fault port writes a tag without restamping its parity bit, so
+  // only a tag one wrote since it last matched is compared again.
   bool tagParityOk(unsigned idx) const;
+  // Bit i is set when a fault port wrote cell i's tag since its parity
+  // last matched: the only tags whose check can fail.
+  std::uint8_t suspectTags() const { return tag_suspect_; }
   // Fail-secure response to a parity mismatch: zeroize the cell and force
   // its tag *upward* to the quarantine point (top confidentiality, bottom
   // integrity) so a corrupted tag can never declassify the cell. The cell
@@ -74,6 +79,9 @@ class KeyScratchpad {
   std::array<Label, kScratchpadCells> tags_{};
   std::array<std::uint64_t, kScratchpadCells> cell_sum_{};
   std::array<bool, kScratchpadCells> tag_parity_{};
+  // See suspectTags(); a passing check clears the cell's bit.
+  static_assert(kScratchpadCells <= 8);
+  mutable std::uint8_t tag_suspect_ = 0;
 };
 
 // One expanded key with its security metadata.

@@ -36,17 +36,23 @@ StageSlot AesPipeline::stage(unsigned i) const {
 
 bool AesPipeline::stageParityOk(unsigned i) const {
   const StageSlot& s = meta(i);
-  if (!s.valid) return true;
-  return (s.lazy || s.data_parity == stateParity(s.state)) &&
-         s.tag_parity == labelParity(s.tag);
+  const std::uint64_t bit = std::uint64_t{1} << i;
+  if ((suspect_ & bit) == 0 || !s.valid) return true;
+  if ((!s.lazy && s.data_parity != stateParity(s.state)) ||
+      s.tag_parity != labelParity(s.tag))
+    return false;
+  suspect_ &= ~bit;
+  return true;
 }
 
 void AesPipeline::squash(unsigned i) {
   StageSlot& s = stages_[slotIndex(i)];
   s = StageSlot{};
   stampParity(s);
-  occupancy_ &= ~(std::uint64_t{1} << i);
-  eager_ &= ~(std::uint64_t{1} << i);
+  const std::uint64_t keep = ~(std::uint64_t{1} << i);
+  occupancy_ &= keep;
+  eager_ &= keep;
+  suspect_ &= keep;
 }
 
 bool AesPipeline::faultFlipStageDataBit(unsigned stage, unsigned bit) {
@@ -55,13 +61,16 @@ bool AesPipeline::faultFlipStageDataBit(unsigned stage, unsigned bit) {
   if (!s.valid || bit >= 128) return false;
   materialize(i);
   s.state[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+  suspect_ |= std::uint64_t{1} << i;
   return true;
 }
 
 bool AesPipeline::faultFlipStageTagBit(unsigned stage, unsigned bit) {
-  StageSlot& s = stages_[slotIndex(stage % depth())];
+  const unsigned i = stage % depth();
+  StageSlot& s = stages_[slotIndex(i)];
   if (!s.valid || bit >= 32) return false;
   flipLabelBit(s.tag, bit);
+  suspect_ |= std::uint64_t{1} << i;
   return true;
 }
 
@@ -168,6 +177,7 @@ std::optional<StageSlot> AesPipeline::advance(std::optional<StageSlot> input) {
   head_ = head_ == 0 ? n - 1 : head_ - 1;
   occupancy_ = (occupancy_ & ~final_bit) << 1;
   eager_ = (eager_ & ~final_bit) << 1;
+  suspect_ = (suspect_ & ~final_bit) << 1;
   for (std::uint64_t occ = eager_; occ != 0; occ &= occ - 1) {
     const unsigned i = static_cast<unsigned>(std::countr_zero(occ));
     compute(i, stages_[slotIndex(i)]);
@@ -189,14 +199,11 @@ void AesPipeline::rotate(std::uint64_t cycles) {
   const std::size_t n = stages_.size();
   assert(eager_ == 0);
   assert(occupancy_ == 0 || cycles <= n - std::bit_width(occupancy_));
-  // After n steps every register has been emptied once; later steps only
-  // turn the head.
-  for (std::uint64_t j = 0; j < cycles && j < n; ++j) {
-    head_ = head_ == 0 ? n - 1 : head_ - 1;
-    stages_[head_] = StageSlot{};
+  head_ = (head_ + n - cycles % n) % n;
+  if (occupancy_ != 0) {
+    occupancy_ <<= cycles;
+    suspect_ <<= cycles;
   }
-  if (cycles > n) head_ = (head_ + n - (cycles - n) % n) % n;
-  if (occupancy_ != 0) occupancy_ <<= cycles;
 }
 
 }  // namespace aesifc::accel

@@ -89,8 +89,13 @@ class AesPipeline {
   // --- Fail-secure hardening -------------------------------------------------
   // True when the stage is empty or both parity bits match its contents.
   // A lazy stage's data parity holds by construction (no flip reaches it
-  // without making it eager), so only its tag is checked.
+  // without making it eager), so only its tag is checked. Every writer but
+  // the fault ports restamps the parity it changes, so only a stage a fault
+  // port wrote since it last matched is compared again.
   bool stageParityOk(unsigned i) const;
+  // Bit i is set when a fault port wrote stage i since its parity last
+  // matched: the only stages whose check can fail.
+  std::uint64_t suspects() const { return suspect_; }
   // Squash a stage: zeroize the data register and invalidate the slot (the
   // block is aborted; the accelerator reports the outcome to its user).
   void squash(unsigned i);
@@ -115,8 +120,10 @@ class AesPipeline {
   // the final stage, if any, with its data complete.
   std::optional<StageSlot> advance(std::optional<StageSlot> input);
   // `cycles` calls of advance(nullopt) at once, for a pipe whose blocks are
-  // all lazy and none of which passes the final stage: the ring head turns
-  // and each register rotating into stage 0 is emptied.
+  // all lazy and none of which passes the final stage: only the ring head
+  // turns. Every register that holds no block is StageSlot{} (each path
+  // that empties one writes that), so the registers rotating into stage 0
+  // are already what advance would write there.
   void rotate(std::uint64_t cycles);
 
  private:
@@ -147,6 +154,8 @@ class AesPipeline {
   // Bit i is set when stage i holds an eager block: only these are stepped
   // by their stage micro-op on a tick.
   std::uint64_t eager_ = 0;
+  // See suspects(); a passing check clears the stage's bit.
+  mutable std::uint64_t suspect_ = 0;
 };
 
 }  // namespace aesifc::accel

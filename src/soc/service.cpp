@@ -415,7 +415,10 @@ void AccelService::reap() {
     for (auto& f : pending) {
       if (f.done) continue;
       if (f.aead) {
-        if (!f.result) f.result = sessions_[f.tenant].collectGcm(f.handle);
+        // Collected only in the cycles a collect can act in (gcmDue).
+        auto& session = sessions_[f.tenant];
+        if (!f.result && session.gcmDue(f.handle))
+          f.result = session.collectGcm(f.handle);
         open = open || !f.result;
         continue;
       }

@@ -365,8 +365,10 @@ class AccelService {
   // on the GCM sequencer without waiting for it. False when every op slot
   // is busy; the op then stays queued and nothing is charged.
   bool startAead(unsigned tenant);
-  // Resolve every flight. Each cycle it polls them all, then ticks the ring
-  // engine while a chain is in flight and the accelerator otherwise. A
+  // Resolve every flight. Each cycle it polls every ring run and collects
+  // every AEAD op its session says a collect can act on (gcmDue), then
+  // ticks the ring engine while a chain is in flight and the accelerator
+  // otherwise. A
   // ring run returns to the head of its tenant's queue in the cycle its
   // future resolves: Ok and suppressed runs complete there, and a typed
   // refusal or an exhausted budget (which resets that channel only) is

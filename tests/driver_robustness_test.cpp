@@ -13,6 +13,7 @@
 #include "aes/cipher.h"
 #include "common/rng.h"
 #include "soc/fault_injector.h"
+#include "trace_hash.h"
 
 namespace aesifc::accel {
 namespace {
@@ -225,19 +226,6 @@ TEST(DriverRobustness, InvalidKeySlotRejectedImmediately) {
   EXPECT_EQ(s.retries(), 0u);
   EXPECT_LE(r.acc.cycle() - before, 2u);  // no watchdog wait, no backoff
 }
-
-// FNV-1a over a session's observable trace.
-struct TraceHash {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  void byte(std::uint8_t b) { h = (h ^ b) * 0x100000001b3ULL; }
-  void u64(std::uint64_t v) {
-    for (unsigned i = 0; i < 8; ++i)
-      byte(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-  void bytes(std::span<const std::uint8_t> v) {
-    for (const auto b : v) byte(b);
-  }
-};
 
 // One seeded session under device and host faults: block runs of 1-16
 // blocks in both directions, a GCM seal after every fourth run and an open

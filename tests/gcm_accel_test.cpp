@@ -18,6 +18,7 @@
 #include "common/rng.h"
 #include "soc/pool.h"
 #include "soc/service.h"
+#include "trace_hash.h"
 
 namespace aesifc::accel {
 namespace {
@@ -755,12 +756,13 @@ TEST(GcmPool, AeadRoundTripsAcrossShards) {
 // A service over one accelerator with `n` AEAD tenants: user i + 1 holds
 // key slot i + 1, provisioned through the service's key ledger.
 struct AeadRig {
-  AesAccelerator acc{AcceleratorConfig{}};
+  AesAccelerator acc;
   AccelService svc;
   std::vector<aes::ExpandedKey> golden;
 
-  AeadRig(unsigned n, ServiceConfig cfg, std::size_t queue_depth = 16)
-      : svc{acc, cfg} {
+  AeadRig(unsigned n, ServiceConfig cfg, std::size_t queue_depth = 16,
+          AcceleratorConfig acfg = {})
+      : acc{acfg}, svc{acc, cfg} {
     acc.addUser(Principal::supervisor());
     for (unsigned i = 0; i < n; ++i) {
       TenantSpec spec;
@@ -1041,6 +1043,94 @@ INSTANTIATE_TEST_SUITE_P(
       return info.param == MidRoundFault::KeyZeroized ? "KeyZeroized"
                                                       : "GhashKeyTable";
     });
+
+// A seeded AEAD service run. Three tenants share one device with a quota
+// of 8 ops per round: tenant 0's first round takes every sequencer op slot,
+// so the others start against a full sequencer. Seals and opens mix 96-bit
+// IVs with 1, 8, 16, 20 and 60-byte ones and 0-40 bytes of AAD; every fifth
+// open carries a tampered tag (AuthFailed). A GHASH stage upset every 400
+// cycles fault-aborts the op it hits (the driver retries it), and a
+// 24-cycle watchdog times short ops out while long ops' budgets grow with
+// the backlog. Folds every completion's (ticket, status, route, data, tag,
+// complete_cycle), the final stats and the final device cycle into `h`.
+void runAeadTrace(accel::SecurityMode mode, TraceHash& h) {
+  ServiceConfig cfg;
+  cfg.quota_per_round = accel::kGcmOps;
+  cfg.global_high_watermark = 256;
+  cfg.healthy_opts = {.timeout_cycles = 24, .max_retries = 1,
+                      .backoff_cycles = 8};
+  AcceleratorConfig acfg;
+  acfg.mode = mode;
+  AeadRig r{3, cfg, /*queue_depth=*/32, acfg};
+  Rng rng{0xaead};
+  std::uint64_t upsets = 0;
+  r.acc.setTickHook([&] {
+    const std::uint64_t c = r.acc.cycle();
+    if (c % 400 == 0 &&
+        r.acc.injectFault(accel::FaultSite::GhashStage,
+                          static_cast<unsigned>(c / 400 % accel::kGhashStages),
+                          static_cast<unsigned>(c % 256)))
+      ++upsets;
+  });
+  const std::size_t iv_lengths[] = {12, 1, 12, 8, 12, 16, 20, 12, 60};
+  unsigned opens = 0;
+  for (unsigned round = 0; round < 40; ++round) {
+    for (unsigned t = 0; t < 3; ++t) {
+      const unsigned n = round == 0 && t == 0 ? 10 : rng.below(4);
+      for (unsigned i = 0; i < n; ++i) {
+        const bool open = rng.chance(0.5);
+        AeadCase c = makeCase(rng, r.golden[t], open, 1 + rng.below(40),
+                              rng.below(41));
+        c.iv = accel::randomBytes(
+            rng, iv_lengths[rng.below(std::size(iv_lengths))]);
+        c.host = aes::gcmEncrypt(c.pt, c.aad, r.golden[t], c.iv);
+        if (open && ++opens % 5 == 0) c.host.tag[opens % 16] ^= 0x20;
+        submitCase(r.svc, t, c);
+      }
+    }
+    r.svc.pump();
+  }
+  r.svc.runUntilIdle(1u << 22);
+  r.acc.setTickHook(nullptr);
+
+  for (unsigned t = 0; t < 3; ++t) {
+    while (const auto c = r.svc.fetchAead(t)) {
+      h.u64(c->ticket);
+      h.u64(static_cast<std::uint64_t>(c->status));
+      h.u64(static_cast<std::uint64_t>(c->served_by));
+      h.bytes(c->data);
+      h.bytes(c->tag);
+      h.u64(c->complete_cycle);
+    }
+  }
+  const ServiceStats& s = r.svc.stats();
+  for (const char ch : s.toJson()) h.byte(static_cast<std::uint8_t>(ch));
+  h.u64(r.acc.cycle());
+
+  std::uint64_t timeouts = 0, retries = 0;
+  for (unsigned t = 0; t < 3; ++t) {
+    timeouts += r.svc.session(t).telemetry().timeouts;
+    retries += r.svc.session(t).retries();
+  }
+  const auto& dev = r.acc.stats();
+  EXPECT_GT(upsets, 0u) << "mode " << static_cast<int>(mode);
+  EXPECT_GT(dev.gcm_fault_aborted, 0u) << "mode " << static_cast<int>(mode);
+  EXPECT_GT(timeouts, 0u) << "mode " << static_cast<int>(mode);
+  EXPECT_GT(retries, dev.gcm_fault_aborted) << "mode " << static_cast<int>(mode);
+  EXPECT_GT(s.requeues, 0u) << "mode " << static_cast<int>(mode);
+  EXPECT_GT(s.aead_completed_hw, 0u) << "mode " << static_cast<int>(mode);
+  EXPECT_GT(s.aead_auth_failed, 0u) << "mode " << static_cast<int>(mode);
+  EXPECT_EQ(r.svc.totalQueued(), 0u) << "mode " << static_cast<int>(mode);
+}
+
+// Pins what the AEAD path completes, and when, in both security modes.
+TEST(GcmService, AeadTraceDigestIsPinned) {
+  TraceHash h;
+  for (const auto mode :
+       {accel::SecurityMode::Protected, accel::SecurityMode::Baseline})
+    runAeadTrace(mode, h);
+  EXPECT_EQ(h.h, 0x577a72597e9cd211ULL);
+}
 
 }  // namespace
 }  // namespace aesifc::soc

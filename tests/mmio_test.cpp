@@ -123,7 +123,8 @@ TEST_F(MmioFixture, StatusFlagsASuppressedHead) {
 }
 
 // An overflow drop delivers a zeroed completion record too, flagged by its
-// own STATUS bit.
+// own STATUS bit. The record keeps its place in the user's order: it waits
+// behind her results already in the overflow buffer and leaves after them.
 TEST_F(MmioFixture, StatusFlagsADroppedHead) {
   ASSERT_TRUE(mmioLoadKey(alice_win, 1, 0, std::vector<std::uint8_t>(16, 0x11),
                           1));
@@ -141,10 +142,34 @@ TEST_F(MmioFixture, StatusFlagsADroppedHead) {
     acc.tick();
   }
   ASSERT_EQ(acc.stats().dropped, 1u);
-  // One pending output, out-ready, out-dropped.
-  EXPECT_EQ(alice_win.read(W::kStatus), 0x109u);
-  for (unsigned w = 0; w < 4; ++w)
-    EXPECT_EQ(alice_win.read(W::kDataOut + 4 * w), 0u);
+  // Nothing is out yet: the record queues behind her buffered results.
+  EXPECT_EQ(alice_win.read(W::kStatus), 0u);
+  acc.setReceiverReady(alice, true);
+  acc.run(200);
+  const std::uint32_t pending = alice_win.read(W::kStatus) >> 8;
+  ASSERT_GT(pending, acc.stats().dropped);
+  // Her records in request order; the first one flagged dropped comes
+  // after at least one result and reads zero.
+  std::uint32_t last_id = 0, results = 0, drops = 0;
+  for (std::uint32_t k = 0; k < pending; ++k) {
+    const std::uint32_t status = alice_win.read(W::kStatus);
+    const std::uint32_t id = alice_win.read(W::kReqIdLo);
+    EXPECT_GT(id, last_id);
+    last_id = id;
+    if (status & 8u) {
+      if (drops++ == 0) {
+        EXPECT_GT(results, 0u);
+        EXPECT_EQ(status & 0xffu, 0x09u);  // out-ready, out-dropped
+        for (unsigned w = 0; w < 4; ++w)
+          EXPECT_EQ(alice_win.read(W::kDataOut + 4 * w), 0u);
+      }
+    } else {
+      EXPECT_EQ(status & 0xffu, 0x01u);
+      ++results;
+    }
+    alice_win.write(W::kCtrl, 4);  // pop
+  }
+  EXPECT_EQ(drops, acc.stats().dropped);
 }
 
 TEST_F(MmioFixture, KeyCellProtectionVisibleThroughMmio) {

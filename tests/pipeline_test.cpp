@@ -397,6 +397,34 @@ struct EagerModel {
 // landing on blocks mid-flight (the pipe is told before the key changes,
 // as the accelerator does). Three key sizes share a 42-stage pipe in both
 // directions.
+// A stage a fault port wrote stays suspect until its parity matches again,
+// wherever its block has moved: the mark travels with the block through
+// advance and rotate, and a passing check or a squash clears it.
+TEST_F(PipelineFixture, FlippedStagesStaySuspectAsTheyMove) {
+  ram.store(0, aes::expandKey(randomKey(16), aes::KeySize::Aes128),
+            lattice::Conf::bottom(), lattice::Label::publicTrusted());
+  AesPipeline p{10, ram};
+  p.advance(makeSlot(0, randomBlock(), false, 1));
+  p.advance(makeSlot(0, randomBlock(), false, 2));
+  EXPECT_EQ(p.suspects(), 0u);
+  ASSERT_TRUE(p.faultFlipStageTagBit(1, 3));
+  ASSERT_TRUE(p.faultFlipStageTagBit(0, 20));
+  EXPECT_EQ(p.suspects(), 0b11u);
+  p.advance(std::nullopt);
+  p.rotate(5);
+  EXPECT_EQ(p.suspects(), (std::uint64_t{1} << 7) | (std::uint64_t{1} << 6));
+  EXPECT_TRUE(p.stageParityOk(5));
+  EXPECT_FALSE(p.stageParityOk(6));
+  EXPECT_FALSE(p.stageParityOk(7));
+  // A second flip of the same bit restores the tag: the check passes and
+  // clears the mark.
+  ASSERT_TRUE(p.faultFlipStageTagBit(7, 3));
+  EXPECT_TRUE(p.stageParityOk(7));
+  EXPECT_EQ(p.suspects(), std::uint64_t{1} << 6);
+  p.squash(6);
+  EXPECT_EQ(p.suspects(), 0u);
+}
+
 TEST_F(PipelineFixture, LazyPipeMatchesEagerScheduleUnderFaults) {
   const aes::KeySize sizes[] = {aes::KeySize::Aes128, aes::KeySize::Aes192,
                                 aes::KeySize::Aes256};

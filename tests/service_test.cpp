@@ -13,6 +13,7 @@
 #include "aes/gcm.h"
 #include "common/rng.h"
 #include "soc/service.h"
+#include "trace_hash.h"
 
 namespace aesifc::soc {
 namespace {
@@ -282,16 +283,6 @@ TEST(ServiceServing, RefusedRingRunKeepsTenantCompletionOrder) {
   EXPECT_FALSE(svc.fetch(t).has_value());
   EXPECT_EQ(svc.stats().key_reprovisions, 1u);
 }
-
-// FNV-1a 64 over a completion trace.
-struct TraceHash {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  void byte(std::uint8_t b) { h = (h ^ b) * 0x100000001b3ULL; }
-  void u64(std::uint64_t v) {
-    for (unsigned i = 0; i < 8; ++i)
-      byte(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-};
 
 // A seeded two-tenant scenario. Each step queues one same-direction run of
 // each direction per tenant; over the first 32 steps tenant 0 walks the run

@@ -69,6 +69,18 @@ gate \
   --metric blocks_per_device_cycle --tolerance 0.25 \
   --assert-eq "$CONSERVATION"
 
+# GCM exact replay. The matrix is seeded and the device model
+# deterministic, so every cell reproduces its device cycles and its
+# blocks/device-cycle exactly: any drift means a change moved what the
+# AEAD path does on the device, not just how fast the host simulates it.
+for metric in device_cycles blocks_per_device_cycle; do
+  gate \
+    --fresh bench_gcm.smoke.jsonl \
+    --snapshot "$root/bench/BENCH_gcm.json" \
+    --bench gcm --keys shards,batch,mode \
+    --metric "$metric" --tolerance 0
+done
+
 # GCM parity (device >= host-GHASH hybrid in every cell). Every record
 # carries its (shards, batch) cell's host_ghash figure as
 # hybrid_blocks_per_device_cycle: on-device GCM, with the tag work on the
