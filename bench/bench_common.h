@@ -1,6 +1,7 @@
 #pragma once
 // Helpers the benches share: the environment knobs that pick the CI smoke
-// configuration, and the tenant set the pool matrices place.
+// configuration, the tenant set the pool matrices place with its oracle,
+// and JSON splicing.
 
 #include <cstdint>
 #include <cstdlib>
@@ -9,6 +10,7 @@
 #include <vector>
 
 #include "soc/pool.h"
+#include "soc/workload.h"
 
 namespace aesifc::bench {
 
@@ -26,6 +28,12 @@ inline unsigned envOr(const char* name, unsigned fallback) {
 inline bool smokeMode() {
   const char* v = std::getenv("AESIFC_BENCH_SMOKE");
   return v && *v && std::string{v} != "0";
+}
+
+// The members of a JSON object, without its braces, to splice into a
+// record.
+inline std::string jsonMembers(const std::string& object) {
+  return object.substr(1, object.size() - 2);
 }
 
 // Tenant t's AES-128 key: byte i is 0x40 + 13 t + i.
@@ -52,6 +60,14 @@ inline std::vector<unsigned> addTenants(soc::EnginePool& pool,
     ids.push_back(placed.tenant);
   }
   return ids;
+}
+
+// A campaign oracle over the tenants addTenants places: tenant t under
+// tenantKey(t).
+inline soc::Oracle tenantOracle(unsigned tenants) {
+  soc::Oracle oracle;
+  for (unsigned t = 0; t < tenants; ++t) oracle.addTenant(tenantKey(t));
+  return oracle;
 }
 
 }  // namespace aesifc::bench

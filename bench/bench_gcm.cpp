@@ -11,6 +11,10 @@
 // op slots, so each op's E(K, J0) and GHASH tail hide under the next op's
 // keystream, and device GCM matches or beats the hybrid in every cell.
 //
+// Every device seal and every host_ghash keystream block is checked after
+// the clock stops through soc::Oracle, whose counts each record carries
+// flat (wrong_outputs ... unresolved, all 0).
+//
 // Committed baseline: bench/BENCH_gcm.json (the `JSON ` lines below). The
 // CI gate checks the blocks/device-cycle columns stay within tolerance,
 // and that every record of a (shards, batch) cell reaches the cell's
@@ -20,6 +24,7 @@
 #include <chrono>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
@@ -42,6 +47,7 @@ struct GcmRunResult {
   double wall_seconds = 0.0;
   bool all_ok = true;
   soc::Conservation cons;  // ops (device) or keystream blocks (host_ghash)
+  soc::OracleCounts oracle;  // the seals or keystream blocks, checked
 };
 
 soc::EnginePool makePool(unsigned shards, unsigned msg_blocks) {
@@ -78,15 +84,22 @@ GcmRunResult runDeviceGcm(unsigned shards, unsigned msg_blocks,
                           unsigned tenants, unsigned ops_per_tenant) {
   auto pool = makePool(shards, msg_blocks);
   const auto ids = addTenants(pool, tenants);
+  soc::Oracle oracle = bench::tenantOracle(tenants);
+  std::vector<std::pair<unsigned, soc::AeadCompletion>> fetched;
   GcmRunResult r;
   const auto t0 = std::chrono::steady_clock::now();
   r.cons = soc::runClosedWaves(
       pool, ids, ops_per_tenant,
       [&](unsigned t, unsigned i) {
-        return pool.submitSeal(ids[t], messageOf(t, i, msg_blocks), {},
-                               ivOf(t, i));
+        auto msg = messageOf(t, i, msg_blocks);
+        auto iv = ivOf(t, i);
+        const soc::SubmitResult res = pool.submitSeal(ids[t], msg, {}, iv);
+        oracle.offerSeal(t, res.admitted, res.ticket, std::move(msg), {},
+                         std::move(iv));
+        return res;
       },
-      [&](unsigned, const soc::AeadCompletion& c) {
+      [&](unsigned t, const soc::AeadCompletion& c) {
+        fetched.emplace_back(t, c);
         if (c.status != soc::CompletionStatus::Ok) {
           r.all_ok = false;
           return;
@@ -97,6 +110,8 @@ GcmRunResult runDeviceGcm(unsigned shards, unsigned msg_blocks,
   r.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
+  for (const auto& [t, c] : fetched) oracle.check(t, c);
+  r.oracle = oracle.counts();
   r.device_cycles = pool.maxShardCycle();
   return r;
 }
@@ -118,6 +133,8 @@ GcmRunResult runHostGhash(unsigned shards, unsigned msg_blocks,
   // A message counts as an op only when every one of its keystream blocks
   // came back Ok.
   std::vector<bool> message_ok(tenants, true);
+  soc::Oracle oracle = bench::tenantOracle(tenants);
+  std::vector<std::pair<unsigned, soc::Completion>> fetched;
   GcmRunResult r;
   const auto t0 = std::chrono::steady_clock::now();
   std::uint64_t done = 0;  // completions so far, folded into the host XOR
@@ -132,9 +149,12 @@ GcmRunResult runHostGhash(unsigned shards, unsigned msg_blocks,
         b[13] = static_cast<std::uint8_t>(i >> 16);
         b[14] = static_cast<std::uint8_t>(i >> 8);
         b[15] = static_cast<std::uint8_t>(i);
-        return pool.submit(ids[t], b);
+        const soc::SubmitResult res = pool.submit(ids[t], b);
+        oracle.offer(t, res.admitted, res.ticket, b);
+        return res;
       },
       [&](unsigned t, const soc::Completion& c) {
+        fetched.emplace_back(t, c);
         ++done;
         if (c.status != soc::CompletionStatus::Ok) {
           r.all_ok = false;
@@ -168,6 +188,8 @@ GcmRunResult runHostGhash(unsigned shards, unsigned msg_blocks,
   r.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
+  for (const auto& [t, c] : fetched) oracle.check(t, c);
+  r.oracle = oracle.counts();
   r.device_cycles = pool.maxShardCycle();
   return r;
 }
@@ -191,11 +213,12 @@ void printRow(const char* mode, unsigned shards, unsigned batch,
       "\"ops\":%llu,\"blocks\":%llu,\"device_cycles\":%llu,"
       "\"blocks_per_device_cycle\":%.4f,"
       "\"hybrid_blocks_per_device_cycle\":%.4f,\"wall_seconds\":%.4f,"
-      "\"conservation\":%s}\n",
+      "\"conservation\":%s,%s}\n",
       shards, batch, mode, static_cast<unsigned long long>(r.ops),
       static_cast<unsigned long long>(r.blocks),
       static_cast<unsigned long long>(r.device_cycles), bpc, hybrid_bpc,
-      r.wall_seconds, r.cons.toJson().c_str());
+      r.wall_seconds, r.cons.toJson().c_str(),
+      bench::jsonMembers(r.oracle.toJson()).c_str());
 }
 
 }  // namespace

@@ -3,13 +3,15 @@
 // costs no cycles, and fine-grained sharing beats the coarse-grained
 // (drain-between-users) policy the paper's introduction argues against.
 // The engine-pool matrix runs its closed-loop waves through
-// soc::runClosedWaves, which returns each record's conservation identity.
+// soc::runClosedWaves, which returns each record's conservation identity,
+// and checks every completion through soc::Oracle.
 
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
@@ -116,7 +118,9 @@ void printThroughput() {
 // silicon would see — shards are independent hardware and run in parallel).
 // Admission is RejectNew, so a full queue refuses the submit (the driver
 // retries it next wave) instead of shedding an admitted block, and only Ok
-// completions count as work.
+// completions count as work. After the clock stops, every completion goes
+// through the campaign oracle, whose counts the record carries flat
+// (wrong_outputs ... unresolved, all 0).
 
 struct PoolRunResult {
   std::uint64_t blocks = 0;         // Ok completions
@@ -126,6 +130,7 @@ struct PoolRunResult {
   soc::LatencyStats latency;  // submit->complete, device cycles
   soc::ServiceStats stats;
   soc::Conservation cons;
+  soc::OracleCounts oracle;  // every completion, checked after the clock
 };
 
 PoolRunResult runPool(unsigned shards, unsigned batch, unsigned tenants,
@@ -144,6 +149,8 @@ PoolRunResult runPool(unsigned shards, unsigned batch, unsigned tenants,
   // just the pipe.
   std::vector<std::uint64_t> lat;
   lat.reserve(static_cast<std::size_t>(tenants) * blocks_per_tenant);
+  soc::Oracle oracle = bench::tenantOracle(tenants);
+  std::vector<std::pair<unsigned, soc::Completion>> fetched;
   PoolRunResult r;
   const auto t0 = std::chrono::steady_clock::now();
   r.cons = soc::runClosedWaves(
@@ -152,9 +159,12 @@ PoolRunResult runPool(unsigned shards, unsigned batch, unsigned tenants,
         aes::Block b{};
         for (unsigned j = 0; j < 16; ++j)
           b[j] = static_cast<std::uint8_t>(i + 7 * j + t);
-        return pool.submit(ids[t], b);
+        const soc::SubmitResult res = pool.submit(ids[t], b);
+        oracle.offer(t, res.admitted, res.ticket, b);
+        return res;
       },
-      [&](unsigned, const soc::Completion& c) {
+      [&](unsigned t, const soc::Completion& c) {
+        fetched.emplace_back(t, c);
         if (c.status != soc::CompletionStatus::Ok) {
           ++r.not_ok;
           return;
@@ -165,6 +175,8 @@ PoolRunResult runPool(unsigned shards, unsigned batch, unsigned tenants,
   r.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
+  for (const auto& [t, c] : fetched) oracle.check(t, c);
+  r.oracle = oracle.counts();
   r.device_cycles = pool.maxShardCycle();
   r.latency = soc::latencyStats(lat);
   r.stats = pool.aggregateStats();
@@ -206,13 +218,14 @@ void printPoolThroughput() {
           "\"device_cycles\":%llu,"
           "\"blocks_per_device_cycle\":%.4f,\"blocks_per_sec\":%.1f,"
           "\"wall_seconds\":%.4f,\"speedup_vs_1shard_batch1\":%.2f,"
-          "\"latency\":%s,\"stats\":%s,\"conservation\":%s}\n",
+          "\"latency\":%s,\"stats\":%s,\"conservation\":%s,%s}\n",
           shards, batch, tenants, static_cast<unsigned long long>(r.blocks),
           static_cast<unsigned long long>(r.not_ok),
           static_cast<unsigned long long>(r.device_cycles), bpc, bps,
           r.wall_seconds, base_bps > 0.0 ? bps / base_bps : 0.0,
           r.latency.toJson().c_str(), r.stats.toJson().c_str(),
-          r.cons.toJson().c_str());
+          r.cons.toJson().c_str(),
+          bench::jsonMembers(r.oracle.toJson()).c_str());
     }
   }
   std::printf(

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
 
 namespace aesifc::accel {
 
@@ -55,14 +56,40 @@ void AesAccelerator::deliverAbort(const StageSlot& slot) {
   }
   // Nothing is released from a squashed stage.
   ++stats_.fault_aborted;
-  if (slot.user < output_queues_.size())
-    output_queues_[slot.user].push_back(respond<BlockResponse>(
-        slot.req_id, slot.user, slot.accept_cycle, AccelStatus::FaultAborted));
+  if (slot.user >= output_queues_.size()) return;
+  const auto younger = std::find_if(
+      held_aborts_.begin(), held_aborts_.end(), [&](const BlockResponse& h) {
+        return h.user == slot.user && h.accept_cycle > slot.accept_cycle;
+      });
+  held_aborts_.insert(younger,
+                      respond<BlockResponse>(slot.req_id, slot.user,
+                                             slot.accept_cycle,
+                                             AccelStatus::FaultAborted));
+  releaseAborts(slot.user);
+}
+
+void AesAccelerator::releaseAborts(unsigned user) {
+  std::uint64_t oldest_in_pipe = std::numeric_limits<std::uint64_t>::max();
+  for (unsigned i = 0; i < pipeline_.depth(); ++i) {
+    const StageSlot& s = pipeline_.meta(i);
+    if (s.valid && !s.gcm_internal && s.user == user)
+      oldest_in_pipe = std::min(oldest_in_pipe, s.accept_cycle);
+  }
+  for (auto it = held_aborts_.begin(); it != held_aborts_.end();) {
+    if (it->user != user || it->accept_cycle > oldest_in_pipe) {
+      ++it;
+      continue;
+    }
+    it->complete_cycle = cycle_;
+    output_queues_[user].push_back(std::move(*it));
+    it = held_aborts_.erase(it);
+  }
 }
 
 unsigned AesAccelerator::zeroizeSlotSquash(unsigned slot) {
   unsigned casualties = 0;
-  for (unsigned i = 0; i < pipeline_.depth(); ++i) {
+  // Oldest stage first, so the casualties' records leave in request order.
+  for (unsigned i = pipeline_.depth(); i-- > 0;) {
     const StageSlot& s = pipeline_.meta(i);
     if (s.valid && s.key_slot == slot) {
       const StageSlot copy = s;
@@ -739,7 +766,9 @@ void AesAccelerator::tick() {
         // here; the op's single declassification happens at its release.
         gcm_.deliver(*completed);
       } else {
+        const unsigned user = completed->user;
         routeCompleted(std::move(*completed), to_buffer);
+        if (!held_aborts_.empty()) releaseAborts(user);
       }
     }
     // The GHASH multiplier advances in lockstep with the AES pipe (and

@@ -279,8 +279,12 @@ class AesAccelerator {
   void noteFault(FaultSite site, bool scrubbed, unsigned user,
                  std::string detail);
   // Deliver a fault-abort completion record so the request still terminates
-  // in a definite outcome (never a silent drop).
+  // in a definite outcome (never a silent drop). Per-user order: the record
+  // is held until no older block of its user is left in the pipe.
   void deliverAbort(const StageSlot& slot);
+  // Deliver the user's held abort records that no older block of the user
+  // in the pipe still precedes.
+  void releaseAborts(unsigned user);
   // Zeroize a round-key slot and squash every in-flight block referencing
   // it (their remaining rounds would otherwise read zeroed keys). Returns
   // the number of squashed blocks.
@@ -327,6 +331,9 @@ class AesAccelerator {
   std::vector<std::deque<BlockResponse>> output_queues_;
   std::vector<bool> receiver_ready_;
   std::deque<PendingOutput> overflow_buffer_;
+  // Abort records waiting for an older block of their user to leave the
+  // pipe, in accept (= request) order per user.
+  std::vector<BlockResponse> held_aborts_;
 
   unsigned rr_next_ = 0;      // round-robin pointer
   unsigned coarse_owner_ = 0; // current owner in coarse-grained mode

@@ -6,12 +6,47 @@
 
 #include "aes/cipher.h"
 #include "aes/gcm.h"
+#include "soc/supervisor.h"
 
 namespace aesifc::soc {
 
 using accel::FaultSite;
 
 namespace {
+
+// Appends "<what>\n" to `out` unless `holds`.
+void require(std::string& out, bool holds, const std::string& what) {
+  if (!holds) out += what + "\n";
+}
+
+// The oracle's part of a violations() list.
+void requireClean(std::string& out, const OracleCounts& o) {
+  require(out, o == OracleCounts{}, "oracle " + o.toJson());
+}
+
+// Campaign user u (id `id`) loads `key` into slot u + 1 from cells 2u.
+bool loadUserKey(accel::AesAccelerator& acc, unsigned id, unsigned u,
+                 const std::vector<std::uint8_t>& key) {
+  return accel::loadKey128(acc, id, u + 1, 2 * u, key,
+                           lattice::Conf::category(u + 1));
+}
+
+// Campaign users u0..u<n-1> (category u + 1), each with a key drawn from
+// `rng`, loaded and given to `oracle`; appends the ids, returns the keys.
+std::vector<std::vector<std::uint8_t>> addKeyedUsers(
+    accel::AesAccelerator& acc, unsigned n, Rng& rng,
+    std::vector<unsigned>& ids, Oracle& oracle) {
+  std::vector<std::vector<std::uint8_t>> keys(n, std::vector<std::uint8_t>(16));
+  for (unsigned u = 0; u < n; ++u) {
+    ids.push_back(acc.addUser(lattice::Principal::user(
+        std::string("u").append(std::to_string(u)), u + 1)));
+    for (auto& b : keys[u]) b = static_cast<std::uint8_t>(rng.next());
+    if (!loadUserKey(acc, ids.back(), u, keys[u]))
+      throw std::runtime_error("campaign: key load refused");
+    oracle.addTenant(keys[u]);
+  }
+  return keys;
+}
 
 FaultSite faultSiteFromString(const std::string& name) {
   for (unsigned s = 0; s < accel::kHwFaultSites + accel::kHostFaultSites;
@@ -326,22 +361,12 @@ DeviceCampaignReport runDeviceFaultCampaign(std::uint64_t seed,
   acc.addUser(lattice::Principal::supervisor());
 
   Rng rng{seed};
-  std::vector<unsigned> users(kTenants);
-  std::vector<std::vector<std::uint8_t>> keys(kTenants);
-  std::vector<aes::ExpandedKey> golden;
+  std::vector<unsigned> users;
+  Oracle oracle;
+  const auto keys = addKeyedUsers(acc, kTenants, rng, users, oracle);
   auto loadKey = [&](unsigned u) {
-    return accel::loadKey128(acc, users[u], u + 1, 2 * u, keys[u],
-                             lattice::Conf::category(u + 1));
+    return loadUserKey(acc, users[u], u, keys[u]);
   };
-  for (unsigned u = 0; u < kTenants; ++u) {
-    users[u] = acc.addUser(lattice::Principal::user(
-        std::string("u").append(std::to_string(u)), u + 1));
-    keys[u].resize(16);
-    for (auto& b : keys[u]) b = static_cast<std::uint8_t>(rng.next());
-    if (!loadKey(u))
-      throw std::runtime_error("runDeviceFaultCampaign: key load refused");
-    golden.push_back(aes::expandKey(keys[u], aes::KeySize::Aes128));
-  }
 
   FaultCampaignConfig fcfg;
   // A full-width LCG step, so neighbouring campaign seeds drive unrelated
@@ -362,6 +387,7 @@ DeviceCampaignReport runDeviceFaultCampaign(std::uint64_t seed,
 
   DeviceCampaignReport out;
   std::vector<bool> needs_reload(kTenants, false);
+  std::uint64_t ticket = 0;  // each op is admitted and resolved in one call
   const std::uint64_t t0 = acc.cycle();
   for (unsigned round = 0; round < kRounds; ++round) {
     for (unsigned u = 0; u < kTenants; ++u) {
@@ -373,13 +399,13 @@ DeviceCampaignReport runDeviceFaultCampaign(std::uint64_t seed,
       for (auto& b : in) b = static_cast<std::uint8_t>(rng.next());
       const bool decrypt = rng.chance(0.4);
       ++out.ops;
+      oracle.offer(u, true, ++ticket, in, decrypt);
       const auto r = decrypt ? sessions[u].decryptBlock(in)
                              : sessions[u].encryptBlock(in);
+      oracle.check(u, ticket, terminalStatus(r.status()),
+                   r.has_value() ? *r : aes::Block{});
       if (r.has_value()) {
         ++out.ok;
-        const aes::Block want = decrypt ? aes::decryptBlock(in, golden[u])
-                                        : aes::encryptBlock(in, golden[u]);
-        if (*r != want) ++out.wrong_block_releases;
       } else if (r.status() == accel::AccelStatus::Rejected) {
         needs_reload[u] = true;
       }
@@ -389,18 +415,22 @@ DeviceCampaignReport runDeviceFaultCampaign(std::uint64_t seed,
       for (auto& b : aad) b = static_cast<std::uint8_t>(rng.next());
       for (auto& b : iv) b = static_cast<std::uint8_t>(rng.next());
       ++out.gcm_ops;
+      oracle.offerSeal(u, true, ++ticket, msg, aad, iv);
       const auto sealed = sessions[u].gcmSeal(msg, aad, iv);
       if (sealed.has_value()) {
         ++out.gcm_ok;
-        const auto want = aes::gcmEncrypt(msg, aad, golden[u], iv);
-        if (sealed->tag != want.tag || sealed->ciphertext != want.ciphertext)
-          ++out.wrong_tag_releases;
-      } else if (sealed.status() == accel::AccelStatus::Rejected) {
-        needs_reload[u] = true;
+        oracle.check(u, ticket, CompletionStatus::Ok, sealed->ciphertext,
+                     sealed->tag);
+      } else {
+        oracle.check(u, ticket, terminalStatus(sealed.status()), {});
+        if (sealed.status() == accel::AccelStatus::Rejected)
+          needs_reload[u] = true;
       }
     }
   }
   out.device_cycles = acc.cycle() - t0;
+  out.wrong_block_releases = oracle.counts().wrong_outputs;
+  out.wrong_tag_releases = oracle.counts().wrong_tags;
 
   acc.setTickHook(nullptr);
   inj.releaseStuckReceivers();
@@ -414,6 +444,29 @@ DeviceCampaignReport runDeviceFaultCampaign(std::uint64_t seed,
                      acc.eventCount(accel::SecurityEventKind::FaultScrubbed);
   out.events_logged = acc.events().size();
   out.campaign = inj.report();
+  return out;
+}
+
+std::string DeviceCampaignReport::violations() const {
+  std::string out;
+  require(out, wrong_block_releases == 0 && wrong_tag_releases == 0,
+          "wrong releases: " + std::to_string(wrong_block_releases) +
+              " blocks, " + std::to_string(wrong_tag_releases) + " tags");
+  require(out, ops + gcm_ops == telemetry.operations(),
+          "offered ops " + std::to_string(ops + gcm_ops) + " != verdicts " +
+              std::to_string(telemetry.operations()));
+  require(out, ok > 0, "no successful traffic");
+  for (const FaultSite site : {FaultSite::StageTag, FaultSite::ScratchTag}) {
+    const auto escaped = campaign.escaped(static_cast<unsigned>(site));
+    require(out, escaped == 0,
+            std::to_string(escaped) + " " + accel::toString(site) +
+                " upsets escaped the scrub ring");
+  }
+  require(out, campaign.detected == fault_events,
+          "detected " + std::to_string(campaign.detected) +
+              " != fault events " + std::to_string(fault_events));
+  require(out, events_logged <= kCampaignEventLogCap,
+          "event ring over its cap: " + std::to_string(events_logged));
   return out;
 }
 
@@ -461,7 +514,7 @@ ServiceCampaign::ServiceCampaign()
     spec.key_conf = lattice::Conf::category(t + 1);
     spec.queue_depth = 6;
     svc_.addTenant(spec);
-    golden_.push_back(aes::expandKey(spec.key, aes::KeySize::Aes128));
+    oracle_.addTenant(spec.key);
   }
 }
 
@@ -472,29 +525,14 @@ std::uint64_t ServiceCampaign::round() {
     const auto bits = traffic_.bits(128).toBytes();
     for (unsigned i = 0; i < 16; ++i) pt[i] = bits[i];
     const SubmitResult res = svc_.submit(t, pt);
-    cons_.offer(res.admitted);
-    if (res.admitted) admitted_[res.ticket] = {t, pt};
+    oracle_.offer(t, res.admitted, res.ticket, pt);
   }
   svc_.pump();
   std::uint64_t ok = 0;
   for (unsigned t = 0; t < kServiceTenants; ++t) {
     while (const auto c = svc_.fetch(t)) {
-      cons_.resolve(c->status);
-      if (!fetched_.insert(c->ticket).second) {
-        ++duplicates_;
-        continue;
-      }
-      const auto it = admitted_.find(c->ticket);
-      if (it == admitted_.end() || it->second.tenant != t) {
-        ++unknown_;
-        continue;
-      }
-      if (c->status == CompletionStatus::Ok) {
-        ++ok;
-        if (c->data != aes::encryptBlock(it->second.pt, golden_[t]))
-          ++wrong_outputs_;
-      }
-      admitted_.erase(it);
+      oracle_.check(t, *c);
+      if (c->status == CompletionStatus::Ok) ++ok;
     }
   }
   return ok;
@@ -514,12 +552,13 @@ ServiceCampaignPhase ServiceCampaign::record(std::string phase,
   }
   p.health = svc_.health();
   p.service = svc_.stats();
-  p.conservation = cons_;
-  p.conservation.still_queued = svc_.totalQueued();
-  p.wrong_outputs = wrong_outputs_;
-  p.duplicate_resolutions = duplicates_;
-  p.unknown_tickets = unknown_;
-  p.unresolved = admitted_.size();
+  p.conservation = oracle_.conservation(svc_.totalQueued());
+  const OracleCounts o = oracle_.counts();
+  p.wrong_outputs = o.wrong_outputs;
+  p.duplicate_resolutions = o.duplicate_resolutions;
+  p.unknown_tickets = o.unknown_tickets;
+  p.out_of_order = o.out_of_order;
+  p.unresolved = o.unresolved;
   return p;
 }
 
@@ -561,6 +600,188 @@ ServiceCampaignReport runServiceCampaign() {
   out.health_events = acc.eventCount(accel::SecurityEventKind::ServiceHealth);
   out.probation_entries = svc.monitor().entries(HealthState::Probation);
   return out;
+}
+
+std::string ChaosReport::violations() const {
+  std::string out;
+  requireClean(out, oracle);
+  require(out, conservation.ok == blocks,
+          std::to_string(conservation.ok) + " of " + std::to_string(blocks) +
+              " blocks came back Ok: " + conservation.toJson());
+  require(out, dropped == 0, std::to_string(dropped) + " blocks dropped");
+  return out;
+}
+
+ChaosReport runChaosCampaign(accel::SecurityMode mode, std::uint64_t seed,
+                             unsigned users, unsigned per_user) {
+  accel::AcceleratorConfig cfg;
+  cfg.mode = mode;
+  cfg.out_buffer_depth = 512;
+  accel::AesAccelerator acc{cfg};
+  acc.addUser(lattice::Principal::supervisor());
+
+  std::vector<unsigned> ids;
+  Oracle oracle;
+  Rng rng{seed};
+  addKeyedUsers(acc, users, rng, ids, oracle);
+
+  std::vector<unsigned> submitted(users, 0);
+  std::uint64_t next_id = 1;
+  const auto drain = [&] {
+    for (unsigned u = 0; u < users; ++u) {
+      while (const auto out = acc.fetchOutput(ids[u]))
+        oracle.check(u, out->req_id, terminalStatus(out->status), out->data);
+    }
+  };
+  const auto done = [&] {
+    for (unsigned u = 0; u < users; ++u)
+      if (submitted[u] < per_user || oracle.outstanding(u) > 0) return false;
+    return true;
+  };
+
+  for (unsigned guard = 0; !done() && guard < 1000 * per_user; ++guard) {
+    for (unsigned u = 0; u < users; ++u) {
+      if (rng.chance(0.1)) acc.setReceiverReady(ids[u], rng.chance(0.6));
+    }
+    for (unsigned u = 0; u < users; ++u) {
+      if (submitted[u] >= per_user) continue;
+      if (acc.pendingInputs(ids[u]) >= 2 || !rng.chance(0.7)) continue;
+      accel::BlockRequest req;
+      req.req_id = next_id++;
+      req.user = ids[u];
+      req.key_slot = u + 1;
+      req.decrypt = rng.chance(0.4);
+      for (auto& b : req.data) b = static_cast<std::uint8_t>(rng.next());
+      const bool admitted = acc.submit(req);
+      oracle.offer(u, admitted, req.req_id, req.data, req.decrypt);
+      if (admitted) ++submitted[u];
+    }
+    acc.tick();
+    drain();
+  }
+  // Let everything flush with receivers open.
+  for (unsigned u = 0; u < users; ++u) acc.setReceiverReady(ids[u], true);
+  for (unsigned i = 0; i < 4000 && !done(); ++i) {
+    acc.tick();
+    drain();
+  }
+
+  ChaosReport r;
+  r.oracle = oracle.counts();
+  r.conservation = oracle.conservation();
+  r.blocks = std::uint64_t{users} * per_user;
+  r.dropped = acc.stats().dropped;
+  return r;
+}
+
+std::string MigrationStormReport::violations() const {
+  std::string out;
+  requireClean(out, oracle);
+  require(out, wrong_key_uses == 0,
+          std::to_string(wrong_key_uses) + " wrong-key uses");
+  require(out, unpaired_shards == 0,
+          std::to_string(unpaired_shards) +
+              " shards with an unclosed MigrationBegun");
+  require(out,
+          committed_events == 2 * migrations &&
+              zeroized_events == 2 * migrations,
+          std::to_string(migrations) + " migrations stamped " +
+              std::to_string(committed_events) + " Committed and " +
+              std::to_string(zeroized_events) + " KeyZeroized events");
+  return out;
+}
+
+MigrationStormReport runMigrationStorm(std::uint64_t seed, unsigned rounds) {
+  constexpr unsigned kTenants = 8;
+  // Tenant traffic is blockOf(one random byte).
+  const auto blockOf = [](std::uint8_t b0) {
+    aes::Block b;
+    for (unsigned i = 0; i < 16; ++i)
+      b[i] = static_cast<std::uint8_t>(b0 + 3 * i);
+    return b;
+  };
+  PoolConfig cfg;
+  cfg.shards = 3;
+  cfg.service.batch_size = 4;
+  cfg.service.quota_per_round = 16;
+  cfg.service.global_high_watermark = 4096;
+  cfg.service.health.quarantine_residency_cycles = 512;
+  EnginePool pool{cfg};
+
+  std::vector<unsigned> ids;
+  Oracle oracle;
+  for (unsigned t = 0; t < kTenants; ++t) {
+    PoolTenantSpec spec;
+    spec.name = "tenant-" + std::to_string(t);
+    spec.category = (t % 14) + 1;
+    spec.key.resize(16);
+    for (unsigned i = 0; i < 16; ++i)
+      spec.key[i] = static_cast<std::uint8_t>(0x40 + 13 * t + i);
+    spec.queue_depth = 64;
+    const auto placed = pool.addTenant(spec);
+    if (!placed.placed)
+      throw std::runtime_error("runMigrationStorm: tenant not placed");
+    ids.push_back(placed.tenant);
+    oracle.addTenant(spec.key);
+  }
+
+  SupervisorConfig scfg;
+  scfg.max_shards = 5;
+  PoolSupervisor sup{pool, scfg};
+  Rng rng{0x50a4c0deull * seed};
+  const auto drainFetches = [&] {
+    for (unsigned t = 0; t < kTenants; ++t) {
+      while (const auto c = pool.fetch(ids[t])) oracle.check(t, *c);
+    }
+  };
+
+  for (unsigned round = 0; round < rounds; ++round) {
+    for (unsigned i = 0; i < 12; ++i) {
+      for (unsigned t = 0; t < kTenants; ++t) {
+        const aes::Block pt = blockOf(static_cast<std::uint8_t>(rng.next()));
+        const SubmitResult res = pool.submit(ids[t], pt);
+        oracle.offer(t, res.admitted, res.ticket, pt);
+      }
+    }
+
+    const std::uint64_t dice = rng.next() % 8;
+    const unsigned shard = static_cast<unsigned>(rng.next() % pool.shards());
+    if (dice < 3 && !pool.shardRetired(shard)) {
+      (void)pool.shardEngine(shard).injectFault(
+          accel::FaultSite::RoundKey, 1 + (rng.next() % 6),
+          static_cast<unsigned>(rng.next() % 128));
+    } else if (dice < 5 && !pool.shardRetired(shard)) {
+      pool.shardService(shard).forceQuarantine("storm seed " +
+                                               std::to_string(seed));
+    } else if (dice == 5) {
+      const unsigned t = static_cast<unsigned>(rng.next() % kTenants);
+      if (const auto dst = pool.pickTargetShard(ids[t], {}))
+        (void)pool.migrateTenant(ids[t], *dst);
+    }
+
+    sup.poll();
+    for (unsigned p = 0; p < 4; ++p) pool.pump();
+    if (round % 8 == 7) drainFetches();
+  }
+  pool.runUntilIdle(800000);
+  drainFetches();
+
+  MigrationStormReport r;
+  r.oracle = oracle.counts();
+  r.wrong_key_uses = pool.aggregateStats().wrong_key_uses;
+  r.migrations = pool.poolStats().migrations;
+  using accel::SecurityEventKind;
+  for (unsigned s = 0; s < pool.shards(); ++s) {
+    const auto& eng = pool.shardEngine(s);
+    const auto begun = eng.eventCount(SecurityEventKind::MigrationBegun);
+    if (begun != eng.eventCount(SecurityEventKind::MigrationCommitted) +
+                     eng.eventCount(SecurityEventKind::MigrationAborted))
+      ++r.unpaired_shards;
+    r.committed_events += eng.eventCount(SecurityEventKind::MigrationCommitted);
+    r.zeroized_events +=
+        eng.eventCount(SecurityEventKind::MigrationKeyZeroized);
+  }
+  return r;
 }
 
 }  // namespace aesifc::soc

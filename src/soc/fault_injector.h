@@ -18,9 +18,7 @@
 #include <array>
 #include <cstdint>
 #include <cstdio>
-#include <map>
 #include <ostream>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -223,9 +221,9 @@ struct DeviceCampaignReport {
   std::uint64_t ok = 0;
   std::uint64_t gcm_ops = 0;  // GCM seals offered
   std::uint64_t gcm_ok = 0;
-  // Released output that differs from golden AES / GCM. A faulted op may
-  // abort, but the hardened device may never release wrong data: both
-  // stay 0 there.
+  // Released output that differs from golden AES / GCM (the oracle's
+  // wrong_outputs and wrong_tags). A faulted op may abort, but the hardened
+  // device may never release wrong data: both stay 0 there.
   std::uint64_t wrong_block_releases = 0;
   std::uint64_t wrong_tag_releases = 0;
   std::uint64_t device_cycles = 0;  // the rounds, without the settle
@@ -253,6 +251,14 @@ struct DeviceCampaignReport {
         field("telemetry", &R::telemetry), field("campaign", &R::campaign)};
   }
   std::string toJson() const { return counters::toJson(*this); }
+
+  // The fail-secure verdict on a hardened run: one line per broken
+  // invariant, empty when all hold. No wrong block or tag released; every
+  // offered op ended in exactly one driver verdict; some op succeeded; no
+  // injected tag upset escaped the every-cycle scrub ring; the detections
+  // match the FaultDetected + FaultScrubbed events; the event ring kept
+  // within its cap.
+  std::string violations() const;
 };
 
 DeviceCampaignReport runDeviceFaultCampaign(std::uint64_t seed,
@@ -275,10 +281,8 @@ DeviceCampaignReport runDeviceFaultCampaign(std::uint64_t seed,
 //             most 3000 rounds;
 //   recovery  the storm ends, the fallback serves until probation canaries
 //             re-admit the hardware (at most 4000 rounds), then 200 rounds.
-// Every fetched completion is checked: an Ok block must equal golden AES of
-// the plaintext admitted under its ticket, no ticket may resolve twice, and
-// a completion must carry a ticket its tenant was admitted. The checks only
-// observe: they draw no random number and touch no device state.
+// Every offer and fetched completion goes through a soc::Oracle, which only
+// observes.
 
 // One phase's record. Counts are cumulative from the campaign's start
 // except `ok` and `cycles`, which cover the phase alone.
@@ -291,13 +295,13 @@ struct ServiceCampaignPhase {
   HealthState health = HealthState::Healthy;  // at the phase's end
   ServiceStats service;
   Conservation conservation;  // every offer; still_queued at the phase's end
-  // The campaign's invariants, all 0 on a correct service: Ok blocks that
-  // differ from golden AES, tickets fetched a second time, and completions
-  // whose ticket was never admitted to the fetching tenant.
+  // The oracle's counts (OracleCounts), all 0 on a correct service but
+  // `unresolved`, the admitted tickets not yet fetched.
   std::uint64_t wrong_outputs = 0;
   std::uint64_t duplicate_resolutions = 0;
   std::uint64_t unknown_tickets = 0;
-  std::uint64_t unresolved = 0;  // admitted tickets not yet fetched
+  std::uint64_t out_of_order = 0;
+  std::uint64_t unresolved = 0;
 
   double blocksPerCycle() const {
     return cycles ? static_cast<double>(ok) / cycles : 0.0;
@@ -330,6 +334,7 @@ struct ServiceCampaignPhase {
         field("wrong_outputs", &P::wrong_outputs),
         field("duplicate_resolutions", &P::duplicate_resolutions),
         field("unknown_tickets", &P::unknown_tickets),
+        field("out_of_order", &P::out_of_order),
         field("unresolved", &P::unresolved)};
   }
   std::string toJson() const { return counters::toJson(*this); }
@@ -368,24 +373,64 @@ class ServiceCampaign {
   ServiceCampaignPhase record(std::string phase, std::uint64_t ok,
                               std::uint64_t cycles) const;
 
-  struct Admitted {
-    unsigned tenant = 0;
-    aes::Block pt{};
-  };
-
   accel::AesAccelerator acc_;
   AccelService svc_;
   std::vector<unsigned> users_;
-  std::vector<aes::ExpandedKey> golden_;
   Rng traffic_{42};
-  Conservation cons_;
-  std::map<std::uint64_t, Admitted> admitted_;  // not yet fetched
-  std::set<std::uint64_t> fetched_;
-  std::uint64_t wrong_outputs_ = 0;
-  std::uint64_t duplicates_ = 0;
-  std::uint64_t unknown_ = 0;
+  Oracle oracle_;
 };
 
 ServiceCampaignReport runServiceCampaign();
+
+// --- The chaos campaign ---------------------------------------------------
+//
+// `users` users (keys drawn from Rng{seed}) share one accelerator (output
+// buffer 512, large enough that nothing is dropped) in `mode`. Each submits
+// `per_user` random blocks (a decrypt with probability 0.4, offered with
+// probability 0.7 while it has fewer than 2 pending) while every receiver
+// flips its readiness with probability 0.1 per cycle, for at most
+// 1000 x per_user cycles; then the receivers open and the device flushes
+// for at most 4000 cycles. Every response goes through a soc::Oracle.
+struct ChaosReport {
+  OracleCounts oracle;
+  Conservation conservation;
+  std::uint64_t blocks = 0;   // users x per_user
+  std::uint64_t dropped = 0;  // overflow-buffer drops
+
+  // One line per broken invariant, empty when all hold: the oracle found
+  // nothing, every block came back Ok and none was dropped.
+  std::string violations() const;
+};
+
+ChaosReport runChaosCampaign(accel::SecurityMode mode, std::uint64_t seed,
+                             unsigned users, unsigned per_user);
+
+// --- The migration storm --------------------------------------------------
+//
+// One storm of `rounds` rounds. Eight tenants share a three-shard pool
+// (batch 4, quota 16) under a supervisor that may grow it to five shards.
+// Each round every tenant offers 12 blocks, then one storm ingredient is
+// drawn: a round-key upset on a random shard (3 in 8), a forced quarantine
+// of one (2 in 8), an explicit migration of a random tenant (1 in 8), or
+// none. The supervisor polls and the pool pumps four times; every eighth
+// round, and after the final drain, every completion is fetched through a
+// soc::Oracle.
+struct MigrationStormReport {
+  OracleCounts oracle;
+  // Requests that reached a serve path under a stale or zeroized key.
+  std::uint64_t wrong_key_uses = 0;
+  std::uint64_t migrations = 0;  // committed
+  // Audit pairing: shards whose MigrationBegun events are not each closed
+  // by a Committed or an Aborted, and the Committed and KeyZeroized events
+  // over all rings (each committed migration stamps both rings once).
+  std::uint64_t unpaired_shards = 0;
+  std::uint64_t committed_events = 0;
+  std::uint64_t zeroized_events = 0;
+
+  // One line per broken invariant, empty when all hold.
+  std::string violations() const;
+};
+
+MigrationStormReport runMigrationStorm(std::uint64_t seed, unsigned rounds);
 
 }  // namespace aesifc::soc

@@ -116,6 +116,22 @@ enum class CompletionStatus {
 std::string toString(CompletionStatus s);
 std::string toString(ServedBy s);
 
+// A device verdict read as a final completion status, for callers that
+// fetch from the accelerator or a session directly (no requeue).
+constexpr CompletionStatus terminalStatus(accel::AccelStatus s) {
+  switch (s) {
+    case accel::AccelStatus::Ok: return CompletionStatus::Ok;
+    case accel::AccelStatus::Suppressed: return CompletionStatus::Suppressed;
+    case accel::AccelStatus::Timeout: return CompletionStatus::TimedOut;
+    case accel::AccelStatus::FaultAborted:
+      return CompletionStatus::FaultAborted;
+    case accel::AccelStatus::Dropped: return CompletionStatus::Dropped;
+    case accel::AccelStatus::Rejected: return CompletionStatus::Rejected;
+    case accel::AccelStatus::AuthFailed: return CompletionStatus::AuthFailed;
+  }
+  return CompletionStatus::Rejected;
+}
+
 struct Completion {
   std::uint64_t ticket = 0;
   unsigned tenant = 0;

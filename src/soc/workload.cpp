@@ -1,10 +1,11 @@
 #include "soc/workload.h"
 
-#include <map>
+#include <algorithm>
 #include <stdexcept>
 
 #include "accel/driver.h"
 #include "aes/cipher.h"
+#include "aes/gcm.h"
 #include "common/rng.h"
 
 namespace aesifc::soc {
@@ -64,29 +65,22 @@ WorkloadResult runSharedWorkload(AesAccelerator& acc, const TenantSetup& setup,
   Rng rng{cfg.seed};
   WorkloadResult result;
   result.per_user_completed.assign(setup.users.size(), 0);
-
-  struct Pending {
-    aes::Block pt;
-    unsigned setup_idx;
-  };
-  std::map<std::uint64_t, Pending> inflight;  // req_id -> expectation
   std::uint64_t next_req = 1;
 
   // Tenants only (skip the supervisor at index 0).
   const unsigned first = 1;
   const unsigned n = static_cast<unsigned>(setup.users.size());
   std::vector<unsigned> submitted(n, 0);
-  std::vector<aes::ExpandedKey> golden;
-  golden.reserve(n);
-  for (unsigned i = 0; i < n; ++i)
-    golden.push_back(aes::expandKey(setup.keys[i], aes::KeySize::Aes128));
+  Oracle oracle;
+  for (unsigned i = 0; i < n; ++i) oracle.addTenant(setup.keys[i]);
 
   std::vector<std::uint64_t> latencies;
 
   auto allDone = [&] {
     for (unsigned i = first; i < n; ++i)
-      if (submitted[i] < cfg.blocks_per_user) return false;
-    return inflight.empty();
+      if (submitted[i] < cfg.blocks_per_user || oracle.outstanding(i) > 0)
+        return false;
+    return true;
   };
 
   while (!allDone() && acc.cycle() < kMaxCycles) {
@@ -101,30 +95,26 @@ WorkloadResult runSharedWorkload(AesAccelerator& acc, const TenantSetup& setup,
       req.decrypt = false;
       const auto bits = rng.bits(128).toBytes();
       for (unsigned b = 0; b < 16; ++b) req.data[b] = bits[b];
-      if (acc.submit(req)) {
-        inflight[req.req_id] = {req.data, i};
-        ++submitted[i];
-      }
+      const bool admitted = acc.submit(req);
+      oracle.offer(i, admitted, req.req_id, req.data);
+      if (admitted) ++submitted[i];
     }
     acc.tick();
     for (unsigned i = first; i < n; ++i) {
       while (auto out = acc.fetchOutput(setup.users[i])) {
-        auto it = inflight.find(out->req_id);
-        if (it == inflight.end()) continue;
+        oracle.check(i, out->req_id, terminalStatus(out->status), out->data);
         ++result.blocks_completed;
-        ++result.per_user_completed[it->second.setup_idx];
+        ++result.per_user_completed[i];
         latencies.push_back(out->complete_cycle - out->accept_cycle);
-        if (out->status != accel::AccelStatus::Ok ||
-            out->data != aes::encryptBlock(it->second.pt,
-                                           golden[it->second.setup_idx])) {
-          result.all_correct = false;
-          ++result.mismatches;
-        }
-        inflight.erase(it);
       }
     }
   }
 
+  result.oracle = oracle.counts();
+  result.mismatches = result.oracle.wrong_outputs + result.blocks_completed -
+                      oracle.conservation().ok;
+  result.all_correct =
+      result.mismatches == 0 && result.oracle == OracleCounts{};
   result.cycles = acc.cycle();
   result.blocks_per_cycle =
       result.cycles
@@ -132,6 +122,72 @@ WorkloadResult runSharedWorkload(AesAccelerator& acc, const TenantSetup& setup,
           : 0.0;
   result.latency = latencyStats(latencies);
   return result;
+}
+
+// --- Oracle -----------------------------------------------------------------
+
+unsigned Oracle::addTenant(const std::vector<std::uint8_t>& key) {
+  tenants_.push_back({aes::expandKey(key, aes::KeySize::Aes128), {}, {}});
+  return static_cast<unsigned>(tenants_.size() - 1);
+}
+
+void Oracle::admit(unsigned t, bool admitted, Item item) {
+  cons_.offer(admitted);
+  if (!admitted) return;
+  Tenant& tn = tenants_.at(t);
+  tn.resolved.erase(item.ticket);
+  tn.fifo.push_back(std::move(item));
+}
+
+void Oracle::offer(unsigned t, bool admitted, std::uint64_t ticket,
+                   const aes::Block& in, bool decrypt) {
+  Item item;
+  item.ticket = ticket;
+  item.decrypt = decrypt;
+  item.block = in;
+  admit(t, admitted, std::move(item));
+}
+
+void Oracle::offerSeal(unsigned t, bool admitted, std::uint64_t ticket,
+                       std::vector<std::uint8_t> msg,
+                       std::vector<std::uint8_t> aad,
+                       std::vector<std::uint8_t> iv) {
+  admit(t, admitted,
+        {.ticket = ticket, .seal = true, .msg = std::move(msg),
+         .aad = std::move(aad), .iv = std::move(iv)});
+}
+
+void Oracle::check(unsigned t, std::uint64_t ticket, CompletionStatus st,
+                   std::span<const std::uint8_t> data,
+                   const aes::Tag128& tag) {
+  cons_.resolve(st);
+  Tenant& tn = tenants_.at(t);
+  const auto it = std::find_if(
+      tn.fifo.begin(), tn.fifo.end(),
+      [&](const Item& i) { return i.ticket == ticket; });
+  if (it == tn.fifo.end()) {
+    ++(tn.resolved.count(ticket) ? counts_.duplicate_resolutions
+                                 : counts_.unknown_tickets);
+    return;
+  }
+  if (it != tn.fifo.begin()) ++counts_.out_of_order;
+  if (st == CompletionStatus::Ok && it->seal) {
+    const auto want = aes::gcmEncrypt(it->msg, it->aad, tn.key, it->iv);
+    if (!std::ranges::equal(data, want.ciphertext) || tag != want.tag)
+      ++counts_.wrong_tags;
+  } else if (st == CompletionStatus::Ok) {
+    const aes::Block want = it->decrypt ? aes::decryptBlock(it->block, tn.key)
+                                        : aes::encryptBlock(it->block, tn.key);
+    if (!std::ranges::equal(data, want)) ++counts_.wrong_outputs;
+  }
+  tn.resolved.insert(ticket);
+  tn.fifo.erase(it);
+}
+
+OracleCounts Oracle::counts() const {
+  OracleCounts c = counts_;
+  for (const Tenant& tn : tenants_) c.unresolved += tn.fifo.size();
+  return c;
 }
 
 }  // namespace aesifc::soc

@@ -280,6 +280,52 @@ TEST_P(AccelFixture, OverflowKeepsPerUserOrderOfRecordsWithoutData) {
   }
 }
 
+// Fault-abort records keep per-user order too. A data upset on alice's
+// youngest block is squashed at once, but its record waits until her older
+// blocks have left the pipe. Then, with her receiver not ready and only her
+// blocks in the pipe (both modes grant the stall), a round-key upset on her
+// slot squashes all eight blocks she has in flight: their records leave
+// oldest first.
+TEST_P(AccelFixture, FaultAbortRecordsKeepPerUserOrder) {
+  AesAccelerator acc{cfg()};
+  acc.addUser(Principal::supervisor());
+  const unsigned alice = acc.addUser(Principal::user("alice", 1));
+  load(acc, alice, 1, 2, key16(1), Conf::category(1));
+  std::uint64_t id = 1;
+  const auto submit8 = [&] {
+    for (unsigned i = 0; i < 8; ++i) {
+      ASSERT_TRUE(acc.submit(BlockRequest{id++, alice, 1, false, {}}));
+      acc.tick();
+    }
+  };
+  std::vector<BlockResponse> got;
+  submit8();
+  ASSERT_EQ(acc.pipeline().meta(0).req_id, 8u);
+  ASSERT_TRUE(acc.injectFault(FaultSite::StageData, 0, 3));
+  acc.run(40);
+  acc.fetchOutputs(alice, got);
+  ASSERT_EQ(got.size(), 8u);
+
+  acc.setReceiverReady(alice, false);
+  submit8();
+  acc.run(40);
+  ASSERT_EQ(acc.pipeline().validCount(), 8u);  // stalled at the exit
+  ASSERT_TRUE(acc.injectFault(FaultSite::RoundKey, 1, 5));
+  acc.run(64);
+  EXPECT_FALSE(acc.pipeline().anyValid());
+  acc.setReceiverReady(alice, true);
+  acc.run(8);
+  acc.fetchOutputs(alice, got);
+  ASSERT_EQ(got.size(), 16u);
+  std::map<AccelStatus, unsigned> seen;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].req_id, i + 1) << toString(got[i].status);
+    ++seen[got[i].status];
+  }
+  EXPECT_EQ(seen[AccelStatus::Ok], 7u);
+  EXPECT_EQ(seen[AccelStatus::FaultAborted], 9u);
+}
+
 INSTANTIATE_TEST_SUITE_P(BothModes, AccelFixture,
                          ::testing::Values(SecurityMode::Baseline,
                                            SecurityMode::Protected));

@@ -1,13 +1,14 @@
 // Adversarial-environment fuzzing of the accelerator: random receiver
-// readiness, random submissions from several users, both modes. Every
-// response must be correct, complete, and in per-user order, regardless of
-// how often the stall/buffer machinery engages.
+// readiness, random submissions from several users, both modes
+// (soc::runChaosCampaign). Every response must be correct, complete, and in
+// per-user order, regardless of how often the stall/buffer machinery
+// engages.
 
 #include <gtest/gtest.h>
 
 #include <ostream>
 
-#include "chaos_checks.h"
+#include "soc/fault_injector.h"
 
 namespace aesifc::accel {
 namespace {
@@ -28,7 +29,9 @@ class ChaosTest : public ::testing::TestWithParam<ChaosParams> {};
 
 TEST_P(ChaosTest, AllTrafficCorrectCompleteAndOrdered) {
   const auto [mode, seed] = GetParam();
-  expectChaosTrafficCorrect(mode, seed, /*users=*/3, /*per_user=*/100);
+  EXPECT_EQ(soc::runChaosCampaign(mode, seed, /*users=*/3, /*per_user=*/100)
+                .violations(),
+            "");
 }
 
 INSTANTIATE_TEST_SUITE_P(

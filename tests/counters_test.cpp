@@ -228,6 +228,12 @@ TEST(CounterJson, Conservation) {
             R"("failed":8,"still_queued":9})");
 }
 
+TEST(CounterJson, OracleCounts) {
+  EXPECT_EQ(distinct<OracleCounts>(2).toJson(),
+            R"({"wrong_outputs":2,"wrong_tags":3,"duplicate_resolutions":4,)"
+            R"("unknown_tickets":5,"out_of_order":6,"unresolved":7})");
+}
+
 TEST(CounterJson, ServiceCampaignPhaseQuotesStringsAndDerivesRate) {
   ServiceCampaignPhase p;
   p.phase = "storm";
@@ -242,7 +248,7 @@ TEST(CounterJson, ServiceCampaignPhaseQuotesStringsAndDerivesRate) {
                 ServiceStats{}.toJson() + R"(,"conservation":)" +
                 Conservation{}.toJson() +
                 R"(,"wrong_outputs":0,"duplicate_resolutions":0,)"
-                R"("unknown_tickets":0,"unresolved":3})");
+                R"("unknown_tickets":0,"out_of_order":0,"unresolved":3})");
 }
 
 TEST(CounterSum, AllUint64StructsAddWordByWord) {

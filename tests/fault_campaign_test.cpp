@@ -10,7 +10,6 @@
 
 #include <string>
 
-#include "device_campaign_checks.h"
 #include "soc/fault_injector.h"
 
 namespace aesifc::soc {
@@ -25,9 +24,10 @@ class FaultCampaignTest : public ::testing::TestWithParam<CampaignParams> {};
 
 TEST_P(FaultCampaignTest, ProtectedModeNeverLeaksAndAlwaysTerminates) {
   const auto [seed, rate] = GetParam();
-  expectFailSecure(runDeviceFaultCampaign(seed, rate, /*hardened=*/true),
-                   "seed " + std::to_string(seed) + " rate " +
-                       std::to_string(rate));
+  const auto r = runDeviceFaultCampaign(seed, rate, /*hardened=*/true);
+  EXPECT_EQ(r.violations(), "")
+      << "seed " << seed << " rate " << rate << "\nreplay trace:\n"
+      << traceToString(r.campaign.records);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -50,7 +50,8 @@ TEST(DeviceFaultCampaign, GatedConfigurationsHoldTheirInvariants) {
           (hardened ? "hardened rate " : "unhardened rate ") +
           std::to_string(rate);
       if (hardened) {
-        expectFailSecure(r, what);
+        EXPECT_EQ(r.violations(), "")
+            << what << "\nreplay trace:\n" << traceToString(r.campaign.records);
         continue;
       }
       EXPECT_EQ(r.ops + r.gcm_ops, r.telemetry.operations()) << what;

@@ -15,7 +15,7 @@
 
 #include "accel/key_store.h"
 #include "aes/cipher.h"
-#include "migration_storm_checks.h"
+#include "soc/fault_injector.h"
 #include "soc/pool.h"
 #include "soc/supervisor.h"
 
@@ -527,11 +527,19 @@ TEST(PoolSupervisorPolicy, SustainedBackpressureHotAddsWithHysteresis) {
 
 // --- Migration storms under fault injection ---------------------------------
 
-// The core invariant, swept across seeds: whatever order faults, quarantine,
-// evacuation, migration and traffic interleave in, no request ever reaches
-// a serve path under a stale or zeroized key.
+// The core invariant, swept across seeds (soc::runMigrationStorm): whatever
+// order faults, quarantine, evacuation, migration and traffic interleave
+// in, no request ever reaches a serve path under a stale or zeroized key,
+// each tenant gets back its own golden results once and in order, and the
+// migration audit events pair up.
 TEST(PoolElastic, SixteenSeedFaultSweepMigrationStormKeepsWrongKeyUsesZero) {
-  expectMigrationStormHolds(/*seeds=*/16, /*rounds=*/12);
+  std::uint64_t migrations = 0;
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    const MigrationStormReport r = runMigrationStorm(seed, /*rounds=*/12);
+    EXPECT_EQ(r.violations(), "") << "seed " << seed;
+    migrations += r.migrations;
+  }
+  EXPECT_GT(migrations, 0u) << "the storms never migrated a tenant";
 }
 
 }  // namespace

@@ -8,7 +8,8 @@
 //   * the hardware is re-admitted via probation canaries and serves
 //     traffic again;
 //   * zero golden-model mismatches across every path (hardware, fallback);
-//   * every admitted ticket resolves exactly once (no losses, no dupes).
+//   * every admitted ticket resolves exactly once and in per-tenant order
+//     (no losses, no dupes), as the campaign oracle counts it.
 
 #include <gtest/gtest.h>
 
@@ -27,7 +28,8 @@ TEST(ServiceOverload, FourTenantsWithFaultsNoStarvationQuarantineRecovers) {
         << p.phase << ": golden-model mismatch on a served block";
     EXPECT_EQ(p.duplicate_resolutions, 0u) << p.phase;
     EXPECT_EQ(p.unknown_tickets, 0u) << p.phase;
-    // The ticket ledger and the service agree on what is still queued.
+    EXPECT_EQ(p.out_of_order, 0u) << p.phase;
+    // The oracle and the service agree on what is still queued.
     EXPECT_EQ(p.unresolved, p.conservation.still_queued) << p.phase;
     EXPECT_GT(p.ok, 0u) << p.phase;
   }

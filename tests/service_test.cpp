@@ -7,12 +7,12 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
 
 #include "aes/cipher.h"
 #include "aes/gcm.h"
 #include "common/rng.h"
 #include "soc/service.h"
+#include "soc/workload.h"
 #include "trace_hash.h"
 
 namespace aesifc::soc {
@@ -123,30 +123,28 @@ TEST(ServiceAdmission, GlobalWatermarkAppliesBackpressure) {
 
 TEST(ServiceServing, HealthyPathServesAllTenantsCorrectlyOnHardware) {
   Rig r{3};
-  std::map<std::uint64_t, std::pair<unsigned, aes::Block>> want;
+  Oracle oracle;
+  for (unsigned t = 0; t < 3; ++t) oracle.addTenant(keyOf(t));
   for (unsigned i = 0; i < 6; ++i) {
     for (unsigned t = 0; t < 3; ++t) {
       const auto b = patternBlock(static_cast<std::uint8_t>(16 * t + i));
       const auto res = r.svc.submit(t, b);
       ASSERT_TRUE(res.admitted);
-      want[res.ticket] = {t, b};
+      oracle.offer(t, true, res.ticket, b);
     }
   }
   r.svc.runUntilIdle(1u << 16);
   EXPECT_EQ(r.svc.health(), HealthState::Healthy);
   for (unsigned t = 0; t < 3; ++t) {
-    unsigned got = 0;
     while (auto c = r.svc.fetch(t)) {
-      ASSERT_EQ(c->status, CompletionStatus::Ok);
       EXPECT_EQ(c->served_by, ServedBy::Hardware);
-      const auto& [tenant, pt] = want.at(c->ticket);
-      EXPECT_EQ(tenant, t);
-      EXPECT_EQ(c->data, aes::encryptBlock(pt, r.golden[t]));
-      ++got;
+      oracle.check(t, *c);
     }
-    EXPECT_EQ(got, 6u);
     EXPECT_EQ(r.svc.completedOf(t), 6u);
   }
+  // Every block came back Ok, golden, once and in ticket order.
+  EXPECT_EQ(oracle.counts(), OracleCounts{}) << oracle.counts().toJson();
+  EXPECT_EQ(oracle.conservation().ok, 18u);
   EXPECT_EQ(r.svc.stats().completed_fallback, 0u);
 }
 
@@ -392,13 +390,14 @@ TEST(ServiceHealth, WedgedDeviceQuarantinesFailsOverAndRecoversViaCanaries) {
   r.acc.setReceiverReady(2, false);
 
   std::uint64_t sent = 0;
-  std::map<std::uint64_t, aes::Block> admitted;  // ticket -> plaintext
+  Oracle oracle;
+  for (unsigned t = 0; t < 2; ++t) oracle.addTenant(keyOf(t));
   auto offer = [&] {
     for (unsigned t = 0; t < 2; ++t) {
       if (r.svc.queued(t) < 4) {
         const aes::Block pt = patternBlock(static_cast<std::uint8_t>(sent++));
         const auto res = r.svc.submit(t, pt);
-        if (res.admitted) admitted[res.ticket] = pt;
+        oracle.offer(t, res.admitted, res.ticket, pt);
       }
     }
   };
@@ -439,19 +438,14 @@ TEST(ServiceHealth, WedgedDeviceQuarantinesFailsOverAndRecoversViaCanaries) {
   EXPECT_EQ(r.acc.eventCount(accel::SecurityEventKind::ServiceHealth),
             r.svc.monitor().transitions().size());
 
-  // Hardware and fallback results were correct: everything fetched Ok is
-  // golden AES of the plaintext admitted under its ticket.
-  unsigned ok = 0;
+  // Hardware and fallback results were correct: every ticket came back
+  // once and in order, and everything fetched Ok is golden AES of the
+  // plaintext admitted under its ticket.
   for (unsigned t = 0; t < 2; ++t) {
-    while (auto c = r.svc.fetch(t)) {
-      if (c->status != CompletionStatus::Ok) continue;
-      ++ok;
-      ASSERT_EQ(admitted.count(c->ticket), 1u) << "ticket " << c->ticket;
-      EXPECT_EQ(c->data, aes::encryptBlock(admitted[c->ticket], r.golden[t]))
-          << "ticket " << c->ticket;
-    }
+    while (auto c = r.svc.fetch(t)) oracle.check(t, *c);
   }
-  EXPECT_GT(ok, 0u);
+  EXPECT_EQ(oracle.counts(), OracleCounts{}) << oracle.counts().toJson();
+  EXPECT_GT(oracle.conservation().ok, 0u);
 }
 
 // THE no-bypass property: a tenant whose result the tagged pipeline refuses

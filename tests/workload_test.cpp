@@ -5,6 +5,9 @@
 #include <string>
 #include <vector>
 
+#include "aes/cipher.h"
+#include "aes/gcm.h"
+
 namespace aesifc::soc {
 namespace {
 
@@ -26,7 +29,23 @@ TEST(Workload, ProtectedMultiTenantTrafficIsCorrect) {
   w.blocks_per_user = 128;
   const auto r = runSharedWorkload(acc, setup, w);
   EXPECT_TRUE(r.all_correct) << r.mismatches << " mismatches";
+  EXPECT_EQ(r.oracle, OracleCounts{}) << r.oracle.toJson();
   EXPECT_EQ(r.blocks_completed, 3u * 128u);
+}
+
+// A response the workload never asked for (another bus master's block on a
+// tenant's port) is counted by the oracle as an unknown ticket, not skipped.
+TEST(Workload, StrayResponseCountsAsUnknownTicket) {
+  AesAccelerator acc{cfgOf(SecurityMode::Protected)};
+  const auto setup = setupTenants(acc, 2);
+  ASSERT_TRUE(acc.submit(accel::BlockRequest{1u << 30, setup.users[1],
+                                             setup.key_slots[1], false, {}}));
+  WorkloadConfig w;
+  w.blocks_per_user = 16;
+  const auto r = runSharedWorkload(acc, setup, w);
+  EXPECT_EQ(r.oracle.unknown_tickets, 1u) << r.oracle.toJson();
+  EXPECT_EQ(r.oracle.wrong_outputs + r.oracle.out_of_order, 0u);
+  EXPECT_FALSE(r.all_correct);
 }
 
 TEST(Workload, BaselineMultiTenantTrafficIsCorrect) {
@@ -36,6 +55,7 @@ TEST(Workload, BaselineMultiTenantTrafficIsCorrect) {
   w.blocks_per_user = 128;
   const auto r = runSharedWorkload(acc, setup, w);
   EXPECT_TRUE(r.all_correct);
+  EXPECT_EQ(r.oracle, OracleCounts{}) << r.oracle.toJson();
 }
 
 TEST(Workload, ProtectionCostsNoThroughput) {
@@ -138,62 +158,65 @@ void expectIdentity(const Conservation& c) {
       << c.toJson();
 }
 
-// Each tenant's completions reach on_done in ticket order, and every item
-// comes back once.
-struct TicketOrder {
-  std::vector<std::uint64_t> last;
-  std::vector<unsigned> seen;
-  explicit TicketOrder(std::size_t tenants) : last(tenants), seen(tenants) {}
-  void note(unsigned t, std::uint64_t ticket) {
-    EXPECT_GT(ticket, last.at(t)) << "tenant " << t;
-    last[t] = ticket;
-    ++seen[t];
-  }
-};
+// An oracle over addWaveTenants' keys. Each tenant's completions must reach
+// on_done golden, once and in ticket order, and the oracle's identity must
+// equal the one runClosedWaves returns.
+Oracle waveOracle(std::size_t tenants) {
+  Oracle o;
+  for (unsigned t = 0; t < tenants; ++t)
+    o.addTenant(std::vector<std::uint8_t>(16, 0x30 + t));
+  return o;
+}
+
+void expectOracleAgrees(const Oracle& o, const Conservation& c) {
+  EXPECT_EQ(o.counts(), OracleCounts{}) << o.counts().toJson();
+  EXPECT_EQ(o.conservation(c.still_queued).toJson(), c.toJson());
+}
 
 TEST(ClosedWaves, BlockRunConservesEveryOffer) {
   EnginePool pool{wavePool(4096)};
   const auto ids = addWaveTenants(pool, 4);
   constexpr unsigned kPerTenant = 20;
-  TicketOrder order{ids.size()};
+  Oracle oracle = waveOracle(ids.size());
   const Conservation c = runClosedWaves(
       pool, ids, kPerTenant,
       [&](unsigned t, unsigned i) {
         aes::Block b{};
         b[0] = static_cast<std::uint8_t>(i);
         b[1] = static_cast<std::uint8_t>(t);
-        return pool.submit(ids[t], b);
+        const SubmitResult res = pool.submit(ids[t], b);
+        oracle.offer(t, res.admitted, res.ticket, b);
+        return res;
       },
-      [&](unsigned t, const Completion& done) { order.note(t, done.ticket); });
+      [&](unsigned t, const Completion& done) { oracle.check(t, done); });
   expectIdentity(c);
+  expectOracleAgrees(oracle, c);
   EXPECT_EQ(c.ok, ids.size() * kPerTenant);
   EXPECT_GT(c.rejected, 0u);  // the depth-8 queues refused and were retried
   EXPECT_EQ(c.still_queued, 0u);
   EXPECT_EQ(c.offered, pool.aggregateStats().offered);
-  for (const unsigned n : order.seen) EXPECT_EQ(n, kPerTenant);
 }
 
 TEST(ClosedWaves, AeadRunConservesEveryOffer) {
   EnginePool pool{wavePool(4096)};
   const auto ids = addWaveTenants(pool, 4);
   constexpr unsigned kPerTenant = 12;
-  TicketOrder order{ids.size()};
+  Oracle oracle = waveOracle(ids.size());
   const Conservation c = runClosedWaves(
       pool, ids, kPerTenant,
       [&](unsigned t, unsigned i) {
         const std::vector<std::uint8_t> pt(32, static_cast<std::uint8_t>(i));
         const std::vector<std::uint8_t> iv(12, static_cast<std::uint8_t>(t));
-        return pool.submitSeal(ids[t], pt, {}, iv);
+        const SubmitResult res = pool.submitSeal(ids[t], pt, {}, iv);
+        oracle.offerSeal(t, res.admitted, res.ticket, pt, {}, iv);
+        return res;
       },
-      [&](unsigned t, const AeadCompletion& done) {
-        order.note(t, done.ticket);
-        EXPECT_EQ(done.data.size(), 32u);
-      });
+      [&](unsigned t, const AeadCompletion& done) { oracle.check(t, done); });
   expectIdentity(c);
+  expectOracleAgrees(oracle, c);
   EXPECT_EQ(c.ok, ids.size() * kPerTenant);
   EXPECT_EQ(c.still_queued, 0u);
   EXPECT_EQ(c.offered, pool.aggregateStats().aead_offered);
-  for (const unsigned n : order.seen) EXPECT_EQ(n, kPerTenant);
 }
 
 // A pool that refuses every submit (high watermark 0: Backpressure) brings
@@ -217,6 +240,114 @@ TEST(ClosedWaves, StuckPoolEndsAfterOneWave) {
   EXPECT_EQ(c.rejected, c.offered);
   EXPECT_EQ(c.still_queued, 0u);
   EXPECT_EQ(pool.aggregateStats().rejected_backpressure, c.offered);
+}
+
+// --- The campaign oracle -----------------------------------------------------
+
+// Tenant 0 under key 0x30.., with an encrypt of b0 = {0, ...} and a decrypt
+// of b1 = {1, 0, ...} admitted under tickets 7 and 8.
+struct OracleFixture : ::testing::Test {
+  const std::vector<std::uint8_t> key = std::vector<std::uint8_t>(16, 0x30);
+  const aes::ExpandedKey ek = aes::expandKey(key, aes::KeySize::Aes128);
+  const aes::Block b0{}, b1{1};
+  Oracle o;
+  void SetUp() override {
+    o.addTenant(key);
+    o.offer(0, true, 7, b0);
+    o.offer(0, true, 8, b1, /*decrypt=*/true);
+  }
+  Completion ok(std::uint64_t ticket, const aes::Block& data) const {
+    Completion c;
+    c.ticket = ticket;
+    c.data = data;
+    return c;
+  }
+  Completion ok0() const { return ok(7, aes::encryptBlock(b0, ek)); }
+  Completion ok1() const { return ok(8, aes::decryptBlock(b1, ek)); }
+};
+
+TEST_F(OracleFixture, GoldenInOrderCompletionsCountNothing) {
+  o.check(0, ok0());
+  o.check(0, ok1());
+  EXPECT_EQ(o.counts(), OracleCounts{}) << o.counts().toJson();
+  EXPECT_EQ(o.outstanding(0), 0u);
+}
+
+TEST_F(OracleFixture, WrongOkDataIsAWrongOutput) {
+  Completion c = ok0();
+  c.data[5] ^= 1;
+  o.check(0, c);
+  EXPECT_EQ(o.counts().wrong_outputs, 1u);
+  // A non-Ok completion carries no data to check.
+  o.check(0, 8, CompletionStatus::FaultAborted, aes::Block{});
+  EXPECT_EQ(o.counts().wrong_outputs, 1u);
+}
+
+TEST_F(OracleFixture, WrongSealTagIsAWrongTag) {
+  const std::vector<std::uint8_t> msg(20, 0x5a), iv(12, 0x01);
+  o.offerSeal(0, true, 9, msg, {}, iv);
+  o.check(0, ok0());
+  o.check(0, ok1());
+  const auto want = aes::gcmEncrypt(msg, {}, ek, iv);
+  AeadCompletion c;
+  c.ticket = 9;
+  c.data = want.ciphertext;
+  c.tag = want.tag;
+  c.tag[0] ^= 0x80;
+  o.check(0, c);
+  EXPECT_EQ(o.counts().wrong_tags, 1u);
+  EXPECT_EQ(o.counts().wrong_outputs, 0u);
+}
+
+TEST_F(OracleFixture, SecondFetchOfATicketIsADuplicate) {
+  o.check(0, ok0());
+  o.check(0, ok0());
+  EXPECT_EQ(o.counts().duplicate_resolutions, 1u);
+  EXPECT_EQ(o.counts().unknown_tickets, 0u);
+}
+
+TEST_F(OracleFixture, TicketNeverAdmittedToTheFetcherIsUnknown) {
+  o.addTenant(key);
+  o.check(1, ok0());  // tenant 0's ticket, fetched by tenant 1
+  o.check(0, ok(99, aes::Block{}));
+  EXPECT_EQ(o.counts().unknown_tickets, 2u);
+  EXPECT_EQ(o.outstanding(0), 2u);
+}
+
+TEST_F(OracleFixture, YoungerTicketFetchedFirstIsOutOfOrder) {
+  o.check(0, ok1());
+  o.check(0, ok0());
+  EXPECT_EQ(o.counts().out_of_order, 1u);
+  EXPECT_EQ(o.counts().wrong_outputs, 0u);  // each still matched its item
+}
+
+TEST_F(OracleFixture, UnfetchedTicketsAreUnresolved) {
+  o.check(0, ok0());
+  EXPECT_EQ(o.counts().unresolved, 1u);
+  EXPECT_EQ(o.conservation(1).still_queued, 1u);
+}
+
+TEST(Oracle, StatusesFillTheirConservationBuckets) {
+  const std::vector<std::uint8_t> key(16, 0);
+  const aes::Block golden = aes::encryptBlock(
+      aes::Block{}, aes::expandKey(key, aes::KeySize::Aes128));
+  Oracle o;
+  o.addTenant(key);
+  o.offer(0, false, 0, aes::Block{});  // refused: rejected at the offer
+  const CompletionStatus all[] = {
+      CompletionStatus::Ok,       CompletionStatus::Suppressed,
+      CompletionStatus::TimedOut, CompletionStatus::FaultAborted,
+      CompletionStatus::Dropped,  CompletionStatus::Rejected,
+      CompletionStatus::Shed,     CompletionStatus::AuthFailed};
+  std::uint64_t ticket = 0;
+  for (const CompletionStatus st : all) {
+    o.offer(0, true, ++ticket, aes::Block{});
+    o.check(0, ticket, st, golden);
+  }
+  EXPECT_EQ(o.conservation().toJson(),
+            R"({"offered":9,"ok":1,"suppressed":1,"shed":1,"rejected":2,)"
+            R"("failed":4,"still_queued":0})");
+  EXPECT_EQ(o.counts(), OracleCounts{}) << o.counts().toJson();
 }
 
 }  // namespace

@@ -31,6 +31,10 @@ root=$(cd "$(dirname "$0")/.." && pwd)
 gate() { python3 "$root/tools/bench_gate.py" "$@"; }
 
 CONSERVATION=conservation.offered=conservation.ok+conservation.suppressed+conservation.shed+conservation.rejected+conservation.failed+conservation.still_queued
+# The campaign oracle's counts (soc::OracleCounts), spliced flat into the
+# throughput and GCM records: every Ok completion is golden AES/GCM of its
+# own input, and every ticket came back exactly once and in per-tenant order.
+ORACLE=wrong_outputs,wrong_tags,duplicate_resolutions,unknown_tickets,out_of_order,unresolved
 
 # smoke <bench> <stdout name> [VAR=value ...]: one smoke run with exactly
 # the given bench variables set.
@@ -56,6 +60,7 @@ gate \
   --snapshot "$root/bench/BENCH_throughput.json" \
   --bench throughput_pool --keys shards,batch \
   --metric blocks_per_device_cycle --tolerance 0.25 \
+  --assert-zero "$ORACLE" \
   --assert-eq "$CONSERVATION" \
   --assert-eq conservation.offered=stats.offered \
   --assert-eq conservation.shed=stats.shed \
@@ -67,6 +72,7 @@ gate \
   --snapshot "$root/bench/BENCH_gcm.json" \
   --bench gcm --keys shards,batch,mode \
   --metric blocks_per_device_cycle --tolerance 0.25 \
+  --assert-zero "$ORACLE" \
   --assert-eq "$CONSERVATION"
 
 # GCM exact replay. The matrix is seeded and the device model
@@ -149,17 +155,17 @@ done
 # soc::runServiceCampaign (healthy overload, fault storm, recovery). Its
 # `service` object is ServiceStats::toJson(), so the service's own offers,
 # sheds and completions are checked against the bench's conservation
-# buckets. Every Ok block is checked against golden AES and every ticket
-# against the campaign's ledger: wrong outputs, second resolutions and
-# completions for tickets never admitted stay 0, the ledger's unresolved
-# tickets are exactly the service's queued ones, and that count is pinned
-# per phase, so the recovery phase ends with every ticket resolved.
+# buckets. Every completion goes through the campaign oracle: wrong outputs,
+# second resolutions, completions for tickets never admitted and tickets
+# fetched ahead of an older one stay 0, the oracle's unresolved tickets are
+# exactly the service's queued ones, and that count is pinned per phase, so
+# the recovery phase ends with every ticket resolved.
 gate \
   --fresh bench_service_overload.smoke.jsonl \
   --snapshot "$root/bench/BENCH_service_overload.json" \
   --bench service_overload --keys phase \
   --metric blocks_per_cycle --tolerance 0.25 \
-  --assert-zero wrong_outputs,duplicate_resolutions,unknown_tickets \
+  --assert-zero wrong_outputs,duplicate_resolutions,unknown_tickets,out_of_order \
   --assert-eq "$CONSERVATION" \
   --assert-eq conservation.offered=service.offered \
   --assert-eq conservation.shed=service.shed \
