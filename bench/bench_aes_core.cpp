@@ -14,6 +14,7 @@
 #include "aes/gcm.h"
 #include "aes/ttable.h"
 #include "common/rng.h"
+#include "soc/service.h"
 
 namespace {
 
@@ -86,10 +87,12 @@ void BM_DecryptBlock(benchmark::State& state) {
 }
 BENCHMARK(BM_DecryptBlock);
 
-// The word-wise kernel the pipe finishes a block with at its exit: rounds
-// 1..N after the entry AddRoundKey (compare BM_EncryptBlock, the byte-wise
-// reference).
-void BM_EncryptRoundsWordWise(benchmark::State& state) {
+// The word-wise kernels the pipe finishes a block with at its exit:
+// rounds 1..N after the entry AddRoundKey (compare BM_EncryptBlock, the
+// byte-wise reference). Decryption goes through Td tables and unmixes
+// each round key as it reads it.
+template <auto kRounds>
+void BM_RoundsWordWise(benchmark::State& state) {
   const auto ks = static_cast<aes::KeySize>(state.range(0));
   Rng rng{5};
   std::vector<std::uint8_t> key(aes::keyBytes(ks));
@@ -97,12 +100,17 @@ void BM_EncryptRoundsWordWise(benchmark::State& state) {
   const auto ek = aes::expandKey(key, ks);
   aes::State s{};
   for (auto _ : state) {
-    aes::encryptRounds(s, ek.round_keys, ek.rounds());
+    kRounds(s, ek.round_keys, ek.rounds());
     benchmark::DoNotOptimize(s);
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 16);
 }
-BENCHMARK(BM_EncryptRoundsWordWise)
+BENCHMARK(BM_RoundsWordWise<aes::encryptRounds>)
+    ->Name("BM_EncryptRoundsWordWise")
+    ->Arg(static_cast<int>(aes::KeySize::Aes128))
+    ->Arg(static_cast<int>(aes::KeySize::Aes256));
+BENCHMARK(BM_RoundsWordWise<aes::decryptRounds>)
+    ->Name("BM_DecryptRoundsWordWise")
     ->Arg(static_cast<int>(aes::KeySize::Aes128))
     ->Arg(static_cast<int>(aes::KeySize::Aes256));
 
@@ -146,10 +154,11 @@ void BM_AcceleratorTick(benchmark::State& state) {
 }
 BENCHMARK(BM_AcceleratorTick)->Arg(0)->Arg(1);
 
-// One 5-block session run on a hardened engine (mixed_open's mean run
-// length): 5 submits, then a wait for the pipe to carry the blocks out.
-// Arg 1 attaches a no-op tick hook, which turns quiet spans off, so the
-// wait is ticked cycle by cycle.
+// One session run on a hardened engine of range(1) blocks (5 is
+// mixed_open's mean run length; a run of K blocks takes K + 30 cycles).
+// With no hook the device takes the run whole and one run span carries
+// it; range(0) = 1 attaches a no-op tick hook, which turns spans off, so
+// the run is submitted and ticked cycle by cycle.
 void BM_SessionShortRun(benchmark::State& state) {
   accel::AesAccelerator acc{accel::AcceleratorConfig{}};
   const unsigned u = acc.addUser(lattice::Principal::user("alice", 1));
@@ -160,7 +169,8 @@ void BM_SessionShortRun(benchmark::State& state) {
   }
   if (state.range(0) != 0) acc.setTickHook([] {});
   accel::AccelSession session{acc, u, 1};
-  const std::vector<aes::Block> blocks(5);
+  const std::vector<aes::Block> blocks(
+      static_cast<std::size_t>(state.range(1)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(session.encryptBlocks(blocks));
   }
@@ -168,7 +178,34 @@ void BM_SessionShortRun(benchmark::State& state) {
       static_cast<double>(acc.cycle()) /
       static_cast<double>(state.iterations()));
 }
-BENCHMARK(BM_SessionShortRun)->Arg(0)->Arg(1);
+BENCHMARK(BM_SessionShortRun)
+    ->ArgNames({"hook", "blocks"})
+    ->ArgsProduct({{0, 1}, {5, 64}});
+
+// One scheduling round of a service with two tenants and nothing queued:
+// the idle cycle every pump pays (run(1), a quiet span on an idle engine)
+// plus the round's queue scan.
+void BM_ServicePumpIdle(benchmark::State& state) {
+  accel::AesAccelerator acc{accel::AcceleratorConfig{}};
+  soc::AccelService svc{acc, soc::ServiceConfig{}};
+  acc.addUser(lattice::Principal::supervisor());
+  for (unsigned t = 0; t < 2; ++t) {
+    soc::TenantSpec spec;
+    spec.user = acc.addUser(lattice::Principal::user("t", t + 1));
+    spec.key_slot = t + 1;
+    spec.key.assign(16, static_cast<std::uint8_t>(0x2b + t));
+    spec.key_conf = lattice::Conf::category(t + 1);
+    svc.addTenant(spec);
+  }
+  const std::uint64_t c0 = acc.cycle();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(svc.pump());
+  }
+  state.counters["cycles_per_pump"] = benchmark::Counter(
+      static_cast<double>(acc.cycle() - c0) /
+      static_cast<double>(state.iterations()));
+}
+BENCHMARK(BM_ServicePumpIdle);
 
 // One 4-block GCM seal (96-bit IV, no AAD) through a session on a hardened
 // engine: the per-op cost of the AEAD path, H derived once up front.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cassert>
 #include <limits>
 
 namespace aesifc::accel {
@@ -130,18 +131,31 @@ std::optional<GcmSubmit> AesAccelerator::slotRefusal(unsigned user,
                     std::to_string(slot) + " " + why);
     return verdict;
   };
-  if (slot >= kRoundKeySlots)
-    return refuse("out of range", GcmSubmit::KeyUnusable);
-  if (!round_keys_.valid(slot)) return refuse("empty", GcmSubmit::KeyUnusable);
-  if (hardened() && !round_keys_.slotParityOk(slot)) {
-    // Fail secure: never start work on a corrupted key.
-    failSecureSlot(slot, user, port, /*at_use=*/true);
-    return GcmSubmit::KeyUnusable;
+  switch (checkSlot(slot)) {
+    case SlotCheck::Usable:
+      return std::nullopt;
+    case SlotCheck::OutOfRange:
+      return refuse("out of range", GcmSubmit::KeyUnusable);
+    case SlotCheck::Empty:
+      return refuse("empty", GcmSubmit::KeyUnusable);
+    case SlotCheck::Corrupt:
+      // Fail secure: never start work on a corrupted key.
+      failSecureSlot(slot, user, port, /*at_use=*/true);
+      return GcmSubmit::KeyUnusable;
+    case SlotCheck::TooManyRounds:
+      break;
   }
+  return refuse("needs more rounds than the pipeline supports",
+                GcmSubmit::TooManyRounds);
+}
+
+AesAccelerator::SlotCheck AesAccelerator::checkSlot(unsigned slot) const {
+  if (slot >= kRoundKeySlots) return SlotCheck::OutOfRange;
+  if (!round_keys_.valid(slot)) return SlotCheck::Empty;
+  if (hardened() && !round_keys_.slotParityOk(slot)) return SlotCheck::Corrupt;
   if (round_keys_.rounds(slot) > pipeline_.maxRounds())
-    return refuse("needs more rounds than the pipeline supports",
-                  GcmSubmit::TooManyRounds);
-  return std::nullopt;
+    return SlotCheck::TooManyRounds;
+  return SlotCheck::Usable;
 }
 
 void AesAccelerator::failSecureSlot(unsigned slot, unsigned user,
@@ -210,21 +224,21 @@ void AesAccelerator::scrubTick() {
   const unsigned idx = scrub_next_;
   scrub_next_ = idx + 1 == slowScrubSize() ? 0 : idx + 1;
   if (slowScrubOk(idx)) return;
-  const auto& names = config_regs_.names();
   if (idx < kScratchpadCells) {
     scratchpad_.failSecure(idx);
     noteFault(FaultSite::ScratchCell, /*recovered=*/true, 0,
               "cell " + std::to_string(idx) + " data parity; zeroized");
   } else if (idx < kScratchpadCells + kRoundKeySlots) {
     failSecureSlot(idx - kScratchpadCells, 0, "scrub", /*at_use=*/false);
-  } else if (idx < kScratchpadCells + kRoundKeySlots + names.size()) {
-    const auto& name = names[idx - kScratchpadCells - kRoundKeySlots];
-    config_regs_.restoreDefault(name);
+  } else if (idx < kScratchpadCells + kRoundKeySlots + config_regs_.size()) {
+    const unsigned reg = idx - kScratchpadCells - kRoundKeySlots;
+    config_regs_.restoreDefault(reg);
     noteFault(FaultSite::ConfigReg, /*recovered=*/true, 0,
-              "'" + name + "' parity; restored power-on default");
+              "'" + config_regs_.names()[reg] +
+                  "' parity; restored power-on default");
   } else {
-    const unsigned slot = idx - kScratchpadCells - kRoundKeySlots -
-                          static_cast<unsigned>(names.size());
+    const unsigned slot =
+        idx - kScratchpadCells - kRoundKeySlots - config_regs_.size();
     const auto f = ghash_.scrubKeySlot(slot);
     noteFault(f->site, /*recovered=*/false, f->user, f->detail);
   }
@@ -243,8 +257,8 @@ bool AesAccelerator::fastScrubOk() const {
 }
 
 unsigned AesAccelerator::slowScrubSize() const {
-  return kScratchpadCells + kRoundKeySlots +
-         static_cast<unsigned>(config_regs_.names().size()) + kGhashKeySlots;
+  return kScratchpadCells + kRoundKeySlots + config_regs_.size() +
+         kGhashKeySlots;
 }
 
 bool AesAccelerator::slowScrubOk(unsigned idx) const {
@@ -252,9 +266,8 @@ bool AesAccelerator::slowScrubOk(unsigned idx) const {
   idx -= kScratchpadCells;
   if (idx < kRoundKeySlots) return round_keys_.slotParityOk(idx);
   idx -= kRoundKeySlots;
-  const auto& names = config_regs_.names();
-  if (idx < names.size()) return config_regs_.parityOk(names[idx]);
-  return ghash_.keySlotOk(idx - static_cast<unsigned>(names.size()));
+  if (idx < config_regs_.size()) return config_regs_.parityOk(idx);
+  return ghash_.keySlotOk(idx - config_regs_.size());
 }
 
 bool AesAccelerator::injectFault(FaultSite site, unsigned index,
@@ -440,12 +453,13 @@ bool AesAccelerator::writeConfig(unsigned user, const std::string& name,
 std::optional<aes::Block> AesAccelerator::debugReadStage(unsigned user,
                                                          unsigned stage) {
   // Fail secure: a flipped debug_enable bit must not open the debug port.
-  if (hardened() && !config_regs_.parityOk("debug_enable")) {
-    config_regs_.restoreDefault("debug_enable");
+  constexpr unsigned kGate = ConfigRegisters::kDebugEnable;
+  if (hardened() && !config_regs_.parityOk(kGate)) {
+    config_regs_.restoreDefault(kGate);
     noteFault(FaultSite::ConfigReg, /*recovered=*/false, user,
               "'debug_enable' parity at debug read; restored default");
   }
-  if (config_regs_.read("debug_enable") == 0) {
+  if (config_regs_.value(kGate) == 0) {
     recordEvent(SecurityEventKind::DebugReadBlocked, user,
                 "debug peripheral disabled");
     return std::nullopt;
@@ -500,6 +514,7 @@ StageSlot& AesAccelerator::enqueueBlock(const BlockRequest& req,
   slot.user = req.user;
   slot.tag = tag;
   stampParity(slot);
+  ++queued_inputs_;
   return input_queues_[req.user].emplace_back(std::move(slot));
 }
 
@@ -557,6 +572,13 @@ std::optional<GcmResponse> AesAccelerator::fetchGcm(unsigned user) {
   return gcm_.fetch(user);
 }
 
+StageSlot AesAccelerator::popInput(unsigned user) {
+  StageSlot s = std::move(input_queues_[user].front());
+  input_queues_[user].pop_front();
+  --queued_inputs_;
+  return s;
+}
+
 std::optional<StageSlot> AesAccelerator::arbiterPick() {
   const unsigned n = static_cast<unsigned>(users_.size());
   if (n == 0) return std::nullopt;
@@ -565,25 +587,19 @@ std::optional<StageSlot> AesAccelerator::arbiterPick() {
     // Coarse-grained sharing: one user owns the whole pipeline; switching
     // requires the pipeline to drain first (the performance cost the paper
     // motivates fine-grained sharing with).
-    if (coarse_active_ && !input_queues_[coarse_owner_].empty()) {
-      auto s = std::move(input_queues_[coarse_owner_].front());
-      input_queues_[coarse_owner_].pop_front();
-      return s;
-    }
-    if (coarse_active_ && input_queues_[coarse_owner_].empty() &&
-        !pipeline_.anyValid()) {
+    if (coarse_active_ && !input_queues_[coarse_owner_].empty())
+      return popInput(coarse_owner_);
+    if (coarse_active_ && !pipeline_.anyValid()) {
       coarse_active_ = false;  // drained; allow a switch
     }
-    if (!coarse_active_) {
+    if (!coarse_active_ && queued_inputs_ != 0) {
       for (unsigned k = 0; k < n; ++k) {
         const unsigned u = (coarse_owner_ + 1 + k) % n;
         if (!input_queues_[u].empty()) {
           if (pipeline_.anyValid()) return std::nullopt;  // still draining
           coarse_owner_ = u;
           coarse_active_ = true;
-          auto s = std::move(input_queues_[u].front());
-          input_queues_[u].pop_front();
-          return s;
+          return popInput(u);
         }
       }
     }
@@ -591,13 +607,12 @@ std::optional<StageSlot> AesAccelerator::arbiterPick() {
   }
 
   // Fine-grained: round-robin, one block per cycle from any user.
+  if (queued_inputs_ == 0) return std::nullopt;
   for (unsigned k = 0; k < n; ++k) {
     const unsigned u = (rr_next_ + k) % n;
     if (!input_queues_[u].empty()) {
       rr_next_ = (u + 1) % n;
-      auto s = std::move(input_queues_[u].front());
-      input_queues_[u].pop_front();
-      return s;
+      return popInput(u);
     }
   }
   return std::nullopt;
@@ -652,6 +667,28 @@ void AesAccelerator::routeCompleted(StageSlot slot, bool to_buffer) {
   output_queues_[resp.user].push_back(std::move(resp));
 }
 
+void AesAccelerator::exitBlock(StageSlot&& done, bool to_buffer) {
+  if (hardened() && round_keys_.valid(done.key_slot) &&
+      !round_keys_.slotParityOk(done.key_slot)) {
+    // Exit guard: the slow scrub ring visits each round-key slot only
+    // every ~20 cycles, so a block can finish all its rounds against a
+    // corrupted key before the sweep reaches the slot. Never deliver
+    // ciphertext computed from an unverified key — abort the block and
+    // zeroize the slot now.
+    deliverAbort(done);
+    failSecureSlot(done.key_slot, done.user, "pipeline exit",
+                   /*at_use=*/true);
+  } else if (done.gcm_internal) {
+    // Hand internal blocks back to the sequencer — no declassification
+    // here; the op's single declassification happens at its release.
+    gcm_.deliver(done);
+  } else {
+    const unsigned user = done.user;
+    routeCompleted(std::move(done), to_buffer);
+    if (!held_aborts_.empty()) releaseAborts(user);
+  }
+}
+
 void AesAccelerator::drainBuffer() {
   // Deliver the oldest entry whose receiver is ready (one per cycle), with
   // the no-data records queued behind it; per-user order is preserved
@@ -703,7 +740,7 @@ void AesAccelerator::tick() {
       // to observe the delay.
       lattice::Conf meet =
           pipeline_.meetConf().meet(ghash_.meetConf()).meet(gcm_.meetConf());
-      if (cfg_.meet_includes_inputs) {
+      if (cfg_.meet_includes_inputs && queued_inputs_ != 0) {
         for (const auto& q : input_queues_) {
           if (!q.empty()) meet = meet.meet(q.front().tag.c);
         }
@@ -749,28 +786,8 @@ void AesAccelerator::tick() {
       input->accept_cycle = cycle_;
       ++stats_.accepted;
     }
-    auto completed = pipeline_.advance(std::move(input));
-    if (completed.has_value()) {
-      if (hardened() && round_keys_.valid(completed->key_slot) &&
-          !round_keys_.slotParityOk(completed->key_slot)) {
-        // Exit guard: the slow scrub ring visits each round-key slot only
-        // every ~20 cycles, so a block can finish all its rounds against a
-        // corrupted key before the sweep reaches the slot. Never deliver
-        // ciphertext computed from an unverified key — abort the block and
-        // zeroize the slot now.
-        deliverAbort(*completed);
-        failSecureSlot(completed->key_slot, completed->user, "pipeline exit",
-                       /*at_use=*/true);
-      } else if (completed->gcm_internal) {
-        // Hand internal blocks back to the sequencer — no declassification
-        // here; the op's single declassification happens at its release.
-        gcm_.deliver(*completed);
-      } else {
-        const unsigned user = completed->user;
-        routeCompleted(std::move(*completed), to_buffer);
-        if (!held_aborts_.empty()) releaseAborts(user);
-      }
-    }
+    if (auto completed = pipeline_.advance(std::move(input)))
+      exitBlock(std::move(*completed), to_buffer);
     // The GHASH multiplier advances in lockstep with the AES pipe (and
     // freezes with it on stall cycles). Point-of-use detections surface as
     // ordinary fault events.
@@ -796,16 +813,39 @@ void AesAccelerator::run(unsigned cycles) {
   }
 }
 
+bool AesAccelerator::quietGates() const {
+  return !tick_hook_ && queued_inputs_ == 0 && overflow_buffer_.empty() &&
+         !gcm_.anyActive() && ghash_.idle() && !pipeline_.anyEager();
+}
+
+std::uint64_t AesAccelerator::scrubClear(std::uint64_t span) const {
+  if (!hardened()) return span;
+  // The fast-ring checks read stage tags and the scratchpad tag array
+  // with their parity bits, which nothing writes while the gates are shut
+  // (a lazy block's tag rides in its register, a new block's is stamped),
+  // so one evaluation gives every cycle's verdict. The slow-ring entries
+  // are as constant, so the cycles end before the first entry they would
+  // visit that fails.
+  if (!fastScrubOk()) return 0;
+  const unsigned ring = slowScrubSize();
+  for (std::uint64_t j = 0; j < span && j < ring; ++j) {
+    if (!slowScrubOk(static_cast<unsigned>((scrub_next_ + j) % ring)))
+      return j;
+  }
+  return span;
+}
+
+void AesAccelerator::passCycles(std::uint64_t n) {
+  if (hardened())
+    scrub_next_ = static_cast<unsigned>((scrub_next_ + n) % slowScrubSize());
+  cycle_ += n;
+}
+
 std::uint64_t AesAccelerator::skipQuiet(std::uint64_t limit) {
   // A quiet tick finds nothing to accept, pump, hash, step, deliver or
   // drain, and no hook to call: every gate of tick() is shut, so all it
   // does is move lazy blocks one stage on and run the scrub checks.
-  if (limit == 0 || tick_hook_ || !overflow_buffer_.empty() ||
-      gcm_.anyActive() || !ghash_.idle() || pipeline_.anyEager())
-    return 0;
-  for (const auto& q : input_queues_) {
-    if (!q.empty()) return 0;
-  }
+  if (limit == 0 || !quietGates()) return 0;
   // The next tick's arbiter would end a drained coarse-grained tenure.
   if (coarse_active_ && !pipeline_.anyValid()) return 0;
   // The tick that finds a block at the final stage delivers it, and with
@@ -815,29 +855,61 @@ std::uint64_t AesAccelerator::skipQuiet(std::uint64_t limit) {
     span = std::min<std::uint64_t>(
         span, pipeline_.depth() - static_cast<unsigned>(std::bit_width(occ)));
   }
+  span = scrubClear(span);
   if (span == 0) return 0;
-  if (hardened()) {
-    // The fast-ring checks read stage tags and the scratchpad tag array
-    // with their parity bits, which nothing writes during the span (a
-    // lazy block's tag rides in its register), so one evaluation gives
-    // every cycle's verdict; a failure is left to tick(). The slow-ring
-    // entries are as constant, so the span ends before the first entry
-    // it would visit that fails.
-    if (!fastScrubOk()) return 0;
-    const unsigned ring = slowScrubSize();
-    for (std::uint64_t j = 0; j < span && j < ring; ++j) {
-      const unsigned idx = static_cast<unsigned>((scrub_next_ + j) % ring);
-      if (!slowScrubOk(idx)) {
-        span = j;
-        break;
-      }
-    }
-    if (span == 0) return 0;
-    scrub_next_ = static_cast<unsigned>((scrub_next_ + span) % ring);
-  }
   pipeline_.rotate(span);
-  cycle_ += span;
+  passCycles(span);
   return span;
+}
+
+bool AesAccelerator::canTakeRun(unsigned user, unsigned slot) const {
+  // With these gates shut, no tick of the run can stall, buffer, drop,
+  // abort, pump, hash or call out, and no host call comes between its
+  // cycles: each tick only accepts the user's next block, moves the pipe
+  // and releases the block leaving it. Every scrub check must pass for a
+  // whole ring, so none fails however long the run is.
+  if (!quietGates() || cfg_.coarse_grained || pipeline_.anyValid() ||
+      !held_aborts_.empty() || user >= users_.size() ||
+      !receiver_ready_[user] || !output_queues_[user].empty() ||
+      checkSlot(slot) != SlotCheck::Usable)
+    return false;
+  const unsigned ring = slowScrubSize();
+  return scrubClear(ring) == ring;
+}
+
+std::uint64_t AesAccelerator::runSpan(unsigned user, std::uint64_t limit) {
+  auto& q = input_queues_.at(user);
+  assert(queued_inputs_ == q.size());
+  const unsigned depth = pipeline_.depth();
+  const std::uint64_t final_bit = std::uint64_t{1} << (depth - 1);
+  const unsigned rr_after = (user + 1) % static_cast<unsigned>(users_.size());
+  std::uint64_t ran = 0;
+  while (ran < limit) {
+    const std::uint64_t occ = pipeline_.occupancy();
+    if (q.empty() && (occ & final_bit) == 0) {
+      if (occ == 0) break;  // the run's last block has left
+      // Nothing to accept or release until the oldest block is final.
+      const std::uint64_t quiet = std::min<std::uint64_t>(
+          limit - ran, depth - static_cast<unsigned>(std::bit_width(occ)));
+      pipeline_.rotate(quiet);
+      passCycles(quiet);
+      ran += quiet;
+      continue;
+    }
+    // A busy cycle: what tick() does here, its other gates shut.
+    std::optional<StageSlot> input;
+    if (!q.empty()) {
+      input = popInput(user);
+      input->accept_cycle = cycle_;
+      ++stats_.accepted;
+      rr_next_ = rr_after;
+    }
+    if (auto done = pipeline_.advance(std::move(input)))
+      exitBlock(std::move(*done), /*to_buffer=*/false);
+    passCycles(1);
+    ++ran;
+  }
+  return ran;
 }
 
 std::size_t AesAccelerator::eventCount(SecurityEventKind k) const {

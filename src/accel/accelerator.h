@@ -152,6 +152,23 @@ class AesAccelerator {
   // before the first slow-ring entry whose check fails. The device then
   // stands exactly where that many ticks would have left it.
   std::uint64_t skipQuiet(std::uint64_t limit);
+  // Whole block runs. True when a run of `user`'s blocks on `slot`,
+  // submitted all at once now, would pass through the pipe with nothing
+  // else moving: no tick hook, a fine-grained arbiter, no input queued, an
+  // empty pipe, overflow buffer and held aborts, no GCM op, an idle GHASH
+  // unit, the user's receiver ready and its output queue empty, `slot`
+  // admitted by the submit gate, and every fast- and slow-ring check
+  // passing. One submission per cycle would then meet the same refusals,
+  // accept cycles, arbiter pointer and scrub visits.
+  bool canTakeRun(unsigned user, unsigned slot) const;
+  // Carries a run that canTakeRun admitted and that was then submitted
+  // whole: accepts the user's queued blocks on consecutive cycles, rotates
+  // the quiet stretches at once, releases each block through the exit gate
+  // on its tick-exact cycle (accept + depth), and stops on the cycle after
+  // the last block leaves or after `limit` cycles, whichever is first.
+  // Returns the cycles run; the device stands where that many ticks would
+  // have left it.
+  std::uint64_t runSpan(unsigned user, std::uint64_t limit);
   // Called at the end of every tick — between clock edges, after this
   // cycle's outputs are queued but before host logic can fetch them. Lets
   // an environment model (fault injector, monitor) act on device state and
@@ -270,7 +287,11 @@ class AesAccelerator {
   }
   // Queue an admitted block; parity covers only its state and tag.
   StageSlot& enqueueBlock(const BlockRequest& req, const Label& tag);
+  StageSlot popInput(unsigned user);
   std::optional<StageSlot> arbiterPick();
+  // The exit gate for a block leaving the final stage: the exit guard,
+  // then the GCM sequencer (internal blocks) or routeCompleted.
+  void exitBlock(StageSlot&& done, bool to_buffer);
   void routeCompleted(StageSlot slot, bool to_buffer);
   void drainBuffer();
 
@@ -299,6 +320,9 @@ class AesAccelerator {
   // fail-secure step. Returns the refusal, or nullopt when admitted.
   std::optional<GcmSubmit> slotRefusal(unsigned user, unsigned slot,
                                        const char* port);
+  // The admit gate's verdict on `slot`, with no side effect.
+  enum class SlotCheck { Usable, OutOfRange, Empty, Corrupt, TooManyRounds };
+  SlotCheck checkSlot(unsigned slot) const;
   // Fail-secure step: zeroize, squash the slot's blocks, log the RoundKey
   // fault (recovered only for a scrub find, `!at_use`, that squashed none).
   void failSecureSlot(unsigned slot, unsigned user, const char* where,
@@ -317,6 +341,17 @@ class AesAccelerator {
   // Slow-ring entries, and whether entry `idx` passes its check.
   unsigned slowScrubSize() const;
   bool slowScrubOk(unsigned idx) const;
+  // --- Quiet spans: what skipQuiet and runSpan share ---------------------
+  // Shut when nothing but the pipe's lazy blocks and the scrub cursor can
+  // move: no hook, no queued input, an empty overflow buffer, no GCM op,
+  // an idle GHASH unit and no eager block.
+  bool quietGates() const;
+  // How many of the next `span` cycles pass every scrub check, the gates
+  // shut: 0 when the fast ring fails, else up to the first failing
+  // slow-ring entry.
+  std::uint64_t scrubClear(std::uint64_t span) const;
+  // Moves the clock and the slow-ring cursor on by `n` cycles.
+  void passCycles(std::uint64_t n);
 
   AcceleratorConfig cfg_;
   std::vector<Principal> users_;
@@ -328,6 +363,7 @@ class AesAccelerator {
   GcmSequencer gcm_;
 
   std::vector<std::deque<StageSlot>> input_queues_;
+  std::size_t queued_inputs_ = 0;  // blocks in all input queues
   std::vector<std::deque<BlockResponse>> output_queues_;
   std::vector<bool> receiver_ready_;
   std::deque<PendingOutput> overflow_buffer_;

@@ -1,35 +1,34 @@
 #include "accel/config_regs.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace aesifc::accel {
 
-ConfigRegisters::ConfigRegisters(SecurityMode mode) : mode_{mode} {
+ConfigRegisters::ConfigRegisters(SecurityMode mode)
+    : mode_{mode},
+      names_{"arbiter_mode", "debug_enable", "out_buf_depth", "version"} {
   // Register map of the prototype. Power-on values are the closed /
   // least-permissive settings — they double as the fail-secure targets.
-  regs_["debug_enable"] = 0;      // debug peripheral gate
-  regs_["arbiter_mode"] = 0;      // 0 = fine-grained RR, 1 = coarse-grained
-  regs_["out_buf_depth"] = 32;    // overflow buffer high-water mark
-  regs_["version"] = 0x20190602;  // read-only identification
-  defaults_ = regs_;
-  for (const auto& [name, v] : regs_) {
-    parity_[name] = parity64(v);
-    names_.push_back(name);
-  }
+  const std::array<std::uint32_t, kCount> reset{0, 0, 32, 0x20190602};
+  for (unsigned i = 0; i < kCount; ++i)
+    regs_[i] = {reset[i], reset[i], parity64(reset[i])};
+}
+
+unsigned ConfigRegisters::indexOf(const std::string& name) const {
+  const auto it = std::find(names_.begin(), names_.end(), name);
+  if (it == names_.end())
+    throw std::out_of_range("ConfigRegisters: no register '" + name + "'");
+  return static_cast<unsigned>(it - names_.begin());
 }
 
 std::uint32_t ConfigRegisters::read(const std::string& name) const {
-  auto it = regs_.find(name);
-  if (it == regs_.end())
-    throw std::out_of_range("ConfigRegisters: no register '" + name + "'");
-  return it->second;
+  return regs_[indexOf(name)].value;
 }
 
 bool ConfigRegisters::write(const std::string& name, std::uint32_t value,
                             const Label& writer) {
-  auto it = regs_.find(name);
-  if (it == regs_.end())
-    throw std::out_of_range("ConfigRegisters: no register '" + name + "'");
+  Reg& r = regs_[indexOf(name)];
   // A write asserts the register's full (top) integrity, so only a
   // full-integrity principal may perform it. Confidentiality is not
   // checked: config values are public by construction, and the writer
@@ -37,27 +36,26 @@ bool ConfigRegisters::write(const std::string& name, std::uint32_t value,
   if (mode_ == SecurityMode::Protected && !writer.i.flowsTo(label().i)) {
     return false;
   }
-  it->second = value;
-  parity_[name] = parity64(value);
+  r.value = value;
+  r.parity = parity64(value);
   return true;
 }
 
-bool ConfigRegisters::parityOk(const std::string& name) const {
-  auto it = regs_.find(name);
-  if (it == regs_.end())
-    throw std::out_of_range("ConfigRegisters: no register '" + name + "'");
-  return parity64(it->second) == parity_.at(name);
+bool ConfigRegisters::parityOk(unsigned i) const {
+  const Reg& r = regs_.at(i);
+  return parity64(r.value) == r.parity;
 }
 
-void ConfigRegisters::restoreDefault(const std::string& name) {
-  regs_.at(name) = defaults_.at(name);
-  parity_.at(name) = parity64(defaults_.at(name));
+void ConfigRegisters::restoreDefault(unsigned i) {
+  Reg& r = regs_.at(i);
+  r.value = r.reset;
+  r.parity = parity64(r.reset);
 }
 
 bool ConfigRegisters::faultFlipBit(const std::string& name, unsigned bit) {
-  auto it = regs_.find(name);
-  if (it == regs_.end() || bit >= 32) return false;
-  it->second ^= 1u << bit;
+  const auto it = std::find(names_.begin(), names_.end(), name);
+  if (it == names_.end() || bit >= 32) return false;
+  regs_[static_cast<unsigned>(it - names_.begin())].value ^= 1u << bit;
   return true;
 }
 

@@ -99,10 +99,17 @@ AccelResult<std::vector<aes::Block>> AccelSession::runBlocks(
   f.data = std::move(blocks);
   // The first block is submitted before the first tick; from then on each
   // cycle drains the output queue after the tick. A quiet span delivers
-  // nothing, so the collects it skips would have found nothing.
+  // nothing, so the collects it skips would have found nothing; an
+  // attempt submitted whole is carried by one run span, after which its
+  // blocks are all out or its watchdog fires.
   auto v = advance(f);
   while (!v) {
-    if (acc_.skipQuiet(idleCycles(f)) == 0) acc_.tick();
+    const std::uint64_t idle = idleCycles(f);
+    if (f.open && f.whole) {
+      acc_.runSpan(user_, idle);
+    } else if (acc_.skipQuiet(idle) == 0) {
+      acc_.tick();
+    }
     route(false);
     v = advance(f);
   }
@@ -133,7 +140,10 @@ void AccelSession::route(bool gcm) {
   // racing a resubmission — can never be delivered twice.
   const auto take = [&](std::uint64_t id) -> std::pair<Flight*, std::size_t> {
     for (auto& [h, f] : flights_) {
-      if (const auto it = f.ids.find(id); it != f.ids.end()) {
+      const auto it = std::lower_bound(
+          f.ids.begin(), f.ids.end(), id,
+          [](const auto& e, std::uint64_t v) { return e.first < v; });
+      if (it != f.ids.end() && it->first == id) {
         const std::size_t unit = it->second;
         f.ids.erase(it);
         return {&f, unit};
@@ -154,6 +164,7 @@ void AccelSession::route(bool gcm) {
     const auto [f, i] = take(resp.req_id);
     if (f == nullptr) continue;
     if (f->units[i] == U::Done || f->units[i] == U::Suppressed) continue;
+    if (f->units[i] == U::Pending) --f->pending;
     if (resp.status == AccelStatus::Ok) {
       f->data[i] = resp.data;
       f->units[i] = U::Done;
@@ -175,20 +186,24 @@ std::optional<AccelStatus> AccelSession::stepBlocks(Flight& f) {
       if (f.units[i] == U::Failed) f.units[i] = U::Pending;
       if (f.units[i] == U::Pending) f.todo.push_back(i);
     }
+    f.pending = f.todo.size();
     f.next = 0;
     f.attempt_fail = AccelStatus::Ok;
     f.attempt_start = acc_.cycle();
     f.open = true;
+    // When nothing else can move on the device, every block goes in now.
+    f.whole = !f.todo.empty() && acc_.canTakeRun(user_, key_slot_);
   }
   const auto pending = [&](std::size_t i) { return f.units[i] == U::Pending; };
   // The device is wedged (e.g. permanently stalled) past this watchdog.
   const bool timed_out =
       acc_.cycle() - f.attempt_start > opts_.timeout_cycles + f.todo.size();
-  if (!timed_out && std::any_of(f.todo.begin(), f.todo.end(), pending)) {
-    // One submission per cycle; skip blocks a late response from an
-    // earlier attempt already resolved.
-    while (f.next < f.todo.size() && !pending(f.todo[f.next])) ++f.next;
-    if (f.next < f.todo.size()) {
+  if (!timed_out && f.pending != 0) {
+    // One submission per cycle, or all at once for a whole attempt; skip
+    // blocks a late response from an earlier attempt already resolved.
+    do {
+      while (f.next < f.todo.size() && !pending(f.todo[f.next])) ++f.next;
+      if (f.next == f.todo.size()) break;
       BlockRequest req;
       req.req_id = next_req_++;
       req.user = user_;
@@ -197,8 +212,8 @@ std::optional<AccelStatus> AccelSession::stepBlocks(Flight& f) {
       req.data = f.data[f.todo[f.next]];
       // A deterministic refusal (e.g. a zeroized slot) is final.
       if (!acc_.submit(req)) return AccelStatus::Rejected;
-      f.ids[req.req_id] = f.todo[f.next++];
-    }
+      f.ids.emplace_back(req.req_id, f.todo[f.next++]);
+    } while (f.whole);
     return std::nullopt;
   }
   const auto open = [](U u) { return u == U::Pending || u == U::Failed; };
@@ -322,7 +337,7 @@ GcmSubmit AccelSession::submitAttempt(Flight& f) {
   if (s == GcmSubmit::Accepted) {
     f.open = true;
     f.attempt_start = acc_.cycle();
-    f.ids.emplace(f.req.req_id, 0);
+    f.ids.emplace_back(f.req.req_id, 0);
   }
   return s;
 }

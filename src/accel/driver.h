@@ -232,14 +232,19 @@ class AccelSession {
     std::optional<AccelStatus> refused;  // final refusal at start
     // Request id -> unit (block index; 0 for a GCM op) of each response
     // still taken: every attempt's for a block run, so a late response is
-    // credited, and only the current attempt's for a GCM op.
-    std::map<std::uint64_t, std::size_t> ids;
+    // credited, and only the current attempt's for a GCM op. Sorted by id:
+    // a session's ids only grow, so each new one is appended.
+    std::vector<std::pair<std::uint64_t, std::size_t>> ids;
     // Block run: inputs, overwritten by each Done block's output.
     bool decrypt = false;
     std::vector<aes::Block> data;
     std::vector<Unit> units;        // a Failed block rides the next attempt
     std::vector<std::size_t> todo;  // the attempt's blocks
+    std::size_t pending = 0;        // units still Pending
     std::size_t next = 0;           // todo[next] is submitted next
+    // The attempt went in whole on its first cycle (canTakeRun), and one
+    // run span carries it (runSpan).
+    bool whole = false;
     AccelStatus attempt_fail = AccelStatus::Ok;  // first failed response
     // GCM op.
     GcmRequest req;            // req_id is the current attempt's
@@ -261,7 +266,8 @@ class AccelSession {
   void route(bool gcm);
   // A kind's step this cycle: nullopt while the attempt runs, a retryable
   // status when it failed, any other status as the verdict. A block run
-  // submits one block per cycle, on a watchdog of timeout + its blocks.
+  // submits one block per cycle, or all on its first cycle when the device
+  // can take the attempt whole, on a watchdog of timeout + its blocks.
   std::optional<AccelStatus> stepBlocks(Flight& f);
   std::optional<AccelStatus> stepGcm(Flight& f);
   // Cycles from now on whose collects would find nothing for the flight to

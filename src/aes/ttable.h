@@ -21,7 +21,9 @@ void encryptRounds(State& s, const std::vector<RoundKey>& rk, unsigned nr);
 // Rounds 1..nr of the straightforward inverse cipher (InvShiftRows,
 // InvSubBytes, AddRoundKey rk[nr - r], InvMixColumns) on a state that
 // already has round key nr added. Uses the round keys as stored, with no
-// InvMixColumns-ed copy. Throws std::out_of_range when rk is too short.
+// InvMixColumns-ed copy: each is unmixed as it is read (InvMixColumns is
+// linear), so any round keys give the micro-ops' result, not only an
+// expanded schedule. Throws std::out_of_range when rk is too short.
 void decryptRounds(State& s, const std::vector<RoundKey>& rk, unsigned nr);
 
 }  // namespace aesifc::aes

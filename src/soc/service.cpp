@@ -704,8 +704,8 @@ void AccelService::runCanaries() {
 unsigned AccelService::pump() {
   // One idle cycle per round models scheduling overhead and, crucially,
   // keeps the device clock (and quarantine residency) moving even when all
-  // queues are empty.
-  acc_.tick();
+  // queues are empty. run(1) takes it as a quiet span when it is one.
+  acc_.run(1);
 
   if (monitor_.state() == HealthState::Quarantined &&
       monitor_.tryBeginProbation(acc_.cycle())) {

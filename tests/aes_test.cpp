@@ -321,6 +321,44 @@ TEST_P(CipherPropertyTest, WordWiseRoundsMatchReferenceCipher) {
   EXPECT_THROW(decryptRounds(s, ek.round_keys, 14), std::out_of_range);
 }
 
+// The kernels read round keys from RAM as stored, so they must match the
+// byte-wise micro-ops for any round keys, not only an expanded schedule:
+// a flipped key bit has to land at the exit as the micro-ops would land
+// it. The decrypt kernel unmixes each round key as it reads it, which
+// holds because InvMixColumns is linear.
+TEST(WordWiseRounds, MatchTheMicroOpsUnderRandomRoundKeys) {
+  Rng rng{909};
+  for (const unsigned nr : {1u, 2u, 10u, 12u, 14u}) {
+    for (int i = 0; i < 64; ++i) {
+      std::vector<RoundKey> rk(nr + 1);
+      for (auto& k : rk)
+        for (auto& b : k) b = static_cast<std::uint8_t>(rng.next());
+      State in{};
+      for (auto& b : in) b = static_cast<std::uint8_t>(rng.next());
+
+      State enc = in, want_enc = in;
+      encryptRounds(enc, rk, nr);
+      for (unsigned r = 1; r <= nr; ++r) {
+        subBytes(want_enc);
+        shiftRows(want_enc);
+        if (r < nr) mixColumns(want_enc);
+        addRoundKey(want_enc, rk[r]);
+      }
+      EXPECT_EQ(enc, want_enc) << "nr " << nr;
+
+      State dec = in, want_dec = in;
+      decryptRounds(dec, rk, nr);
+      for (unsigned r = 1; r <= nr; ++r) {
+        invShiftRows(want_dec);
+        invSubBytes(want_dec);
+        addRoundKey(want_dec, rk[nr - r]);
+        if (r < nr) invMixColumns(want_dec);
+      }
+      EXPECT_EQ(dec, want_dec) << "nr " << nr;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllKeySizes, CipherPropertyTest,
                          ::testing::Values(KeySize::Aes128, KeySize::Aes192,
                                            KeySize::Aes256));

@@ -1,10 +1,12 @@
 // Quiet spans: AesAccelerator::skipQuiet advances the clock over cycles
 // whose tick could only move lazy blocks one stage on, and the driver's
-// waits, the retry backoff, waitSlotIdle and run(n) take it. A tick hook
-// turns the skip off, so running the same seeded traffic once as is and
-// once with a no-op hook compares the skip with tick-by-tick: every
-// response, security event, stat and the final cycle must be identical,
-// with and without a bit flipped before the traffic starts.
+// waits, the retry backoff, waitSlotIdle and run(n) take it; a session
+// attempt the device can take whole (canTakeRun) is submitted at once and
+// carried by one run span (runSpan). A tick hook turns both off, so
+// running the same seeded traffic once as is and once with a no-op hook
+// compares the spans with tick-by-tick: every response, security event,
+// stat and the final cycle must be identical, with and without a bit
+// flipped before the traffic starts.
 
 #include <gtest/gtest.h>
 
@@ -42,6 +44,11 @@ std::string hex(std::span<const std::uint8_t> b) {
   return s;
 }
 
+AcceleratorConfig withMode(AcceleratorConfig cfg, SecurityMode mode) {
+  cfg.mode = mode;
+  return cfg;
+}
+
 // Three tenants on an AES-256-capable pipe (42 stages): t0 AES-128 in slot
 // 1, t1 AES-256 in slot 2, t2 AES-128 in slot 3. t2 also submits raw
 // blocks, whose responses are fetched with their cycle stamps.
@@ -50,8 +57,9 @@ struct Rig {
   unsigned t0, t1, t2;
   std::vector<std::string> log;
 
-  explicit Rig(SecurityMode mode, bool tick_by_tick)
-      : acc{AcceleratorConfig{.mode = mode, .max_rounds = 14}} {
+  explicit Rig(SecurityMode mode, bool tick_by_tick,
+               AcceleratorConfig cfg = {.max_rounds = 14})
+      : acc{withMode(cfg, mode)} {
     acc.addUser(Principal::supervisor());
     t0 = acc.addUser(Principal::user("t0", 1));
     t1 = acc.addUser(Principal::user("t1", 2));
@@ -266,6 +274,132 @@ TEST_P(QuietSpanModes, CorruptionBeforeARunIsCaughtOnTheSameCycle) {
   }
 }
 
+// The edges of a run span, each run as is and with a no-op hook: a
+// session whose receiver is not ready (the Fig. 8 stall, or a denied stall
+// into the overflow buffer), a run while another user's lazy blocks are in
+// flight, a coarse-grained arbiter, stale responses with the session's
+// request ids waiting in its output queue, and a retry after a dropped
+// block. Each case ends with a run the device takes whole, then raw
+// blocks of two users submitted on one cycle, so the arbiter pointer the
+// run left decides their accept order.
+enum class Edge { ReceiverNotReady, OtherUserInFlight, CoarseArbiter,
+                  StaleResponses, RetryAfterDrop };
+
+std::vector<std::string> runEdge(SecurityMode mode, bool tick_by_tick,
+                                 Edge edge) {
+  AcceleratorConfig cfg{.max_rounds = 14};
+  if (edge == Edge::CoarseArbiter) cfg.coarse_grained = true;
+  // With no buffer space, a denied stall drops the block at once.
+  if (edge == Edge::RetryAfterDrop) cfg.out_buffer_depth = 0;
+  Rig r{mode, tick_by_tick, cfg};
+  AccelSession s0{r.acc, r.t0, 1};
+  AccelSession s2{r.acc, r.t2, 3};
+  AccelSession retrying{r.acc, r.t0, 1,
+                        SessionOptions{.timeout_cycles = 40, .max_retries = 2,
+                                       .backoff_cycles = 8}};
+  Rng rng{static_cast<std::uint64_t>(edge) + 500};
+  switch (edge) {
+    case Edge::ReceiverNotReady:
+      // Only t0's own blocks are in flight, so the stall is granted and
+      // the pipe waits for the receiver until the watchdog fires.
+      r.acc.setReceiverReady(r.t0, false);
+      r.result("t0 away", retrying.encryptBlocks(randomBlocks(rng, 3)));
+      r.acc.setReceiverReady(r.t0, true);
+      r.acc.run(100);
+      r.fetchRaw(r.t0);
+      break;
+    case Edge::OtherUserInFlight:
+      for (std::uint64_t id = 1; id <= 4; ++id)
+        r.acc.submit(BlockRequest{100 + id, r.t2, 3, false,
+                                  randomBlocks(rng, 1)[0]});
+      r.acc.run(6);
+      r.result("t0", s0.encryptBlocks(randomBlocks(rng, 5)));
+      r.fetchRaw(r.t2);
+      break;
+    case Edge::CoarseArbiter:
+      r.result("t0", s0.encryptBlocks(randomBlocks(rng, 5)));
+      r.acc.submit(BlockRequest{101, r.t2, 3, true, randomBlocks(rng, 1)[0]});
+      r.result("t0", s0.decryptBlocks(randomBlocks(rng, 2)));
+      r.fetchRaw(r.t2);
+      break;
+    case Edge::StaleResponses:
+      // Raw t2 responses 1-3 wait unfetched; t2's session numbers its own
+      // requests from 1 too.
+      for (std::uint64_t id = 1; id <= 3; ++id)
+        r.acc.submit(BlockRequest{id, r.t2, 3, false, randomBlocks(rng, 1)[0]});
+      r.acc.run(80);
+      r.result("t2", s2.encryptBlocks(randomBlocks(rng, 3)));
+      r.fetchRaw(r.t2);
+      r.result("t2", s2.encryptBlocks(randomBlocks(rng, 4)));
+      break;
+    case Edge::RetryAfterDrop:
+      // t1's blocks in flight lower the meet below t0's label, so t0's
+      // stall requests are denied (Protected) and its blocks dropped; once
+      // t1's blocks are out the stall is granted and the attempt times out.
+      for (std::uint64_t id = 1; id <= 8; ++id)
+        r.acc.submit(BlockRequest{200 + id, r.t1, 2, false,
+                                  randomBlocks(rng, 1)[0]});
+      r.acc.setReceiverReady(r.t0, false);
+      r.result("t0 away", retrying.encryptBlocks(randomBlocks(rng, 4)));
+      r.note("retries " + std::to_string(retrying.retries()));
+      r.acc.setReceiverReady(r.t0, true);
+      r.acc.run(200);
+      r.fetchRaw(r.t0);
+      r.fetchRaw(r.t1);
+      r.result("t0 back", retrying.encryptBlocks(randomBlocks(rng, 4)));
+      break;
+  }
+  r.acc.run(200);
+  r.fetchRaw(r.t0);
+  r.fetchRaw(r.t2);
+  r.result("t0 whole", s0.encryptBlocks(randomBlocks(rng, 6)));
+  r.acc.submit(BlockRequest{300, r.t0, 1, false, randomBlocks(rng, 1)[0]});
+  r.acc.submit(BlockRequest{301, r.t2, 3, false, randomBlocks(rng, 1)[0]});
+  r.acc.run(60);
+  r.fetchRaw(r.t0);
+  r.fetchRaw(r.t2);
+  return r.trace();
+}
+
+TEST_P(QuietSpanModes, RunSpanEdgesMatchTickByTick) {
+  const std::pair<Edge, const char*> edges[] = {
+      {Edge::ReceiverNotReady, "receiver not ready"},
+      {Edge::OtherUserInFlight, "another user's blocks in flight"},
+      {Edge::CoarseArbiter, "coarse-grained arbiter"},
+      {Edge::StaleResponses, "stale responses in the output queue"},
+      {Edge::RetryAfterDrop, "retry after a dropped block"},
+  };
+  for (const auto& [edge, name] : edges) {
+    SCOPED_TRACE(name);
+    expectSameTrace(runEdge(GetParam(), false, edge),
+                    runEdge(GetParam(), true, edge));
+  }
+}
+
+// A slow-ring upset at every distance from the cursor, just before a
+// session run: the device must not take the run whole over an entry whose
+// check fails, wherever the cursor stands.
+TEST_P(QuietSpanModes, RunSpanChecksEverySlowRingEntry) {
+  const Flip cell{"scratchpad cell 4", FaultSite::ScratchCell, 4, 17};
+  for (unsigned d = 0; d < kSlowRing; ++d) {
+    SCOPED_TRACE("cursor offset " + std::to_string(d));
+    std::vector<std::string> traces[2];
+    for (const bool ticked : {false, true}) {
+      Rig r{GetParam(), ticked};
+      AccelSession s0{r.acc, r.t0, 1};
+      Rng rng{d};
+      r.acc.run(d);
+      EXPECT_TRUE(r.acc.injectFault(cell.site, cell.index, cell.bit));
+      r.result("t0", s0.encryptBlocks(randomBlocks(rng, 5)));
+      r.acc.run(kSlowRing);
+      EXPECT_EQ(r.acc.faultsDetectedBySite()[static_cast<unsigned>(cell.site)],
+                1u);
+      traces[ticked] = r.trace();
+    }
+    expectSameTrace(traces[0], traces[1]);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Modes, QuietSpanModes,
                          ::testing::Values(SecurityMode::Protected,
                                            SecurityMode::Baseline),
@@ -275,8 +409,7 @@ INSTANTIATE_TEST_SUITE_P(Modes, QuietSpanModes,
                                       : std::string("Baseline");
                          });
 
-// --- skipQuiet's own contract ----------------------------------------------
-
+// One tenant on the 30-stage pipe, its AES-128 key in slot 1.
 struct Solo {
   AesAccelerator acc{AcceleratorConfig{}};
   unsigned u;
@@ -290,6 +423,144 @@ struct Solo {
     ASSERT_TRUE(acc.submit(BlockRequest{id, u, 1, false, {}}));
   }
 };
+
+// --- Run spans: the paper's K + depth anchor ------------------------------
+
+// A session run of K blocks lasts K + depth cycles: its blocks are accepted
+// on cycles c .. c+K-1, each leaves depth cycles after its accept, and the
+// run ends on cycle c + K + depth. Checked for AES-128 on the 30-stage pipe
+// and AES-256 on a 42-stage one, in both modes, with run spans and tick by
+// tick (a hook stamps each accept and each delivery); a raw run carried by
+// runSpan shows the same stamps on its responses.
+TEST(QuietSpan, SessionRunOfKBlocksTakesKPlusDepthCycles) {
+  for (const auto mode : {SecurityMode::Protected, SecurityMode::Baseline}) {
+    for (const auto ks : {aes::KeySize::Aes128, aes::KeySize::Aes256}) {
+      for (const std::uint64_t k : {1u, 5u, 64u}) {
+        for (const bool ticked : {false, true}) {
+          SCOPED_TRACE(std::string(mode == SecurityMode::Protected
+                                       ? "Protected"
+                                       : "Baseline") +
+                       " AES-" + std::to_string(8 * aes::keyBytes(ks)) +
+                       " K=" + std::to_string(k) +
+                       (ticked ? " tick by tick" : " run span"));
+          const unsigned rounds = ks == aes::KeySize::Aes128 ? 10 : 14;
+          AesAccelerator acc{AcceleratorConfig{.mode = mode,
+                                               .max_rounds = rounds}};
+          acc.addUser(Principal::supervisor());
+          const unsigned u = acc.addUser(Principal::user("alice", 1));
+          const auto key = keyBytes(aes::keyBytes(ks), 0x31);
+          ASSERT_TRUE(loadKeyBytes(acc, u, 1, 0, key, ks, Conf::category(1)));
+          const auto ek = aes::expandKey(key, ks);
+          const std::uint64_t depth = acc.pipeline().depth();
+          ASSERT_EQ(depth, 3u * rounds);
+          std::vector<std::uint64_t> accepts, exits;
+          if (ticked) {
+            acc.setTickHook([&] {
+              if (acc.stats().accepted > accepts.size())
+                accepts.push_back(acc.cycle());
+              if (acc.stats().completed > exits.size())
+                exits.push_back(acc.cycle());
+            });
+          }
+          acc.run(13);
+          Rng rng{k};
+          const auto blocks = randomBlocks(rng, k);
+          AccelSession session{acc, u, 1};
+          const std::uint64_t c = acc.cycle();
+          const auto got = session.encryptBlocks(blocks);
+          ASSERT_TRUE(got.has_value());
+          for (std::size_t i = 0; i < k; ++i)
+            EXPECT_EQ((*got)[i], aes::encryptBlock(blocks[i], ek));
+          EXPECT_EQ(acc.cycle(), c + k + depth);
+          EXPECT_EQ(session.cyclesUsed(), k + depth);
+          if (ticked) {
+            ASSERT_EQ(accepts.size(), k);
+            ASSERT_EQ(exits.size(), k);
+            for (std::size_t i = 0; i < k; ++i) {
+              EXPECT_EQ(accepts[i], c + i);
+              EXPECT_EQ(exits[i], accepts[i] + depth);
+            }
+            continue;
+          }
+          // The same run raw, through the span's own interface.
+          ASSERT_TRUE(acc.canTakeRun(u, 1));
+          const std::uint64_t c2 = acc.cycle();
+          for (std::size_t i = 0; i < k; ++i)
+            ASSERT_TRUE(
+                acc.submit(BlockRequest{1000 + i, u, 1, true, (*got)[i]}));
+          EXPECT_EQ(acc.runSpan(u, UINT64_MAX), k + depth);
+          std::vector<BlockResponse> out;
+          ASSERT_EQ(acc.fetchOutputs(u, out), k);
+          for (std::size_t i = 0; i < k; ++i) {
+            EXPECT_EQ(out[i].req_id, 1000 + i);
+            EXPECT_EQ(out[i].status, AccelStatus::Ok);
+            EXPECT_EQ(out[i].accept_cycle, c2 + i);
+            EXPECT_EQ(out[i].complete_cycle, out[i].accept_cycle + depth);
+            EXPECT_EQ(out[i].data, blocks[i]);
+          }
+          EXPECT_EQ(acc.cycle(), c2 + k + depth);
+        }
+      }
+    }
+  }
+}
+
+// A run span stops at its limit wherever the run stands, and the device
+// is where that many ticks leave it.
+TEST(QuietSpan, RunSpanStopsAtItsLimit) {
+  for (const std::uint64_t limit : {1u, 3u, 20u, 31u, 34u}) {
+    SCOPED_TRACE("limit " + std::to_string(limit));
+    Solo a, b;
+    for (Solo* s : {&a, &b}) {
+      ASSERT_TRUE(s->acc.canTakeRun(s->u, 1));
+      for (std::uint64_t id = 1; id <= 5; ++id) s->submit(id);
+    }
+    EXPECT_EQ(a.acc.runSpan(a.u, limit), limit);
+    for (std::uint64_t i = 0; i < limit; ++i) b.acc.tick();
+    EXPECT_EQ(a.acc.cycle(), b.acc.cycle());
+    EXPECT_EQ(a.acc.pendingInputs(a.u), b.acc.pendingInputs(b.u));
+    EXPECT_EQ(a.acc.pipeline().occupancy(), b.acc.pipeline().occupancy());
+    EXPECT_EQ(a.acc.stats().accepted, b.acc.stats().accepted);
+    std::vector<BlockResponse> ra, rb;
+    a.acc.fetchOutputs(a.u, ra);
+    b.acc.fetchOutputs(b.u, rb);
+    ASSERT_EQ(ra.size(), rb.size());
+    for (std::size_t i = 0; i < ra.size(); ++i) {
+      EXPECT_EQ(ra[i].complete_cycle, rb[i].complete_cycle);
+      EXPECT_EQ(ra[i].data, rb[i].data);
+    }
+    // The rest of the run, tick by tick on both.
+    a.acc.run(40);
+    b.acc.run(40);
+    EXPECT_EQ(a.acc.stats().completed, 5u);
+    EXPECT_EQ(b.acc.stats().completed, 5u);
+  }
+}
+
+TEST(QuietSpan, NoRunIsTakenWholeWhileAnythingElseCanMove) {
+  Solo s;
+  EXPECT_TRUE(s.acc.canTakeRun(s.u, 1));
+  EXPECT_FALSE(s.acc.canTakeRun(s.u, 2));  // an empty slot is refused
+  s.acc.setReceiverReady(s.u, false);
+  EXPECT_FALSE(s.acc.canTakeRun(s.u, 1));
+  s.acc.setReceiverReady(s.u, true);
+  s.submit(1);
+  EXPECT_FALSE(s.acc.canTakeRun(s.u, 1));  // input queued
+  s.acc.tick();
+  EXPECT_FALSE(s.acc.canTakeRun(s.u, 1));  // a block in the pipe
+  s.acc.run(s.acc.pipeline().depth());
+  EXPECT_EQ(s.acc.pendingOutputs(s.u), 1u);
+  EXPECT_FALSE(s.acc.canTakeRun(s.u, 1));  // a response waits
+  ASSERT_TRUE(s.acc.fetchOutput(s.u).has_value());
+  EXPECT_TRUE(s.acc.canTakeRun(s.u, 1));
+  s.acc.setTickHook([] {});
+  EXPECT_FALSE(s.acc.canTakeRun(s.u, 1));
+  s.acc.setTickHook(nullptr);
+  ASSERT_TRUE(s.acc.injectFault(FaultSite::ConfigReg, 3, 0));
+  EXPECT_FALSE(s.acc.canTakeRun(s.u, 1));  // a slow-ring check fails
+}
+
+// --- skipQuiet's own contract ----------------------------------------------
 
 TEST(QuietSpan, LoneBlockSkipsToTheFinalStageThenTicksOut) {
   Solo a, b;
